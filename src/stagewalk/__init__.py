@@ -6,7 +6,7 @@ Three interchangeable lookup strategies over one in-memory directory tree:
 - fullpath: a whole-path-indexed cache with version-checked hits;
 - stage: two-stage lookup that starts the walk at the deepest cached pivot
   sharing a prefix with the query, managed by heat-based candidate admission
-  and an epoch-swapped dual pivot pool.
+  and a pivot pool rebuilt each period and swapped in behind readers.
 
 The workload module generates trees, synthesizes traces, and replays them,
 reporting operation counters instead of wall-clock latency.
@@ -57,7 +57,6 @@ from .workload import (
     parse_metrics_csv,
     read_trace,
     replay,
-    replay_stress,
     report,
     run_soak,
     synth_trace,
@@ -122,7 +121,6 @@ __all__ = [
     "read_trace",
     "record_access",
     "replay",
-    "replay_stress",
     "report",
     "run_soak",
     "synth_trace",

@@ -21,7 +21,6 @@ from .workload import (
     grid_csv,
     read_trace,
     replay,
-    replay_stress,
     report,
     synth_trace,
     write_trace,
@@ -37,20 +36,15 @@ EXIT_INTERNAL = 4
 class RunConfig:
     strategy: str = "stage"
     pool_size: int = 16
-    components: int = 8
     heat_threshold: int = 4
     heat_capacity: int = 64
     period_ms: int = 2000
-    seed: int = 0
     manual_tick: bool = False
     tick_every: int = 1000
-    workers: int = 0
 
     def validate(self) -> None:
         if self.pool_size < 0:
             raise ConfigError(f"--pool-size must be >= 0, got {self.pool_size}")
-        if self.components < 1:
-            raise ConfigError(f"--components must be >= 1, got {self.components}")
         if self.period_ms <= 0:
             raise ConfigError(f"--period-ms must be > 0, got {self.period_ms}")
         if self.heat_capacity < 0 or self.heat_threshold < 0:
@@ -59,31 +53,24 @@ class RunConfig:
             raise ConfigError(f"--tick-every must be >= 1, got {self.tick_every}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=STRATEGIES, default="stage")
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pool-size", type=int, default=16)
-    p.add_argument("--components", type=int, default=8, help="pivot component array capacity")
     p.add_argument("--heat-threshold", type=int, default=4)
     p.add_argument("--heat-capacity", type=int, default=64)
     p.add_argument("--period-ms", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--manual-tick", action="store_true", help="tick every --tick-every events instead of by trace time")
     p.add_argument("--tick-every", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=0, help="reader worker threads (stress mode)")
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
         strategy=getattr(args, "strategy", "stage"),
         pool_size=args.pool_size,
-        components=args.components,
         heat_threshold=args.heat_threshold,
         heat_capacity=args.heat_capacity,
         period_ms=args.period_ms,
-        seed=args.seed,
         manual_tick=args.manual_tick,
         tick_every=args.tick_every,
-        workers=args.workers,
     )
     cfg.validate()
     return cfg
@@ -128,24 +115,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _run_one(args: argparse.Namespace, cfg: RunConfig, strategy: str):
     spec = _load_spec(args.tree)
     trace = read_trace(args.trace)
-    knobs = dict(
-        period_ms=cfg.period_ms,
-        pool_size=cfg.pool_size,
-        component_capacity=cfg.components,
-        heat_threshold=cfg.heat_threshold,
-        heat_capacity=cfg.heat_capacity,
-    )
-    if cfg.workers > 0:
-        tree = gen_tree(spec, threadsafe=True)
-        return replay_stress(trace, strategy, tree, workers=cfg.workers, **knobs)
-    tree = gen_tree(spec)
     return replay(
         trace,
         strategy,
-        tree,
+        gen_tree(spec),
         manual_tick=cfg.manual_tick,
         tick_every=cfg.tick_every,
-        **knobs,
+        period_ms=cfg.period_ms,
+        pool_size=cfg.pool_size,
+        heat_threshold=cfg.heat_threshold,
+        heat_capacity=cfg.heat_capacity,
     )
 
 
@@ -177,7 +156,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_depth(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     rows = bench_depth_grid(pool_sizes=BENCH_POOL_SIZES, reps=args.reps)
     text = grid_csv(rows)
     print(text, end="")
@@ -196,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="10,10,10,10,10", help="comma-separated fanout per level")
     p.add_argument("--file-size", default="4096:4096", help="lo:hi leaf file size bytes")
     p.add_argument("--out", default="tree", help="output path prefix")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gen_tree)
 
     p = sub.add_parser("synth", help="synthesize a trace over a tree spec")
@@ -209,27 +187,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-chmod", type=float, default=0.0)
     p.add_argument("--p-create", type=float, default=0.0)
     p.add_argument("--out", default="trace.jsonl")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("replay", help="replay a trace with one strategy")
     p.add_argument("--tree", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--out", default="", help="metrics CSV output path")
-    _add_common(p)
+    p.add_argument("--strategy", choices=STRATEGIES, default="stage")
+    _add_run_flags(p)
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("compare", help="replay the same inputs under every strategy")
     p.add_argument("--tree", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--out", default="")
-    _add_common(p)
+    _add_run_flags(p)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("bench-depth", help="stage-two length x pool size counter grid")
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--out", default="")
-    _add_common(p)
     p.set_defaults(fn=cmd_bench_depth)
 
     return parser

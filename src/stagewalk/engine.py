@@ -85,7 +85,6 @@ class StageLookupEngine(_ResolverBase):
         self,
         tree: DirTree,
         pool_size: int = 16,
-        component_capacity: int = 8,
         heat_threshold: int = 4,
         heat_capacity: int = 64,
         period_ms: int = 2000,
@@ -95,14 +94,7 @@ class StageLookupEngine(_ResolverBase):
         self.epoch = HeatEpoch(period_ms=period_ms)
         self.candidates = CandidateSet(heat_capacity, heat_threshold)
         self.heat_lock = threading.Lock()
-        self.manager = PivotManager(
-            tree,
-            self.candidates,
-            self.epoch,
-            self.heat_lock,
-            pool_bound=pool_size,
-            component_capacity=component_capacity,
-        )
+        self.manager = PivotManager(tree, self.candidates, self.epoch, self.heat_lock, pool_bound=pool_size)
         tree.register_hook(self._on_metadata)
 
     def _on_metadata(self, event: str, path: PathBuf, new_path: Optional[PathBuf]) -> None:

@@ -1,17 +1,18 @@
-"""Pivot manager lifecycle: dual pools, reader tokens, deferred reclamation.
+"""Pivot manager lifecycle: one working pool, reader tokens, deferred reclamation.
 
-Two pools alternate as working and waiting. Readers enter a read-side section
-and get a token that pins the working pool of that instant; publication swaps
-a fully built pool in atomically, so a reader never observes a partial build.
-Retired pools and pivots go on a reclaim queue and are poisoned (freed flag)
-only once every token issued before their retirement has exited, which the
-sentinel checks in find_best_pivot turn into hard failures on any protocol bug.
+Readers enter a read-side section and get a token that pins the working pool
+of that instant. Each period the manager builds a fresh pool off to the side;
+that pool is the waiting pool until `_install` swaps it in atomically, so a
+reader never observes a partial build. Retired pools and pivots go on a
+reclaim queue and are poisoned (freed flag) only once every token issued
+before their retirement has exited, which the sentinel checks in
+find_best_pivot turn into hard failures on any protocol bug.
 
 Metadata modification invalidates the working pool in place: the first pivot
 covered by the modified path and everything after it is flagged invalid,
 covered pivots are dropped (survivors get their overlap repaired on fresh
 objects so old snapshots stay self-consistent), survivors are re-validated,
-and the waiting pool is marked totally invalid with the next swap suppressed.
+and the next swap is skipped: the waiting pool of that period is discarded.
 """
 
 from __future__ import annotations
@@ -70,14 +71,8 @@ class ReclaimQueue:
         return freed
 
 
-def _empty_pool(bound: int, component_capacity: int, generation: int, published: bool) -> PivotPool:
-    pool = PivotPool([], bound, component_capacity, generation)
-    pool.published = published
-    return pool
-
-
 class PivotManager:
-    """Owns the pool pair, the heat epoch, and the candidate set lifecycle."""
+    """Owns the working pool, the heat epoch, and the candidate set lifecycle."""
 
     def __init__(
         self,
@@ -86,22 +81,16 @@ class PivotManager:
         epoch: HeatEpoch,
         heat_lock: threading.Lock,
         pool_bound: int = 16,
-        component_capacity: int = 8,
     ):
         self._tree = tree
         self._candidates = candidates
         self._epoch = epoch
         self._heat_lock = heat_lock
         self.pool_bound = pool_bound
-        self.component_capacity = component_capacity
         self.generation = 0
-        self._slots: dict[str, PivotPool] = {
-            "A": _empty_pool(pool_bound, component_capacity, 0, published=True),
-            "B": _empty_pool(pool_bound, component_capacity, 0, published=False),
-        }
-        self.working_selector = "A"
-        self.waiting_invalid = False
-        self.swap_suppressed_next_period = False
+        self.working_pool = PivotPool([])
+        self.working_pool.published = True
+        self.suppress_next_swap = False
         self.reclaim_queue = ReclaimQueue()
         self._pool_mutex = threading.Lock()
         self._reader_lock = threading.Lock()
@@ -112,17 +101,9 @@ class PivotManager:
 
     # -- read side ------------------------------------------------------------
 
-    @property
-    def working_pool(self) -> PivotPool:
-        return self._slots[self.working_selector]
-
-    @property
-    def waiting_selector(self) -> str:
-        return "B" if self.working_selector == "A" else "A"
-
     def reader_enter(self) -> ReadToken:
         with self._reader_lock:
-            pool = self._slots[self.working_selector]
+            pool = self.working_pool
             tid = next(self._token_seq)
             self._readers[tid] = pool.generation
             return ReadToken(tid, pool.generation, pool)
@@ -147,10 +128,9 @@ class PivotManager:
     def periodic_update(self, candidates: Optional[Iterable[Dentry]] = None) -> bool:
         """One manager period: rebuild, maybe swap, then advance and drain heat.
 
-        A metadata modification since the last period (flags set) discards the
-        fresh build and keeps the current working pool for another period; in
-        that case the heat version does not advance either. Returns whether a
-        swap happened.
+        A metadata modification since the last period discards the fresh build
+        and keeps the current working pool for another period; in that case the
+        heat version does not advance either. Returns whether a swap happened.
         """
         self.ticks += 1
         if candidates is None:
@@ -158,30 +138,15 @@ class PivotManager:
                 candidates = self._candidates.members()
         self._tree.lock.acquire_read()
         try:
-            new_pool = build_pool(candidates, self.pool_bound, self.component_capacity)
+            new_pool = build_pool(candidates, self.pool_bound)
         finally:
             self._tree.lock.release_read()
 
-        swapped = False
         with self._pool_mutex:
-            if self.waiting_invalid or self.swap_suppressed_next_period:
-                self.waiting_invalid = False
-                self.swap_suppressed_next_period = False
-                self._slots[self.waiting_selector] = _empty_pool(
-                    self.pool_bound, self.component_capacity, self.generation, published=False
-                )
-            else:
-                self.generation += 1
-                new_pool.generation = self.generation
-                new_pool.published = True
-                old = self._slots[self.working_selector]
-                waiting = self.waiting_selector
-                self._slots[waiting] = new_pool
-                with self._reader_lock:
-                    self.working_selector = waiting
-                self.reclaim_queue.push(old, old.generation)
-                self.swaps += 1
-                swapped = True
+            swapped = not self.suppress_next_swap
+            if swapped:
+                self._install(new_pool)
+            self.suppress_next_swap = False
         if swapped:
             with self._heat_lock:
                 self._epoch.advance()
@@ -192,25 +157,27 @@ class PivotManager:
     def publish_pool(self, pool: PivotPool) -> None:
         """Directly install a hand-built pool (benches and tests)."""
         with self._pool_mutex:
-            self.generation += 1
-            pool.generation = self.generation
-            pool.published = True
-            old = self._slots[self.working_selector]
-            waiting = self.waiting_selector
-            self._slots[waiting] = pool
-            with self._reader_lock:
-                self.working_selector = waiting
-            self.reclaim_queue.push(old, old.generation)
-            self.swaps += 1
+            self._install(pool)
+
+    def _install(self, pool: PivotPool) -> None:
+        """Publish `pool` as the working pool and retire the old one; the caller
+        holds the pool mutex."""
+        self.generation += 1
+        pool.generation = self.generation
+        pool.published = True
+        old = self.working_pool
+        with self._reader_lock:
+            self.working_pool = pool
+        self.reclaim_queue.push(old, old.generation)
+        self.swaps += 1
 
     def invalidate_for_metadata(self, path: PathBuf) -> int:
         """Drop every working-pool pivot covered by `path`; called pre-mutation.
 
-        The waiting pool is marked totally invalid and the next swap is
-        suppressed regardless of whether anything matched.
+        The next swap is skipped regardless of whether anything matched.
         """
         with self._pool_mutex:
-            wp = self._slots[self.working_selector]
+            wp = self.working_pool
             pivots = wp.pivots
             prefix = path.components
             plen = len(prefix)
@@ -239,8 +206,7 @@ class PivotManager:
                     p.valid = True  # reactivate the survivors
                 wp.pivots = repaired
                 self.reclaim_queue.push(removed + retired_clones, self.generation)
-            self.waiting_invalid = True
-            self.swap_suppressed_next_period = True
+            self.suppress_next_swap = True
             return len(removed)
 
     def reclaim(self) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .engine import _ResolverBase
+from .errors import NotFound
 from .metrics import Metrics
 from .paths import PathBuf
 from .tree import Credential, DirTree
@@ -65,7 +66,7 @@ class FullPathCache(_ResolverBase):
         """
         try:
             top = self.tree._resolve_admin(path)
-        except Exception:
+        except NotFound:
             return 0
         touched = 0
         stack = [(top, path.text)]

@@ -56,15 +56,6 @@ class PathBuf:
         n = len(self.components)
         return other.components[:n] == self.components
 
-    def component_end_offsets(self) -> tuple[int, ...]:
-        """offsets[i] = index just past component i in the text; offsets[0] == 0."""
-        offs = [0]
-        pos = 0
-        for name in self.components:
-            pos += 1 + len(name)
-            offs.append(pos)
-        return tuple(offs)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PathBuf) and self.text == other.text
 

@@ -65,13 +65,11 @@ class PivotPool:
     valid flags; structural changes swap in a fresh list so in-flight readers
     keep a consistent snapshot."""
 
-    __slots__ = ("pivots", "bound", "component_capacity", "generation", "published", "freed")
+    __slots__ = ("pivots", "generation", "published", "freed")
 
-    def __init__(self, pivots: list[Pivot], bound: int, component_capacity: int = 8, generation: int = 0):
+    def __init__(self, pivots: list[Pivot]):
         self.pivots = pivots
-        self.bound = bound
-        self.component_capacity = component_capacity
-        self.generation = generation
+        self.generation = 0
         self.published = False
         self.freed = False
 
@@ -97,12 +95,7 @@ def compute_overlap(prev: Pivot, cur: Pivot) -> int:
     return _lcp_components(prev.names, cur.names)
 
 
-def build_pool(
-    candidates: Iterable[Dentry],
-    bound: int,
-    component_capacity: int = 8,
-    generation: int = 0,
-) -> PivotPool:
+def build_pool(candidates: Iterable[Dentry], bound: int) -> PivotPool:
     """Materialize candidate dentries into a sorted pool of at most `bound` pivots.
 
     Each candidate's path is recovered by walking parent links; dead
@@ -147,23 +140,24 @@ def build_pool(
             running &= masks[depth0]  # this component joins the prefix of deeper ones
         pivots.append(Pivot(path, names, overlap, tuple(comps)))
         prev_names = names
-    return PivotPool(pivots, bound, component_capacity, generation)
+    return PivotPool(pivots)
 
 
 class ScanStats:
     """Instrumentation for one find_best_pivot call."""
 
-    __slots__ = ("pivots_visited", "char_comparisons", "cursor_offsets")
+    __slots__ = ("pivots_visited", "char_comparisons", "cursor_depths")
 
     def __init__(self) -> None:
         self.pivots_visited = 0
         self.char_comparisons = 0
-        # path-text char offset of the matched prefix, appended per pivot processed
-        self.cursor_offsets: list[int] = []
+        # components matched so far, appended per pivot processed; the path-text
+        # cursor sits at the end offset of that component, which grows with depth
+        self.cursor_depths: list[int] = []
 
     @property
     def cursor_monotone(self) -> bool:
-        return all(b >= a for a, b in zip(self.cursor_offsets, self.cursor_offsets[1:]))
+        return all(b >= a for a, b in zip(self.cursor_depths, self.cursor_depths[1:]))
 
 
 def _cmp_component(a: str, b: str) -> tuple[bool, int]:
@@ -208,7 +202,6 @@ def find_best_pivot(
         return None
     comps = path.components
     n = len(comps)
-    offs = path.component_end_offsets() if stats is not None else None
     best: Optional[Pivot] = None
     best_depth = 0
     m = 0
@@ -244,7 +237,7 @@ def find_best_pivot(
         m = ext
         chain = _CHAIN_INF  # anchor moved: next overlap is the LCP against this pivot
         if stats is not None:
-            stats.cursor_offsets.append(offs[m])
+            stats.cursor_depths.append(m)
         if m == n:
             break
     if best is None or best_depth == 0:
@@ -282,9 +275,10 @@ def verify_pool(pool: PivotPool) -> list[str]:
 
 
 # accounting model for a 64-bit layout: 16 bytes per component record,
-# component blocks allocated in units of the capacity N, a 64-byte pivot
-# header (path pointer/length, overlap, valid, extension pointer, padding)
-# and a fixed 128-byte path buffer per pivot
+# component blocks allocated in units of _COMPONENT_CAPACITY records, a 64-byte
+# pivot header (path pointer/length, overlap, valid, extension pointer,
+# padding) and a fixed 128-byte path buffer per pivot
+_COMPONENT_CAPACITY = 8
 _COMPONENT_BYTES = 16
 _PIVOT_HEADER_BYTES = 64
 _PATH_BUF_BYTES = 128
@@ -292,9 +286,8 @@ _PATH_BUF_BYTES = 128
 
 def pool_footprint_bytes(pool: PivotPool) -> int:
     """Reported memory footprint of the pool; accounting only, nothing is allocated."""
-    cap = max(pool.component_capacity, 1)
     total = 0
     for pv in pool.pivots:
-        blocks = max(1, -(-pv.depth // cap))
-        total += _PIVOT_HEADER_BYTES + _PATH_BUF_BYTES + blocks * cap * _COMPONENT_BYTES
+        blocks = max(1, -(-pv.depth // _COMPONENT_CAPACITY))
+        total += _PIVOT_HEADER_BYTES + _PATH_BUF_BYTES + blocks * _COMPONENT_CAPACITY * _COMPONENT_BYTES
     return total

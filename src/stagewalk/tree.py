@@ -112,10 +112,6 @@ class Dentry:
         self.dead = False
         self.children: Optional[dict[str, Dentry]] = {} if kind == DIR else None
 
-    @property
-    def parent_id(self) -> Optional[int]:
-        return self.parent.id if self.parent is not None else None
-
     def __repr__(self) -> str:
         return f"Dentry(id={self.id}, name={self.name!r}, kind={self.kind})"
 

@@ -294,7 +294,6 @@ def make_resolver(
     strategy: str,
     tree: DirTree,
     pool_size: int = 16,
-    component_capacity: int = 8,
     heat_threshold: int = 4,
     heat_capacity: int = 64,
     period_ms: int = 2000,
@@ -308,7 +307,6 @@ def make_resolver(
         return StageLookupEngine(
             tree,
             pool_size=pool_size,
-            component_capacity=component_capacity,
             heat_threshold=heat_threshold,
             heat_capacity=heat_capacity,
             period_ms=period_ms,
@@ -379,63 +377,6 @@ def replay(
             outcomes.append(out)
     resolver.metrics.wall_time["replay"] = time.perf_counter() - started
     return ReplayResult(resolver.metrics, outcomes, resolver)
-
-
-def replay_stress(
-    trace: Sequence[TraceEvent],
-    strategy: str,
-    tree: DirTree,
-    workers: int = 8,
-    cred: Credential = Credential.OWNER,
-    period_ms: int = 2000,
-    **resolver_kwargs,
-) -> ReplayResult:
-    """Multi-reader stress replay: lookup runs are spread across worker
-    threads; mutations and ticks run on the main thread between them.
-
-    The tree must be built threadsafe. Counters are approximate here (worker
-    increments are unsynchronized by design); use replay() for counter-exact
-    runs.
-    """
-    resolver = make_resolver(strategy, tree, period_ms=period_ms, **resolver_kwargs)
-
-    def consume(segment: list[TraceEvent], offset: int) -> None:
-        for j in range(offset, len(segment), workers):
-            try:
-                resolver.lookup(PathBuf.parse(segment[j].path), cred)
-            except EngineError:
-                pass
-
-    started = time.perf_counter()
-    ticks_fired = 0
-    i = 0
-    n = len(trace)
-    while i < n:
-        segment: list[TraceEvent] = []
-        while i < n and trace[i].op in ("stat", "open"):
-            segment.append(trace[i])
-            i += 1
-        if segment:
-            threads = [threading.Thread(target=consume, args=(segment, w)) for w in range(workers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            while segment[-1].at_ms // period_ms > ticks_fired:
-                resolver.tick()
-                ticks_fired += 1
-        if i < n:
-            ev = trace[i]
-            i += 1
-            try:
-                _apply_mutation(tree, ev)
-            except EngineError:
-                pass
-            while ev.at_ms // period_ms > ticks_fired:
-                resolver.tick()
-                ticks_fired += 1
-    resolver.metrics.wall_time["replay"] = time.perf_counter() - started
-    return ReplayResult(resolver.metrics, None, resolver)
 
 
 def equivalence_run(

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from stagewalk.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -65,6 +67,20 @@ def test_bad_config_exits_2(tmp_path):
     main(["synth", "--tree", f"{prefix}.spec.json", "--events", "10", "--out", trace_file])
     assert main(["replay", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--pool-size", "-1"]) == EXIT_CONFIG
     assert main(["replay", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--period-ms", "0"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-tree", "--pool-size", "4"],
+        ["bench-depth", "--reps", "1", "--strategy", "stage"],
+        ["replay", "--tree", "x", "--trace", "y", "--components", "8"],
+        ["replay", "--tree", "x", "--trace", "y", "--workers", "2"],
+        ["replay", "--tree", "x", "--trace", "y", "--seed", "1"],
+    ],
+)
+def test_flag_not_read_by_subcommand_exits_2(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
 def test_unknown_strategy_exits_2(tmp_path):

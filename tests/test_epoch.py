@@ -79,29 +79,30 @@ def test_double_exit_detected():
 
 def test_selector_alternates_in_steady_state():
     tree, cset, epoch, mgr = make_manager()
-    seen = [mgr.working_selector]
+    seen = [mgr.working_pool]
     for _ in range(3):
         heat_up(tree, cset, epoch, ["/seed"])
-        mgr.periodic_update()
-        seen.append(mgr.working_selector)
-    assert seen == ["A", "B", "A", "B"]
+        assert mgr.periodic_update()
+        seen.append(mgr.working_pool)
+    assert [p.generation for p in seen] == [0, 1, 2, 3]  # a fresh pool every period
+    assert [p.freed for p in seen] == [True, True, True, False]  # the old one retired
 
 
 def test_metadata_mid_period_suppresses_next_swap():
     tree, cset, epoch, mgr = fig4_manager()
-    selector = mgr.working_selector
+    pool = mgr.working_pool
     gen = mgr.generation
     tree.rename_node(mkpath("/a1/b2"), mkpath("/a1/zz9"))  # no hook registered; call directly
     mgr.invalidate_for_metadata(mkpath("/a1/b2"))
-    assert mgr.waiting_invalid and mgr.swap_suppressed_next_period
+    assert mgr.suppress_next_swap
     heat_up(tree, cset, epoch, ["/a1/b1/c1"])
     swapped = mgr.periodic_update()
     assert not swapped
-    assert mgr.working_selector == selector and mgr.generation == gen  # old pool still working
-    assert not mgr.waiting_invalid and not mgr.swap_suppressed_next_period
+    assert mgr.working_pool is pool and mgr.generation == gen  # old pool still working
+    assert not mgr.suppress_next_swap
     heat_up(tree, cset, epoch, ["/a1/b1/c1"])
     assert mgr.periodic_update()  # the following period swaps again
-    assert mgr.working_selector != selector
+    assert mgr.working_pool is not pool
 
 
 def test_version_advances_and_drains_only_on_swap():
@@ -143,7 +144,7 @@ def test_invalidate_no_match_touches_only_waiting_pool():
     before = [p.path for p in mgr.working_pool.pivots]
     assert mgr.invalidate_for_metadata(mkpath("/zz")) == 0
     assert [p.path for p in mgr.working_pool.pivots] == before
-    assert mgr.waiting_invalid
+    assert mgr.suppress_next_swap
 
 
 def test_invalidate_root_removes_everything():

@@ -80,6 +80,19 @@ def test_empty_cache_still_counts_version_bumps():
     assert touched == 3  # a, b, c version bumps despite zero entry removals
 
 
+@pytest.mark.parametrize("unknown", ["/zz", "/a/zz/c", "/a/f/x"])
+def test_invalidate_unknown_path_touches_nothing(unknown):
+    tree = make_tree("/a", files=("/a/f",))
+    cache = FullPathCache(tree)
+    p = mkpath("/a/f")
+    cache.fp_lookup(p)
+    touched0, visited0 = cache.metrics.entries_touched, cache.metrics.dentries_visited
+    assert cache.fp_invalidate_subtree(mkpath(unknown)) == 0
+    assert cache.metrics.entries_touched == touched0
+    cache.fp_lookup(p)
+    assert cache.metrics.dentries_visited == visited0  # still a warm hit: no version moved
+
+
 def test_stale_entries_not_served_after_ancestor_rename():
     tree = make_tree("/a/b", files=("/a/b/f",))
     cache = FullPathCache(tree)

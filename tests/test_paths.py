@@ -48,12 +48,6 @@ def test_component_prefix():
     assert not ab.is_component_prefix_of(a)
 
 
-def test_component_end_offsets():
-    p = PathBuf.parse("/a1/b22/c")
-    assert p.component_end_offsets() == (0, 3, 7, 9)
-    assert PathBuf.parse("/").component_end_offsets() == (0,)
-
-
 def test_equality_and_hash():
     assert PathBuf.parse("/a/b") == PathBuf.parse("/a/b/")
     assert len({PathBuf.parse("/a"), PathBuf.parse("/a")}) == 1

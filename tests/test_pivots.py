@@ -261,7 +261,7 @@ def test_footprint_within_2x_of_seven_kib():
             cands.append(make_node(tree, p, FILE if depth == 8 else DIR))
         except Exception:
             pass
-    pool = build_pool(cands, 16, component_capacity=8)
+    pool = build_pool(cands, 16)
     footprint = pool_footprint_bytes(pool)
     assert pool.size == 16
     assert 7 * 1024 / 2 <= footprint <= 7 * 1024 * 2, footprint

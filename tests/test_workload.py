@@ -227,17 +227,6 @@ def test_replay_determinism_byte_identical_csv():
     assert one_run().encode() == one_run().encode()
 
 
-def test_replay_stress_mode_runs_clean():
-    from stagewalk import replay_stress
-
-    spec = TreeSpec(levels=[4, 4], seed=17)
-    tree = gen_tree(spec, threadsafe=True)
-    trace = synth_trace(tree, "hotdir-zipf", {"n_events": 2_000, "p_rename": 0.02, "p_chmod": 0.02}, seed=18)
-    res = replay_stress(trace, "stage", tree, workers=4)
-    assert res.metrics.lookups > 0
-    assert res.resolver.manager.active_reader_count == 0
-
-
 # -- depth sweep ---------------------------------------------------------------------
 
 
