@@ -120,7 +120,9 @@ class StageLookupEngine(_ResolverBase):
         finally:
             tree.lock.release_read()
 
-    def stage_lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> StageResult:
+    def _resolve(self, path: PathBuf, cred: Credential) -> tuple[Dentry, Optional[Pivot], int]:
+        """Both stages; returns the target, the pivot used (None on a full walk)
+        and the number of components it skipped."""
         metrics = self.metrics
         metrics.lookups += 1
         manager = self.manager
@@ -131,28 +133,35 @@ class StageLookupEngine(_ResolverBase):
         finally:
             manager.reader_exit(token)
         metrics.char_comparisons += stats.char_comparisons  # Stage One single scan
-        n = path.depth
 
         if hit is not None:
             pivot, depth = hit
-            start = self.tree.node(pivot.components[depth - 1].node_id)
-            if start is not None and not start.dead:
+            tree = self.tree
+            target = tree.node(pivot.components[depth - 1].node_id)
+            if target is not None and not target.dead:
                 self.check_prefix_permissions(pivot, depth, cred)
-                tree = self.tree
-                tree.lock.acquire_read()
-                try:
-                    target = tree.walk_from(start, path.components[depth:], cred, metrics)
-                finally:
-                    tree.lock.release_read()
+                rest = path.components[depth:]
+                if rest:  # an empty walk_from checks and counts nothing
+                    tree.lock.acquire_read()
+                    try:
+                        target = tree.walk_from(target, rest, cred, metrics)
+                    finally:
+                        tree.lock.release_read()
                 metrics.pivot_hits += 1
                 metrics.note_skip(depth)
                 self._note_target(target)
-                return StageResult(target.id, depth, n - depth, pivot.path, depth < pivot.depth)
+                return target, pivot, depth
             metrics.fallbacks += 1  # component dentry unlinked between build and use
 
         target = self._full_walk(path, cred)
         self._note_target(target)
-        return StageResult(target.id, 0, n, None, False)
+        return target, None, 0
+
+    def stage_lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> StageResult:
+        target, pivot, depth = self._resolve(path, cred)
+        if pivot is None:
+            return StageResult(target.id, 0, path.depth, None, False)
+        return StageResult(target.id, depth, path.depth - depth, pivot.path, depth < pivot.depth)
 
     def lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
-        return self.stage_lookup(path, cred).target
+        return self._resolve(path, cred)[0].id

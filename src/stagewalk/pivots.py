@@ -144,7 +144,8 @@ def build_pool(candidates: Iterable[Dentry], bound: int) -> PivotPool:
 
 
 class ScanStats:
-    """Instrumentation for one find_best_pivot call."""
+    """Instrumentation for one find_best_pivot call; the scan writes its
+    counts when it ends."""
 
     __slots__ = ("pivots_visited", "char_comparisons", "cursor_depths")
 
@@ -160,15 +161,16 @@ class ScanStats:
         return all(b >= a for a, b in zip(self.cursor_depths, self.cursor_depths[1:]))
 
 
-def _cmp_component(a: str, b: str) -> tuple[bool, int]:
-    """Char-by-char component compare; returns (equal, chars examined)."""
-    n = min(len(a), len(b))
+def _mismatch_cost(a: str, b: str) -> int:
+    """Chars a char-by-char compare examines before it finds `a != b`: up to
+    and including the first differing pair, or all of the shorter name when
+    it is a prefix of the other."""
     i = 0
-    while i < n and a[i] == b[i]:
+    for x, y in zip(a, b):
         i += 1
-    if i < n:
-        return False, i + 1  # mismatching pair was examined
-    return len(a) == len(b), i
+        if x != y:
+            return i
+    return i
 
 
 _CHAIN_INF = 1 << 62
@@ -192,55 +194,65 @@ def find_best_pivot(
     skipped as if absent: their overlap still folds into `chain` but their
     characters are never read. Ties keep the first pivot that reached the
     deepest match. Returns None when no valid pivot shares even one component.
+
+    Components are compared whole; `stats.char_comparisons` still counts what
+    a char-by-char compare would examine: the full name on a match, and
+    `_mismatch_cost` on the one compare per pivot that fails.
+
+    The pool's list is read by reference, without a copy: a published pool's
+    list is never changed in place, only replaced (`invalidate_for_metadata`
+    installs a new list), so the scan sees one consistent snapshot.
     """
     if pool.freed:
         raise ContractViolation("pivot pool used after reclaim")
     if not pool.published:
         raise ContractViolation("pivot pool read before publication")
-    pivots = list(pool.pivots)  # snapshot; the list ref is swapped atomically
-    if not pivots:
-        return None
     comps = path.components
     n = len(comps)
     best: Optional[Pivot] = None
     best_depth = 0
     m = 0
     chain = 0  # the virtual predecessor of the first pivot shares nothing
-    for i, pv in enumerate(pivots):
+    visited = 0
+    chars = 0
+    depths = stats.cursor_depths if stats is not None else []
+    for pv in pool.pivots:
         if pv.freed:
             raise ContractViolation("pivot used after reclaim")
-        if stats is not None:
-            stats.pivots_visited += 1
-        if i:
-            o = pv.overlap
-            if o < chain:
-                chain = o
+        visited += 1
+        o = pv.overlap
+        if o < chain:
+            chain = o
         if chain < m:
             break
-        if chain > m:
+        if chain > m or not pv.valid:
             continue
-        if not pv.valid:
-            continue
-        ext = m
         names = pv.names
-        pd = len(names)
-        while ext < n and ext < pd:
-            equal, examined = _cmp_component(comps[ext], names[ext])
-            if stats is not None:
-                stats.char_comparisons += examined
-            if not equal:
+        end = len(names)
+        if n < end:
+            end = n
+        ext = m
+        while ext < end:
+            a = comps[ext]
+            b = names[ext]
+            if a == b:
+                chars += len(a)
+                ext += 1
+            else:
+                chars += _mismatch_cost(a, b)
                 break
-            ext += 1
         if ext > best_depth:
             best = pv
             best_depth = ext
         m = ext
         chain = _CHAIN_INF  # anchor moved: next overlap is the LCP against this pivot
-        if stats is not None:
-            stats.cursor_depths.append(m)
+        depths.append(m)
         if m == n:
             break
-    if best is None or best_depth == 0:
+    if stats is not None:
+        stats.pivots_visited = visited
+        stats.char_comparisons = chars
+    if best is None:
         return None
     return best, best_depth
 

@@ -200,12 +200,17 @@ class _Universe:
         self.files.sort()
         self.dirs.sort()
         self.deepest_dirs.sort()
+        # every path list a rename must update; the synthesizer adds its own
+        self.pools = [self.files, self.dirs, self.deepest_dirs]
 
     def apply_rename(self, old: str, new: str) -> None:
-        for pool in (self.files, self.dirs, self.deepest_dirs):
+        """Move `old` and every path under it to `new`, as the tree will."""
+        under = old + "/"
+        cut = len(old)
+        for pool in self.pools:
             for i, p in enumerate(pool):
-                if p == old:
-                    pool[i] = new
+                if p == old or p.startswith(under):
+                    pool[i] = new + p[cut:]
 
 
 def synth_trace(
@@ -247,15 +252,13 @@ def synth_trace(
     k = max(1, min(int(p["hot_dirs"]), len(uni.deepest_dirs)))
     hot = rng.sample(uni.deepest_dirs, k)
     weights = [1.0 / (rank + 1) ** float(p["zipf_s"]) for rank in range(k)]
-    hot_children: dict[str, list[str]] = {}
-    for hd in hot:
-        hot_children[hd] = [f for f in uni.files if f.rsplit("/", 1)[0] == hd] or [hd]
+    hot_children = [[f for f in uni.files if f.rsplit("/", 1)[0] == hd] or [hd] for hd in hot]
+    uni.pools += hot_children
 
     def pick_target() -> str:
         if model == "uniform":
             return rng.choice(uni.files)
-        hd = rng.choices(hot, weights=weights, k=1)[0]
-        kids = hot_children[hd]
+        kids = rng.choices(hot_children, weights=weights, k=1)[0]
         return rng.choice(kids)
 
     p_mut = p["p_rename"] + p["p_chmod"] + p["p_create"]

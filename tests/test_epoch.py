@@ -139,6 +139,18 @@ def test_invalidate_removes_covered_run_and_repairs_overlap():
     assert all(p.valid for p in wp.pivots)
 
 
+def test_invalidate_replaces_the_pivot_list_never_edits_it():
+    # find_best_pivot iterates pool.pivots without copying it, so a scan that
+    # started before the invalidation must keep seeing the list it started on
+    tree, cset, epoch, mgr = fig4_manager()
+    held = mgr.working_pool.pivots
+    before = list(held)
+    assert mgr.invalidate_for_metadata(mkpath("/a1/b1/c2")) == 2
+    assert len(held) == len(before)
+    assert all(a is b for a, b in zip(held, before))
+    assert mgr.working_pool.pivots is not held
+
+
 def test_invalidate_no_match_touches_only_waiting_pool():
     tree, cset, epoch, mgr = fig4_manager()
     before = [p.path for p in mgr.working_pool.pivots]

@@ -225,6 +225,89 @@ def test_single_scan_properties_randomized():
             assert stats.char_comparisons <= len(q.text) + 4 * stats.pivots_visited
 
 
+def _cmp_component(a: str, b: str) -> tuple[bool, int]:
+    """Char-by-char component compare; returns (equal, chars examined)."""
+    n = min(len(a), len(b))
+    i = 0
+    while i < n and a[i] == b[i]:
+        i += 1
+    if i < n:
+        return False, i + 1  # mismatching pair was examined
+    return len(a) == len(b), i
+
+
+def _reference_scan(pool, path, stats):
+    """The Stage One scan comparing names one char at a time; the model cost
+    that find_best_pivot must count without doing it."""
+    comps = path.components
+    n = len(comps)
+    best, best_depth, m, chain = None, 0, 0, 0
+    for i, pv in enumerate(list(pool.pivots)):
+        stats.pivots_visited += 1
+        if i:
+            chain = min(chain, pv.overlap)
+        if chain < m:
+            break
+        if chain > m or not pv.valid:
+            continue
+        ext = m
+        while ext < n and ext < len(pv.names):
+            equal, examined = _cmp_component(comps[ext], pv.names[ext])
+            stats.char_comparisons += examined
+            if not equal:
+                break
+            ext += 1
+        if ext > best_depth:
+            best, best_depth = pv, ext
+        m = ext
+        chain = 1 << 62
+        stats.cursor_depths.append(m)
+        if m == n:
+            break
+    return None if best is None else (best, best_depth)
+
+
+# sibling names that are prefixes of each other or share leading chars
+_CLOSE_NAMES = ("a", "ab", "abc", "abd", "abcd", "b", "ba", "bab")
+
+
+def test_counts_match_char_by_char_reference_randomized():
+    rng = random.Random(5150)
+    tree = make_tree()
+    nodes = []
+    for _ in range(300):
+        p = "/" + "/".join(rng.choice(_CLOSE_NAMES) for _ in range(rng.randint(1, 5)))
+        nodes.append(make_node(tree, p, DIR))
+    scans = prefix_mismatches = 0
+    for _ in range(300):
+        cands = rng.sample(nodes, rng.randint(1, 24))
+        for c in cands:
+            c.heat = rng.randint(1, 50)
+        pool = build_pool(cands, 16)
+        pool.published = True
+        for pv in pool.pivots:
+            pv.valid = rng.random() >= 0.3
+        for _ in range(10):
+            depth = rng.randint(0, 6)
+            q = PathBuf(tuple(rng.choice(_CLOSE_NAMES) for _ in range(depth)))
+            got_stats, want_stats = ScanStats(), ScanStats()
+            got = find_best_pivot(pool, q, got_stats)
+            want = _reference_scan(pool, q, want_stats)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] is want[0] and got[1] == want[1]
+            assert got_stats.pivots_visited == want_stats.pivots_visited
+            assert got_stats.char_comparisons == want_stats.char_comparisons
+            assert got_stats.cursor_depths == want_stats.cursor_depths
+            scans += 1
+            prefix_mismatches += any(
+                a != b and (a.startswith(b) or b.startswith(a))
+                for pv in pool.pivots
+                for a, b in zip(q.components, pv.names)
+            )
+    assert scans == 3000 and prefix_mismatches > 100
+
+
 # -- verify_pool -------------------------------------------------------------------------
 
 

@@ -103,6 +103,20 @@ def test_fixed_seed_byte_identical_trace(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_renamed_directory_moves_descendant_paths():
+    spec = TreeSpec(levels=[6, 6, 6, 6], seed=1)
+    for model in ("uniform", "hotdir-zipf"):
+        trace = synth_trace(gen_tree(spec), model, {"n_events": 20_000, "p_rename": 0.01, "p_chmod": 0.01}, seed=5)
+        res = replay(trace, "original", gen_tree(spec), record_outcomes=True)
+        assert res.outcomes.count("err:NotFound") == 0, model
+        # lookups do pass through renamed directories, so the check means something
+        through = [
+            ev for ev in trace
+            if ev.op in ("stat", "open") and any(c.startswith("r") for c in ev.path.split("/")[1:-1])
+        ]
+        assert through, model
+
+
 def test_replay_like_has_compressed_gaps():
     tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
     trace = synth_trace(tree, "replay-like", {"n_events": 300, "burst_len": 50}, seed=3)
@@ -225,6 +239,35 @@ def test_replay_determinism_byte_identical_csv():
         return csv_text
 
     assert one_run().encode() == one_run().encode()
+
+
+# (lookups, dentries_visited, char_comparisons, pivot_hits, fallbacks,
+#  entries_touched, distinct_resolved, effective_search_ratio, skipped_prefix_histogram)
+# as the code produced them before Stage One stopped comparing char by char
+_PINNED_COUNTERS = {
+    "hotdir-zipf": {
+        "original": ("3000", "15000", "60000", "0", "0", "0", "33", "0.002200", "{}"),
+        "fullpath": ("3000", "40", "90040", "0", "0", "0", "33", "0.825000", "{}"),
+        "stage": ("3000", "2500", "46176", "2500", "0", "0", "33", "0.013200", '{"5": 2500}'),
+    },
+    "uniform": {
+        "original": ("3000", "15000", "60000", "0", "0", "0", "1395", "0.093000", "{}"),
+        "fullpath": ("3000", "3100", "93100", "0", "0", "0", "1395", "0.450000", "{}"),
+        "stage": (
+            "3000", "11005", "71668", "2298", "0", "0", "1395", "0.126761",
+            '{"1": 1056, "2": 929, "3": 242, "5": 71}',
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("model", sorted(_PINNED_COUNTERS))
+def test_counter_rows_pinned_across_versions(model):
+    spec = TreeSpec(levels=[5, 5, 5, 5], seed=4)
+    trace = synth_trace(gen_tree(spec), model, {"n_events": 3_000}, seed=8)
+    for strategy, want in _PINNED_COUNTERS[model].items():
+        res = replay(trace, strategy, gen_tree(spec), manual_tick=True, tick_every=500)
+        assert tuple(value for _name, value in res.metrics.counter_rows()) == want, strategy
 
 
 # -- depth sweep ---------------------------------------------------------------------
