@@ -94,6 +94,7 @@ class StageLookupEngine(_ResolverBase):
         self.epoch = HeatEpoch(period_ms=period_ms)
         self.candidates = CandidateSet(heat_capacity, heat_threshold)
         self.heat_lock = threading.Lock()
+        self._threadsafe = tree.threadsafe  # heat updates take heat_lock only then
         self.manager = PivotManager(tree, self.candidates, self.epoch, self.heat_lock, pool_bound=pool_size)
         tree.register_hook(self._on_metadata)
 
@@ -109,7 +110,10 @@ class StageLookupEngine(_ResolverBase):
             raise PermissionDenied(f"skipped prefix of {pivot.path!r} not traversable for {cred.value}")
 
     def _note_target(self, target: Dentry) -> None:
-        with self.heat_lock:
+        if self._threadsafe:
+            with self.heat_lock:
+                observe_target(target, self.epoch, self.candidates)
+        else:
             observe_target(target, self.epoch, self.candidates)
 
     def _full_walk(self, path: PathBuf, cred: Credential) -> Dentry:

@@ -13,12 +13,20 @@ covered by the modified path and everything after it is flagged invalid,
 covered pivots are dropped (survivors get their overlap repaired on fresh
 objects so old snapshots stay self-consistent), survivors are re-validated,
 and the next swap is skipped: the waiting pool of that period is discarded.
+
+The reader registry takes a lock only on a threadsafe tree. On a
+single-threaded tree a reader registers the current generation before it
+reads the working pool, and `_install` publishes a pool before it bumps the
+generation, so every pool a reader can see is at least as new as the
+generation it registered and stays pinned until it exits (the same order
+epoch-based reclamation uses).
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -93,7 +101,7 @@ class PivotManager:
         self.suppress_next_swap = False
         self.reclaim_queue = ReclaimQueue()
         self._pool_mutex = threading.Lock()
-        self._reader_lock = threading.Lock()
+        self._reader_lock = threading.Lock() if tree.threadsafe else None
         self._readers: dict[int, int] = {}
         self._token_seq = itertools.count(1)
         self.ticks = 0
@@ -102,26 +110,37 @@ class PivotManager:
     # -- read side ------------------------------------------------------------
 
     def reader_enter(self) -> ReadToken:
-        with self._reader_lock:
+        lock = self._reader_lock
+        if lock is None:
+            tid = next(self._token_seq)
+            # register before reading the pool: see the module docstring
+            gen = self._readers[tid] = self.generation
+            return ReadToken(tid, gen, self.working_pool)
+        with lock:
             pool = self.working_pool
             tid = next(self._token_seq)
             self._readers[tid] = pool.generation
             return ReadToken(tid, pool.generation, pool)
 
     def reader_exit(self, token: ReadToken) -> None:
-        with self._reader_lock:
-            if token.token_id not in self._readers:
-                raise ContractViolation(f"token {token.token_id} released twice")
-            del self._readers[token.token_id]
+        lock = self._reader_lock
+        if lock is None:
+            released = self._readers.pop(token.token_id, None) is not None
+        else:
+            with lock:
+                released = self._readers.pop(token.token_id, None) is not None
+        if not released:
+            raise ContractViolation(f"token {token.token_id} released twice")
 
     @property
     def active_reader_count(self) -> int:
-        with self._reader_lock:
+        with self._reader_lock or nullcontext():
             return len(self._readers)
 
     def oldest_active_generation(self) -> Optional[int]:
-        with self._reader_lock:
-            return min(self._readers.values(), default=None)
+        with self._reader_lock or nullcontext():
+            # a snapshot: without the lock, readers enter and exit meanwhile
+            return min(list(self._readers.values()), default=None)
 
     # -- manager side -----------------------------------------------------------
 
@@ -162,12 +181,13 @@ class PivotManager:
     def _install(self, pool: PivotPool) -> None:
         """Publish `pool` as the working pool and retire the old one; the caller
         holds the pool mutex."""
-        self.generation += 1
-        pool.generation = self.generation
+        gen = self.generation + 1
+        pool.generation = gen
         pool.published = True
         old = self.working_pool
-        with self._reader_lock:
+        with self._reader_lock or nullcontext():
             self.working_pool = pool
+        self.generation = gen  # only after the publish: see the module docstring
         self.reclaim_queue.push(old, old.generation)
         self.swaps += 1
 

@@ -10,6 +10,7 @@ once, plus a tiny bounded cost per pivot visited.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
@@ -161,6 +162,13 @@ class ScanStats:
         return all(b >= a for a, b in zip(self.cursor_depths, self.cursor_depths[1:]))
 
 
+# sibling names repeat under every parent, so the same (query name, pivot
+# name) pairs fail to match scan after scan; the bound keeps the cache from
+# growing with the number of distinct names
+_MISMATCH_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_MISMATCH_CACHE_SIZE)
 def _mismatch_cost(a: str, b: str) -> int:
     """Chars a char-by-char compare examines before it finds `a != b`: up to
     and including the first differing pair, or all of the shorter name when
@@ -197,7 +205,8 @@ def find_best_pivot(
 
     Components are compared whole; `stats.char_comparisons` still counts what
     a char-by-char compare would examine: the full name on a match, and
-    `_mismatch_cost` on the one compare per pivot that fails.
+    `_mismatch_cost` on the one compare per pivot that fails. That cost is a
+    pure function of the two names, so it is memoized.
 
     The pool's list is read by reference, without a copy: a published pool's
     list is never changed in place, only replaced (`invalidate_for_metadata`

@@ -161,6 +161,12 @@ class DirTree:
         self._next_id = 2
         self._hooks: list[MetadataHook] = []
 
+    @property
+    def threadsafe(self) -> bool:
+        """Whether threads may share this tree; engines and managers built on
+        it take their read-side locks only then."""
+        return not isinstance(self.lock, NullRWLock)
+
     # -- plumbing -----------------------------------------------------------
 
     def register_hook(self, hook: MetadataHook) -> None:

@@ -37,8 +37,8 @@ def make_node(tree: DirTree, path: str, kind: str = DIR, mode: int | None = None
     return cur
 
 
-def make_tree(*paths: str, files: tuple[str, ...] = ()) -> DirTree:
-    tree = DirTree()
+def make_tree(*paths: str, files: tuple[str, ...] = (), threadsafe: bool = False) -> DirTree:
+    tree = DirTree(threadsafe=threadsafe)
     for p in paths:
         make_node(tree, p, DIR)
     for f in files:

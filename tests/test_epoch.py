@@ -9,6 +9,7 @@ from stagewalk import (
     ContractViolation,
     HeatEpoch,
     PivotManager,
+    build_pool,
     find_best_pivot,
     verify_pool,
 )
@@ -31,19 +32,33 @@ def heat_up(tree, cset, epoch, paths):
             cset.maybe_admit(d)
 
 
-def fig4_manager():
-    tree = make_tree(*FIG4_PATHS, files=("/a1/b1/c2/d2/e3/f3/foo",))
+def fig4_manager(threadsafe=False):
+    tree = make_tree(*FIG4_PATHS, files=("/a1/b1/c2/d2/e3/f3/foo",), threadsafe=threadsafe)
     tree, cset, epoch, mgr = make_manager(tree)
     heat_up(tree, cset, epoch, FIG4_PATHS)
     mgr.periodic_update()
     return tree, cset, epoch, mgr
 
 
+def on_both_trees(test):
+    """Run `test(threadsafe)` on a single-threaded tree, whose manager keeps
+    its reader registry without a lock, and on a threadsafe tree, whose
+    manager locks it; the test keeps one id."""
+
+    def run():
+        for threadsafe in (False, True):
+            test(threadsafe)
+
+    run.__name__ = test.__name__
+    return run
+
+
 # -- reader tokens --------------------------------------------------------------
 
 
-def test_reader_snapshot_survives_swap():
-    tree, cset, epoch, mgr = fig4_manager()
+@on_both_trees
+def test_reader_snapshot_survives_swap(threadsafe):
+    tree, cset, epoch, mgr = fig4_manager(threadsafe)
     token = mgr.reader_enter()
     gen_before = token.generation
     heat_up(tree, cset, epoch, FIG4_PATHS)
@@ -56,8 +71,9 @@ def test_reader_snapshot_survives_swap():
     mgr.reader_exit(token)
 
 
-def test_nested_tokens_independent():
-    _tree, _cset, _epoch, mgr = fig4_manager()
+@on_both_trees
+def test_nested_tokens_independent(threadsafe):
+    _tree, _cset, _epoch, mgr = fig4_manager(threadsafe)
     t1 = mgr.reader_enter()
     t2 = mgr.reader_enter()
     assert t1.token_id != t2.token_id
@@ -66,12 +82,66 @@ def test_nested_tokens_independent():
     assert mgr.active_reader_count == 0
 
 
-def test_double_exit_detected():
-    _tree, _cset, _epoch, mgr = fig4_manager()
+@on_both_trees
+def test_double_exit_detected(threadsafe):
+    _tree, _cset, _epoch, mgr = fig4_manager(threadsafe)
     token = mgr.reader_enter()
     mgr.reader_exit(token)
     with pytest.raises(ContractViolation):
         mgr.reader_exit(token)
+
+
+class InterleavedManager(PivotManager):
+    """Runs `on_read` just after the working pool is read and `on_write` just
+    before it is replaced, once each: a step another thread could take there
+    while the single-threaded tree leaves the reader registry unlocked."""
+
+    on_read = on_write = None
+
+    @property
+    def working_pool(self):
+        pool = self._pool
+        step, self.on_read = self.on_read, None
+        if step is not None:
+            step()
+        return pool
+
+    @working_pool.setter
+    def working_pool(self, pool):
+        step, self.on_write = self.on_write, None
+        if step is not None:
+            step()
+        self._pool = pool
+
+
+def interleaved_manager():
+    tree = make_tree(*FIG4_PATHS)
+    mgr = InterleavedManager(tree, CandidateSet(64, 4), HeatEpoch(), threading.Lock())
+    cands = [tree._resolve_admin(mkpath(p)) for p in FIG4_PATHS]
+    mgr.publish_pool(build_pool(cands, 16))
+    return mgr, lambda: build_pool(cands, 16)
+
+
+def test_unlocked_reader_registers_before_reading_the_pool():
+    mgr, fresh = interleaved_manager()
+    # the pool the reader just read is swapped out and reclaimed before it
+    # can use it; its registration must already pin that pool
+    mgr.on_read = lambda: (mgr.publish_pool(fresh()), mgr.reclaim())
+    token = mgr.reader_enter()
+    assert not token.pool.freed
+    assert find_best_pivot(token.pool, mkpath("/a1/b1/c1")) is not None
+    mgr.reader_exit(token)
+
+
+def test_unlocked_swap_publishes_before_bumping_the_generation():
+    mgr, fresh = interleaved_manager()
+    tokens = []
+    # a reader enters while a swap is about to publish its pool
+    mgr.on_write = lambda: tokens.append(mgr.reader_enter())
+    mgr.publish_pool(fresh())
+    mgr.reclaim()
+    assert not tokens[0].pool.freed
+    mgr.reader_exit(tokens[0])
 
 
 # -- periodic_update --------------------------------------------------------------
@@ -183,8 +253,9 @@ def test_exact_path_counts_as_covered():
 # -- reclamation ---------------------------------------------------------------------
 
 
-def test_reclaim_all_without_readers():
-    tree, cset, epoch, mgr = fig4_manager()
+@on_both_trees
+def test_reclaim_all_without_readers(threadsafe):
+    tree, cset, epoch, mgr = fig4_manager(threadsafe)
     old_pool = mgr.working_pool
     heat_up(tree, cset, epoch, FIG4_PATHS)
     mgr.periodic_update()  # retires old_pool
@@ -192,8 +263,9 @@ def test_reclaim_all_without_readers():
     assert old_pool.freed
 
 
-def test_reader_pins_generation():
-    tree, cset, epoch, mgr = fig4_manager()
+@on_both_trees
+def test_reader_pins_generation(threadsafe):
+    tree, cset, epoch, mgr = fig4_manager(threadsafe)
     old_pool = mgr.working_pool
     token = mgr.reader_enter()
     heat_up(tree, cset, epoch, FIG4_PATHS)
@@ -206,8 +278,9 @@ def test_reader_pins_generation():
     assert old_pool.freed
 
 
-def test_use_after_reclaim_trips_sentinel():
-    tree, cset, epoch, mgr = fig4_manager()
+@on_both_trees
+def test_use_after_reclaim_trips_sentinel(threadsafe):
+    tree, cset, epoch, mgr = fig4_manager(threadsafe)
     old_pool = mgr.working_pool
     heat_up(tree, cset, epoch, FIG4_PATHS)
     mgr.periodic_update()
@@ -216,8 +289,9 @@ def test_use_after_reclaim_trips_sentinel():
         find_best_pivot(old_pool, mkpath("/a1/b1/c1"))
 
 
-def test_removed_pivots_reclaimed_after_grace():
-    tree, cset, epoch, mgr = fig4_manager()
+@on_both_trees
+def test_removed_pivots_reclaimed_after_grace(threadsafe):
+    tree, cset, epoch, mgr = fig4_manager(threadsafe)
     token = mgr.reader_enter()
     victims = [p for p in mgr.working_pool.pivots if p.path.startswith("/a1/b1/c2")]
     mgr.invalidate_for_metadata(mkpath("/a1/b1/c2"))
@@ -228,8 +302,9 @@ def test_removed_pivots_reclaimed_after_grace():
     assert all(v.freed for v in victims)
 
 
-def test_reclaim_idempotent():
-    tree, cset, epoch, mgr = fig4_manager()
+@on_both_trees
+def test_reclaim_idempotent(threadsafe):
+    tree, cset, epoch, mgr = fig4_manager(threadsafe)
     heat_up(tree, cset, epoch, FIG4_PATHS)
     mgr.periodic_update()
     assert mgr.reclaim() == 0

@@ -171,6 +171,29 @@ def test_outcomes_identical_original_vs_stage():
     assert r1.outcomes == r2.outcomes
 
 
+def test_locked_and_unlocked_read_sides_agree():
+    # a threadsafe tree locks the reader registry and the heat update, a
+    # single-threaded one does not; one trace must give the same run on both
+    spec = TreeSpec(levels=[4, 4, 4], seed=2)
+    trace = synth_trace(
+        gen_tree(spec), "hotdir-zipf", {"n_events": 3_000, "p_rename": 0.003, "p_chmod": 0.003, "hot_dirs": 4}, seed=4
+    )
+    runs = [
+        replay(trace, "stage", gen_tree(spec, threadsafe=threadsafe), manual_tick=True, tick_every=250,
+               record_outcomes=True)
+        for threadsafe in (True, False)
+    ]
+    locked, unlocked = runs
+    locked_mgr, unlocked_mgr = (r.resolver.manager for r in runs)
+    assert locked.resolver.tree.threadsafe and not unlocked.resolver.tree.threadsafe
+    m = locked.metrics
+    assert m.pivot_hits > 0 and m.entries_touched > 0 and locked_mgr.swaps > 0  # not vacuous
+    assert m.counter_rows() == unlocked.metrics.counter_rows()
+    assert locked.outcomes == unlocked.outcomes
+    assert (locked_mgr.ticks, locked_mgr.swaps) == (unlocked_mgr.ticks, unlocked_mgr.swaps)
+    assert locked_mgr.active_reader_count == unlocked_mgr.active_reader_count == 0
+
+
 def test_timestamp_driven_ticks():
     spec = TreeSpec(levels=[3, 3], seed=2)
     tree = gen_tree(spec)
