@@ -1,9 +1,8 @@
 """End-to-end pipeline: generate a tree, synthesize a trace, replay it under
 all three strategies, and print the comparison table.
 
-The trace is lookup-only: the pool-swap protocol conservatively skips a
-period's swap after any metadata modification, so steady rename churn keeps
-pools empty (see metadata_cost.py for the mutation-cost story instead).
+The trace is lookup-only, so the table compares lookup work alone (see
+metadata_cost.py for the mutation-cost story).
 """
 
 from stagewalk import TreeSpec, gen_tree, replay, report, synth_trace

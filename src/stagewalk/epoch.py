@@ -12,7 +12,13 @@ Metadata modification invalidates the working pool in place: the first pivot
 covered by the modified path and everything after it is flagged invalid,
 covered pivots are dropped (survivors get their overlap repaired on fresh
 objects so old snapshots stay self-consistent), survivors are re-validated,
-and the next swap is skipped: the waiting pool of that period is discarded.
+and `metadata_seq` is bumped. A period reads that count under the tree read
+lock before it builds, and installs its build only if the count has not moved
+by the time it holds the pool mutex, so no pool built before a modification is
+ever installed. A modification that completed before the build is already in
+it (the build walks the live tree's parent links) and costs no swap. Hooks
+fire under the tree write lock, so a racing modification lands between the
+build and the swap, never inside the build.
 
 The reader registry takes a lock only on a threadsafe tree. On a
 single-threaded tree a reader registers the current generation before it
@@ -98,7 +104,7 @@ class PivotManager:
         self.generation = 0
         self.working_pool = PivotPool([])
         self.working_pool.published = True
-        self.suppress_next_swap = False
+        self.metadata_seq = 0
         self.reclaim_queue = ReclaimQueue()
         self._pool_mutex = threading.Lock()
         self._reader_lock = threading.Lock() if tree.threadsafe else None
@@ -147,9 +153,10 @@ class PivotManager:
     def periodic_update(self, candidates: Optional[Iterable[Dentry]] = None) -> bool:
         """One manager period: rebuild, maybe swap, then advance and drain heat.
 
-        A metadata modification since the last period discards the fresh build
-        and keeps the current working pool for another period; in that case the
-        heat version does not advance either. Returns whether a swap happened.
+        A metadata modification between the start of the build and the swap
+        discards the fresh build and keeps the current working pool for another
+        period; in that case the heat version does not advance and nothing is
+        drained. Returns whether a swap happened.
         """
         self.ticks += 1
         if candidates is None:
@@ -157,15 +164,15 @@ class PivotManager:
                 candidates = self._candidates.members()
         self._tree.lock.acquire_read()
         try:
+            seq = self.metadata_seq
             new_pool = build_pool(candidates, self.pool_bound)
         finally:
             self._tree.lock.release_read()
 
         with self._pool_mutex:
-            swapped = not self.suppress_next_swap
+            swapped = self.metadata_seq == seq
             if swapped:
                 self._install(new_pool)
-            self.suppress_next_swap = False
         if swapped:
             with self._heat_lock:
                 self._epoch.advance()
@@ -194,7 +201,8 @@ class PivotManager:
     def invalidate_for_metadata(self, path: PathBuf) -> int:
         """Drop every working-pool pivot covered by `path`; called pre-mutation.
 
-        The next swap is skipped regardless of whether anything matched.
+        Bumps `metadata_seq` whether or not anything matched, so a build that
+        this modification raced is never swapped in.
         """
         with self._pool_mutex:
             wp = self.working_pool
@@ -226,7 +234,7 @@ class PivotManager:
                     p.valid = True  # reactivate the survivors
                 wp.pivots = repaired
                 self.reclaim_queue.push(removed + retired_clones, self.generation)
-            self.suppress_next_swap = True
+            self.metadata_seq += 1
             return len(removed)
 
     def reclaim(self) -> int:

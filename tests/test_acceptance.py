@@ -60,6 +60,7 @@ def test_c1_oracle_equivalence():
     started = time.perf_counter()
     total_events = 0
     total_mismatches = []
+    pivot_hits = entries_touched = 0  # stage's, so the gate shows pivots in use under mutation
     for i, spec in enumerate(ACCEPT_SPECS):
         tree = gen_tree(spec)
         assert 1_000 <= tree.node_count <= 10_000
@@ -73,15 +74,19 @@ def test_c1_oracle_equivalence():
         mutations = len(trace) - lookups
         assert abs(lookups / len(trace) - 0.90) < 0.02, "mix drifted from 90/5/5"
         cred = Credential.OTHER if i % 2 else OWNER
-        mismatches, _metrics = equivalence_run(trace, tree, cred=cred, tick_every=500)
+        mismatches, metrics = equivalence_run(trace, tree, cred=cred, tick_every=500)
         total_mismatches.extend(mismatches)
+        pivot_hits += metrics["stage"].pivot_hits
+        entries_touched += metrics["stage"].entries_touched
         total_events += len(trace)
     elapsed = time.perf_counter() - started
-    ok = total_events >= 100_000 and not total_mismatches and elapsed < 60
+    ok = total_events >= 100_000 and not total_mismatches and elapsed < 60 and pivot_hits > 0 and entries_touched > 0
     _line(1, ok, "oracle equivalence stage/fullpath vs original",
-          f"{len(ACCEPT_SPECS)} trees, {total_events} events, {len(total_mismatches)} mismatches, {elapsed:.1f}s")
+          f"{len(ACCEPT_SPECS)} trees, {total_events} events, {len(total_mismatches)} mismatches, "
+          f"{pivot_hits} stage pivot hits, {entries_touched} pivots invalidated, {elapsed:.1f}s")
     assert total_events >= 100_000
     assert total_mismatches == []
+    assert pivot_hits > 0 and entries_touched > 0
     assert elapsed < 60, f"took {elapsed:.1f}s"
 
 

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+import stagewalk.epoch as epoch_module
 from stagewalk import (
     CandidateSet,
     ContractViolation,
@@ -158,21 +159,55 @@ def test_selector_alternates_in_steady_state():
     assert [p.freed for p in seen] == [True, True, True, False]  # the old one retired
 
 
-def test_metadata_mid_period_suppresses_next_swap():
-    tree, cset, epoch, mgr = fig4_manager()
-    pool = mgr.working_pool
-    gen = mgr.generation
-    tree.rename_node(mkpath("/a1/b2"), mkpath("/a1/zz9"))  # no hook registered; call directly
-    mgr.invalidate_for_metadata(mkpath("/a1/b2"))
-    assert mgr.suppress_next_swap
-    heat_up(tree, cset, epoch, ["/a1/b1/c1"])
-    swapped = mgr.periodic_update()
-    assert not swapped
+def tick_raced_by(mgr, cset, epoch, path):
+    """Tick once with a metadata modification of `path` injected between the
+    build and the swap, and check that the swap was suppressed: the working
+    pool and generation stay, the heat version does not advance and nothing is
+    drained. Returns how many pivots the modification removed."""
+    pool, gen = mgr.working_pool, mgr.generation
+    version, members = epoch.global_version, [d.id for d in cset.members()]
+    removed = []
+    real_build = epoch_module.build_pool
+
+    def racing_build(candidates, bound):
+        built = real_build(candidates, bound)
+        removed.append(mgr.invalidate_for_metadata(mkpath(path)))
+        return built
+
+    epoch_module.build_pool = racing_build
+    try:
+        assert not mgr.periodic_update()
+    finally:
+        epoch_module.build_pool = real_build
     assert mgr.working_pool is pool and mgr.generation == gen  # old pool still working
-    assert not mgr.suppress_next_swap
+    assert epoch.global_version == version
+    assert [d.id for d in cset.members()] == members
+    return removed[0]
+
+
+@on_both_trees
+def test_metadata_mid_period_suppresses_next_swap(threadsafe):
+    tree, cset, epoch, mgr = fig4_manager(threadsafe)
+    pool = mgr.working_pool
     heat_up(tree, cset, epoch, ["/a1/b1/c1"])
+    assert tick_raced_by(mgr, cset, epoch, "/a1/b2") == 1
+    assert "/a1/b2/c3" not in [p.path for p in pool.pivots]
     assert mgr.periodic_update()  # the following period swaps again
     assert mgr.working_pool is not pool
+
+
+@on_both_trees
+def test_rename_before_the_tick_does_not_suppress_the_swap(threadsafe):
+    tree, cset, epoch, mgr = fig4_manager(threadsafe)
+    pool = mgr.working_pool
+    mgr.invalidate_for_metadata(mkpath("/a1/b2"))  # no hook registered; call directly
+    tree.rename_node(mkpath("/a1/b2"), mkpath("/a1/zz9"))
+    heat_up(tree, cset, epoch, ["/a1/b1/c1", "/a1/zz9/c3"])
+    assert mgr.periodic_update()  # the build already saw the rename
+    paths = [p.path for p in mgr.working_pool.pivots]
+    assert mgr.working_pool is not pool and "/a1/zz9/c3" in paths
+    assert not any(p.startswith("/a1/b2/") for p in paths)
+    assert verify_pool(mgr.working_pool) == []
 
 
 def test_version_advances_and_drains_only_on_swap():
@@ -182,11 +217,13 @@ def test_version_advances_and_drains_only_on_swap():
     mgr.periodic_update()
     assert epoch.global_version == v0 + 1
     assert len(cset) == 0  # everyone carried the old version
-    mgr.invalidate_for_metadata(mkpath("/nonexistent"))
     heat_up(tree, cset, epoch, ["/seed"])
-    mgr.periodic_update()  # suppressed: no swap, no advance, no drain
+    tick_raced_by(mgr, cset, epoch, "/nonexistent")  # no swap, no advance, no drain
     assert epoch.global_version == v0 + 1
     assert len(cset) == 1
+    assert mgr.periodic_update()  # the following period swaps, advances and drains
+    assert epoch.global_version == v0 + 2
+    assert len(cset) == 0
 
 
 def test_empty_candidates_publish_empty_pool():
@@ -224,9 +261,9 @@ def test_invalidate_replaces_the_pivot_list_never_edits_it():
 def test_invalidate_no_match_touches_only_waiting_pool():
     tree, cset, epoch, mgr = fig4_manager()
     before = [p.path for p in mgr.working_pool.pivots]
-    assert mgr.invalidate_for_metadata(mkpath("/zz")) == 0
+    assert tick_raced_by(mgr, cset, epoch, "/zz") == 0  # the racing build is discarded
     assert [p.path for p in mgr.working_pool.pivots] == before
-    assert mgr.suppress_next_swap
+    assert mgr.periodic_update()
 
 
 def test_invalidate_root_removes_everything():

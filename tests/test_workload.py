@@ -214,6 +214,32 @@ def test_equivalence_run_three_strategies():
     assert set(metrics) == {"original", "fullpath", "stage"}
 
 
+@pytest.mark.parametrize("cred", list(Credential))
+def test_equivalence_under_mutation_per_credential(cred):
+    spec = TreeSpec(levels=[6, 6, 6, 6], seed=5)
+    tree = gen_tree(spec)
+    trace = synth_trace(tree, "hotdir-zipf", {"p_rename": 0.02, "p_chmod": 0.02}, seed=31)
+    mismatches, metrics = equivalence_run(trace, tree, cred=cred, tick_every=500)
+    assert mismatches == []
+    assert metrics["stage"].pivot_hits > 0 and metrics["stage"].entries_touched > 0  # pivots in use
+
+
+def test_churn_keeps_swapping_and_hitting_pivots():
+    # a build inside a single-threaded tick cannot be raced by a modification,
+    # so every period swaps even though the trace renames and chmods throughout
+    spec = TreeSpec(levels=[6, 6, 6, 6], seed=1)
+    trace = synth_trace(gen_tree(spec), "hotdir-zipf", {"n_events": 20_000, "p_rename": 0.01, "p_chmod": 0.01},
+                        seed=5)
+    stage, original = (
+        replay(trace, strategy, gen_tree(spec), manual_tick=True, tick_every=1000, record_outcomes=True)
+        for strategy in ("stage", "original")
+    )
+    mgr = stage.resolver.manager
+    assert mgr.ticks > 0 and mgr.swaps == mgr.ticks
+    assert stage.metrics.pivot_hits / stage.metrics.lookups >= 0.5
+    assert stage.outcomes == original.outcomes
+
+
 # -- reporting -----------------------------------------------------------------------
 
 
