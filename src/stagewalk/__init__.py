@@ -2,7 +2,8 @@
 
 Three interchangeable lookup strategies over one in-memory directory tree:
 
-- original: component-wise walk through a dentry hash table from the root;
+- original: component-wise walk from the root through each directory's
+  children map, counted as the kernel's d_hash chain lookup;
 - fullpath: a whole-path-indexed cache with version-checked hits;
 - stage: two-stage lookup that starts the walk at the deepest cached pivot
   sharing a prefix with the query, managed by heat-based candidate admission
@@ -42,7 +43,7 @@ from .pivots import (
     pool_footprint_bytes,
     verify_pool,
 )
-from .tree import DIR, FILE, Credential, DcacheTable, Dentry, DirTree, hash_component
+from .tree import DIR, FILE, Credential, Dentry, DirTree
 from .workload import (
     SIX_LEVEL_PRESET,
     STRATEGIES,
@@ -73,7 +74,6 @@ __all__ = [
     "ConfigError",
     "ContractViolation",
     "Credential",
-    "DcacheTable",
     "Dentry",
     "DirTree",
     "DIR",
@@ -113,7 +113,6 @@ __all__ = [
     "equivalence_run",
     "find_best_pivot",
     "gen_tree",
-    "hash_component",
     "make_resolver",
     "observe_target",
     "parse_metrics_csv",

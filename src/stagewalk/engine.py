@@ -2,7 +2,7 @@
 
 Stage One scans the working pivot pool (inside a read-side token section) for
 the pivot sharing the deepest prefix with the query; Stage Two resolves the
-remaining components through the dentry hash table exactly like the original
+remaining components through the children maps exactly like the original
 walk, starting from the matched component's dentry, which the pivot stores
 per depth (so landing on an ancestor of the pivot is a direct array index,
 recorded as rolled_up). The skipped prefix's permission check is one mask
@@ -87,11 +87,10 @@ class StageLookupEngine(_ResolverBase):
         pool_size: int = 16,
         heat_threshold: int = 4,
         heat_capacity: int = 64,
-        period_ms: int = 2000,
         metrics: Optional[Metrics] = None,
     ):
         super().__init__(tree, metrics)
-        self.epoch = HeatEpoch(period_ms=period_ms)
+        self.epoch = HeatEpoch()
         self.candidates = CandidateSet(heat_capacity, heat_threshold)
         self.heat_lock = threading.Lock()
         self._threadsafe = tree.threadsafe  # heat updates take heat_lock only then

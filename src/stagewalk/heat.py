@@ -24,7 +24,6 @@ class HeatEpoch:
     """Global version window; advanced only by the pivot manager."""
 
     global_version: int = 1
-    period_ms: int = 2000
 
     def advance(self) -> int:
         self.global_version += 1

@@ -2,15 +2,17 @@
 
 Counter semantics:
 
-- dentries_visited: one per path component resolved through the dentry hash
-  table (hits only; a failed final probe does not count).
-- char_comparisons: per-character work. A component resolved by the hash
-  table costs two scans of its name (hash + verification). Full-path-probe
-  costs are added by the fullpath strategy. Stage One adds the model's
-  char-by-char cost of its pivot scan: the code compares whole components,
-  and counts a name's length on a match, or the chars up to and including
-  the first differing one on a mismatch (the shorter name's length when one
-  is a prefix of the other).
+- dentries_visited: one per path component resolved (hits only; a failed
+  final probe does not count).
+- char_comparisons: per-character work. A resolved component costs two scans
+  of its name, which model the kernel's d_hash chain lookup (hash, then
+  verification); a missing one costs the hash scan. The walk counts these
+  scans but does not perform them: it resolves through the children maps.
+  Full-path-probe costs are added by the fullpath strategy. Stage One adds
+  the model's char-by-char cost of its pivot scan: the code compares whole
+  components, and counts a name's length on a match, or the chars up to and
+  including the first differing one on a mismatch (the shorter name's length
+  when one is a prefix of the other).
 - effective_search_ratio: distinct dentries ever resolved divided by total
   dentry searches; measures how redundant the walk traffic was.
 - wall_time: per-phase seconds; diagnostic only, excluded from CSV output so

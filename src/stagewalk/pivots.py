@@ -1,7 +1,7 @@
 """Pivot pool: cached popular paths, ordered ascending, searched in one scan.
 
 A pivot stores the full path of a hot dentry, a per-depth array of component
-records (dentry id, depth, end offset, aggregated ancestor-traversal mask),
+records (dentry id, aggregated ancestor-traversal mask),
 and its overlap: the number of leading components shared with the previous
 pivot in the pool. Because the pool is sorted, the overlap values let the
 search walk the whole pool while scanning the query path's characters at most
@@ -23,20 +23,17 @@ class Component:
 
     prefix_trav is the AND of the traversal masks of components 1..depth-1,
     captured at build time; it lets a lookup clear the whole skipped prefix
-    with a single mask test. offset is the index just past this component in
-    the pivot's path text.
+    with a single mask test.
     """
 
-    __slots__ = ("node_id", "depth", "offset", "prefix_trav")
+    __slots__ = ("node_id", "prefix_trav")
 
-    def __init__(self, node_id: int, depth: int, offset: int, prefix_trav: int):
+    def __init__(self, node_id: int, prefix_trav: int):
         self.node_id = node_id
-        self.depth = depth
-        self.offset = offset
         self.prefix_trav = prefix_trav
 
     def __repr__(self) -> str:
-        return f"Component(node={self.node_id}, depth={self.depth}, offset={self.offset})"
+        return f"Component(node={self.node_id}, prefix_trav={self.prefix_trav:03b})"
 
 
 class Pivot:
@@ -133,12 +130,10 @@ def build_pool(candidates: Iterable[Dentry], bound: int) -> PivotPool:
     for path, (_heat, names, ids, masks) in ranked:
         overlap = _lcp_components(prev_names, names) if pivots else 0
         comps: list[Component] = []
-        offset = 0
         running = ALL_CLASSES_MASK
-        for depth0, name in enumerate(names):
-            offset += 1 + len(name)
-            comps.append(Component(ids[depth0], depth0 + 1, offset, running))
-            running &= masks[depth0]  # this component joins the prefix of deeper ones
+        for node_id, mask in zip(ids, masks):
+            comps.append(Component(node_id, running))
+            running &= mask  # this component joins the prefix of deeper ones
         pivots.append(Pivot(path, names, overlap, tuple(comps)))
         prev_names = names
     return PivotPool(pivots)
@@ -283,15 +278,6 @@ def verify_pool(pool: PivotPool) -> list[str]:
             problems.append(f"[0] first overlap must be 0, got {pv.overlap}")
         if len(pv.components) != len(pv.names):
             problems.append(f"[{i}] component array length mismatch")
-        last_off = 0
-        last_depth = 0
-        for c in pv.components:
-            if c.depth != last_depth + 1:
-                problems.append(f"[{i}] non-increasing depth at {c!r}")
-            if c.offset <= last_off:
-                problems.append(f"[{i}] non-increasing offset at {c!r}")
-            last_off = c.offset
-            last_depth = c.depth
     return problems
 
 

@@ -1,8 +1,11 @@
-"""In-memory directory tree, dentry hash table, and the component-wise walk.
+"""In-memory directory tree and the component-wise walk.
 
-The tree mirrors a kernel directory cache: every node is a dentry hashed by
-(parent id, name) into a fixed power-of-two bucket array. All dentries are
-pinned (no eviction, no negative entries) and node ids are never reused.
+The tree mirrors a kernel directory cache: every node is a dentry, and each
+directory's children map (name to dentry) is the tree's only name index.
+The kernel finds a child on a d_hash chain by hashing the name and then
+verifying it; the walk counts both scans but does neither char by char. All
+dentries are pinned (no eviction, no negative entries) and node ids are
+never reused.
 
 Mutations (create/rename/chmod/unlink) are serialized through the tree's
 write lock; lookups take the read side. Hooks registered by caching
@@ -52,29 +55,6 @@ def trav_mask(mode: int) -> int:
     return ((mode >> 6 & 1) << 2) | ((mode >> 3 & 1) << 1) | (mode & 1)
 
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
-
-
-def hash_component(parent_id: int, name: str, bucket_bits: int = 16, seed: int = 0) -> int:
-    """Deterministic bucket index for a (parent, component-name) pair.
-
-    FNV-1a over the parent id bytes and the name, with a final avalanche mix
-    so the masked low bits stay uniform. Stable across runs for a fixed seed.
-    """
-    h = (_FNV_OFFSET ^ (seed & _MASK64)) & _MASK64
-    for b in parent_id.to_bytes(8, "little") + name.encode("utf-8"):
-        h ^= b
-        h = (h * _FNV_PRIME) & _MASK64
-    # splitmix64-style finalizer
-    h = (h + 0x9E3779B97F4A7C15) & _MASK64
-    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
-    h ^= h >> 31
-    return h & ((1 << bucket_bits) - 1)
-
-
 class Dentry:
     """A cached directory-tree node.
 
@@ -116,46 +96,13 @@ class Dentry:
         return f"Dentry(id={self.id}, name={self.name!r}, kind={self.kind})"
 
 
-class DcacheTable:
-    """Fixed-size bucket array; every non-root dentry lives in exactly one bucket."""
-
-    __slots__ = ("bucket_bits", "buckets", "seed", "_hash_cache")
-
-    def __init__(self, bucket_bits: int = 16, seed: int = 0):
-        self.bucket_bits = bucket_bits
-        self.seed = seed
-        self.buckets: list[list[Dentry]] = [[] for _ in range(1 << bucket_bits)]
-        self._hash_cache: dict[tuple[int, str], int] = {}
-
-    def bucket_index(self, parent_id: int, name: str) -> int:
-        key = (parent_id, name)
-        idx = self._hash_cache.get(key)
-        if idx is None:
-            idx = hash_component(parent_id, name, self.bucket_bits, self.seed)
-            self._hash_cache[key] = idx
-        return idx
-
-    def insert(self, dentry: Dentry) -> None:
-        self.buckets[self.bucket_index(dentry.parent.id, dentry.name)].append(dentry)
-
-    def remove(self, dentry: Dentry) -> None:
-        self.buckets[self.bucket_index(dentry.parent.id, dentry.name)].remove(dentry)
-
-    def find(self, parent_id: int, name: str) -> Optional[Dentry]:
-        for d in self.buckets[self.bucket_index(parent_id, name)]:
-            if d.name == name and d.parent is not None and d.parent.id == parent_id:
-                return d
-        return None
-
-
 # hook(event, path, new_path): event in {"rename", "chmod", "unlink"}; fires pre-mutation
 MetadataHook = Callable[[str, PathBuf, Optional[PathBuf]], None]
 
 
 class DirTree:
-    def __init__(self, bucket_bits: int = 16, hash_seed: int = 0, threadsafe: bool = False):
+    def __init__(self, threadsafe: bool = False):
         self.lock = RWLock() if threadsafe else NullRWLock()
-        self.dcache = DcacheTable(bucket_bits, hash_seed)
         self.root = Dentry(1, None, "/", DIR, 0o755)
         self.nodes: dict[int, Dentry] = {1: self.root}
         self._next_id = 2
@@ -231,7 +178,6 @@ class DirTree:
         self._next_id += 1
         parent.children[name] = d
         self.nodes[d.id] = d
-        self.dcache.insert(d)
         return d
 
     def create_node(self, parent_path: PathBuf, name: str, kind: str, mode: int, size: int = 0) -> NodeId:
@@ -266,12 +212,10 @@ class DirTree:
                     raise Unsupported("cannot rename a directory into its own subtree")
                 cur = cur.parent
             self._fire_hooks("rename", old, new)
-            self.dcache.remove(d)
             del d.parent.children[d.name]
             d.parent = new_parent
             d.name = new.name
             new_parent.children[d.name] = d
-            self.dcache.insert(d)
         finally:
             self.lock.release_write()
 
@@ -293,7 +237,6 @@ class DirTree:
             if d.children:
                 raise Unsupported(f"{path.text} has children")
             self._fire_hooks("unlink", path, None)
-            self.dcache.remove(d)
             del d.parent.children[d.name]
             d.dead = True
         finally:
@@ -308,23 +251,26 @@ class DirTree:
         cred: Credential,
         metrics: Optional[Metrics] = None,
     ) -> Dentry:
-        """Resolve components through the dentry hash table starting at `start`.
+        """Resolve components through the children maps starting at `start`.
 
         Shared by the original walk (start == root) and by Stage Two (start ==
         a pivot component), so both pay identical counters and apply identical
         permission rules: before descending out of a directory other than the
-        root, its traversal bit for `cred` must be set. Each resolved component
-        is scanned twice (hash + name verification). Caller holds the read lock.
+        root, its traversal bit for `cred` must be set. Each component is
+        counted as the kernel's d_hash chain lookup would scan it: a hash scan
+        of its name, then on a hit a verification scan and a dentry visit. A
+        name looked up below a file is missing (NotFound). Caller holds the
+        read lock.
         """
         cur = start
         bit = _TRAV_BIT[cred]
-        find = self.dcache.find
         for name in components:
-            if cur.parent is not None and cur.children is not None and not (cur.mode & bit):
+            children = cur.children
+            if children is not None and cur.parent is not None and not (cur.mode & bit):
                 raise PermissionDenied(f"no traversal through {cur.name!r} for {cred.value}")
             if metrics is not None:
                 metrics.char_comparisons += len(name)  # hash scan
-            child = find(cur.id, name)
+            child = children.get(name) if children is not None else None
             if child is None:
                 raise NotFound(f"missing component {name!r}")
             if metrics is not None:

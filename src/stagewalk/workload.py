@@ -88,14 +88,12 @@ def _level_letter(depth: int) -> str:
 def gen_tree(
     spec: TreeSpec,
     seed: Optional[int] = None,
-    bucket_bits: int = 16,
-    hash_seed: int = 0,
     threadsafe: bool = False,
 ) -> DirTree:
     """Deterministic tree for a spec: same seed, same canonical dump."""
     spec.validate()
     rng = random.Random(spec.seed if seed is None else seed)
-    tree = DirTree(bucket_bits=bucket_bits, hash_seed=hash_seed, threadsafe=threadsafe)
+    tree = DirTree(threadsafe=threadsafe)
     parents = [tree.root]
     for depth, fanout in enumerate(spec.levels, start=1):
         letter = _level_letter(depth)
@@ -299,7 +297,6 @@ def make_resolver(
     pool_size: int = 16,
     heat_threshold: int = 4,
     heat_capacity: int = 64,
-    period_ms: int = 2000,
     metrics: Optional[Metrics] = None,
 ) -> _ResolverBase:
     if strategy == "original":
@@ -312,7 +309,6 @@ def make_resolver(
             pool_size=pool_size,
             heat_threshold=heat_threshold,
             heat_capacity=heat_capacity,
-            period_ms=period_ms,
             metrics=metrics,
         )
     raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -355,7 +351,7 @@ def replay(
 ) -> ReplayResult:
     """Execute every event against one strategy; counters are fully determined
     by (tree, trace, strategy, config, tick schedule)."""
-    resolver = make_resolver(strategy, tree, period_ms=period_ms, **resolver_kwargs)
+    resolver = make_resolver(strategy, tree, **resolver_kwargs)
     outcomes: Optional[list[str]] = [] if record_outcomes else None
     ticks_fired = 0
     started = time.perf_counter()

@@ -49,7 +49,8 @@ def make_tree(*paths: str, files: tuple[str, ...] = (), threadsafe: bool = False
 def oracle_resolve(tree: DirTree, path: PathBuf, cred: Credential) -> str:
     """Independent resolution oracle: children-dict walk with the traversal rule.
 
-    Deliberately avoids the dentry hash table so it cannot share bugs with it.
+    Written apart from DirTree.walk_from, with no counters, so the two cannot
+    share bugs.
     """
     cur = tree.root
     bit = TRAV_BIT[cred]

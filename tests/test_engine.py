@@ -167,8 +167,8 @@ def test_unlinked_component_falls_back_silently():
     victim = tree._resolve_admin(mkpath("/a/b/f"))
     victim.dead = True  # simulate an unlink racing the pool (no hook fired)
     try:
-        # the dcache is intact, so the fallback walk still resolves; the stale
-        # pivot is simply not trusted
+        # the children maps are intact, so the fallback walk still resolves;
+        # the stale pivot is simply not trusted
         res = engine.stage_lookup(mkpath("/a/b/f"))
     finally:
         victim.dead = False

@@ -15,7 +15,6 @@ from stagewalk import (
     PermissionDenied,
     Unsupported,
     DirTree,
-    hash_component,
 )
 from conftest import make_node, make_tree, mkpath, oracle_resolve, outcome
 
@@ -47,37 +46,6 @@ def test_create_under_file():
     tree = make_tree(files=("/f",))
     with pytest.raises(NotADirectory):
         tree.create_node(mkpath("/f"), "x", FILE, 0o644)
-
-
-# -- hash_component ---------------------------------------------------------------
-
-
-def test_hash_deterministic():
-    assert hash_component(7, "name") == hash_component(7, "name")
-    assert hash_component(7, "name", seed=1) == hash_component(7, "name", seed=1)
-    assert hash_component(7, "name") != hash_component(7, "name", seed=1) or True  # seeds may collide, determinism is the contract
-
-
-def test_hash_fixture_pin():
-    # regression anchor computed once with the default config
-    assert hash_component(1, "a1") == 34514
-
-
-def test_hash_uniformity_chi_square():
-    from scipy.stats import chi2 as chi2dist
-
-    rng = random.Random(12345)
-    nbuckets = 1024
-    samples = 100_000
-    counts = [0] * nbuckets
-    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
-    for _ in range(samples):
-        name = "".join(rng.choice(alphabet) for _ in range(rng.randint(2, 12)))
-        counts[hash_component(rng.randrange(1, 10_000), name, bucket_bits=10)] += 1
-    expected = samples / nbuckets
-    stat = sum((c - expected) ** 2 / expected for c in counts)
-    pvalue = chi2dist.sf(stat, nbuckets - 1)
-    assert pvalue > 1e-4, f"chi2={stat:.1f} pvalue={pvalue:.2e}"
 
 
 # -- lookup_original ---------------------------------------------------------------
@@ -225,15 +193,31 @@ def test_unlink_nonempty_refused():
 # -- invariants ---------------------------------------------------------------------
 
 
-def test_bucket_residency():
-    tree = make_tree("/a/b/c", "/a/b/d", "/x/y", files=("/a/b/c/f", "/x/y/g"))
-    for d in tree.nodes.values():
-        if d.parent is None or d.dead:
-            continue
-        idx = tree.dcache.bucket_index(d.parent.id, d.name)
-        assert d in tree.dcache.buckets[idx]
-        owners = [b for b in tree.dcache.buckets if d in b]
-        assert len(owners) == 1
+def test_children_maps_are_the_only_index():
+    tree = make_tree("/a/b/c", "/a/b/d", "/x/y", files=("/a/b/c/f", "/x/y/g", "/x/y/h"))
+    tree.rename_node(mkpath("/a/b/c"), mkpath("/a/b/e"))  # within a parent
+    tree.rename_node(mkpath("/a/b/d"), mkpath("/x/d"))  # across parents
+    tree.unlink_node(mkpath("/x/y/h"))  # a leaf
+    live = [d for d in tree.nodes.values() if d.parent is not None and not d.dead]
+    dead = [d for d in tree.nodes.values() if d.dead]
+    assert dead
+    for d in live:
+        assert d.parent.children[d.name] is d
+    mapped = [c for d in tree.nodes.values() if d.children for c in d.children.values()]
+    assert not any(c.dead for c in mapped)
+    assert len(mapped) == len(live)
+
+
+def test_missing_name_below_a_file_or_directory_counts_one_hash_scan():
+    tree = make_tree(files=("/a/b/x",))
+    tree.chmod_node(mkpath("/a/b/x"), 0o000)  # a file's mode never gates the walk
+    for cred in Credential:
+        m = Metrics()
+        assert outcome(tree.lookup_original, mkpath("/a/b/x/y"), cred, m) == "err:NotFound"
+        assert (m.dentries_visited, m.char_comparisons) == (3, 7)
+    m = Metrics()
+    assert outcome(tree.lookup_original, mkpath("/a/zz/q"), OWNER, m) == "err:NotFound"
+    assert (m.dentries_visited, m.char_comparisons) == (1, 4)
 
 
 def test_agrees_with_oracle_after_mutations():
