@@ -140,9 +140,11 @@ class StageLookupEngine(_ResolverBase):
         if hit is not None:
             pivot, depth = hit
             tree = self.tree
-            target = tree.node(pivot.components[depth - 1].node_id)
+            matched = pivot.components[depth - 1]
+            target = tree.nodes.get(matched.node_id)
             if target is not None and not target.dead:
-                self.check_prefix_permissions(pivot, depth, cred)
+                if not matched.prefix_trav & CRED_MASK_BIT[cred]:
+                    self.check_prefix_permissions(pivot, depth, cred)  # raises
                 rest = path.components[depth:]
                 if rest:  # an empty walk_from checks and counts nothing
                     tree.lock.acquire_read()
@@ -151,7 +153,8 @@ class StageLookupEngine(_ResolverBase):
                     finally:
                         tree.lock.release_read()
                 metrics.pivot_hits += 1
-                metrics.note_skip(depth)
+                hist = metrics.skipped_prefix_histogram
+                hist[depth] = hist.get(depth, 0) + 1
                 self._note_target(target)
                 return target, pivot, depth
             metrics.fallbacks += 1  # component dentry unlinked between build and use

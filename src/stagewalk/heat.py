@@ -48,7 +48,12 @@ class Admission(Enum):
 
 
 class CandidateSet:
-    """Bounded set of hot dentries linked through their intrusive candidate links."""
+    """Bounded set of hot dentries linked through their intrusive candidate links.
+
+    A dentry is a member exactly when its `cand_next` is set. The lookup path
+    (`observe_target` and the methods it calls) tests that link directly
+    rather than paying a call to `__contains__`.
+    """
 
     __slots__ = ("capacity", "threshold", "size", "least_popular", "_head")
 
@@ -106,7 +111,7 @@ class CandidateSet:
         demands heat strictly greater than least_popular_cand's heat plus the
         threshold, and the winner inherits the cursor from its victim.
         """
-        if dentry in self:
+        if dentry.cand_next is not None:
             raise ContractViolation("maybe_admit on a current member")
         if self.capacity == 0:
             return Admission.REJECTED, None
@@ -125,7 +130,7 @@ class CandidateSet:
 
     def reconcile_least_popular(self, member: Dentry) -> None:
         """After a member's heat update, move the cursor to the smaller of the two."""
-        if member not in self:
+        if member.cand_next is None:
             raise ContractViolation("reconcile on a non-member")
         lpc = self.least_popular
         if lpc is None:
@@ -157,7 +162,7 @@ class CandidateSet:
 def observe_target(dentry: Dentry, epoch: HeatEpoch, cset: CandidateSet) -> int:
     """Heat pipeline for one resolved lookup target."""
     heat = record_access(dentry, epoch)
-    if dentry in cset:
+    if dentry.cand_next is not None:
         cset.reconcile_least_popular(dentry)
     else:
         cset.maybe_admit(dentry)

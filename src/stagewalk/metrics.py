@@ -43,10 +43,6 @@ class Metrics:
             return 0.0
         return len(self.distinct_resolved) / self.dentries_visited
 
-    def note_skip(self, depth: int) -> None:
-        hist = self.skipped_prefix_histogram
-        hist[depth] = hist.get(depth, 0) + 1
-
     def counter_rows(self) -> list[tuple[str, str]]:
         """Deterministic (name, value) rows for tables and CSV."""
         hist = {str(k): v for k, v in sorted(self.skipped_prefix_histogram.items())}

@@ -3,6 +3,13 @@
 A path is stored as a tuple of component names plus its canonical text form.
 The root is the empty tuple rendered as "/". Components never contain '/',
 and "." / ".." are rejected at ingest; the model has no symlinks.
+
+Validation happens once, where a component enters: `PathBuf(components)`
+checks every name, `parse` checks the whole text with three substring tests
+and builds the path without checking its names again, and `child` checks
+only the name it adds. `parent` and `child` reuse components that are
+already valid. A malformed text goes through the checking constructor, so
+its error names the bad component.
 """
 
 from __future__ import annotations
@@ -26,8 +33,11 @@ class PathBuf:
         trimmed = raw.rstrip("/")
         if not trimmed:
             return _ROOT
-        parts = trimmed.split("/")[1:]
-        return cls(tuple(parts))
+        parts = tuple(trimmed.split("/")[1:])
+        probe = trimmed + "/"
+        if "//" in probe or "/./" in probe or "/../" in probe:
+            return cls(parts)  # raises, naming the empty, "." or ".." component
+        return _trusted(parts, trimmed)
 
     @property
     def depth(self) -> int:
@@ -40,7 +50,7 @@ class PathBuf:
     def parent(self) -> "PathBuf":
         if not self.components:
             raise InvalidPath("root has no parent")
-        return PathBuf(self.components[:-1])
+        return _trusted(self.components[:-1], self.text.rpartition("/")[0] or "/")
 
     @property
     def name(self) -> str:
@@ -49,7 +59,8 @@ class PathBuf:
         return self.components[-1]
 
     def child(self, name: str) -> "PathBuf":
-        return PathBuf(self.components + (name,))
+        _check_name(name)
+        return _trusted(self.components + (name,), (self.text if self.components else "") + "/" + name)
 
     def is_component_prefix_of(self, other: "PathBuf") -> bool:
         """Whole-component prefix test; the root prefixes everything."""
@@ -76,6 +87,14 @@ def _check_name(name: str) -> None:
         raise InvalidPath(f"component {name!r} rejected at ingest")
     if "/" in name:
         raise InvalidPath(f"component contains '/': {name!r}")
+
+
+def _trusted(components: tuple[str, ...], text: str) -> PathBuf:
+    """A PathBuf from valid components and their canonical text, unchecked."""
+    path = object.__new__(PathBuf)
+    path.components = components
+    path.text = text
+    return path
 
 
 _ROOT = PathBuf(())

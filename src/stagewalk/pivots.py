@@ -141,7 +141,12 @@ def build_pool(candidates: Iterable[Dentry], bound: int) -> PivotPool:
 
 class ScanStats:
     """Instrumentation for one find_best_pivot call; the scan writes its
-    counts when it ends."""
+    counts when it ends.
+
+    The engine allocates one per lookup although it reads only
+    `char_comparisons`: the benchmark's spans take `pivots_visited` from the
+    scan's third argument, so passing None there would blind them.
+    """
 
     __slots__ = ("pivots_visited", "char_comparisons", "cursor_depths")
 

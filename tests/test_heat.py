@@ -122,6 +122,15 @@ def test_admitting_member_is_misuse():
 # -- reconcile_least_popular --------------------------------------------------------
 
 
+def test_reconciling_non_member_is_misuse():
+    cset = CandidateSet(4, 4)
+    member, outsider = d(1), d(2)
+    cset.maybe_admit(member)
+    with pytest.raises(ContractViolation):
+        cset.reconcile_least_popular(outsider)
+    assert cset.least_popular is member  # the misuse moved nothing
+
+
 def test_cursor_moves_to_smaller():
     cset, members = full_set()
     cset.least_popular = members[2]  # heat 12

@@ -290,9 +290,18 @@ def test_replay_determinism_byte_identical_csv():
     assert one_run().encode() == one_run().encode()
 
 
+# case -> (model, synth_trace params); the mutating case renames and chmods
+_PINNED_CASES = {
+    "hotdir-zipf": ("hotdir-zipf", {"n_events": 3_000}),
+    "uniform": ("uniform", {"n_events": 3_000}),
+    "hotdir-zipf-mutating": ("hotdir-zipf", {"n_events": 3_000, "p_rename": 0.01, "p_chmod": 0.01}),
+}
+
 # (lookups, dentries_visited, char_comparisons, pivot_hits, fallbacks,
 #  entries_touched, distinct_resolved, effective_search_ratio, skipped_prefix_histogram)
-# as the code produced them before Stage One stopped comparing char by char
+# as the code produced them before Stage One stopped comparing char by char; the
+# mutating case as it was before the read side tested candidate membership
+# through the intrusive link
 _PINNED_COUNTERS = {
     "hotdir-zipf": {
         "original": ("3000", "15000", "60000", "0", "0", "0", "33", "0.002200", "{}"),
@@ -307,16 +316,27 @@ _PINNED_COUNTERS = {
             '{"1": 1056, "2": 929, "3": 242, "5": 71}',
         ),
     },
+    "hotdir-zipf-mutating": {
+        "original": ("2929", "14645", "58580", "0", "0", "0", "33", "0.002253", "{}"),
+        "fullpath": ("2929", "45", "87915", "0", "0", "263", "33", "0.733333", "{}"),
+        "stage": ("2929", "2543", "45360", "2442", "0", "1", "33", "0.012977", '{"2": 36, "5": 2406}'),
+    },
 }
+# stage's (ticks, swaps): a tick every 500 of 3,000 events, and every tick swaps
+_PINNED_STAGE_PERIODS = (5, 5)
 
 
-@pytest.mark.parametrize("model", sorted(_PINNED_COUNTERS))
-def test_counter_rows_pinned_across_versions(model):
+@pytest.mark.parametrize("case", sorted(_PINNED_COUNTERS))
+def test_counter_rows_pinned_across_versions(case):
+    model, params = _PINNED_CASES[case]
     spec = TreeSpec(levels=[5, 5, 5, 5], seed=4)
-    trace = synth_trace(gen_tree(spec), model, {"n_events": 3_000}, seed=8)
-    for strategy, want in _PINNED_COUNTERS[model].items():
+    trace = synth_trace(gen_tree(spec), model, params, seed=8)
+    for strategy, want in _PINNED_COUNTERS[case].items():
         res = replay(trace, strategy, gen_tree(spec), manual_tick=True, tick_every=500)
         assert tuple(value for _name, value in res.metrics.counter_rows()) == want, strategy
+        if strategy == "stage":
+            manager = res.resolver.manager
+            assert (manager.ticks, manager.swaps) == _PINNED_STAGE_PERIODS
 
 
 # -- depth sweep ---------------------------------------------------------------------
