@@ -97,7 +97,7 @@ class StageLookupEngine(_ResolverBase):
         self.manager = PivotManager(tree, self.candidates, self.epoch, self.heat_lock, pool_bound=pool_size)
         tree.register_hook(self._on_metadata)
 
-    def _on_metadata(self, event: str, path: PathBuf, new_path: Optional[PathBuf]) -> None:
+    def _on_metadata(self, path: PathBuf) -> None:
         self.metrics.entries_touched += self.manager.invalidate_for_metadata(path)
 
     def tick(self) -> None:
@@ -115,14 +115,6 @@ class StageLookupEngine(_ResolverBase):
         else:
             observe_target(target, self.epoch, self.candidates)
 
-    def _full_walk(self, path: PathBuf, cred: Credential) -> Dentry:
-        tree = self.tree
-        tree.lock.acquire_read()
-        try:
-            return tree.walk_from(tree.root, path.components, cred, self.metrics)
-        finally:
-            tree.lock.release_read()
-
     def _resolve(self, path: PathBuf, cred: Credential) -> tuple[Dentry, Optional[Pivot], int]:
         """Both stages; returns the target, the pivot used (None on a full walk)
         and the number of components it skipped."""
@@ -137,9 +129,9 @@ class StageLookupEngine(_ResolverBase):
             manager.reader_exit(token)
         metrics.char_comparisons += stats.char_comparisons  # Stage One single scan
 
+        tree = self.tree
         if hit is not None:
             pivot, depth = hit
-            tree = self.tree
             matched = pivot.components[depth - 1]
             target = tree.nodes.get(matched.node_id)
             if target is not None and not target.dead:
@@ -147,11 +139,7 @@ class StageLookupEngine(_ResolverBase):
                     self.check_prefix_permissions(pivot, depth, cred)  # raises
                 rest = path.components[depth:]
                 if rest:  # an empty walk_from checks and counts nothing
-                    tree.lock.acquire_read()
-                    try:
-                        target = tree.walk_from(target, rest, cred, metrics)
-                    finally:
-                        tree.lock.release_read()
+                    target = tree.walk_from(target, rest, cred, metrics)
                 metrics.pivot_hits += 1
                 hist = metrics.skipped_prefix_histogram
                 hist[depth] = hist.get(depth, 0) + 1
@@ -159,7 +147,7 @@ class StageLookupEngine(_ResolverBase):
                 return target, pivot, depth
             metrics.fallbacks += 1  # component dentry unlinked between build and use
 
-        target = self._full_walk(path, cred)
+        target = tree.walk_from(tree.root, path.components, cred, metrics)
         self._note_target(target)
         return target, None, 0
 

@@ -1,24 +1,23 @@
 """Pivot manager lifecycle: one working pool, reader tokens, deferred reclamation.
 
 Readers enter a read-side section and get a token that pins the working pool
-of that instant. Each period the manager builds a fresh pool off to the side;
-that pool is the waiting pool until `_install` swaps it in atomically, so a
-reader never observes a partial build. Retired pools and pivots go on a
-reclaim queue and are poisoned (freed flag) only once every token issued
-before their retirement has exited, which the sentinel checks in
-find_best_pivot turn into hard failures on any protocol bug.
+of that instant. Every change of the working pool builds a fresh pool off to
+the side and publishes it through `_install`, so a reader never observes a
+partial build. Retired pools go on a reclaim queue and are poisoned (freed
+flag) only once every token issued before their retirement has exited, which
+the sentinel checks in find_best_pivot turn into hard failures on any
+protocol bug.
 
-Metadata modification invalidates the working pool in place: the first pivot
-covered by the modified path and everything after it is flagged invalid,
-covered pivots are dropped (survivors get their overlap repaired on fresh
-objects so old snapshots stay self-consistent), survivors are re-validated,
-and `metadata_seq` is bumped. A period reads that count under the tree read
-lock before it builds, and installs its build only if the count has not moved
-by the time it holds the pool mutex, so no pool built before a modification is
-ever installed. A modification that completed before the build is already in
-it (the build walks the live tree's parent links) and costs no swap. Hooks
-fire under the tree write lock, so a racing modification lands between the
-build and the swap, never inside the build.
+Each period the manager builds a pool from the candidates. A metadata
+modification clears `valid` on the working pool's pivots that its path
+covers, so readers still scanning that pool skip them, installs a pool of
+fresh copies of the survivors and bumps `metadata_seq`. A period reads that
+count under the tree read lock before it builds, and installs its build only
+if the count has not moved by the time it holds the pool mutex, so no pool
+built before a modification is ever installed. A modification that completed
+before the build is already in it (the build walks the live tree's parent
+links) and costs no swap. Hooks fire under the tree write lock, so a racing
+modification lands between the build and the swap, never inside the build.
 
 The reader registry takes a lock only on a threadsafe tree. On a
 single-threaded tree a reader registers the current generation before it
@@ -39,7 +38,7 @@ from typing import Iterable, Optional
 from .errors import ContractViolation
 from .heat import CandidateSet, HeatEpoch
 from .paths import PathBuf
-from .pivots import Pivot, PivotPool, _lcp_components, build_pool
+from .pivots import PivotPool, build_pool, pool_from_sorted
 from .tree import Dentry, DirTree
 
 
@@ -51,35 +50,30 @@ class ReadToken:
 
 
 class ReclaimQueue:
-    """Retired pools / pivot batches awaiting their grace period."""
+    """Retired pools awaiting their grace period; a pool owns its pivots, so
+    poisoning the pool poisons them."""
 
     __slots__ = ("_entries",)
 
     def __init__(self) -> None:
-        self._entries: list[tuple[object, int]] = []
+        self._entries: list[tuple[PivotPool, int]] = []
 
-    def push(self, payload: PivotPool | list[Pivot], retire_gen: int) -> None:
-        self._entries.append((payload, retire_gen))
+    def push(self, pool: PivotPool, retire_gen: int) -> None:
+        self._entries.append((pool, retire_gen))
 
     @property
     def pending(self) -> int:
         return len(self._entries)
 
     def reclaim(self, min_active_gen: Optional[int]) -> int:
-        """Poison every entry retired before the oldest active reader. Idempotent."""
-        keep: list[tuple[object, int]] = []
+        """Poison every pool retired before the oldest active reader. Idempotent."""
+        keep: list[tuple[PivotPool, int]] = []
         freed = 0
-        for payload, gen in self._entries:
+        for pool, gen in self._entries:
             if min_active_gen is not None and gen >= min_active_gen:
-                keep.append((payload, gen))
+                keep.append((pool, gen))
                 continue
-            if isinstance(payload, PivotPool):
-                payload.freed = True
-                for pv in payload.pivots:
-                    pv.freed = True
-            else:
-                for pv in payload:
-                    pv.freed = True
+            pool.freed = True
             freed += 1
         self._entries = keep
         return freed
@@ -154,9 +148,10 @@ class PivotManager:
         """One manager period: rebuild, maybe swap, then advance and drain heat.
 
         A metadata modification between the start of the build and the swap
-        discards the fresh build and keeps the current working pool for another
-        period; in that case the heat version does not advance and nothing is
-        drained. Returns whether a swap happened.
+        discards the fresh build, and the working pool stays as the
+        modification left it for another period; in that case the heat version
+        does not advance and nothing is drained. Returns whether a swap
+        happened. `swaps` counts these period swaps only.
         """
         self.ticks += 1
         if candidates is None:
@@ -174,6 +169,7 @@ class PivotManager:
             if swapped:
                 self._install(new_pool)
         if swapped:
+            self.swaps += 1
             with self._heat_lock:
                 self._epoch.advance()
                 self._candidates.drain_overdue(self._epoch)
@@ -196,46 +192,26 @@ class PivotManager:
             self.working_pool = pool
         self.generation = gen  # only after the publish: see the module docstring
         self.reclaim_queue.push(old, old.generation)
-        self.swaps += 1
 
     def invalidate_for_metadata(self, path: PathBuf) -> int:
-        """Drop every working-pool pivot covered by `path`; called pre-mutation.
+        """Retire the working pool for one without the pivots covered by
+        `path`; called pre-mutation. Returns how many pivots were covered.
 
         Bumps `metadata_seq` whether or not anything matched, so a build that
         this modification raced is never swapped in.
         """
         with self._pool_mutex:
-            wp = self.working_pool
-            pivots = wp.pivots
             prefix = path.components
             plen = len(prefix)
-            covered = [i for i, p in enumerate(pivots) if p.names[:plen] == prefix]
-            removed: list[Pivot] = []
+            pivots = self.working_pool.pivots
+            covered = [p for p in pivots if p.names[:plen] == prefix]
             if covered:
-                first = covered[0]
-                # flag the suffix while the list is rearranged; old snapshots
-                # skip these pivots instead of observing the surgery
-                for p in pivots[first:]:
-                    p.valid = False
-                covered_set = set(covered)
-                removed = [pivots[i] for i in covered]
-                survivors = [p for i, p in enumerate(pivots) if i not in covered_set]
-                repaired: list[Pivot] = []
-                retired_clones: list[Pivot] = []
-                prev_names: tuple[str, ...] = ()
-                for j, p in enumerate(survivors):
-                    want = _lcp_components(prev_names, p.names) if j else 0
-                    if want != p.overlap:
-                        retired_clones.append(p)
-                        p = p.clone_with_overlap(want)
-                    repaired.append(p)
-                    prev_names = p.names
-                for p in repaired:
-                    p.valid = True  # reactivate the survivors
-                wp.pivots = repaired
-                self.reclaim_queue.push(removed + retired_clones, self.generation)
+                for p in covered:
+                    p.valid = False  # readers still scanning the old pool skip it
+                survivors = [p for p in pivots if p.names[:plen] != prefix]
+                self._install(pool_from_sorted((p.path, p.names, p.components) for p in survivors))
             self.metadata_seq += 1
-            return len(removed)
+            return len(covered)
 
     def reclaim(self) -> int:
         return self.reclaim_queue.reclaim(self.oldest_active_generation())

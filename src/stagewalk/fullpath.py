@@ -31,7 +31,7 @@ class FullPathCache(_ResolverBase):
         self._versions: dict[int, int] = {}
         tree.register_hook(self._on_metadata)
 
-    def _on_metadata(self, event: str, path: PathBuf, new_path: Optional[PathBuf]) -> None:
+    def _on_metadata(self, path: PathBuf) -> None:
         self.fp_invalidate_subtree(path)
 
     def fp_lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
@@ -48,11 +48,7 @@ class FullPathCache(_ResolverBase):
                 return node_id
             del self._entries[key]  # out of date
         tree = self.tree
-        tree.lock.acquire_read()
-        try:
-            target = tree.walk_from(tree.root, path.components, cred, metrics)
-        finally:
-            tree.lock.release_read()
+        target = tree.walk_from(tree.root, path.components, cred, metrics)
         self._entries[key] = (target.id, self._versions.get(target.id, 0))
         return target.id
 

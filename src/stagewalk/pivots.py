@@ -37,7 +37,9 @@ class Component:
 
 
 class Pivot:
-    __slots__ = ("path", "names", "overlap", "components", "valid", "freed")
+    """A pool entry; it belongs to one pool only, whose `freed` flag covers it."""
+
+    __slots__ = ("path", "names", "overlap", "components", "valid")
 
     def __init__(self, path: str, names: tuple[str, ...], overlap: int, components: tuple[Component, ...]):
         self.path = path
@@ -45,14 +47,10 @@ class Pivot:
         self.overlap = overlap
         self.components = components
         self.valid = True
-        self.freed = False
 
     @property
     def depth(self) -> int:
         return len(self.names)
-
-    def clone_with_overlap(self, overlap: int) -> "Pivot":
-        return Pivot(self.path, self.names, overlap, self.components)
 
     def __repr__(self) -> str:
         return f"Pivot({self.path!r}, overlap={self.overlap}, valid={self.valid})"
@@ -60,8 +58,9 @@ class Pivot:
 
 class PivotPool:
     """Ascending-ordered pivot list. Immutable once published except for the
-    valid flags; structural changes swap in a fresh list so in-flight readers
-    keep a consistent snapshot."""
+    valid flags of pivots a metadata modification covers; every structural
+    change installs a fresh pool, so in-flight readers keep a consistent
+    snapshot. `freed` poisons the pool and all its pivots once reclaimed."""
 
     __slots__ = ("pivots", "generation", "published", "freed")
 
@@ -125,16 +124,24 @@ def build_pool(candidates: Iterable[Dentry], bound: int) -> PivotPool:
     ranked = sorted(by_path.items(), key=lambda kv: (-kv[1][0], kv[0]))[: max(bound, 0)]
     ranked.sort(key=lambda kv: kv[0])  # ascending byte order of paths
 
-    pivots: list[Pivot] = []
-    prev_names: tuple[str, ...] = ()
+    entries = []
     for path, (_heat, names, ids, masks) in ranked:
-        overlap = _lcp_components(prev_names, names) if pivots else 0
         comps: list[Component] = []
         running = ALL_CLASSES_MASK
         for node_id, mask in zip(ids, masks):
             comps.append(Component(node_id, running))
             running &= mask  # this component joins the prefix of deeper ones
-        pivots.append(Pivot(path, names, overlap, tuple(comps)))
+        entries.append((path, names, tuple(comps)))
+    return pool_from_sorted(entries)
+
+
+def pool_from_sorted(entries: Iterable[tuple[str, tuple[str, ...], tuple[Component, ...]]]) -> PivotPool:
+    """An unpublished pool of fresh pivots from ascending `(path, names,
+    components)` entries, each overlap computed against the entry before."""
+    pivots: list[Pivot] = []
+    prev_names: tuple[str, ...] = ()  # the first pivot shares nothing
+    for path, names, comps in entries:
+        pivots.append(Pivot(path, names, _lcp_components(prev_names, names), comps))
         prev_names = names
     return PivotPool(pivots)
 
@@ -208,9 +215,11 @@ def find_best_pivot(
     `_mismatch_cost` on the one compare per pivot that fails. That cost is a
     pure function of the two names, so it is memoized.
 
-    The pool's list is read by reference, without a copy: a published pool's
-    list is never changed in place, only replaced (`invalidate_for_metadata`
-    installs a new list), so the scan sees one consistent snapshot.
+    The pool's list is read by reference, without a copy: a published pool
+    never changes except for its covered pivots' `valid` flags
+    (`invalidate_for_metadata` installs a new pool instead), so the scan sees
+    one consistent snapshot. `pool.freed` is checked per pivot, so a reclaim
+    in the middle of a scan still trips the sentinel.
     """
     if pool.freed:
         raise ContractViolation("pivot pool used after reclaim")
@@ -226,7 +235,7 @@ def find_best_pivot(
     chars = 0
     depths = stats.cursor_depths if stats is not None else []
     for pv in pool.pivots:
-        if pv.freed:
+        if pool.freed:
             raise ContractViolation("pivot used after reclaim")
         visited += 1
         o = pv.overlap

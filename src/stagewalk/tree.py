@@ -96,8 +96,8 @@ class Dentry:
         return f"Dentry(id={self.id}, name={self.name!r}, kind={self.kind})"
 
 
-# hook(event, path, new_path): event in {"rename", "chmod", "unlink"}; fires pre-mutation
-MetadataHook = Callable[[str, PathBuf, Optional[PathBuf]], None]
+# hook(path): fires pre-mutation with the path a rename, chmod or unlink changes
+MetadataHook = Callable[[PathBuf], None]
 
 
 class DirTree:
@@ -119,9 +119,9 @@ class DirTree:
     def register_hook(self, hook: MetadataHook) -> None:
         self._hooks.append(hook)
 
-    def _fire_hooks(self, event: str, path: PathBuf, new_path: Optional[PathBuf]) -> None:
+    def _fire_hooks(self, path: PathBuf) -> None:
         for hook in self._hooks:
-            hook(event, path, new_path)
+            hook(path)
 
     def node(self, node_id: int) -> Optional[Dentry]:
         return self.nodes.get(node_id)
@@ -211,7 +211,7 @@ class DirTree:
                 if cur is d:
                     raise Unsupported("cannot rename a directory into its own subtree")
                 cur = cur.parent
-            self._fire_hooks("rename", old, new)
+            self._fire_hooks(old)
             del d.parent.children[d.name]
             d.parent = new_parent
             d.name = new.name
@@ -223,7 +223,7 @@ class DirTree:
         self.lock.acquire_write()
         try:
             d = self._resolve_admin(path)
-            self._fire_hooks("chmod", path, None)
+            self._fire_hooks(path)
             d.mode = mode & 0o777
         finally:
             self.lock.release_write()
@@ -236,7 +236,7 @@ class DirTree:
             d = self._resolve_admin(path)
             if d.children:
                 raise Unsupported(f"{path.text} has children")
-            self._fire_hooks("unlink", path, None)
+            self._fire_hooks(path)
             del d.parent.children[d.name]
             d.dead = True
         finally:
@@ -259,31 +259,31 @@ class DirTree:
         root, its traversal bit for `cred` must be set. Each component is
         counted as the kernel's d_hash chain lookup would scan it: a hash scan
         of its name, then on a hit a verification scan and a dentry visit. A
-        name looked up below a file is missing (NotFound). Caller holds the
-        read lock.
+        name looked up below a file is missing (NotFound). Holds the tree read
+        lock for the walk.
         """
         cur = start
         bit = _TRAV_BIT[cred]
-        for name in components:
-            children = cur.children
-            if children is not None and cur.parent is not None and not (cur.mode & bit):
-                raise PermissionDenied(f"no traversal through {cur.name!r} for {cred.value}")
-            if metrics is not None:
-                metrics.char_comparisons += len(name)  # hash scan
-            child = children.get(name) if children is not None else None
-            if child is None:
-                raise NotFound(f"missing component {name!r}")
-            if metrics is not None:
-                metrics.dentries_visited += 1
-                metrics.char_comparisons += len(name)  # verification scan
-                metrics.distinct_resolved.add(child.id)
-            cur = child
+        self.lock.acquire_read()
+        try:
+            for name in components:
+                children = cur.children
+                if children is not None and cur.parent is not None and not (cur.mode & bit):
+                    raise PermissionDenied(f"no traversal through {cur.name!r} for {cred.value}")
+                if metrics is not None:
+                    metrics.char_comparisons += len(name)  # hash scan
+                child = children.get(name) if children is not None else None
+                if child is None:
+                    raise NotFound(f"missing component {name!r}")
+                if metrics is not None:
+                    metrics.dentries_visited += 1
+                    metrics.char_comparisons += len(name)  # verification scan
+                    metrics.distinct_resolved.add(child.id)
+                cur = child
+        finally:
+            self.lock.release_read()
         return cur
 
     def lookup_original(self, path: PathBuf, cred: Credential, metrics: Optional[Metrics] = None) -> NodeId:
         """Component-wise walk from the root; the baseline every strategy must match."""
-        self.lock.acquire_read()
-        try:
-            return self.walk_from(self.root, path.components, cred, metrics).id
-        finally:
-            self.lock.release_read()
+        return self.walk_from(self.root, path.components, cred, metrics).id

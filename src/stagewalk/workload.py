@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .engine import OriginalLookup, StageLookupEngine, _ResolverBase
-from .errors import ConfigError, EngineError, SpecInvalid, TraceMalformed
+from .errors import ConfigError, EngineError, InvalidPath, SpecInvalid, TraceMalformed
 from .fullpath import FullPathCache
 from .metrics import Metrics
 from .paths import PathBuf
@@ -125,13 +125,18 @@ class TraceEvent:
     def validate(self) -> None:
         if self.op not in _OPS:
             raise TraceMalformed(f"unknown op {self.op!r}")
-        PathBuf.parse(self.path)
-        if self.op == "rename":
-            if not self.new_path:
-                raise TraceMalformed("rename without new_path")
-            PathBuf.parse(self.new_path)
+        if self.op == "rename" and not self.new_path:
+            raise TraceMalformed("rename without new_path")
         if self.op in ("chmod",) and self.mode is None:
             raise TraceMalformed("chmod without mode")
+        if self.mode is not None and type(self.mode) is not int:  # bool is not a mode
+            raise TraceMalformed(f"mode is not an integer: {self.mode!r}")
+        try:
+            PathBuf.parse(self.path)
+            if self.op == "rename":
+                PathBuf.parse(self.new_path)
+        except InvalidPath as exc:
+            raise TraceMalformed(f"bad path: {exc}") from exc
 
     def to_json_line(self) -> str:
         obj: dict = {"op": self.op, "path": self.path, "at_ms": self.at_ms}

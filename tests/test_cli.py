@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stagewalk
 from stagewalk.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -95,3 +100,29 @@ def test_missing_file_exits_3(tmp_path):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"op": "chmod", "path": "/a0", "mode": "x"}',
+        '{"op": "chmod", "path": "/a0", "mode": 1.5}',
+        '{"op": "chmod", "path": "/a0", "mode": true}',
+        '{"op": "mkdir", "path": "/a0/new", "mode": "rw"}',
+        '{"op": "stat", "path": "a0//b"}',
+        '{"op": "stat", "path": "/a0//b"}',
+        '{"op": "rename", "path": "/a0", "new_path": "/a0/../b"}',
+    ],
+)
+def test_malformed_trace_exits_3_without_traceback(tmp_path, line):
+    prefix = str(tmp_path / "t")
+    assert main(["gen-tree", "--levels", "2", "--out", prefix]) == EXIT_OK
+    trace_file = tmp_path / "trace.jsonl"
+    trace_file.write_text('{"op": "stat", "path": "/a0"}\n' + line + "\n")
+    src = str(Path(stagewalk.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "stagewalk.cli", "replay", "--tree", f"{prefix}.spec.json", "--trace", str(trace_file)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -14,7 +15,7 @@ from stagewalk import (
     find_best_pivot,
     verify_pool,
 )
-from conftest import FIG4_PATHS, mkpath, make_tree
+from conftest import FIG4_PATHS, mkpath, make_tree, random_tree_paths
 
 
 def make_manager(tree=None, bound=16):
@@ -161,25 +162,27 @@ def test_selector_alternates_in_steady_state():
 
 def tick_raced_by(mgr, cset, epoch, path):
     """Tick once with a metadata modification of `path` injected between the
-    build and the swap, and check that the swap was suppressed: the working
-    pool and generation stay, the heat version does not advance and nothing is
-    drained. Returns how many pivots the modification removed."""
-    pool, gen = mgr.working_pool, mgr.generation
+    build and the swap, and check that the swap was suppressed: the raced
+    build is not installed, no swap is counted, the heat version does not
+    advance and nothing is drained. Returns how many pivots the modification
+    removed."""
+    swaps = mgr.swaps
     version, members = epoch.global_version, [d.id for d in cset.members()]
-    removed = []
+    removed, builds = [], []
     real_build = epoch_module.build_pool
 
     def racing_build(candidates, bound):
-        built = real_build(candidates, bound)
+        builds.append(real_build(candidates, bound))
         removed.append(mgr.invalidate_for_metadata(mkpath(path)))
-        return built
+        return builds[0]
 
     epoch_module.build_pool = racing_build
     try:
         assert not mgr.periodic_update()
     finally:
         epoch_module.build_pool = real_build
-    assert mgr.working_pool is pool and mgr.generation == gen  # old pool still working
+    assert not builds[0].published  # the raced build was never installed
+    assert mgr.swaps == swaps
     assert epoch.global_version == version
     assert [d.id for d in cset.members()] == members
     return removed[0]
@@ -191,7 +194,7 @@ def test_metadata_mid_period_suppresses_next_swap(threadsafe):
     pool = mgr.working_pool
     heat_up(tree, cset, epoch, ["/a1/b1/c1"])
     assert tick_raced_by(mgr, cset, epoch, "/a1/b2") == 1
-    assert "/a1/b2/c3" not in [p.path for p in pool.pivots]
+    assert "/a1/b2/c3" not in [p.path for p in mgr.working_pool.pivots]
     assert mgr.periodic_update()  # the following period swaps again
     assert mgr.working_pool is not pool
 
@@ -287,6 +290,49 @@ def test_exact_path_counts_as_covered():
     assert "/a1/b1/c1" not in [p.path for p in mgr.working_pool.pivots]
 
 
+@on_both_trees
+def test_invalidate_matches_oracle_on_random_pools(threadsafe):
+    """Random pools, random covering prefixes, a reader pinned across each
+    call: the installed pool is the old one minus the covered pivots, and the
+    pinned pool keeps serving its survivors until the reader exits."""
+    rng = random.Random(8)
+    for _ in range(60):
+        paths = random_tree_paths(rng, rng.randint(1, 20))
+        tree = make_tree(*paths, threadsafe=threadsafe)
+        _tree, _cset, _epoch, mgr = make_manager(tree, bound=len(paths))
+        mgr.publish_pool(build_pool([tree._resolve_admin(mkpath(p)) for p in paths], len(paths)))
+        for _ in range(4):
+            old = mgr.working_pool
+            held = old.pivots
+            if rng.random() < 0.2:
+                prefix = mkpath("/zz")  # covers nothing
+            else:
+                names = mkpath(rng.choice(paths)).components
+                prefix = mkpath("/" + "/".join(names[: rng.randint(0, len(names))]))
+            covered = [p for p in held if prefix.is_component_prefix_of(mkpath(p.path))]
+            survivors = [p for p in held if p not in covered]
+            token = mgr.reader_enter()
+            assert mgr.invalidate_for_metadata(prefix) == len(covered)
+
+            new = mgr.working_pool
+            assert (new is old) == (not covered)  # nothing covered, nothing installed
+            assert [p.path for p in new.pivots] == [p.path for p in survivors]
+            assert [[(c.node_id, c.prefix_trav) for c in p.components] for p in new.pivots] == [
+                [(c.node_id, c.prefix_trav) for c in p.components] for p in survivors
+            ]
+            assert verify_pool(new) == []
+
+            assert token.pool is old and old.pivots is held
+            assert all(p.valid for p in survivors) and not any(p.valid for p in covered)
+            for p in survivors:  # a scan still running on the old pool finds them
+                assert find_best_pivot(old, mkpath(p.path))[0] is p
+            mgr.reclaim()
+            assert not old.freed
+            mgr.reader_exit(token)
+            mgr.reclaim()
+            assert old.freed == bool(covered)
+
+
 # -- reclamation ---------------------------------------------------------------------
 
 
@@ -330,13 +376,12 @@ def test_use_after_reclaim_trips_sentinel(threadsafe):
 def test_removed_pivots_reclaimed_after_grace(threadsafe):
     tree, cset, epoch, mgr = fig4_manager(threadsafe)
     token = mgr.reader_enter()
-    victims = [p for p in mgr.working_pool.pivots if p.path.startswith("/a1/b1/c2")]
     mgr.invalidate_for_metadata(mkpath("/a1/b1/c2"))
     mgr.reclaim()
-    assert not any(v.freed for v in victims)  # reader from the same generation still live
+    assert not token.pool.freed  # reader from the same generation still live
     mgr.reader_exit(token)
     mgr.reclaim()
-    assert all(v.freed for v in victims)
+    assert token.pool.freed
 
 
 @on_both_trees

@@ -128,10 +128,10 @@ def test_rename_hooks_fire_before_mutation():
     tree = make_tree("/a/b")
     seen = []
     # record the node id visible at the OLD path while the hook runs
-    tree.register_hook(lambda ev, path, new: seen.append((ev, path.text, tree._resolve_admin(path).id)))
+    tree.register_hook(lambda path: seen.append((path.text, tree._resolve_admin(path).id)))
     tree.rename_node(mkpath("/a/b"), mkpath("/a/c"))
     moved = tree._resolve_admin(mkpath("/a/c"))
-    assert seen == [("rename", "/a/b", moved.id)]
+    assert seen == [("/a/b", moved.id)]
 
 
 # -- chmod -----------------------------------------------------------------------
