@@ -206,6 +206,7 @@ class PivotManager:
             pivots = self.working_pool.pivots
             covered = [p for p in pivots if p.names[:plen] == prefix]
             if covered:
+                self.working_pool.linear_only = True  # before any flag clears: see find_best_pivot
                 for p in covered:
                     p.valid = False  # readers still scanning the old pool skip it
                 survivors = [p for p in pivots if p.names[:plen] != prefix]

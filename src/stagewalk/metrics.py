@@ -9,10 +9,14 @@ Counter semantics:
   verification); a missing one costs the hash scan. The walk counts these
   scans but does not perform them: it resolves through the children maps.
   Full-path-probe costs are added by the fullpath strategy. Stage One adds
-  the model's char-by-char cost of its pivot scan: the code compares whole
-  components, and counts a name's length on a match, or the chars up to and
-  including the first differing one on a mismatch (the shorter name's length
-  when one is a prefix of the other).
+  the model's char-by-char cost of its single forward pivot scan: a name's
+  length on a match, or the chars up to and including the first differing
+  one on a mismatch (the shorter name's length when one is a prefix of the
+  other). The code performs neither that scan nor the char compares: it
+  descends the pool's component index, whose entries carry what the scan
+  spends on the runs of pivots it passes over, and adds the mismatch cost
+  against the names of the run where the query leaves the index. A pool
+  that holds an invalid pivot is scanned linearly, comparing whole names.
 - effective_search_ratio: distinct dentries ever resolved divided by total
   dentry searches; measures how redundant the walk traffic was.
 - wall_time: per-phase seconds; diagnostic only, excluded from CSV output so

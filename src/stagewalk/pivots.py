@@ -1,16 +1,26 @@
-"""Pivot pool: cached popular paths, ordered ascending, searched in one scan.
+"""Pivot pool: cached popular paths, ordered by components, searched in one scan.
 
 A pivot stores the full path of a hot dentry, a per-depth array of component
 records (dentry id, aggregated ancestor-traversal mask),
 and its overlap: the number of leading components shared with the previous
-pivot in the pool. Because the pool is sorted, the overlap values let the
-search walk the whole pool while scanning the query path's characters at most
-once, plus a tiny bounded cost per pivot visited.
+pivot in the pool. The pool is sorted by component tuple, so the pivots that
+share their first m names form one contiguous run. The paper's Stage One is
+one forward scan that uses the overlaps to walk the whole pool while reading
+the query path's characters at most once.
+
+The model reports what that scan costs, but the code need not perform it.
+The first scan of a pool builds a component index, a trie over the pivots'
+names whose entries carry what the scan spends on the runs it passes over;
+every scan then descends it with one dict step per matched component and
+works out the scan's pivot, depth and counts exactly. The linear scan stays
+for pools that hold an invalid pivot (a metadata modification retired them
+while readers still scan them) and as the tests' reference.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
@@ -57,18 +67,25 @@ class Pivot:
 
 
 class PivotPool:
-    """Ascending-ordered pivot list. Immutable once published except for the
-    valid flags of pivots a metadata modification covers; every structural
-    change installs a fresh pool, so in-flight readers keep a consistent
-    snapshot. `freed` poisons the pool and all its pivots once reclaimed."""
+    """Pivot list in ascending component order. Immutable once published
+    except for the valid flags of pivots a metadata modification covers;
+    every structural change installs a fresh pool, so in-flight readers keep
+    a consistent snapshot. `freed` poisons the pool and all its pivots once
+    reclaimed.
 
-    __slots__ = ("pivots", "generation", "published", "freed")
+    `index` is the component index, built by the first scan; `linear_only`
+    is set before any valid flag is cleared, and from then on every scan is
+    linear, because the index's counts assume that every pivot is valid."""
+
+    __slots__ = ("pivots", "generation", "published", "freed", "index", "linear_only")
 
     def __init__(self, pivots: list[Pivot]):
         self.pivots = pivots
         self.generation = 0
         self.published = False
         self.freed = False
+        self.index: Optional[_IndexNode] = None
+        self.linear_only = False
 
     @property
     def size(self) -> int:
@@ -97,7 +114,9 @@ def build_pool(candidates: Iterable[Dentry], bound: int) -> PivotPool:
 
     Each candidate's path is recovered by walking parent links; dead
     candidates (unlinked mid-build) are silently dropped. When truncating,
-    hotter candidates win, ties broken by ascending path.
+    hotter candidates win, ties broken by ascending component order, the
+    order of the pool itself. Sorting by path text instead would split a
+    run: `/a.d` sorts between `/a` and `/a/b` because `.` is below `/`.
     """
     by_path: dict[str, tuple[int, tuple[str, ...], tuple[int, ...], tuple[int, ...]]] = {}
     for d in candidates:
@@ -121,8 +140,8 @@ def build_pool(candidates: Iterable[Dentry], bound: int) -> PivotPool:
         prev = by_path.get(path)
         if prev is None or d.heat > prev[0]:
             by_path[path] = (d.heat, tuple(names), tuple(ids), tuple(masks))
-    ranked = sorted(by_path.items(), key=lambda kv: (-kv[1][0], kv[0]))[: max(bound, 0)]
-    ranked.sort(key=lambda kv: kv[0])  # ascending byte order of paths
+    ranked = sorted(by_path.items(), key=lambda kv: (-kv[1][0], kv[1][1]))[: max(bound, 0)]
+    ranked.sort(key=lambda kv: kv[1][1])
 
     entries = []
     for path, (_heat, names, ids, masks) in ranked:
@@ -136,8 +155,9 @@ def build_pool(candidates: Iterable[Dentry], bound: int) -> PivotPool:
 
 
 def pool_from_sorted(entries: Iterable[tuple[str, tuple[str, ...], tuple[Component, ...]]]) -> PivotPool:
-    """An unpublished pool of fresh pivots from ascending `(path, names,
-    components)` entries, each overlap computed against the entry before."""
+    """An unpublished pool of fresh pivots from `(path, names, components)`
+    entries in ascending order of names, each overlap computed against the
+    entry before."""
     pivots: list[Pivot] = []
     prev_names: tuple[str, ...] = ()  # the first pivot shares nothing
     for path, names, comps in entries:
@@ -149,6 +169,10 @@ def pool_from_sorted(entries: Iterable[tuple[str, tuple[str, ...], tuple[Compone
 class ScanStats:
     """Instrumentation for one find_best_pivot call; the scan writes its
     counts when it ends.
+
+    The counts are the linear scan's, whichever path produced them: the index
+    descent works them out from the entries it passes, and neither path
+    compares names char by char to count chars.
 
     The engine allocates one per lookup although it reads only
     `char_comparisons`: the benchmark's spans take `pivots_visited` from the
@@ -188,13 +212,161 @@ def _mismatch_cost(a: str, b: str) -> int:
     return i
 
 
+class _IndexNode:
+    """The run `pivots[start:end]` of pivots that share their first m names,
+    m being the node's level in the component index.
+
+    A run of two or more pivots is split into groups by name m (the pivot
+    that has only m names, `terminal`, comes first and joins no group).
+    `children` maps each group's name to `(child, chars, compares)`: what the
+    linear scan spends on the groups before that one when the query's name
+    m equals it, namely the mismatch chars and the compares, each of which
+    leaves one `cursor_depths` entry. A run of one pivot keeps that `pivot`
+    and `lens`, the running sums of its name lengths.
+    """
+
+    __slots__ = ("start", "end", "terminal", "children", "pivot", "lens")
+
+    def __init__(self, pivots: list[Pivot], start: int, end: int, m: int):
+        self.start = start
+        self.end = end
+        self.children: dict[str, tuple[_IndexNode, int, int]] = {}
+        self.pivot: Optional[Pivot] = None
+        self.lens: tuple[int, ...] = ()
+        # a pivot with only m names sorts first: it is a prefix of every other
+        self.terminal = len(pivots[start].names) == m
+        if end - start == 1:
+            self.pivot = pivots[start]
+            self.lens = (0, *accumulate(map(len, self.pivot.names)))
+            return
+        i = start + self.terminal
+        while i < end:
+            name = pivots[i].names[m]
+            j = i + 1
+            while j < end and pivots[j].names[m] == name:
+                j += 1
+            chars = sum(_mismatch_cost(name, g) for g in self.children)
+            self.children[name] = (_IndexNode(pivots, i, j, m + 1), chars, len(self.children))
+            i = j
+
+
+def _index_pool(pool: PivotPool) -> Optional[_IndexNode]:
+    """Build the pool's index, or mark the pool linear-only when it is empty
+    or holds an invalid pivot; valid flags are only ever cleared."""
+    pivots = pool.pivots
+    if not pivots or not all(p.valid for p in pivots):
+        pool.linear_only = True
+        return None
+    pool.index = _IndexNode(pivots, 0, len(pivots), 0)
+    return pool.index
+
+
+def _descend(index: _IndexNode, comps: tuple[str, ...], depths: list[int]) -> tuple[int, int, int, int]:
+    """The linear scan's outcome on an index whose pivots are all valid:
+    `(start, depth, pivots_visited, char_comparisons)`, the best pivot being
+    `pivots[start]` when depth > 0. Appends the scan's `cursor_depths`.
+
+    The scan compares the first pivot of a run as deep as the query matches
+    it; there the run's terminal pivot, then each group before the query's
+    name, ends one compare at the run's level, and the groups' other pivots
+    are skipped by overlap. Where no group matches, the scan compares every
+    group and stops at the first pivot after the run; where the query ends,
+    it stops at the run's first pivot. Either way the best is that first
+    pivot, and every pivot up to the stop is visited.
+    """
+    node = index
+    n = len(comps)
+    m = 0
+    chars = 0
+    while True:
+        pv = node.pivot
+        if pv is not None:  # one pivot left: a slice compare settles the rest
+            names = pv.names
+            end = len(names)
+            if n < end:
+                end = n
+            e = end
+            # a whole-path hit, the common case, is settled without slicing
+            if comps != names and comps[m:end] != names[m:end]:
+                e = m
+                while comps[e] == names[e]:
+                    e += 1
+                chars += _mismatch_cost(comps[e], names[e])
+            lens = node.lens
+            chars += lens[e] - lens[m]
+            depths.append(e)
+            break
+        if m == n:  # the query ends in this run: its first pivot's compare stops the scan
+            e = m
+            depths.append(m)
+            break
+        if node.terminal:
+            depths.append(m)
+        c = comps[m]
+        entry = node.children.get(c)
+        if entry is None:
+            e = m
+            children = node.children
+            chars += sum(map(_mismatch_cost, repeat(c), children))
+            depths.extend([m] * len(children))
+            break
+        node, before_chars, before = entry
+        chars += before_chars + len(c)
+        if before:
+            depths.extend([m] * before)
+        m += 1
+    visited = node.start + 1 if e == n else min(node.end + 1, index.end)
+    return node.start, e, visited, chars
+
+
 _CHAIN_INF = 1 << 62
 
 
 def find_best_pivot(
     pool: PivotPool, path: PathBuf, stats: Optional[ScanStats] = None
 ) -> Optional[tuple[Pivot, int]]:
-    """Single forward scan for the valid pivot sharing the deepest prefix with `path`.
+    """The valid pivot sharing the deepest prefix with `path`, and that depth.
+
+    Ties keep the pivot that comes first in the pool; None when no valid
+    pivot shares even one component. `stats` gets the counts of the paper's
+    single forward scan (`_scan_linear`): pivots visited, the chars a
+    char-by-char compare would examine, and the cursor depths.
+
+    On a pool whose pivots are all valid the scan is a descent of the pool's
+    component index, built here on first use: one dict step per matched
+    component, then one tuple-slice compare once a single pivot is left. The
+    counts are computed from the index, not performed. A pool that holds an
+    invalid pivot is scanned linearly, since a skipped pivot changes them.
+
+    The pool's list is read by reference, without a copy: a published pool
+    never changes except for its covered pivots' `valid` flags, which
+    `invalidate_for_metadata` clears only after it marks the pool
+    linear-only. A reclaim during a scan still trips the sentinel, and a
+    descent whose pivot was invalidated meanwhile is redone linearly.
+    """
+    if pool.freed:
+        raise ContractViolation("pivot pool used after reclaim")
+    if not pool.published:
+        raise ContractViolation("pivot pool read before publication")
+    if not pool.linear_only:
+        index = pool.index or _index_pool(pool)
+        if index is not None:
+            depths = stats.cursor_depths if stats is not None else []
+            start, depth, visited, chars = _descend(index, path.components, depths)
+            if pool.freed:
+                raise ContractViolation("pivot used after reclaim")
+            best = pool.pivots[start] if depth else None
+            if best is None or best.valid:
+                if stats is not None:
+                    stats.pivots_visited = visited
+                    stats.char_comparisons = chars
+                return None if best is None else (best, depth)
+            depths.clear()  # a modification raced the descent
+    return _scan_linear(pool, path, stats)
+
+
+def _scan_linear(pool: PivotPool, path: PathBuf, stats: Optional[ScanStats]) -> Optional[tuple[Pivot, int]]:
+    """The paper's Stage One: a single forward scan of the pool.
 
     The scan keeps `m`, the deepest component match so far, and `chain`, the
     running minimum of consecutive overlaps since the last pivot whose
@@ -207,24 +379,14 @@ def find_best_pivot(
     spelled out by the base procedure (only the == and < cases are); under the
     sortedness invariant it cannot change the result. Invalid pivots are
     skipped as if absent: their overlap still folds into `chain` but their
-    characters are never read. Ties keep the first pivot that reached the
-    deepest match. Returns None when no valid pivot shares even one component.
+    characters are never read.
 
     Components are compared whole; `stats.char_comparisons` still counts what
     a char-by-char compare would examine: the full name on a match, and
     `_mismatch_cost` on the one compare per pivot that fails. That cost is a
-    pure function of the two names, so it is memoized.
-
-    The pool's list is read by reference, without a copy: a published pool
-    never changes except for its covered pivots' `valid` flags
-    (`invalidate_for_metadata` installs a new pool instead), so the scan sees
-    one consistent snapshot. `pool.freed` is checked per pivot, so a reclaim
-    in the middle of a scan still trips the sentinel.
+    pure function of the two names, so it is memoized. `pool.freed` is checked
+    per pivot.
     """
-    if pool.freed:
-        raise ContractViolation("pivot pool used after reclaim")
-    if not pool.published:
-        raise ContractViolation("pivot pool read before publication")
     comps = path.components
     n = len(comps)
     best: Optional[Pivot] = None
@@ -283,8 +445,8 @@ def verify_pool(pool: PivotPool) -> list[str]:
         if tuple(pv.path.split("/")[1:]) != pv.names:
             problems.append(f"[{i}] names do not match path split: {pv.path!r}")
         if i:
-            if pivots[i - 1].path >= pv.path:
-                problems.append(f"[{i}] order violation: {pivots[i-1].path!r} >= {pv.path!r}")
+            if pivots[i - 1].names >= pv.names:
+                problems.append(f"[{i}] order violation: {pivots[i-1].path!r} >= {pv.path!r} by components")
             want = _lcp_components(pivots[i - 1].names, pv.names)
             if pv.overlap != want:
                 problems.append(f"[{i}] overlap {pv.overlap} != recomputed {want}")

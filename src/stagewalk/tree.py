@@ -191,7 +191,7 @@ class DirTree:
             if name in parent.children:
                 raise AlreadyExists(f"{parent_path.text}/{name} already exists")
             PathBuf((name,))  # validates the component
-            return self._attach(parent, name, kind, mode, size).id
+            return self._attach(parent, name, kind, mode & 0o777, size).id
         finally:
             self.lock.release_write()
 

@@ -7,8 +7,9 @@ File formats:
   letter plus the sibling index ("a0".."a9", then "b...", ...); every
   deepest-level directory gets exactly one file child named with the next
   letter ("f0" under a five-level tree).
-- trace (JSON Lines, UTF-8): one event per line with fields op, path, at_ms,
-  plus new_path for rename and mode for chmod/create/mkdir.
+- trace (JSON Lines, UTF-8): one event per line with fields op, path, at_ms
+  (a non-negative integer), plus new_path for rename and mode (0..0o777) for
+  chmod/create/mkdir.
 - metrics (CSV): one row per counter, one column per run, ratio columns
   against the first run. Wall times are excluded so equal-seed runs are
   byte-identical.
@@ -129,8 +130,10 @@ class TraceEvent:
             raise TraceMalformed("rename without new_path")
         if self.op in ("chmod",) and self.mode is None:
             raise TraceMalformed("chmod without mode")
-        if self.mode is not None and type(self.mode) is not int:  # bool is not a mode
-            raise TraceMalformed(f"mode is not an integer: {self.mode!r}")
+        if type(self.at_ms) is not int or self.at_ms < 0:  # bool is not a time
+            raise TraceMalformed(f"at_ms is not a non-negative integer: {self.at_ms!r}")
+        if self.mode is not None and (type(self.mode) is not int or not 0 <= self.mode <= 0o777):
+            raise TraceMalformed(f"mode is not an integer in 0..0o777: {self.mode!r}")
         try:
             PathBuf.parse(self.path)
             if self.op == "rename":
@@ -153,7 +156,7 @@ class TraceEvent:
             ev = cls(
                 op=obj["op"],
                 path=obj["path"],
-                at_ms=int(obj.get("at_ms", 0)),
+                at_ms=obj.get("at_ms", 0),
                 new_path=obj.get("new_path"),
                 mode=obj.get("mode"),
             )

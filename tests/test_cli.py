@@ -112,6 +112,12 @@ def test_help_exits_zero():
         '{"op": "stat", "path": "a0//b"}',
         '{"op": "stat", "path": "/a0//b"}',
         '{"op": "rename", "path": "/a0", "new_path": "/a0/../b"}',
+        '{"op": "mkdir", "path": "/a0/new", "mode": -1}',
+        '{"op": "chmod", "path": "/a0", "mode": 4095}',
+        '{"op": "stat", "path": "/a0", "at_ms": 1.5}',
+        '{"op": "stat", "path": "/a0", "at_ms": -7}',
+        '{"op": "stat", "path": "/a0", "at_ms": "5"}',
+        '{"op": "stat", "path": "/a0", "at_ms": true}',
     ],
 )
 def test_malformed_trace_exits_3_without_traceback(tmp_path, line):

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 import stagewalk.epoch as epoch_module
+import stagewalk.pivots as pivots_module
 from stagewalk import (
     CandidateSet,
     ContractViolation,
@@ -288,6 +289,31 @@ def test_exact_path_counts_as_covered():
     tree, cset, epoch, mgr = fig4_manager()
     assert mgr.invalidate_for_metadata(mkpath("/a1/b1/c1")) == 1
     assert "/a1/b1/c1" not in [p.path for p in mgr.working_pool.pivots]
+
+
+@on_both_trees
+def test_pinned_pool_scans_linearly_after_invalidation(threadsafe):
+    """The old pool's index was built before the call, but its counts assume
+    every pivot valid: a token pinned across the call scans linearly and
+    never gets a covered pivot."""
+    tree, cset, epoch, mgr = fig4_manager(threadsafe)
+    old = mgr.working_pool
+    assert find_best_pivot(old, mkpath("/a1/b1/c2/d2/e3/f3/foo"))[1] == 6
+    assert old.index is not None
+    token = mgr.reader_enter()
+    assert mgr.invalidate_for_metadata(mkpath("/a1/b1/c2")) == 2
+    linear = []
+    real_scan = pivots_module._scan_linear
+    pivots_module._scan_linear = lambda *args: linear.append(args[1].text) or real_scan(*args)
+    try:
+        queries = FIG4_PATHS + ("/a1/b1/c2/d2/e3/f3/foo",)
+        for q in queries:
+            hit = find_best_pivot(token.pool, mkpath(q))
+            assert hit is not None and hit[0].names[:3] != ("a1", "b1", "c2"), q
+    finally:
+        pivots_module._scan_linear = real_scan
+    assert linear == list(queries)
+    mgr.reader_exit(token)
 
 
 @on_both_trees

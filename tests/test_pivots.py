@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import random
+
+import pytest
 
 from stagewalk import (
     DIR,
@@ -13,6 +16,7 @@ from stagewalk import (
     pool_footprint_bytes,
     verify_pool,
 )
+from stagewalk.pivots import pool_from_sorted
 from conftest import FIG4_PATHS, brute_force_best, lcp_components, make_node, make_tree, mkpath
 
 
@@ -135,19 +139,42 @@ def test_invalid_pivots_skipped_as_absent(fig4):
     assert got[0].path == want[0].path == "/a1/b1/c2/d2/e2"
 
 
-_UNIVERSES: dict[int, tuple[list[str], list]] = {}
+def test_descent_that_finds_an_invalidated_pivot_redoes_the_scan_linearly(fig4):
+    # a reader that checked `linear_only` just before a modification cleared
+    # the flag of the pivot its descent then finds
+    _tree, _cands, pool = fig4
+    q = mkpath("/a1/b1/c2/d2/e3/f3/foo")
+    assert find_best_pivot(pool, q)[1] == 6 and pool.index is not None
+    pool.pivots[2].valid = False
+    stats = ScanStats()
+    pivot, depth = find_best_pivot(pool, q, stats)
+    assert (pivot.path, depth) == ("/a1/b1/c2/d2/e2", 4)
+    assert stats.cursor_depths == [2, 4]  # the linear scan's entries alone
 
 
-def _universe(rng: random.Random) -> tuple[list[str], list]:
-    """A few cached path universes; pools sample candidates from them."""
+_UNIVERSES: dict[tuple[int, bool], tuple[list[str], list]] = {}
+
+# suffixes whose first byte sorts below '/': as path text, "/a.d" falls
+# between "/a" and "/a/b" and would split the run of pivots under /a
+_SPLIT_SUFFIXES = ("", ".d", "-b", " b", "0")
+
+
+def _name(rng: random.Random, level: int, split: bool) -> str:
+    letter = chr(ord("a") + level % 26)
+    return letter + rng.choice(_SPLIT_SUFFIXES) if split else f"{letter}{rng.randint(0, 3)}"
+
+
+def _universe(rng: random.Random, split: bool = False) -> tuple[list[str], list]:
+    """A few cached path universes; pools sample candidates from them. A
+    split universe's sibling names extend each other with bytes below '/'."""
     key = rng.randrange(6)
-    if key not in _UNIVERSES:
-        mk = random.Random(1000 + key)
+    if (key, split) not in _UNIVERSES:
+        mk = random.Random((2000 if split else 1000) + key)
         tree = make_tree()
         universe: list[str] = []
         while len(universe) < 40:
             depth = mk.randint(1, 7)
-            p = "/" + "/".join(f"{chr(ord('a') + lv)}{mk.randint(0, 3)}" for lv in range(depth))
+            p = "/" + "/".join(_name(mk, lv, split) for lv in range(depth))
             if p not in universe:
                 universe.append(p)
         nodes = []
@@ -156,12 +183,12 @@ def _universe(rng: random.Random) -> tuple[list[str], list]:
                 nodes.append(make_node(tree, p, DIR))
             except Exception:
                 pass
-        _UNIVERSES[key] = (universe, nodes)
-    return _UNIVERSES[key]
+        _UNIVERSES[key, split] = (universe, nodes)
+    return _UNIVERSES[key, split]
 
 
-def _random_pool_and_queries(rng: random.Random, n_pivots: int, n_queries: int):
-    universe, nodes = _universe(rng)
+def _random_pool_and_queries(rng: random.Random, n_pivots: int, n_queries: int, split: bool = False):
+    universe, nodes = _universe(rng, split)
     cands = rng.sample(nodes, min(n_pivots, len(nodes)))
     for c in cands:
         c.heat = rng.randint(1, 50)
@@ -173,16 +200,27 @@ def _random_pool_and_queries(rng: random.Random, n_pivots: int, n_queries: int):
         keep = rng.randint(0, base.depth)
         comps = list(base.components[:keep])
         for lv in range(keep, keep + rng.randint(0, 3)):
-            comps.append(f"{chr(ord('a') + lv % 26)}{rng.randint(0, 3)}")
+            comps.append(_name(rng, lv, split))
         queries.append(PathBuf(tuple(comps)) if comps else mkpath("/"))
     return pool, queries
+
+
+def test_pool_orders_by_components_not_path_text():
+    tree = make_tree("/a", "/a.d", "/a/b")
+    pool = build_pool([tree._resolve_admin(mkpath(p)) for p in ("/a", "/a.d", "/a/b")], 16)
+    pool.published = True
+    assert [p.path for p in pool.pivots] == ["/a", "/a/b", "/a.d"]
+    pivot, depth = find_best_pivot(pool, mkpath("/a/b/x"))
+    assert (pivot.path, depth) == ("/a/b", 2)
+    by_text = pool_from_sorted((p.path, p.names, p.components) for p in sorted(pool.pivots, key=lambda p: p.path))
+    assert any("order violation" in problem for problem in verify_pool(by_text))
 
 
 def test_optimality_vs_brute_force_randomized():
     rng = random.Random(2024)
     checked = 0
-    for round_ in range(40):
-        pool, queries = _random_pool_and_queries(rng, rng.choice([1, 2, 4, 8, 16]), 50)
+    for round_, split in itertools.product(range(40), (False, True)):
+        pool, queries = _random_pool_and_queries(rng, rng.choice([1, 2, 4, 8, 16]), 50, split)
         for q in queries:
             got = find_best_pivot(pool, q)
             want = brute_force_best(pool, q)
@@ -194,7 +232,7 @@ def test_optimality_vs_brute_force_randomized():
                 # the contract pins the first deepest match
                 assert got[0] is want[0] or lcp_components(got[0].names, q.components) == want[1]
             checked += 1
-    assert checked == 2000
+    assert checked == 4000
 
 
 def test_overlap_skipping_with_invalid_flags_randomized():
@@ -265,18 +303,22 @@ def _reference_scan(pool, path, stats):
     return None if best is None else (best, best_depth)
 
 
-# sibling names that are prefixes of each other or share leading chars
-_CLOSE_NAMES = ("a", "ab", "abc", "abd", "abcd", "b", "ba", "bab")
+# sibling names that are prefixes of each other or share leading chars, or
+# extend another with a byte below '/'
+_CLOSE_NAMES = ("a", "ab", "abc", "abd", "abcd", "b", "ba", "bab", "a.d", "a-b")
 
 
-def test_counts_match_char_by_char_reference_randomized():
+@pytest.mark.parametrize("valid_share", [0.7, 1.0])
+def test_counts_match_char_by_char_reference_randomized(valid_share):
+    """With invalid pivots in the pool the scan is linear; with every pivot
+    valid it descends the pool's index. Both must count as the reference."""
     rng = random.Random(5150)
     tree = make_tree()
     nodes = []
     for _ in range(300):
         p = "/" + "/".join(rng.choice(_CLOSE_NAMES) for _ in range(rng.randint(1, 5)))
         nodes.append(make_node(tree, p, DIR))
-    scans = prefix_mismatches = 0
+    scans = prefix_mismatches = indexed = 0
     for _ in range(300):
         cands = rng.sample(nodes, rng.randint(1, 24))
         for c in cands:
@@ -284,7 +326,7 @@ def test_counts_match_char_by_char_reference_randomized():
         pool = build_pool(cands, 16)
         pool.published = True
         for pv in pool.pivots:
-            pv.valid = rng.random() >= 0.3
+            pv.valid = rng.random() < valid_share
         for _ in range(10):
             depth = rng.randint(0, 6)
             q = PathBuf(tuple(rng.choice(_CLOSE_NAMES) for _ in range(depth)))
@@ -303,7 +345,12 @@ def test_counts_match_char_by_char_reference_randomized():
                 for pv in pool.pivots
                 for a, b in zip(q.components, pv.names)
             )
+        indexed += pool.index is not None
     assert scans == 3000 and prefix_mismatches > 100
+    if valid_share == 1.0:
+        assert indexed == 300  # every pool was scanned through its index
+    else:
+        assert indexed < 300
 
 
 # -- verify_pool -------------------------------------------------------------------------

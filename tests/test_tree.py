@@ -24,6 +24,12 @@ OWNER = Credential.OWNER
 # -- create_node ----------------------------------------------------------------
 
 
+def test_create_masks_mode_as_chmod_does():
+    tree = DirTree()
+    for name, mode in (("x", -1), ("y", 0o7777)):
+        assert tree.node(tree.create_node(mkpath("/"), name, DIR, mode)).mode == 0o777
+
+
 def test_create_then_lookup():
     tree = DirTree()
     nid = tree.create_node(mkpath("/"), "a1", DIR, 0o755)
