@@ -82,9 +82,16 @@ def _load_spec(path: str) -> TreeSpec:
 
 
 def cmd_gen_tree(args: argparse.Namespace) -> int:
-    levels = [int(x) for x in args.levels.split(",")] if args.levels else list(TreeSpec(levels=[10] * 5).levels)
+    try:
+        levels = [int(x) for x in args.levels.split(",")] if args.levels else list(TreeSpec(levels=[10] * 5).levels)
+    except ValueError:
+        raise ConfigError(f"--levels takes comma-separated integers, got {args.levels!r}") from None
     lo, _, hi = args.file_size.partition(":")
-    spec = TreeSpec(levels=levels, file_size_range=(int(lo), int(hi or lo)), seed=args.seed)
+    try:
+        file_size_range = (int(lo), int(hi or lo))
+    except ValueError:
+        raise ConfigError(f"--file-size takes lo:hi integers, got {args.file_size!r}") from None
+    spec = TreeSpec(levels=levels, file_size_range=file_size_range, seed=args.seed)
     spec.validate()
     tree = gen_tree(spec)
     with open(f"{args.out}.spec.json", "w", encoding="utf-8") as fh:

@@ -108,13 +108,6 @@ class StageLookupEngine(_ResolverBase):
         if not pivot.components[depth - 1].prefix_trav & CRED_MASK_BIT[cred]:
             raise PermissionDenied(f"skipped prefix of {pivot.path!r} not traversable for {cred.value}")
 
-    def _note_target(self, target: Dentry) -> None:
-        if self._threadsafe:
-            with self.heat_lock:
-                observe_target(target, self.epoch, self.candidates)
-        else:
-            observe_target(target, self.epoch, self.candidates)
-
     def _resolve(self, path: PathBuf, cred: Credential) -> tuple[Dentry, Optional[Pivot], int]:
         """Both stages; returns the target, the pivot used (None on a full walk)
         and the number of components it skipped."""
@@ -137,19 +130,26 @@ class StageLookupEngine(_ResolverBase):
             if target is not None and not target.dead:
                 if not matched.prefix_trav & CRED_MASK_BIT[cred]:
                     self.check_prefix_permissions(pivot, depth, cred)  # raises
-                rest = path.components[depth:]
-                if rest:  # an empty walk_from checks and counts nothing
-                    target = tree.walk_from(target, rest, cred, metrics)
+                comps = path.components
+                if depth < len(comps):  # an empty walk_from checks and counts nothing
+                    target = tree.walk_from(target, comps[depth:], cred, metrics)
                 metrics.pivot_hits += 1
                 hist = metrics.skipped_prefix_histogram
                 hist[depth] = hist.get(depth, 0) + 1
-                self._note_target(target)
-                return target, pivot, depth
-            metrics.fallbacks += 1  # component dentry unlinked between build and use
+            else:
+                metrics.fallbacks += 1  # component dentry unlinked between build and use
+                hit = None
+        if hit is None:
+            pivot = None
+            depth = 0
+            target = tree.walk_from(tree.root, path.components, cred, metrics)
 
-        target = tree.walk_from(tree.root, path.components, cred, metrics)
-        self._note_target(target)
-        return target, None, 0
+        if self._threadsafe:
+            with self.heat_lock:
+                observe_target(target, self.epoch, self.candidates)
+        else:
+            observe_target(target, self.epoch, self.candidates)
+        return target, pivot, depth
 
     def stage_lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> StageResult:
         target, pivot, depth = self._resolve(path, cred)

@@ -38,7 +38,7 @@ from typing import Iterable, Optional
 from .errors import ContractViolation
 from .heat import CandidateSet, HeatEpoch
 from .paths import PathBuf
-from .pivots import PivotPool, build_pool, pool_from_sorted
+from .pivots import PivotPool, _index_pool, build_pool, pool_from_sorted
 from .tree import Dentry, DirTree
 
 
@@ -182,8 +182,10 @@ class PivotManager:
             self._install(pool)
 
     def _install(self, pool: PivotPool) -> None:
-        """Publish `pool` as the working pool and retire the old one; the caller
-        holds the pool mutex."""
+        """Index `pool`, publish it as the working pool and retire the old one;
+        the caller holds the pool mutex. Indexing here keeps the build off the
+        read path, and readers never race to build the same index."""
+        _index_pool(pool)
         gen = self.generation + 1
         pool.generation = gen
         pool.published = True

@@ -13,10 +13,12 @@ Counter semantics:
   length on a match, or the chars up to and including the first differing
   one on a mismatch (the shorter name's length when one is a prefix of the
   other). The code performs neither that scan nor the char compares: it
-  descends the pool's component index, whose entries carry what the scan
-  spends on the runs of pivots it passes over, and adds the mismatch cost
-  against the names of the run where the query leaves the index. A pool
-  that holds an invalid pivot is scanned linearly, comparing whole names.
+  descends the pool's component index, built when the pool is installed,
+  whose every node holds the scan's running char count on reaching that
+  node's run. Where the query leaves the index it reads that count once and
+  adds the run's own cost: the rest of a single pivot's names, or the
+  mismatch cost against the names of the run's groups. A pool that holds an
+  invalid pivot is scanned linearly, comparing whole names.
 - effective_search_ratio: distinct dentries ever resolved divided by total
   dentry searches; measures how redundant the walk traffic was.
 - wall_time: per-phase seconds; diagnostic only, excluded from CSV output so

@@ -9,12 +9,14 @@ one forward scan that uses the overlaps to walk the whole pool while reading
 the query path's characters at most once.
 
 The model reports what that scan costs, but the code need not perform it.
-The first scan of a pool builds a component index, a trie over the pivots'
-names whose entries carry what the scan spends on the runs it passes over;
-every scan then descends it with one dict step per matched component and
-works out the scan's pivot, depth and counts exactly. The linear scan stays
-for pools that hold an invalid pivot (a metadata modification retired them
-while readers still scan them) and as the tests' reference.
+The pivot manager builds each pool's component index before it publishes
+the pool: a trie over the pivots' names whose every node carries the scan's
+running chars and cursor depths by the time a query reaches that node's run.
+A scan descends it with one dict step per matched component, reads the
+counts off the node where it stops, and adds what the scan spends in that
+run, so it reports the scan's pivot, depth and counts exactly. The linear
+scan stays for pools that hold an invalid pivot (a metadata modification
+retired them while readers still scan them) and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -73,9 +75,11 @@ class PivotPool:
     a consistent snapshot. `freed` poisons the pool and all its pivots once
     reclaimed.
 
-    `index` is the component index, built by the first scan; `linear_only`
-    is set before any valid flag is cleared, and from then on every scan is
-    linear, because the index's counts assume that every pivot is valid."""
+    `index` is the component index, built before the manager publishes the
+    pool (or by the first scan of a pool marked published without it);
+    `linear_only` is set before any valid flag is cleared, and from then on
+    every scan is linear, because the index's counts assume that every pivot
+    is valid."""
 
     __slots__ = ("pivots", "generation", "published", "freed", "index", "linear_only")
 
@@ -171,7 +175,7 @@ class ScanStats:
     counts when it ends.
 
     The counts are the linear scan's, whichever path produced them: the index
-    descent works them out from the entries it passes, and neither path
+    descent reads them off the node where it stops, and neither path
     compares names char by char to count chars.
 
     The engine allocates one per lookup although it reads only
@@ -216,21 +220,27 @@ class _IndexNode:
     """The run `pivots[start:end]` of pivots that share their first m names,
     m being the node's level in the component index.
 
+    `chars` and `depths` are the linear scan's running totals by the time a
+    query that matches the run's m names reaches it: the chars of those names
+    plus the mismatch chars of the groups compared before, and the
+    `cursor_depths` entries appended so far (one per terminal pivot and per
+    group compared above this run, not this run's own). A descent reads them
+    once, where it stops.
+
     A run of two or more pivots is split into groups by name m (the pivot
-    that has only m names, `terminal`, comes first and joins no group).
-    `children` maps each group's name to `(child, chars, compares)`: what the
-    linear scan spends on the groups before that one when the query's name
-    m equals it, namely the mismatch chars and the compares, each of which
-    leaves one `cursor_depths` entry. A run of one pivot keeps that `pivot`
-    and `lens`, the running sums of its name lengths.
+    that has only m names, `terminal`, comes first and joins no group);
+    `children` maps each group's name to its run's node. A run of one pivot
+    keeps that `pivot` and `lens`, the running sums of its name lengths.
     """
 
-    __slots__ = ("start", "end", "terminal", "children", "pivot", "lens")
+    __slots__ = ("start", "end", "terminal", "children", "pivot", "lens", "chars", "depths")
 
-    def __init__(self, pivots: list[Pivot], start: int, end: int, m: int):
+    def __init__(self, pivots: list[Pivot], start: int, end: int, m: int, chars: int, depths: list[int]):
         self.start = start
         self.end = end
-        self.children: dict[str, tuple[_IndexNode, int, int]] = {}
+        self.chars = chars
+        self.depths = depths
+        self.children: dict[str, _IndexNode] = {}
         self.pivot: Optional[Pivot] = None
         self.lens: tuple[int, ...] = ()
         # a pivot with only m names sorts first: it is a prefix of every other
@@ -239,14 +249,18 @@ class _IndexNode:
             self.pivot = pivots[start]
             self.lens = (0, *accumulate(map(len, self.pivot.names)))
             return
+        # a query that matches a group's name m ended one compare at level m
+        # on the terminal pivot and on the first pivot of each group before
+        depths = depths + [m] * self.terminal
         i = start + self.terminal
         while i < end:
             name = pivots[i].names[m]
             j = i + 1
             while j < end and pivots[j].names[m] == name:
                 j += 1
-            chars = sum(_mismatch_cost(name, g) for g in self.children)
-            self.children[name] = (_IndexNode(pivots, i, j, m + 1), chars, len(self.children))
+            skipped = sum(_mismatch_cost(name, g) for g in self.children)
+            before = depths + [m] * len(self.children)
+            self.children[name] = _IndexNode(pivots, i, j, m + 1, chars + skipped + len(name), before)
             i = j
 
 
@@ -257,66 +271,8 @@ def _index_pool(pool: PivotPool) -> Optional[_IndexNode]:
     if not pivots or not all(p.valid for p in pivots):
         pool.linear_only = True
         return None
-    pool.index = _IndexNode(pivots, 0, len(pivots), 0)
+    pool.index = _IndexNode(pivots, 0, len(pivots), 0, 0, [])
     return pool.index
-
-
-def _descend(index: _IndexNode, comps: tuple[str, ...], depths: list[int]) -> tuple[int, int, int, int]:
-    """The linear scan's outcome on an index whose pivots are all valid:
-    `(start, depth, pivots_visited, char_comparisons)`, the best pivot being
-    `pivots[start]` when depth > 0. Appends the scan's `cursor_depths`.
-
-    The scan compares the first pivot of a run as deep as the query matches
-    it; there the run's terminal pivot, then each group before the query's
-    name, ends one compare at the run's level, and the groups' other pivots
-    are skipped by overlap. Where no group matches, the scan compares every
-    group and stops at the first pivot after the run; where the query ends,
-    it stops at the run's first pivot. Either way the best is that first
-    pivot, and every pivot up to the stop is visited.
-    """
-    node = index
-    n = len(comps)
-    m = 0
-    chars = 0
-    while True:
-        pv = node.pivot
-        if pv is not None:  # one pivot left: a slice compare settles the rest
-            names = pv.names
-            end = len(names)
-            if n < end:
-                end = n
-            e = end
-            # a whole-path hit, the common case, is settled without slicing
-            if comps != names and comps[m:end] != names[m:end]:
-                e = m
-                while comps[e] == names[e]:
-                    e += 1
-                chars += _mismatch_cost(comps[e], names[e])
-            lens = node.lens
-            chars += lens[e] - lens[m]
-            depths.append(e)
-            break
-        if m == n:  # the query ends in this run: its first pivot's compare stops the scan
-            e = m
-            depths.append(m)
-            break
-        if node.terminal:
-            depths.append(m)
-        c = comps[m]
-        entry = node.children.get(c)
-        if entry is None:
-            e = m
-            children = node.children
-            chars += sum(map(_mismatch_cost, repeat(c), children))
-            depths.extend([m] * len(children))
-            break
-        node, before_chars, before = entry
-        chars += before_chars + len(c)
-        if before:
-            depths.extend([m] * before)
-        m += 1
-    visited = node.start + 1 if e == n else min(node.end + 1, index.end)
-    return node.start, e, visited, chars
 
 
 _CHAIN_INF = 1 << 62
@@ -333,10 +289,23 @@ def find_best_pivot(
     char-by-char compare would examine, and the cursor depths.
 
     On a pool whose pivots are all valid the scan is a descent of the pool's
-    component index, built here on first use: one dict step per matched
-    component, then one tuple-slice compare once a single pivot is left. The
-    counts are computed from the index, not performed. A pool that holds an
-    invalid pivot is scanned linearly, since a skipped pivot changes them.
+    component index, which `PivotManager` builds before it publishes a pool
+    (a pool marked published without it is indexed here on first use): one
+    dict step per matched component. Where the descent stops it reads the
+    scan's running counts off the node and adds what the scan spends in that
+    run.
+    The scan compares the run's first pivot as deep as the query matches it:
+
+    - a run of one pivot: one tuple-slice compare settles the depth;
+    - the query ends in the run: that first compare stops the scan;
+    - no group matches the query's next name: the terminal pivot and each
+      group end one compare at the run's level, and the scan stops at the
+      first pivot after the run.
+
+    Either way the best is the run's first pivot, and every pivot up to the
+    stop is visited. The counts are computed from the index, not performed.
+    A pool that holds an invalid pivot is scanned linearly, since a skipped
+    pivot changes them.
 
     The pool's list is read by reference, without a copy: a published pool
     never changes except for its covered pivots' `valid` flags, which
@@ -351,17 +320,52 @@ def find_best_pivot(
     if not pool.linear_only:
         index = pool.index or _index_pool(pool)
         if index is not None:
-            depths = stats.cursor_depths if stats is not None else []
-            start, depth, visited, chars = _descend(index, path.components, depths)
+            comps = path.components
+            n = len(comps)
+            node = index
+            m = 0
+            while m < n:  # a single-pivot run has no children and stops here
+                child = node.children.get(comps[m])
+                if child is None:
+                    break
+                node = child
+                m += 1
+            chars = node.chars
+            ends = 1  # cursor_depths entries this run adds
+            pv = node.pivot
+            if pv is not None:
+                names = pv.names
+                e = len(names)
+                if n < e:
+                    e = n
+                # a whole-path hit, the common case, is settled without slicing
+                if comps != names and comps[m:e] != names[m:e]:
+                    e = m
+                    while comps[e] == names[e]:
+                        e += 1
+                    chars += _mismatch_cost(comps[e], names[e])
+                lens = node.lens
+                chars += lens[e] - lens[m]
+            else:
+                e = m
+                if m < n:
+                    children = node.children
+                    chars += sum(map(_mismatch_cost, repeat(comps[m]), children))
+                    ends = node.terminal + len(children)
             if pool.freed:
                 raise ContractViolation("pivot used after reclaim")
-            best = pool.pivots[start] if depth else None
+            best = pool.pivots[node.start] if e else None
             if best is None or best.valid:
                 if stats is not None:
-                    stats.pivots_visited = visited
+                    stats.pivots_visited = node.start + 1 if e == n else min(node.end + 1, index.end)
                     stats.char_comparisons = chars
-                return None if best is None else (best, depth)
-            depths.clear()  # a modification raced the descent
+                    depths = stats.cursor_depths
+                    depths += node.depths
+                    if ends == 1:  # the common case: no one-entry list built to extend by
+                        depths.append(e)
+                    else:
+                        depths += [e] * ends
+                return None if best is None else (best, e)
     return _scan_linear(pool, path, stats)
 
 

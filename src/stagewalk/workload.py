@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import threading
 import time
@@ -219,6 +220,19 @@ class _Universe:
                     pool[i] = new + p[cut:]
 
 
+def _check_synth_params(p: dict) -> None:
+    if int(p["n_events"]) < 0:
+        raise ConfigError(f"n_events must be >= 0, got {p['n_events']}")
+    for key, value in p.items():
+        if key.startswith("p_") and not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{key} must be in [0, 1], got {value}")
+    # fsum: 0.1 + 0.2 + 0.7 rounds above 1 when summed left to right
+    if math.fsum((p["p_rename"], p["p_chmod"], p["p_create"])) > 1.0:
+        raise ConfigError("p_rename + p_chmod + p_create must be <= 1")
+    if int(p["hot_dirs"]) < 1:
+        raise ConfigError(f"hot_dirs must be >= 1, got {p['hot_dirs']}")
+
+
 def synth_trace(
     tree: DirTree,
     model: str,
@@ -231,7 +245,9 @@ def synth_trace(
     targets under `hot_dirs` directories with Zipf exponent `zipf_s`;
     "replay-like" emits bursts of opens separated by compressed four-second
     gaps. Mutation mix is controlled by p_rename / p_chmod / p_create
-    (renames pick files or directories, always to fresh names).
+    (renames pick files or directories, always to fresh names). Raises
+    ConfigError on a negative event count, a probability outside [0, 1],
+    mutation probabilities that sum above 1, or fewer than one hot dir.
     """
     if model not in ("uniform", "hotdir-zipf", "replay-like"):
         raise ConfigError(f"unknown trace model {model!r}")
@@ -248,6 +264,7 @@ def synth_trace(
         "step_ms": 1,
     }
     p.update(params or {})
+    _check_synth_params(p)
     rng = random.Random(seed)
     uni = _Universe(tree)
     events: list[TraceEvent] = []

@@ -77,6 +77,28 @@ def test_bad_config_exits_2(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["gen-tree", "--levels", "2,x"],
+        ["gen-tree", "--file-size", "10:abc"],
+        ["synth", "--events", "-5"],
+        ["synth", "--p-rename", "2"],
+        ["synth", "--p-rename", "-0.5"],
+        ["synth", "--p-rename", "0.6", "--p-chmod", "0.6"],
+        ["synth", "--hot-dirs", "0"],
+    ],
+)
+def test_malformed_or_impossible_numbers_exit_2(tmp_path, argv, capsys):
+    prefix = str(tmp_path / "t")
+    assert main(["gen-tree", "--levels", "2,2", "--out", prefix]) == EXIT_OK
+    if argv[0] == "synth":
+        argv = argv + ["--tree", f"{prefix}.spec.json"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out.spec.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["gen-tree", "--pool-size", "4"],
         ["bench-depth", "--reps", "1", "--strategy", "stage"],
         ["replay", "--tree", "x", "--trace", "y", "--components", "8"],

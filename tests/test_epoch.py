@@ -317,6 +317,31 @@ def test_pinned_pool_scans_linearly_after_invalidation(threadsafe):
 
 
 @on_both_trees
+def test_installed_pools_are_indexed_before_any_scan(threadsafe):
+    """A tick swap and a covering invalidation both install an indexed pool,
+    so no scan of either builds an index."""
+    tree, cset, epoch, mgr = fig4_manager(threadsafe)  # one tick swap
+    queries = FIG4_PATHS + ("/a1/b1/c2/d2/e3/f3/foo", "/zz")
+
+    def no_build(pool):
+        raise AssertionError("index built by a scan")
+
+    real_build = pivots_module._index_pool
+    pivots_module._index_pool = no_build
+    try:
+        swapped = mgr.working_pool
+        assert swapped.index is not None
+        assert [find_best_pivot(swapped, mkpath(q)) is not None for q in queries] == [True] * 5 + [False]
+        assert mgr.invalidate_for_metadata(mkpath("/a1/b1/c2")) == 2
+        repaired = mgr.working_pool
+        assert repaired.index is not None and not repaired.linear_only
+        hits = [find_best_pivot(repaired, mkpath(q)) for q in queries]
+        assert [h[0].path if h else None for h in hits] == ["/a1/b1/c1"] * 3 + ["/a1/b2/c3", "/a1/b1/c1", None]
+    finally:
+        pivots_module._index_pool = real_build
+
+
+@on_both_trees
 def test_invalidate_matches_oracle_on_random_pools(threadsafe):
     """Random pools, random covering prefixes, a reader pinned across each
     call: the installed pool is the old one minus the covered pivots, and the

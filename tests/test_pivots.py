@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -303,6 +304,20 @@ def _reference_scan(pool, path, stats):
     return None if best is None else (best, best_depth)
 
 
+def _stop_kind(pool, path) -> str:
+    """Where a descent of the pool's index stops for `path`."""
+    comps = path.components
+    node, m = pool.index, 0
+    while m < len(comps) and comps[m] in node.children:
+        node, m = node.children[comps[m]], m + 1
+    if node.pivot is not None:
+        end = min(len(node.pivot.names), len(comps))
+        return "leaf hit" if comps[:end] == node.pivot.names[:end] else "leaf mismatch"
+    if m == len(comps):
+        return "query ends in run"
+    return "miss below terminal" if node.terminal else "miss"
+
+
 # sibling names that are prefixes of each other or share leading chars, or
 # extend another with a byte below '/'
 _CLOSE_NAMES = ("a", "ab", "abc", "abd", "abcd", "b", "ba", "bab", "a.d", "a-b")
@@ -319,6 +334,7 @@ def test_counts_match_char_by_char_reference_randomized(valid_share):
         p = "/" + "/".join(rng.choice(_CLOSE_NAMES) for _ in range(rng.randint(1, 5)))
         nodes.append(make_node(tree, p, DIR))
     scans = prefix_mismatches = indexed = 0
+    stops: collections.Counter[str] = collections.Counter()
     for _ in range(300):
         cands = rng.sample(nodes, rng.randint(1, 24))
         for c in cands:
@@ -340,6 +356,8 @@ def test_counts_match_char_by_char_reference_randomized(valid_share):
             assert got_stats.char_comparisons == want_stats.char_comparisons
             assert got_stats.cursor_depths == want_stats.cursor_depths
             scans += 1
+            if pool.index is not None:
+                stops[_stop_kind(pool, q)] += 1
             prefix_mismatches += any(
                 a != b and (a.startswith(b) or b.startswith(a))
                 for pv in pool.pivots
@@ -349,6 +367,9 @@ def test_counts_match_char_by_char_reference_randomized(valid_share):
     assert scans == 3000 and prefix_mismatches > 100
     if valid_share == 1.0:
         assert indexed == 300  # every pool was scanned through its index
+        # every place a descent can stop was checked against the reference
+        kinds = ("leaf hit", "leaf mismatch", "query ends in run", "miss below terminal", "miss")
+        assert sorted(stops) == sorted(kinds) and sum(stops.values()) == scans, stops
     else:
         assert indexed < 300
 

@@ -8,6 +8,7 @@ import pytest
 
 from stagewalk import (
     SIX_LEVEL_PRESET,
+    ConfigError,
     Credential,
     SpecInvalid,
     TraceEvent,
@@ -90,6 +91,29 @@ def test_hotdir_k1_single_parent():
     trace = synth_trace(tree, "hotdir-zipf", {"n_events": 500, "hot_dirs": 1}, seed=4)
     parents = {ev.path.rsplit("/", 1)[0] for ev in trace}
     assert len(parents) == 1
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"n_events": -5},
+        {"p_rename": 2.0},
+        {"p_rename": -0.5},
+        {"p_stat": 1.5},
+        {"p_rename": 0.5, "p_chmod": 0.4, "p_create": 0.2},
+        {"hot_dirs": 0},
+    ],
+)
+def test_impossible_synth_params_rejected(params):
+    tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
+    with pytest.raises(ConfigError):
+        synth_trace(tree, "hotdir-zipf", params, seed=1)
+
+
+def test_mutation_probabilities_may_sum_to_one():
+    tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
+    trace = synth_trace(tree, "uniform", {"n_events": 50, "p_rename": 0.1, "p_chmod": 0.2, "p_create": 0.7}, seed=1)
+    assert len(trace) == 50 and all(ev.op in ("rename", "chmod", "create") for ev in trace)
 
 
 def test_fixed_seed_byte_identical_trace(tmp_path):
