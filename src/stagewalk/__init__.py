@@ -14,7 +14,7 @@ reporting operation counters instead of wall-clock latency.
 """
 
 from .engine import MetadataView, OriginalLookup, StageLookupEngine, StageResult
-from .epoch import PivotManager, ReadToken, ReclaimQueue
+from .epoch import PivotManager, ReclaimQueue
 from .errors import (
     AlreadyExists,
     ConfigError,
@@ -93,7 +93,6 @@ __all__ = [
     "Pivot",
     "PivotManager",
     "PivotPool",
-    "ReadToken",
     "ReclaimQueue",
     "ReplayResult",
     "ROOT",

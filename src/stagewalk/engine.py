@@ -1,6 +1,7 @@
 """The two-stage lookup engine and the plain-walk resolver it is compared to.
 
-Stage One scans the working pivot pool (inside a read-side token section) for
+Stage One scans the working pivot pool, pinned by a token id that the
+manager's reader registry holds from `reader_enter` to `reader_exit`, for
 the pivot sharing the deepest prefix with the query; Stage Two resolves the
 remaining components through the children maps exactly like the original
 walk, starting from the matched component's dentry, which the pivot stores
@@ -114,12 +115,12 @@ class StageLookupEngine(_ResolverBase):
         metrics = self.metrics
         metrics.lookups += 1
         manager = self.manager
-        token = manager.reader_enter()
+        token_id, pool = manager.reader_enter()
         try:
             stats = ScanStats()
-            hit = find_best_pivot(token.pool, path, stats)
+            hit = find_best_pivot(pool, path, stats)
         finally:
-            manager.reader_exit(token)
+            manager.reader_exit(token_id)
         metrics.char_comparisons += stats.char_comparisons  # Stage One single scan
 
         tree = self.tree

@@ -1,12 +1,13 @@
-"""Pivot manager lifecycle: one working pool, reader tokens, deferred reclamation.
+"""Pivot manager lifecycle: one working pool, a reader registry, deferred reclamation.
 
-Readers enter a read-side section and get a token that pins the working pool
-of that instant. Every change of the working pool builds a fresh pool off to
-the side and publishes it through `_install`, so a reader never observes a
-partial build. Retired pools go on a reclaim queue and are poisoned (freed
-flag) only once every token issued before their retirement has exited, which
-the sentinel checks in find_best_pivot turn into hard failures on any
-protocol bug.
+A reader's `reader_enter` registers a fresh token id under a generation and
+returns the id with the working pool of that instant; the registration pins
+that pool until `reader_exit` releases the id. Every change of the working
+pool builds a fresh pool off to the side and publishes it through
+`_install`, so a reader never observes a partial build. Retired pools go on
+a reclaim queue and are poisoned (freed flag) only once every reader
+registered before their retirement has exited, which the sentinel checks in
+find_best_pivot turn into hard failures on any protocol bug.
 
 Each period the manager builds a pool from the candidates. A metadata
 modification clears `valid` on the working pool's pivots that its path
@@ -32,7 +33,6 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import ContractViolation
@@ -40,13 +40,6 @@ from .heat import CandidateSet, HeatEpoch
 from .paths import PathBuf
 from .pivots import PivotPool, _index_pool, build_pool, pool_from_sorted
 from .tree import Dentry, DirTree
-
-
-@dataclass(slots=True)
-class ReadToken:
-    token_id: int
-    generation: int
-    pool: PivotPool
 
 
 class ReclaimQueue:
@@ -109,28 +102,33 @@ class PivotManager:
 
     # -- read side ------------------------------------------------------------
 
-    def reader_enter(self) -> ReadToken:
+    def reader_enter(self) -> tuple[int, PivotPool]:
+        """Register a reader; returns its token id and the pool it pins.
+
+        Every reader draws its own id, so a second release of one id is
+        caught even while another reader of the same generation is active,
+        which a count of readers per generation would miss."""
         lock = self._reader_lock
         if lock is None:
             tid = next(self._token_seq)
             # register before reading the pool: see the module docstring
-            gen = self._readers[tid] = self.generation
-            return ReadToken(tid, gen, self.working_pool)
+            self._readers[tid] = self.generation
+            return tid, self.working_pool
         with lock:
             pool = self.working_pool
             tid = next(self._token_seq)
             self._readers[tid] = pool.generation
-            return ReadToken(tid, pool.generation, pool)
+            return tid, pool
 
-    def reader_exit(self, token: ReadToken) -> None:
+    def reader_exit(self, token_id: int) -> None:
         lock = self._reader_lock
         if lock is None:
-            released = self._readers.pop(token.token_id, None) is not None
+            released = self._readers.pop(token_id, None) is not None
         else:
             with lock:
-                released = self._readers.pop(token.token_id, None) is not None
+                released = self._readers.pop(token_id, None) is not None
         if not released:
-            raise ContractViolation(f"token {token.token_id} released twice")
+            raise ContractViolation(f"token {token_id} released twice")
 
     @property
     def active_reader_count(self) -> int:

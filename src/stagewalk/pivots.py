@@ -11,12 +11,14 @@ the query path's characters at most once.
 The model reports what that scan costs, but the code need not perform it.
 The pivot manager builds each pool's component index before it publishes
 the pool: a trie over the pivots' names whose every node carries the scan's
-running chars and cursor depths by the time a query reaches that node's run.
-A scan descends it with one dict step per matched component, reads the
-counts off the node where it stops, and adds what the scan spends in that
-run, so it reports the scan's pivot, depth and counts exactly. The linear
-scan stays for pools that hold an invalid pivot (a metadata modification
-retired them while readers still scan them) and as the tests' reference.
+running chars by the time a query reaches that node's run. A scan descends
+it with one dict step per matched component, reads the chars off the node
+where it stops, and adds what the scan spends in that run, so it reports the
+scan's pivot, depth, pivots visited and chars exactly. The linear scan stays
+for pools that hold an invalid pivot (a metadata modification retired them
+while readers still scan them). The scan's cursor, which never moves
+backward, is the property of the paper's scan that the tests check on their
+char-by-char reference scan; neither implementation here records it.
 """
 
 from __future__ import annotations
@@ -171,30 +173,23 @@ def pool_from_sorted(entries: Iterable[tuple[str, tuple[str, ...], tuple[Compone
 
 
 class ScanStats:
-    """Instrumentation for one find_best_pivot call; the scan writes its
-    counts when it ends.
+    """The counts of one find_best_pivot call, written when the scan ends.
 
     The counts are the linear scan's, whichever path produced them: the index
     descent reads them off the node where it stops, and neither path
     compares names char by char to count chars.
 
     The engine allocates one per lookup although it reads only
-    `char_comparisons`: the benchmark's spans take `pivots_visited` from the
-    scan's third argument, so passing None there would blind them.
+    `char_comparisons`. The class survives because the benchmark's spans read
+    `pivots_visited` and `char_comparisons` off the scan's third argument;
+    passing None there, or `Metrics`, would blind or corrupt them.
     """
 
-    __slots__ = ("pivots_visited", "char_comparisons", "cursor_depths")
+    __slots__ = ("pivots_visited", "char_comparisons")
 
     def __init__(self) -> None:
         self.pivots_visited = 0
         self.char_comparisons = 0
-        # components matched so far, appended per pivot processed; the path-text
-        # cursor sits at the end offset of that component, which grows with depth
-        self.cursor_depths: list[int] = []
-
-    @property
-    def cursor_monotone(self) -> bool:
-        return all(b >= a for a, b in zip(self.cursor_depths, self.cursor_depths[1:]))
 
 
 # sibling names repeat under every parent, so the same (query name, pivot
@@ -220,12 +215,10 @@ class _IndexNode:
     """The run `pivots[start:end]` of pivots that share their first m names,
     m being the node's level in the component index.
 
-    `chars` and `depths` are the linear scan's running totals by the time a
-    query that matches the run's m names reaches it: the chars of those names
-    plus the mismatch chars of the groups compared before, and the
-    `cursor_depths` entries appended so far (one per terminal pivot and per
-    group compared above this run, not this run's own). A descent reads them
-    once, where it stops.
+    `chars` is the linear scan's running char count by the time a query that
+    matches the run's m names reaches it: the chars of those names plus the
+    mismatch chars of the groups compared before. A descent reads it once,
+    where it stops.
 
     A run of two or more pivots is split into groups by name m (the pivot
     that has only m names, `terminal`, comes first and joins no group);
@@ -233,13 +226,12 @@ class _IndexNode:
     keeps that `pivot` and `lens`, the running sums of its name lengths.
     """
 
-    __slots__ = ("start", "end", "terminal", "children", "pivot", "lens", "chars", "depths")
+    __slots__ = ("start", "end", "terminal", "children", "pivot", "lens", "chars")
 
-    def __init__(self, pivots: list[Pivot], start: int, end: int, m: int, chars: int, depths: list[int]):
+    def __init__(self, pivots: list[Pivot], start: int, end: int, m: int, chars: int):
         self.start = start
         self.end = end
         self.chars = chars
-        self.depths = depths
         self.children: dict[str, _IndexNode] = {}
         self.pivot: Optional[Pivot] = None
         self.lens: tuple[int, ...] = ()
@@ -249,9 +241,6 @@ class _IndexNode:
             self.pivot = pivots[start]
             self.lens = (0, *accumulate(map(len, self.pivot.names)))
             return
-        # a query that matches a group's name m ended one compare at level m
-        # on the terminal pivot and on the first pivot of each group before
-        depths = depths + [m] * self.terminal
         i = start + self.terminal
         while i < end:
             name = pivots[i].names[m]
@@ -259,8 +248,7 @@ class _IndexNode:
             while j < end and pivots[j].names[m] == name:
                 j += 1
             skipped = sum(_mismatch_cost(name, g) for g in self.children)
-            before = depths + [m] * len(self.children)
-            self.children[name] = _IndexNode(pivots, i, j, m + 1, chars + skipped + len(name), before)
+            self.children[name] = _IndexNode(pivots, i, j, m + 1, chars + skipped + len(name))
             i = j
 
 
@@ -271,7 +259,7 @@ def _index_pool(pool: PivotPool) -> Optional[_IndexNode]:
     if not pivots or not all(p.valid for p in pivots):
         pool.linear_only = True
         return None
-    pool.index = _IndexNode(pivots, 0, len(pivots), 0, 0, [])
+    pool.index = _IndexNode(pivots, 0, len(pivots), 0, 0)
     return pool.index
 
 
@@ -285,14 +273,14 @@ def find_best_pivot(
 
     Ties keep the pivot that comes first in the pool; None when no valid
     pivot shares even one component. `stats` gets the counts of the paper's
-    single forward scan (`_scan_linear`): pivots visited, the chars a
-    char-by-char compare would examine, and the cursor depths.
+    single forward scan (`_scan_linear`): pivots visited and the chars a
+    char-by-char compare would examine.
 
     On a pool whose pivots are all valid the scan is a descent of the pool's
     component index, which `PivotManager` builds before it publishes a pool
     (a pool marked published without it is indexed here on first use): one
     dict step per matched component. Where the descent stops it reads the
-    scan's running counts off the node and adds what the scan spends in that
+    scan's running chars off the node and adds what the scan spends in that
     run.
     The scan compares the run's first pivot as deep as the query matches it:
 
@@ -331,7 +319,6 @@ def find_best_pivot(
                 node = child
                 m += 1
             chars = node.chars
-            ends = 1  # cursor_depths entries this run adds
             pv = node.pivot
             if pv is not None:
                 names = pv.names
@@ -349,9 +336,7 @@ def find_best_pivot(
             else:
                 e = m
                 if m < n:
-                    children = node.children
-                    chars += sum(map(_mismatch_cost, repeat(comps[m]), children))
-                    ends = node.terminal + len(children)
+                    chars += sum(map(_mismatch_cost, repeat(comps[m]), node.children))
             if pool.freed:
                 raise ContractViolation("pivot used after reclaim")
             best = pool.pivots[node.start] if e else None
@@ -359,12 +344,6 @@ def find_best_pivot(
                 if stats is not None:
                     stats.pivots_visited = node.start + 1 if e == n else min(node.end + 1, index.end)
                     stats.char_comparisons = chars
-                    depths = stats.cursor_depths
-                    depths += node.depths
-                    if ends == 1:  # the common case: no one-entry list built to extend by
-                        depths.append(e)
-                    else:
-                        depths += [e] * ends
                 return None if best is None else (best, e)
     return _scan_linear(pool, path, stats)
 
@@ -399,7 +378,6 @@ def _scan_linear(pool: PivotPool, path: PathBuf, stats: Optional[ScanStats]) -> 
     chain = 0  # the virtual predecessor of the first pivot shares nothing
     visited = 0
     chars = 0
-    depths = stats.cursor_depths if stats is not None else []
     for pv in pool.pivots:
         if pool.freed:
             raise ContractViolation("pivot used after reclaim")
@@ -430,7 +408,6 @@ def _scan_linear(pool: PivotPool, path: PathBuf, stats: Optional[ScanStats]) -> 
             best_depth = ext
         m = ext
         chain = _CHAIN_INF  # anchor moved: next overlap is the LCP against this pivot
-        depths.append(m)
         if m == n:
             break
     if stats is not None:

@@ -259,9 +259,15 @@ class DirTree:
         root, its traversal bit for `cred` must be set. Each component is
         counted as the kernel's d_hash chain lookup would scan it: a hash scan
         of its name, then on a hit a verification scan and a dentry visit. A
-        name looked up below a file is missing (NotFound). Holds the tree read
-        lock for the walk.
+        name looked up below a file is missing (NotFound). The counts gather
+        in locals and reach `metrics` once, when the walk ends or fails; a
+        caller without `metrics` counts into a throwaway one. Holds the tree
+        read lock for the walk.
         """
+        if metrics is None:
+            metrics = Metrics()
+        resolved = metrics.distinct_resolved.add
+        visited = chars = 0
         cur = start
         bit = _TRAV_BIT[cred]
         self.lock.acquire_read()
@@ -270,18 +276,18 @@ class DirTree:
                 children = cur.children
                 if children is not None and cur.parent is not None and not (cur.mode & bit):
                     raise PermissionDenied(f"no traversal through {cur.name!r} for {cred.value}")
-                if metrics is not None:
-                    metrics.char_comparisons += len(name)  # hash scan
+                chars += len(name)  # hash scan
                 child = children.get(name) if children is not None else None
                 if child is None:
                     raise NotFound(f"missing component {name!r}")
-                if metrics is not None:
-                    metrics.dentries_visited += 1
-                    metrics.char_comparisons += len(name)  # verification scan
-                    metrics.distinct_resolved.add(child.id)
+                chars += len(name)  # verification scan
+                visited += 1
+                resolved(child.id)
                 cur = child
         finally:
             self.lock.release_read()
+            metrics.dentries_visited += visited
+            metrics.char_comparisons += chars
         return cur
 
     def lookup_original(self, path: PathBuf, cred: Credential, metrics: Optional[Metrics] = None) -> NodeId:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
+from typing import Optional
 
 import pytest
 
@@ -92,6 +94,68 @@ def brute_force_best(pool: PivotPool, path: PathBuf):
         if s > best_depth:
             best, best_depth = pv, s
     return (best, best_depth) if best_depth > 0 else None
+
+
+def _cmp_component(a: str, b: str) -> tuple[bool, int]:
+    """Char-by-char component compare; returns (equal, chars examined)."""
+    n = min(len(a), len(b))
+    i = 0
+    while i < n and a[i] == b[i]:
+        i += 1
+    if i < n:
+        return False, i + 1  # mismatching pair was examined
+    return len(a) == len(b), i
+
+
+@dataclass
+class ReferenceScan:
+    """What one reference scan found and counted. `cursor_depths` has the
+    components matched so far after each pivot the scan compared: the
+    path-text cursor sits at the end of that component, so a scan that reads
+    the path at most once never lowers it."""
+
+    result: Optional[tuple] = None
+    pivots_visited: int = 0
+    char_comparisons: int = 0
+    cursor_depths: list[int] = field(default_factory=list)
+
+    @property
+    def cursor_monotone(self) -> bool:
+        return all(b >= a for a, b in zip(self.cursor_depths, self.cursor_depths[1:]))
+
+
+def reference_scan(pool: PivotPool, path: PathBuf) -> ReferenceScan:
+    """The paper's Stage One scan comparing names one char at a time: the
+    result and the model cost that find_best_pivot must report without doing
+    the work, and the cursor depths that show the path is read once."""
+    ref = ReferenceScan()
+    comps = path.components
+    n = len(comps)
+    best, best_depth, m, chain = None, 0, 0, 0
+    for i, pv in enumerate(list(pool.pivots)):
+        ref.pivots_visited += 1
+        if i:
+            chain = min(chain, pv.overlap)
+        if chain < m:
+            break
+        if chain > m or not pv.valid:
+            continue
+        ext = m
+        while ext < n and ext < len(pv.names):
+            equal, examined = _cmp_component(comps[ext], pv.names[ext])
+            ref.char_comparisons += examined
+            if not equal:
+                break
+            ext += 1
+        if ext > best_depth:
+            best, best_depth = pv, ext
+        m = ext
+        chain = 1 << 62
+        ref.cursor_depths.append(m)
+        if m == n:
+            break
+    ref.result = None if best is None else (best, best_depth)
+    return ref
 
 
 FIG4_PATHS = ("/a1/b1/c1", "/a1/b1/c2/d2/e2", "/a1/b1/c2/d2/e3/f3/g3", "/a1/b2/c3")

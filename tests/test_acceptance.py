@@ -29,7 +29,7 @@ from stagewalk import (
     synth_trace,
 )
 from stagewalk.heat import Admission, CandidateSet, HeatEpoch, record_access
-from conftest import FIG4_PATHS, brute_force_best, make_tree, mkpath
+from conftest import FIG4_PATHS, brute_force_best, make_tree, mkpath, reference_scan
 
 OWNER = Credential.OWNER
 
@@ -241,7 +241,11 @@ def test_c5_single_scan_property():
             q = random_query()
             stats = ScanStats()
             got = find_best_pivot(pool, q, stats)
-            if not stats.cursor_monotone:
+            ref = reference_scan(pool, q)
+            if not ref.cursor_monotone:
+                violations += 1
+            counts = (stats.pivots_visited, stats.char_comparisons)
+            if got != ref.result or counts != (ref.pivots_visited, ref.char_comparisons):
                 violations += 1
             if stats.char_comparisons > len(q.text) + 4 * stats.pivots_visited:
                 violations += 1
@@ -253,7 +257,7 @@ def test_c5_single_scan_property():
             queries += 1
     elapsed = time.perf_counter() - started
     ok = violations == 0
-    _line(5, ok, "monotone cursor and char budget over randomized scans",
+    _line(5, ok, "monotone cursor, reference counts and char budget over randomized scans",
           f"{queries} queries, {optimality_checked} brute-force cross-checks, {violations} violations, {elapsed:.1f}s")
     assert violations == 0
 

@@ -35,7 +35,14 @@ def traced_replay(strategy: str) -> tuple[Counter, int]:
         tree.rename_node(mkpath("/a0/b1"), mkpath("/a0/r0"))
         for text in ("/a0/r0/c2/d0",) + HOT[1:]:
             resolver.stat(mkpath(text))
-    return Counter(tracer.names[i] for i in tracer.name), 7 * len(HOT)
+    spans_by_name = Counter(tracer.names[i] for i in tracer.name)
+    for idx, note in tracer.notes.items():
+        if tracer.names[tracer.name[idx]] == "pivots.find_best_pivot":
+            # one scan's own counts: a third argument that accumulates across
+            # scans would soon note more pivots visited than the pool holds
+            pool_size, _depth, visited, _chars = note
+            assert visited <= pool_size, (idx, note)
+    return spans_by_name, 7 * len(HOT)
 
 
 def test_every_entry_point_is_where_the_tracer_looks():

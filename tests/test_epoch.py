@@ -62,24 +62,24 @@ def on_both_trees(test):
 @on_both_trees
 def test_reader_snapshot_survives_swap(threadsafe):
     tree, cset, epoch, mgr = fig4_manager(threadsafe)
-    token = mgr.reader_enter()
-    gen_before = token.generation
+    token_id, pool = mgr.reader_enter()
+    gen_before = pool.generation
     heat_up(tree, cset, epoch, FIG4_PATHS)
     mgr.periodic_update()  # publishes a new generation
     assert mgr.working_pool.generation == gen_before + 1
-    assert token.pool.generation == gen_before
+    assert pool.generation == gen_before
     # the pinned snapshot still answers queries consistently
-    hit = find_best_pivot(token.pool, mkpath("/a1/b1/c1"))
+    hit = find_best_pivot(pool, mkpath("/a1/b1/c1"))
     assert hit[0].path == "/a1/b1/c1"
-    mgr.reader_exit(token)
+    mgr.reader_exit(token_id)
 
 
 @on_both_trees
 def test_nested_tokens_independent(threadsafe):
     _tree, _cset, _epoch, mgr = fig4_manager(threadsafe)
-    t1 = mgr.reader_enter()
-    t2 = mgr.reader_enter()
-    assert t1.token_id != t2.token_id
+    t1, _pool1 = mgr.reader_enter()
+    t2, _pool2 = mgr.reader_enter()
+    assert t1 != t2
     mgr.reader_exit(t2)
     mgr.reader_exit(t1)
     assert mgr.active_reader_count == 0
@@ -88,10 +88,24 @@ def test_nested_tokens_independent(threadsafe):
 @on_both_trees
 def test_double_exit_detected(threadsafe):
     _tree, _cset, _epoch, mgr = fig4_manager(threadsafe)
-    token = mgr.reader_enter()
-    mgr.reader_exit(token)
+    token_id, _pool = mgr.reader_enter()
+    mgr.reader_exit(token_id)
     with pytest.raises(ContractViolation):
-        mgr.reader_exit(token)
+        mgr.reader_exit(token_id)
+
+
+@on_both_trees
+def test_double_exit_detected_while_a_reader_of_its_generation_is_active(threadsafe):
+    _tree, _cset, _epoch, mgr = fig4_manager(threadsafe)
+    t1, pool1 = mgr.reader_enter()
+    t2, pool2 = mgr.reader_enter()
+    assert pool1 is pool2  # one generation
+    mgr.reader_exit(t1)
+    with pytest.raises(ContractViolation):
+        mgr.reader_exit(t1)
+    assert mgr.active_reader_count == 1
+    mgr.reader_exit(t2)
+    assert mgr.active_reader_count == 0
 
 
 class InterleavedManager(PivotManager):
@@ -130,10 +144,10 @@ def test_unlocked_reader_registers_before_reading_the_pool():
     # the pool the reader just read is swapped out and reclaimed before it
     # can use it; its registration must already pin that pool
     mgr.on_read = lambda: (mgr.publish_pool(fresh()), mgr.reclaim())
-    token = mgr.reader_enter()
-    assert not token.pool.freed
-    assert find_best_pivot(token.pool, mkpath("/a1/b1/c1")) is not None
-    mgr.reader_exit(token)
+    token_id, pool = mgr.reader_enter()
+    assert not pool.freed
+    assert find_best_pivot(pool, mkpath("/a1/b1/c1")) is not None
+    mgr.reader_exit(token_id)
 
 
 def test_unlocked_swap_publishes_before_bumping_the_generation():
@@ -143,8 +157,9 @@ def test_unlocked_swap_publishes_before_bumping_the_generation():
     mgr.on_write = lambda: tokens.append(mgr.reader_enter())
     mgr.publish_pool(fresh())
     mgr.reclaim()
-    assert not tokens[0].pool.freed
-    mgr.reader_exit(tokens[0])
+    token_id, pool = tokens[0]
+    assert not pool.freed
+    mgr.reader_exit(token_id)
 
 
 # -- periodic_update --------------------------------------------------------------
@@ -300,7 +315,7 @@ def test_pinned_pool_scans_linearly_after_invalidation(threadsafe):
     old = mgr.working_pool
     assert find_best_pivot(old, mkpath("/a1/b1/c2/d2/e3/f3/foo"))[1] == 6
     assert old.index is not None
-    token = mgr.reader_enter()
+    token_id, pool = mgr.reader_enter()
     assert mgr.invalidate_for_metadata(mkpath("/a1/b1/c2")) == 2
     linear = []
     real_scan = pivots_module._scan_linear
@@ -308,12 +323,12 @@ def test_pinned_pool_scans_linearly_after_invalidation(threadsafe):
     try:
         queries = FIG4_PATHS + ("/a1/b1/c2/d2/e3/f3/foo",)
         for q in queries:
-            hit = find_best_pivot(token.pool, mkpath(q))
+            hit = find_best_pivot(pool, mkpath(q))
             assert hit is not None and hit[0].names[:3] != ("a1", "b1", "c2"), q
     finally:
         pivots_module._scan_linear = real_scan
     assert linear == list(queries)
-    mgr.reader_exit(token)
+    mgr.reader_exit(token_id)
 
 
 @on_both_trees
@@ -362,7 +377,7 @@ def test_invalidate_matches_oracle_on_random_pools(threadsafe):
                 prefix = mkpath("/" + "/".join(names[: rng.randint(0, len(names))]))
             covered = [p for p in held if prefix.is_component_prefix_of(mkpath(p.path))]
             survivors = [p for p in held if p not in covered]
-            token = mgr.reader_enter()
+            token_id, pool = mgr.reader_enter()
             assert mgr.invalidate_for_metadata(prefix) == len(covered)
 
             new = mgr.working_pool
@@ -373,13 +388,13 @@ def test_invalidate_matches_oracle_on_random_pools(threadsafe):
             ]
             assert verify_pool(new) == []
 
-            assert token.pool is old and old.pivots is held
+            assert pool is old and old.pivots is held
             assert all(p.valid for p in survivors) and not any(p.valid for p in covered)
             for p in survivors:  # a scan still running on the old pool finds them
                 assert find_best_pivot(old, mkpath(p.path))[0] is p
             mgr.reclaim()
             assert not old.freed
-            mgr.reader_exit(token)
+            mgr.reader_exit(token_id)
             mgr.reclaim()
             assert old.freed == bool(covered)
 
@@ -401,13 +416,13 @@ def test_reclaim_all_without_readers(threadsafe):
 def test_reader_pins_generation(threadsafe):
     tree, cset, epoch, mgr = fig4_manager(threadsafe)
     old_pool = mgr.working_pool
-    token = mgr.reader_enter()
+    token_id, pool = mgr.reader_enter()
     heat_up(tree, cset, epoch, FIG4_PATHS)
     mgr.periodic_update()
     assert not old_pool.freed  # grace period: retired at the reader's generation
     # the pinned snapshot is still fully usable
-    assert find_best_pivot(token.pool, mkpath("/a1/b1/c1")) is not None
-    mgr.reader_exit(token)
+    assert find_best_pivot(pool, mkpath("/a1/b1/c1")) is not None
+    mgr.reader_exit(token_id)
     assert mgr.reclaim() >= 1
     assert old_pool.freed
 
@@ -426,13 +441,13 @@ def test_use_after_reclaim_trips_sentinel(threadsafe):
 @on_both_trees
 def test_removed_pivots_reclaimed_after_grace(threadsafe):
     tree, cset, epoch, mgr = fig4_manager(threadsafe)
-    token = mgr.reader_enter()
+    token_id, pool = mgr.reader_enter()
     mgr.invalidate_for_metadata(mkpath("/a1/b1/c2"))
     mgr.reclaim()
-    assert not token.pool.freed  # reader from the same generation still live
-    mgr.reader_exit(token)
+    assert not pool.freed  # reader from the same generation still live
+    mgr.reader_exit(token_id)
     mgr.reclaim()
-    assert token.pool.freed
+    assert pool.freed
 
 
 @on_both_trees
@@ -465,13 +480,13 @@ def test_swap_retire_stress_no_use_after_retire():
 
     def reader():
         while not stop.is_set():
-            token = mgr.reader_enter()
+            token_id, pool = mgr.reader_enter()
             try:
-                find_best_pivot(token.pool, mkpath("/a1/b1/c2/d2/e3/f3/foo"))
+                find_best_pivot(pool, mkpath("/a1/b1/c2/d2/e3/f3/foo"))
             except ContractViolation as exc:
                 errors.append(str(exc))
             finally:
-                mgr.reader_exit(token)
+                mgr.reader_exit(token_id)
 
     threads = [threading.Thread(target=reader, daemon=True) for _ in range(8)]
     for t in threads:

@@ -18,7 +18,15 @@ from stagewalk import (
     verify_pool,
 )
 from stagewalk.pivots import pool_from_sorted
-from conftest import FIG4_PATHS, brute_force_best, lcp_components, make_node, make_tree, mkpath
+from conftest import (
+    FIG4_PATHS,
+    brute_force_best,
+    lcp_components,
+    make_node,
+    make_tree,
+    mkpath,
+    reference_scan,
+)
 
 
 # -- build_pool -------------------------------------------------------------------
@@ -106,7 +114,9 @@ def test_worked_example_best_pivot(fig4):
     assert pivot.path == "/a1/b1/c2/d2/e3/f3/g3"
     assert depth == 6
     assert stats.pivots_visited == 4  # the stop happens at the fourth pivot
-    assert stats.cursor_monotone
+    ref = reference_scan(pool, mkpath("/a1/b1/c2/d2/e3/f3/foo"))
+    assert ref.cursor_monotone
+    assert (stats.pivots_visited, stats.char_comparisons) == (ref.pivots_visited, ref.char_comparisons)
 
 
 def test_empty_pool():
@@ -150,7 +160,9 @@ def test_descent_that_finds_an_invalidated_pivot_redoes_the_scan_linearly(fig4):
     stats = ScanStats()
     pivot, depth = find_best_pivot(pool, q, stats)
     assert (pivot.path, depth) == ("/a1/b1/c2/d2/e2", 4)
-    assert stats.cursor_depths == [2, 4]  # the linear scan's entries alone
+    # the linear scan's counts alone: a redo that added to the descent's would exceed them
+    ref = reference_scan(pool, q)
+    assert (stats.pivots_visited, stats.char_comparisons) == (ref.pivots_visited, ref.char_comparisons)
 
 
 _UNIVERSES: dict[tuple[int, bool], tuple[list[str], list]] = {}
@@ -257,51 +269,12 @@ def test_single_scan_properties_randomized():
         pool, queries = _random_pool_and_queries(rng, 16, 50)
         for q in queries:
             stats = ScanStats()
-            find_best_pivot(pool, q, stats)
-            assert stats.cursor_monotone
+            got = find_best_pivot(pool, q, stats)
+            ref = reference_scan(pool, q)
+            assert ref.cursor_monotone
+            assert got == ref.result
+            assert (stats.pivots_visited, stats.char_comparisons) == (ref.pivots_visited, ref.char_comparisons)
             assert stats.char_comparisons <= len(q.text) + 4 * stats.pivots_visited
-
-
-def _cmp_component(a: str, b: str) -> tuple[bool, int]:
-    """Char-by-char component compare; returns (equal, chars examined)."""
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    if i < n:
-        return False, i + 1  # mismatching pair was examined
-    return len(a) == len(b), i
-
-
-def _reference_scan(pool, path, stats):
-    """The Stage One scan comparing names one char at a time; the model cost
-    that find_best_pivot must count without doing it."""
-    comps = path.components
-    n = len(comps)
-    best, best_depth, m, chain = None, 0, 0, 0
-    for i, pv in enumerate(list(pool.pivots)):
-        stats.pivots_visited += 1
-        if i:
-            chain = min(chain, pv.overlap)
-        if chain < m:
-            break
-        if chain > m or not pv.valid:
-            continue
-        ext = m
-        while ext < n and ext < len(pv.names):
-            equal, examined = _cmp_component(comps[ext], pv.names[ext])
-            stats.char_comparisons += examined
-            if not equal:
-                break
-            ext += 1
-        if ext > best_depth:
-            best, best_depth = pv, ext
-        m = ext
-        chain = 1 << 62
-        stats.cursor_depths.append(m)
-        if m == n:
-            break
-    return None if best is None else (best, best_depth)
 
 
 def _stop_kind(pool, path) -> str:
@@ -346,15 +319,15 @@ def test_counts_match_char_by_char_reference_randomized(valid_share):
         for _ in range(10):
             depth = rng.randint(0, 6)
             q = PathBuf(tuple(rng.choice(_CLOSE_NAMES) for _ in range(depth)))
-            got_stats, want_stats = ScanStats(), ScanStats()
+            got_stats = ScanStats()
             got = find_best_pivot(pool, q, got_stats)
-            want = _reference_scan(pool, q, want_stats)
+            ref = reference_scan(pool, q)
+            want = ref.result
             assert (got is None) == (want is None)
             if got is not None:
                 assert got[0] is want[0] and got[1] == want[1]
-            assert got_stats.pivots_visited == want_stats.pivots_visited
-            assert got_stats.char_comparisons == want_stats.char_comparisons
-            assert got_stats.cursor_depths == want_stats.cursor_depths
+            assert got_stats.pivots_visited == ref.pivots_visited
+            assert got_stats.char_comparisons == ref.char_comparisons
             scans += 1
             if pool.index is not None:
                 stops[_stop_kind(pool, q)] += 1

@@ -226,6 +226,64 @@ def test_missing_name_below_a_file_or_directory_counts_one_hash_scan():
     assert (m.dentries_visited, m.char_comparisons) == (1, 4)
 
 
+# names of different lengths, so a count that misses or doubles one shows
+_COUNTED_FILES = ("/ab/cde/f/gh/ij", "/ab/cde/x")
+
+
+def counted_walk(path: str, start: str = "/", chmod: str | None = None, walks: int = 1):
+    """Walk `path` from the dentry at `start` (a pivot's component, as in
+    Stage Two, when not the root), after stripping traversal from `chmod`;
+    returns the outcome, `dentries_visited`, `char_comparisons` and the
+    resolved paths, all walks counted into one Metrics."""
+    tree = make_tree(files=_COUNTED_FILES)
+    if chmod is not None:
+        tree.chmod_node(mkpath(chmod), 0o644)
+    begin = tree._resolve_admin(mkpath(start))
+    comps = mkpath(path).components[mkpath(start).depth :]
+    m = Metrics()
+    for _ in range(walks):
+        res = outcome(tree.walk_from, begin, comps, OWNER, m)
+    resolved = sorted(tree.materialize_path(tree.node(i)).text for i in m.distinct_resolved)
+    return res if res.startswith("err:") else "ok", m.dentries_visited, m.char_comparisons, resolved
+
+
+def test_permission_denied_counts_the_resolved_prefix():
+    # ab, cde and f resolved (two scans each); gh is never scanned
+    assert counted_walk("/ab/cde/f/gh/ij", chmod="/ab/cde/f") == (
+        "err:PermissionDenied", 3, 2 * (2 + 3 + 1), ["/ab", "/ab/cde", "/ab/cde/f"]
+    )
+
+
+def test_missing_middle_component_counts_its_hash_scan():
+    assert counted_walk("/ab/zzzz/f") == ("err:NotFound", 1, 2 * 2 + 4, ["/ab"])
+
+
+def test_name_below_a_file_counts_its_hash_scan():
+    assert counted_walk("/ab/cde/x/yy") == (
+        "err:NotFound", 3, 2 * (2 + 3 + 1) + 2, ["/ab", "/ab/cde", "/ab/cde/x"]
+    )
+
+
+def test_failed_stage_two_walk_counts_only_below_the_pivot():
+    assert counted_walk("/ab/cde/f/nope", start="/ab/cde") == ("err:NotFound", 1, 2 * 1 + 4, ["/ab/cde/f"])
+    assert counted_walk("/ab/cde/f/gh", start="/ab/cde", chmod="/ab/cde/f") == (
+        "err:PermissionDenied", 1, 2 * 1, ["/ab/cde/f"]
+    )
+    # the pivot's own directory is checked before its first child is scanned
+    assert counted_walk("/ab/cde/f", start="/ab/cde", chmod="/ab/cde") == ("err:PermissionDenied", 0, 0, [])
+
+
+def test_walk_counts_accumulate_across_walks():
+    assert counted_walk("/ab/cde/f/gh/ij") == (
+        "ok", 5, 2 * (2 + 3 + 1 + 2 + 2), ["/ab", "/ab/cde", "/ab/cde/f", "/ab/cde/f/gh", "/ab/cde/f/gh/ij"]
+    )
+    # visits and chars add up per walk; a dentry resolved again is not distinct
+    assert counted_walk("/ab/zzzz/f", walks=3) == ("err:NotFound", 3, 3 * (2 * 2 + 4), ["/ab"])
+    assert counted_walk("/ab/cde/f/gh", start="/ab/cde", chmod="/ab/cde/f", walks=2) == (
+        "err:PermissionDenied", 2, 2 * 2, ["/ab/cde/f"]
+    )
+
+
 def test_agrees_with_oracle_after_mutations():
     rng = random.Random(99)
     tree = DirTree()
