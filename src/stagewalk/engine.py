@@ -81,6 +81,14 @@ class OriginalLookup(_ResolverBase):
         return self.tree.lookup_original(path, cred, self.metrics)
 
 
+class _ScanSlot(threading.local):
+    """One ScanStats per thread, reused by every scan the thread makes;
+    find_best_pivot writes both counts on every return."""
+
+    def __init__(self) -> None:
+        self.stats = ScanStats()
+
+
 class StageLookupEngine(_ResolverBase):
     def __init__(
         self,
@@ -96,6 +104,7 @@ class StageLookupEngine(_ResolverBase):
         self.heat_lock = threading.Lock()
         self._threadsafe = tree.threadsafe  # heat updates take heat_lock only then
         self.manager = PivotManager(tree, self.candidates, self.epoch, self.heat_lock, pool_bound=pool_size)
+        self._scan = _ScanSlot()
         tree.register_hook(self._on_metadata)
 
     def _on_metadata(self, path: PathBuf) -> None:
@@ -115,9 +124,9 @@ class StageLookupEngine(_ResolverBase):
         metrics = self.metrics
         metrics.lookups += 1
         manager = self.manager
+        stats = self._scan.stats
         token_id, pool = manager.reader_enter()
         try:
-            stats = ScanStats()
             hit = find_best_pivot(pool, path, stats)
         finally:
             manager.reader_exit(token_id)

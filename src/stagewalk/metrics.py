@@ -18,8 +18,11 @@ Counter semantics:
   whose every node holds the scan's running char count on reaching that
   node's run. Where the query leaves the index it reads that count once and
   adds the run's own cost: the rest of a single pivot's names, or the
-  mismatch cost against the names of the run's groups. A pool that holds an
-  invalid pivot is scanned linearly, comparing whole names.
+  mismatch cost against the names of the run's groups, which the node
+  memoizes per missing name. A pool that holds an invalid pivot is scanned
+  linearly, comparing whole names. The engine takes Stage One's count off
+  one reused per-thread `ScanStats`, so counting allocates nothing per
+  lookup.
 - effective_search_ratio: distinct dentries ever resolved divided by total
   dentry searches; measures how redundant the walk traffic was.
 - wall_time: per-phase seconds; diagnostic only, excluded from CSV output so

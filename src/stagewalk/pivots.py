@@ -14,7 +14,10 @@ the pool: a trie over the pivots' names whose every node carries the scan's
 running chars by the time a query reaches that node's run. A scan descends
 it with one dict step per matched component, reads the chars off the node
 where it stops, and adds what the scan spends in that run, so it reports the
-scan's pivot, depth, pivots visited and chars exactly. The linear scan stays
+scan's pivot, depth, pivots visited and chars exactly. A run whose groups the
+query's next name misses costs the sum of that name's mismatch chars against
+every group; the node memoizes that sum per name, so a repeated miss costs
+one dict read. The linear scan stays
 for pools that hold an invalid pivot (a metadata modification retired them
 while readers still scan them). The scan's cursor, which never moves
 backward, is the property of the paper's scan that the tests check on their
@@ -177,12 +180,14 @@ class ScanStats:
 
     The counts are the linear scan's, whichever path produced them: the index
     descent reads them off the node where it stops, and neither path
-    compares names char by char to count chars.
+    compares names char by char to count chars. Every return overwrites
+    both, so one object can serve scan after scan: the engine keeps one per
+    thread and allocates none per lookup.
 
-    The engine allocates one per lookup although it reads only
-    `char_comparisons`. The class survives because the benchmark's spans read
-    `pivots_visited` and `char_comparisons` off the scan's third argument;
-    passing None there, or `Metrics`, would blind or corrupt them.
+    The engine reads only `char_comparisons`. The class survives because the
+    benchmark's spans read `pivots_visited` and `char_comparisons` off the
+    scan's third argument; passing None there, or `Metrics`, would blind or
+    corrupt them.
     """
 
     __slots__ = ("pivots_visited", "char_comparisons")
@@ -193,8 +198,8 @@ class ScanStats:
 
 
 # sibling names repeat under every parent, so the same (query name, pivot
-# name) pairs fail to match scan after scan; the bound keeps the cache from
-# growing with the number of distinct names
+# name) pairs fail to match scan after scan; the bound keeps the cache, and
+# each index node's miss memo, from growing with the number of distinct names
 _MISMATCH_CACHE_SIZE = 4096
 
 
@@ -224,15 +229,24 @@ class _IndexNode:
     that has only m names, `terminal`, comes first and joins no group);
     `children` maps each group's name to its run's node. A run of one pivot
     keeps that `pivot` and `lens`, the running sums of its name lengths.
+
+    `misses` maps a name that no group matches to its mismatch chars summed
+    over the groups, filled by the descents that stop here. It holds at most
+    `_MISMATCH_CACHE_SIZE` names, maps one name at this node to a count (never
+    a path to a pivot), and dies with the pool. Concurrent readers on a
+    threadsafe tree may fill it at the same time: each store writes the same
+    value, and the bound may be overshot by at most the number of racing
+    threads.
     """
 
-    __slots__ = ("start", "end", "terminal", "children", "pivot", "lens", "chars")
+    __slots__ = ("start", "end", "terminal", "children", "pivot", "lens", "chars", "misses")
 
     def __init__(self, pivots: list[Pivot], start: int, end: int, m: int, chars: int):
         self.start = start
         self.end = end
         self.chars = chars
         self.children: dict[str, _IndexNode] = {}
+        self.misses: dict[str, int] = {}
         self.pivot: Optional[Pivot] = None
         self.lens: tuple[int, ...] = ()
         # a pivot with only m names sorts first: it is a prefix of every other
@@ -274,7 +288,8 @@ def find_best_pivot(
     Ties keep the pivot that comes first in the pool; None when no valid
     pivot shares even one component. `stats` gets the counts of the paper's
     single forward scan (`_scan_linear`): pivots visited and the chars a
-    char-by-char compare would examine.
+    char-by-char compare would examine. Every return writes both, whatever
+    `stats` held before.
 
     On a pool whose pivots are all valid the scan is a descent of the pool's
     component index, which `PivotManager` builds before it publishes a pool
@@ -288,15 +303,16 @@ def find_best_pivot(
     - the query ends in the run: that first compare stops the scan;
     - no group matches the query's next name: the terminal pivot and each
       group end one compare at the run's level, and the scan stops at the
-      first pivot after the run.
+      first pivot after the run. The node's `misses` memo holds that name's
+      sum after its first miss there.
 
     Either way the best is the run's first pivot, and every pivot up to the
     stop is visited. The counts are computed from the index, not performed.
     A pool that holds an invalid pivot is scanned linearly, since a skipped
     pivot changes them.
 
-    The pool's list is read by reference, without a copy: a published pool
-    never changes except for its covered pivots' `valid` flags, which
+    The pool's list is read by reference, without a copy: a published pool's
+    pivots never change except for their `valid` flags, which
     `invalidate_for_metadata` clears only after it marks the pool
     linear-only. A reclaim during a scan still trips the sentinel, and a
     descent whose pivot was invalidated meanwhile is redone linearly.
@@ -336,7 +352,14 @@ def find_best_pivot(
             else:
                 e = m
                 if m < n:
-                    chars += sum(map(_mismatch_cost, repeat(comps[m]), node.children))
+                    q = comps[m]
+                    misses = node.misses
+                    cost = misses.get(q)
+                    if cost is None:
+                        cost = sum(map(_mismatch_cost, repeat(q), node.children))
+                        if len(misses) < _MISMATCH_CACHE_SIZE:
+                            misses[q] = cost
+                    chars += cost
             if pool.freed:
                 raise ContractViolation("pivot used after reclaim")
             best = pool.pivots[node.start] if e else None

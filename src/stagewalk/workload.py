@@ -229,8 +229,22 @@ def _check_synth_params(p: dict) -> None:
     # fsum: 0.1 + 0.2 + 0.7 rounds above 1 when summed left to right
     if math.fsum((p["p_rename"], p["p_chmod"], p["p_create"])) > 1.0:
         raise ConfigError("p_rename + p_chmod + p_create must be <= 1")
-    if int(p["hot_dirs"]) < 1:
+    ranks = int(p["hot_dirs"])
+    if ranks < 1:
         raise ConfigError(f"hot_dirs must be >= 1, got {p['hot_dirs']}")
+    # a tree gives at most hot_dirs ranks, and the weights are monotone in
+    # rank, so the first and the last rank bound every weight and the total
+    s = float(p["zipf_s"])
+    try:
+        bound = ranks * (_zipf_weight(0, s) + _zipf_weight(ranks - 1, s))
+    except ArithmeticError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ConfigError(f"zipf_s {s} gives no finite Zipf weights over {ranks} hot dirs")
+
+
+def _zipf_weight(rank: int, s: float) -> float:
+    return 1.0 / (rank + 1) ** s
 
 
 def synth_trace(
@@ -247,7 +261,8 @@ def synth_trace(
     gaps. Mutation mix is controlled by p_rename / p_chmod / p_create
     (renames pick files or directories, always to fresh names). Raises
     ConfigError on a negative event count, a probability outside [0, 1],
-    mutation probabilities that sum above 1, or fewer than one hot dir.
+    mutation probabilities that sum above 1, fewer than one hot dir, or a
+    `zipf_s` whose weights over `hot_dirs` ranks are not all finite.
     """
     if model not in ("uniform", "hotdir-zipf", "replay-like"):
         raise ConfigError(f"unknown trace model {model!r}")
@@ -274,7 +289,7 @@ def synth_trace(
 
     k = max(1, min(int(p["hot_dirs"]), len(uni.deepest_dirs)))
     hot = rng.sample(uni.deepest_dirs, k)
-    weights = [1.0 / (rank + 1) ** float(p["zipf_s"]) for rank in range(k)]
+    weights = [_zipf_weight(rank, float(p["zipf_s"])) for rank in range(k)]
     hot_children = [[f for f in uni.files if f.rsplit("/", 1)[0] == hd] or [hd] for hd in hot]
     uni.pools += hot_children
 
@@ -516,7 +531,10 @@ def bench_depth_grid(
     The covering pivot sits at depth 8-k; the rest of the pool is decoys from
     a disjoint subtree, so pool size changes only the Stage One probe cost.
     k == 8 means no pivot covers the path and the walk falls back entirely.
+    Raises ConfigError when `reps` is below 1.
     """
+    if reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {reps}")
     spec = TreeSpec(levels=[2] * 7, file_size_range=(0, 0), seed=7)
     tree = gen_tree(spec)
     target = PathBuf.parse("/a0/b0/c0/d0/e0/f0/g0/h0")

@@ -84,6 +84,8 @@ def test_bad_config_exits_2(tmp_path):
         ["synth", "--p-rename", "-0.5"],
         ["synth", "--p-rename", "0.6", "--p-chmod", "0.6"],
         ["synth", "--hot-dirs", "0"],
+        ["bench-depth", "--reps", "0"],
+        ["bench-depth", "--reps", "-1"],
     ],
 )
 def test_malformed_or_impossible_numbers_exit_2(tmp_path, argv, capsys):
@@ -94,6 +96,17 @@ def test_malformed_or_impossible_numbers_exit_2(tmp_path, argv, capsys):
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "out.spec.json").exists()
+
+
+@pytest.mark.parametrize("zipf_s", ["nan", "-inf", "-400", "1000"])
+def test_zipf_exponent_without_finite_weights_exits_2(tmp_path, zipf_s, capsys):
+    prefix = str(tmp_path / "t")
+    assert main(["gen-tree", "--levels", "3,3,3", "--out", prefix]) == EXIT_OK  # 9 leaf dirs for 8 hot ones
+    out = tmp_path / "trace.jsonl"
+    argv = ["synth", "--tree", f"{prefix}.spec.json", f"--zipf-s={zipf_s}", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err and not out.exists()
+    assert main(argv + ["--hot-dirs", "1"]) == EXIT_OK  # one rank weighs 1 whatever the exponent
 
 
 @pytest.mark.parametrize(

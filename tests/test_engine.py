@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -15,6 +16,8 @@ from stagewalk import (
     StageLookupEngine,
     build_pool,
 )
+from stagewalk import engine as engine_module
+from stagewalk.pivots import find_best_pivot
 from conftest import make_node, make_tree, mkpath, oracle_resolve, outcome
 
 OWNER = Credential.OWNER
@@ -183,6 +186,43 @@ def test_unlink_through_hook_removes_pivots():
     assert engine.manager.working_pool.size == 0
     with pytest.raises(NotFound):
         engine.stage_lookup(mkpath("/a/b/f"))
+
+
+# -- the scan's counts -------------------------------------------------------------------
+
+
+def test_each_thread_reuses_its_own_scan_stats(monkeypatch):
+    tree = make_tree("/a/b", files=("/a/b/f", "/a/g"), threadsafe=True)
+    engine = engine_with_pool(tree, ["/a/b"])
+    seen = []  # (thread, stats passed to the scan, the slot's stats in that thread)
+
+    def recording_scan(pool, path, stats):
+        seen.append((threading.current_thread(), stats, engine._scan.stats))
+        return find_best_pivot(pool, path, stats)
+
+    monkeypatch.setattr(engine_module, "find_best_pivot", recording_scan)
+
+    def lookups():
+        for text in ("/a/b/f", "/a/g", "/a/b/f"):
+            engine.lookup(mkpath(text))
+
+    worker = threading.Thread(target=lookups)
+    worker.start()
+    worker.join()
+    lookups()
+    by_thread = {}
+    for thread, stats, slot in seen:
+        assert stats is slot
+        by_thread.setdefault(thread, set()).add(id(stats))
+    assert len(seen) == 6 and len(by_thread) == 2
+    assert all(len(ids) == 1 for ids in by_thread.values())
+    assert len(set.union(*by_thread.values())) == 2
+    # the same six lookups in one thread count the same
+    serial = engine_with_pool(make_tree("/a/b", files=("/a/b/f", "/a/g")), ["/a/b"])
+    for _ in range(2):
+        for text in ("/a/b/f", "/a/g", "/a/b/f"):
+            serial.lookup(mkpath(text))
+    assert engine.metrics.counter_rows() == serial.metrics.counter_rows()
 
 
 # -- stat / open -------------------------------------------------------------------------

@@ -3,6 +3,8 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -17,6 +19,7 @@ from stagewalk import (
     pool_footprint_bytes,
     verify_pool,
 )
+from stagewalk import pivots
 from stagewalk.pivots import pool_from_sorted
 from conftest import (
     FIG4_PATHS,
@@ -316,26 +319,29 @@ def test_counts_match_char_by_char_reference_randomized(valid_share):
         pool.published = True
         for pv in pool.pivots:
             pv.valid = rng.random() < valid_share
-        for _ in range(10):
-            depth = rng.randint(0, 6)
-            q = PathBuf(tuple(rng.choice(_CLOSE_NAMES) for _ in range(depth)))
-            got_stats = ScanStats()
-            got = find_best_pivot(pool, q, got_stats)
-            ref = reference_scan(pool, q)
-            want = ref.result
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got[0] is want[0] and got[1] == want[1]
-            assert got_stats.pivots_visited == ref.pivots_visited
-            assert got_stats.char_comparisons == ref.char_comparisons
-            scans += 1
-            if pool.index is not None:
-                stops[_stop_kind(pool, q)] += 1
-            prefix_mismatches += any(
-                a != b and (a.startswith(b) or b.startswith(a))
-                for pv in pool.pivots
-                for a, b in zip(q.components, pv.names)
-            )
+        queries = [PathBuf(tuple(rng.choice(_CLOSE_NAMES) for _ in range(rng.randint(0, 6)))) for _ in range(10)]
+        # the first pass finds the index nodes' miss memos empty, the second warm
+        for warm in (False, True):
+            for q in queries:
+                got_stats = ScanStats()
+                got = find_best_pivot(pool, q, got_stats)
+                ref = reference_scan(pool, q)
+                want = ref.result
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got[0] is want[0] and got[1] == want[1]
+                assert got_stats.pivots_visited == ref.pivots_visited
+                assert got_stats.char_comparisons == ref.char_comparisons
+                if warm:
+                    continue
+                scans += 1
+                if pool.index is not None:
+                    stops[_stop_kind(pool, q)] += 1
+                prefix_mismatches += any(
+                    a != b and (a.startswith(b) or b.startswith(a))
+                    for pv in pool.pivots
+                    for a, b in zip(q.components, pv.names)
+                )
         indexed += pool.index is not None
     assert scans == 3000 and prefix_mismatches > 100
     if valid_share == 1.0:
@@ -345,6 +351,118 @@ def test_counts_match_char_by_char_reference_randomized(valid_share):
         assert sorted(stops) == sorted(kinds) and sum(stops.values()) == scans, stops
     else:
         assert indexed < 300
+
+
+def _index_nodes(node):
+    yield node
+    for child in node.children.values():
+        yield from _index_nodes(child)
+
+
+def _scan_matches_reference(pool, q, stats=None):
+    stats = stats if stats is not None else ScanStats()
+    got = find_best_pivot(pool, q, stats)
+    ref = reference_scan(pool, q)
+    assert got == ref.result
+    assert (stats.pivots_visited, stats.char_comparisons) == (ref.pivots_visited, ref.char_comparisons)
+
+
+_MEMO_PATHS = ("/a/x", "/a/xy", "/a/b", "/d")
+# five distinct names that miss the groups at the root, and five at /a
+_MEMO_MISSES = ("/xa", "/c", "/ab", "/dd", "/e", "/a/xa", "/a/c", "/a/bb", "/a/x.d", "/a/y")
+
+
+def _memo_pool():
+    tree = make_tree(*_MEMO_PATHS)
+    pool = build_pool([tree._resolve_admin(mkpath(p)) for p in _MEMO_PATHS], 16)
+    pool.published = True
+    find_best_pivot(pool, mkpath("/d"))  # indexes the pool; a leaf hit fills no memo
+    return pool
+
+
+def test_miss_memo_stays_exact_at_its_bound(monkeypatch):
+    monkeypatch.setattr(pivots, "_MISMATCH_CACHE_SIZE", 2)
+    pool = _memo_pool()
+    for _ in range(2):
+        for text in _MEMO_MISSES:
+            _scan_matches_reference(pool, mkpath(text))
+    assert max(len(node.misses) for node in _index_nodes(pool.index)) == 2
+    assert pool.index.misses and pool.index.children["a"].misses
+
+
+def test_miss_memo_stays_exact_when_threads_fill_it_at_once(monkeypatch):
+    bound, workers = 3, 4
+    monkeypatch.setattr(pivots, "_MISMATCH_CACHE_SIZE", bound)
+    pool = _memo_pool()
+    queries = [mkpath(text) for text in _MEMO_MISSES]
+    want = {}
+    for q in queries:
+        ref = reference_scan(pool, q)
+        want[q.text] = (ref.result, ref.pivots_visited, ref.char_comparisons)
+    wrong = []
+
+    def scans(seed):
+        rng, stats = random.Random(seed), ScanStats()
+        for _ in range(3000):
+            q = rng.choice(queries)
+            got = find_best_pivot(pool, q, stats)
+            if (got, stats.pivots_visited, stats.char_comparisons) != want[q.text]:
+                wrong.append(q.text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=scans, args=(seed,)) for seed in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not wrong
+    assert all(len(node.misses) <= bound + workers for node in _index_nodes(pool.index))
+
+
+def test_miss_memo_belongs_to_its_pool():
+    # the same name misses at /a in both pools, against different groups
+    tree = make_tree("/a/x", "/a/y", "/a/xyz", "/a/qq")
+    pools = []
+    for paths in (("/a/x", "/a/y"), ("/a/xyz", "/a/qq")):
+        pool = build_pool([tree._resolve_admin(mkpath(p)) for p in paths], 16)
+        pool.published = True
+        pools.append(pool)
+    q = mkpath("/a/xa")
+    assert [reference_scan(pool, q).char_comparisons for pool in pools] == [3, 4]
+    for _ in range(2):
+        for pool in pools:
+            _scan_matches_reference(pool, q)
+
+
+_STOP_PATHS = ("/a", "/a/b", "/a/c", "/d/e")
+_STOP_QUERIES = {
+    "leaf hit": "/a/b/x",
+    "leaf mismatch": "/d/f",
+    "query ends in run": "/a",
+    "miss below terminal": "/a/z",
+    "miss": "/z",
+}
+
+
+def test_every_scan_overwrites_both_counts_of_a_reused_stats():
+    tree = make_tree(*_STOP_PATHS)
+    cands = [tree._resolve_admin(mkpath(p)) for p in _STOP_PATHS]
+    indexed, linear = build_pool(cands, 16), build_pool(cands, 16)
+    linear.pivots[1].valid = False  # the pool is scanned linearly from its first scan
+    for pool in (indexed, linear):
+        pool.published = True
+    stats = ScanStats()
+    for kind, text in _STOP_QUERIES.items():
+        q = mkpath(text)
+        for pool in (indexed, linear):
+            stats.pivots_visited = stats.char_comparisons = -1
+            _scan_matches_reference(pool, q, stats)
+        assert _stop_kind(indexed, q) == kind
+    assert indexed.index is not None and linear.linear_only
 
 
 # -- verify_pool -------------------------------------------------------------------------

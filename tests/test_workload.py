@@ -110,6 +110,28 @@ def test_impossible_synth_params_rejected(params):
         synth_trace(tree, "hotdir-zipf", params, seed=1)
 
 
+@pytest.mark.parametrize("zipf_s", [math.nan, -math.inf, -400.0, 1000.0])
+def test_zipf_exponent_without_finite_weights_rejected(zipf_s):
+    tree = gen_tree(TreeSpec(levels=[3, 3, 3], seed=1))
+    for model in ("hotdir-zipf", "uniform"):  # both models weigh the hot dirs
+        with pytest.raises(ConfigError, match="zipf_s"):
+            synth_trace(tree, model, {"n_events": 50, "zipf_s": zipf_s}, seed=1)
+
+
+@pytest.mark.parametrize("zipf_s", [math.inf, -1.0, 0.0, 300.0])
+def test_extreme_zipf_exponents_with_finite_weights_run(zipf_s):
+    tree = gen_tree(TreeSpec(levels=[3, 3, 3], seed=1))
+    trace = synth_trace(tree, "hotdir-zipf", {"n_events": 200, "zipf_s": zipf_s}, seed=1)
+    hot = {ev.path.rsplit("/", 1)[0] for ev in trace}
+    assert len(trace) == 200 and (len(hot) == 1) == (zipf_s >= 300.0)  # a steep exponent picks rank 1 alone
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+def test_bench_depth_grid_needs_a_rep(reps):
+    with pytest.raises(ConfigError, match="reps"):
+        bench_depth_grid(pool_sizes=(1,), stage_two_lengths=(0,), reps=reps)
+
+
 def test_mutation_probabilities_may_sum_to_one():
     tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
     trace = synth_trace(tree, "uniform", {"n_events": 50, "p_rename": 0.1, "p_chmod": 0.2, "p_create": 0.7}, seed=1)
