@@ -60,7 +60,7 @@ class _ResolverBase:
         raise NotImplementedError
 
     def stat(self, path: PathBuf, cred: Credential = Credential.OWNER) -> MetadataView:
-        d = self.tree.node(self.lookup(path, cred))
+        d = self.tree.nodes[self.lookup(path, cred)]
         return MetadataView(d.id, d.kind, d.mode, d.size)
 
     def open(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
@@ -136,8 +136,8 @@ class StageLookupEngine(_ResolverBase):
         if hit is not None:
             pivot, depth = hit
             matched = pivot.components[depth - 1]
-            target = tree.nodes.get(matched.node_id)
-            if target is not None and not target.dead:
+            target = tree.nodes[matched.node_id]
+            if not target.dead:
                 if not matched.prefix_trav & CRED_MASK_BIT[cred]:
                     self.check_prefix_permissions(pivot, depth, cred)  # raises
                 comps = path.components

@@ -28,7 +28,7 @@ class FullPathCache(_ResolverBase):
     def __init__(self, tree: DirTree, metrics: Optional[Metrics] = None):
         super().__init__(tree, metrics)
         self._entries: dict[str, tuple[int, int]] = {}
-        self._versions: dict[int, int] = {}
+        self._versions: list[int] = []  # by dentry id; an id past the end is at 0
         tree.register_hook(self._on_metadata)
 
     def _on_metadata(self, path: PathBuf) -> None:
@@ -43,13 +43,15 @@ class FullPathCache(_ResolverBase):
         if entry is not None:
             metrics.char_comparisons += len(key)  # stored-key verification scan
             node_id, version = entry
-            node = self.tree.node(node_id)
-            if node is not None and not node.dead and self._versions.get(node_id, 0) == version:
+            versions = self._versions
+            current = versions[node_id] if node_id < len(versions) else 0
+            if not self.tree.nodes[node_id].dead and current == version:
                 return node_id
             del self._entries[key]  # out of date
         tree = self.tree
         target = tree.walk_from(tree.root, path.components, cred, metrics)
-        self._entries[key] = (target.id, self._versions.get(target.id, 0))
+        versions = self._versions
+        self._entries[key] = (target.id, versions[target.id] if target.id < len(versions) else 0)
         return target.id
 
     lookup = fp_lookup
@@ -67,10 +69,11 @@ class FullPathCache(_ResolverBase):
         touched = 0
         stack = [(top, path.text)]
         versions = self._versions
+        versions.extend([0] * (len(self.tree.nodes) - len(versions)))
         entries = self._entries
         while stack:
             d, text = stack.pop()
-            versions[d.id] = versions.get(d.id, 0) + 1
+            versions[d.id] += 1
             entries.pop(text, None)
             touched += 1
             if d.children:

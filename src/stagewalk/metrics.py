@@ -23,6 +23,9 @@ Counter semantics:
   linearly, comparing whole names. The engine takes Stage One's count off
   one reused per-thread `ScanStats`, so counting allocates nothing per
   lookup.
+- distinct_resolved: a byte map by dentry id, 1 at each id a walk ever
+  resolved (ids are dense and never reused); counter_rows() prints how many
+  ones it holds.
 - effective_search_ratio: distinct dentries ever resolved divided by total
   dentry searches; measures how redundant the walk traffic was.
 - wall_time: per-phase seconds; diagnostic only, excluded from CSV output so
@@ -44,14 +47,19 @@ class Metrics:
     fallbacks: int = 0
     entries_touched: int = 0
     skipped_prefix_histogram: dict[int, int] = field(default_factory=dict)
-    distinct_resolved: set[int] = field(default_factory=set)
+    distinct_resolved: bytearray = field(default_factory=bytearray)
     wall_time: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def distinct_count(self) -> int:
+        seen = self.distinct_resolved
+        return len(seen) - seen.count(0)
 
     @property
     def effective_search_ratio(self) -> float:
         if self.dentries_visited == 0:
             return 0.0
-        return len(self.distinct_resolved) / self.dentries_visited
+        return self.distinct_count / self.dentries_visited
 
     def counter_rows(self) -> list[tuple[str, str]]:
         """Deterministic (name, value) rows for tables and CSV."""
@@ -63,7 +71,7 @@ class Metrics:
             ("pivot_hits", str(self.pivot_hits)),
             ("fallbacks", str(self.fallbacks)),
             ("entries_touched", str(self.entries_touched)),
-            ("distinct_resolved", str(len(self.distinct_resolved))),
+            ("distinct_resolved", str(self.distinct_count)),
             ("effective_search_ratio", f"{self.effective_search_ratio:.6f}"),
             ("skipped_prefix_histogram", json.dumps(hist, sort_keys=True)),
         ]

@@ -5,7 +5,8 @@ directory's children map (name to dentry) is the tree's only name index.
 The kernel finds a child on a d_hash chain by hashing the name and then
 verifying it; the walk counts both scans but does neither char by char. All
 dentries are pinned (no eviction, no negative entries) and node ids are
-never reused.
+never reused: `DirTree.nodes` is a list indexed by id (slot 0 unused), and
+an unlinked dentry keeps its slot, marked dead.
 
 Mutations (create/rename/chmod/unlink) are serialized through the tree's
 write lock; lookups take the read side. Hooks registered by caching
@@ -96,6 +97,18 @@ class Dentry:
         return f"Dentry(id={self.id}, name={self.name!r}, kind={self.kind})"
 
 
+class _Unmarked:
+    """Stands in for `Metrics.distinct_resolved` in a walk without metrics."""
+
+    __slots__ = ()
+
+    def __setitem__(self, node_id: int, flag: int) -> None:
+        pass
+
+
+_UNMARKED = _Unmarked()
+
+
 # hook(path): fires pre-mutation with the path a rename, chmod or unlink changes
 MetadataHook = Callable[[PathBuf], None]
 
@@ -104,8 +117,7 @@ class DirTree:
     def __init__(self, threadsafe: bool = False):
         self.lock = RWLock() if threadsafe else NullRWLock()
         self.root = Dentry(1, None, "/", DIR, 0o755)
-        self.nodes: dict[int, Dentry] = {1: self.root}
-        self._next_id = 2
+        self.nodes: list[Optional[Dentry]] = [None, self.root]  # by id; the next id is len(nodes)
         self._hooks: list[MetadataHook] = []
 
     @property
@@ -124,11 +136,13 @@ class DirTree:
             hook(path)
 
     def node(self, node_id: int) -> Optional[Dentry]:
-        return self.nodes.get(node_id)
+        """The dentry issued with this id (dead once unlinked), or None for an
+        id never issued."""
+        return self.nodes[node_id] if 0 < node_id < len(self.nodes) else None
 
     @property
     def node_count(self) -> int:
-        return sum(1 for d in self.nodes.values() if not d.dead)
+        return sum(1 for d in self.nodes[1:] if not d.dead)
 
     def _resolve_admin(self, path: PathBuf) -> Dentry:
         """Trusted resolution through the children maps; no counters, no checks."""
@@ -163,7 +177,7 @@ class DirTree:
     def canonical_dump(self) -> str:
         """Sorted one-line-per-node text form; equal dumps mean equal trees."""
         lines = []
-        for d in self.nodes.values():
+        for d in self.nodes[1:]:
             if d.dead:
                 continue
             lines.append(f"{self.materialize_path(d).text}\t{d.kind}\t{d.mode:o}\t{d.size}")
@@ -174,10 +188,9 @@ class DirTree:
 
     def _attach(self, parent: Dentry, name: str, kind: str, mode: int, size: int = 0) -> Dentry:
         """Fast constructor shared by create_node and the tree generator."""
-        d = Dentry(self._next_id, parent, name, kind, mode, size)
-        self._next_id += 1
+        d = Dentry(len(self.nodes), parent, name, kind, mode, size)
         parent.children[name] = d
-        self.nodes[d.id] = d
+        self.nodes.append(d)
         return d
 
     def create_node(self, parent_path: PathBuf, name: str, kind: str, mode: int, size: int = 0) -> NodeId:
@@ -260,18 +273,21 @@ class DirTree:
         counted as the kernel's d_hash chain lookup would scan it: a hash scan
         of its name, then on a hit a verification scan and a dentry visit. A
         name looked up below a file is missing (NotFound). The counts gather
-        in locals and reach `metrics` once, when the walk ends or fails; a
-        caller without `metrics` counts into a throwaway one. Holds the tree
-        read lock for the walk.
+        in locals and reach `metrics` once, when the walk ends or fails; each
+        resolved dentry is marked in `metrics.distinct_resolved`, which grows
+        to the tree's id range under the read lock, so an id a racing
+        `create_node` issues cannot pass its end. A walk without `metrics`
+        counts and marks nothing. Holds the tree read lock for the walk.
         """
-        if metrics is None:
-            metrics = Metrics()
-        resolved = metrics.distinct_resolved.add
+        seen = _UNMARKED if metrics is None else metrics.distinct_resolved
         visited = chars = 0
         cur = start
         bit = _TRAV_BIT[cred]
         self.lock.acquire_read()
         try:
+            if metrics is not None and len(seen) < len(self.nodes):
+                # walkers sharing a Metrics may both grow it; surplus zeros count nothing
+                seen.extend(bytes(len(self.nodes) - len(seen)))
             for name in components:
                 children = cur.children
                 if children is not None and cur.parent is not None and not (cur.mode & bit):
@@ -282,12 +298,13 @@ class DirTree:
                     raise NotFound(f"missing component {name!r}")
                 chars += len(name)  # verification scan
                 visited += 1
-                resolved(child.id)
+                seen[child.id] = 1
                 cur = child
         finally:
             self.lock.release_read()
-            metrics.dentries_visited += visited
-            metrics.char_comparisons += chars
+            if metrics is not None:
+                metrics.dentries_visited += visited
+                metrics.char_comparisons += chars
         return cur
 
     def lookup_original(self, path: PathBuf, cred: Credential, metrics: Optional[Metrics] = None) -> NodeId:

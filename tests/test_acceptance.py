@@ -215,8 +215,8 @@ def test_c4_metadata_modification_asymmetry():
 def test_c5_single_scan_property():
     rng = random.Random(555)
     tree = gen_tree(TreeSpec(levels=[10, 10, 10], seed=55))
-    all_dirs = [d for d in tree.nodes.values() if d.kind == "dir" and d.parent is not None]
-    files = [d for d in tree.nodes.values() if d.kind == "file"]
+    all_dirs = [d for d in tree.nodes[1:] if d.kind == "dir" and d.parent is not None]
+    files = [d for d in tree.nodes[1:] if d.kind == "file"]
 
     def random_query():
         base = tree.materialize_path(rng.choice(files))

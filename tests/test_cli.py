@@ -167,3 +167,14 @@ def test_malformed_trace_exits_3_without_traceback(tmp_path, line):
     )
     assert proc.returncode == EXIT_IO, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [(["gen-tree", "--levels", "2"], EXIT_OK), (["gen-tree", "--bogus"], EXIT_CONFIG)])
+def test_python_m_stagewalk_runs_the_cli(tmp_path, argv, code):
+    src = str(Path(stagewalk.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "stagewalk", *argv, "--out", str(tmp_path / "t")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert (tmp_path / "t.spec.json").exists() == (code == EXIT_OK)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import random
+import threading
+import time
+import tracemalloc
 
 import pytest
 
@@ -15,7 +19,10 @@ from stagewalk import (
     PermissionDenied,
     Unsupported,
     DirTree,
+    SIX_LEVEL_PRESET,
+    gen_tree,
 )
+from stagewalk.locks import RWLock
 from conftest import make_node, make_tree, mkpath, oracle_resolve, outcome
 
 OWNER = Credential.OWNER
@@ -204,12 +211,12 @@ def test_children_maps_are_the_only_index():
     tree.rename_node(mkpath("/a/b/c"), mkpath("/a/b/e"))  # within a parent
     tree.rename_node(mkpath("/a/b/d"), mkpath("/x/d"))  # across parents
     tree.unlink_node(mkpath("/x/y/h"))  # a leaf
-    live = [d for d in tree.nodes.values() if d.parent is not None and not d.dead]
-    dead = [d for d in tree.nodes.values() if d.dead]
+    live = [d for d in tree.nodes[1:] if d.parent is not None and not d.dead]
+    dead = [d for d in tree.nodes[1:] if d.dead]
     assert dead
     for d in live:
         assert d.parent.children[d.name] is d
-    mapped = [c for d in tree.nodes.values() if d.children for c in d.children.values()]
+    mapped = [c for d in tree.nodes[1:] if d.children for c in d.children.values()]
     assert not any(c.dead for c in mapped)
     assert len(mapped) == len(live)
 
@@ -243,7 +250,7 @@ def counted_walk(path: str, start: str = "/", chmod: str | None = None, walks: i
     m = Metrics()
     for _ in range(walks):
         res = outcome(tree.walk_from, begin, comps, OWNER, m)
-    resolved = sorted(tree.materialize_path(tree.node(i)).text for i in m.distinct_resolved)
+    resolved = sorted(tree.materialize_path(tree.node(i)).text for i, b in enumerate(m.distinct_resolved) if b)
     return res if res.startswith("err:") else "ok", m.dentries_visited, m.char_comparisons, resolved
 
 
@@ -315,3 +322,108 @@ def test_agrees_with_oracle_after_mutations():
         p = mkpath(rng.choice(universe))
         cred = rng.choice(list(Credential))
         assert outcome(tree.lookup_original, p, cred, Metrics()) == oracle_resolve(tree, p, cred)
+
+
+# -- dentries by id -------------------------------------------------------------------
+
+# sha256 of the 211,111-node preset's canonical_dump() while `nodes` was a dict
+_PRESET_DUMP_SHA256 = "1a4fcb4f5e82dcdc0dc74955b4bdd1503e5c9645e4a892c164a0f48ac7950a2d"
+
+
+@pytest.fixture(scope="module")
+def preset():
+    return gen_tree(SIX_LEVEL_PRESET)
+
+
+def test_node_returns_none_only_for_ids_never_issued():
+    tree = make_tree("/a", files=("/a/f",))
+    f = tree._resolve_admin(mkpath("/a/f"))
+    for never in (0, -1, len(tree.nodes), 10**9):
+        assert tree.node(never) is None
+    assert tree.node(1) is tree.root
+    tree.unlink_node(mkpath("/a/f"))
+    assert tree.node(f.id) is f and f.dead  # an unlinked dentry keeps its slot
+    assert tree.node(len(tree.nodes)) is None
+
+
+def test_preset_dump_unchanged(preset):
+    assert hashlib.sha256(preset.canonical_dump().encode()).hexdigest() == _PRESET_DUMP_SHA256
+
+
+def test_id_issued_after_the_map_was_sized_counts_once():
+    tree = make_tree("/a")
+    m = Metrics()
+    tree.lookup_original(mkpath("/a"), OWNER, m)
+    assert len(m.distinct_resolved) == len(tree.nodes)
+    nid = tree.create_node(mkpath("/a"), "new", FILE, 0o644)
+    assert nid == len(m.distinct_resolved)  # one past the map's end
+    for _ in range(2):
+        assert tree.lookup_original(mkpath("/a/new"), OWNER, m) == nid
+    assert m.distinct_resolved[nid] == 1
+    assert m.distinct_count == 2  # /a and /a/new, each once
+
+
+class _YieldingWriteLock(RWLock):
+    def acquire_write(self) -> None:
+        super().acquire_write()
+        time.sleep(0.0001)
+
+
+def test_walkers_racing_create_node_mark_every_new_id():
+    # two walkers share one Metrics and aim at names the creator has not made
+    # yet; the creator yields while it holds the write lock, so a walk often
+    # waits for the lock and then resolves an id issued while it waited
+    tree = make_tree(threadsafe=True)
+    tree.lock = _YieldingWriteLock()
+    m = Metrics()
+    total = 1000
+    made = [0]
+    done = threading.Event()
+    returned: list[set[int]] = [set(), set()]
+    errors: list[BaseException] = []
+
+    def create():
+        try:
+            for i in range(total):
+                tree.create_node(mkpath("/"), f"n{i}", FILE, 0o644)
+                made[0] = i + 1
+        finally:
+            done.set()
+
+    def walk(ids: set[int]):
+        try:
+            while not done.is_set():
+                k = made[0]
+                for i in range(k, k + 4):
+                    try:
+                        ids.add(tree.lookup_original(mkpath(f"/n{i}"), OWNER, m))
+                    except NotFound:
+                        pass
+        except Exception as exc:  # an IndexError here is the race
+            errors.append(exc)
+
+    threads = [threading.Thread(target=walk, args=(ids,)) for ids in returned]
+    threads.append(threading.Thread(target=create))
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert errors == []
+    seen = returned[0] | returned[1]
+    assert seen  # the walkers did resolve new names
+    assert m.distinct_count == len(seen)
+
+
+def test_walk_without_metrics_allocates_no_map(preset):
+    path = mkpath("/a3/b1/c4/d1/e5/f0")
+    target = preset._resolve_admin(path).id
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            assert preset.lookup_original(path, OWNER) == target
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak < 16_000  # the map would be len(nodes) = 211,112 bytes
+    finally:
+        tracemalloc.stop()
