@@ -7,10 +7,18 @@ remaining components through the children maps exactly like the original
 walk, starting from the matched component's dentry, which the pivot stores
 per depth (so landing on an ancestor of the pivot is a direct array index,
 recorded as rolled_up). The skipped prefix's permission check is one mask
-test against traversal bits aggregated at build time; metadata modification
-invalidates covering pivots, so a cached mask is never stale when consulted.
-A pivot whose component dentry has been unlinked silently falls back to a
-full walk from the root.
+test against traversal bits aggregated at build time.
+
+A lookup sees one state of the tree, as the kernel's RCU-walk does: it
+samples the manager's `metadata_seq` before it enters, and if the count has
+moved by the end of Stage Two, a modification (rename, chmod or unlink,
+whose hook bumps the count before the change applies) raced it. The lookup
+then drops the pivot's result, or the PermissionDenied or NotFound it
+raised, and walks from the root under the tree read lock; `fallbacks`
+counts these retries. A count that did not move means no modification
+began since the sample, and the pool a reader pins holds no pivot that a
+modification before the sample covered, so a cached mask is never stale
+when consulted.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import PermissionDenied
+from .errors import NotFound, PermissionDenied
 from .heat import CandidateSet, HeatEpoch, observe_target
 from .epoch import PivotManager
 from .metrics import Metrics
@@ -125,6 +133,7 @@ class StageLookupEngine(_ResolverBase):
         metrics.lookups += 1
         manager = self.manager
         stats = self._scan.stats
+        seq = manager.metadata_seq
         token_id, pool = manager.reader_enter()
         try:
             hit = find_best_pivot(pool, path, stats)
@@ -133,25 +142,30 @@ class StageLookupEngine(_ResolverBase):
         metrics.char_comparisons += stats.char_comparisons  # Stage One single scan
 
         tree = self.tree
+        pivot = None
+        depth = 0
         if hit is not None:
             pivot, depth = hit
             matched = pivot.components[depth - 1]
-            target = tree.nodes[matched.node_id]
-            if not target.dead:
+            try:
                 if not matched.prefix_trav & CRED_MASK_BIT[cred]:
                     self.check_prefix_permissions(pivot, depth, cred)  # raises
+                target = tree.nodes[matched.node_id]
                 comps = path.components
                 if depth < len(comps):  # an empty walk_from checks and counts nothing
                     target = tree.walk_from(target, comps[depth:], cred, metrics)
+            except (PermissionDenied, NotFound):
+                if manager.metadata_seq == seq:
+                    raise
+            if manager.metadata_seq == seq:
                 metrics.pivot_hits += 1
                 hist = metrics.skipped_prefix_histogram
                 hist[depth] = hist.get(depth, 0) + 1
             else:
-                metrics.fallbacks += 1  # component dentry unlinked between build and use
-                hit = None
-        if hit is None:
-            pivot = None
-            depth = 0
+                metrics.fallbacks += 1  # a modification raced the lookup
+                pivot = None
+                depth = 0
+        if pivot is None:
             target = tree.walk_from(tree.root, path.components, cred, metrics)
 
         if self._threadsafe:

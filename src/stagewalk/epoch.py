@@ -10,9 +10,10 @@ registered before their retirement has exited, which the sentinel checks in
 find_best_pivot turn into hard failures on any protocol bug.
 
 Each period the manager builds a pool from the candidates. A metadata
-modification clears `valid` on the working pool's pivots that its path
-covers, so readers still scanning that pool skip them, installs a pool of
-fresh copies of the survivors and bumps `metadata_seq`. A period reads that
+modification installs a pool of fresh copies of the working pool's pivots
+that its path does not cover, then bumps `metadata_seq`; readers still
+scanning the old pool may find a covered pivot there, and the engine drops
+such a result because the count moved under it. A period reads that
 count under the tree read lock before it builds, and installs its build only
 if the count has not moved by the time it holds the pool mutex, so no pool
 built before a modification is ever installed. A modification that completed
@@ -38,7 +39,7 @@ from typing import Iterable, Optional
 from .errors import ContractViolation
 from .heat import CandidateSet, HeatEpoch
 from .paths import PathBuf
-from .pivots import PivotPool, _index_pool, build_pool, pool_from_sorted
+from .pivots import PivotPool, build_pool, pool_from_sorted
 from .tree import Dentry, DirTree
 
 
@@ -180,10 +181,8 @@ class PivotManager:
             self._install(pool)
 
     def _install(self, pool: PivotPool) -> None:
-        """Index `pool`, publish it as the working pool and retire the old one;
-        the caller holds the pool mutex. Indexing here keeps the build off the
-        read path, and readers never race to build the same index."""
-        _index_pool(pool)
+        """Publish `pool` as the working pool and retire the old one; the
+        caller holds the pool mutex."""
         gen = self.generation + 1
         pool.generation = gen
         pool.published = True
@@ -198,21 +197,21 @@ class PivotManager:
         `path`; called pre-mutation. Returns how many pivots were covered.
 
         Bumps `metadata_seq` whether or not anything matched, so a build that
-        this modification raced is never swapped in.
+        this modification raced is never swapped in, and a lookup that sampled
+        the count before this call drops its pivot's result.
         """
         with self._pool_mutex:
             prefix = path.components
             plen = len(prefix)
             pivots = self.working_pool.pivots
-            covered = [p for p in pivots if p.names[:plen] == prefix]
+            survivors = [p for p in pivots if p.names[:plen] != prefix]
+            covered = len(pivots) - len(survivors)
             if covered:
-                self.working_pool.linear_only = True  # before any flag clears: see find_best_pivot
-                for p in covered:
-                    p.valid = False  # readers still scanning the old pool skip it
-                survivors = [p for p in pivots if p.names[:plen] != prefix]
                 self._install(pool_from_sorted((p.path, p.names, p.components) for p in survivors))
+            # only after the install: a reader that samples the count after
+            # the bump must read the repaired pool
             self.metadata_seq += 1
-            return len(covered)
+            return covered
 
     def reclaim(self) -> int:
         return self.reclaim_queue.reclaim(self.oldest_active_generation())

@@ -14,15 +14,15 @@ Counter semantics:
   length on a match, or the chars up to and including the first differing
   one on a mismatch (the shorter name's length when one is a prefix of the
   other). The code performs neither that scan nor the char compares: it
-  descends the pool's component index, built when the pool is installed,
+  descends the pool's component index, built with the pool,
   whose every node holds the scan's running char count on reaching that
   node's run. Where the query leaves the index it reads that count once and
   adds the run's own cost: the rest of a single pivot's names, or the
   mismatch cost against the names of the run's groups, which the node
-  memoizes per missing name. A pool that holds an invalid pivot is scanned
-  linearly, comparing whole names. The engine takes Stage One's count off
-  one reused per-thread `ScanStats`, so counting allocates nothing per
-  lookup.
+  memoizes per missing name. The engine takes Stage One's count off one
+  reused per-thread `ScanStats`, so counting allocates nothing per lookup.
+- fallbacks: a modification raced the lookup, which then walked from the
+  root.
 - distinct_resolved: a byte map by dentry id, 1 at each id a walk ever
   resolved (ids are dense and never reused); counter_rows() prints how many
   ones it holds.

@@ -9,19 +9,19 @@ one forward scan that uses the overlaps to walk the whole pool while reading
 the query path's characters at most once.
 
 The model reports what that scan costs, but the code need not perform it.
-The pivot manager builds each pool's component index before it publishes
-the pool: a trie over the pivots' names whose every node carries the scan's
-running chars by the time a query reaches that node's run. A scan descends
-it with one dict step per matched component, reads the chars off the node
-where it stops, and adds what the scan spends in that run, so it reports the
-scan's pivot, depth, pivots visited and chars exactly. A run whose groups the
-query's next name misses costs the sum of that name's mismatch chars against
-every group; the node memoizes that sum per name, so a repeated miss costs
-one dict read. The linear scan stays
-for pools that hold an invalid pivot (a metadata modification retired them
-while readers still scan them). The scan's cursor, which never moves
-backward, is the property of the paper's scan that the tests check on their
-char-by-char reference scan; neither implementation here records it.
+Every pool builds its component index when it is constructed: a trie over
+the pivots' names whose every node carries the scan's running chars by the
+time a query reaches that node's run. A scan descends it with one dict step
+per matched component, reads the chars off the node where it stops, and adds
+what the scan spends in that run, so it reports the scan's pivot, depth,
+pivots visited and chars exactly. A run whose groups the query's next name
+misses costs the sum of that name's mismatch chars against every group; the
+node memoizes that sum per name, so a repeated miss costs one dict read. A
+pool's list never changes once built, so its index never goes stale; a
+lookup that a metadata modification races is caught by the engine's re-check
+of `metadata_seq`, not here. The paper's char-by-char scan, and its cursor
+that never moves backward, live in the tests as the reference the counts
+are checked against.
 """
 
 from __future__ import annotations
@@ -56,45 +56,39 @@ class Component:
 class Pivot:
     """A pool entry; it belongs to one pool only, whose `freed` flag covers it."""
 
-    __slots__ = ("path", "names", "overlap", "components", "valid")
+    __slots__ = ("path", "names", "overlap", "components")
 
     def __init__(self, path: str, names: tuple[str, ...], overlap: int, components: tuple[Component, ...]):
         self.path = path
         self.names = names
         self.overlap = overlap
         self.components = components
-        self.valid = True
 
     @property
     def depth(self) -> int:
         return len(self.names)
 
     def __repr__(self) -> str:
-        return f"Pivot({self.path!r}, overlap={self.overlap}, valid={self.valid})"
+        return f"Pivot({self.path!r}, overlap={self.overlap})"
 
 
 class PivotPool:
-    """Pivot list in ascending component order. Immutable once published
-    except for the valid flags of pivots a metadata modification covers;
-    every structural change installs a fresh pool, so in-flight readers keep
-    a consistent snapshot. `freed` poisons the pool and all its pivots once
+    """Pivot list in ascending component order, immutable once published:
+    every change installs a fresh pool, so in-flight readers keep a
+    consistent snapshot. `freed` poisons the pool and all its pivots once
     reclaimed.
 
-    `index` is the component index, built before the manager publishes the
-    pool (or by the first scan of a pool marked published without it);
-    `linear_only` is set before any valid flag is cleared, and from then on
-    every scan is linear, because the index's counts assume that every pivot
-    is valid."""
+    `index` is the component index, built here from the list; it is None
+    only for an empty pool."""
 
-    __slots__ = ("pivots", "generation", "published", "freed", "index", "linear_only")
+    __slots__ = ("pivots", "generation", "published", "freed", "index")
 
     def __init__(self, pivots: list[Pivot]):
         self.pivots = pivots
         self.generation = 0
         self.published = False
         self.freed = False
-        self.index: Optional[_IndexNode] = None
-        self.linear_only = False
+        self.index = _IndexNode(pivots, 0, len(pivots), 0, 0) if pivots else None
 
     @property
     def size(self) -> int:
@@ -178,11 +172,11 @@ def pool_from_sorted(entries: Iterable[tuple[str, tuple[str, ...], tuple[Compone
 class ScanStats:
     """The counts of one find_best_pivot call, written when the scan ends.
 
-    The counts are the linear scan's, whichever path produced them: the index
-    descent reads them off the node where it stops, and neither path
-    compares names char by char to count chars. Every return overwrites
-    both, so one object can serve scan after scan: the engine keeps one per
-    thread and allocates none per lookup.
+    The counts are the paper's char-by-char scan's: the index descent reads
+    them off the node where it stops, and compares no names char by char to
+    count chars. Every return overwrites both, so one object can serve scan
+    after scan: the engine keeps one per thread and allocates none per
+    lookup.
 
     The engine reads only `char_comparisons`. The class survives because the
     benchmark's spans read `pivots_visited` and `char_comparisons` off the
@@ -220,7 +214,7 @@ class _IndexNode:
     """The run `pivots[start:end]` of pivots that share their first m names,
     m being the node's level in the component index.
 
-    `chars` is the linear scan's running char count by the time a query that
+    `chars` is the paper's scan's running char count by the time a query that
     matches the run's m names reaches it: the chars of those names plus the
     mismatch chars of the groups compared before. A descent reads it once,
     where it stops.
@@ -266,37 +260,19 @@ class _IndexNode:
             i = j
 
 
-def _index_pool(pool: PivotPool) -> Optional[_IndexNode]:
-    """Build the pool's index, or mark the pool linear-only when it is empty
-    or holds an invalid pivot; valid flags are only ever cleared."""
-    pivots = pool.pivots
-    if not pivots or not all(p.valid for p in pivots):
-        pool.linear_only = True
-        return None
-    pool.index = _IndexNode(pivots, 0, len(pivots), 0, 0)
-    return pool.index
-
-
-_CHAIN_INF = 1 << 62
-
-
 def find_best_pivot(
     pool: PivotPool, path: PathBuf, stats: Optional[ScanStats] = None
 ) -> Optional[tuple[Pivot, int]]:
-    """The valid pivot sharing the deepest prefix with `path`, and that depth.
+    """The pivot sharing the deepest prefix with `path`, and that depth.
 
-    Ties keep the pivot that comes first in the pool; None when no valid
-    pivot shares even one component. `stats` gets the counts of the paper's
-    single forward scan (`_scan_linear`): pivots visited and the chars a
-    char-by-char compare would examine. Every return writes both, whatever
-    `stats` held before.
+    Ties keep the pivot that comes first in the pool; None when no pivot
+    shares even one component. `stats` gets the counts of the paper's single
+    forward scan: pivots visited and the chars a char-by-char compare would
+    examine. Every return writes both, whatever `stats` held before.
 
-    On a pool whose pivots are all valid the scan is a descent of the pool's
-    component index, which `PivotManager` builds before it publishes a pool
-    (a pool marked published without it is indexed here on first use): one
-    dict step per matched component. Where the descent stops it reads the
-    scan's running chars off the node and adds what the scan spends in that
-    run.
+    The scan is a descent of the pool's component index: one dict step per
+    matched component. Where the descent stops it reads the scan's running
+    chars off the node and adds what the scan spends in that run.
     The scan compares the run's first pivot as deep as the query matches it:
 
     - a run of one pivot: one tuple-slice compare settles the depth;
@@ -308,137 +284,61 @@ def find_best_pivot(
 
     Either way the best is the run's first pivot, and every pivot up to the
     stop is visited. The counts are computed from the index, not performed.
-    A pool that holds an invalid pivot is scanned linearly, since a skipped
-    pivot changes them.
 
-    The pool's list is read by reference, without a copy: a published pool's
-    pivots never change except for their `valid` flags, which
-    `invalidate_for_metadata` clears only after it marks the pool
-    linear-only. A reclaim during a scan still trips the sentinel, and a
-    descent whose pivot was invalidated meanwhile is redone linearly.
+    The pool's list is read by reference, without a copy: a published pool
+    never changes. A reclaim during a scan still trips the sentinel.
     """
     if pool.freed:
         raise ContractViolation("pivot pool used after reclaim")
     if not pool.published:
         raise ContractViolation("pivot pool read before publication")
-    if not pool.linear_only:
-        index = pool.index or _index_pool(pool)
-        if index is not None:
-            comps = path.components
-            n = len(comps)
-            node = index
-            m = 0
-            while m < n:  # a single-pivot run has no children and stops here
-                child = node.children.get(comps[m])
-                if child is None:
-                    break
-                node = child
-                m += 1
-            chars = node.chars
-            pv = node.pivot
-            if pv is not None:
-                names = pv.names
-                e = len(names)
-                if n < e:
-                    e = n
-                # a whole-path hit, the common case, is settled without slicing
-                if comps != names and comps[m:e] != names[m:e]:
-                    e = m
-                    while comps[e] == names[e]:
-                        e += 1
-                    chars += _mismatch_cost(comps[e], names[e])
-                lens = node.lens
-                chars += lens[e] - lens[m]
-            else:
-                e = m
-                if m < n:
-                    q = comps[m]
-                    misses = node.misses
-                    cost = misses.get(q)
-                    if cost is None:
-                        cost = sum(map(_mismatch_cost, repeat(q), node.children))
-                        if len(misses) < _MISMATCH_CACHE_SIZE:
-                            misses[q] = cost
-                    chars += cost
-            if pool.freed:
-                raise ContractViolation("pivot used after reclaim")
-            best = pool.pivots[node.start] if e else None
-            if best is None or best.valid:
-                if stats is not None:
-                    stats.pivots_visited = node.start + 1 if e == n else min(node.end + 1, index.end)
-                    stats.char_comparisons = chars
-                return None if best is None else (best, e)
-    return _scan_linear(pool, path, stats)
-
-
-def _scan_linear(pool: PivotPool, path: PathBuf, stats: Optional[ScanStats]) -> Optional[tuple[Pivot, int]]:
-    """The paper's Stage One: a single forward scan of the pool.
-
-    The scan keeps `m`, the deepest component match so far, and `chain`, the
-    running minimum of consecutive overlaps since the last pivot whose
-    characters were compared (which equals the component LCP between that
-    pivot and the current one, by the sorted-list LCP identity). Pivots with
-    chain > m share exactly m components with the path and are skipped without
-    touching it; chain == m pivots are compared from component m+1 onward, so
-    the path cursor never moves backward; the first chain < m proves nothing
-    deeper can follow and stops the scan. Skipping chain > m pivots is not
-    spelled out by the base procedure (only the == and < cases are); under the
-    sortedness invariant it cannot change the result. Invalid pivots are
-    skipped as if absent: their overlap still folds into `chain` but their
-    characters are never read.
-
-    Components are compared whole; `stats.char_comparisons` still counts what
-    a char-by-char compare would examine: the full name on a match, and
-    `_mismatch_cost` on the one compare per pivot that fails. That cost is a
-    pure function of the two names, so it is memoized. `pool.freed` is checked
-    per pivot.
-    """
+    index = pool.index
+    if index is None:  # an empty pool
+        if stats is not None:
+            stats.pivots_visited = stats.char_comparisons = 0
+        return None
     comps = path.components
     n = len(comps)
-    best: Optional[Pivot] = None
-    best_depth = 0
+    node = index
     m = 0
-    chain = 0  # the virtual predecessor of the first pivot shares nothing
-    visited = 0
-    chars = 0
-    for pv in pool.pivots:
-        if pool.freed:
-            raise ContractViolation("pivot used after reclaim")
-        visited += 1
-        o = pv.overlap
-        if o < chain:
-            chain = o
-        if chain < m:
+    while m < n:  # a single-pivot run has no children and stops here
+        child = node.children.get(comps[m])
+        if child is None:
             break
-        if chain > m or not pv.valid:
-            continue
+        node = child
+        m += 1
+    chars = node.chars
+    pv = node.pivot
+    if pv is not None:
         names = pv.names
-        end = len(names)
-        if n < end:
-            end = n
-        ext = m
-        while ext < end:
-            a = comps[ext]
-            b = names[ext]
-            if a == b:
-                chars += len(a)
-                ext += 1
-            else:
-                chars += _mismatch_cost(a, b)
-                break
-        if ext > best_depth:
-            best = pv
-            best_depth = ext
-        m = ext
-        chain = _CHAIN_INF  # anchor moved: next overlap is the LCP against this pivot
-        if m == n:
-            break
+        e = len(names)
+        if n < e:
+            e = n
+        # a whole-path hit, the common case, is settled without slicing
+        if comps != names and comps[m:e] != names[m:e]:
+            e = m
+            while comps[e] == names[e]:
+                e += 1
+            chars += _mismatch_cost(comps[e], names[e])
+        lens = node.lens
+        chars += lens[e] - lens[m]
+    else:
+        e = m
+        if m < n:
+            q = comps[m]
+            misses = node.misses
+            cost = misses.get(q)
+            if cost is None:
+                cost = sum(map(_mismatch_cost, repeat(q), node.children))
+                if len(misses) < _MISMATCH_CACHE_SIZE:
+                    misses[q] = cost
+            chars += cost
+    if pool.freed:
+        raise ContractViolation("pivot used after reclaim")
     if stats is not None:
-        stats.pivots_visited = visited
+        stats.pivots_visited = node.start + 1 if e == n else min(node.end + 1, index.end)
         stats.char_comparisons = chars
-    if best is None:
-        return None
-    return best, best_depth
+    return (pool.pivots[node.start], e) if e else None
 
 
 def verify_pool(pool: PivotPool) -> list[str]:
@@ -463,8 +363,8 @@ def verify_pool(pool: PivotPool) -> list[str]:
 
 # accounting model for a 64-bit layout: 16 bytes per component record,
 # component blocks allocated in units of _COMPONENT_CAPACITY records, a 64-byte
-# pivot header (path pointer/length, overlap, valid, extension pointer,
-# padding) and a fixed 128-byte path buffer per pivot
+# pivot header (path pointer/length, overlap, extension pointer, padding)
+# and a fixed 128-byte path buffer per pivot
 _COMPONENT_CAPACITY = 8
 _COMPONENT_BYTES = 16
 _PIVOT_HEADER_BYTES = 64

@@ -603,6 +603,7 @@ class SoakReport:
     renames: int = 0
     lookups: int = 0
     selections: int = 0
+    retries: int = 0
     reclaim_pending: int = 0
     contract_violations: list[str] = field(default_factory=list)
     audit_violations: list[str] = field(default_factory=list)
@@ -630,7 +631,9 @@ def run_soak(
     the read-side entry; every rename logs its number after its invalidation
     completed. The post-hoc audit flags any selection of a pivot covered by a
     rename that had completed before the reader entered (renamed paths are
-    never reused, so rebuilt pools cannot legally recreate them).
+    never reused, so rebuilt pools cannot legally recreate them). `retries`
+    is the engine's `fallbacks`: lookups a modification raced, which dropped
+    their pivot's result and walked again from the root.
     """
     report_ = SoakReport()
     seq = itertools.count(1)
@@ -711,6 +714,7 @@ def run_soak(
         t.join()
 
     report_.swaps = engine.manager.swaps
+    report_.retries = engine.metrics.fallbacks
     report_.selections = len(selections)
 
     # post-hoc audit of every pivot selection against the mutation log

@@ -85,11 +85,9 @@ def lcp_components(a, b) -> int:
 
 
 def brute_force_best(pool: PivotPool, path: PathBuf):
-    """Exhaustive best-pivot oracle over the valid pivots."""
+    """Exhaustive best-pivot oracle."""
     best, best_depth = None, 0
     for pv in pool.pivots:
-        if not pv.valid:
-            continue
         s = lcp_components(pv.names, path.components)
         if s > best_depth:
             best, best_depth = pv, s
@@ -138,7 +136,7 @@ def reference_scan(pool: PivotPool, path: PathBuf) -> ReferenceScan:
             chain = min(chain, pv.overlap)
         if chain < m:
             break
-        if chain > m or not pv.valid:
+        if chain > m:
             continue
         ext = m
         while ext < n and ext < len(pv.names):

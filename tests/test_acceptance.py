@@ -363,16 +363,18 @@ def test_c7_concurrency_soak():
         seed=7,
     )
     elapsed = time.perf_counter() - started
-    ok = rep.clean and rep.ticks == 10_000 and elapsed < 120 and rep.renames > 0 and rep.selections > 0
+    ok = (rep.clean and rep.ticks == 10_000 and elapsed < 120 and rep.renames > 0 and rep.selections > 0
+          and rep.retries > 0)
     _line(7, ok, "8 readers + manager + mutator, 10^4 ticks, zero violations",
           f"lookups={rep.lookups} selections={rep.selections} renames={rep.renames} swaps={rep.swaps} "
-          f"contract={len(rep.contract_violations)} audit={len(rep.audit_violations)} "
-          f"pool={len(rep.pool_violations)} {elapsed:.1f}s")
+          f"retries={rep.retries} contract={len(rep.contract_violations)} audit={len(rep.audit_violations)} "
+          f"pool={len(rep.pool_violations)} {elapsed:.1f}s of 120s")
     assert rep.ticks == 10_000
     assert rep.contract_violations == []
     assert rep.audit_violations == []
     assert rep.pool_violations == []
     assert rep.renames > 0 and rep.selections > 0 and rep.swaps > 0
+    assert rep.retries > 0  # modifications raced lookups, which walked again from the root
     assert elapsed < 120, f"took {elapsed:.1f}s"
 
 

@@ -161,22 +161,97 @@ def test_stage_two_checks_start_component():
         assert outcome(engine.lookup, mkpath("/a/b"), cred) == oracle_resolve(tree, mkpath("/a/b"), cred)
 
 
-# -- staleness and fallback ------------------------------------------------------------
+# -- modifications racing a lookup ------------------------------------------------------
 
 
-def test_unlinked_component_falls_back_silently():
-    tree = make_tree("/a/b", files=("/a/b/f",))
-    engine = engine_with_pool(tree, ["/a/b/f"])
-    victim = tree._resolve_admin(mkpath("/a/b/f"))
-    victim.dead = True  # simulate an unlink racing the pool (no hook fired)
+def race_after_scan(monkeypatch, engine, modify):
+    """Run `modify` once, right after the engine's next Stage One scan
+    returns, as a modification landing between the two stages would; returns
+    the list that receives that scan's (pivot path, depth)."""
+    scanned = []
+
+    def scan_then_modify(pool, path, stats):
+        hit = find_best_pivot(pool, path, stats)
+        if not scanned:
+            scanned.append(None if hit is None else (hit[0].path, hit[1]))
+            modify()
+        return hit
+
+    monkeypatch.setattr(engine_module, "find_best_pivot", scan_then_modify)
+    return scanned
+
+
+def raced_outcome(engine, path, cred):
+    """The lookup's outcome and the pivot it used (None when it raised)."""
     try:
-        # the children maps are intact, so the fallback walk still resolves;
-        # the stale pivot is simply not trusted
-        res = engine.stage_lookup(mkpath("/a/b/f"))
-    finally:
-        victim.dead = False
+        res = engine.stage_lookup(path, cred)
+    except (NotFound, PermissionDenied) as exc:
+        return f"err:{type(exc).__name__}", None
+    return f"ok:{res.target}", res.pivot_used
+
+
+def assert_retried(engine, tree, path, cred, got):
+    """The raced lookup dropped the pivot's result and walked from the root:
+    it agrees with the tree after the race, and no pivot hit was counted."""
+    result, pivot_used = got
+    assert result == oracle_resolve(tree, path, cred)
+    assert pivot_used is None
     assert engine.metrics.fallbacks == 1
-    assert res.pivot_used is None
+    assert engine.metrics.pivot_hits == 0 and engine.metrics.skipped_prefix_histogram == {}
+
+
+@pytest.mark.parametrize("threadsafe", [False, True])
+def test_chmods_racing_the_stages_cannot_mix_two_states(monkeypatch, threadsafe):
+    # before the race `d` denies `other`, after it `/a` does; the pivot's mask
+    # predates the first chmod and Stage Two walks after the second
+    tree = make_tree(files=("/a/b/c/d/f",), threadsafe=threadsafe)
+    tree.chmod_node(mkpath("/a/b/c/d"), 0o750)
+    engine = engine_with_pool(tree, ["/a/b/c"])
+    path, cred = mkpath("/a/b/c/d/f"), Credential.OTHER
+    assert oracle_resolve(tree, path, cred) == "err:PermissionDenied"
+
+    def modify():
+        tree.chmod_node(mkpath("/a"), 0o750)
+        tree.chmod_node(mkpath("/a/b/c/d"), 0o755)
+
+    scanned = race_after_scan(monkeypatch, engine, modify)
+    got = raced_outcome(engine, path, cred)
+    assert scanned == [("/a/b/c", 3)]
+    assert_retried(engine, tree, path, cred, got)
+    assert got[0] == "err:PermissionDenied"
+
+
+@pytest.mark.parametrize("threadsafe", [False, True])
+def test_rename_racing_the_stages_cannot_mix_two_states(monkeypatch, threadsafe):
+    # the path resolves before the race and after it; Stage Two walks from
+    # the pivot's renamed dentry, under which the target is gone
+    tree = make_tree(files=("/a/b/c/d/f",), threadsafe=threadsafe)
+    engine = engine_with_pool(tree, ["/a/b/c"])
+    path = mkpath("/a/b/c/d/f")
+    assert oracle_resolve(tree, path, OWNER).startswith("ok:")
+
+    def modify():
+        tree.rename_node(mkpath("/a/b/c"), mkpath("/a/b/old"))
+        make_node(tree, "/a/b/c/d/f", FILE)
+        tree.unlink_node(mkpath("/a/b/old/d/f"))
+
+    scanned = race_after_scan(monkeypatch, engine, modify)
+    got = raced_outcome(engine, path, OWNER)
+    assert scanned == [("/a/b/c", 3)]
+    assert_retried(engine, tree, path, OWNER, got)
+    assert got[0] == f"ok:{tree._resolve_admin(path).id}"
+
+
+@pytest.mark.parametrize("threadsafe", [False, True])
+def test_unlink_of_the_pivot_racing_the_stages_falls_back(monkeypatch, threadsafe):
+    tree = make_tree(files=("/a/b/c/d/f",), threadsafe=threadsafe)
+    engine = engine_with_pool(tree, ["/a/b/c/d/f"])
+    path = mkpath("/a/b/c/d/f")
+    scanned = race_after_scan(monkeypatch, engine, lambda: tree.unlink_node(path))
+    got = raced_outcome(engine, path, OWNER)
+    assert scanned == [("/a/b/c/d/f", 5)]
+    assert_retried(engine, tree, path, OWNER, got)
+    assert got[0] == "err:NotFound"
 
 
 def test_unlink_through_hook_removes_pivots():

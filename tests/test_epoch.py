@@ -6,17 +6,18 @@ import threading
 import pytest
 
 import stagewalk.epoch as epoch_module
-import stagewalk.pivots as pivots_module
 from stagewalk import (
     CandidateSet,
     ContractViolation,
     HeatEpoch,
     PivotManager,
+    PivotPool,
+    ScanStats,
     build_pool,
     find_best_pivot,
     verify_pool,
 )
-from conftest import FIG4_PATHS, mkpath, make_tree, random_tree_paths
+from conftest import FIG4_PATHS, mkpath, make_tree, random_tree_paths, reference_scan
 
 
 def make_manager(tree=None, bound=16):
@@ -262,7 +263,6 @@ def test_invalidate_removes_covered_run_and_repairs_overlap():
     assert [p.path for p in wp.pivots] == ["/a1/b1/c1", "/a1/b2/c3"]
     assert [p.overlap for p in wp.pivots] == [0, 1]  # survivor recomputed against pivot 1
     assert verify_pool(wp) == []
-    assert all(p.valid for p in wp.pivots)
 
 
 def test_invalidate_replaces_the_pivot_list_never_edits_it():
@@ -307,53 +307,43 @@ def test_exact_path_counts_as_covered():
 
 
 @on_both_trees
-def test_pinned_pool_scans_linearly_after_invalidation(threadsafe):
-    """The old pool's index was built before the call, but its counts assume
-    every pivot valid: a token pinned across the call scans linearly and
-    never gets a covered pivot."""
+def test_pinned_pool_is_unchanged_by_invalidation(threadsafe):
+    """A token pinned across the call keeps the old pool as it was, covered
+    pivots included, and its scans still equal the reference scan."""
     tree, cset, epoch, mgr = fig4_manager(threadsafe)
     old = mgr.working_pool
-    assert find_best_pivot(old, mkpath("/a1/b1/c2/d2/e3/f3/foo"))[1] == 6
-    assert old.index is not None
+    held = list(old.pivots)
+    index = old.index
     token_id, pool = mgr.reader_enter()
     assert mgr.invalidate_for_metadata(mkpath("/a1/b1/c2")) == 2
-    linear = []
-    real_scan = pivots_module._scan_linear
-    pivots_module._scan_linear = lambda *args: linear.append(args[1].text) or real_scan(*args)
-    try:
-        queries = FIG4_PATHS + ("/a1/b1/c2/d2/e3/f3/foo",)
-        for q in queries:
-            hit = find_best_pivot(pool, mkpath(q))
-            assert hit is not None and hit[0].names[:3] != ("a1", "b1", "c2"), q
-    finally:
-        pivots_module._scan_linear = real_scan
-    assert linear == list(queries)
+    assert pool is old and old.index is index and old.pivots == held
+    for q in FIG4_PATHS + ("/a1/b1/c2/d2/e3/f3/foo", "/zz"):
+        stats = ScanStats()
+        got = find_best_pivot(pool, mkpath(q), stats)
+        ref = reference_scan(pool, mkpath(q))
+        assert got == ref.result, q
+        assert (stats.pivots_visited, stats.char_comparisons) == (ref.pivots_visited, ref.char_comparisons)
     mgr.reader_exit(token_id)
 
 
 @on_both_trees
-def test_installed_pools_are_indexed_before_any_scan(threadsafe):
-    """A tick swap and a covering invalidation both install an indexed pool,
-    so no scan of either builds an index."""
+def test_every_pool_carries_its_index_from_construction(threadsafe):
+    """A tick swap and a covering invalidation both install a pool that was
+    indexed when it was built; `index` is None only for an empty pool."""
+    assert PivotPool([]).index is None and build_pool([], 16).index is None
     tree, cset, epoch, mgr = fig4_manager(threadsafe)  # one tick swap
     queries = FIG4_PATHS + ("/a1/b1/c2/d2/e3/f3/foo", "/zz")
-
-    def no_build(pool):
-        raise AssertionError("index built by a scan")
-
-    real_build = pivots_module._index_pool
-    pivots_module._index_pool = no_build
-    try:
-        swapped = mgr.working_pool
-        assert swapped.index is not None
-        assert [find_best_pivot(swapped, mkpath(q)) is not None for q in queries] == [True] * 5 + [False]
-        assert mgr.invalidate_for_metadata(mkpath("/a1/b1/c2")) == 2
-        repaired = mgr.working_pool
-        assert repaired.index is not None and not repaired.linear_only
-        hits = [find_best_pivot(repaired, mkpath(q)) for q in queries]
-        assert [h[0].path if h else None for h in hits] == ["/a1/b1/c1"] * 3 + ["/a1/b2/c3", "/a1/b1/c1", None]
-    finally:
-        pivots_module._index_pool = real_build
+    swapped = mgr.working_pool
+    assert swapped.size == 4 and swapped.index is not None
+    assert [find_best_pivot(swapped, mkpath(q)) is not None for q in queries] == [True] * 5 + [False]
+    assert mgr.invalidate_for_metadata(mkpath("/a1/b1/c2")) == 2
+    repaired = mgr.working_pool
+    assert repaired.size == 2 and repaired.index is not None
+    hits = [find_best_pivot(repaired, mkpath(q)) for q in queries]
+    assert [h[0].path if h else None for h in hits] == ["/a1/b1/c1"] * 3 + ["/a1/b2/c3", "/a1/b1/c1", None]
+    assert mgr.invalidate_for_metadata(mkpath("/")) == 2
+    assert mgr.working_pool.size == 0 and mgr.working_pool.index is None
+    assert find_best_pivot(mgr.working_pool, mkpath("/a1/b1/c1")) is None
 
 
 @on_both_trees
@@ -389,7 +379,6 @@ def test_invalidate_matches_oracle_on_random_pools(threadsafe):
             assert verify_pool(new) == []
 
             assert pool is old and old.pivots is held
-            assert all(p.valid for p in survivors) and not any(p.valid for p in covered)
             for p in survivors:  # a scan still running on the old pool finds them
                 assert find_best_pivot(old, mkpath(p.path))[0] is p
             mgr.reclaim()

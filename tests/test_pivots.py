@@ -6,8 +6,6 @@ import random
 import sys
 import threading
 
-import pytest
-
 from stagewalk import (
     DIR,
     FILE,
@@ -144,30 +142,6 @@ def test_first_pivot_wins_ties():
     assert depth == 2 and pivot.path == "/a/b/x1"
 
 
-def test_invalid_pivots_skipped_as_absent(fig4):
-    _tree, _cands, pool = fig4
-    pool.pivots[2].valid = False  # hide the deepest match
-    got = find_best_pivot(pool, mkpath("/a1/b1/c2/d2/e3/f3/foo"))
-    want = brute_force_best(pool, mkpath("/a1/b1/c2/d2/e3/f3/foo"))
-    assert got[1] == want[1] == 4
-    assert got[0].path == want[0].path == "/a1/b1/c2/d2/e2"
-
-
-def test_descent_that_finds_an_invalidated_pivot_redoes_the_scan_linearly(fig4):
-    # a reader that checked `linear_only` just before a modification cleared
-    # the flag of the pivot its descent then finds
-    _tree, _cands, pool = fig4
-    q = mkpath("/a1/b1/c2/d2/e3/f3/foo")
-    assert find_best_pivot(pool, q)[1] == 6 and pool.index is not None
-    pool.pivots[2].valid = False
-    stats = ScanStats()
-    pivot, depth = find_best_pivot(pool, q, stats)
-    assert (pivot.path, depth) == ("/a1/b1/c2/d2/e2", 4)
-    # the linear scan's counts alone: a redo that added to the descent's would exceed them
-    ref = reference_scan(pool, q)
-    assert (stats.pivots_visited, stats.char_comparisons) == (ref.pivots_visited, ref.char_comparisons)
-
-
 _UNIVERSES: dict[tuple[int, bool], tuple[list[str], list]] = {}
 
 # suffixes whose first byte sorts below '/': as path text, "/a.d" falls
@@ -251,21 +225,6 @@ def test_optimality_vs_brute_force_randomized():
     assert checked == 4000
 
 
-def test_overlap_skipping_with_invalid_flags_randomized():
-    rng = random.Random(77)
-    for round_ in range(30):
-        pool, queries = _random_pool_and_queries(rng, 16, 30)
-        for pv in pool.pivots:
-            if rng.random() < 0.3:
-                pv.valid = False
-        for q in queries:
-            got = find_best_pivot(pool, q)
-            want = brute_force_best(pool, q)
-            assert (got is None) == (want is None)
-            if got:
-                assert got[1] == want[1]
-
-
 def test_single_scan_properties_randomized():
     rng = random.Random(31337)
     for round_ in range(20):
@@ -299,10 +258,8 @@ def _stop_kind(pool, path) -> str:
 _CLOSE_NAMES = ("a", "ab", "abc", "abd", "abcd", "b", "ba", "bab", "a.d", "a-b")
 
 
-@pytest.mark.parametrize("valid_share", [0.7, 1.0])
-def test_counts_match_char_by_char_reference_randomized(valid_share):
-    """With invalid pivots in the pool the scan is linear; with every pivot
-    valid it descends the pool's index. Both must count as the reference."""
+def test_counts_match_char_by_char_reference_randomized():
+    """Every scan descends the pool's index and must count as the reference."""
     rng = random.Random(5150)
     tree = make_tree()
     nodes = []
@@ -317,8 +274,6 @@ def test_counts_match_char_by_char_reference_randomized(valid_share):
             c.heat = rng.randint(1, 50)
         pool = build_pool(cands, 16)
         pool.published = True
-        for pv in pool.pivots:
-            pv.valid = rng.random() < valid_share
         queries = [PathBuf(tuple(rng.choice(_CLOSE_NAMES) for _ in range(rng.randint(0, 6)))) for _ in range(10)]
         # the first pass finds the index nodes' miss memos empty, the second warm
         for warm in (False, True):
@@ -344,13 +299,10 @@ def test_counts_match_char_by_char_reference_randomized(valid_share):
                 )
         indexed += pool.index is not None
     assert scans == 3000 and prefix_mismatches > 100
-    if valid_share == 1.0:
-        assert indexed == 300  # every pool was scanned through its index
-        # every place a descent can stop was checked against the reference
-        kinds = ("leaf hit", "leaf mismatch", "query ends in run", "miss below terminal", "miss")
-        assert sorted(stops) == sorted(kinds) and sum(stops.values()) == scans, stops
-    else:
-        assert indexed < 300
+    assert indexed == 300  # every pool was scanned through its index
+    # every place a descent can stop was checked against the reference
+    kinds = ("leaf hit", "leaf mismatch", "query ends in run", "miss below terminal", "miss")
+    assert sorted(stops) == sorted(kinds) and sum(stops.values()) == scans, stops
 
 
 def _index_nodes(node):
@@ -376,7 +328,7 @@ def _memo_pool():
     tree = make_tree(*_MEMO_PATHS)
     pool = build_pool([tree._resolve_admin(mkpath(p)) for p in _MEMO_PATHS], 16)
     pool.published = True
-    find_best_pivot(pool, mkpath("/d"))  # indexes the pool; a leaf hit fills no memo
+    find_best_pivot(pool, mkpath("/d"))  # a leaf hit fills no memo
     return pool
 
 
@@ -450,19 +402,18 @@ _STOP_QUERIES = {
 
 def test_every_scan_overwrites_both_counts_of_a_reused_stats():
     tree = make_tree(*_STOP_PATHS)
-    cands = [tree._resolve_admin(mkpath(p)) for p in _STOP_PATHS]
-    indexed, linear = build_pool(cands, 16), build_pool(cands, 16)
-    linear.pivots[1].valid = False  # the pool is scanned linearly from its first scan
-    for pool in (indexed, linear):
+    indexed = build_pool([tree._resolve_admin(mkpath(p)) for p in _STOP_PATHS], 16)
+    empty = build_pool([], 16)  # returns before any descent
+    for pool in (indexed, empty):
         pool.published = True
     stats = ScanStats()
     for kind, text in _STOP_QUERIES.items():
         q = mkpath(text)
-        for pool in (indexed, linear):
+        for pool in (indexed, empty):
             stats.pivots_visited = stats.char_comparisons = -1
             _scan_matches_reference(pool, q, stats)
         assert _stop_kind(indexed, q) == kind
-    assert indexed.index is not None and linear.linear_only
+    assert indexed.index is not None and empty.index is None
 
 
 # -- verify_pool -------------------------------------------------------------------------
