@@ -47,6 +47,11 @@ class Admission(Enum):
     REJECTED = "rejected"
 
 
+# the members bound once: maybe_admit runs on every cold lookup, and reading a
+# member through the enum class costs a class attribute lookup each time
+_ADMITTED, _REPLACED, _REJECTED = Admission.ADMITTED, Admission.REPLACED, Admission.REJECTED
+
+
 class CandidateSet:
     """Bounded set of hot dentries linked through their intrusive candidate links.
 
@@ -114,19 +119,19 @@ class CandidateSet:
         if dentry.cand_next is not None:
             raise ContractViolation("maybe_admit on a current member")
         if self.capacity == 0:
-            return Admission.REJECTED, None
+            return _REJECTED, None
         if self.size < self.capacity:
             self._insert(dentry)
             self.reconcile_least_popular(dentry)
-            return Admission.ADMITTED, None
+            return _ADMITTED, None
         lpc = self.least_popular
         assert lpc is not None  # full set always has a cursor: admissions reconcile
         if dentry.heat > lpc.heat + self.threshold:
             self._remove(lpc)
             self._insert(dentry)
             self.least_popular = dentry  # inherit the pointer
-            return Admission.REPLACED, lpc
-        return Admission.REJECTED, None
+            return _REPLACED, lpc
+        return _REJECTED, None
 
     def reconcile_least_popular(self, member: Dentry) -> None:
         """After a member's heat update, move the cursor to the smaller of the two."""

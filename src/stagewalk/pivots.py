@@ -8,6 +8,9 @@ share their first m names form one contiguous run. The paper's Stage One is
 one forward scan that uses the overlaps to walk the whole pool while reading
 the query path's characters at most once.
 
+`build_pool` ranks the candidates on their names and heat alone, and
+materializes (path text, component records, masks) only the pivots it keeps.
+
 The model reports what that scan costs, but the code need not perform it.
 Every pool builds its component index when it is constructed: a trie over
 the pivots' names whose every node carries the scan's running chars by the
@@ -113,47 +116,51 @@ def compute_overlap(prev: Pivot, cur: Pivot) -> int:
 
 
 def build_pool(candidates: Iterable[Dentry], bound: int) -> PivotPool:
-    """Materialize candidate dentries into a sorted pool of at most `bound` pivots.
+    """Materialize the hottest candidate dentries into a sorted pool of at
+    most `bound` pivots.
 
-    Each candidate's path is recovered by walking parent links; dead
-    candidates (unlinked mid-build) are silently dropped. When truncating,
-    hotter candidates win, ties broken by ascending component order, the
-    order of the pool itself. Sorting by path text instead would split a
-    run: `/a.d` sorts between `/a` and `/a/b` because `.` is below `/`.
+    A first pass walks each candidate's parent links for its names only:
+    dead candidates (unlinked mid-build) and the root are dropped, and of
+    two candidates with the same names the hotter is kept (the first on a
+    tie). Hotter candidates win the cut, ties broken by ascending component
+    order, the order of the pool itself. Sorting by path text instead would
+    split a run: `/a.d` sorts between `/a` and `/a/b` because `.` is below
+    `/`. Only the kept candidates are then walked again for their path
+    text, ids and masks, so a period that ranks 64 candidates for 16 slots
+    materializes 16.
     """
-    by_path: dict[str, tuple[int, tuple[str, ...], tuple[int, ...], tuple[int, ...]]] = {}
+    by_names: dict[tuple[str, ...], tuple[int, Dentry]] = {}
     for d in candidates:
         if d is None or d.dead:
             continue  # SkippedDead
         names: list[str] = []
-        ids: list[int] = []
-        masks: list[int] = []
         cur = d
         while cur.parent is not None:
             names.append(cur.name)
-            ids.append(cur.id)
-            masks.append(trav_mask(cur.mode))
             cur = cur.parent
         if not names:
             continue  # the root is never a pivot
         names.reverse()
-        ids.reverse()
-        masks.reverse()
-        path = "/" + "/".join(names)
-        prev = by_path.get(path)
+        key = tuple(names)
+        prev = by_names.get(key)
         if prev is None or d.heat > prev[0]:
-            by_path[path] = (d.heat, tuple(names), tuple(ids), tuple(masks))
-    ranked = sorted(by_path.items(), key=lambda kv: (-kv[1][0], kv[1][1]))[: max(bound, 0)]
-    ranked.sort(key=lambda kv: kv[1][1])
+            by_names[key] = (d.heat, d)
+    ranked = sorted(by_names.items(), key=lambda kv: (-kv[1][0], kv[0]))[: max(bound, 0)]
+    ranked.sort(key=lambda kv: kv[0])
 
     entries = []
-    for path, (_heat, names, ids, masks) in ranked:
+    for names, (_heat, d) in ranked:
+        chain: list[Dentry] = []
+        cur = d
+        while cur.parent is not None:
+            chain.append(cur)
+            cur = cur.parent
         comps: list[Component] = []
         running = ALL_CLASSES_MASK
-        for node_id, mask in zip(ids, masks):
-            comps.append(Component(node_id, running))
-            running &= mask  # this component joins the prefix of deeper ones
-        entries.append((path, names, tuple(comps)))
+        for node in reversed(chain):
+            comps.append(Component(node.id, running))
+            running &= trav_mask(node.mode)  # this component joins the prefix of deeper ones
+        entries.append(("/" + "/".join(names), names, tuple(comps)))
     return pool_from_sorted(entries)
 
 

@@ -51,11 +51,14 @@ class TreeSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if not self.levels or any(not isinstance(f, int) or f < 1 for f in self.levels):
+        # `type(x) is int`: a bool is not a fanout, a size or a seed
+        if not self.levels or any(type(f) is not int or f < 1 for f in self.levels):
             raise SpecInvalid(f"levels must be positive ints, got {self.levels!r}")
-        lo, hi = self.file_size_range
-        if lo < 0 or hi < lo:
-            raise SpecInvalid(f"bad file_size_range {self.file_size_range!r}")
+        sizes = self.file_size_range
+        if len(sizes) != 2 or any(type(x) is not int for x in sizes) or not 0 <= sizes[0] <= sizes[1]:
+            raise SpecInvalid(f"file_size_range must be two ints 0 <= lo <= hi, got {sizes!r}")
+        if type(self.seed) is not int:
+            raise SpecInvalid(f"seed must be an int, got {self.seed!r}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -70,7 +73,7 @@ class TreeSpec:
             spec = cls(
                 levels=list(obj["levels"]),
                 file_size_range=tuple(obj.get("file_size_range", (4096, 4096))),
-                seed=int(obj.get("seed", 0)),
+                seed=obj.get("seed", 0),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecInvalid(f"bad tree spec: {exc}") from exc
@@ -92,22 +95,26 @@ def gen_tree(
     seed: Optional[int] = None,
     threadsafe: bool = False,
 ) -> DirTree:
-    """Deterministic tree for a spec: same seed, same canonical dump."""
+    """Deterministic tree for a spec: same seed, same canonical dump.
+
+    Each level's names are built once and the same string objects are
+    attached under every parent, so a tree holds one copy of each name."""
     spec.validate()
     rng = random.Random(spec.seed if seed is None else seed)
     tree = DirTree(threadsafe=threadsafe)
     parents = [tree.root]
     for depth, fanout in enumerate(spec.levels, start=1):
         letter = _level_letter(depth)
+        names = [f"{letter}{i}" for i in range(fanout)]
         next_parents = []
         for parent in parents:
-            for i in range(fanout):
-                next_parents.append(tree._attach(parent, f"{letter}{i}", DIR, _DIR_MODE))
+            for name in names:
+                next_parents.append(tree._attach(parent, name, DIR, _DIR_MODE))
         parents = next_parents
     lo, hi = spec.file_size_range
-    leaf_letter = _level_letter(len(spec.levels) + 1)
+    leaf_name = f"{_level_letter(len(spec.levels) + 1)}0"
     for parent in parents:
-        tree._attach(parent, f"{leaf_letter}0", FILE, _FILE_MODE, rng.randint(lo, hi))
+        tree._attach(parent, leaf_name, FILE, _FILE_MODE, rng.randint(lo, hi))
     return tree
 
 

@@ -16,6 +16,8 @@ from stagewalk import (
     PivotPool,
     build_pool,
 )
+from stagewalk.pivots import Component, pool_from_sorted
+from stagewalk.tree import ALL_CLASSES_MASK, trav_mask
 
 TRAV_BIT = {Credential.OWNER: 0o100, Credential.GROUP: 0o010, Credential.OTHER: 0o001}
 
@@ -154,6 +156,47 @@ def reference_scan(pool: PivotPool, path: PathBuf) -> ReferenceScan:
             break
     ref.result = None if best is None else (best, best_depth)
     return ref
+
+
+def reference_build_pool(candidates, bound: int) -> PivotPool:
+    """build_pool as it was before it ranked on names alone: every live
+    candidate's path text, ids, masks and components are worked out first,
+    and only then is the pool cut to `bound`. The pools build_pool returns
+    must equal these in order, overlaps, ids and prefix masks."""
+    by_path: dict[str, tuple[int, tuple[str, ...], tuple[int, ...], tuple[int, ...]]] = {}
+    for d in candidates:
+        if d is None or d.dead:
+            continue
+        names: list[str] = []
+        ids: list[int] = []
+        masks: list[int] = []
+        cur = d
+        while cur.parent is not None:
+            names.append(cur.name)
+            ids.append(cur.id)
+            masks.append(trav_mask(cur.mode))
+            cur = cur.parent
+        if not names:
+            continue
+        names.reverse()
+        ids.reverse()
+        masks.reverse()
+        path = "/" + "/".join(names)
+        prev = by_path.get(path)
+        if prev is None or d.heat > prev[0]:
+            by_path[path] = (d.heat, tuple(names), tuple(ids), tuple(masks))
+    ranked = sorted(by_path.items(), key=lambda kv: (-kv[1][0], kv[1][1]))[: max(bound, 0)]
+    ranked.sort(key=lambda kv: kv[1][1])
+
+    entries = []
+    for path, (_heat, names, ids, masks) in ranked:
+        comps: list[Component] = []
+        running = ALL_CLASSES_MASK
+        for node_id, mask in zip(ids, masks):
+            comps.append(Component(node_id, running))
+            running &= mask
+        entries.append((path, names, tuple(comps)))
+    return pool_from_sorted(entries)
 
 
 FIG4_PATHS = ("/a1/b1/c1", "/a1/b1/c2/d2/e2", "/a1/b1/c2/d2/e3/f3/g3", "/a1/b2/c3")

@@ -123,6 +123,39 @@ def test_flag_not_read_by_subcommand_exits_2(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("file_size_range", [1]),
+        ("file_size_range", [1, 2, 3]),
+        ("file_size_range", ["a", "b"]),
+        ("file_size_range", [True, 2]),
+        ("levels", [True, 2]),
+        ("seed", 1.5),
+        ("seed", True),
+    ],
+    ids=["range-1", "range-3", "range-str", "range-bool", "levels-bool", "seed-float", "seed-bool"],
+)
+def test_malformed_tree_spec_exits_2(tmp_path, field, value, capsys):
+    prefix = str(tmp_path / "t")
+    assert main(["gen-tree", "--levels", "2", "--out", prefix]) == EXIT_OK
+    trace_file = str(tmp_path / "trace.jsonl")
+    assert main(["synth", "--tree", f"{prefix}.spec.json", "--events", "10", "--out", trace_file]) == EXIT_OK
+    spec = json.load(open(f"{prefix}.spec.json"))
+    spec[field] = value
+    bad = tmp_path / "bad.spec.json"
+    bad.write_text(json.dumps(spec))
+    for argv in (
+        ["synth", "--tree", str(bad), "--events", "10", "--out", str(tmp_path / "out.jsonl")],
+        ["replay", "--tree", str(bad), "--trace", trace_file],
+        ["compare", "--tree", str(bad), "--trace", trace_file],
+    ):
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG, argv
+        assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_unknown_strategy_exits_2(tmp_path):
     # argparse rejects out-of-choices values with its usage exit code
     assert main(["replay", "--tree", "x", "--trace", "y", "--strategy", "bogus"]) == 2

@@ -19,6 +19,7 @@ from stagewalk import (
 )
 from stagewalk import pivots
 from stagewalk.pivots import pool_from_sorted
+from stagewalk.tree import trav_mask
 from conftest import (
     FIG4_PATHS,
     brute_force_best,
@@ -26,6 +27,8 @@ from conftest import (
     make_node,
     make_tree,
     mkpath,
+    random_tree_paths,
+    reference_build_pool,
     reference_scan,
 )
 
@@ -79,6 +82,88 @@ def test_component_arrays(fig4):
         assert tree.node(c.node_id).name == name
     # depth-1 mask is vacuous; deeper masks AND the ancestors
     assert pv.components[0].prefix_trav == 0b111
+
+
+def _pool_shape(pool):
+    return (
+        pool.dump(),
+        [pv.names for pv in pool.pivots],
+        [[(c.node_id, c.prefix_trav) for c in pv.components] for pv in pool.pivots],
+    )
+
+
+def _names_of(d) -> tuple[str, ...]:
+    names = []
+    while d.parent is not None:
+        names.append(d.name)
+        d = d.parent
+    return tuple(reversed(names))
+
+
+def test_build_pool_matches_reference_randomized():
+    """build_pool ranks on names before it materializes; its pools must equal
+    the reference's, which materializes every candidate first."""
+    rng = random.Random(1515)
+    seen = collections.Counter()
+    for _trial in range(60):
+        paths = random_tree_paths(rng, rng.randint(3, 30), max_depth=5)
+        tree = make_tree(*paths)
+        # the same names under other ids: a repeat whose hotter dentry must win
+        twin = make_tree(*rng.sample(paths, len(paths)))
+        for d in tree.nodes[2:] + twin.nodes[2:]:
+            if rng.random() < 0.3:
+                d.mode = rng.choice((0o750, 0o711, 0o700, 0o644, 0o055))
+        cands = rng.sample(tree.nodes[1:] + twin.nodes[2:], rng.randint(1, 2 * len(tree.nodes) - 3))
+        cands += rng.choices(cands, k=rng.randint(0, 4))  # the same dentry again
+        for d in cands:
+            d.heat = rng.randint(0, 3)  # few values: ties everywhere, across the cut too
+        leaves = [d for d in cands if d in tree.nodes[2:] and not d.children]
+        for d in rng.sample(leaves, min(len(leaves), rng.randint(0, 2))):
+            tree.unlink_node(PathBuf(_names_of(d)))
+        hottest: dict[tuple[str, ...], int] = {}
+        dentries: dict[tuple[str, ...], set] = collections.defaultdict(set)
+        for d in cands:
+            if not d.dead and d.parent is not None:
+                hottest[_names_of(d)] = max(hottest.get(_names_of(d), -1), d.heat)
+                dentries[_names_of(d)].add(id(d))
+        seen["dead"] += any(d.dead for d in cands)
+        seen["root"] += tree.root in cands
+        seen["two dentries, one name"] += any(len(ids) > 1 for ids in dentries.values())
+        heats = sorted(hottest.values(), reverse=True)
+        n = len(hottest)
+        for bound in (0, 1, n // 2, n, n + 3):
+            got = build_pool(cands, bound)
+            assert _pool_shape(got) == _pool_shape(reference_build_pool(cands, bound))
+            assert got.size == min(bound, n) and verify_pool(got) == []
+            seen["tie at the cut"] += 0 < bound < n and heats[bound - 1] == heats[bound]
+    assert len(seen) == 4 and all(seen.values()), seen
+
+
+def test_build_pool_materializes_only_the_kept_candidates(monkeypatch):
+    paths = [f"/a{i // 8}/b{i % 8}/c0/d0/e0/f0" for i in range(64)]
+    tree = make_tree(*paths)
+    cands = [tree._resolve_admin(mkpath(p)) for p in paths]
+    for i, d in enumerate(cands):
+        d.heat = (i * 37) % 64  # a permutation: the 16 kept are spread out
+    made = collections.Counter()
+
+    class CountedComponent(pivots.Component):
+        __slots__ = ()
+
+        def __init__(self, node_id, prefix_trav):
+            made["Component"] += 1
+            super().__init__(node_id, prefix_trav)
+
+    def counted_trav_mask(mode):
+        made["trav_mask"] += 1
+        return trav_mask(mode)
+
+    monkeypatch.setattr(pivots, "Component", CountedComponent)
+    monkeypatch.setattr(pivots, "trav_mask", counted_trav_mask)
+    pool = build_pool(cands, 16)
+    # 16 kept pivots of 6 components each; masking all 64 candidates took 384
+    assert pool.size == 16 and made["Component"] <= 16 * 6 and made["trav_mask"] <= 16 * 6
+    assert _pool_shape(pool) == _pool_shape(reference_build_pool(cands, 16))
 
 
 # -- compute_overlap ------------------------------------------------------------------

@@ -350,6 +350,13 @@ def test_preset_dump_unchanged(preset):
     assert hashlib.sha256(preset.canonical_dump().encode()).hexdigest() == _PRESET_DUMP_SHA256
 
 
+def test_preset_stores_each_name_once(preset):
+    # five levels of ten directory names plus the leaf's one: 211,110 dentries, 51 strings
+    non_root = preset.nodes[2:]
+    assert len(non_root) == 211_110
+    assert len({id(d.name) for d in non_root}) == len({d.name for d in non_root}) == 51
+
+
 def test_id_issued_after_the_map_was_sized_counts_once():
     tree = make_tree("/a")
     m = Metrics()
