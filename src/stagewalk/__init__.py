@@ -29,7 +29,7 @@ from .errors import (
     Unsupported,
 )
 from .fullpath import FullPathCache
-from .heat import Admission, CandidateSet, HeatEpoch, observe_target, record_access
+from .heat import Admission, CandidateSet, HeatEpoch, observe_target
 from .metrics import Metrics
 from .paths import ROOT, PathBuf
 from .pivots import (
@@ -38,9 +38,7 @@ from .pivots import (
     PivotPool,
     ScanStats,
     build_pool,
-    compute_overlap,
     find_best_pivot,
-    pool_footprint_bytes,
     verify_pool,
 )
 from .tree import DIR, FILE, Credential, Dentry, DirTree
@@ -108,16 +106,13 @@ __all__ = [
     "Unsupported",
     "bench_depth_grid",
     "build_pool",
-    "compute_overlap",
     "equivalence_run",
     "find_best_pivot",
     "gen_tree",
     "make_resolver",
     "observe_target",
     "parse_metrics_csv",
-    "pool_footprint_bytes",
     "read_trace",
-    "record_access",
     "replay",
     "report",
     "run_soak",

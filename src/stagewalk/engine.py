@@ -1,13 +1,16 @@
 """The two-stage lookup engine and the plain-walk resolver it is compared to.
 
-Stage One scans the working pivot pool, pinned by a token id that the
-manager's reader registry holds from `reader_enter` to `reader_exit`, for
-the pivot sharing the deepest prefix with the query; Stage Two resolves the
-remaining components through the children maps exactly like the original
-walk, starting from the matched component's dentry, which the pivot stores
-per depth (so landing on an ancestor of the pivot is a direct array index,
-recorded as rolled_up). The skipped prefix's permission check is one mask
-test against traversal bits aggregated at build time.
+Stage One scans the working pivot pool for the pivot sharing the deepest
+prefix with the query. On a threadsafe tree the pool is pinned by a token id
+that the manager's reader registry holds from `reader_enter` to
+`reader_exit`; on a single-threaded tree the same calls register nothing
+(see `epoch`). Stage Two resolves the remaining components through the
+children maps exactly like the original walk, starting from the matched
+component's dentry, which the pivot stores per depth (so landing on an
+ancestor of the pivot is a direct array index, recorded as rolled_up). The
+skipped prefix's permission check is one mask test against traversal bits
+aggregated at build time. The heat update is one call, `observe_target`,
+taken under the heat lock on a threadsafe tree only.
 
 A lookup sees one state of the tree, as the kernel's RCU-walk does: it
 samples the manager's `metadata_seq` before it enters, and if the count has
@@ -90,8 +93,8 @@ class OriginalLookup(_ResolverBase):
 
 
 class _ScanSlot(threading.local):
-    """One ScanStats per thread, reused by every scan the thread makes;
-    find_best_pivot writes both counts on every return."""
+    """One ScanStats per thread of a threadsafe tree, reused by every scan the
+    thread makes; find_best_pivot writes both counts on every return."""
 
     def __init__(self) -> None:
         self.stats = ScanStats()
@@ -112,7 +115,10 @@ class StageLookupEngine(_ResolverBase):
         self.heat_lock = threading.Lock()
         self._threadsafe = tree.threadsafe  # heat updates take heat_lock only then
         self.manager = PivotManager(tree, self.candidates, self.epoch, self.heat_lock, pool_bound=pool_size)
-        self._scan = _ScanSlot()
+        # a single-threaded engine keeps its one ScanStats in a plain slot: a
+        # threading.local attribute read costs several plain ones
+        self._stats = None if tree.threadsafe else ScanStats()
+        self._scan = _ScanSlot() if tree.threadsafe else None
         tree.register_hook(self._on_metadata)
 
     def _on_metadata(self, path: PathBuf) -> None:
@@ -132,7 +138,7 @@ class StageLookupEngine(_ResolverBase):
         metrics = self.metrics
         metrics.lookups += 1
         manager = self.manager
-        stats = self._scan.stats
+        stats = self._stats or self._scan.stats
         seq = manager.metadata_seq
         token_id, pool = manager.reader_enter()
         try:

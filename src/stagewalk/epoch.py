@@ -1,10 +1,10 @@
 """Pivot manager lifecycle: one working pool, a reader registry, deferred reclamation.
 
-A reader's `reader_enter` registers a fresh token id under a generation and
-returns the id with the working pool of that instant; the registration pins
-that pool until `reader_exit` releases the id. Every change of the working
-pool builds a fresh pool off to the side and publishes it through
-`_install`, so a reader never observes a partial build. Retired pools go on
+On a threadsafe tree a reader's `reader_enter` registers a fresh token id
+under a generation and returns the id with the working pool of that instant;
+the registration pins that pool until `reader_exit` releases the id. Every
+change of the working pool builds a fresh pool off to the side and publishes
+it through `_install`, so a reader never observes a partial build. Retired pools go on
 a reclaim queue and are poisoned (freed flag) only once every reader
 registered before their retirement has exited, which the sentinel checks in
 find_best_pivot turn into hard failures on any protocol bug.
@@ -21,12 +21,14 @@ before the build is already in it (the build walks the live tree's parent
 links) and costs no swap. Hooks fire under the tree write lock, so a racing
 modification lands between the build and the swap, never inside the build.
 
-The reader registry takes a lock only on a threadsafe tree. On a
-single-threaded tree a reader registers the current generation before it
-reads the working pool, and `_install` publishes a pool before it bumps the
-generation, so every pool a reader can see is at least as new as the
-generation it registered and stays pinned until it exits (the same order
-epoch-based reclamation uses).
+Only a threadsafe tree keeps the registry, under a lock. A single-threaded
+tree registers nothing: `reader_enter` returns token 0 with the working pool
+and `reader_exit` returns at once. On one thread no `reclaim` can run between
+a lookup's enter and exit (ticks, hooks and lookups are calls on that thread,
+and the engine reclaims only inside `periodic_update`), so no registration
+could change what is freed. This is the kernel's reasoning for Tiny RCU,
+whose read-side lock does almost nothing on a non-preemptible uniprocessor.
+A caller that holds a pool across a tick anyway trips the sentinel.
 """
 
 from __future__ import annotations
@@ -108,13 +110,11 @@ class PivotManager:
 
         Every reader draws its own id, so a second release of one id is
         caught even while another reader of the same generation is active,
-        which a count of readers per generation would miss."""
+        which a count of readers per generation would miss. A single-threaded
+        tree registers nothing and returns id 0 (see the module docstring)."""
         lock = self._reader_lock
         if lock is None:
-            tid = next(self._token_seq)
-            # register before reading the pool: see the module docstring
-            self._readers[tid] = self.generation
-            return tid, self.working_pool
+            return 0, self.working_pool
         with lock:
             pool = self.working_pool
             tid = next(self._token_seq)
@@ -124,10 +124,9 @@ class PivotManager:
     def reader_exit(self, token_id: int) -> None:
         lock = self._reader_lock
         if lock is None:
+            return
+        with lock:
             released = self._readers.pop(token_id, None) is not None
-        else:
-            with lock:
-                released = self._readers.pop(token_id, None) is not None
         if not released:
             raise ContractViolation(f"token {token_id} released twice")
 
@@ -138,18 +137,18 @@ class PivotManager:
 
     def oldest_active_generation(self) -> Optional[int]:
         with self._reader_lock or nullcontext():
-            # a snapshot: without the lock, readers enter and exit meanwhile
-            return min(list(self._readers.values()), default=None)
+            return min(self._readers.values(), default=None)
 
     # -- manager side -----------------------------------------------------------
 
     def periodic_update(self, candidates: Optional[Iterable[Dentry]] = None) -> bool:
-        """One manager period: rebuild, maybe swap, then advance and drain heat.
+        """One manager period: rebuild, maybe swap, then advance heat and
+        clear the candidate set.
 
         A metadata modification between the start of the build and the swap
         discards the fresh build, and the working pool stays as the
         modification left it for another period; in that case the heat version
-        does not advance and nothing is drained. Returns whether a swap
+        does not advance and the candidates stay. Returns whether a swap
         happened. `swaps` counts these period swaps only.
         """
         self.ticks += 1
@@ -171,7 +170,7 @@ class PivotManager:
             self.swaps += 1
             with self._heat_lock:
                 self._epoch.advance()
-                self._candidates.drain_overdue(self._epoch)
+                self._candidates.clear()
         self.reclaim()
         return swapped
 
@@ -189,7 +188,7 @@ class PivotManager:
         old = self.working_pool
         with self._reader_lock or nullcontext():
             self.working_pool = pool
-        self.generation = gen  # only after the publish: see the module docstring
+        self.generation = gen
         self.reclaim_queue.push(old, old.generation)
 
     def invalidate_for_metadata(self, path: PathBuf) -> int:

@@ -4,7 +4,13 @@ Heat counts accesses of lookup *targets* only, and a heat value is valid only
 while its version matches the global one; the first access of a new period
 resets it to 1. The candidate set keeps the hottest dentries on an intrusive
 circular list and tracks a least_popular_cand cursor that is cheap to
-maintain but deliberately not guaranteed to point at the true minimum.
+maintain but deliberately not guaranteed to point at the true minimum. Every
+pool swap advances the version and clears the set, so each period's
+candidates are the targets of that period alone.
+
+The heat rule has one copy, written inline in `observe_target` because it
+runs once per lookup. The cursor rule's one-line test is written there, for
+members, and in `maybe_admit`'s admission branch.
 """
 
 from __future__ import annotations
@@ -30,17 +36,6 @@ class HeatEpoch:
         return self.global_version
 
 
-def record_access(dentry: Dentry, epoch: HeatEpoch) -> int:
-    """Bump the target's heat, resetting it first if its version is stale."""
-    if dentry.heat_version == epoch.global_version:
-        if dentry.heat < HEAT_MAX:
-            dentry.heat += 1
-    else:
-        dentry.heat = 1
-        dentry.heat_version = epoch.global_version
-    return dentry.heat
-
-
 class Admission(Enum):
     ADMITTED = "admitted"
     REPLACED = "replaced"
@@ -56,7 +51,7 @@ class CandidateSet:
     """Bounded set of hot dentries linked through their intrusive candidate links.
 
     A dentry is a member exactly when its `cand_next` is set. The lookup path
-    (`observe_target` and the methods it calls) tests that link directly
+    (`observe_target` and `maybe_admit`) tests that link directly
     rather than paying a call to `__contains__`.
     """
 
@@ -122,10 +117,12 @@ class CandidateSet:
             return _REJECTED, None
         if self.size < self.capacity:
             self._insert(dentry)
-            self.reconcile_least_popular(dentry)
+            lpc = self.least_popular
+            if lpc is None or dentry.heat < lpc.heat:  # observe_target's cursor rule
+                self.least_popular = dentry
             return _ADMITTED, None
         lpc = self.least_popular
-        assert lpc is not None  # full set always has a cursor: admissions reconcile
+        assert lpc is not None  # full set always has a cursor: every admission sets one
         if dentry.heat > lpc.heat + self.threshold:
             self._remove(lpc)
             self._insert(dentry)
@@ -133,24 +130,16 @@ class CandidateSet:
             return _REPLACED, lpc
         return _REJECTED, None
 
-    def reconcile_least_popular(self, member: Dentry) -> None:
-        """After a member's heat update, move the cursor to the smaller of the two."""
-        if member.cand_next is None:
-            raise ContractViolation("reconcile on a non-member")
-        lpc = self.least_popular
-        if lpc is None:
-            self.least_popular = member
-        elif member is not lpc and member.heat < lpc.heat:
-            self.least_popular = member
+    def clear(self) -> None:
+        """Unlink every member and reset the cursor and the size.
 
-    def drain_overdue(self, epoch: HeatEpoch) -> list[Dentry]:
-        """Evict every member whose heat version predates the current one."""
-        evicted = [m for m in self.members() if m.heat_version < epoch.global_version]
-        for m in evicted:
-            if self.least_popular is m:
-                self.least_popular = None
-            self._remove(m)
-        return evicted
+        The manager calls this right after it advances the heat version, under
+        the heat lock, so no member can hold the new version: evicting the
+        members whose version is stale would evict them all."""
+        for m in self.members():
+            m.cand_prev = m.cand_next = None
+        self._head = self.least_popular = None
+        self.size = 0
 
     def validate(self) -> None:
         """Raise if the ring or cursor is inconsistent (test support)."""
@@ -165,10 +154,24 @@ class CandidateSet:
 
 
 def observe_target(dentry: Dentry, epoch: HeatEpoch, cset: CandidateSet) -> int:
-    """Heat pipeline for one resolved lookup target."""
-    heat = record_access(dentry, epoch)
+    """Heat pipeline for one resolved lookup target; returns its new heat.
+
+    The heat rule: bump the target's heat, saturating at HEAT_MAX, or reset it
+    to 1 if its version is stale. Then a member takes the cursor when its heat
+    is below the cursor's referent's (never on a tie, so the referent itself
+    leaves it in place), and a non-member is offered to `maybe_admit`."""
+    version = epoch.global_version
+    if dentry.heat_version == version:
+        heat = dentry.heat
+        if heat < HEAT_MAX:
+            heat = dentry.heat = heat + 1
+    else:
+        heat = dentry.heat = 1
+        dentry.heat_version = version
     if dentry.cand_next is not None:
-        cset.reconcile_least_popular(dentry)
+        lpc = cset.least_popular
+        if lpc is None or heat < lpc.heat:
+            cset.least_popular = dentry
     else:
         cset.maybe_admit(dentry)
     return heat

@@ -4,12 +4,11 @@ The default tree is single threaded and carries a NullRWLock so the hot
 lookup path pays only two no-op calls. The concurrency harness builds trees
 with the real writer-preferring RWLock instead (`DirTree(threadsafe=True)`).
 
-The lock type also decides the stage engine's read side: the reader-token
-registry (`PivotManager`) and the heat update take their locks only on a
-threadsafe tree. On a single-threaded tree the registry relies on order
-instead: a reader registers its generation before it reads the working pool,
-and a swap publishes the new pool before it bumps the generation. Concurrent
-lookups therefore need a threadsafe tree.
+The lock type also decides the stage engine's read side: only a threadsafe
+tree keeps the reader-token registry (`PivotManager`), under a lock, and
+takes the heat lock around the heat update. A single-threaded tree registers
+no readers at all, since on one thread nothing reclaims a pool inside a
+lookup. Concurrent lookups therefore need a threadsafe tree.
 """
 
 from __future__ import annotations

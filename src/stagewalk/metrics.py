@@ -20,7 +20,8 @@ Counter semantics:
   adds the run's own cost: the rest of a single pivot's names, or the
   mismatch cost against the names of the run's groups, which the node
   memoizes per missing name. The engine takes Stage One's count off one
-  reused per-thread `ScanStats`, so counting allocates nothing per lookup.
+  reused `ScanStats` (one per thread on a threadsafe tree), so counting
+  allocates nothing per lookup.
 - fallbacks: a modification raced the lookup, which then walked from the
   root.
 - distinct_resolved: a byte map by dentry id, 1 at each id a walk ever

@@ -110,11 +110,6 @@ def _lcp_components(a: Sequence[str], b: Sequence[str]) -> int:
     return i
 
 
-def compute_overlap(prev: Pivot, cur: Pivot) -> int:
-    """Leading whole components shared by two pivot paths (root not counted)."""
-    return _lcp_components(prev.names, cur.names)
-
-
 def build_pool(candidates: Iterable[Dentry], bound: int) -> PivotPool:
     """Materialize the hottest candidate dentries into a sorted pool of at
     most `bound` pivots.
@@ -182,8 +177,8 @@ class ScanStats:
     The counts are the paper's char-by-char scan's: the index descent reads
     them off the node where it stops, and compares no names char by char to
     count chars. Every return overwrites both, so one object can serve scan
-    after scan: the engine keeps one per thread and allocates none per
-    lookup.
+    after scan: the engine keeps one (one per thread on a threadsafe tree)
+    and allocates none per lookup.
 
     The engine reads only `char_comparisons`. The class survives because the
     benchmark's spans read `pivots_visited` and `char_comparisons` off the
@@ -229,7 +224,12 @@ class _IndexNode:
     A run of two or more pivots is split into groups by name m (the pivot
     that has only m names, `terminal`, comes first and joins no group);
     `children` maps each group's name to its run's node. A run of one pivot
-    keeps that `pivot` and `lens`, the running sums of its name lengths.
+    keeps that `pivot`, `lens`, the running sums of its name lengths, and
+    `whole_chars`, the chars of a query that is that pivot's whole path.
+
+    `first_visited` and `past_visited` are the scan's pivots visited when it
+    stops at the run's first pivot (the query ends in the run) and when it
+    stops at the first pivot after the run.
 
     `misses` maps a name that no group matches to its mismatch chars summed
     over the groups, filled by the descents that stop here. It holds at most
@@ -240,21 +240,27 @@ class _IndexNode:
     threads.
     """
 
-    __slots__ = ("start", "end", "terminal", "children", "pivot", "lens", "chars", "misses")
+    __slots__ = (
+        "start", "terminal", "children", "pivot", "lens", "chars", "whole_chars", "misses",
+        "first_visited", "past_visited",
+    )
 
     def __init__(self, pivots: list[Pivot], start: int, end: int, m: int, chars: int):
         self.start = start
-        self.end = end
         self.chars = chars
+        self.first_visited = start + 1
+        self.past_visited = min(end + 1, len(pivots))
         self.children: dict[str, _IndexNode] = {}
         self.misses: dict[str, int] = {}
         self.pivot: Optional[Pivot] = None
         self.lens: tuple[int, ...] = ()
+        self.whole_chars = 0
         # a pivot with only m names sorts first: it is a prefix of every other
         self.terminal = len(pivots[start].names) == m
         if end - start == 1:
             self.pivot = pivots[start]
             self.lens = (0, *accumulate(map(len, self.pivot.names)))
+            self.whole_chars = chars + self.lens[-1] - self.lens[m]
             return
         i = start + self.terminal
         while i < end:
@@ -282,7 +288,9 @@ def find_best_pivot(
     chars off the node and adds what the scan spends in that run.
     The scan compares the run's first pivot as deep as the query matches it:
 
-    - a run of one pivot: one tuple-slice compare settles the depth;
+    - a run of one pivot: a query equal to the pivot's whole path, the common
+      case, is settled by one tuple compare and the counts the node stores;
+      otherwise the depth is found name by name from the run's level;
     - the query ends in the run: that first compare stops the scan;
     - no group matches the query's next name: the terminal pivot and each
       group end one compare at the run's level, and the scan stops at the
@@ -314,18 +322,24 @@ def find_best_pivot(
             break
         node = child
         m += 1
-    chars = node.chars
     pv = node.pivot
+    if pv is not None and comps == pv.names:  # a whole-path hit
+        if pool.freed:
+            raise ContractViolation("pivot used after reclaim")
+        if stats is not None:
+            stats.pivots_visited = node.first_visited
+            stats.char_comparisons = node.whole_chars
+        return pv, n
+    chars = node.chars
     if pv is not None:
         names = pv.names
-        e = len(names)
-        if n < e:
-            e = n
-        # a whole-path hit, the common case, is settled without slicing
-        if comps != names and comps[m:e] != names[m:e]:
-            e = m
-            while comps[e] == names[e]:
-                e += 1
+        k = len(names)
+        if n < k:
+            k = n
+        e = m
+        while e < k and comps[e] == names[e]:
+            e += 1
+        if e < k:
             chars += _mismatch_cost(comps[e], names[e])
         lens = node.lens
         chars += lens[e] - lens[m]
@@ -343,7 +357,7 @@ def find_best_pivot(
     if pool.freed:
         raise ContractViolation("pivot used after reclaim")
     if stats is not None:
-        stats.pivots_visited = node.start + 1 if e == n else min(node.end + 1, index.end)
+        stats.pivots_visited = node.first_visited if e == n else node.past_visited
         stats.char_comparisons = chars
     return (pool.pivots[node.start], e) if e else None
 
@@ -366,22 +380,3 @@ def verify_pool(pool: PivotPool) -> list[str]:
         if len(pv.components) != len(pv.names):
             problems.append(f"[{i}] component array length mismatch")
     return problems
-
-
-# accounting model for a 64-bit layout: 16 bytes per component record,
-# component blocks allocated in units of _COMPONENT_CAPACITY records, a 64-byte
-# pivot header (path pointer/length, overlap, extension pointer, padding)
-# and a fixed 128-byte path buffer per pivot
-_COMPONENT_CAPACITY = 8
-_COMPONENT_BYTES = 16
-_PIVOT_HEADER_BYTES = 64
-_PATH_BUF_BYTES = 128
-
-
-def pool_footprint_bytes(pool: PivotPool) -> int:
-    """Reported memory footprint of the pool; accounting only, nothing is allocated."""
-    total = 0
-    for pv in pool.pivots:
-        blocks = max(1, -(-pv.depth // _COMPONENT_CAPACITY))
-        total += _PIVOT_HEADER_BYTES + _PATH_BUF_BYTES + blocks * _COMPONENT_CAPACITY * _COMPONENT_BYTES
-    return total

@@ -28,7 +28,7 @@ from stagewalk import (
     run_soak,
     synth_trace,
 )
-from stagewalk.heat import Admission, CandidateSet, HeatEpoch, record_access
+from stagewalk.heat import Admission, CandidateSet, HeatEpoch, observe_target
 from conftest import FIG4_PATHS, brute_force_best, make_tree, mkpath, reference_scan
 
 OWNER = Credential.OWNER
@@ -276,16 +276,17 @@ def test_c6_heat_epoch_directed():
     checks: list[bool] = []
 
     epoch = HeatEpoch()
+    no_candidates = CandidateSet(0)  # the heat bump alone
     d1 = node(1)
     for _ in range(3):
-        record_access(d1, epoch)
+        observe_target(d1, epoch, no_candidates)
     checks.append(d1.heat == 3)  # counting within one period
 
     d2 = node(2)
     for _ in range(5):
-        record_access(d2, epoch)
+        observe_target(d2, epoch, no_candidates)
     epoch.advance()
-    record_access(d2, epoch)
+    observe_target(d2, epoch, no_candidates)
     checks.append(d2.heat == 1)  # reset rule
 
     tree = make_tree(files=("/a0/b0/c0/d0/e0/f0/g0/h0",))
@@ -312,30 +313,34 @@ def test_c6_heat_epoch_directed():
     cset2.least_popular = members2[0]
     checks.append(cset2.maybe_admit(node(98, heat=14))[0] is Admission.REJECTED)  # strict boundary
 
+    epoch3 = HeatEpoch()
     cset3 = CandidateSet(4, threshold=4)
     ms = [node(30 + i, heat=10 + i) for i in range(4)]
     for m in ms:
+        m.heat_version = epoch3.global_version
         cset3.maybe_admit(m)
     cset3.least_popular = ms[2]
     ms[0].heat = 3
-    cset3.reconcile_least_popular(ms[0])
+    observe_target(ms[0], epoch3, cset3)
     checks.append(cset3.least_popular is ms[0])  # loser takes the cursor
     ms[3].heat = 99
-    cset3.reconcile_least_popular(ms[3])
+    observe_target(ms[3], epoch3, cset3)
     checks.append(cset3.least_popular is ms[0])  # winner leaves it
 
-    epoch4 = HeatEpoch()
-    cset4 = CandidateSet(8, threshold=4)
-    stale = [node(40 + i, heat=2) for i in range(4)]
-    for m in stale:
-        m.heat_version = epoch4.global_version
-        cset4.maybe_admit(m)
-    epoch4.advance()
-    fresh = node(50)
-    record_access(fresh, epoch4)
-    cset4.maybe_admit(fresh)
-    evicted = cset4.drain_overdue(epoch4)
-    checks.append(sorted(m.id for m in evicted) == [40, 41, 42, 43] and fresh in cset4)
+    # the drain, through the engine: a swap empties the candidate set, and the
+    # next period's first lookup starts it again
+    files = ("/d/f0", "/d/f1", "/d/f2")
+    engine4 = StageLookupEngine(make_tree(files=files), heat_capacity=8)
+    for text in files:
+        engine4.stage_lookup(mkpath(text))
+    before = engine4.candidates.members()
+    engine4.tick()
+    drained = len(before) == 3 and len(engine4.candidates) == 0 and engine4.candidates.least_popular is None
+    drained = drained and all(m.cand_next is None and m.cand_prev is None for m in before)
+    engine4.stage_lookup(mkpath("/d/f1"))
+    cset4 = engine4.candidates
+    restarted = [m.name for m in cset4.members()] == ["f1"] and cset4.least_popular.name == "f1"
+    checks.append(drained and restarted and engine4.manager.working_pool.size == 3)
 
     ok = all(checks)
     _line(6, ok, "heat reset / target-only / admission boundary / cursor / drain", f"{checks}")

@@ -13,6 +13,7 @@ from stagewalk import (
     PivotManager,
     PivotPool,
     ScanStats,
+    StageLookupEngine,
     build_pool,
     find_best_pivot,
     verify_pool,
@@ -46,8 +47,9 @@ def fig4_manager(threadsafe=False):
 
 def on_both_trees(test):
     """Run `test(threadsafe)` on a single-threaded tree, whose manager keeps
-    its reader registry without a lock, and on a threadsafe tree, whose
-    manager locks it; the test keeps one id."""
+    no reader registry, and on a threadsafe tree, whose manager keeps one
+    under a lock; the test keeps one id. Tests of the registry itself run on
+    threadsafe trees only."""
 
     def run():
         for threadsafe in (False, True):
@@ -60,9 +62,8 @@ def on_both_trees(test):
 # -- reader tokens --------------------------------------------------------------
 
 
-@on_both_trees
-def test_reader_snapshot_survives_swap(threadsafe):
-    tree, cset, epoch, mgr = fig4_manager(threadsafe)
+def test_reader_snapshot_survives_swap():
+    tree, cset, epoch, mgr = fig4_manager(threadsafe=True)
     token_id, pool = mgr.reader_enter()
     gen_before = pool.generation
     heat_up(tree, cset, epoch, FIG4_PATHS)
@@ -75,9 +76,8 @@ def test_reader_snapshot_survives_swap(threadsafe):
     mgr.reader_exit(token_id)
 
 
-@on_both_trees
-def test_nested_tokens_independent(threadsafe):
-    _tree, _cset, _epoch, mgr = fig4_manager(threadsafe)
+def test_nested_tokens_independent():
+    _tree, _cset, _epoch, mgr = fig4_manager(threadsafe=True)
     t1, _pool1 = mgr.reader_enter()
     t2, _pool2 = mgr.reader_enter()
     assert t1 != t2
@@ -86,18 +86,16 @@ def test_nested_tokens_independent(threadsafe):
     assert mgr.active_reader_count == 0
 
 
-@on_both_trees
-def test_double_exit_detected(threadsafe):
-    _tree, _cset, _epoch, mgr = fig4_manager(threadsafe)
+def test_double_exit_detected():
+    _tree, _cset, _epoch, mgr = fig4_manager(threadsafe=True)
     token_id, _pool = mgr.reader_enter()
     mgr.reader_exit(token_id)
     with pytest.raises(ContractViolation):
         mgr.reader_exit(token_id)
 
 
-@on_both_trees
-def test_double_exit_detected_while_a_reader_of_its_generation_is_active(threadsafe):
-    _tree, _cset, _epoch, mgr = fig4_manager(threadsafe)
+def test_double_exit_detected_while_a_reader_of_its_generation_is_active():
+    _tree, _cset, _epoch, mgr = fig4_manager(threadsafe=True)
     t1, pool1 = mgr.reader_enter()
     t2, pool2 = mgr.reader_enter()
     assert pool1 is pool2  # one generation
@@ -109,58 +107,43 @@ def test_double_exit_detected_while_a_reader_of_its_generation_is_active(threads
     assert mgr.active_reader_count == 0
 
 
-class InterleavedManager(PivotManager):
-    """Runs `on_read` just after the working pool is read and `on_write` just
-    before it is replaced, once each: a step another thread could take there
-    while the single-threaded tree leaves the reader registry unlocked."""
-
-    on_read = on_write = None
-
-    @property
-    def working_pool(self):
-        pool = self._pool
-        step, self.on_read = self.on_read, None
-        if step is not None:
-            step()
-        return pool
-
-    @working_pool.setter
-    def working_pool(self, pool):
-        step, self.on_write = self.on_write, None
-        if step is not None:
-            step()
-        self._pool = pool
-
-
-def interleaved_manager():
-    tree = make_tree(*FIG4_PATHS)
-    mgr = InterleavedManager(tree, CandidateSet(64, 4), HeatEpoch(), threading.Lock())
-    cands = [tree._resolve_admin(mkpath(p)) for p in FIG4_PATHS]
-    mgr.publish_pool(build_pool(cands, 16))
-    return mgr, lambda: build_pool(cands, 16)
-
-
-def test_unlocked_reader_registers_before_reading_the_pool():
-    mgr, fresh = interleaved_manager()
-    # the pool the reader just read is swapped out and reclaimed before it
-    # can use it; its registration must already pin that pool
-    mgr.on_read = lambda: (mgr.publish_pool(fresh()), mgr.reclaim())
+def test_single_threaded_reader_registers_nothing():
+    """A single-threaded tree's manager hands out the working pool under id 0
+    and registers nothing."""
+    _tree, _cset, _epoch, mgr = fig4_manager()
     token_id, pool = mgr.reader_enter()
-    assert not pool.freed
-    assert find_best_pivot(pool, mkpath("/a1/b1/c1")) is not None
+    assert (token_id, pool) == (0, mgr.working_pool) and mgr.active_reader_count == 0
+    assert mgr.oldest_active_generation() is None
+    mgr.reader_exit(token_id)
+    mgr.reader_exit(token_id)  # nothing was registered, so nothing is released twice
+
+
+def test_single_threaded_tick_inside_a_read_section_trips_the_sentinel():
+    """On one thread the engine never ticks between `reader_enter` and its
+    scan; a caller that does gets the pool reclaimed under it, and the scan
+    raises instead of reading a freed pool."""
+    tree, cset, epoch, mgr = fig4_manager()
+    token_id, pool = mgr.reader_enter()
+    heat_up(tree, cset, epoch, FIG4_PATHS)
+    assert mgr.periodic_update()
+    assert pool.freed
+    with pytest.raises(ContractViolation):
+        find_best_pivot(pool, mkpath("/a1/b1/c1"))
     mgr.reader_exit(token_id)
 
 
-def test_unlocked_swap_publishes_before_bumping_the_generation():
-    mgr, fresh = interleaved_manager()
-    tokens = []
-    # a reader enters while a swap is about to publish its pool
-    mgr.on_write = lambda: tokens.append(mgr.reader_enter())
-    mgr.publish_pool(fresh())
-    mgr.reclaim()
-    token_id, pool = tokens[0]
-    assert not pool.freed
-    mgr.reader_exit(token_id)
+def test_single_threaded_engine_leaves_no_reader_behind():
+    tree = make_tree(*FIG4_PATHS, files=("/a1/b1/c2/d2/e3/f3/foo",))
+    engine = StageLookupEngine(tree)
+    queries = [mkpath(p) for p in FIG4_PATHS + ("/a1/b1/c2/d2/e3/f3/foo",)]
+    for q in queries * 5:
+        engine.lookup(q)
+    engine.tick()
+    for q in queries:
+        engine.lookup(q)
+    assert engine.metrics.pivot_hits == len(queries)  # the lookups after the tick used the pool
+    assert engine.manager.active_reader_count == 0
+    assert engine.manager.oldest_active_generation() is None
 
 
 # -- periodic_update --------------------------------------------------------------
@@ -236,7 +219,7 @@ def test_version_advances_and_drains_only_on_swap():
     heat_up(tree, cset, epoch, ["/seed"])
     mgr.periodic_update()
     assert epoch.global_version == v0 + 1
-    assert len(cset) == 0  # everyone carried the old version
+    assert len(cset) == 0  # the swap clears the set
     heat_up(tree, cset, epoch, ["/seed"])
     tick_raced_by(mgr, cset, epoch, "/nonexistent")  # no swap, no advance, no drain
     assert epoch.global_version == v0 + 1
@@ -346,15 +329,14 @@ def test_every_pool_carries_its_index_from_construction(threadsafe):
     assert find_best_pivot(mgr.working_pool, mkpath("/a1/b1/c1")) is None
 
 
-@on_both_trees
-def test_invalidate_matches_oracle_on_random_pools(threadsafe):
+def test_invalidate_matches_oracle_on_random_pools():
     """Random pools, random covering prefixes, a reader pinned across each
     call: the installed pool is the old one minus the covered pivots, and the
     pinned pool keeps serving its survivors until the reader exits."""
     rng = random.Random(8)
     for _ in range(60):
         paths = random_tree_paths(rng, rng.randint(1, 20))
-        tree = make_tree(*paths, threadsafe=threadsafe)
+        tree = make_tree(*paths, threadsafe=True)
         _tree, _cset, _epoch, mgr = make_manager(tree, bound=len(paths))
         mgr.publish_pool(build_pool([tree._resolve_admin(mkpath(p)) for p in paths], len(paths)))
         for _ in range(4):
@@ -401,9 +383,8 @@ def test_reclaim_all_without_readers(threadsafe):
     assert old_pool.freed
 
 
-@on_both_trees
-def test_reader_pins_generation(threadsafe):
-    tree, cset, epoch, mgr = fig4_manager(threadsafe)
+def test_reader_pins_generation():
+    tree, cset, epoch, mgr = fig4_manager(threadsafe=True)
     old_pool = mgr.working_pool
     token_id, pool = mgr.reader_enter()
     heat_up(tree, cset, epoch, FIG4_PATHS)
@@ -427,9 +408,8 @@ def test_use_after_reclaim_trips_sentinel(threadsafe):
         find_best_pivot(old_pool, mkpath("/a1/b1/c1"))
 
 
-@on_both_trees
-def test_removed_pivots_reclaimed_after_grace(threadsafe):
-    tree, cset, epoch, mgr = fig4_manager(threadsafe)
+def test_removed_pivots_reclaimed_after_grace():
+    tree, cset, epoch, mgr = fig4_manager(threadsafe=True)
     token_id, pool = mgr.reader_enter()
     mgr.invalidate_for_metadata(mkpath("/a1/b1/c2"))
     mgr.reclaim()
@@ -462,7 +442,7 @@ def test_swap_retire_stress_no_use_after_retire():
     from stagewalk import build_pool
 
     tree = make_tree(*FIG4_PATHS, files=("/a1/b1/c2/d2/e3/f3/foo",))
-    tree2, cset, epoch, mgr = make_manager(make_tree("/seed"))
+    tree2, cset, epoch, mgr = make_manager(make_tree("/seed", threadsafe=True))
     cands = [tree._resolve_admin(mkpath(p)) for p in FIG4_PATHS]
     errors: list[str] = []
     stop = threading.Event()

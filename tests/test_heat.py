@@ -10,10 +10,11 @@ from stagewalk import (
     ContractViolation,
     Dentry,
     HeatEpoch,
+    StageLookupEngine,
     observe_target,
-    record_access,
 )
 from stagewalk.tree import DIR
+from conftest import make_tree, mkpath
 
 
 def d(node_id: int, heat: int = 0, version: int = 0) -> Dentry:
@@ -23,14 +24,19 @@ def d(node_id: int, heat: int = 0, version: int = 0) -> Dentry:
     return node
 
 
-# -- record_access ---------------------------------------------------------------
+def bump(node: Dentry, epoch: HeatEpoch) -> int:
+    """observe_target's heat rule alone: a set of capacity 0 admits nothing."""
+    return observe_target(node, epoch, CandidateSet(0))
+
+
+# -- the heat rule ---------------------------------------------------------------
 
 
 def test_three_accesses_one_period():
     epoch = HeatEpoch()
     node = d(1)
     for _ in range(3):
-        record_access(node, epoch)
+        bump(node, epoch)
     assert node.heat == 3 and node.heat_version == epoch.global_version
 
 
@@ -38,10 +44,10 @@ def test_reset_on_new_version():
     epoch = HeatEpoch()
     node = d(1)
     for _ in range(5):
-        record_access(node, epoch)
+        bump(node, epoch)
     assert node.heat == 5
     epoch.advance()
-    record_access(node, epoch)
+    bump(node, epoch)
     assert node.heat == 1 and node.heat_version == epoch.global_version
 
 
@@ -50,7 +56,7 @@ def test_heat_saturates():
 
     epoch = HeatEpoch()
     node = d(1, heat=HEAT_MAX, version=epoch.global_version)
-    record_access(node, epoch)
+    bump(node, epoch)
     assert node.heat == HEAT_MAX
 
 
@@ -63,7 +69,7 @@ def test_heat_monotone_within_version():
         if rng.random() < 0.1:
             epoch.advance()
             last = 0
-        record_access(node, epoch)
+        bump(node, epoch)
         assert node.heat >= last or node.heat == 1
         last = node.heat
 
@@ -111,6 +117,19 @@ def test_below_capacity_unconditional():
     assert cset.least_popular is cold  # first admission establishes the cursor
 
 
+def test_admission_below_capacity_applies_the_cursor_rule():
+    cset = CandidateSet(4, 4)
+    warm, hotter, colder, tie = d(1, heat=5), d(2, heat=9), d(3, heat=2), d(4, heat=2)
+    for node in (warm, hotter):
+        cset.maybe_admit(node)
+    assert cset.least_popular is warm  # a hotter newcomer leaves the cursor
+    cset.maybe_admit(colder)
+    assert cset.least_popular is colder  # a colder one takes it
+    cset.maybe_admit(tie)
+    assert cset.least_popular is colder  # a tie leaves it
+    cset.validate()
+
+
 def test_admitting_member_is_misuse():
     cset = CandidateSet(4, 4)
     node = d(1)
@@ -119,99 +138,119 @@ def test_admitting_member_is_misuse():
         cset.maybe_admit(node)
 
 
-# -- reconcile_least_popular --------------------------------------------------------
+# -- observe_target's cursor rule ----------------------------------------------------
 
 
-def test_reconciling_non_member_is_misuse():
-    cset = CandidateSet(4, 4)
-    member, outsider = d(1), d(2)
-    cset.maybe_admit(member)
-    with pytest.raises(ContractViolation):
-        cset.reconcile_least_popular(outsider)
-    assert cset.least_popular is member  # the misuse moved nothing
+def member_set(capacity: int = 4, threshold: int = 4) -> tuple[HeatEpoch, CandidateSet, list[Dentry]]:
+    """A full set whose members carry the current version, so that
+    observe_target adds one to the heat each test sets."""
+    epoch = HeatEpoch()
+    cset, members = full_set(capacity, threshold)
+    for m in members:
+        m.heat_version = epoch.global_version
+    return epoch, cset, members
+
+
+def test_cursor_rule_ignores_non_members():
+    epoch, cset, members = member_set()
+    cset.least_popular = members[2]
+    outsider = d(99, heat=0)  # colder than every member, but not one of them
+    observe_target(outsider, epoch, cset)
+    assert outsider not in cset
+    assert cset.least_popular is members[2]
 
 
 def test_cursor_moves_to_smaller():
-    cset, members = full_set()
+    epoch, cset, members = member_set()
     cset.least_popular = members[2]  # heat 12
     members[0].heat = 3
-    cset.reconcile_least_popular(members[0])
+    observe_target(members[0], epoch, cset)  # heat 4
     assert cset.least_popular is members[0]
 
 
 def test_cursor_unchanged_when_larger():
-    cset, members = full_set()
+    epoch, cset, members = member_set()
     cset.least_popular = members[0]  # heat 10
-    members[3].heat = 11
-    cset.reconcile_least_popular(members[3])
+    members[3].heat = 10
+    observe_target(members[3], epoch, cset)  # heat 11
     assert cset.least_popular is members[0]
 
 
 def test_cursor_self_comparison_unchanged():
-    cset, members = full_set()
+    epoch, cset, members = member_set()
     cset.least_popular = members[1]
-    cset.reconcile_least_popular(members[1])
+    observe_target(members[1], epoch, cset)
     assert cset.least_popular is members[1]
 
 
 def test_tie_keeps_cursor():
-    cset, members = full_set()
-    cset.least_popular = members[0]
-    members[1].heat = members[0].heat
-    cset.reconcile_least_popular(members[1])
+    epoch, cset, members = member_set()
+    cset.least_popular = members[0]  # heat 10
+    members[1].heat = 9
+    observe_target(members[1], epoch, cset)  # heat 10
     assert cset.least_popular is members[0]
 
 
-# -- drain_overdue -------------------------------------------------------------------
+def test_empty_cursor_adopts_the_observed_member():
+    epoch, cset, members = member_set()
+    cset.least_popular = None
+    observe_target(members[3], epoch, cset)
+    assert cset.least_popular is members[3]
 
 
-def test_drain_all_stale():
-    epoch = HeatEpoch()
+# -- clear -------------------------------------------------------------------------
+
+
+def test_clear_unlinks_every_member():
     cset, members = full_set()
-    epoch.advance()  # every member still carries the old version
-    evicted = cset.drain_overdue(epoch)
-    assert sorted(m.id for m in evicted) == sorted(m.id for m in members)
-    assert len(cset) == 0 and cset.least_popular is None
+    cset.clear()
+    assert len(cset) == 0 and cset.least_popular is None and cset.members() == []
     for m in members:
         assert m.cand_next is None and m.cand_prev is None
-
-
-def test_drain_mixed_staleness_matches_filter_oracle():
-    epoch = HeatEpoch()
-    cset = CandidateSet(8, 4)
-    members = [d(i + 1, heat=i + 1) for i in range(8)]
-    for m in members:
-        cset.maybe_admit(m)
-    epoch.advance()
-    refreshed = {2, 5, 7}
-    for m in members:
-        if m.id in refreshed:
-            record_access(m, epoch)  # lookups interleaved after the advance
-    expected_evicted = sorted(m.id for m in members if m.heat_version < epoch.global_version)
-    evicted = cset.drain_overdue(epoch)
-    assert sorted(m.id for m in evicted) == expected_evicted
-    assert sorted(m.id for m in cset.members()) == sorted(refreshed)
-    for m in cset.members():
-        assert m.heat_version == epoch.global_version
     cset.validate()
 
 
-def test_drain_empty_noop():
+def test_swap_clears_members_refreshed_in_the_ending_period():
+    """Through the engine: members looked up again just before the tick, and
+    members not looked up since their admission, all leave at the swap, and
+    the next period admits afresh."""
+    files = tuple(f"/d/f{i}" for i in range(8))
+    engine = StageLookupEngine(make_tree(files=files), heat_capacity=8)
+    for text in files:
+        engine.lookup(mkpath(text))
+    for text in files[2::3]:
+        engine.lookup(mkpath(text))  # refreshed late in the period
+    members = engine.candidates.members()
+    assert len(members) == 8
+    assert engine.manager.periodic_update()
+    assert len(engine.candidates) == 0 and engine.candidates.least_popular is None
+    assert all(m.cand_next is None and m.cand_prev is None for m in members)
+    engine.candidates.validate()
+    engine.lookup(mkpath(files[5]))
+    assert [m.name for m in engine.candidates.members()] == ["f5"]
+    engine.candidates.validate()
+
+
+def test_clear_empty_noop():
     cset = CandidateSet(4, 4)
-    assert cset.drain_overdue(HeatEpoch()) == []
+    cset.clear()
+    assert len(cset) == 0 and cset.least_popular is None
+    cset.validate()
 
 
-def test_drain_resets_cursor_only_if_referent_evicted():
+def test_clear_resets_cursor_and_next_admission_takes_it():
     epoch = HeatEpoch()
     cset = CandidateSet(4, 4)
-    stale, fresh = d(1, heat=3), d(2, heat=9)
-    cset.maybe_admit(stale)
-    cset.maybe_admit(fresh)
+    cold, warm = d(1, heat=3), d(2, heat=9)
+    cset.maybe_admit(cold)
+    cset.maybe_admit(warm)
+    assert cset.least_popular is cold
     epoch.advance()
-    record_access(fresh, epoch)
-    cset.least_popular = fresh
-    cset.drain_overdue(epoch)
-    assert cset.least_popular is fresh  # referent survived
+    cset.clear()
+    assert cset.least_popular is None
+    observe_target(warm, epoch, cset)  # re-admitted with heat 1
+    assert cset.members() == [warm] and cset.least_popular is warm
+    cset.validate()
 
 
 # -- properties -------------------------------------------------------------------------
@@ -223,22 +262,21 @@ def test_churn_bound_property():
     epoch = HeatEpoch()
     cset = CandidateSet(8, threshold=4)
     nodes = [d(i + 1) for i in range(40)]
+    replaced = 0
     for _ in range(5000):
         node = rng.choice(nodes)
-        record_access(node, epoch)
-        if node in cset:
-            cset.reconcile_least_popular(node)
-        else:
-            before = cset.least_popular
-            result, evicted = cset.maybe_admit(node)
-            if result is Admission.REPLACED:
-                assert node.heat > evicted.heat + cset.threshold
-                assert evicted is before
+        full, member, before = len(cset) == cset.capacity, node in cset, cset.least_popular
+        observe_target(node, epoch, cset)
+        if full and not member and node in cset:
+            replaced += 1
+            assert before not in cset  # the cursor's referent was the victim
+            assert node.heat > before.heat + cset.threshold
         cset.validate()
+    assert replaced > 0
 
 
 def test_cursor_rule_event_sourced_replay():
-    """Replay logged reconcile events against the literal cursor rule."""
+    """Replay logged member observations against the literal cursor rule."""
     rng = random.Random(11)
     epoch = HeatEpoch()
     cset = CandidateSet(8, threshold=2)
@@ -246,15 +284,13 @@ def test_cursor_rule_event_sourced_replay():
     log: list[tuple[int, int, int | None, int | None]] = []
     for _ in range(3000):
         node = rng.choice(nodes)
-        record_access(node, epoch)
-        if node in cset:
-            before = cset.least_popular
-            before_state = (before.id, before.heat) if before else None
-            cset.reconcile_least_popular(node)
+        member = node in cset
+        before = cset.least_popular
+        before_state = (before.id, before.heat) if before else None
+        observe_target(node, epoch, cset)
+        if member:
             after = cset.least_popular
             log.append((node.id, node.heat, before_state, after.id if after else None))
-        else:
-            cset.maybe_admit(node)
     for member_id, member_heat, before_state, after_id in log:
         if before_state is None:
             assert after_id == member_id  # empty cursor adopts the member

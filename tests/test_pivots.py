@@ -12,9 +12,7 @@ from stagewalk import (
     PathBuf,
     ScanStats,
     build_pool,
-    compute_overlap,
     find_best_pivot,
-    pool_footprint_bytes,
     verify_pool,
 )
 from stagewalk import pivots
@@ -164,30 +162,6 @@ def test_build_pool_materializes_only_the_kept_candidates(monkeypatch):
     # 16 kept pivots of 6 components each; masking all 64 candidates took 384
     assert pool.size == 16 and made["Component"] <= 16 * 6 and made["trav_mask"] <= 16 * 6
     assert _pool_shape(pool) == _pool_shape(reference_build_pool(cands, 16))
-
-
-# -- compute_overlap ------------------------------------------------------------------
-
-
-def test_overlap_pairs(fig4):
-    _tree, _cands, pool = fig4
-    p1, p2, p3, p4 = pool.pivots
-    assert compute_overlap(p1, p2) == 2
-    assert compute_overlap(p2, p3) == 4
-    assert compute_overlap(p3, p4) == 1
-
-
-def test_overlap_full_prefix():
-    tree = make_tree("/a/b", "/a/b/c/d")
-    pool = build_pool([tree._resolve_admin(mkpath("/a/b")), tree._resolve_admin(mkpath("/a/b/c/d"))], 16)
-    assert compute_overlap(pool.pivots[0], pool.pivots[1]) == pool.pivots[0].depth
-
-
-def test_overlap_divergent_first_component():
-    tree = make_tree("/a1/x", "/a2/x")
-    pool = build_pool([tree._resolve_admin(mkpath("/a1/x")), tree._resolve_admin(mkpath("/a2/x"))], 16)
-    # root is implicit, not a component: nothing shared
-    assert compute_overlap(pool.pivots[0], pool.pivots[1]) == 0
 
 
 # -- find_best_pivot -------------------------------------------------------------------
@@ -390,6 +364,42 @@ def test_counts_match_char_by_char_reference_randomized():
     assert sorted(stops) == sorted(kinds) and sum(stops.values()) == scans, stops
 
 
+def test_pivot_paths_and_their_extensions_match_reference_randomized():
+    """Queries built from the pool itself: every pivot's own path, whether it
+    is alone in its run or a terminal pivot that prefixes the next one, and
+    each pivot's path extended by one or two names. One reused ScanStats
+    takes every scan's counts, so each return must write both."""
+    rng = random.Random(1717)
+    tree = make_tree()
+    nodes = [
+        make_node(tree, "/" + "/".join(rng.choice(_CLOSE_NAMES) for _ in range(rng.randint(1, 5))), DIR)
+        for _ in range(300)
+    ]
+    stats = ScanStats()
+    kinds: collections.Counter[str] = collections.Counter()
+    for _ in range(200):
+        cands = rng.sample(nodes, rng.randint(1, 24))
+        for c in cands:
+            c.heat = rng.randint(1, 50)
+        pool = build_pool(cands, 16)
+        pool.published = True
+        pivots_ = pool.pivots
+        queries = []
+        for i, pv in enumerate(pivots_):
+            terminal = i + 1 < len(pivots_) and pivots_[i + 1].names[: pv.depth] == pv.names
+            queries.append(("terminal path" if terminal else "own path", pv.names))
+            extra = tuple(rng.choice(_CLOSE_NAMES) for _ in range(rng.randint(1, 2)))
+            queries.append(("extension", pv.names + extra))
+        for kind, names in queries:
+            q = PathBuf(names)
+            got = find_best_pivot(pool, q, stats)
+            ref = reference_scan(pool, q)
+            assert got == ref.result, (kind, q.text)
+            assert (stats.pivots_visited, stats.char_comparisons) == (ref.pivots_visited, ref.char_comparisons)
+            kinds[kind] += 1
+    assert min(kinds[k] for k in ("own path", "terminal path", "extension")) > 100, kinds
+
+
 def _index_nodes(node):
     yield node
     for child in node.children.values():
@@ -521,23 +531,3 @@ def test_verify_random_pools_clean():
     for _ in range(1000):
         pool, _ = _random_pool_and_queries(rng, rng.choice([1, 2, 4, 8, 16]), 0)
         assert verify_pool(pool) == []
-
-
-# -- space accounting ----------------------------------------------------------------------
-
-
-def test_footprint_within_2x_of_seven_kib():
-    tree = make_tree()
-    cands = []
-    rng = random.Random(9)
-    while len(cands) < 16:
-        depth = rng.randint(4, 8)
-        p = "/" + "/".join(f"{chr(ord('a') + lv)}{rng.randint(0, 9)}" for lv in range(depth))
-        try:
-            cands.append(make_node(tree, p, FILE if depth == 8 else DIR))
-        except Exception:
-            pass
-    pool = build_pool(cands, 16)
-    footprint = pool_footprint_bytes(pool)
-    assert pool.size == 16
-    assert 7 * 1024 / 2 <= footprint <= 7 * 1024 * 2, footprint
