@@ -1,14 +1,16 @@
 """Reader/writer locking for the directory tree.
 
-The default tree is single threaded and carries a NullRWLock so the hot
-lookup path pays only two no-op calls. The concurrency harness builds trees
-with the real writer-preferring RWLock instead (`DirTree(threadsafe=True)`).
+The default tree is single threaded and carries a NullRWLock, whose calls do
+nothing; its walks make no lock call at all, since one thread cannot modify
+the tree inside a walk. The concurrency harness builds trees with the real
+writer-preferring RWLock instead (`DirTree(threadsafe=True)`), and only their
+walks take the read side.
 
-The lock type also decides the stage engine's read side: only a threadsafe
-tree keeps the reader-token registry (`PivotManager`), under a lock, and
-takes the heat lock around the heat update. A single-threaded tree registers
-no readers at all, since on one thread nothing reclaims a pool inside a
-lookup. Concurrent lookups therefore need a threadsafe tree.
+`DirTree.threadsafe` also decides the stage engine's read side: only a
+threadsafe tree keeps the reader-token registry (`PivotManager`), under a
+lock, and takes the heat lock around the heat update. A single-threaded tree
+registers no readers at all, since on one thread nothing reclaims a pool
+inside a lookup. Concurrent lookups therefore need a threadsafe tree.
 """
 
 from __future__ import annotations

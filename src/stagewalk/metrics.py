@@ -7,9 +7,11 @@ Counter semantics:
 - char_comparisons: per-character work. A resolved component costs two scans
   of its name, which model the kernel's d_hash chain lookup (hash, then
   verification); a missing one costs the hash scan. The walk counts these
-  scans but does not perform them: it resolves through the children maps,
-  and adds a walk's visits and chars to the counters once, when it ends or
-  fails. Full-path-probe costs are added by the fullpath strategy. Stage One
+  scans but does not perform them: it resolves through the children maps
+  and counts nothing per component. A walk that resolves every component
+  adds twice its names' total length at once; a failed one adds the same for
+  the prefix it resolved, plus the missing name's hash scan on NotFound.
+  Full-path-probe costs are added by the fullpath strategy. Stage One
   adds the model's char-by-char cost of its single forward pivot scan: a name's
   length on a match, or the chars up to and including the first differing
   one on a mismatch (the shorter name's length when one is a prefix of the

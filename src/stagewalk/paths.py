@@ -5,11 +5,14 @@ The root is the empty tuple rendered as "/". Components never contain '/',
 and "." / ".." are rejected at ingest; the model has no symlinks.
 
 Validation happens once, where a component enters: `PathBuf(components)`
-checks every name, `parse` checks the whole text with three substring tests
-and builds the path without checking its names again, and `child` checks
-only the name it adds. `parent` and `child` reuse components that are
-already valid. A malformed text goes through the checking constructor, so
-its error names the bad component.
+checks every name, `parse` checks the whole text and builds the path without
+checking its names again, and `child` checks only the name it adds. `parent`
+and `child` reuse components that are already valid. A canonical text (a
+`str` that starts with '/', does not end with '/' and contains neither "//"
+nor "/.") is split once and kept as the path's text. Any other text is
+trimmed of trailing slashes and tested for "//", "/./" and "/../"; a
+malformed one goes through the checking constructor, so its error names the
+bad component.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ class PathBuf:
 
     @classmethod
     def parse(cls, raw: str) -> "PathBuf":
+        if type(raw) is str and raw[:1] == "/" and raw[-1:] != "/" and "//" not in raw and "/." not in raw:
+            return _trusted(tuple(raw[1:].split("/")), raw)  # canonical: no name is empty or starts with "."
         if not isinstance(raw, str) or not raw.startswith("/"):
             raise InvalidPath(f"not an absolute path: {raw!r}")
         trimmed = raw.rstrip("/")

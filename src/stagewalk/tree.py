@@ -9,9 +9,11 @@ never reused: `DirTree.nodes` is a list indexed by id (slot 0 unused), and
 an unlinked dentry keeps its slot, marked dead.
 
 Mutations (create/rename/chmod/unlink) are serialized through the tree's
-write lock; lookups take the read side. Hooks registered by caching
-strategies fire before a mutation is applied so they can observe
-pre-mutation paths.
+write lock. Walks on a threadsafe tree take the read side; a single-threaded
+tree's walks make no lock call, since one thread cannot modify the tree
+inside a walk. A walk counts its visits and chars once, not per component.
+Hooks registered by caching strategies fire before a mutation is applied so
+they can observe pre-mutation paths.
 """
 
 from __future__ import annotations
@@ -115,16 +117,13 @@ MetadataHook = Callable[[PathBuf], None]
 
 class DirTree:
     def __init__(self, threadsafe: bool = False):
+        # whether threads may share this tree; walks, and the engines and
+        # managers built on it, take their read-side locks only then
+        self.threadsafe = threadsafe
         self.lock = RWLock() if threadsafe else NullRWLock()
         self.root = Dentry(1, None, "/", DIR, 0o755)
         self.nodes: list[Optional[Dentry]] = [None, self.root]  # by id; the next id is len(nodes)
         self._hooks: list[MetadataHook] = []
-
-    @property
-    def threadsafe(self) -> bool:
-        """Whether threads may share this tree; engines and managers built on
-        it take their read-side locks only then."""
-        return not isinstance(self.lock, NullRWLock)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -272,39 +271,56 @@ class DirTree:
         root, its traversal bit for `cred` must be set. Each component is
         counted as the kernel's d_hash chain lookup would scan it: a hash scan
         of its name, then on a hit a verification scan and a dentry visit. A
-        name looked up below a file is missing (NotFound). The counts gather
-        in locals and reach `metrics` once, when the walk ends or fails; each
-        resolved dentry is marked in `metrics.distinct_resolved`, which grows
-        to the tree's id range under the read lock, so an id a racing
-        `create_node` issues cannot pass its end. A walk without `metrics`
-        counts and marks nothing. Holds the tree read lock for the walk.
+        name looked up below a file is missing (NotFound). Counting costs the
+        loop nothing: per component it only tests traversal, gets the child
+        and marks it in `metrics.distinct_resolved`. A walk that resolves
+        every component then counts all of `components` at once; a failed
+        walk counts the prefix it resolved, found by stepping parent links
+        from where it stopped back to `start`, plus on NotFound the missing
+        name's hash scan. `distinct_resolved` grows to the tree's id range
+        under the read lock, so an id a racing `create_node` issues cannot
+        pass its end. A walk without `metrics` counts and marks nothing. Only
+        a threadsafe tree takes its read lock for the walk; on one thread
+        nothing can modify the tree inside it.
         """
         seen = _UNMARKED if metrics is None else metrics.distinct_resolved
-        visited = chars = 0
         cur = start
         bit = _TRAV_BIT[cred]
-        self.lock.acquire_read()
+        shared = self.threadsafe
+        if shared:
+            self.lock.acquire_read()
         try:
             if metrics is not None and len(seen) < len(self.nodes):
                 # walkers sharing a Metrics may both grow it; surplus zeros count nothing
                 seen.extend(bytes(len(self.nodes) - len(seen)))
             for name in components:
                 children = cur.children
-                if children is not None and cur.parent is not None and not (cur.mode & bit):
+                if not cur.mode & bit and children is not None and cur.parent is not None:
                     raise PermissionDenied(f"no traversal through {cur.name!r} for {cred.value}")
-                chars += len(name)  # hash scan
                 child = children.get(name) if children is not None else None
                 if child is None:
                     raise NotFound(f"missing component {name!r}")
-                chars += len(name)  # verification scan
-                visited += 1
                 seen[child.id] = 1
                 cur = child
-        finally:
-            self.lock.release_read()
+        except (PermissionDenied, NotFound) as exc:
             if metrics is not None:
-                metrics.dentries_visited += visited
+                resolved = 0
+                d = cur
+                while d is not start:
+                    d = d.parent
+                    resolved += 1
+                chars = 2 * len("".join(components[:resolved]))  # hash and verification scans
+                if isinstance(exc, NotFound):
+                    chars += len(components[resolved])  # the missing name's hash scan
+                metrics.dentries_visited += resolved
                 metrics.char_comparisons += chars
+            raise
+        finally:
+            if shared:
+                self.lock.release_read()
+        if metrics is not None:
+            metrics.dentries_visited += len(components)
+            metrics.char_comparisons += 2 * len("".join(components))
         return cur
 
     def lookup_original(self, path: PathBuf, cred: Credential, metrics: Optional[Metrics] = None) -> NodeId:

@@ -16,6 +16,9 @@ from stagewalk import (
     PivotPool,
     build_pool,
 )
+from stagewalk.errors import InvalidPath, NotFound, PermissionDenied
+from stagewalk.metrics import Metrics
+from stagewalk.paths import ROOT, _trusted
 from stagewalk.pivots import Component, pool_from_sorted
 from stagewalk.tree import ALL_CLASSES_MASK, trav_mask
 
@@ -48,6 +51,60 @@ def make_tree(*paths: str, files: tuple[str, ...] = (), threadsafe: bool = False
     for f in files:
         make_node(tree, f, FILE)
     return tree
+
+
+def reference_parse(raw: str) -> PathBuf:
+    """PathBuf.parse as it was before a canonical text took one split: every
+    text is trimmed of trailing slashes and tested for "//", "/./" and
+    "/../". parse must return the same components and text, or raise the
+    same error with the same message."""
+    if not isinstance(raw, str) or not raw.startswith("/"):
+        raise InvalidPath(f"not an absolute path: {raw!r}")
+    trimmed = raw.rstrip("/")
+    if not trimmed:
+        return ROOT
+    parts = tuple(trimmed.split("/")[1:])
+    probe = trimmed + "/"
+    if "//" in probe or "/./" in probe or "/../" in probe:
+        return PathBuf(parts)  # raises, naming the empty, "." or ".." component
+    return _trusted(parts, trimmed)
+
+
+def reference_walk(
+    tree: DirTree, start: Dentry, components, cred: Credential, metrics: Optional[Metrics] = None
+) -> Dentry:
+    """DirTree.walk_from as it was before it counted once per walk: every
+    component adds its hash scan, and on a hit its verification scan and a
+    visit, inside the loop, and every walk takes the tree's read lock. The
+    outcome, the counts and the distinct_resolved marks of walk_from must
+    equal these."""
+    seen = bytearray() if metrics is None else metrics.distinct_resolved
+    visited = chars = 0
+    cur = start
+    bit = TRAV_BIT[cred]
+    tree.lock.acquire_read()
+    try:
+        if metrics is not None and len(seen) < len(tree.nodes):
+            seen.extend(bytes(len(tree.nodes) - len(seen)))
+        for name in components:
+            children = cur.children
+            if children is not None and cur.parent is not None and not (cur.mode & bit):
+                raise PermissionDenied(f"no traversal through {cur.name!r} for {cred.value}")
+            chars += len(name)  # hash scan
+            child = children.get(name) if children is not None else None
+            if child is None:
+                raise NotFound(f"missing component {name!r}")
+            chars += len(name)  # verification scan
+            visited += 1
+            if metrics is not None:
+                seen[child.id] = 1
+            cur = child
+    finally:
+        tree.lock.release_read()
+        if metrics is not None:
+            metrics.dentries_visited += visited
+            metrics.char_comparisons += chars
+    return cur
 
 
 def oracle_resolve(tree: DirTree, path: PathBuf, cred: Credential) -> str:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from stagewalk import InvalidPath, PathBuf
+from conftest import reference_parse
 
 
 def test_parse_root():
@@ -74,6 +76,27 @@ def test_parse_agrees_with_checking_constructor():
 def test_parse_rejects_non_str(raw):
     with pytest.raises(InvalidPath):
         PathBuf.parse(raw)
+
+
+def _parsed(fn, raw):
+    """Components, text and the text's exact type, or the error's type and message."""
+    try:
+        p = fn(raw)
+    except InvalidPath as exc:
+        return (type(exc), str(exc))
+    return (p.components, p.text, type(p.text))
+
+
+class _Str(str):
+    pass
+
+
+def test_parse_matches_reference_randomized():
+    rng = random.Random(18)
+    raws = ["".join(rng.choice("/.ab") for _ in range(rng.randint(0, 10))) for _ in range(30_000)]
+    raws += [None, 5, b"/a", ["/a"], ("a",), _Str("/a/b"), _Str("/a/"), _Str("a")]
+    for raw in raws:
+        assert _parsed(PathBuf.parse, raw) == _parsed(reference_parse, raw), raw
 
 
 def test_parent_and_child():

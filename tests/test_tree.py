@@ -22,8 +22,8 @@ from stagewalk import (
     SIX_LEVEL_PRESET,
     gen_tree,
 )
-from stagewalk.locks import RWLock
-from conftest import make_node, make_tree, mkpath, oracle_resolve, outcome
+from stagewalk.locks import NullRWLock, RWLock
+from conftest import TRAV_BIT, make_node, make_tree, mkpath, oracle_resolve, outcome, reference_walk
 
 OWNER = Credential.OWNER
 
@@ -434,3 +434,131 @@ def test_walk_without_metrics_allocates_no_map(preset):
             assert peak < 16_000  # the map would be len(nodes) = 211,112 bytes
     finally:
         tracemalloc.stop()
+
+
+# -- walk_from against the per-component reference ------------------------------------
+
+# names of lengths 1-4, so a count that misses or doubles one shows
+_WALK_NAMES = ("a", "bb", "ccc", "dddd", "e", "fg")
+_DIR_MODES = (0o755, 0o755, 0o755, 0o750, 0o705, 0o700, 0o055, 0o000)
+_FILE_MODES = (0o644, 0o755, 0o000)
+
+
+def _random_walk_tree(rng: random.Random):
+    """A random tree whose modes deny traversal to each credential at some
+    directories, the root included, and whose files sometimes carry exec bits."""
+    tree = DirTree()
+    dentries = [tree.root]
+    dirs = [tree.root]
+    for _ in range(rng.randint(8, 50)):
+        parent = rng.choice(dirs)
+        name = rng.choice(_WALK_NAMES)
+        if name in parent.children:
+            continue
+        kind = FILE if rng.random() < 0.35 else DIR
+        mode = rng.choice(_FILE_MODES if kind == FILE else _DIR_MODES)
+        d = tree.node(tree.create_node(tree.materialize_path(parent), name, kind, mode))
+        dentries.append(d)
+        if kind == DIR:
+            dirs.append(d)
+    tree.chmod_node(mkpath("/"), rng.choice((0o755, 0o700, 0o750, 0o000)))
+    return tree, dentries
+
+
+def _random_components(rng: random.Random, start) -> tuple[str, ...]:
+    """Names below `start`: mostly existing children, sometimes a missing
+    name (then maybe more names), sometimes a name below a file."""
+    names: list[str] = []
+    cur = start
+    for _ in range(rng.randint(0, 7)):
+        if cur is not None and cur.children and rng.random() < 0.85:
+            name = rng.choice(sorted(cur.children))
+            cur = cur.children[name]
+        else:
+            name = rng.choice(("zz", "q", "rrr"))  # never a child's name
+            cur = None
+        names.append(name)
+    return tuple(names)
+
+
+def _walk_result(walk, *args):
+    try:
+        return ("ok", walk(*args).id)
+    except (NotFound, PermissionDenied) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_walk_matches_reference_randomized():
+    rng = random.Random(1818)
+    cases: set[str] = set()
+    for _ in range(120):
+        tree, dentries = _random_walk_tree(rng)
+        ref_m, new_m = Metrics(), Metrics()
+        for _ in range(40):
+            start = tree.root if rng.random() < 0.5 else rng.choice(dentries)
+            comps = _random_components(rng, start)
+            for cred in Credential:
+                before = ref_m.dentries_visited
+                want = _walk_result(reference_walk, tree, start, comps, cred, ref_m)
+                got = _walk_result(tree.walk_from, start, comps, cred, new_m)
+                assert got == want, (tree.materialize_path(start), comps, cred)
+                assert (new_m.dentries_visited, new_m.char_comparisons) == (
+                    ref_m.dentries_visited,
+                    ref_m.char_comparisons,
+                ), (tree.materialize_path(start), comps, cred)
+                assert new_m.distinct_resolved == ref_m.distinct_resolved
+                resolved = ref_m.dentries_visited - before
+                inner = "inner" if start is not tree.root else "root"
+                if want[0] == "PermissionDenied":
+                    cases.add(f"denied-{inner}-after-{resolved}")
+                elif want[0] == "NotFound":
+                    below = tree.node(_walk_result(reference_walk, tree, start, comps[:resolved], cred)[1])
+                    where = "below-file" if below.children is None else "missing"
+                    cases.add(f"{where}-{'middle' if resolved + 1 < len(comps) else 'last'}")
+                else:
+                    cases.add(f"ok-{inner}")
+                if start is tree.root and resolved and not tree.root.mode & TRAV_BIT[cred]:
+                    cases.add("through-denying-root")
+    expected = {"ok-root", "ok-inner", "through-denying-root"}
+    expected |= {f"{w}-{p}" for w in ("missing", "below-file") for p in ("middle", "last")}
+    expected |= {f"denied-root-after-{k}" for k in range(1, 6)}
+    expected |= {f"denied-inner-after-{k}" for k in range(0, 4)}
+    assert expected <= cases, sorted(expected - cases)
+
+
+def _count_calls(monkeypatch, cls, counts: dict[str, int]) -> None:
+    for name in ("acquire_read", "release_read"):
+        original = getattr(cls, name)
+
+        def counted(self, _name=name, _original=original):
+            counts[_name] += 1
+            _original(self)
+
+        monkeypatch.setattr(cls, name, counted)
+
+
+def test_single_threaded_walk_makes_no_lock_call(monkeypatch):
+    tree = make_tree(files=_COUNTED_FILES)
+    tree.chmod_node(mkpath("/ab/cde/f"), 0o644)
+    counts = {"acquire_read": 0, "release_read": 0}
+    _count_calls(monkeypatch, NullRWLock, counts)
+    for path in ("/ab/cde/x", "/ab/zzzz", "/ab/cde/x/yy", "/ab/cde/f/gh", "/"):
+        outcome(tree.lookup_original, mkpath(path), OWNER, Metrics())
+    assert counts == {"acquire_read": 0, "release_read": 0}
+
+
+def test_threadsafe_walk_takes_one_read_lock_per_walk(monkeypatch):
+    tree = make_tree(files=_COUNTED_FILES, threadsafe=True)
+    tree.chmod_node(mkpath("/ab/cde/f"), 0o644)
+    counts = {"acquire_read": 0, "release_read": 0}
+    _count_calls(monkeypatch, RWLock, counts)
+    walks = (
+        ("/ab/cde/x", "ok"),
+        ("/ab/zzzz", "err:NotFound"),
+        ("/ab/cde/x/yy", "err:NotFound"),
+        ("/ab/cde/f/gh", "err:PermissionDenied"),
+        ("/", "ok"),
+    )
+    for n, (path, want) in enumerate(walks, 1):
+        assert outcome(tree.lookup_original, mkpath(path), OWNER, Metrics()).startswith(want)
+        assert counts == {"acquire_read": n, "release_read": n}
