@@ -7,7 +7,8 @@ Three interchangeable lookup strategies over one in-memory directory tree:
 - fullpath: a whole-path-indexed cache with version-checked hits;
 - stage: two-stage lookup that starts the walk at the deepest cached pivot
   sharing a prefix with the query, managed by heat-based candidate admission
-  and a pivot pool rebuilt each period and swapped in behind readers.
+  and a pivot pool rebuilt each period its hot set changed and swapped in
+  behind readers.
 
 The workload module generates trees, synthesizes traces, and replays them,
 reporting operation counters instead of wall-clock latency.

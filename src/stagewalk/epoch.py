@@ -9,7 +9,8 @@ a reclaim queue and are poisoned (freed flag) only once every reader
 registered before their retirement has exited, which the sentinel checks in
 find_best_pivot turn into hard failures on any protocol bug.
 
-Each period the manager builds a pool from the candidates. A metadata
+Each period the manager builds a pool from the candidates; a period whose
+kept names equal the working pool's keeps that pool. A metadata
 modification installs a pool of fresh copies of the working pool's pivots
 that its path does not cover, then bumps `metadata_seq`; readers still
 scanning the old pool may find a covered pivot there, and the engine drops
@@ -149,7 +150,8 @@ class PivotManager:
         discards the fresh build, and the working pool stays as the
         modification left it for another period; in that case the heat version
         does not advance and the candidates stay. Returns whether a swap
-        happened. `swaps` counts these period swaps only.
+        happened. `swaps` counts these period swaps only, also one that
+        keeps the working pool because its names did not change.
         """
         self.ticks += 1
         if candidates is None:
@@ -158,13 +160,13 @@ class PivotManager:
         self._tree.lock.acquire_read()
         try:
             seq = self.metadata_seq
-            new_pool = build_pool(candidates, self.pool_bound)
+            new_pool = build_pool(candidates, self.pool_bound, self.working_pool)
         finally:
             self._tree.lock.release_read()
 
         with self._pool_mutex:
             swapped = self.metadata_seq == seq
-            if swapped:
+            if swapped and new_pool is not self.working_pool:
                 self._install(new_pool)
         if swapped:
             self.swaps += 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation
 from .tree import Dentry
 
 HEAT_MAX = 2**64 - 1
@@ -52,12 +52,15 @@ class CandidateSet:
 
     A dentry is a member exactly when its `cand_next` is set. The lookup path
     (`observe_target` and `maybe_admit`) tests that link directly
-    rather than paying a call to `__contains__`.
+    rather than paying a call to `__contains__`. A negative capacity or
+    threshold raises ConfigError.
     """
 
     __slots__ = ("capacity", "threshold", "size", "least_popular", "_head")
 
     def __init__(self, capacity: int = 64, threshold: int = 4):
+        if capacity < 0 or threshold < 0:
+            raise ConfigError("heat capacity/threshold must be >= 0")
         self.capacity = capacity
         self.threshold = threshold
         self.size = 0

@@ -17,6 +17,7 @@ File formats:
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -98,24 +99,43 @@ def gen_tree(
     """Deterministic tree for a spec: same seed, same canonical dump.
 
     Each level's names are built once and the same string objects are
-    attached under every parent, so a tree holds one copy of each name."""
+    attached under every parent, so a tree holds one copy of each name.
+    A file size is drawn only from a range of more than one value; the
+    generator serves nothing else, so skipping a one-value draw changes no
+    later size.
+
+    The build pauses Python's automatic garbage collection, process-wide,
+    and restores the state it found on return or on an exception. Those
+    passes would re-walk the half-built tree and free nothing: every dentry
+    and children map stays reachable from `tree.nodes`, so a pass finds no
+    unreachable cycle. The pause defers one pass rather than saving it all:
+    the tree is left in the youngest generation, so the caller's next
+    tracked allocation walks it once, unless the caller freezes it first.
+    Neither collecting nor freezing is done here; a caller that wants either
+    does it on the finished tree."""
     spec.validate()
-    rng = random.Random(spec.seed if seed is None else seed)
-    tree = DirTree(threadsafe=threadsafe)
-    parents = [tree.root]
-    for depth, fanout in enumerate(spec.levels, start=1):
-        letter = _level_letter(depth)
-        names = [f"{letter}{i}" for i in range(fanout)]
-        next_parents = []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rng = random.Random(spec.seed if seed is None else seed)
+        tree = DirTree(threadsafe=threadsafe)
+        parents = [tree.root]
+        for depth, fanout in enumerate(spec.levels, start=1):
+            letter = _level_letter(depth)
+            names = [f"{letter}{i}" for i in range(fanout)]
+            next_parents = []
+            for parent in parents:
+                for name in names:
+                    next_parents.append(tree._attach(parent, name, DIR, _DIR_MODE))
+            parents = next_parents
+        lo, hi = spec.file_size_range
+        leaf_name = f"{_level_letter(len(spec.levels) + 1)}0"
         for parent in parents:
-            for name in names:
-                next_parents.append(tree._attach(parent, name, DIR, _DIR_MODE))
-        parents = next_parents
-    lo, hi = spec.file_size_range
-    leaf_name = f"{_level_letter(len(spec.levels) + 1)}0"
-    for parent in parents:
-        tree._attach(parent, leaf_name, FILE, _FILE_MODE, rng.randint(lo, hi))
-    return tree
+            tree._attach(parent, leaf_name, FILE, _FILE_MODE, rng.randint(lo, hi) if lo < hi else lo)
+        return tree
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -- traces -------------------------------------------------------------------

@@ -256,6 +256,40 @@ def reference_build_pool(candidates, bound: int) -> PivotPool:
     return pool_from_sorted(entries)
 
 
+def pool_shape(pool: PivotPool) -> tuple:
+    """What two pools must share to be equal: the dump (overlaps and paths),
+    each pivot's names, and its component ids and prefix masks."""
+    return (
+        pool.dump(),
+        [pv.names for pv in pool.pivots],
+        [[(c.node_id, c.prefix_trav) for c in pv.components] for pv in pool.pivots],
+    )
+
+
+def reference_gen_tree(spec, seed: Optional[int] = None, threadsafe: bool = False) -> DirTree:
+    """gen_tree as it was before it paused the garbage collector and skipped
+    the draw from a one-value size range: every file takes
+    `rng.randint(lo, hi)`. gen_tree must give the same tree for every spec
+    and seed."""
+    spec.validate()
+    rng = random.Random(spec.seed if seed is None else seed)
+    tree = DirTree(threadsafe=threadsafe)
+    parents = [tree.root]
+    for depth, fanout in enumerate(spec.levels, start=1):
+        letter = chr(ord("a") + (depth - 1) % 26)
+        names = [f"{letter}{i}" for i in range(fanout)]
+        next_parents = []
+        for parent in parents:
+            for name in names:
+                next_parents.append(tree._attach(parent, name, DIR, 0o755))
+        parents = next_parents
+    lo, hi = spec.file_size_range
+    leaf_name = f"{chr(ord('a') + len(spec.levels) % 26)}0"
+    for parent in parents:
+        tree._attach(parent, leaf_name, FILE, 0o644, rng.randint(lo, hi))
+    return tree
+
+
 FIG4_PATHS = ("/a1/b1/c1", "/a1/b1/c2/d2/e2", "/a1/b1/c2/d2/e3/f3/g3", "/a1/b2/c3")
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import random
 import threading
 
@@ -7,9 +8,13 @@ import pytest
 
 import stagewalk.epoch as epoch_module
 from stagewalk import (
+    DIR,
+    FILE,
     CandidateSet,
     ContractViolation,
+    EngineError,
     HeatEpoch,
+    PathBuf,
     PivotManager,
     PivotPool,
     ScanStats,
@@ -18,7 +23,15 @@ from stagewalk import (
     find_best_pivot,
     verify_pool,
 )
-from conftest import FIG4_PATHS, mkpath, make_tree, random_tree_paths, reference_scan
+from conftest import (
+    FIG4_PATHS,
+    mkpath,
+    make_tree,
+    pool_shape,
+    random_tree_paths,
+    reference_build_pool,
+    reference_scan,
+)
 
 
 def make_manager(tree=None, bound=16):
@@ -45,6 +58,12 @@ def fig4_manager(threadsafe=False):
     return tree, cset, epoch, mgr
 
 
+def heat_a_changed_set(tree, cset, epoch):
+    """Heat a hot set other than fig4_manager's, so the next period builds
+    and installs a fresh pool instead of keeping the working one."""
+    heat_up(tree, cset, epoch, FIG4_PATHS[1:])
+
+
 def on_both_trees(test):
     """Run `test(threadsafe)` on a single-threaded tree, whose manager keeps
     no reader registry, and on a threadsafe tree, whose manager keeps one
@@ -66,7 +85,7 @@ def test_reader_snapshot_survives_swap():
     tree, cset, epoch, mgr = fig4_manager(threadsafe=True)
     token_id, pool = mgr.reader_enter()
     gen_before = pool.generation
-    heat_up(tree, cset, epoch, FIG4_PATHS)
+    heat_a_changed_set(tree, cset, epoch)
     mgr.periodic_update()  # publishes a new generation
     assert mgr.working_pool.generation == gen_before + 1
     assert pool.generation == gen_before
@@ -124,7 +143,7 @@ def test_single_threaded_tick_inside_a_read_section_trips_the_sentinel():
     raises instead of reading a freed pool."""
     tree, cset, epoch, mgr = fig4_manager()
     token_id, pool = mgr.reader_enter()
-    heat_up(tree, cset, epoch, FIG4_PATHS)
+    heat_a_changed_set(tree, cset, epoch)
     assert mgr.periodic_update()
     assert pool.freed
     with pytest.raises(ContractViolation):
@@ -150,14 +169,91 @@ def test_single_threaded_engine_leaves_no_reader_behind():
 
 
 def test_selector_alternates_in_steady_state():
-    tree, cset, epoch, mgr = make_manager()
+    tree, cset, epoch, mgr = make_manager(make_tree("/seed", "/next"))
     seen = [mgr.working_pool]
-    for _ in range(3):
-        heat_up(tree, cset, epoch, ["/seed"])
+    for hot in ("/seed", "/next", "/seed"):
+        heat_up(tree, cset, epoch, [hot])
         assert mgr.periodic_update()
         seen.append(mgr.working_pool)
-    assert [p.generation for p in seen] == [0, 1, 2, 3]  # a fresh pool every period
+    assert [p.generation for p in seen] == [0, 1, 2, 3]  # a fresh pool every changed period
     assert [p.freed for p in seen] == [True, True, True, False]  # the old one retired
+
+
+@on_both_trees
+def test_unchanged_hot_set_keeps_the_working_pool(threadsafe):
+    """A period that keeps the same names keeps the working pool itself: no
+    new generation and nothing retired, yet the tick still counts as a swap,
+    advances the heat version and clears the candidates."""
+    tree, cset, epoch, mgr = fig4_manager(threadsafe)
+    old, gen, swaps, version = mgr.working_pool, mgr.generation, mgr.swaps, epoch.global_version
+    token_id, held = mgr.reader_enter()
+    heat_up(tree, cset, epoch, FIG4_PATHS)
+    assert len(cset) > 0
+    assert mgr.periodic_update()
+    assert mgr.working_pool is old and old.generation == mgr.generation == gen
+    assert mgr.swaps == swaps + 1 and epoch.global_version == version + 1 and len(cset) == 0
+    assert mgr.reclaim_queue.pending == 0
+    mgr.reader_exit(token_id)
+    mgr.reclaim()
+    assert held is old and old.published and not old.freed
+    assert find_best_pivot(old, mkpath(FIG4_PATHS[0]))[0].path == FIG4_PATHS[0]
+
+
+@on_both_trees
+def test_working_pool_equals_a_fresh_build_of_its_targets_randomized(threadsafe):
+    """Lookups, ticks, and creates, renames, chmods and unlinks through the
+    tree API, in random order: after every step the working pool equals the
+    reference build of its own targets, and a tick's pool equals the
+    reference build of the candidates it ranked, whether it kept the pool
+    before it or built a fresh one."""
+    rng = random.Random(2119 + threadsafe)
+    seen = collections.Counter()
+    modes = (0o755, 0o755, 0o750, 0o711, 0o700, 0o644)
+    for _trial in range(12):
+        paths = random_tree_paths(rng, rng.randint(6, 20), max_depth=4)
+        tree = make_tree(*paths, threadsafe=threadsafe)
+        engine = StageLookupEngine(
+            tree, pool_size=rng.choice((2, 4, 8)), heat_threshold=rng.choice((0, 2)), heat_capacity=rng.choice((4, 16))
+        )
+        mgr = engine.manager
+        hot = rng.sample(paths, rng.randint(1, 5))
+        n_new = 0
+        for _step in range(300):
+            live = [d for d in tree.nodes[1:] if not d.dead]
+            roll = rng.random()
+            before = mgr.working_pool
+            try:
+                if roll < 0.7:
+                    engine.lookup(mkpath(rng.choice(hot)))
+                elif roll < 0.8:
+                    cands = engine.candidates.members()
+                    if mgr.periodic_update():
+                        want = reference_build_pool(cands, mgr.pool_bound)
+                        assert pool_shape(mgr.working_pool) == pool_shape(want)
+                        if before.size:
+                            seen["kept" if mgr.working_pool is before else "built"] += 1
+                elif roll < 0.85:
+                    parent = rng.choice([d for d in live if d.kind == DIR] or [tree.root])
+                    n_new += 1
+                    tree.create_node(tree.materialize_path(parent), f"n{n_new}", rng.choice((DIR, FILE)), 0o755)
+                elif roll < 0.9:
+                    d, new_parent = rng.choice(live), rng.choice([d for d in live if d.kind == DIR] or [tree.root])
+                    n_new += 1
+                    new = tree.materialize_path(new_parent).components + (f"n{n_new}",)
+                    tree.rename_node(tree.materialize_path(d), PathBuf(new))
+                elif roll < 0.95:
+                    tree.chmod_node(tree.materialize_path(rng.choice(live)), rng.choice(modes))
+                else:
+                    tree.unlink_node(tree.materialize_path(rng.choice([d for d in live if not d.children])))
+            except EngineError:
+                seen["refused"] += 1
+            pool = mgr.working_pool
+            if 0.8 <= roll and pool is not before:
+                seen["retired by a modification"] += 1
+            targets = [tree.node(pv.components[-1].node_id) for pv in pool.pivots]
+            assert pool_shape(pool) == pool_shape(reference_build_pool(targets, pool.size))
+            assert verify_pool(pool) == []
+    assert {"kept", "built", "refused", "retired by a modification"} <= set(seen), seen
 
 
 def tick_raced_by(mgr, cset, epoch, path):
@@ -166,13 +262,13 @@ def tick_raced_by(mgr, cset, epoch, path):
     build is not installed, no swap is counted, the heat version does not
     advance and nothing is drained. Returns how many pivots the modification
     removed."""
-    swaps = mgr.swaps
+    swaps, pool, generation = mgr.swaps, mgr.working_pool, mgr.generation
     version, members = epoch.global_version, [d.id for d in cset.members()]
     removed, builds = [], []
     real_build = epoch_module.build_pool
 
-    def racing_build(candidates, bound):
-        builds.append(real_build(candidates, bound))
+    def racing_build(candidates, bound, current):
+        builds.append(real_build(candidates, bound, current))
         removed.append(mgr.invalidate_for_metadata(mkpath(path)))
         return builds[0]
 
@@ -181,7 +277,11 @@ def tick_raced_by(mgr, cset, epoch, path):
         assert not mgr.periodic_update()
     finally:
         epoch_module.build_pool = real_build
-    assert not builds[0].published  # the raced build was never installed
+    # the raced build was never installed: it is a fresh pool left
+    # unpublished, or the working pool it kept, and only the modification
+    # may have moved the generation
+    assert not builds[0].published or builds[0] is pool
+    assert mgr.generation == generation + (removed[0] > 0)
     assert mgr.swaps == swaps
     assert epoch.global_version == version
     assert [d.id for d in cset.members()] == members
@@ -377,7 +477,7 @@ def test_invalidate_matches_oracle_on_random_pools():
 def test_reclaim_all_without_readers(threadsafe):
     tree, cset, epoch, mgr = fig4_manager(threadsafe)
     old_pool = mgr.working_pool
-    heat_up(tree, cset, epoch, FIG4_PATHS)
+    heat_a_changed_set(tree, cset, epoch)
     mgr.periodic_update()  # retires old_pool
     assert mgr.reclaim_queue.pending == 0  # tick reclaims opportunistically
     assert old_pool.freed
@@ -387,7 +487,7 @@ def test_reader_pins_generation():
     tree, cset, epoch, mgr = fig4_manager(threadsafe=True)
     old_pool = mgr.working_pool
     token_id, pool = mgr.reader_enter()
-    heat_up(tree, cset, epoch, FIG4_PATHS)
+    heat_a_changed_set(tree, cset, epoch)
     mgr.periodic_update()
     assert not old_pool.freed  # grace period: retired at the reader's generation
     # the pinned snapshot is still fully usable
@@ -401,7 +501,7 @@ def test_reader_pins_generation():
 def test_use_after_reclaim_trips_sentinel(threadsafe):
     tree, cset, epoch, mgr = fig4_manager(threadsafe)
     old_pool = mgr.working_pool
-    heat_up(tree, cset, epoch, FIG4_PATHS)
+    heat_a_changed_set(tree, cset, epoch)
     mgr.periodic_update()
     assert old_pool.freed
     with pytest.raises(ContractViolation):
@@ -422,7 +522,7 @@ def test_removed_pivots_reclaimed_after_grace():
 @on_both_trees
 def test_reclaim_idempotent(threadsafe):
     tree, cset, epoch, mgr = fig4_manager(threadsafe)
-    heat_up(tree, cset, epoch, FIG4_PATHS)
+    heat_a_changed_set(tree, cset, epoch)
     mgr.periodic_update()
     assert mgr.reclaim() == 0
     assert mgr.reclaim() == 0

@@ -7,10 +7,12 @@ import pytest
 from stagewalk import (
     Admission,
     CandidateSet,
+    ConfigError,
     ContractViolation,
     Dentry,
     HeatEpoch,
     StageLookupEngine,
+    make_resolver,
     observe_target,
 )
 from stagewalk.tree import DIR
@@ -108,6 +110,18 @@ def test_rejected_at_boundary():
 def test_capacity_zero_always_rejects():
     cset = CandidateSet(0, 4)
     assert cset.maybe_admit(d(1, heat=10**9))[0] is Admission.REJECTED
+
+
+@pytest.mark.parametrize("capacity, threshold", [(-1, 4), (64, -1), (-5, -5)])
+def test_negative_capacity_or_threshold_rejected(capacity, threshold):
+    """A negative capacity or threshold is refused when the set is built,
+    directly or through make_resolver, not by an assert on the first lookup."""
+    with pytest.raises(ConfigError, match="heat capacity/threshold must be >= 0"):
+        CandidateSet(capacity, threshold)
+    tree = make_tree("/a/b")
+    with pytest.raises(ConfigError, match="heat capacity/threshold must be >= 0"):
+        make_resolver("stage", tree, heat_capacity=capacity, heat_threshold=threshold)
+    assert CandidateSet(0, 0).capacity == 0  # zero is a valid bound
 
 
 def test_below_capacity_unconditional():

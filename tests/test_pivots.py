@@ -25,6 +25,7 @@ from conftest import (
     make_node,
     make_tree,
     mkpath,
+    pool_shape,
     random_tree_paths,
     reference_build_pool,
     reference_scan,
@@ -82,14 +83,6 @@ def test_component_arrays(fig4):
     assert pv.components[0].prefix_trav == 0b111
 
 
-def _pool_shape(pool):
-    return (
-        pool.dump(),
-        [pv.names for pv in pool.pivots],
-        [[(c.node_id, c.prefix_trav) for c in pv.components] for pv in pool.pivots],
-    )
-
-
 def _names_of(d) -> tuple[str, ...]:
     names = []
     while d.parent is not None:
@@ -131,7 +124,7 @@ def test_build_pool_matches_reference_randomized():
         n = len(hottest)
         for bound in (0, 1, n // 2, n, n + 3):
             got = build_pool(cands, bound)
-            assert _pool_shape(got) == _pool_shape(reference_build_pool(cands, bound))
+            assert pool_shape(got) == pool_shape(reference_build_pool(cands, bound))
             assert got.size == min(bound, n) and verify_pool(got) == []
             seen["tie at the cut"] += 0 < bound < n and heats[bound - 1] == heats[bound]
     assert len(seen) == 4 and all(seen.values()), seen
@@ -161,7 +154,44 @@ def test_build_pool_materializes_only_the_kept_candidates(monkeypatch):
     pool = build_pool(cands, 16)
     # 16 kept pivots of 6 components each; masking all 64 candidates took 384
     assert pool.size == 16 and made["Component"] <= 16 * 6 and made["trav_mask"] <= 16 * 6
-    assert _pool_shape(pool) == _pool_shape(reference_build_pool(cands, 16))
+    assert pool_shape(pool) == pool_shape(reference_build_pool(cands, 16))
+
+
+def test_build_pool_with_a_current_pool_matches_reference_randomized():
+    """A build handed the pool before it equals the reference build of its
+    candidates, whether it returns that pool or builds afresh; it returns it
+    exactly when the kept names equal the pool's names. Every current pool
+    is a build of the same live tree, as the manager's is."""
+    rng = random.Random(1919)
+    seen = collections.Counter()
+    for _trial in range(80):
+        paths = random_tree_paths(rng, rng.randint(2, 20), max_depth=4)
+        tree = make_tree(*paths)
+        for d in tree.nodes[2:]:
+            if rng.random() < 0.3:
+                d.mode = rng.choice((0o750, 0o711, 0o700, 0o644, 0o055))
+        live = tree.nodes[1:]
+        old_cands = rng.sample(live, rng.randint(0, len(live)))
+        for d in old_cands:
+            d.heat = rng.randint(0, 3)
+        current = build_pool(old_cands, rng.randint(0, len(live)))
+        if rng.random() < 0.5:  # the same hot set: equal names unless the cut moves
+            cands = list(old_cands)
+        else:
+            cands = rng.sample(live, rng.randint(0, len(live)))
+        for d in cands:
+            d.heat = rng.randint(0, 3)
+        cands += rng.choices(cands, k=rng.randint(0, 3)) if cands else []
+        for bound in (current.size, rng.randint(0, len(live) + 2)):
+            got = build_pool(cands, bound, current)
+            want = reference_build_pool(cands, bound)
+            assert pool_shape(got) == pool_shape(want)
+            assert verify_pool(got) == []
+            same_names = [pv.names for pv in want.pivots] == [pv.names for pv in current.pivots]
+            assert (got is current) == same_names
+            seen["kept" if same_names else "built"] += 1
+            seen["kept, non-empty"] += same_names and current.size > 0
+    assert len(seen) == 3 and all(seen.values()), seen
 
 
 # -- find_best_pivot -------------------------------------------------------------------

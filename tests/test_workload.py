@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import random
@@ -24,7 +25,8 @@ from stagewalk import (
     synth_trace,
     write_trace,
 )
-from conftest import mkpath
+from stagewalk.tree import DirTree
+from conftest import mkpath, reference_gen_tree
 
 
 # -- gen_tree -------------------------------------------------------------------
@@ -66,6 +68,88 @@ def test_spec_validation():
 def test_spec_json_round_trip():
     spec = TreeSpec(levels=[4, 2], file_size_range=(1, 2), seed=9)
     assert TreeSpec.from_json(spec.to_json()) == spec
+
+
+def _node_records(tree):
+    """Each node's id, parent id, name, kind, mode and size, by id: equal
+    records mean equal trees with equal ids."""
+    return [(d.id, d.parent and d.parent.id, d.name, d.kind, d.mode, d.size) for d in tree.nodes[1:]]
+
+
+def test_gen_tree_matches_reference_randomized():
+    """gen_tree gives the tree the reference gives for every spec and seed:
+    the same records per id and the same canonical dump, with one name object
+    per distinct name on each level. The specs draw sizes from one-value and
+    from wider ranges, so a draw skipped from a wider range shows."""
+    rng = random.Random(1919)
+    seen = set()
+    for trial in range(50):
+        levels = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        lo = rng.choice((0, 1, 4096, rng.randint(0, 10_000)))
+        hi = lo if trial % 2 else lo + rng.choice((1, 2, 100, 10**9))
+        spec = TreeSpec(levels=levels, file_size_range=(lo, hi), seed=rng.randint(0, 2**31))
+        seed = rng.choice((None, rng.randint(-5, 5)))
+        threadsafe = trial % 3 == 0
+        got = gen_tree(spec, seed=seed, threadsafe=threadsafe)
+        want = reference_gen_tree(spec, seed=seed, threadsafe=threadsafe)
+        assert got.threadsafe is threadsafe
+        assert _node_records(got) == _node_records(want)
+        assert got.canonical_dump() == want.canonical_dump()
+        by_level: dict[tuple[int, str], str] = {}
+        for d in got.nodes[2:]:
+            depth = got.materialize_path(d).depth
+            assert by_level.setdefault((depth, d.name), d.name) is d.name
+        seen.add((lo == hi, threadsafe, seed is None))
+    assert len(seen) == 8, seen
+
+
+def test_gen_tree_matches_reference_on_the_preset():
+    assert _node_records(gen_tree(SIX_LEVEL_PRESET)) == _node_records(reference_gen_tree(SIX_LEVEL_PRESET))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gen_tree_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    """The build runs with automatic collection paused and restores the
+    state it found, also when it raises halfway."""
+    was = gc.isenabled()
+    real_attach = DirTree._attach
+    calls = []
+
+    def attach(self, *args):
+        calls.append(gc.isenabled())
+        if len(calls) == 7:
+            raise RuntimeError("attach failed")
+        return real_attach(self, *args)
+
+    try:
+        (gc.enable if enabled else gc.disable)()
+        gen_tree(TreeSpec(levels=[2, 2]))
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(DirTree, "_attach", attach)
+        with pytest.raises(RuntimeError, match="attach failed"):
+            gen_tree(TreeSpec(levels=[2, 2]))
+        assert gc.isenabled() is enabled
+        assert calls == [False] * 7  # paused for the whole build
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_gen_tree_runs_no_automatic_collection():
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        tree = gen_tree(SIX_LEVEL_PRESET)
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if was else gc.disable)()
+    assert tree.node_count == 211_111 and starts == []
 
 
 # -- synth_trace -------------------------------------------------------------------
