@@ -30,7 +30,7 @@ from .errors import (
     Unsupported,
 )
 from .fullpath import FullPathCache
-from .heat import Admission, CandidateSet, HeatEpoch, observe_target
+from .heat import Admission, CandidateSet, observe_target
 from .metrics import Metrics
 from .paths import ROOT, PathBuf
 from .pivots import (
@@ -79,7 +79,6 @@ __all__ = [
     "EngineError",
     "FILE",
     "FullPathCache",
-    "HeatEpoch",
     "InvalidPath",
     "MetadataView",
     "Metrics",

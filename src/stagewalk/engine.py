@@ -10,7 +10,9 @@ component's dentry, which the pivot stores per depth (so landing on an
 ancestor of the pivot is a direct array index, recorded as rolled_up). The
 skipped prefix's permission check is one mask test against traversal bits
 aggregated at build time. The heat update is one call, `observe_target`,
-taken under the heat lock on a threadsafe tree only.
+taken under the heat lock on a threadsafe tree only. The candidate set holds
+the engine's heat version and members, so engines sharing a tree keep
+separate candidates.
 
 A lookup sees one state of the tree, as the kernel's RCU-walk does: it
 samples the manager's `metadata_seq` before it enters, and if the count has
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotFound, PermissionDenied
-from .heat import CandidateSet, HeatEpoch, observe_target
+from .heat import CandidateSet, observe_target
 from .epoch import PivotManager
 from .metrics import Metrics
 from .paths import PathBuf
@@ -92,14 +94,6 @@ class OriginalLookup(_ResolverBase):
         return self.tree.lookup_original(path, cred, self.metrics)
 
 
-class _ScanSlot(threading.local):
-    """One ScanStats per thread of a threadsafe tree, reused by every scan the
-    thread makes; find_best_pivot writes both counts on every return."""
-
-    def __init__(self) -> None:
-        self.stats = ScanStats()
-
-
 class StageLookupEngine(_ResolverBase):
     def __init__(
         self,
@@ -110,15 +104,13 @@ class StageLookupEngine(_ResolverBase):
         metrics: Optional[Metrics] = None,
     ):
         super().__init__(tree, metrics)
-        self.epoch = HeatEpoch()
         self.candidates = CandidateSet(heat_capacity, heat_threshold)
         self.heat_lock = threading.Lock()
         self._threadsafe = tree.threadsafe  # heat updates take heat_lock only then
-        self.manager = PivotManager(tree, self.candidates, self.epoch, self.heat_lock, pool_bound=pool_size)
-        # a single-threaded engine keeps its one ScanStats in a plain slot: a
-        # threading.local attribute read costs several plain ones
+        self.manager = PivotManager(tree, self.candidates, self.heat_lock, pool_bound=pool_size)
+        # a single-threaded engine reuses one ScanStats; a threadsafe one
+        # makes one per lookup, since threads would share a reused one
         self._stats = None if tree.threadsafe else ScanStats()
-        self._scan = _ScanSlot() if tree.threadsafe else None
         tree.register_hook(self._on_metadata)
 
     def _on_metadata(self, path: PathBuf) -> None:
@@ -127,18 +119,13 @@ class StageLookupEngine(_ResolverBase):
     def tick(self) -> None:
         self.manager.periodic_update()
 
-    def check_prefix_permissions(self, pivot: Pivot, depth: int, cred: Credential) -> None:
-        """Clear components 1..depth-1 with the mask cached on the matched component."""
-        if not pivot.components[depth - 1].prefix_trav & CRED_MASK_BIT[cred]:
-            raise PermissionDenied(f"skipped prefix of {pivot.path!r} not traversable for {cred.value}")
-
     def _resolve(self, path: PathBuf, cred: Credential) -> tuple[Dentry, Optional[Pivot], int]:
         """Both stages; returns the target, the pivot used (None on a full walk)
         and the number of components it skipped."""
         metrics = self.metrics
         metrics.lookups += 1
         manager = self.manager
-        stats = self._stats or self._scan.stats
+        stats = self._stats or ScanStats()
         seq = manager.metadata_seq
         token_id, pool = manager.reader_enter()
         try:
@@ -154,8 +141,9 @@ class StageLookupEngine(_ResolverBase):
             pivot, depth = hit
             matched = pivot.components[depth - 1]
             try:
+                # the mask cached on the matched component clears components 1..depth-1
                 if not matched.prefix_trav & CRED_MASK_BIT[cred]:
-                    self.check_prefix_permissions(pivot, depth, cred)  # raises
+                    raise PermissionDenied(f"skipped prefix of {pivot.path!r} not traversable for {cred.value}")
                 target = tree.nodes[matched.node_id]
                 comps = path.components
                 if depth < len(comps):  # an empty walk_from checks and counts nothing
@@ -176,9 +164,9 @@ class StageLookupEngine(_ResolverBase):
 
         if self._threadsafe:
             with self.heat_lock:
-                observe_target(target, self.epoch, self.candidates)
+                observe_target(target, self.candidates)
         else:
-            observe_target(target, self.epoch, self.candidates)
+            observe_target(target, self.candidates)
         return target, pivot, depth
 
     def stage_lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> StageResult:

@@ -40,7 +40,7 @@ from contextlib import nullcontext
 from typing import Iterable, Optional
 
 from .errors import ContractViolation
-from .heat import CandidateSet, HeatEpoch
+from .heat import CandidateSet
 from .paths import PathBuf
 from .pivots import PivotPool, build_pool, pool_from_sorted
 from .tree import Dentry, DirTree
@@ -77,19 +77,17 @@ class ReclaimQueue:
 
 
 class PivotManager:
-    """Owns the working pool, the heat epoch, and the candidate set lifecycle."""
+    """Owns the working pool and the candidate set's period lifecycle."""
 
     def __init__(
         self,
         tree: DirTree,
         candidates: CandidateSet,
-        epoch: HeatEpoch,
         heat_lock: threading.Lock,
         pool_bound: int = 16,
     ):
         self._tree = tree
         self._candidates = candidates
-        self._epoch = epoch
         self._heat_lock = heat_lock
         self.pool_bound = pool_bound
         self.generation = 0
@@ -143,8 +141,8 @@ class PivotManager:
     # -- manager side -----------------------------------------------------------
 
     def periodic_update(self, candidates: Optional[Iterable[Dentry]] = None) -> bool:
-        """One manager period: rebuild, maybe swap, then advance heat and
-        clear the candidate set.
+        """One manager period: rebuild, maybe swap, then advance the candidate
+        set, which bumps the heat version and drops every member.
 
         A metadata modification between the start of the build and the swap
         discards the fresh build, and the working pool stays as the
@@ -171,8 +169,7 @@ class PivotManager:
         if swapped:
             self.swaps += 1
             with self._heat_lock:
-                self._epoch.advance()
-                self._candidates.clear()
+                self._candidates.advance()
         self.reclaim()
         return swapped
 

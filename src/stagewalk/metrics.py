@@ -21,9 +21,10 @@ Counter semantics:
   node's run. Where the query leaves the index it reads that count once and
   adds the run's own cost: the rest of a single pivot's names, or the
   mismatch cost against the names of the run's groups, which the node
-  memoizes per missing name. The engine takes Stage One's count off one
-  reused `ScanStats` (one per thread on a threadsafe tree), so counting
-  allocates nothing per lookup.
+  memoizes per missing name. The engine takes Stage One's count off a
+  `ScanStats`: one reused instance on a single-threaded tree, so counting
+  allocates nothing per lookup there, and a fresh one per lookup on a
+  threadsafe tree.
 - fallbacks: a modification raced the lookup, which then walked from the
   root.
 - distinct_resolved: a byte map by dentry id, 1 at each id a walk ever

@@ -186,8 +186,8 @@ class ScanStats:
     The counts are the paper's char-by-char scan's: the index descent reads
     them off the node where it stops, and compares no names char by char to
     count chars. Every return overwrites both, so one object can serve scan
-    after scan: the engine keeps one (one per thread on a threadsafe tree)
-    and allocates none per lookup.
+    after scan: a single-threaded engine keeps one and allocates none per
+    lookup; a threadsafe engine makes one per lookup.
 
     The engine reads only `char_comparisons`. The class survives because the
     benchmark's spans read `pivots_visited` and `char_comparisons` off the

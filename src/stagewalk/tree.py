@@ -61,9 +61,8 @@ def trav_mask(mode: int) -> int:
 class Dentry:
     """A cached directory-tree node.
 
-    heat / heat_version belong to the access-frequency machinery;
-    cand_prev / cand_next are the intrusive candidate-set links and are
-    non-None exactly while the dentry is a member.
+    heat / heat_version belong to the access-frequency machinery; candidate
+    membership is kept by each engine's CandidateSet, not here.
     """
 
     __slots__ = (
@@ -75,8 +74,6 @@ class Dentry:
         "size",
         "heat",
         "heat_version",
-        "cand_prev",
-        "cand_next",
         "dead",
         "children",
     )
@@ -90,8 +87,6 @@ class Dentry:
         self.size = size
         self.heat = 0
         self.heat_version = 0
-        self.cand_prev: Optional[Dentry] = None
-        self.cand_next: Optional[Dentry] = None
         self.dead = False
         self.children: Optional[dict[str, Dentry]] = {} if kind == DIR else None
 

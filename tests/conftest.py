@@ -9,6 +9,7 @@ import pytest
 from stagewalk import (
     DIR,
     FILE,
+    Admission,
     Credential,
     Dentry,
     DirTree,
@@ -288,6 +289,63 @@ def reference_gen_tree(spec, seed: Optional[int] = None, threadsafe: bool = Fals
     for parent in parents:
         tree._attach(parent, leaf_name, FILE, 0o644, rng.randint(lo, hi))
     return tree
+
+
+class ReferenceCandidates:
+    """The candidate set as it was kept on an intrusive ring through the
+    dentries, written over a plain list of node ids, with the heat version
+    and each node's heat held here rather than on the dentry.
+
+    The ring inserted a newcomer at its tail and listed members from its head,
+    the oldest; unlinking a victim kept the others in place. `ring` is that
+    order. `observe` is observe_target step by step: the heat rule, then the
+    cursor rule for a member or the admission rule for a non-member, whose
+    (Admission, victim id) it returns; None for a member. `advance` is the
+    old pair of a version bump and a clear: the ring and the cursor empty.
+    The real set must give the same results, victims, order, cursor and
+    size after every step."""
+
+    HEAT_MAX = 2**64 - 1
+
+    def __init__(self, capacity: int, threshold: int):
+        self.capacity = capacity
+        self.threshold = threshold
+        self.version = 1
+        self.ring: list[int] = []
+        self.cursor: Optional[int] = None
+        self.heat: dict[int, int] = {}
+        self.heat_version: dict[int, int] = {}
+
+    def observe(self, node_id: int) -> Optional[tuple[Admission, Optional[int]]]:
+        if self.heat_version.get(node_id, 0) == self.version:
+            self.heat[node_id] = min(self.heat[node_id] + 1, self.HEAT_MAX)
+        else:
+            self.heat[node_id] = 1
+            self.heat_version[node_id] = self.version
+        heat = self.heat[node_id]
+        if node_id in self.ring:
+            if self.cursor is None or heat < self.heat[self.cursor]:
+                self.cursor = node_id
+            return None
+        if self.capacity == 0:
+            return Admission.REJECTED, None
+        if len(self.ring) < self.capacity:
+            self.ring.append(node_id)
+            if self.cursor is None or heat < self.heat[self.cursor]:
+                self.cursor = node_id
+            return Admission.ADMITTED, None
+        victim = self.cursor
+        if heat > self.heat[victim] + self.threshold:
+            self.ring.remove(victim)
+            self.ring.append(node_id)
+            self.cursor = node_id
+            return Admission.REPLACED, victim
+        return Admission.REJECTED, None
+
+    def advance(self) -> None:
+        self.version += 1
+        self.ring = []
+        self.cursor = None
 
 
 FIG4_PATHS = ("/a1/b1/c1", "/a1/b1/c2/d2/e2", "/a1/b1/c2/d2/e3/f3/g3", "/a1/b2/c3")

@@ -28,7 +28,7 @@ from stagewalk import (
     run_soak,
     synth_trace,
 )
-from stagewalk.heat import Admission, CandidateSet, HeatEpoch, observe_target
+from stagewalk.heat import Admission, CandidateSet, observe_target
 from conftest import FIG4_PATHS, brute_force_best, make_tree, mkpath, reference_scan
 
 OWNER = Credential.OWNER
@@ -275,18 +275,17 @@ def test_c6_heat_epoch_directed():
 
     checks: list[bool] = []
 
-    epoch = HeatEpoch()
     no_candidates = CandidateSet(0)  # the heat bump alone
     d1 = node(1)
     for _ in range(3):
-        observe_target(d1, epoch, no_candidates)
+        observe_target(d1, no_candidates)
     checks.append(d1.heat == 3)  # counting within one period
 
     d2 = node(2)
     for _ in range(5):
-        observe_target(d2, epoch, no_candidates)
-    epoch.advance()
-    observe_target(d2, epoch, no_candidates)
+        observe_target(d2, no_candidates)
+    no_candidates.advance()
+    observe_target(d2, no_candidates)
     checks.append(d2.heat == 1)  # reset rule
 
     tree = make_tree(files=("/a0/b0/c0/d0/e0/f0/g0/h0",))
@@ -313,18 +312,17 @@ def test_c6_heat_epoch_directed():
     cset2.least_popular = members2[0]
     checks.append(cset2.maybe_admit(node(98, heat=14))[0] is Admission.REJECTED)  # strict boundary
 
-    epoch3 = HeatEpoch()
     cset3 = CandidateSet(4, threshold=4)
     ms = [node(30 + i, heat=10 + i) for i in range(4)]
     for m in ms:
-        m.heat_version = epoch3.global_version
+        m.heat_version = cset3.version
         cset3.maybe_admit(m)
     cset3.least_popular = ms[2]
     ms[0].heat = 3
-    observe_target(ms[0], epoch3, cset3)
+    observe_target(ms[0], cset3)
     checks.append(cset3.least_popular is ms[0])  # loser takes the cursor
     ms[3].heat = 99
-    observe_target(ms[3], epoch3, cset3)
+    observe_target(ms[3], cset3)
     checks.append(cset3.least_popular is ms[0])  # winner leaves it
 
     # the drain, through the engine: a swap empties the candidate set, and the
@@ -336,7 +334,7 @@ def test_c6_heat_epoch_directed():
     before = engine4.candidates.members()
     engine4.tick()
     drained = len(before) == 3 and len(engine4.candidates) == 0 and engine4.candidates.least_popular is None
-    drained = drained and all(m.cand_next is None and m.cand_prev is None for m in before)
+    drained = drained and all(m not in engine4.candidates for m in before)
     engine4.stage_lookup(mkpath("/d/f1"))
     cset4 = engine4.candidates
     restarted = [m.name for m in cset4.members()] == ["f1"] and cset4.least_popular.name == "f1"

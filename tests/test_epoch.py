@@ -13,7 +13,6 @@ from stagewalk import (
     CandidateSet,
     ContractViolation,
     EngineError,
-    HeatEpoch,
     PathBuf,
     PivotManager,
     PivotPool,
@@ -37,31 +36,30 @@ from conftest import (
 def make_manager(tree=None, bound=16):
     tree = tree if tree is not None else make_tree("/seed")
     cset = CandidateSet(64, 4)
-    epoch = HeatEpoch()
-    mgr = PivotManager(tree, cset, epoch, threading.Lock(), pool_bound=bound)
-    return tree, cset, epoch, mgr
+    mgr = PivotManager(tree, cset, threading.Lock(), pool_bound=bound)
+    return tree, cset, mgr
 
 
-def heat_up(tree, cset, epoch, paths):
+def heat_up(tree, cset, paths):
     for p in paths:
         d = tree._resolve_admin(mkpath(p))
-        d.heat, d.heat_version = d.heat + 5, epoch.global_version
+        d.heat, d.heat_version = d.heat + 5, cset.version
         if d not in cset:
             cset.maybe_admit(d)
 
 
 def fig4_manager(threadsafe=False):
     tree = make_tree(*FIG4_PATHS, files=("/a1/b1/c2/d2/e3/f3/foo",), threadsafe=threadsafe)
-    tree, cset, epoch, mgr = make_manager(tree)
-    heat_up(tree, cset, epoch, FIG4_PATHS)
+    tree, cset, mgr = make_manager(tree)
+    heat_up(tree, cset, FIG4_PATHS)
     mgr.periodic_update()
-    return tree, cset, epoch, mgr
+    return tree, cset, mgr
 
 
-def heat_a_changed_set(tree, cset, epoch):
+def heat_a_changed_set(tree, cset):
     """Heat a hot set other than fig4_manager's, so the next period builds
     and installs a fresh pool instead of keeping the working one."""
-    heat_up(tree, cset, epoch, FIG4_PATHS[1:])
+    heat_up(tree, cset, FIG4_PATHS[1:])
 
 
 def on_both_trees(test):
@@ -82,10 +80,10 @@ def on_both_trees(test):
 
 
 def test_reader_snapshot_survives_swap():
-    tree, cset, epoch, mgr = fig4_manager(threadsafe=True)
+    tree, cset, mgr = fig4_manager(threadsafe=True)
     token_id, pool = mgr.reader_enter()
     gen_before = pool.generation
-    heat_a_changed_set(tree, cset, epoch)
+    heat_a_changed_set(tree, cset)
     mgr.periodic_update()  # publishes a new generation
     assert mgr.working_pool.generation == gen_before + 1
     assert pool.generation == gen_before
@@ -96,7 +94,7 @@ def test_reader_snapshot_survives_swap():
 
 
 def test_nested_tokens_independent():
-    _tree, _cset, _epoch, mgr = fig4_manager(threadsafe=True)
+    _tree, _cset, mgr = fig4_manager(threadsafe=True)
     t1, _pool1 = mgr.reader_enter()
     t2, _pool2 = mgr.reader_enter()
     assert t1 != t2
@@ -106,7 +104,7 @@ def test_nested_tokens_independent():
 
 
 def test_double_exit_detected():
-    _tree, _cset, _epoch, mgr = fig4_manager(threadsafe=True)
+    _tree, _cset, mgr = fig4_manager(threadsafe=True)
     token_id, _pool = mgr.reader_enter()
     mgr.reader_exit(token_id)
     with pytest.raises(ContractViolation):
@@ -114,7 +112,7 @@ def test_double_exit_detected():
 
 
 def test_double_exit_detected_while_a_reader_of_its_generation_is_active():
-    _tree, _cset, _epoch, mgr = fig4_manager(threadsafe=True)
+    _tree, _cset, mgr = fig4_manager(threadsafe=True)
     t1, pool1 = mgr.reader_enter()
     t2, pool2 = mgr.reader_enter()
     assert pool1 is pool2  # one generation
@@ -129,7 +127,7 @@ def test_double_exit_detected_while_a_reader_of_its_generation_is_active():
 def test_single_threaded_reader_registers_nothing():
     """A single-threaded tree's manager hands out the working pool under id 0
     and registers nothing."""
-    _tree, _cset, _epoch, mgr = fig4_manager()
+    _tree, _cset, mgr = fig4_manager()
     token_id, pool = mgr.reader_enter()
     assert (token_id, pool) == (0, mgr.working_pool) and mgr.active_reader_count == 0
     assert mgr.oldest_active_generation() is None
@@ -141,9 +139,9 @@ def test_single_threaded_tick_inside_a_read_section_trips_the_sentinel():
     """On one thread the engine never ticks between `reader_enter` and its
     scan; a caller that does gets the pool reclaimed under it, and the scan
     raises instead of reading a freed pool."""
-    tree, cset, epoch, mgr = fig4_manager()
+    tree, cset, mgr = fig4_manager()
     token_id, pool = mgr.reader_enter()
-    heat_a_changed_set(tree, cset, epoch)
+    heat_a_changed_set(tree, cset)
     assert mgr.periodic_update()
     assert pool.freed
     with pytest.raises(ContractViolation):
@@ -169,10 +167,10 @@ def test_single_threaded_engine_leaves_no_reader_behind():
 
 
 def test_selector_alternates_in_steady_state():
-    tree, cset, epoch, mgr = make_manager(make_tree("/seed", "/next"))
+    tree, cset, mgr = make_manager(make_tree("/seed", "/next"))
     seen = [mgr.working_pool]
     for hot in ("/seed", "/next", "/seed"):
-        heat_up(tree, cset, epoch, [hot])
+        heat_up(tree, cset, [hot])
         assert mgr.periodic_update()
         seen.append(mgr.working_pool)
     assert [p.generation for p in seen] == [0, 1, 2, 3]  # a fresh pool every changed period
@@ -184,14 +182,14 @@ def test_unchanged_hot_set_keeps_the_working_pool(threadsafe):
     """A period that keeps the same names keeps the working pool itself: no
     new generation and nothing retired, yet the tick still counts as a swap,
     advances the heat version and clears the candidates."""
-    tree, cset, epoch, mgr = fig4_manager(threadsafe)
-    old, gen, swaps, version = mgr.working_pool, mgr.generation, mgr.swaps, epoch.global_version
+    tree, cset, mgr = fig4_manager(threadsafe)
+    old, gen, swaps, version = mgr.working_pool, mgr.generation, mgr.swaps, cset.version
     token_id, held = mgr.reader_enter()
-    heat_up(tree, cset, epoch, FIG4_PATHS)
+    heat_up(tree, cset, FIG4_PATHS)
     assert len(cset) > 0
     assert mgr.periodic_update()
     assert mgr.working_pool is old and old.generation == mgr.generation == gen
-    assert mgr.swaps == swaps + 1 and epoch.global_version == version + 1 and len(cset) == 0
+    assert mgr.swaps == swaps + 1 and cset.version == version + 1 and len(cset) == 0
     assert mgr.reclaim_queue.pending == 0
     mgr.reader_exit(token_id)
     mgr.reclaim()
@@ -256,14 +254,14 @@ def test_working_pool_equals_a_fresh_build_of_its_targets_randomized(threadsafe)
     assert {"kept", "built", "refused", "retired by a modification"} <= set(seen), seen
 
 
-def tick_raced_by(mgr, cset, epoch, path):
+def tick_raced_by(mgr, cset, path):
     """Tick once with a metadata modification of `path` injected between the
     build and the swap, and check that the swap was suppressed: the raced
     build is not installed, no swap is counted, the heat version does not
     advance and nothing is drained. Returns how many pivots the modification
     removed."""
     swaps, pool, generation = mgr.swaps, mgr.working_pool, mgr.generation
-    version, members = epoch.global_version, [d.id for d in cset.members()]
+    version, members = cset.version, [d.id for d in cset.members()]
     removed, builds = [], []
     real_build = epoch_module.build_pool
 
@@ -283,17 +281,17 @@ def tick_raced_by(mgr, cset, epoch, path):
     assert not builds[0].published or builds[0] is pool
     assert mgr.generation == generation + (removed[0] > 0)
     assert mgr.swaps == swaps
-    assert epoch.global_version == version
+    assert cset.version == version
     assert [d.id for d in cset.members()] == members
     return removed[0]
 
 
 @on_both_trees
 def test_metadata_mid_period_suppresses_next_swap(threadsafe):
-    tree, cset, epoch, mgr = fig4_manager(threadsafe)
+    tree, cset, mgr = fig4_manager(threadsafe)
     pool = mgr.working_pool
-    heat_up(tree, cset, epoch, ["/a1/b1/c1"])
-    assert tick_raced_by(mgr, cset, epoch, "/a1/b2") == 1
+    heat_up(tree, cset, ["/a1/b1/c1"])
+    assert tick_raced_by(mgr, cset, "/a1/b2") == 1
     assert "/a1/b2/c3" not in [p.path for p in mgr.working_pool.pivots]
     assert mgr.periodic_update()  # the following period swaps again
     assert mgr.working_pool is not pool
@@ -301,11 +299,11 @@ def test_metadata_mid_period_suppresses_next_swap(threadsafe):
 
 @on_both_trees
 def test_rename_before_the_tick_does_not_suppress_the_swap(threadsafe):
-    tree, cset, epoch, mgr = fig4_manager(threadsafe)
+    tree, cset, mgr = fig4_manager(threadsafe)
     pool = mgr.working_pool
     mgr.invalidate_for_metadata(mkpath("/a1/b2"))  # no hook registered; call directly
     tree.rename_node(mkpath("/a1/b2"), mkpath("/a1/zz9"))
-    heat_up(tree, cset, epoch, ["/a1/b1/c1", "/a1/zz9/c3"])
+    heat_up(tree, cset, ["/a1/b1/c1", "/a1/zz9/c3"])
     assert mgr.periodic_update()  # the build already saw the rename
     paths = [p.path for p in mgr.working_pool.pivots]
     assert mgr.working_pool is not pool and "/a1/zz9/c3" in paths
@@ -314,23 +312,23 @@ def test_rename_before_the_tick_does_not_suppress_the_swap(threadsafe):
 
 
 def test_version_advances_and_drains_only_on_swap():
-    tree, cset, epoch, mgr = make_manager()
-    v0 = epoch.global_version
-    heat_up(tree, cset, epoch, ["/seed"])
+    tree, cset, mgr = make_manager()
+    v0 = cset.version
+    heat_up(tree, cset, ["/seed"])
     mgr.periodic_update()
-    assert epoch.global_version == v0 + 1
+    assert cset.version == v0 + 1
     assert len(cset) == 0  # the swap clears the set
-    heat_up(tree, cset, epoch, ["/seed"])
-    tick_raced_by(mgr, cset, epoch, "/nonexistent")  # no swap, no advance, no drain
-    assert epoch.global_version == v0 + 1
+    heat_up(tree, cset, ["/seed"])
+    tick_raced_by(mgr, cset, "/nonexistent")  # no swap, no advance, no drain
+    assert cset.version == v0 + 1
     assert len(cset) == 1
     assert mgr.periodic_update()  # the following period swaps, advances and drains
-    assert epoch.global_version == v0 + 2
+    assert cset.version == v0 + 2
     assert len(cset) == 0
 
 
 def test_empty_candidates_publish_empty_pool():
-    _tree, _cset, _epoch, mgr = make_manager()
+    _tree, _cset, mgr = make_manager()
     assert mgr.periodic_update()
     assert mgr.working_pool.size == 0 and mgr.working_pool.published
 
@@ -339,7 +337,7 @@ def test_empty_candidates_publish_empty_pool():
 
 
 def test_invalidate_removes_covered_run_and_repairs_overlap():
-    tree, cset, epoch, mgr = fig4_manager()
+    tree, cset, mgr = fig4_manager()
     removed = mgr.invalidate_for_metadata(mkpath("/a1/b1/c2"))
     assert removed == 2  # pivots 2 and 3
     wp = mgr.working_pool
@@ -351,7 +349,7 @@ def test_invalidate_removes_covered_run_and_repairs_overlap():
 def test_invalidate_replaces_the_pivot_list_never_edits_it():
     # find_best_pivot iterates pool.pivots without copying it, so a scan that
     # started before the invalidation must keep seeing the list it started on
-    tree, cset, epoch, mgr = fig4_manager()
+    tree, cset, mgr = fig4_manager()
     held = mgr.working_pool.pivots
     before = list(held)
     assert mgr.invalidate_for_metadata(mkpath("/a1/b1/c2")) == 2
@@ -361,22 +359,22 @@ def test_invalidate_replaces_the_pivot_list_never_edits_it():
 
 
 def test_invalidate_no_match_touches_only_waiting_pool():
-    tree, cset, epoch, mgr = fig4_manager()
+    tree, cset, mgr = fig4_manager()
     before = [p.path for p in mgr.working_pool.pivots]
-    assert tick_raced_by(mgr, cset, epoch, "/zz") == 0  # the racing build is discarded
+    assert tick_raced_by(mgr, cset, "/zz") == 0  # the racing build is discarded
     assert [p.path for p in mgr.working_pool.pivots] == before
     assert mgr.periodic_update()
 
 
 def test_invalidate_root_removes_everything():
-    tree, cset, epoch, mgr = fig4_manager()
+    tree, cset, mgr = fig4_manager()
     removed = mgr.invalidate_for_metadata(mkpath("/"))
     assert removed == 4
     assert mgr.working_pool.size == 0
 
 
 def test_invalidation_completeness():
-    tree, cset, epoch, mgr = fig4_manager()
+    tree, cset, mgr = fig4_manager()
     mgr.invalidate_for_metadata(mkpath("/a1/b1"))
     for q in ("/a1/b1/c1", "/a1/b1/c2/d2/e2/x", "/a1/b1/c2/d2/e3/f3/foo"):
         hit = find_best_pivot(mgr.working_pool, mkpath(q))
@@ -384,7 +382,7 @@ def test_invalidation_completeness():
 
 
 def test_exact_path_counts_as_covered():
-    tree, cset, epoch, mgr = fig4_manager()
+    tree, cset, mgr = fig4_manager()
     assert mgr.invalidate_for_metadata(mkpath("/a1/b1/c1")) == 1
     assert "/a1/b1/c1" not in [p.path for p in mgr.working_pool.pivots]
 
@@ -393,7 +391,7 @@ def test_exact_path_counts_as_covered():
 def test_pinned_pool_is_unchanged_by_invalidation(threadsafe):
     """A token pinned across the call keeps the old pool as it was, covered
     pivots included, and its scans still equal the reference scan."""
-    tree, cset, epoch, mgr = fig4_manager(threadsafe)
+    tree, cset, mgr = fig4_manager(threadsafe)
     old = mgr.working_pool
     held = list(old.pivots)
     index = old.index
@@ -414,7 +412,7 @@ def test_every_pool_carries_its_index_from_construction(threadsafe):
     """A tick swap and a covering invalidation both install a pool that was
     indexed when it was built; `index` is None only for an empty pool."""
     assert PivotPool([]).index is None and build_pool([], 16).index is None
-    tree, cset, epoch, mgr = fig4_manager(threadsafe)  # one tick swap
+    tree, cset, mgr = fig4_manager(threadsafe)  # one tick swap
     queries = FIG4_PATHS + ("/a1/b1/c2/d2/e3/f3/foo", "/zz")
     swapped = mgr.working_pool
     assert swapped.size == 4 and swapped.index is not None
@@ -437,7 +435,7 @@ def test_invalidate_matches_oracle_on_random_pools():
     for _ in range(60):
         paths = random_tree_paths(rng, rng.randint(1, 20))
         tree = make_tree(*paths, threadsafe=True)
-        _tree, _cset, _epoch, mgr = make_manager(tree, bound=len(paths))
+        _tree, _cset, mgr = make_manager(tree, bound=len(paths))
         mgr.publish_pool(build_pool([tree._resolve_admin(mkpath(p)) for p in paths], len(paths)))
         for _ in range(4):
             old = mgr.working_pool
@@ -475,19 +473,19 @@ def test_invalidate_matches_oracle_on_random_pools():
 
 @on_both_trees
 def test_reclaim_all_without_readers(threadsafe):
-    tree, cset, epoch, mgr = fig4_manager(threadsafe)
+    tree, cset, mgr = fig4_manager(threadsafe)
     old_pool = mgr.working_pool
-    heat_a_changed_set(tree, cset, epoch)
+    heat_a_changed_set(tree, cset)
     mgr.periodic_update()  # retires old_pool
     assert mgr.reclaim_queue.pending == 0  # tick reclaims opportunistically
     assert old_pool.freed
 
 
 def test_reader_pins_generation():
-    tree, cset, epoch, mgr = fig4_manager(threadsafe=True)
+    tree, cset, mgr = fig4_manager(threadsafe=True)
     old_pool = mgr.working_pool
     token_id, pool = mgr.reader_enter()
-    heat_a_changed_set(tree, cset, epoch)
+    heat_a_changed_set(tree, cset)
     mgr.periodic_update()
     assert not old_pool.freed  # grace period: retired at the reader's generation
     # the pinned snapshot is still fully usable
@@ -499,9 +497,9 @@ def test_reader_pins_generation():
 
 @on_both_trees
 def test_use_after_reclaim_trips_sentinel(threadsafe):
-    tree, cset, epoch, mgr = fig4_manager(threadsafe)
+    tree, cset, mgr = fig4_manager(threadsafe)
     old_pool = mgr.working_pool
-    heat_a_changed_set(tree, cset, epoch)
+    heat_a_changed_set(tree, cset)
     mgr.periodic_update()
     assert old_pool.freed
     with pytest.raises(ContractViolation):
@@ -509,7 +507,7 @@ def test_use_after_reclaim_trips_sentinel(threadsafe):
 
 
 def test_removed_pivots_reclaimed_after_grace():
-    tree, cset, epoch, mgr = fig4_manager(threadsafe=True)
+    tree, cset, mgr = fig4_manager(threadsafe=True)
     token_id, pool = mgr.reader_enter()
     mgr.invalidate_for_metadata(mkpath("/a1/b1/c2"))
     mgr.reclaim()
@@ -521,8 +519,8 @@ def test_removed_pivots_reclaimed_after_grace():
 
 @on_both_trees
 def test_reclaim_idempotent(threadsafe):
-    tree, cset, epoch, mgr = fig4_manager(threadsafe)
-    heat_a_changed_set(tree, cset, epoch)
+    tree, cset, mgr = fig4_manager(threadsafe)
+    heat_a_changed_set(tree, cset)
     mgr.periodic_update()
     assert mgr.reclaim() == 0
     assert mgr.reclaim() == 0
@@ -542,7 +540,7 @@ def test_swap_retire_stress_no_use_after_retire():
     from stagewalk import build_pool
 
     tree = make_tree(*FIG4_PATHS, files=("/a1/b1/c2/d2/e3/f3/foo",))
-    tree2, cset, epoch, mgr = make_manager(make_tree("/seed", threadsafe=True))
+    tree2, cset, mgr = make_manager(make_tree("/seed", threadsafe=True))
     cands = [tree._resolve_admin(mkpath(p)) for p in FIG4_PATHS]
     errors: list[str] = []
     stop = threading.Event()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
@@ -10,13 +11,12 @@ from stagewalk import (
     ConfigError,
     ContractViolation,
     Dentry,
-    HeatEpoch,
     StageLookupEngine,
     make_resolver,
     observe_target,
 )
 from stagewalk.tree import DIR
-from conftest import make_tree, mkpath
+from conftest import ReferenceCandidates, make_tree, mkpath
 
 
 def d(node_id: int, heat: int = 0, version: int = 0) -> Dentry:
@@ -26,52 +26,47 @@ def d(node_id: int, heat: int = 0, version: int = 0) -> Dentry:
     return node
 
 
-def bump(node: Dentry, epoch: HeatEpoch) -> int:
-    """observe_target's heat rule alone: a set of capacity 0 admits nothing."""
-    return observe_target(node, epoch, CandidateSet(0))
-
-
-# -- the heat rule ---------------------------------------------------------------
+# -- the heat rule: a set of capacity 0 admits nothing, so only the rule acts ---------
 
 
 def test_three_accesses_one_period():
-    epoch = HeatEpoch()
+    cset = CandidateSet(0)
     node = d(1)
     for _ in range(3):
-        bump(node, epoch)
-    assert node.heat == 3 and node.heat_version == epoch.global_version
+        observe_target(node, cset)
+    assert node.heat == 3 and node.heat_version == cset.version
 
 
 def test_reset_on_new_version():
-    epoch = HeatEpoch()
+    cset = CandidateSet(0)
     node = d(1)
     for _ in range(5):
-        bump(node, epoch)
+        observe_target(node, cset)
     assert node.heat == 5
-    epoch.advance()
-    bump(node, epoch)
-    assert node.heat == 1 and node.heat_version == epoch.global_version
+    cset.advance()
+    observe_target(node, cset)
+    assert node.heat == 1 and node.heat_version == cset.version
 
 
 def test_heat_saturates():
     from stagewalk.heat import HEAT_MAX
 
-    epoch = HeatEpoch()
-    node = d(1, heat=HEAT_MAX, version=epoch.global_version)
-    bump(node, epoch)
+    cset = CandidateSet(0)
+    node = d(1, heat=HEAT_MAX, version=cset.version)
+    observe_target(node, cset)
     assert node.heat == HEAT_MAX
 
 
 def test_heat_monotone_within_version():
-    epoch = HeatEpoch()
+    cset = CandidateSet(0)
     node = d(1)
     rng = random.Random(5)
     last = 0
     for _ in range(200):
         if rng.random() < 0.1:
-            epoch.advance()
+            cset.advance()
             last = 0
-        bump(node, epoch)
+        observe_target(node, cset)
         assert node.heat >= last or node.heat == 1
         last = node.heat
 
@@ -155,72 +150,73 @@ def test_admitting_member_is_misuse():
 # -- observe_target's cursor rule ----------------------------------------------------
 
 
-def member_set(capacity: int = 4, threshold: int = 4) -> tuple[HeatEpoch, CandidateSet, list[Dentry]]:
+def member_set(capacity: int = 4, threshold: int = 4) -> tuple[CandidateSet, list[Dentry]]:
     """A full set whose members carry the current version, so that
     observe_target adds one to the heat each test sets."""
-    epoch = HeatEpoch()
     cset, members = full_set(capacity, threshold)
     for m in members:
-        m.heat_version = epoch.global_version
-    return epoch, cset, members
+        m.heat_version = cset.version
+    return cset, members
 
 
 def test_cursor_rule_ignores_non_members():
-    epoch, cset, members = member_set()
+    cset, members = member_set()
     cset.least_popular = members[2]
     outsider = d(99, heat=0)  # colder than every member, but not one of them
-    observe_target(outsider, epoch, cset)
+    observe_target(outsider, cset)
     assert outsider not in cset
     assert cset.least_popular is members[2]
 
 
 def test_cursor_moves_to_smaller():
-    epoch, cset, members = member_set()
+    cset, members = member_set()
     cset.least_popular = members[2]  # heat 12
     members[0].heat = 3
-    observe_target(members[0], epoch, cset)  # heat 4
+    observe_target(members[0], cset)  # heat 4
     assert cset.least_popular is members[0]
 
 
 def test_cursor_unchanged_when_larger():
-    epoch, cset, members = member_set()
+    cset, members = member_set()
     cset.least_popular = members[0]  # heat 10
     members[3].heat = 10
-    observe_target(members[3], epoch, cset)  # heat 11
+    observe_target(members[3], cset)  # heat 11
     assert cset.least_popular is members[0]
 
 
 def test_cursor_self_comparison_unchanged():
-    epoch, cset, members = member_set()
+    cset, members = member_set()
     cset.least_popular = members[1]
-    observe_target(members[1], epoch, cset)
+    observe_target(members[1], cset)
     assert cset.least_popular is members[1]
 
 
 def test_tie_keeps_cursor():
-    epoch, cset, members = member_set()
+    cset, members = member_set()
     cset.least_popular = members[0]  # heat 10
     members[1].heat = 9
-    observe_target(members[1], epoch, cset)  # heat 10
+    observe_target(members[1], cset)  # heat 10
     assert cset.least_popular is members[0]
 
 
 def test_empty_cursor_adopts_the_observed_member():
-    epoch, cset, members = member_set()
+    cset, members = member_set()
     cset.least_popular = None
-    observe_target(members[3], epoch, cset)
+    observe_target(members[3], cset)
     assert cset.least_popular is members[3]
 
 
-# -- clear -------------------------------------------------------------------------
+# -- advance -------------------------------------------------------------------------
 
 
-def test_clear_unlinks_every_member():
+def test_advance_bumps_the_version_and_drops_every_member():
     cset, members = full_set()
-    cset.clear()
+    version = cset.version
+    cset.advance()
+    assert cset.version == version + 1
     assert len(cset) == 0 and cset.least_popular is None and cset.members() == []
     for m in members:
-        assert m.cand_next is None and m.cand_prev is None
+        assert m not in cset
     cset.validate()
 
 
@@ -238,31 +234,29 @@ def test_swap_clears_members_refreshed_in_the_ending_period():
     assert len(members) == 8
     assert engine.manager.periodic_update()
     assert len(engine.candidates) == 0 and engine.candidates.least_popular is None
-    assert all(m.cand_next is None and m.cand_prev is None for m in members)
+    assert all(m not in engine.candidates for m in members)
     engine.candidates.validate()
     engine.lookup(mkpath(files[5]))
     assert [m.name for m in engine.candidates.members()] == ["f5"]
     engine.candidates.validate()
 
 
-def test_clear_empty_noop():
+def test_advance_empty_set_bumps_the_version_only():
     cset = CandidateSet(4, 4)
-    cset.clear()
-    assert len(cset) == 0 and cset.least_popular is None
+    cset.advance()
+    assert cset.version == 2 and len(cset) == 0 and cset.least_popular is None
     cset.validate()
 
 
-def test_clear_resets_cursor_and_next_admission_takes_it():
-    epoch = HeatEpoch()
+def test_advance_resets_cursor_and_next_admission_takes_it():
     cset = CandidateSet(4, 4)
     cold, warm = d(1, heat=3), d(2, heat=9)
     cset.maybe_admit(cold)
     cset.maybe_admit(warm)
     assert cset.least_popular is cold
-    epoch.advance()
-    cset.clear()
+    cset.advance()
     assert cset.least_popular is None
-    observe_target(warm, epoch, cset)  # re-admitted with heat 1
+    observe_target(warm, cset)  # re-admitted with heat 1
     assert cset.members() == [warm] and cset.least_popular is warm
     cset.validate()
 
@@ -273,14 +267,13 @@ def test_clear_resets_cursor_and_next_admission_takes_it():
 def test_churn_bound_property():
     """A member is displaced only by a newcomer beating its heat by more than the threshold."""
     rng = random.Random(7)
-    epoch = HeatEpoch()
     cset = CandidateSet(8, threshold=4)
     nodes = [d(i + 1) for i in range(40)]
     replaced = 0
     for _ in range(5000):
         node = rng.choice(nodes)
         full, member, before = len(cset) == cset.capacity, node in cset, cset.least_popular
-        observe_target(node, epoch, cset)
+        observe_target(node, cset)
         if full and not member and node in cset:
             replaced += 1
             assert before not in cset  # the cursor's referent was the victim
@@ -292,7 +285,6 @@ def test_churn_bound_property():
 def test_cursor_rule_event_sourced_replay():
     """Replay logged member observations against the literal cursor rule."""
     rng = random.Random(11)
-    epoch = HeatEpoch()
     cset = CandidateSet(8, threshold=2)
     nodes = [d(i + 1) for i in range(16)]
     log: list[tuple[int, int, int | None, int | None]] = []
@@ -301,7 +293,7 @@ def test_cursor_rule_event_sourced_replay():
         member = node in cset
         before = cset.least_popular
         before_state = (before.id, before.heat) if before else None
-        observe_target(node, epoch, cset)
+        observe_target(node, cset)
         if member:
             after = cset.least_popular
             log.append((node.id, node.heat, before_state, after.id if after else None))
@@ -317,12 +309,92 @@ def test_cursor_rule_event_sourced_replay():
 
 
 def test_observe_target_pipeline():
-    epoch = HeatEpoch()
     cset = CandidateSet(2, 4)
     a, b, c = d(1), d(2), d(3)
-    assert observe_target(a, epoch, cset) == 1
-    assert observe_target(b, epoch, cset) == 1
+    assert observe_target(a, cset) == 1
+    assert observe_target(b, cset) == 1
     for _ in range(10):
-        observe_target(c, epoch, cset)  # c heats to 10, enough to displace
+        observe_target(c, cset)  # c heats to 10, enough to displace
     assert c in cset
     cset.validate()
+
+
+# -- membership belongs to the set ----------------------------------------------------------
+
+
+def test_engines_on_one_tree_keep_separate_candidate_sets():
+    """A dentry one engine admitted is not a member of another engine's set:
+    the second engine admits it, its cursor is one of its own members, and
+    its tick builds a pivot from it."""
+    from stagewalk import TreeSpec, gen_tree
+
+    tree = gen_tree(TreeSpec(levels=[2, 2], seed=1))
+    first, second = StageLookupEngine(tree), StageLookupEngine(tree)
+    path = mkpath("/a0/b0/c0")
+    first.lookup(path)
+    for _ in range(3):
+        second.lookup(path)
+    target = tree._resolve_admin(path)
+    assert first.candidates.members() == [target]
+    assert second.candidates.members() == [target]
+    assert second.candidates.least_popular in second.candidates.members()
+    second.candidates.validate()
+    second.tick()
+    assert [p.path for p in second.manager.working_pool.pivots] == ["/a0/b0/c0"]
+    assert first.manager.working_pool.size == 0  # the first engine has not ticked
+
+
+def test_candidate_set_matches_the_ring_reference(monkeypatch):
+    """Random observations and period advances against the ring reference
+    (conftest.ReferenceCandidates): every step gives the same admission
+    result and victim, and leaves the same members in the same order, the
+    same cursor and the same size."""
+    results: list = []
+    real_admit = CandidateSet.maybe_admit
+
+    def recording_admit(self, dentry):
+        result = real_admit(self, dentry)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(CandidateSet, "maybe_admit", recording_admit)
+    rng = random.Random(20)
+    seen = collections.Counter()
+    for _ in range(300):
+        capacity, threshold = rng.randint(0, 8), rng.randint(0, 5)
+        cset, ref = CandidateSet(capacity, threshold), ReferenceCandidates(capacity, threshold)
+        nodes = {i: d(i) for i in range(1, rng.randint(2, 16) + 1)}
+        for _ in range(200):
+            if rng.random() < 0.05:
+                cset.advance()
+                ref.advance()
+                seen["advance"] += 1
+            else:
+                node_id = rng.choice(list(nodes))
+                del results[:]
+                heat = observe_target(nodes[node_id], cset)
+                expected = ref.observe(node_id)
+                assert heat == ref.heat[node_id]
+                if expected is None:
+                    assert results == []
+                    seen["member"] += 1
+                else:
+                    assert len(results) == 1
+                    (result, victim), (want, want_victim) = results[0], expected
+                    assert result is want
+                    assert victim is (None if want_victim is None else nodes[want_victim])
+                    seen[want] += 1
+            assert [m.id for m in cset.members()] == ref.ring
+            assert cset.least_popular is (None if ref.cursor is None else nodes[ref.cursor])
+            assert len(cset) == len(ref.ring)
+            assert cset.version == ref.version
+            cset.validate()
+    # every path through the rules was taken
+    assert all(seen[k] > 100 for k in ("advance", "member", Admission.ADMITTED, Admission.REPLACED, Admission.REJECTED))
+
+
+def test_public_names_resolve():
+    import stagewalk
+
+    missing = [name for name in stagewalk.__all__ if not hasattr(stagewalk, name)]
+    assert missing == []
