@@ -51,7 +51,6 @@ from .workload import (
     TraceEvent,
     TreeSpec,
     bench_depth_grid,
-    equivalence_run,
     gen_tree,
     make_resolver,
     parse_metrics_csv,
@@ -106,7 +105,6 @@ __all__ = [
     "Unsupported",
     "bench_depth_grid",
     "build_pool",
-    "equivalence_run",
     "find_best_pivot",
     "gen_tree",
     "make_resolver",

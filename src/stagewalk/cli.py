@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .errors import ConfigError, ContractViolation, EngineError, SpecInvalid, TraceMalformed
 from .workload import (
@@ -32,27 +31,6 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass(slots=True)
-class RunConfig:
-    strategy: str = "stage"
-    pool_size: int = 16
-    heat_threshold: int = 4
-    heat_capacity: int = 64
-    period_ms: int = 2000
-    manual_tick: bool = False
-    tick_every: int = 1000
-
-    def validate(self) -> None:
-        if self.pool_size < 0:
-            raise ConfigError(f"--pool-size must be >= 0, got {self.pool_size}")
-        if self.period_ms <= 0:
-            raise ConfigError(f"--period-ms must be > 0, got {self.period_ms}")
-        if self.heat_capacity < 0 or self.heat_threshold < 0:
-            raise ConfigError("heat capacity/threshold must be >= 0")
-        if self.tick_every < 1:
-            raise ConfigError(f"--tick-every must be >= 1, got {self.tick_every}")
-
-
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pool-size", type=int, default=16)
     p.add_argument("--heat-threshold", type=int, default=4)
@@ -60,20 +38,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--period-ms", type=int, default=2000)
     p.add_argument("--manual-tick", action="store_true", help="tick every --tick-every events instead of by trace time")
     p.add_argument("--tick-every", type=int, default=1000)
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        strategy=getattr(args, "strategy", "stage"),
-        pool_size=args.pool_size,
-        heat_threshold=args.heat_threshold,
-        heat_capacity=args.heat_capacity,
-        period_ms=args.period_ms,
-        manual_tick=args.manual_tick,
-        tick_every=args.tick_every,
-    )
-    cfg.validate()
-    return cfg
 
 
 def _load_spec(path: str) -> TreeSpec:
@@ -119,39 +83,28 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_one(args: argparse.Namespace, cfg: RunConfig, strategy: str):
+def cmd_run(args: argparse.Namespace) -> int:
+    """`replay` runs `--strategy`, `compare` every strategy, each on a fresh
+    tree of the spec."""
+    if args.pool_size < 0:
+        raise ConfigError(f"--pool-size must be >= 0, got {args.pool_size}")
+    if args.heat_capacity < 0 or args.heat_threshold < 0:
+        raise ConfigError("heat capacity/threshold must be >= 0")
     spec = _load_spec(args.tree)
     trace = read_trace(args.trace)
-    return replay(
-        trace,
-        strategy,
-        gen_tree(spec),
-        manual_tick=cfg.manual_tick,
-        tick_every=cfg.tick_every,
-        period_ms=cfg.period_ms,
-        pool_size=cfg.pool_size,
-        heat_threshold=cfg.heat_threshold,
-        heat_capacity=cfg.heat_capacity,
-    )
-
-
-def cmd_replay(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    result = _run_one(args, cfg, cfg.strategy)
-    table, csv_text = report([(cfg.strategy, result.metrics)])
-    print(table, end="")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        print(f"metrics -> {args.out}")
-    return EXIT_OK
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     runs = []
-    for strategy in STRATEGIES:
-        result = _run_one(args, cfg, strategy)
+    for strategy in (args.strategy,) if args.command == "replay" else STRATEGIES:
+        result = replay(
+            trace,
+            strategy,
+            gen_tree(spec),
+            manual_tick=args.manual_tick,
+            tick_every=args.tick_every,
+            period_ms=args.period_ms,
+            pool_size=args.pool_size,
+            heat_threshold=args.heat_threshold,
+            heat_capacity=args.heat_capacity,
+        )
         runs.append((strategy, result.metrics))
     table, csv_text = report(runs)
     print(table, end="")
@@ -203,14 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="", help="metrics CSV output path")
     p.add_argument("--strategy", choices=STRATEGIES, default="stage")
     _add_run_flags(p)
-    p.set_defaults(fn=cmd_replay)
+    p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("compare", help="replay the same inputs under every strategy")
     p.add_argument("--tree", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--out", default="")
     _add_run_flags(p)
-    p.set_defaults(fn=cmd_compare)
+    p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("bench-depth", help="stage-two length x pool size counter grid")
     p.add_argument("--reps", type=int, default=50)

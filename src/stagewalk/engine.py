@@ -11,8 +11,9 @@ ancestor of the pivot is a direct array index, recorded as rolled_up). The
 skipped prefix's permission check is one mask test against traversal bits
 aggregated at build time. The heat update is one call, `observe_target`,
 taken under the heat lock on a threadsafe tree only. The candidate set holds
-the engine's heat version and members, so engines sharing a tree keep
-separate candidates.
+the engine's heat version and members, and the heat itself lives on the
+tree's dentries, so a tree takes at most one stage engine: building a
+second raises ConfigError, as a kernel keeps one dcache.
 
 A lookup sees one state of the tree, as the kernel's RCU-walk does: it
 samples the manager's `metadata_seq` before it enters, and if the count has
@@ -32,7 +33,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotFound, PermissionDenied
+from .errors import ConfigError, NotFound, PermissionDenied
 from .heat import CandidateSet, observe_target
 from .epoch import PivotManager
 from .metrics import Metrics
@@ -103,6 +104,8 @@ class StageLookupEngine(_ResolverBase):
         heat_capacity: int = 64,
         metrics: Optional[Metrics] = None,
     ):
+        if tree.stage_engine is not None:
+            raise ConfigError("a tree takes one stage engine: its dentries hold that engine's heat")
         super().__init__(tree, metrics)
         self.candidates = CandidateSet(heat_capacity, heat_threshold)
         self.heat_lock = threading.Lock()
@@ -112,6 +115,7 @@ class StageLookupEngine(_ResolverBase):
         # makes one per lookup, since threads would share a reused one
         self._stats = None if tree.threadsafe else ScanStats()
         tree.register_hook(self._on_metadata)
+        tree.stage_engine = self
 
     def _on_metadata(self, path: PathBuf) -> None:
         self.metrics.entries_touched += self.manager.invalidate_for_metadata(path)

@@ -10,7 +10,9 @@ registered before their retirement has exited, which the sentinel checks in
 find_best_pivot turn into hard failures on any protocol bug.
 
 Each period the manager builds a pool from the candidates; a period whose
-kept names equal the working pool's keeps that pool. A metadata
+kept names equal the working pool's keeps that pool, and so does an idle
+period, one with no candidate to rank: shortcuts outlive a quiet spell, as
+dcache entries stay until something displaces them. A metadata
 modification installs a pool of fresh copies of the working pool's pivots
 that its path does not cover, then bumps `metadata_seq`; readers still
 scanning the old pool may find a covered pivot there, and the engine drops
@@ -37,13 +39,13 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import nullcontext
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import ContractViolation
 from .heat import CandidateSet
 from .paths import PathBuf
 from .pivots import PivotPool, build_pool, pool_from_sorted
-from .tree import Dentry, DirTree
+from .tree import DirTree
 
 
 class ReclaimQueue:
@@ -140,7 +142,7 @@ class PivotManager:
 
     # -- manager side -----------------------------------------------------------
 
-    def periodic_update(self, candidates: Optional[Iterable[Dentry]] = None) -> bool:
+    def periodic_update(self) -> bool:
         """One manager period: rebuild, maybe swap, then advance the candidate
         set, which bumps the heat version and drops every member.
 
@@ -152,9 +154,8 @@ class PivotManager:
         keeps the working pool because its names did not change.
         """
         self.ticks += 1
-        if candidates is None:
-            with self._heat_lock:
-                candidates = self._candidates.members()
+        with self._heat_lock:
+            candidates = self._candidates.members()
         self._tree.lock.acquire_read()
         try:
             seq = self.metadata_seq

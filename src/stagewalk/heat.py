@@ -8,8 +8,8 @@ to maintain but deliberately not guaranteed to point at the true minimum.
 Every pool swap calls `advance`, which bumps the version and empties the set,
 so each period's candidates are the targets of that period alone.
 
-Membership lives in the set, not on the dentry, so two engines on one tree
-keep separate candidates.
+Membership lives in the set and heat on the dentry, whose one owner is the
+tree's only stage engine (a second engine on the tree raises ConfigError).
 
 The heat rule has one copy, written inline in `observe_target` because it
 runs once per lookup. The cursor rule's one-line test is written there, for

@@ -3,7 +3,8 @@
 Counter semantics:
 
 - dentries_visited: one per path component resolved (hits only; a failed
-  final probe does not count).
+  final probe does not count). Every walk counts: `walk_from` takes the
+  Metrics it adds to.
 - char_comparisons: per-character work. A resolved component costs two scans
   of its name, which model the kernel's d_hash chain lookup (hash, then
   verification); a missing one costs the hash scan. The walk counts these

@@ -124,12 +124,12 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
     text, ids and masks, so a period that ranks 64 candidates for 16 slots
     materializes 16.
 
-    When the kept names equal `current`'s pivot names in order, `current`
-    itself is returned and nothing is materialized. That equals a fresh
-    build only while `current` equals a build of its own names from the live
-    tree, which the manager's working pool does: every rename, chmod and
-    unlink retires the pivots it covers before it applies, and a build that
-    one raced is never installed.
+    When the kept names equal `current`'s pivot names in order, or no live
+    candidate is left to rank (an idle period), `current` itself is returned
+    and nothing is materialized. Keeping it is sound only while `current`
+    equals a build of its own names from the live tree, which the manager's
+    working pool does: every rename, chmod and unlink retires the pivots it
+    covers before it applies, and a build that one raced is never installed.
     """
     by_names: dict[tuple[str, ...], tuple[int, Dentry]] = {}
     for d in candidates:
@@ -149,7 +149,7 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
             by_names[key] = (d.heat, d)
     ranked = sorted(by_names.items(), key=lambda kv: (-kv[1][0], kv[0]))[: max(bound, 0)]
     ranked.sort(key=lambda kv: kv[0])
-    if current is not None and [names for names, _ in ranked] == [pv.names for pv in current.pivots]:
+    if current is not None and (not by_names or [names for names, _ in ranked] == [pv.names for pv in current.pivots]):
         return current
 
     entries = []

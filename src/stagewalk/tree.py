@@ -61,8 +61,9 @@ def trav_mask(mode: int) -> int:
 class Dentry:
     """A cached directory-tree node.
 
-    heat / heat_version belong to the access-frequency machinery; candidate
-    membership is kept by each engine's CandidateSet, not here.
+    heat / heat_version belong to the access-frequency machinery of the
+    tree's one stage engine; candidate membership is kept by its
+    CandidateSet, not here.
     """
 
     __slots__ = (
@@ -94,18 +95,6 @@ class Dentry:
         return f"Dentry(id={self.id}, name={self.name!r}, kind={self.kind})"
 
 
-class _Unmarked:
-    """Stands in for `Metrics.distinct_resolved` in a walk without metrics."""
-
-    __slots__ = ()
-
-    def __setitem__(self, node_id: int, flag: int) -> None:
-        pass
-
-
-_UNMARKED = _Unmarked()
-
-
 # hook(path): fires pre-mutation with the path a rename, chmod or unlink changes
 MetadataHook = Callable[[PathBuf], None]
 
@@ -119,6 +108,9 @@ class DirTree:
         self.root = Dentry(1, None, "/", DIR, 0o755)
         self.nodes: list[Optional[Dentry]] = [None, self.root]  # by id; the next id is len(nodes)
         self._hooks: list[MetadataHook] = []
+        # the StageLookupEngine built on this tree; its heat lives on the
+        # dentries, so a second engine raises
+        self.stage_engine = None
 
     # -- plumbing -----------------------------------------------------------
 
@@ -256,7 +248,7 @@ class DirTree:
         start: Dentry,
         components: Sequence[str],
         cred: Credential,
-        metrics: Optional[Metrics] = None,
+        metrics: Metrics,
     ) -> Dentry:
         """Resolve components through the children maps starting at `start`.
 
@@ -274,18 +266,17 @@ class DirTree:
         from where it stopped back to `start`, plus on NotFound the missing
         name's hash scan. `distinct_resolved` grows to the tree's id range
         under the read lock, so an id a racing `create_node` issues cannot
-        pass its end. A walk without `metrics` counts and marks nothing. Only
-        a threadsafe tree takes its read lock for the walk; on one thread
-        nothing can modify the tree inside it.
+        pass its end. Only a threadsafe tree takes its read lock for the
+        walk; on one thread nothing can modify the tree inside it.
         """
-        seen = _UNMARKED if metrics is None else metrics.distinct_resolved
+        seen = metrics.distinct_resolved
         cur = start
         bit = _TRAV_BIT[cred]
         shared = self.threadsafe
         if shared:
             self.lock.acquire_read()
         try:
-            if metrics is not None and len(seen) < len(self.nodes):
+            if len(seen) < len(self.nodes):
                 # walkers sharing a Metrics may both grow it; surplus zeros count nothing
                 seen.extend(bytes(len(self.nodes) - len(seen)))
             for name in components:
@@ -298,26 +289,24 @@ class DirTree:
                 seen[child.id] = 1
                 cur = child
         except (PermissionDenied, NotFound) as exc:
-            if metrics is not None:
-                resolved = 0
-                d = cur
-                while d is not start:
-                    d = d.parent
-                    resolved += 1
-                chars = 2 * len("".join(components[:resolved]))  # hash and verification scans
-                if isinstance(exc, NotFound):
-                    chars += len(components[resolved])  # the missing name's hash scan
-                metrics.dentries_visited += resolved
-                metrics.char_comparisons += chars
+            resolved = 0
+            d = cur
+            while d is not start:
+                d = d.parent
+                resolved += 1
+            chars = 2 * len("".join(components[:resolved]))  # hash and verification scans
+            if isinstance(exc, NotFound):
+                chars += len(components[resolved])  # the missing name's hash scan
+            metrics.dentries_visited += resolved
+            metrics.char_comparisons += chars
             raise
         finally:
             if shared:
                 self.lock.release_read()
-        if metrics is not None:
-            metrics.dentries_visited += len(components)
-            metrics.char_comparisons += 2 * len("".join(components))
+        metrics.dentries_visited += len(components)
+        metrics.char_comparisons += 2 * len("".join(components))
         return cur
 
-    def lookup_original(self, path: PathBuf, cred: Credential, metrics: Optional[Metrics] = None) -> NodeId:
+    def lookup_original(self, path: PathBuf, cred: Credential, metrics: Metrics) -> NodeId:
         """Component-wise walk from the root; the baseline every strategy must match."""
         return self.walk_from(self.root, path.components, cred, metrics).id

@@ -13,6 +13,10 @@ File formats:
 - metrics (CSV): one row per counter, one column per run, ratio columns
   against the first run. Wall times are excluded so equal-seed runs are
   byte-identical.
+- outcomes (`replay(..., record_outcomes=True)`): one string per event,
+  `ok:<target id>` for a stat or open, `ok:<new id>` for a create or mkdir,
+  `ok:renamed` / `ok:chmod`, or `err:<error class>`. Strategies agree when
+  their outcome lists, each replayed on a fresh tree of one spec, are equal.
 """
 
 from __future__ import annotations
@@ -364,20 +368,13 @@ def make_resolver(
     pool_size: int = 16,
     heat_threshold: int = 4,
     heat_capacity: int = 64,
-    metrics: Optional[Metrics] = None,
 ) -> _ResolverBase:
     if strategy == "original":
-        return OriginalLookup(tree, metrics)
+        return OriginalLookup(tree)
     if strategy == "fullpath":
-        return FullPathCache(tree, metrics)
+        return FullPathCache(tree)
     if strategy == "stage":
-        return StageLookupEngine(
-            tree,
-            pool_size=pool_size,
-            heat_threshold=heat_threshold,
-            heat_capacity=heat_capacity,
-            metrics=metrics,
-        )
+        return StageLookupEngine(tree, pool_size=pool_size, heat_threshold=heat_threshold, heat_capacity=heat_capacity)
     raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
@@ -417,14 +414,23 @@ def replay(
     **resolver_kwargs,
 ) -> ReplayResult:
     """Execute every event against one strategy; counters are fully determined
-    by (tree, trace, strategy, config, tick schedule)."""
+    by (tree, trace, strategy, config, tick schedule).
+
+    The resolver ticks before every `tick_every`-th event with `manual_tick`,
+    and otherwise once per `period_ms` of trace time crossed. Raises
+    ConfigError when `period_ms` or `tick_every` is below 1.
+    """
+    if period_ms <= 0:
+        raise ConfigError(f"period_ms must be > 0, got {period_ms}")
+    if tick_every < 1:
+        raise ConfigError(f"tick_every must be >= 1, got {tick_every}")
     resolver = make_resolver(strategy, tree, **resolver_kwargs)
     outcomes: Optional[list[str]] = [] if record_outcomes else None
     ticks_fired = 0
     started = time.perf_counter()
     for i, ev in enumerate(trace):
         if manual_tick:
-            if tick_every and i and i % tick_every == 0:
+            if i and i % tick_every == 0:
                 resolver.tick()
         else:
             while (ev.at_ms // period_ms) > ticks_fired:
@@ -432,9 +438,7 @@ def replay(
                 ticks_fired += 1
         try:
             if ev.op in ("stat", "open"):
-                fn = resolver.stat if ev.op == "stat" else resolver.open
-                res = fn(PathBuf.parse(ev.path), cred)
-                out = f"ok:{res.node_id}" if ev.op == "stat" else "ok:open"
+                out = f"ok:{resolver.lookup(PathBuf.parse(ev.path), cred)}"
             else:
                 out = _apply_mutation(tree, ev)
         except EngineError as exc:
@@ -443,40 +447,6 @@ def replay(
             outcomes.append(out)
     resolver.metrics.wall_time["replay"] = time.perf_counter() - started
     return ReplayResult(resolver.metrics, outcomes, resolver)
-
-
-def equivalence_run(
-    trace: Sequence[TraceEvent],
-    tree: DirTree,
-    strategies: Sequence[str] = STRATEGIES,
-    cred: Credential = Credential.OWNER,
-    tick_every: int = 1000,
-    **resolver_kwargs,
-) -> tuple[list[tuple[int, str, list[str]]], dict[str, Metrics]]:
-    """Run all strategies side by side on one shared tree, mutating it once
-    per event, and report every event where the per-strategy outcomes differ."""
-    resolvers = [(s, make_resolver(s, tree, **resolver_kwargs)) for s in strategies]
-    mismatches: list[tuple[int, str, list[str]]] = []
-    for i, ev in enumerate(trace):
-        if tick_every and i and i % tick_every == 0:
-            for _, r in resolvers:
-                r.tick()
-        if ev.op in ("stat", "open"):
-            path = PathBuf.parse(ev.path)
-            results = []
-            for _, r in resolvers:
-                try:
-                    results.append(f"ok:{r.lookup(path, cred)}")
-                except EngineError as exc:
-                    results.append(f"err:{type(exc).__name__}")
-            if len(set(results)) != 1:
-                mismatches.append((i, ev.path, results))
-        else:
-            try:
-                _apply_mutation(tree, ev)
-            except EngineError:
-                pass  # e.g. rename of an already renamed-away path; same for everyone
-    return mismatches, {s: r.metrics for s, r in resolvers}
 
 
 # -- reporting ----------------------------------------------------------------
@@ -576,10 +546,12 @@ def bench_depth_grid(
         base.stat(target)
     original_visited = base.metrics.dentries_visited // reps
 
+    # one engine, its pool published per cell: the grid never ticks, so the
+    # pool bound, the heat and the candidates read nothing into a row
+    engine = StageLookupEngine(tree)
     rows: list[dict] = []
     for pool_size in pool_sizes:
         for k in stage_two_lengths:
-            engine = StageLookupEngine(tree, pool_size=pool_size)
             cands: list[Dentry] = []
             if k < 8:
                 cover = tree._resolve_admin(PathBuf(target.components[: 8 - k]))

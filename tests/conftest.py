@@ -9,6 +9,7 @@ import pytest
 from stagewalk import (
     DIR,
     FILE,
+    STRATEGIES,
     Admission,
     Credential,
     Dentry,
@@ -16,6 +17,8 @@ from stagewalk import (
     PathBuf,
     PivotPool,
     build_pool,
+    gen_tree,
+    replay,
 )
 from stagewalk.errors import InvalidPath, NotFound, PermissionDenied
 from stagewalk.metrics import Metrics
@@ -136,6 +139,19 @@ def outcome(fn, *args) -> str:
         return f"err:{type(exc).__name__}"
 
 
+def replay_each_strategy(spec, trace, **replay_kwargs) -> dict:
+    """`replay` of one trace under every strategy, each on a fresh tree of
+    `spec`, recording outcomes; keyed by strategy."""
+    return {s: replay(trace, s, gen_tree(spec), record_outcomes=True, **replay_kwargs) for s in STRATEGIES}
+
+
+def outcome_mismatches(runs: dict) -> list[tuple[int, tuple[str, ...]]]:
+    """(event index, each strategy's outcome) wherever the strategies of
+    `replay_each_strategy` disagree."""
+    rows = zip(*(r.outcomes for r in runs.values()))
+    return [(i, outs) for i, outs in enumerate(rows) if len(set(outs)) != 1]
+
+
 def lcp_components(a, b) -> int:
     n = min(len(a), len(b))
     i = 0
@@ -216,11 +232,13 @@ def reference_scan(pool: PivotPool, path: PathBuf) -> ReferenceScan:
     return ref
 
 
-def reference_build_pool(candidates, bound: int) -> PivotPool:
+def reference_build_pool(candidates, bound: int, current: Optional[PivotPool] = None) -> PivotPool:
     """build_pool as it was before it ranked on names alone: every live
     candidate's path text, ids, masks and components are worked out first,
     and only then is the pool cut to `bound`. The pools build_pool returns
-    must equal these in order, overlaps, ids and prefix masks."""
+    must equal these in order, overlaps, ids and prefix masks. With no live
+    candidate to rank, an idle period, `current` is kept, as build_pool
+    keeps it."""
     by_path: dict[str, tuple[int, tuple[str, ...], tuple[int, ...], tuple[int, ...]]] = {}
     for d in candidates:
         if d is None or d.dead:
@@ -243,6 +261,8 @@ def reference_build_pool(candidates, bound: int) -> PivotPool:
         prev = by_path.get(path)
         if prev is None or d.heat > prev[0]:
             by_path[path] = (d.heat, tuple(names), tuple(ids), tuple(masks))
+    if current is not None and not by_path:
+        return current
     ranked = sorted(by_path.items(), key=lambda kv: (-kv[1][0], kv[1][1]))[: max(bound, 0)]
     ranked.sort(key=lambda kv: kv[1][1])
 

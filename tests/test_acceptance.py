@@ -20,7 +20,6 @@ from stagewalk import (
     TreeSpec,
     bench_depth_grid,
     build_pool,
-    equivalence_run,
     find_best_pivot,
     gen_tree,
     replay,
@@ -29,7 +28,15 @@ from stagewalk import (
     synth_trace,
 )
 from stagewalk.heat import Admission, CandidateSet, observe_target
-from conftest import FIG4_PATHS, brute_force_best, make_tree, mkpath, reference_scan
+from conftest import (
+    FIG4_PATHS,
+    brute_force_best,
+    make_tree,
+    mkpath,
+    outcome_mismatches,
+    reference_scan,
+    replay_each_strategy,
+)
 
 OWNER = Credential.OWNER
 
@@ -74,10 +81,10 @@ def test_c1_oracle_equivalence():
         mutations = len(trace) - lookups
         assert abs(lookups / len(trace) - 0.90) < 0.02, "mix drifted from 90/5/5"
         cred = Credential.OTHER if i % 2 else OWNER
-        mismatches, metrics = equivalence_run(trace, tree, cred=cred, tick_every=500)
-        total_mismatches.extend(mismatches)
-        pivot_hits += metrics["stage"].pivot_hits
-        entries_touched += metrics["stage"].entries_touched
+        runs = replay_each_strategy(spec, trace, cred=cred, manual_tick=True, tick_every=500)
+        total_mismatches.extend(outcome_mismatches(runs))
+        pivot_hits += runs["stage"].metrics.pivot_hits
+        entries_touched += runs["stage"].metrics.entries_touched
         total_events += len(trace)
     elapsed = time.perf_counter() - started
     ok = total_events >= 100_000 and not total_mismatches and elapsed < 60 and pivot_hits > 0 and entries_touched > 0

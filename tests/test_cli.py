@@ -72,6 +72,8 @@ def test_bad_config_exits_2(tmp_path):
     main(["synth", "--tree", f"{prefix}.spec.json", "--events", "10", "--out", trace_file])
     assert main(["replay", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--pool-size", "-1"]) == EXIT_CONFIG
     assert main(["replay", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--period-ms", "0"]) == EXIT_CONFIG
+    assert main(["compare", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--manual-tick",
+                 "--tick-every", "0"]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize(

@@ -69,9 +69,9 @@ def test_empty_pool_identical_to_original():
 
 
 def test_counter_law_walked_equals_total_minus_matched():
-    tree = make_tree(files=("/a0/b0/c0/d0/e0/f0/g0/h0",))
     p = mkpath("/a0/b0/c0/d0/e0/f0/g0/h0")
     for cover in range(1, 8):
+        tree = make_tree(files=(p.text,))  # one stage engine per tree
         engine = engine_with_pool(tree, ["/" + "/".join(p.components[:cover])])
         baseline = OriginalLookup(tree)
         before = engine.metrics.dentries_visited
@@ -124,6 +124,7 @@ def test_prefix_permissions_ok_and_vacuous():
     # depth-1 pivot: no skipped ancestors at all, so its mask refuses no
     # class even where the pivot itself refuses traversal; the walk below it
     # still checks the pivot
+    tree = make_tree(files=("/a/b/c/f",))  # one stage engine per tree
     tree.chmod_node(mkpath("/a"), 0o700)
     engine = engine_with_pool(tree, ["/a"])  # mask built after the chmod
     for cred in Credential:

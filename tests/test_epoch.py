@@ -226,7 +226,7 @@ def test_working_pool_equals_a_fresh_build_of_its_targets_randomized(threadsafe)
                 elif roll < 0.8:
                     cands = engine.candidates.members()
                     if mgr.periodic_update():
-                        want = reference_build_pool(cands, mgr.pool_bound)
+                        want = reference_build_pool(cands, mgr.pool_bound, before)
                         assert pool_shape(mgr.working_pool) == pool_shape(want)
                         if before.size:
                             seen["kept" if mgr.working_pool is before else "built"] += 1
@@ -331,6 +331,22 @@ def test_empty_candidates_publish_empty_pool():
     _tree, _cset, mgr = make_manager()
     assert mgr.periodic_update()
     assert mgr.working_pool.size == 0 and mgr.working_pool.published
+
+
+@on_both_trees
+def test_a_tick_with_no_lookups_keeps_the_working_pool(threadsafe):
+    tree = make_tree(files=("/a/b/f", "/c/d/g"), threadsafe=threadsafe)
+    engine = StageLookupEngine(tree)
+    mgr, cset = engine.manager, engine.candidates
+    engine.lookup(mkpath("/a/b/f"))
+    engine.tick()
+    pool = mgr.working_pool
+    assert [p.path for p in pool.pivots] == ["/a/b/f"]
+    version, swaps = cset.version, mgr.swaps
+    assert mgr.periodic_update()  # an idle period
+    assert mgr.working_pool is pool and not pool.freed
+    assert (cset.version, mgr.swaps) == (version + 1, swaps + 1)  # the heat version still advances
+    assert engine.stage_lookup(mkpath("/a/b/f")).pivot_used == "/a/b/f"
 
 
 # -- invalidate_for_metadata --------------------------------------------------------

@@ -319,29 +319,27 @@ def test_observe_target_pipeline():
     cset.validate()
 
 
-# -- membership belongs to the set ----------------------------------------------------------
+# -- one owner for heat ---------------------------------------------------------------------
 
 
-def test_engines_on_one_tree_keep_separate_candidate_sets():
-    """A dentry one engine admitted is not a member of another engine's set:
-    the second engine admits it, its cursor is one of its own members, and
-    its tick builds a pivot from it."""
-    from stagewalk import TreeSpec, gen_tree
+def test_engines_on_one_tree_raise_config_error():
+    """Heat lives on the dentries, so a second stage engine on a tree, which
+    would read and reset the first engine's heat, raises ConfigError. An
+    engine whose construction failed does not claim the tree, and the other
+    strategies share it freely."""
+    from stagewalk import FullPathCache, OriginalLookup, TreeSpec, gen_tree
 
     tree = gen_tree(TreeSpec(levels=[2, 2], seed=1))
-    first, second = StageLookupEngine(tree), StageLookupEngine(tree)
+    with pytest.raises(ConfigError):
+        StageLookupEngine(tree, heat_capacity=-1)
+    first = StageLookupEngine(tree)
+    with pytest.raises(ConfigError):
+        StageLookupEngine(tree)
+    assert tree.stage_engine is first
     path = mkpath("/a0/b0/c0")
-    first.lookup(path)
-    for _ in range(3):
-        second.lookup(path)
-    target = tree._resolve_admin(path)
-    assert first.candidates.members() == [target]
-    assert second.candidates.members() == [target]
-    assert second.candidates.least_popular in second.candidates.members()
-    second.candidates.validate()
-    second.tick()
-    assert [p.path for p in second.manager.working_pool.pivots] == ["/a0/b0/c0"]
-    assert first.manager.working_pool.size == 0  # the first engine has not ticked
+    for resolver in (OriginalLookup(tree), FullPathCache(tree), first):
+        assert resolver.lookup(path) == tree._resolve_admin(path).id
+    assert first.candidates.members() == [tree._resolve_admin(path)]
 
 
 def test_candidate_set_matches_the_ring_reference(monkeypatch):

@@ -160,8 +160,9 @@ def test_build_pool_materializes_only_the_kept_candidates(monkeypatch):
 def test_build_pool_with_a_current_pool_matches_reference_randomized():
     """A build handed the pool before it equals the reference build of its
     candidates, whether it returns that pool or builds afresh; it returns it
-    exactly when the kept names equal the pool's names. Every current pool
-    is a build of the same live tree, as the manager's is."""
+    exactly when the kept names equal the pool's names or no live candidate
+    is left to rank. Every current pool is a build of the same live tree, as
+    the manager's is."""
     rng = random.Random(1919)
     seen = collections.Counter()
     for _trial in range(80):
@@ -184,7 +185,7 @@ def test_build_pool_with_a_current_pool_matches_reference_randomized():
         cands += rng.choices(cands, k=rng.randint(0, 3)) if cands else []
         for bound in (current.size, rng.randint(0, len(live) + 2)):
             got = build_pool(cands, bound, current)
-            want = reference_build_pool(cands, bound)
+            want = reference_build_pool(cands, bound, current)
             assert pool_shape(got) == pool_shape(want)
             assert verify_pool(got) == []
             same_names = [pv.names for pv in want.pivots] == [pv.names for pv in current.pivots]

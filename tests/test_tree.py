@@ -4,7 +4,6 @@ import hashlib
 import random
 import threading
 import time
-import tracemalloc
 
 import pytest
 
@@ -420,20 +419,6 @@ def test_walkers_racing_create_node_mark_every_new_id():
     seen = returned[0] | returned[1]
     assert seen  # the walkers did resolve new names
     assert m.distinct_count == len(seen)
-
-
-def test_walk_without_metrics_allocates_no_map(preset):
-    path = mkpath("/a3/b1/c4/d1/e5/f0")
-    target = preset._resolve_admin(path).id
-    tracemalloc.start()
-    try:
-        for _ in range(3):
-            tracemalloc.reset_peak()
-            assert preset.lookup_original(path, OWNER) == target
-            _, peak = tracemalloc.get_traced_memory()
-            assert peak < 16_000  # the map would be len(nodes) = 211,112 bytes
-    finally:
-        tracemalloc.stop()
 
 
 # -- walk_from against the per-component reference ------------------------------------

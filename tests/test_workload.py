@@ -11,12 +11,12 @@ from stagewalk import (
     SIX_LEVEL_PRESET,
     ConfigError,
     Credential,
+    Metrics,
     SpecInvalid,
     TraceEvent,
     TraceMalformed,
     TreeSpec,
     bench_depth_grid,
-    equivalence_run,
     gen_tree,
     parse_metrics_csv,
     read_trace,
@@ -26,7 +26,7 @@ from stagewalk import (
     write_trace,
 )
 from stagewalk.tree import DirTree
-from conftest import mkpath, reference_gen_tree
+from conftest import mkpath, outcome_mismatches, reference_gen_tree, replay_each_strategy
 
 
 # -- gen_tree -------------------------------------------------------------------
@@ -44,7 +44,7 @@ def test_six_level_preset_shape():
 def test_fanout_one_single_chain():
     tree = gen_tree(TreeSpec(levels=[1]))
     assert tree.node_count == 3  # root, one dir, one file
-    assert tree.lookup_original(mkpath("/a0/b0"), Credential.OWNER)
+    assert tree.lookup_original(mkpath("/a0/b0"), Credential.OWNER, Metrics())
 
 
 def test_same_seed_identical_trees():
@@ -324,6 +324,23 @@ def test_locked_and_unlocked_read_sides_agree():
     assert locked_mgr.active_reader_count == unlocked_mgr.active_reader_count == 0
 
 
+def test_replay_records_each_lookup_target():
+    spec = TreeSpec(levels=[2, 2], seed=1)
+    target = gen_tree(spec)._resolve_admin(mkpath("/a0/b1/c0")).id
+    trace = [TraceEvent("stat", "/a0/b1/c0"), TraceEvent("open", "/a0/b1/c0"), TraceEvent("open", "/a0/x")]
+    runs = replay_each_strategy(spec, trace)
+    for res in runs.values():
+        assert res.outcomes == [f"ok:{target}", f"ok:{target}", "err:NotFound"]
+
+
+@pytest.mark.parametrize("settings", [{"period_ms": 0}, {"period_ms": -5}, {"manual_tick": True, "tick_every": 0}])
+def test_bad_tick_settings_raise_config_error(settings):
+    # a zero period once died dividing by zero; a zero tick_every never ticked
+    trace = [TraceEvent("stat", "/a0")]
+    with pytest.raises(ConfigError):
+        replay(trace, "stage", gen_tree(TreeSpec(levels=[2], seed=1)), **settings)
+
+
 def test_timestamp_driven_ticks():
     spec = TreeSpec(levels=[3, 3], seed=2)
     tree = gen_tree(spec)
@@ -337,21 +354,20 @@ def test_timestamp_driven_ticks():
 
 def test_equivalence_run_three_strategies():
     spec = TreeSpec(levels=[4, 4], seed=6)
-    tree = gen_tree(spec)
-    trace = synth_trace(tree, "uniform", {"n_events": 1_500, "p_rename": 0.05, "p_chmod": 0.05}, seed=11)
-    mismatches, metrics = equivalence_run(trace, tree, tick_every=200)
-    assert mismatches == []
-    assert set(metrics) == {"original", "fullpath", "stage"}
+    trace = synth_trace(gen_tree(spec), "uniform", {"n_events": 1_500, "p_rename": 0.05, "p_chmod": 0.05}, seed=11)
+    runs = replay_each_strategy(spec, trace, manual_tick=True, tick_every=200)
+    assert outcome_mismatches(runs) == []
+    assert set(runs) == {"original", "fullpath", "stage"}
 
 
 @pytest.mark.parametrize("cred", list(Credential))
 def test_equivalence_under_mutation_per_credential(cred):
     spec = TreeSpec(levels=[6, 6, 6, 6], seed=5)
-    tree = gen_tree(spec)
-    trace = synth_trace(tree, "hotdir-zipf", {"p_rename": 0.02, "p_chmod": 0.02}, seed=31)
-    mismatches, metrics = equivalence_run(trace, tree, cred=cred, tick_every=500)
-    assert mismatches == []
-    assert metrics["stage"].pivot_hits > 0 and metrics["stage"].entries_touched > 0  # pivots in use
+    trace = synth_trace(gen_tree(spec), "hotdir-zipf", {"p_rename": 0.02, "p_chmod": 0.02}, seed=31)
+    runs = replay_each_strategy(spec, trace, cred=cred, manual_tick=True, tick_every=500)
+    assert outcome_mismatches(runs) == []
+    stage = runs["stage"].metrics
+    assert stage.pivot_hits > 0 and stage.entries_touched > 0  # pivots in use
 
 
 def test_churn_keeps_swapping_and_hitting_pivots():
@@ -374,8 +390,6 @@ def test_churn_keeps_swapping_and_hitting_pivots():
 
 
 def _mini_metrics(lookups: int):
-    from stagewalk import Metrics
-
     m = Metrics()
     m.lookups = lookups
     m.dentries_visited = lookups * 3
