@@ -39,7 +39,7 @@ from .epoch import PivotManager
 from .metrics import Metrics
 from .paths import PathBuf
 from .pivots import Pivot, ScanStats, find_best_pivot
-from .tree import CRED_MASK_BIT, Credential, Dentry, DirTree
+from .tree import CRED_MASK_BIT, DIR, FILE, Credential, Dentry, DirTree
 
 
 @dataclass(slots=True)
@@ -75,7 +75,7 @@ class _ResolverBase:
 
     def stat(self, path: PathBuf, cred: Credential = Credential.OWNER) -> MetadataView:
         d = self.tree.nodes[self.lookup(path, cred)]
-        return MetadataView(d.id, d.kind, d.mode, d.size)
+        return MetadataView(d.id, FILE if d.children is None else DIR, d.mode, d.size)
 
     def open(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
         self.lookup(path, cred)
@@ -83,8 +83,9 @@ class _ResolverBase:
         self._next_handle += 1
         return handle
 
-    def tick(self) -> None:
-        """Period boundary; a no-op for strategies without a manager."""
+    def tick(self, periods: int = 1) -> None:
+        """`periods` period boundaries in a row; a no-op for strategies
+        without a manager."""
 
 
 class OriginalLookup(_ResolverBase):
@@ -120,8 +121,8 @@ class StageLookupEngine(_ResolverBase):
     def _on_metadata(self, path: PathBuf) -> None:
         self.metrics.entries_touched += self.manager.invalidate_for_metadata(path)
 
-    def tick(self) -> None:
-        self.manager.periodic_update()
+    def tick(self, periods: int = 1) -> None:
+        self.manager.periodic_update(periods)
 
     def _resolve(self, path: PathBuf, cred: Credential) -> tuple[Dentry, Optional[Pivot], int]:
         """Both stages; returns the target, the pivot used (None on a full walk)

@@ -142,9 +142,10 @@ class PivotManager:
 
     # -- manager side -----------------------------------------------------------
 
-    def periodic_update(self) -> bool:
-        """One manager period: rebuild, maybe swap, then advance the candidate
-        set, which bumps the heat version and drops every member.
+    def periodic_update(self, periods: int = 1) -> bool:
+        """One manager period, or `periods` in a row: rebuild, maybe swap,
+        then advance the candidate set, which bumps the heat version and
+        drops every member.
 
         A metadata modification between the start of the build and the swap
         discards the fresh build, and the working pool stays as the
@@ -152,7 +153,28 @@ class PivotManager:
         does not advance and the candidates stay. Returns whether a swap
         happened. `swaps` counts these period swaps only, also one that
         keeps the working pool because its names did not change.
+
+        `periods` > 1 runs that many periods back to back with no lookup or
+        modification between them (a replay's idle gap). Once one of them
+        swaps, the set is empty, so each later one would build nothing,
+        keep the working pool, swap and advance: they are counted at once,
+        and the queue reclaimed once. Until then the periods run one by one.
+        Returns whether the last period swapped.
         """
+        swapped = self._period()
+        periods -= 1
+        while periods > 0 and not swapped:
+            swapped = self._period()
+            periods -= 1
+        if periods > 0:
+            with self._heat_lock:
+                self._candidates.advance(periods)
+            self.ticks += periods
+            self.swaps += periods
+            self.reclaim()
+        return swapped
+
+    def _period(self) -> bool:
         self.ticks += 1
         with self._heat_lock:
             candidates = self._candidates.members()

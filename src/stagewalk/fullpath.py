@@ -45,7 +45,10 @@ class FullPathCache(_ResolverBase):
             node_id, version = entry
             versions = self._versions
             current = versions[node_id] if node_id < len(versions) else 0
-            if not self.tree.nodes[node_id].dead and current == version:
+            # no entry outlives its node's unlink: unlink_node first fires the
+            # hook, which pops the entry under the node's path and bumps the
+            # node's version, so an entry for it would fail this test too
+            if current == version:
                 return node_id
             del self._entries[key]  # out of date
         tree = self.tree

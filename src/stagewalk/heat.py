@@ -95,14 +95,14 @@ class CandidateSet:
             return _REPLACED, lpc
         return _REJECTED, None
 
-    def advance(self) -> None:
+    def advance(self, periods: int = 1) -> None:
         """Start a new period: bump the heat version, drop every member and
-        the cursor.
+        the cursor. `periods` > 1 stands for that many advances in a row.
 
         The manager calls this at each swap, under the heat lock. No member
         can hold the new version, so evicting the members whose version is
         stale would evict them all."""
-        self.version += 1
+        self.version += periods
         self._members.clear()
         self.least_popular = None
 
@@ -121,7 +121,9 @@ def observe_target(dentry: Dentry, cset: CandidateSet) -> int:
     to 1 if its version is not the set's. Then a member takes the cursor when
     its heat is below the cursor's referent's (never on a tie, so the
     referent itself leaves it in place), and a non-member is offered to
-    `maybe_admit`."""
+    `maybe_admit` unless the set is full and its heat is at most threshold +
+    1: members hold the current version, so each has heat 1 or more, and the
+    cursor's referent would need less than 1 for it to win."""
     version = cset.version
     if dentry.heat_version == version:
         heat = dentry.heat
@@ -130,10 +132,11 @@ def observe_target(dentry: Dentry, cset: CandidateSet) -> int:
     else:
         heat = dentry.heat = 1
         dentry.heat_version = version
-    if dentry in cset._members:
+    members = cset._members
+    if dentry in members:
         lpc = cset.least_popular
         if lpc is None or heat < lpc.heat:
             cset.least_popular = dentry
-    else:
+    elif heat > cset.threshold + 1 or len(members) < cset.capacity:
         cset.maybe_admit(dentry)
     return heat

@@ -115,7 +115,8 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
     most `bound` pivots.
 
     A first pass walks each candidate's parent links for its names only:
-    dead candidates (unlinked mid-build) and the root are dropped, and of
+    dead candidates (unlinked mid-build, which their parent's map no longer
+    holds; see `Dentry.dead`) and the root are dropped, and of
     two candidates with the same names the hotter is kept (the first on a
     tie). Hotter candidates win the cut, ties broken by ascending component
     order, the order of the pool itself. Sorting by path text instead would

@@ -6,7 +6,9 @@ The kernel finds a child on a d_hash chain by hashing the name and then
 verifying it; the walk counts both scans but does neither char by char. All
 dentries are pinned (no eviction, no negative entries) and node ids are
 never reused: `DirTree.nodes` is a list indexed by id (slot 0 unused), and
-an unlinked dentry keeps its slot, marked dead.
+an unlinked dentry keeps its slot. No flag marks it: it is dead because its
+parent's map no longer holds it, as the kernel's d_unhashed() asks the hash
+chain, and a directory is the dentry that has a children map.
 
 Mutations (create/rename/chmod/unlink) are serialized through the tree's
 write lock. Walks on a threadsafe tree take the read side; a single-threaded
@@ -61,35 +63,38 @@ def trav_mask(mode: int) -> int:
 class Dentry:
     """A cached directory-tree node.
 
+    Eight slots, none derived: `kind` is read off `children` (a map for a
+    directory, None for a file) and `dead` off the parent's map; the `kind`
+    argument only picks the children map.
+
     heat / heat_version belong to the access-frequency machinery of the
     tree's one stage engine; candidate membership is kept by its
     CandidateSet, not here.
     """
 
-    __slots__ = (
-        "id",
-        "parent",
-        "name",
-        "kind",
-        "mode",
-        "size",
-        "heat",
-        "heat_version",
-        "dead",
-        "children",
-    )
+    __slots__ = ("id", "parent", "name", "mode", "size", "heat", "heat_version", "children")
 
     def __init__(self, node_id: int, parent: Optional["Dentry"], name: str, kind: str, mode: int, size: int = 0):
         self.id = node_id
         self.parent = parent
         self.name = name
-        self.kind = kind
         self.mode = mode
         self.size = size
         self.heat = 0
         self.heat_version = 0
-        self.dead = False
         self.children: Optional[dict[str, Dentry]] = {} if kind == DIR else None
+
+    @property
+    def kind(self) -> str:
+        return FILE if self.children is None else DIR
+
+    @property
+    def dead(self) -> bool:
+        """Unlinked: not the root, and not what its parent's map holds under
+        its name. An unlinked dentry keeps its parent and name, and a live
+        one may since have taken that name."""
+        parent = self.parent
+        return parent is not None and parent.children.get(self.name) is not self
 
     def __repr__(self) -> str:
         return f"Dentry(id={self.id}, name={self.name!r}, kind={self.kind})"
@@ -122,8 +127,8 @@ class DirTree:
             hook(path)
 
     def node(self, node_id: int) -> Optional[Dentry]:
-        """The dentry issued with this id (dead once unlinked), or None for an
-        id never issued."""
+        """The dentry issued with this id, or None for an id never issued. An
+        unlinked dentry is still returned; its `dead` is true."""
         return self.nodes[node_id] if 0 < node_id < len(self.nodes) else None
 
     @property
@@ -185,7 +190,7 @@ class DirTree:
         self.lock.acquire_write()
         try:
             parent = self._resolve_admin(parent_path)
-            if parent.kind != DIR:
+            if parent.children is None:
                 raise NotADirectory(f"{parent_path.text} is not a directory")
             if name in parent.children:
                 raise AlreadyExists(f"{parent_path.text}/{name} already exists")
@@ -201,7 +206,7 @@ class DirTree:
                 raise Unsupported("cannot rename the root")
             d = self._resolve_admin(old)
             new_parent = self._resolve_admin(new.parent())
-            if new_parent.kind != DIR:
+            if new_parent.children is None:
                 raise NotADirectory(f"{new.parent().text} is not a directory")
             if new.name in new_parent.children:
                 raise AlreadyExists(f"{new.text} already exists")
@@ -236,8 +241,7 @@ class DirTree:
             if d.children:
                 raise Unsupported(f"{path.text} has children")
             self._fire_hooks(path)
-            del d.parent.children[d.name]
-            d.dead = True
+            del d.parent.children[d.name]  # the unlink: `d.dead` is now true
         finally:
             self.lock.release_write()
 

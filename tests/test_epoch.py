@@ -298,6 +298,37 @@ def test_metadata_mid_period_suppresses_next_swap(threadsafe):
 
 
 @on_both_trees
+def test_periods_in_a_row_end_as_single_periods_do(threadsafe):
+    """periodic_update(4) ends as four single periods do, also when a
+    modification races the first: that one swaps nothing, the next builds
+    from the candidates it left, and the rest are idle and keep the pool."""
+    for raced in (False, True):
+        states = []
+        for periods in ((4,), (1, 1, 1, 1)):
+            tree, cset, mgr = fig4_manager(threadsafe)
+            heat_up(tree, cset, ["/a1/b1/c1"])
+            real_build = epoch_module.build_pool
+            builds = []
+
+            def racing_build(candidates, bound, current):
+                builds.append(None)
+                if raced and len(builds) == 1:
+                    mgr.invalidate_for_metadata(mkpath("/a1/b2"))
+                return real_build(candidates, bound, current)
+
+            epoch_module.build_pool = racing_build
+            try:
+                swapped = [mgr.periodic_update(n) for n in periods][-1]
+            finally:
+                epoch_module.build_pool = real_build
+            states.append((swapped, mgr.ticks, mgr.swaps, cset.version, len(cset), mgr.generation,
+                           mgr.reclaim_queue.pending, [pv.names for pv in mgr.working_pool.pivots]))
+        assert states[0] == states[1]
+        swapped, ticks, swaps, *_ = states[0]
+        assert swapped and (ticks, swaps) == (5, 5 - raced)
+
+
+@on_both_trees
 def test_rename_before_the_tick_does_not_suppress_the_swap(threadsafe):
     tree, cset, mgr = fig4_manager(threadsafe)
     pool = mgr.working_pool

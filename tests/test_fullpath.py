@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from stagewalk import Credential, FullPathCache, OriginalLookup
+from stagewalk import FILE, Credential, FullPathCache, NotFound, OriginalLookup
 from conftest import make_node, make_tree, mkpath, oracle_resolve, outcome
 
 OWNER = Credential.OWNER
@@ -100,6 +100,22 @@ def test_stale_entries_not_served_after_ancestor_rename():
     tree.rename_node(mkpath("/a/b"), mkpath("/a/c"))
     assert outcome(cache.fp_lookup, mkpath("/a/b/f"), OWNER) == "err:NotFound"
     assert outcome(cache.fp_lookup, mkpath("/a/c/f"), OWNER).startswith("ok:")
+
+
+def test_unlinked_entry_not_served_and_recreated_name_resolves_anew():
+    # the unlink hook pops the entry and bumps the version, so no dead-node
+    # test is needed on a hit
+    tree = make_tree("/a", files=("/a/f",))
+    cache = FullPathCache(tree)
+    p = mkpath("/a/f")
+    old_id = cache.fp_lookup(p)
+    tree.unlink_node(p)
+    with pytest.raises(NotFound):
+        cache.fp_lookup(p)
+    new_id = tree.create_node(mkpath("/a"), "f", FILE, 0o644)
+    assert new_id != old_id
+    assert cache.fp_lookup(p) == new_id
+    assert cache.fp_lookup(p) == new_id  # warm again
 
 
 @pytest.mark.parametrize("cred", list(Credential))

@@ -344,9 +344,11 @@ def test_engines_on_one_tree_raise_config_error():
 
 def test_candidate_set_matches_the_ring_reference(monkeypatch):
     """Random observations and period advances against the ring reference
-    (conftest.ReferenceCandidates): every step gives the same admission
-    result and victim, and leaves the same members in the same order, the
-    same cursor and the same size."""
+    (conftest.ReferenceCandidates): every step gives the same heat and the
+    same admission result and victim, and leaves the same members in the
+    same order, the same cursor and the same size. A non-member that a full
+    set would reject may skip the maybe_admit call; the reference must then
+    reject it too."""
     results: list = []
     real_admit = CandidateSet.maybe_admit
 
@@ -377,18 +379,23 @@ def test_candidate_set_matches_the_ring_reference(monkeypatch):
                     assert results == []
                     seen["member"] += 1
                 else:
-                    assert len(results) == 1
-                    (result, victim), (want, want_victim) = results[0], expected
-                    assert result is want
-                    assert victim is (None if want_victim is None else nodes[want_victim])
-                    seen[want] += 1
+                    want, want_victim = expected
+                    if results:
+                        [(result, victim)] = results
+                        assert result is want
+                        assert victim is (None if want_victim is None else nodes[want_victim])
+                        seen[want] += 1
+                    else:
+                        assert want is Admission.REJECTED and len(cset) == capacity
+                        seen["skipped"] += 1
             assert [m.id for m in cset.members()] == ref.ring
             assert cset.least_popular is (None if ref.cursor is None else nodes[ref.cursor])
             assert len(cset) == len(ref.ring)
             assert cset.version == ref.version
             cset.validate()
     # every path through the rules was taken
-    assert all(seen[k] > 100 for k in ("advance", "member", Admission.ADMITTED, Admission.REPLACED, Admission.REJECTED))
+    paths = ("advance", "member", "skipped", Admission.ADMITTED, Admission.REPLACED, Admission.REJECTED)
+    assert all(seen[k] > 100 for k in paths), seen
 
 
 def test_public_names_resolve():

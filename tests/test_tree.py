@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import collections
 import hashlib
 import random
+import sys
 import threading
 import time
 
@@ -12,6 +14,7 @@ from stagewalk import (
     FILE,
     AlreadyExists,
     Credential,
+    EngineError,
     Metrics,
     NotADirectory,
     NotFound,
@@ -218,6 +221,62 @@ def test_children_maps_are_the_only_index():
     mapped = [c for d in tree.nodes[1:] if d.children for c in d.children.values()]
     assert not any(c.dead for c in mapped)
     assert len(mapped) == len(live)
+
+
+def test_dead_and_kind_follow_the_children_maps_randomized():
+    """Random creates, mkdirs, renames and unlinks on small trees, with
+    names from a small set, so a name is unlinked and created again and a
+    rename lands on a freed name: after every step each dentry is dead
+    exactly when its id is in the reference set of unlinked ids, and keeps
+    the kind it was created with."""
+    rng = random.Random(2206)
+    seen = collections.Counter()
+    for _trial in range(40):
+        tree = DirTree()
+        kinds = {tree.root.id: DIR}
+        unlinked: set[int] = set()
+        freed: set[tuple[int, str]] = set()  # (parent id, name) a dentry has left
+        for _step in range(60):
+            live = [d for d in tree.nodes[1:] if d.id not in unlinked]
+            dirs = [d for d in live if kinds[d.id] == DIR]
+            name = rng.choice(("a", "b", "c"))
+            roll = rng.random()
+            try:
+                if roll < 0.45:
+                    parent, kind = rng.choice(dirs), rng.choice((DIR, FILE))
+                    slot = (parent.id, name)
+                    kinds[tree.create_node(tree.materialize_path(parent), name, kind, 0o755)] = kind
+                    seen["created again" if slot in freed else "created"] += 1
+                elif roll < 0.7 and len(live) > 1:
+                    d, new_parent = rng.choice(live[1:]), rng.choice(dirs)
+                    old_slot, slot = (d.parent.id, d.name), (new_parent.id, name)
+                    tree.rename_node(tree.materialize_path(d), tree.materialize_path(new_parent).child(name))
+                    freed.add(old_slot)
+                    seen["renamed onto a freed name" if slot in freed else "renamed"] += 1
+                elif len(live) > 1:
+                    d = rng.choice(live[1:])
+                    tree.unlink_node(tree.materialize_path(d))
+                    unlinked.add(d.id)
+                    freed.add((d.parent.id, d.name))
+                    seen["unlinked"] += 1
+            except EngineError:
+                seen["refused"] += 1
+            for d in tree.nodes[1:]:
+                assert d.dead is (d.id in unlinked), d
+                assert d.kind == kinds[d.id], d
+    assert all(seen[k] >= 20 for k in ("created", "created again", "renamed", "renamed onto a freed name",
+                                        "unlinked", "refused")), seen
+
+
+def test_a_dentry_has_eight_slots():
+    # kind and dead are read off the children maps; a ninth field would grow
+    # each of the preset tree's 211,111 dentries by 8 bytes
+    class Eight:
+        __slots__ = tuple("abcdefgh")
+
+    tree = make_tree(files=("/a/f",))
+    for path in ("/a", "/a/f"):
+        assert sys.getsizeof(tree._resolve_admin(mkpath(path))) == sys.getsizeof(Eight())
 
 
 def test_missing_name_below_a_file_or_directory_counts_one_hash_scan():

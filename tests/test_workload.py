@@ -4,15 +4,18 @@ import gc
 import hashlib
 import math
 import random
+import time
 
 import pytest
 
 from stagewalk import (
     SIX_LEVEL_PRESET,
+    STRATEGIES,
     ConfigError,
     Credential,
     Metrics,
     SpecInvalid,
+    StageLookupEngine,
     TraceEvent,
     TraceMalformed,
     TreeSpec,
@@ -350,6 +353,60 @@ def test_timestamp_driven_ticks():
 
     assert isinstance(res.resolver, StageLookupEngine)
     assert res.resolver.manager.ticks > 0  # 4s gaps crossed 2s period boundaries
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_an_idle_gap_of_half_a_billion_periods_replays_at_once(strategy):
+    # one tick per period crossed once took about an hour on this gap
+    trace = [TraceEvent("stat", "/a0/b1"), TraceEvent("stat", "/a0/b1", at_ms=10**12)]
+    started = time.perf_counter()
+    res = replay(trace, strategy, gen_tree(TreeSpec(levels=[2, 2], seed=1)), period_ms=2000, record_outcomes=True)
+    assert time.perf_counter() - started < 1.0
+    assert len(set(res.outcomes)) == 1 and res.outcomes[0].startswith("ok:")
+    if strategy == "stage":
+        mgr = res.resolver.manager
+        assert mgr.ticks == mgr.swaps == 5 * 10**8
+        assert res.resolver.candidates.version == 5 * 10**8 + 1
+
+
+def _single_period_ticks(self, periods=1):
+    for _ in range(periods):
+        self.manager.periodic_update()
+
+
+def test_idle_gaps_end_as_single_ticks_leave_them_randomized(monkeypatch):
+    """Traces whose events sit 0-5 periods apart, with renames, chmods and
+    creates, replayed against a reference that ticks once per period
+    crossed: the same outcomes and counters, and for stage the same ticks,
+    swaps, heat version and working pool."""
+    rng = random.Random(2205)
+    period = 2000
+    spec = TreeSpec(levels=[3, 3, 3], seed=4)
+    kept_across_a_gap = 0
+    for trial in range(12):
+        events = synth_trace(gen_tree(spec), "hotdir-zipf",
+                             {"n_events": 600, "hot_dirs": 2, "p_rename": 0.01, "p_chmod": 0.01, "p_create": 0.01},
+                             seed=trial)
+        at = 0
+        for ev in events:
+            at += period * (rng.randint(1, 5) if rng.random() < 0.05 else 0) + rng.randrange(period // 20)
+            ev.at_ms = at
+        for strategy in STRATEGIES:
+            fast = replay(events, strategy, gen_tree(spec), period_ms=period, record_outcomes=True)
+            with monkeypatch.context() as m:
+                m.setattr(StageLookupEngine, "tick", _single_period_ticks)
+                ref = replay(events, strategy, gen_tree(spec), period_ms=period, record_outcomes=True)
+            assert fast.outcomes == ref.outcomes
+            assert fast.metrics.counter_rows() == ref.metrics.counter_rows()
+            if strategy == "stage":
+                mgr, ref_mgr = fast.resolver.manager, ref.resolver.manager
+                assert (mgr.ticks, mgr.swaps) == (ref_mgr.ticks, ref_mgr.swaps)
+                assert fast.resolver.candidates.version == ref.resolver.candidates.version
+                assert [pv.names for pv in mgr.working_pool.pivots] == [
+                    pv.names for pv in ref_mgr.working_pool.pivots
+                ]
+                kept_across_a_gap += mgr.working_pool.size > 0 and fast.metrics.pivot_hits > 0
+    assert kept_across_a_gap >= 6  # the pools were in use, not empty
 
 
 def test_equivalence_run_three_strategies():
