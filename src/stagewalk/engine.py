@@ -65,9 +65,9 @@ class _ResolverBase:
     tree: DirTree
     metrics: Metrics
 
-    def __init__(self, tree: DirTree, metrics: Optional[Metrics] = None):
+    def __init__(self, tree: DirTree):
         self.tree = tree
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = Metrics()
         self._next_handle = 1
 
     def lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
@@ -103,14 +103,12 @@ class StageLookupEngine(_ResolverBase):
         pool_size: int = 16,
         heat_threshold: int = 4,
         heat_capacity: int = 64,
-        metrics: Optional[Metrics] = None,
     ):
         if tree.stage_engine is not None:
             raise ConfigError("a tree takes one stage engine: its dentries hold that engine's heat")
-        super().__init__(tree, metrics)
+        super().__init__(tree)
         self.candidates = CandidateSet(heat_capacity, heat_threshold)
         self.heat_lock = threading.Lock()
-        self._threadsafe = tree.threadsafe  # heat updates take heat_lock only then
         self.manager = PivotManager(tree, self.candidates, self.heat_lock, pool_bound=pool_size)
         # a single-threaded engine reuses one ScanStats; a threadsafe one
         # makes one per lookup, since threads would share a reused one
@@ -167,7 +165,7 @@ class StageLookupEngine(_ResolverBase):
         if pivot is None:
             target = tree.walk_from(tree.root, path.components, cred, metrics)
 
-        if self._threadsafe:
+        if tree.threadsafe:  # heat updates take heat_lock only then
             with self.heat_lock:
                 observe_target(target, self.candidates)
         else:

@@ -13,8 +13,8 @@ Each period the manager builds a pool from the candidates; a period whose
 kept names equal the working pool's keeps that pool, and so does an idle
 period, one with no candidate to rank: shortcuts outlive a quiet spell, as
 dcache entries stay until something displaces them. A metadata
-modification installs a pool of fresh copies of the working pool's pivots
-that its path does not cover, then bumps `metadata_seq`; readers still
+modification installs a pool of the working pool's pivots that its path does
+not cover, the same pivot objects, then bumps `metadata_seq`; readers still
 scanning the old pool may find a covered pivot there, and the engine drops
 such a result because the count moved under it. A period reads that
 count under the tree read lock before it builds, and installs its build only
@@ -44,21 +44,21 @@ from typing import Optional
 from .errors import ContractViolation
 from .heat import CandidateSet
 from .paths import PathBuf
-from .pivots import PivotPool, build_pool, pool_from_sorted
+from .pivots import PivotPool, build_pool
 from .tree import DirTree
 
 
 class ReclaimQueue:
-    """Retired pools awaiting their grace period; a pool owns its pivots, so
-    poisoning the pool poisons them."""
+    """Retired pools awaiting their grace period. Poisoning a pool poisons
+    scans of it, not the pivots it shares with a later pool."""
 
     __slots__ = ("_entries",)
 
     def __init__(self) -> None:
-        self._entries: list[tuple[PivotPool, int]] = []
+        self._entries: list[PivotPool] = []
 
-    def push(self, pool: PivotPool, retire_gen: int) -> None:
-        self._entries.append((pool, retire_gen))
+    def push(self, pool: PivotPool) -> None:
+        self._entries.append(pool)
 
     @property
     def pending(self) -> int:
@@ -66,11 +66,11 @@ class ReclaimQueue:
 
     def reclaim(self, min_active_gen: Optional[int]) -> int:
         """Poison every pool retired before the oldest active reader. Idempotent."""
-        keep: list[tuple[PivotPool, int]] = []
+        keep: list[PivotPool] = []
         freed = 0
-        for pool, gen in self._entries:
-            if min_active_gen is not None and gen >= min_active_gen:
-                keep.append((pool, gen))
+        for pool in self._entries:
+            if min_active_gen is not None and pool.generation >= min_active_gen:
+                keep.append(pool)
                 continue
             pool.freed = True
             freed += 1
@@ -92,7 +92,6 @@ class PivotManager:
         self._candidates = candidates
         self._heat_lock = heat_lock
         self.pool_bound = pool_bound
-        self.generation = 0
         self.working_pool = PivotPool([])
         self.working_pool.published = True
         self.metadata_seq = 0
@@ -204,14 +203,12 @@ class PivotManager:
     def _install(self, pool: PivotPool) -> None:
         """Publish `pool` as the working pool and retire the old one; the
         caller holds the pool mutex."""
-        gen = self.generation + 1
-        pool.generation = gen
-        pool.published = True
         old = self.working_pool
+        pool.generation = old.generation + 1
+        pool.published = True
         with self._reader_lock or nullcontext():
             self.working_pool = pool
-        self.generation = gen
-        self.reclaim_queue.push(old, old.generation)
+        self.reclaim_queue.push(old)
 
     def invalidate_for_metadata(self, path: PathBuf) -> int:
         """Retire the working pool for one without the pivots covered by
@@ -228,7 +225,7 @@ class PivotManager:
             survivors = [p for p in pivots if p.names[:plen] != prefix]
             covered = len(pivots) - len(survivors)
             if covered:
-                self._install(pool_from_sorted((p.path, p.names, p.components) for p in survivors))
+                self._install(PivotPool(survivors))
             # only after the install: a reader that samples the count after
             # the bump must read the repaired pool
             self.metadata_seq += 1

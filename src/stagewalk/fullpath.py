@@ -15,18 +15,15 @@ reuse the probe hash.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .engine import _ResolverBase
 from .errors import NotFound
-from .metrics import Metrics
 from .paths import PathBuf
 from .tree import Credential, DirTree
 
 
 class FullPathCache(_ResolverBase):
-    def __init__(self, tree: DirTree, metrics: Optional[Metrics] = None):
-        super().__init__(tree, metrics)
+    def __init__(self, tree: DirTree):
+        super().__init__(tree)
         self._entries: dict[str, tuple[int, int]] = {}
         self._versions: list[int] = []  # by dentry id; an id past the end is at 0
         tree.register_hook(self._on_metadata)

@@ -1,15 +1,16 @@
 """Pivot pool: cached popular paths, ordered by components, searched in one scan.
 
-A pivot stores the full path of a hot dentry, a per-depth array of component
-records (dentry id, aggregated ancestor-traversal mask),
-and its overlap: the number of leading components shared with the previous
-pivot in the pool. The pool is sorted by component tuple, so the pivots that
-share their first m names form one contiguous run. The paper's Stage One is
-one forward scan that uses the overlaps to walk the whole pool while reading
-the query path's characters at most once.
+A pivot stores the names of a hot dentry's path and a per-depth array of
+component records (dentry id, aggregated ancestor-traversal mask). Nothing in
+it depends on its neighbours, so pools can share pivots. The pool is sorted by
+component tuple, so the pivots that share their first m names form one
+contiguous run. The paper's Stage One is one forward scan that uses each
+pivot's overlap, the number of leading components it shares with the pivot
+before it, to walk the whole pool while reading the query path's characters
+at most once; the overlap is derived from the two pivots' names, not stored.
 
 `build_pool` ranks the candidates on their names and heat alone, and
-materializes (path text, component records, masks) only the pivots it keeps.
+materializes (component records, masks) only the pivots it keeps.
 
 The model reports what that scan costs, but the code need not perform it.
 Every pool builds its component index when it is constructed: a trie over
@@ -57,29 +58,35 @@ class Component:
 
 
 class Pivot:
-    """A pool entry; it belongs to one pool only, whose `freed` flag covers it."""
+    """A pool entry: a path's names and their component records. It holds no
+    position, so a repaired pool shares its survivors with the pool it
+    replaces; a pivot read through a pool is covered by that pool's `freed`
+    flag."""
 
-    __slots__ = ("path", "names", "overlap", "components")
+    __slots__ = ("names", "components")
 
-    def __init__(self, path: str, names: tuple[str, ...], overlap: int, components: tuple[Component, ...]):
-        self.path = path
+    def __init__(self, names: tuple[str, ...], components: tuple[Component, ...]):
         self.names = names
-        self.overlap = overlap
         self.components = components
+
+    @property
+    def path(self) -> str:
+        return "/" + "/".join(self.names)
 
     @property
     def depth(self) -> int:
         return len(self.names)
 
     def __repr__(self) -> str:
-        return f"Pivot({self.path!r}, overlap={self.overlap})"
+        return f"Pivot({self.path!r})"
 
 
 class PivotPool:
     """Pivot list in ascending component order, immutable once published:
     every change installs a fresh pool, so in-flight readers keep a
-    consistent snapshot. `freed` poisons the pool and all its pivots once
-    reclaimed.
+    consistent snapshot. A pool may share its pivots with the pool it
+    replaced. `freed` poisons the pool once reclaimed, and a scan of a
+    poisoned pool trips the sentinel.
 
     `index` is the component index, built here from the list; it is None
     only for an empty pool."""
@@ -98,8 +105,10 @@ class PivotPool:
         return len(self.pivots)
 
     def dump(self) -> str:
-        """One line per pivot: `<overlap>\\t<path>`."""
-        return "\n".join(f"{p.overlap}\t{p.path}" for p in self.pivots)
+        """One line per pivot: `<overlap>\\t<path>`, the overlap taken against
+        the pivot before (the first shares nothing)."""
+        prevs = [(), *(p.names for p in self.pivots)]
+        return "\n".join(f"{_lcp_components(a, p.names)}\t{p.path}" for a, p in zip(prevs, self.pivots))
 
 
 def _lcp_components(a: Sequence[str], b: Sequence[str]) -> int:
@@ -121,8 +130,8 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
     tie). Hotter candidates win the cut, ties broken by ascending component
     order, the order of the pool itself. Sorting by path text instead would
     split a run: `/a.d` sorts between `/a` and `/a/b` because `.` is below
-    `/`. Only the kept candidates are then walked again for their path
-    text, ids and masks, so a period that ranks 64 candidates for 16 slots
+    `/`. Only the kept candidates are then walked again for their ids
+    and masks, so a period that ranks 64 candidates for 16 slots
     materializes 16.
 
     When the kept names equal `current`'s pivot names in order, or no live
@@ -153,7 +162,7 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
     if current is not None and (not by_names or [names for names, _ in ranked] == [pv.names for pv in current.pivots]):
         return current
 
-    entries = []
+    pivots: list[Pivot] = []
     for names, (_heat, d) in ranked:
         chain: list[Dentry] = []
         cur = d
@@ -165,19 +174,7 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
         for node in reversed(chain):
             comps.append(Component(node.id, running))
             running &= trav_mask(node.mode)  # this component joins the prefix of deeper ones
-        entries.append(("/" + "/".join(names), names, tuple(comps)))
-    return pool_from_sorted(entries)
-
-
-def pool_from_sorted(entries: Iterable[tuple[str, tuple[str, ...], tuple[Component, ...]]]) -> PivotPool:
-    """An unpublished pool of fresh pivots from `(path, names, components)`
-    entries in ascending order of names, each overlap computed against the
-    entry before."""
-    pivots: list[Pivot] = []
-    prev_names: tuple[str, ...] = ()  # the first pivot shares nothing
-    for path, names, comps in entries:
-        pivots.append(Pivot(path, names, _lcp_components(prev_names, names), comps))
-        prev_names = names
+        pivots.append(Pivot(names, tuple(comps)))
     return PivotPool(pivots)
 
 
@@ -373,20 +370,13 @@ def find_best_pivot(
 
 
 def verify_pool(pool: PivotPool) -> list[str]:
-    """Recompute ordering and overlaps by brute force; return violation strings."""
+    """Recheck the pool's order and component arrays by brute force; return
+    violation strings."""
     problems: list[str] = []
     pivots = pool.pivots
     for i, pv in enumerate(pivots):
-        if tuple(pv.path.split("/")[1:]) != pv.names:
-            problems.append(f"[{i}] names do not match path split: {pv.path!r}")
-        if i:
-            if pivots[i - 1].names >= pv.names:
-                problems.append(f"[{i}] order violation: {pivots[i-1].path!r} >= {pv.path!r} by components")
-            want = _lcp_components(pivots[i - 1].names, pv.names)
-            if pv.overlap != want:
-                problems.append(f"[{i}] overlap {pv.overlap} != recomputed {want}")
-        elif pv.overlap != 0:
-            problems.append(f"[0] first overlap must be 0, got {pv.overlap}")
+        if i and pivots[i - 1].names >= pv.names:
+            problems.append(f"[{i}] order violation: {pivots[i-1].path!r} >= {pv.path!r} by components")
         if len(pv.components) != len(pv.names):
             problems.append(f"[{i}] component array length mismatch")
     return problems

@@ -21,7 +21,9 @@ File formats:
 
 from __future__ import annotations
 
+import csv
 import gc
+import io
 import itertools
 import json
 import math
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .engine import OriginalLookup, StageLookupEngine, _ResolverBase
-from .errors import ConfigError, EngineError, InvalidPath, SpecInvalid, TraceMalformed
+from .errors import ConfigError, EngineError, InvalidPath, NotFound, PermissionDenied, SpecInvalid, TraceMalformed
 from .fullpath import FullPathCache
 from .metrics import Metrics
 from .paths import PathBuf
@@ -95,11 +97,7 @@ def _level_letter(depth: int) -> str:
     return chr(ord("a") + (depth - 1) % 26)
 
 
-def gen_tree(
-    spec: TreeSpec,
-    seed: Optional[int] = None,
-    threadsafe: bool = False,
-) -> DirTree:
+def gen_tree(spec: TreeSpec, threadsafe: bool = False) -> DirTree:
     """Deterministic tree for a spec: same seed, same canonical dump.
 
     Each level's names are built once and the same string objects are
@@ -121,7 +119,7 @@ def gen_tree(
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        rng = random.Random(spec.seed if seed is None else seed)
+        rng = random.Random(spec.seed)
         tree = DirTree(threadsafe=threadsafe)
         parents = [tree.root]
         for depth, fanout in enumerate(spec.levels, start=1):
@@ -278,6 +276,11 @@ def _zipf_weight(rank: int, s: float) -> float:
     return 1.0 / (rank + 1) ** s
 
 
+# trace time between two events, and between two replay-like bursts
+_STEP_MS = 1
+_BURST_GAP_MS = 4000
+
+
 def synth_trace(
     tree: DirTree,
     model: str,
@@ -291,9 +294,10 @@ def synth_trace(
     "replay-like" emits bursts of opens separated by compressed four-second
     gaps. Mutation mix is controlled by p_rename / p_chmod / p_create
     (renames pick files or directories, always to fresh names). Raises
-    ConfigError on a negative event count, a probability outside [0, 1],
-    mutation probabilities that sum above 1, fewer than one hot dir, or a
-    `zipf_s` whose weights over `hot_dirs` ranks are not all finite.
+    ConfigError on a parameter it does not know, a negative event count, a
+    probability outside [0, 1], mutation probabilities that sum above 1,
+    fewer than one hot dir, or a `zipf_s` whose weights over `hot_dirs`
+    ranks are not all finite.
     """
     if model not in ("uniform", "hotdir-zipf", "replay-like"):
         raise ConfigError(f"unknown trace model {model!r}")
@@ -306,9 +310,10 @@ def synth_trace(
         "hot_dirs": 8,
         "zipf_s": 1.0,
         "burst_len": 64,
-        "gap_ms": 4000,
-        "step_ms": 1,
     }
+    unknown = sorted(set(params or ()) - p.keys())
+    if unknown:
+        raise ConfigError(f"unknown trace parameters {unknown}; expected some of {sorted(p)}")
     p.update(params or {})
     _check_synth_params(p)
     rng = random.Random(seed)
@@ -333,9 +338,9 @@ def synth_trace(
     p_mut = p["p_rename"] + p["p_chmod"] + p["p_create"]
     for i in range(int(p["n_events"])):
         if model == "replay-like" and i and i % int(p["burst_len"]) == 0:
-            at_ms += int(p["gap_ms"])
+            at_ms += _BURST_GAP_MS
         else:
-            at_ms += int(p["step_ms"])
+            at_ms += _STEP_MS
         roll = rng.random()
         if roll < p["p_rename"]:
             old = rng.choice(uni.files) if rng.random() < 0.5 else rng.choice(uni.dirs)
@@ -467,7 +472,9 @@ def report(runs: Sequence[tuple[str, Metrics]]) -> tuple[str, str]:
     names = [name for name, _ in rows[0]]
     ratio_labels = [f"{lab}_vs_{labels[0]}" for lab in labels[1:]]
 
-    csv_lines = ["metric," + ",".join(labels + ratio_labels)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["metric"] + labels + ratio_labels)
     table_rows: list[list[str]] = []
     for r, name in enumerate(names):
         vals = [rows[c][r][1] for c in range(len(runs))]
@@ -478,7 +485,7 @@ def report(runs: Sequence[tuple[str, Metrics]]) -> tuple[str, str]:
                 ratios.append(f"{float(v) / base:.4f}" if base else "")
             except ValueError:
                 ratios.append("")
-        csv_lines.append(",".join([name] + [_csv_quote(v) for v in vals] + ratios))
+        writer.writerow([name] + vals + ratios)
         table_rows.append([name] + vals + ratios)
     for label, m in runs:
         for phase, secs in sorted(m.wall_time.items()):
@@ -489,21 +496,12 @@ def report(runs: Sequence[tuple[str, Metrics]]) -> tuple[str, str]:
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     table_lines = [fmt.format(*header), fmt.format(*["-" * w for w in widths])]
     table_lines += [fmt.format(*(row + [""] * (len(header) - len(row)))) for row in table_rows]
-    return "\n".join(table_lines) + "\n", "\n".join(csv_lines) + "\n"
-
-
-def _csv_quote(value: str) -> str:
-    if "," in value or '"' in value:
-        return '"' + value.replace('"', '""') + '"'
-    return value
+    return "\n".join(table_lines) + "\n", out.getvalue()
 
 
 def parse_metrics_csv(text: str) -> dict[str, dict[str, str]]:
     """Inverse of the CSV emitted by report(); ratio columns are skipped."""
-    import csv as _csv
-    import io
-
-    reader = _csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text))
     header = next(reader)
     labels = [h for h in header[1:] if "_vs_" not in h]
     out: dict[str, dict[str, str]] = {lab: {} for lab in labels}
@@ -658,11 +656,10 @@ def run_soak(
                 res = engine.stage_lookup(PathBuf.parse(text))
                 if res.pivot_used is not None:
                     local_sel.append((eseq, res.pivot_used))
+            except (NotFound, PermissionDenied):
+                pass
             except EngineError as exc:
-                if exc.__class__.__name__ in ("NotFound", "PermissionDenied"):
-                    pass
-                else:
-                    local_errors.append(f"reader{tid}: {type(exc).__name__}: {exc}")
+                local_errors.append(f"reader{tid}: {type(exc).__name__}: {exc}")
             local_lookups += 1
         with sel_lock:
             selections.extend(local_sel)
@@ -691,19 +688,13 @@ def run_soak(
                 kids = list(fresh.children.values()) if fresh.children else []
                 fresh_paths.append(f"{new}/{kids[0].name}" if kids else new)
                 report_.renames += 1
-                if mutate_sleep_s:
-                    time.sleep(mutate_sleep_s)
-                else:
-                    time.sleep(0)
+                time.sleep(mutate_sleep_s)
 
     def manager() -> None:
         for _ in range(n_ticks):
             engine.tick()
             report_.ticks += 1
-            if tick_cadence_s:
-                time.sleep(tick_cadence_s)
-            else:
-                time.sleep(0)
+            time.sleep(tick_cadence_s)
         stop.set()
 
     threads = [threading.Thread(target=reader, args=(t,), daemon=True) for t in range(n_readers)]

@@ -23,7 +23,7 @@ from stagewalk import (
 from stagewalk.errors import InvalidPath, NotFound, PermissionDenied
 from stagewalk.metrics import Metrics
 from stagewalk.paths import ROOT, _trusted
-from stagewalk.pivots import Component, pool_from_sorted
+from stagewalk.pivots import Component, Pivot
 from stagewalk.tree import ALL_CLASSES_MASK, trav_mask
 
 TRAV_BIT = {Credential.OWNER: 0o100, Credential.GROUP: 0o010, Credential.OTHER: 0o001}
@@ -206,10 +206,12 @@ def reference_scan(pool: PivotPool, path: PathBuf) -> ReferenceScan:
     comps = path.components
     n = len(comps)
     best, best_depth, m, chain = None, 0, 0, 0
-    for i, pv in enumerate(list(pool.pivots)):
+    prev = None
+    for pv in list(pool.pivots):
         ref.pivots_visited += 1
-        if i:
-            chain = min(chain, pv.overlap)
+        if prev is not None:
+            chain = min(chain, lcp_components(prev.names, pv.names))  # the overlap
+        prev = pv
         if chain < m:
             break
         if chain > m:
@@ -236,7 +238,7 @@ def reference_build_pool(candidates, bound: int, current: Optional[PivotPool] = 
     """build_pool as it was before it ranked on names alone: every live
     candidate's path text, ids, masks and components are worked out first,
     and only then is the pool cut to `bound`. The pools build_pool returns
-    must equal these in order, overlaps, ids and prefix masks. With no live
+    must equal these in order, ids and prefix masks. With no live
     candidate to rank, an idle period, `current` is kept, as build_pool
     keeps it."""
     by_path: dict[str, tuple[int, tuple[str, ...], tuple[int, ...], tuple[int, ...]]] = {}
@@ -266,15 +268,15 @@ def reference_build_pool(candidates, bound: int, current: Optional[PivotPool] = 
     ranked = sorted(by_path.items(), key=lambda kv: (-kv[1][0], kv[1][1]))[: max(bound, 0)]
     ranked.sort(key=lambda kv: kv[1][1])
 
-    entries = []
-    for path, (_heat, names, ids, masks) in ranked:
+    pivots = []
+    for _path, (_heat, names, ids, masks) in ranked:
         comps: list[Component] = []
         running = ALL_CLASSES_MASK
         for node_id, mask in zip(ids, masks):
             comps.append(Component(node_id, running))
             running &= mask
-        entries.append((path, names, tuple(comps)))
-    return pool_from_sorted(entries)
+        pivots.append(Pivot(names, tuple(comps)))
+    return PivotPool(pivots)
 
 
 def pool_shape(pool: PivotPool) -> tuple:
@@ -287,13 +289,12 @@ def pool_shape(pool: PivotPool) -> tuple:
     )
 
 
-def reference_gen_tree(spec, seed: Optional[int] = None, threadsafe: bool = False) -> DirTree:
+def reference_gen_tree(spec, threadsafe: bool = False) -> DirTree:
     """gen_tree as it was before it paused the garbage collector and skipped
     the draw from a one-value size range: every file takes
-    `rng.randint(lo, hi)`. gen_tree must give the same tree for every spec
-    and seed."""
+    `rng.randint(lo, hi)`. gen_tree must give the same tree for every spec."""
     spec.validate()
-    rng = random.Random(spec.seed if seed is None else seed)
+    rng = random.Random(spec.seed)
     tree = DirTree(threadsafe=threadsafe)
     parents = [tree.root]
     for depth, fanout in enumerate(spec.levels, start=1):

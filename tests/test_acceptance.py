@@ -105,7 +105,7 @@ def test_c2_worked_pool_example():
     cands = [tree._resolve_admin(mkpath(p)) for p in FIG4_PATHS]
     pool = build_pool(cands, 16)
     pool.published = True
-    overlaps = [p.overlap for p in pool.pivots]
+    overlaps = [int(line.split("\t")[0]) for line in pool.dump().splitlines()]
     pivot, depth = find_best_pivot(pool, mkpath("/a1/b1/c2/d2/e3/f3/foo"))
     ok = overlaps == [0, 2, 4, 1] and pivot.path == "/a1/b1/c2/d2/e3/f3/g3" and depth == 6
     _line(2, ok, "four-pivot worked example", f"overlaps={overlaps}, best={pivot.path}@{depth}")

@@ -183,12 +183,12 @@ def test_unchanged_hot_set_keeps_the_working_pool(threadsafe):
     new generation and nothing retired, yet the tick still counts as a swap,
     advances the heat version and clears the candidates."""
     tree, cset, mgr = fig4_manager(threadsafe)
-    old, gen, swaps, version = mgr.working_pool, mgr.generation, mgr.swaps, cset.version
+    old, gen, swaps, version = mgr.working_pool, mgr.working_pool.generation, mgr.swaps, cset.version
     token_id, held = mgr.reader_enter()
     heat_up(tree, cset, FIG4_PATHS)
     assert len(cset) > 0
     assert mgr.periodic_update()
-    assert mgr.working_pool is old and old.generation == mgr.generation == gen
+    assert mgr.working_pool is old and old.generation == gen
     assert mgr.swaps == swaps + 1 and cset.version == version + 1 and len(cset) == 0
     assert mgr.reclaim_queue.pending == 0
     mgr.reader_exit(token_id)
@@ -260,7 +260,7 @@ def tick_raced_by(mgr, cset, path):
     build is not installed, no swap is counted, the heat version does not
     advance and nothing is drained. Returns how many pivots the modification
     removed."""
-    swaps, pool, generation = mgr.swaps, mgr.working_pool, mgr.generation
+    swaps, pool = mgr.swaps, mgr.working_pool
     version, members = cset.version, [d.id for d in cset.members()]
     removed, builds = [], []
     real_build = epoch_module.build_pool
@@ -279,7 +279,7 @@ def tick_raced_by(mgr, cset, path):
     # unpublished, or the working pool it kept, and only the modification
     # may have moved the generation
     assert not builds[0].published or builds[0] is pool
-    assert mgr.generation == generation + (removed[0] > 0)
+    assert mgr.working_pool.generation == pool.generation + (removed[0] > 0)
     assert mgr.swaps == swaps
     assert cset.version == version
     assert [d.id for d in cset.members()] == members
@@ -321,7 +321,7 @@ def test_periods_in_a_row_end_as_single_periods_do(threadsafe):
                 swapped = [mgr.periodic_update(n) for n in periods][-1]
             finally:
                 epoch_module.build_pool = real_build
-            states.append((swapped, mgr.ticks, mgr.swaps, cset.version, len(cset), mgr.generation,
+            states.append((swapped, mgr.ticks, mgr.swaps, cset.version, len(cset), mgr.working_pool.generation,
                            mgr.reclaim_queue.pending, [pv.names for pv in mgr.working_pool.pivots]))
         assert states[0] == states[1]
         swapped, ticks, swaps, *_ = states[0]
@@ -389,8 +389,28 @@ def test_invalidate_removes_covered_run_and_repairs_overlap():
     assert removed == 2  # pivots 2 and 3
     wp = mgr.working_pool
     assert [p.path for p in wp.pivots] == ["/a1/b1/c1", "/a1/b2/c3"]
-    assert [p.overlap for p in wp.pivots] == [0, 1]  # survivor recomputed against pivot 1
+    assert wp.dump() == "0\t/a1/b1/c1\n1\t/a1/b2/c3"  # survivor's overlap against pivot 1
     assert verify_pool(wp) == []
+
+
+@on_both_trees
+def test_covering_rename_keeps_the_surviving_pivot_objects(threadsafe):
+    """A repair installs a pool of the old pool's own surviving pivots, equal
+    to a fresh build of their names, and the old pool is still freed."""
+    tree, cset, mgr = fig4_manager(threadsafe)
+    tree.register_hook(mgr.invalidate_for_metadata)  # as an engine's hook calls it
+    old = mgr.working_pool
+    tree.rename_node(mkpath("/a1/b1/c2"), mkpath("/a1/b1/z9"))
+    new = mgr.working_pool
+    assert new is not old and new.size == 2
+    by_names = {pv.names: pv for pv in old.pivots}
+    assert all(pv is by_names[pv.names] for pv in new.pivots)
+    fresh = build_pool([tree._resolve_admin(PathBuf(pv.names)) for pv in new.pivots], 16)
+    assert pool_shape(new) == pool_shape(fresh)
+    assert mgr.reclaim() == 1 and old.freed and not new.freed
+    with pytest.raises(ContractViolation):
+        find_best_pivot(old, mkpath("/a1/b1/c1"))
+    assert find_best_pivot(new, mkpath("/a1/b1/c1"))[0] is by_names[("a1", "b1", "c1")]
 
 
 def test_invalidate_replaces_the_pivot_list_never_edits_it():

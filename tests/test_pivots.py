@@ -10,13 +10,13 @@ from stagewalk import (
     DIR,
     FILE,
     PathBuf,
+    PivotPool,
     ScanStats,
     build_pool,
     find_best_pivot,
     verify_pool,
 )
 from stagewalk import pivots
-from stagewalk.pivots import pool_from_sorted
 from stagewalk.tree import trav_mask
 from conftest import (
     FIG4_PATHS,
@@ -38,14 +38,13 @@ from conftest import (
 def test_worked_example_overlaps(fig4):
     _tree, _cands, pool = fig4
     assert [p.path for p in pool.pivots] == list(FIG4_PATHS)
-    assert [p.overlap for p in pool.pivots] == [0, 2, 4, 1]
     assert pool.dump() == "0\t/a1/b1/c1\n2\t/a1/b1/c2/d2/e2\n4\t/a1/b1/c2/d2/e3/f3/g3\n1\t/a1/b2/c3"
 
 
 def test_single_candidate():
     tree = make_tree("/q/w/e")
     pool = build_pool([tree._resolve_admin(mkpath("/q/w/e"))], 16)
-    assert pool.size == 1 and pool.pivots[0].overlap == 0
+    assert pool.size == 1 and pool.dump() == "0\t/q/w/e"
 
 
 def test_duplicates_dedup():
@@ -292,7 +291,7 @@ def test_pool_orders_by_components_not_path_text():
     assert [p.path for p in pool.pivots] == ["/a", "/a/b", "/a.d"]
     pivot, depth = find_best_pivot(pool, mkpath("/a/b/x"))
     assert (pivot.path, depth) == ("/a/b", 2)
-    by_text = pool_from_sorted((p.path, p.names, p.components) for p in sorted(pool.pivots, key=lambda p: p.path))
+    by_text = PivotPool(sorted(pool.pivots, key=lambda p: p.path))
     assert any("order violation" in problem for problem in verify_pool(by_text))
 
 
@@ -552,9 +551,10 @@ def test_verify_clean(fig4):
 
 def test_verify_detects_corruption(fig4):
     _tree, _cands, pool = fig4
-    pool.pivots[2].overlap = 1  # hand-corrupted
+    pivots = pool.pivots
+    pivots[1], pivots[2] = pivots[2], pivots[1]  # hand-corrupted order
     problems = verify_pool(pool)
-    assert any("[2]" in p and "overlap" in p for p in problems)
+    assert any("[2]" in p and "order violation" in p for p in problems)
 
 
 def test_verify_random_pools_clean():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import math
@@ -55,7 +56,7 @@ def test_same_seed_identical_trees():
     d1 = gen_tree(spec).canonical_dump()
     d2 = gen_tree(spec).canonical_dump()
     assert hashlib.sha256(d1.encode()).hexdigest() == hashlib.sha256(d2.encode()).hexdigest()
-    d3 = gen_tree(spec, seed=6).canonical_dump()
+    d3 = gen_tree(dataclasses.replace(spec, seed=6)).canonical_dump()
     assert d1 != d3  # file sizes move with the seed
 
 
@@ -92,9 +93,11 @@ def test_gen_tree_matches_reference_randomized():
         hi = lo if trial % 2 else lo + rng.choice((1, 2, 100, 10**9))
         spec = TreeSpec(levels=levels, file_size_range=(lo, hi), seed=rng.randint(0, 2**31))
         seed = rng.choice((None, rng.randint(-5, 5)))
+        if seed is not None:
+            spec = dataclasses.replace(spec, seed=seed)
         threadsafe = trial % 3 == 0
-        got = gen_tree(spec, seed=seed, threadsafe=threadsafe)
-        want = reference_gen_tree(spec, seed=seed, threadsafe=threadsafe)
+        got = gen_tree(spec, threadsafe=threadsafe)
+        want = reference_gen_tree(spec, threadsafe=threadsafe)
         assert got.threadsafe is threadsafe
         assert _node_records(got) == _node_records(want)
         assert got.canonical_dump() == want.canonical_dump()
@@ -195,6 +198,16 @@ def test_impossible_synth_params_rejected(params):
     tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
     with pytest.raises(ConfigError):
         synth_trace(tree, "hotdir-zipf", params, seed=1)
+
+
+@pytest.mark.parametrize("params", [{"gap_ms": -5000}, {"step_ms": -1}, {"p_renam": 0.1}])
+def test_unknown_synth_params_rejected(params):
+    """A key the synthesizer does not know raises rather than being ignored:
+    a typo like `p_renam`, or a time step, which is fixed: a negative gap or
+    step would give `at_ms` values that read_trace rejects."""
+    tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
+    with pytest.raises(ConfigError, match="unknown trace parameters"):
+        synth_trace(tree, "replay-like", {"n_events": 200, "burst_len": 50, **params}, seed=1)
 
 
 @pytest.mark.parametrize("zipf_s", [math.nan, -math.inf, -400.0, 1000.0])
@@ -462,6 +475,27 @@ def test_report_two_runs_has_ratio_column():
     header = csv_text.splitlines()[0].split(",")
     assert header == ["metric", "original", "stage", "stage_vs_original"]
     assert "wall.original.replay" in table and "wall." not in csv_text
+
+
+def test_report_csv_text_is_pinned():
+    """The exact CSV bytes for two runs: an empty ratio where the base is 0,
+    and a JSON histogram quoted for its `,` and `"`."""
+    original, stage = _mini_metrics(100), _mini_metrics(40)
+    original.skipped_prefix_histogram = {}
+    stage.skipped_prefix_histogram = {2: 5, 3: 1}
+    _table, csv_text = report([("original", original), ("stage", stage)])
+    assert csv_text == (
+        "metric,original,stage,stage_vs_original\n"
+        "lookups,100,40,0.4000\n"
+        "dentries_visited,300,120,0.4000\n"
+        "char_comparisons,1000,400,0.4000\n"
+        "pivot_hits,0,0,\n"
+        "fallbacks,0,0,\n"
+        "entries_touched,0,0,\n"
+        "distinct_resolved,7,7,1.0000\n"
+        "effective_search_ratio,0.023333,0.058333,2.5000\n"
+        'skipped_prefix_histogram,{},"{""2"": 5, ""3"": 1}",\n'
+    )
 
 
 def test_report_single_run_degenerates():
