@@ -16,16 +16,16 @@ Counter semantics:
   adds the model's char-by-char cost of its single forward pivot scan: a name's
   length on a match, or the chars up to and including the first differing
   one on a mismatch (the shorter name's length when one is a prefix of the
-  other). The code performs neither that scan nor the char compares: it
-  descends the pool's component index, built with the pool,
-  whose every node holds the scan's running char count on reaching that
-  node's run. Where the query leaves the index it reads that count once and
-  adds the run's own cost: the rest of a single pivot's names, or the
-  mismatch cost against the names of the run's groups, which the node
-  memoizes per missing name. The engine takes Stage One's count off a
-  `ScanStats`: one reused instance on a single-threaded tree, so counting
-  allocates nothing per lookup there, and a fresh one per lookup on a
-  threadsafe tree.
+  other). The code performs neither that scan nor the char compares. A
+  whole-path hit is one probe of the pool's path map, whose entries carry
+  the scan's counts. Partial hits and misses descend the pool's component
+  index, whose every node holds the scan's running char count on reaching
+  that node's run, read that count where they leave it, and add the run's
+  own cost: the rest of a single pivot's names, or the mismatch cost against
+  the run's groups' names, which the node memoizes per missing name. The
+  engine takes Stage One's count off a `ScanStats`: one reused instance on a
+  single-threaded tree, so counting allocates nothing per lookup there, and a
+  fresh one per lookup on a threadsafe tree.
 - fallbacks: a modification raced the lookup, which then walked from the
   root.
 - distinct_resolved: a byte map by dentry id, 1 at each id a walk ever

@@ -15,15 +15,18 @@ materializes (component records, masks) only the pivots it keeps.
 The model reports what that scan costs, but the code need not perform it.
 Every pool builds its component index when it is constructed: a trie over
 the pivots' names whose every node carries the scan's running chars by the
-time a query reaches that node's run. A scan descends it with one dict step
-per matched component, reads the chars off the node where it stops, and adds
-what the scan spends in that run, so it reports the scan's pivot, depth,
-pivots visited and chars exactly. A run whose groups the query's next name
-misses costs the sum of that name's mismatch chars against every group; the
-node memoizes that sum per name, so a repeated miss costs one dict read. A
-pool's list never changes once built, so its index never goes stale; a
-lookup that a metadata modification races is caught by the engine's re-check
-of `metadata_seq`, not here. The paper's char-by-char scan, and its cursor
+time a query reaches that node's run, and fills the pool's path map: each
+pivot's path text to the pivot and the scan's pivots visited and chars for a
+query equal to that path. A whole-path hit is one probe of the map. Partial
+hits and misses descend the index with one dict step per matched component,
+read the chars off the node where they stop, and add what the scan spends in
+that run, so they report the scan's pivot, depth, pivots visited and chars
+exactly. A run whose groups the query's next name misses costs the sum of
+that name's mismatch chars against every group; the node memoizes that sum
+per name, so a repeated miss costs one dict read. A pool's list never changes
+once built, so neither its index nor its map goes stale; a lookup that a
+metadata modification races is caught by the engine's re-check of
+`metadata_seq`, not here. The paper's char-by-char scan, and its cursor
 that never moves backward, live in the tests as the reference the counts
 are checked against.
 """
@@ -89,16 +92,19 @@ class PivotPool:
     poisoned pool trips the sentinel.
 
     `index` is the component index, built here from the list; it is None
-    only for an empty pool."""
+    only for an empty pool. `by_path`, filled by the index's build and never
+    written after it, maps each pivot's path text to (pivot, pivots visited,
+    chars), the scan's counts for a query equal to that path."""
 
-    __slots__ = ("pivots", "generation", "published", "freed", "index")
+    __slots__ = ("pivots", "generation", "published", "freed", "index", "by_path")
 
     def __init__(self, pivots: list[Pivot]):
         self.pivots = pivots
         self.generation = 0
         self.published = False
         self.freed = False
-        self.index = _IndexNode(pivots, 0, len(pivots), 0, 0) if pivots else None
+        self.by_path: dict[str, tuple[Pivot, int, int]] = {}
+        self.index = _IndexNode(pivots, 0, len(pivots), 0, 0, self.by_path) if pivots else None
 
     @property
     def size(self) -> int:
@@ -181,10 +187,10 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
 class ScanStats:
     """The counts of one find_best_pivot call, written when the scan ends.
 
-    The counts are the paper's char-by-char scan's: the index descent reads
-    them off the node where it stops, and compares no names char by char to
-    count chars. Every return overwrites both, so one object can serve scan
-    after scan: a single-threaded engine keeps one and allocates none per
+    The counts are the paper's char-by-char scan's: a whole-path hit reads
+    them off the pool's path map, a descent off the index node where it stops,
+    and neither compares names char by char. Every return overwrites both, so
+    one object can serve scan after scan: a single-threaded engine keeps one and allocates none per
     lookup; a threadsafe engine makes one per lookup.
 
     The engine reads only `char_comparisons`. The class survives because the
@@ -231,8 +237,7 @@ class _IndexNode:
     A run of two or more pivots is split into groups by name m (the pivot
     that has only m names, `terminal`, comes first and joins no group);
     `children` maps each group's name to its run's node. A run of one pivot
-    keeps that `pivot`, `lens`, the running sums of its name lengths, and
-    `whole_chars`, the chars of a query that is that pivot's whole path.
+    keeps that `pivot` and `lens`, the running sums of its name lengths.
 
     `first_visited` and `past_visited` are the scan's pivots visited when it
     stops at the run's first pivot (the query ends in the run) and when it
@@ -248,11 +253,11 @@ class _IndexNode:
     """
 
     __slots__ = (
-        "start", "terminal", "children", "pivot", "lens", "chars", "whole_chars", "misses",
+        "start", "terminal", "children", "pivot", "lens", "chars", "misses",
         "first_visited", "past_visited",
     )
 
-    def __init__(self, pivots: list[Pivot], start: int, end: int, m: int, chars: int):
+    def __init__(self, pivots: list[Pivot], start: int, end: int, m: int, chars: int, by_path: dict):
         self.start = start
         self.chars = chars
         self.first_visited = start + 1
@@ -261,13 +266,14 @@ class _IndexNode:
         self.misses: dict[str, int] = {}
         self.pivot: Optional[Pivot] = None
         self.lens: tuple[int, ...] = ()
-        self.whole_chars = 0
+        first = pivots[start]
         # a pivot with only m names sorts first: it is a prefix of every other
-        self.terminal = len(pivots[start].names) == m
+        self.terminal = len(first.names) == m
+        if self.terminal or end - start == 1:  # a query equal to its path stops here
+            by_path[first.path] = (first, self.first_visited, chars + sum(map(len, first.names[m:])))
         if end - start == 1:
-            self.pivot = pivots[start]
-            self.lens = (0, *accumulate(map(len, self.pivot.names)))
-            self.whole_chars = chars + self.lens[-1] - self.lens[m]
+            self.pivot = first
+            self.lens = (0, *accumulate(map(len, first.names)))
             return
         i = start + self.terminal
         while i < end:
@@ -276,7 +282,7 @@ class _IndexNode:
             while j < end and pivots[j].names[m] == name:
                 j += 1
             skipped = sum(_mismatch_cost(name, g) for g in self.children)
-            self.children[name] = _IndexNode(pivots, i, j, m + 1, chars + skipped + len(name))
+            self.children[name] = _IndexNode(pivots, i, j, m + 1, chars + skipped + len(name), by_path)
             i = j
 
 
@@ -290,14 +296,14 @@ def find_best_pivot(
     forward scan: pivots visited and the chars a char-by-char compare would
     examine. Every return writes both, whatever `stats` held before.
 
-    The scan is a descent of the pool's component index: one dict step per
-    matched component. Where the descent stops it reads the scan's running
-    chars off the node and adds what the scan spends in that run.
-    The scan compares the run's first pivot as deep as the query matches it:
+    A whole-path hit, a query equal to a pivot's path and the common case, is
+    one probe of the pool's path map, whose entry carries the scan's counts.
+    Partial hits and misses descend the pool's component index, one dict step
+    per matched component; where the descent stops it reads the scan's
+    running chars off the node and adds what the scan spends in that run,
+    which compares the run's first pivot as deep as the query matches it:
 
-    - a run of one pivot: a query equal to the pivot's whole path, the common
-      case, is settled by one tuple compare and the counts the node stores;
-      otherwise the depth is found name by name from the run's level;
+    - a run of one pivot: the depth is found name by name from its level;
     - the query ends in the run: that first compare stops the scan;
     - no group matches the query's next name: the terminal pivot and each
       group end one compare at the run's level, and the scan stops at the
@@ -314,6 +320,15 @@ def find_best_pivot(
         raise ContractViolation("pivot pool used after reclaim")
     if not pool.published:
         raise ContractViolation("pivot pool read before publication")
+    hit = pool.by_path.get(path.text)
+    if hit is not None:  # a whole-path hit
+        pv, visited, chars = hit
+        if stats is not None:
+            stats.pivots_visited = visited
+            stats.char_comparisons = chars
+        if pool.freed:
+            raise ContractViolation("pivot used after reclaim")
+        return pv, len(pv.names)
     index = pool.index
     if index is None:  # an empty pool
         if stats is not None:
@@ -330,13 +345,6 @@ def find_best_pivot(
         node = child
         m += 1
     pv = node.pivot
-    if pv is not None and comps == pv.names:  # a whole-path hit
-        if pool.freed:
-            raise ContractViolation("pivot used after reclaim")
-        if stats is not None:
-            stats.pivots_visited = node.first_visited
-            stats.char_comparisons = node.whole_chars
-        return pv, n
     chars = node.chars
     if pv is not None:
         names = pv.names

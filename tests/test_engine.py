@@ -9,7 +9,6 @@ from stagewalk import (
     DIR,
     FILE,
     Credential,
-    Metrics,
     NotFound,
     OriginalLookup,
     PermissionDenied,

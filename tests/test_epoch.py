@@ -413,6 +413,48 @@ def test_covering_rename_keeps_the_surviving_pivot_objects(threadsafe):
     assert find_best_pivot(new, mkpath("/a1/b1/c1"))[0] is by_names[("a1", "b1", "c1")]
 
 
+def _check_path_map(pool):
+    """The pool's path map holds one entry per pivot, keyed by its path, and
+    a scan of that path, canonical or with a trailing slash, returns the
+    pivot at full depth with the reference scan's counts."""
+    assert sorted(pool.by_path) == sorted(pv.path for pv in pool.pivots)
+    for pv in pool.pivots:
+        assert pool.by_path[pv.path][0] is pv
+        for text in (pv.path, pv.path + "/"):
+            q, stats = PathBuf.parse(text), ScanStats()
+            ref = reference_scan(pool, q)
+            assert find_best_pivot(pool, q, stats) == ref.result == (pv, pv.depth)
+            assert (stats.pivots_visited, stats.char_comparisons) == (ref.pivots_visited, ref.char_comparisons)
+
+
+@on_both_trees
+def test_path_map_holds_each_pivot_with_its_scan_counts(threadsafe):
+    """Random pools of single pivots and of pivots that prefix another; a
+    rename that covers a pivot installs a pool whose map has no entry for it,
+    and whose survivors' entries carry the repaired pool's counts."""
+    rng = random.Random(2626)
+    seen = collections.Counter()
+    for _trial in range(40):
+        paths = random_tree_paths(rng, rng.randint(3, 12), max_depth=4)
+        prefixes = sorted({p.rsplit("/", k)[0] for p in paths for k in range(p.count("/"))})
+        tree, cset, mgr = make_manager(make_tree(*paths, threadsafe=threadsafe))
+        tree.register_hook(mgr.invalidate_for_metadata)
+        heat_up(tree, cset, rng.sample(prefixes, rng.randint(1, min(len(prefixes), 16))))
+        mgr.periodic_update()
+        pool = mgr.working_pool
+        _check_path_map(pool)
+        for a, b in zip(pool.pivots, pool.pivots[1:] + [None]):
+            seen["prefix of another" if b is not None and b.names[: a.depth] == a.names else "single"] += 1
+        covered = rng.choice(pool.pivots)
+        k = rng.randint(1, covered.depth)
+        tree.rename_node(PathBuf(covered.names[:k]), PathBuf(covered.names[: k - 1] + ("zz",)))
+        repaired = mgr.working_pool
+        assert repaired is not pool and covered.path not in repaired.by_path
+        _check_path_map(repaired)
+        seen["repaired to empty" if repaired.size == 0 else "repaired"] += 1
+    assert len(seen) == 4 and all(seen.values()), seen
+
+
 def test_invalidate_replaces_the_pivot_list_never_edits_it():
     # find_best_pivot iterates pool.pivots without copying it, so a scan that
     # started before the invalidation must keep seeing the list it started on

@@ -8,7 +8,6 @@ import threading
 
 from stagewalk import (
     DIR,
-    FILE,
     PathBuf,
     PivotPool,
     ScanStats,
@@ -329,8 +328,11 @@ def test_single_scan_properties_randomized():
 
 
 def _stop_kind(pool, path) -> str:
-    """Where a descent of the pool's index stops for `path`."""
+    """Where a scan stops for `path`: the pool's path map answers a query
+    equal to a pivot's path, and a descent of the pool's index any other."""
     comps = path.components
+    if any(pv.names == comps for pv in pool.pivots):
+        return "whole-path probe"
     node, m = pool.index, 0
     while m < len(comps) and comps[m] in node.children:
         node, m = node.children[comps[m]], m + 1
@@ -342,13 +344,22 @@ def _stop_kind(pool, path) -> str:
     return "miss below terminal" if node.terminal else "miss"
 
 
+class _NoDescent:
+    """Stands in for a pool's index: a scan that descends it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError("a whole-path query reached the index descent")
+
+
 # sibling names that are prefixes of each other or share leading chars, or
 # extend another with a byte below '/'
 _CLOSE_NAMES = ("a", "ab", "abc", "abd", "abcd", "b", "ba", "bab", "a.d", "a-b")
 
 
 def test_counts_match_char_by_char_reference_randomized():
-    """Every scan descends the pool's index and must count as the reference."""
+    """Every scan, whether the path map or the index descent answers it, must
+    count as the reference. A whole-path query is scanned again with the
+    index taken away: the map alone must answer it."""
     rng = random.Random(5150)
     tree = make_tree()
     nodes = []
@@ -380,7 +391,14 @@ def test_counts_match_char_by_char_reference_randomized():
                     continue
                 scans += 1
                 if pool.index is not None:
-                    stops[_stop_kind(pool, q)] += 1
+                    kind = _stop_kind(pool, q)
+                    stops[kind] += 1
+                    if kind == "whole-path probe":
+                        index, pool.index = pool.index, _NoDescent()
+                        try:
+                            assert find_best_pivot(pool, q) == got
+                        finally:
+                            pool.index = index
                 prefix_mismatches += any(
                     a != b and (a.startswith(b) or b.startswith(a))
                     for pv in pool.pivots
@@ -389,8 +407,8 @@ def test_counts_match_char_by_char_reference_randomized():
         indexed += pool.index is not None
     assert scans == 3000 and prefix_mismatches > 100
     assert indexed == 300  # every pool was scanned through its index
-    # every place a descent can stop was checked against the reference
-    kinds = ("leaf hit", "leaf mismatch", "query ends in run", "miss below terminal", "miss")
+    # the probe and every place a descent can stop were checked against the reference
+    kinds = ("whole-path probe", "leaf hit", "leaf mismatch", "query ends in run", "miss below terminal", "miss")
     assert sorted(stops) == sorted(kinds) and sum(stops.values()) == scans, stops
 
 
@@ -515,11 +533,12 @@ def test_miss_memo_belongs_to_its_pool():
             _scan_matches_reference(pool, q)
 
 
-_STOP_PATHS = ("/a", "/a/b", "/a/c", "/d/e")
+_STOP_PATHS = ("/a", "/a/b", "/a/c", "/d/e", "/g/h", "/g/i")
 _STOP_QUERIES = {
+    "whole-path probe": "/a",
     "leaf hit": "/a/b/x",
     "leaf mismatch": "/d/f",
-    "query ends in run": "/a",
+    "query ends in run": "/g",
     "miss below terminal": "/a/z",
     "miss": "/z",
 }
