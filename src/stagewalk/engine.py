@@ -1,13 +1,18 @@
 """The two-stage lookup engine and the plain-walk resolver it is compared to.
 
+`StageLookupEngine.lookup` is the engine's one lookup body. `stage_lookup`
+passes it an `out` list that receives the pivot and depth the lookup kept,
+which costs a plain lookup one `is not None` test.
+
 Stage One scans the working pivot pool for the pivot sharing the deepest
 prefix with the query. On a threadsafe tree the pool is pinned by a token id
 that the manager's reader registry holds from `reader_enter` to
 `reader_exit`; on a single-threaded tree the same calls register nothing
 (see `epoch`). Stage Two resolves the remaining components through the
 children maps exactly like the original walk, starting from the matched
-component's dentry, which the pivot stores per depth (so landing on an
-ancestor of the pivot is a direct array index, recorded as rolled_up). The
+component's dentry, which the pivot holds per depth (so landing on an
+ancestor of the pivot is a direct array index, recorded as rolled_up, and no
+id is looked up in `tree.nodes`). The
 skipped prefix's permission check is one mask test against traversal bits
 aggregated at build time. The heat update is one call, `observe_target`,
 taken under the heat lock on a threadsafe tree only. The candidate set holds
@@ -39,7 +44,7 @@ from .epoch import PivotManager
 from .metrics import Metrics
 from .paths import PathBuf
 from .pivots import Pivot, ScanStats, find_best_pivot
-from .tree import CRED_MASK_BIT, DIR, FILE, Credential, Dentry, DirTree
+from .tree import CRED_MASK_BIT, DIR, FILE, Credential, DirTree
 
 
 @dataclass(slots=True)
@@ -122,9 +127,10 @@ class StageLookupEngine(_ResolverBase):
     def tick(self, periods: int = 1) -> None:
         self.manager.periodic_update(periods)
 
-    def _resolve(self, path: PathBuf, cred: Credential) -> tuple[Dentry, Optional[Pivot], int]:
-        """Both stages; returns the target, the pivot used (None on a full walk)
-        and the number of components it skipped."""
+    def lookup(self, path: PathBuf, cred: Credential = Credential.OWNER, out: Optional[list] = None) -> int:
+        """Both stages; returns the target's id. When `out` is a list, a
+        lookup that kept a pivot's result appends `(pivot, depth)` to it,
+        after the `metadata_seq` re-check; a full walk appends nothing."""
         metrics = self.metrics
         metrics.lookups += 1
         manager = self.manager
@@ -138,8 +144,6 @@ class StageLookupEngine(_ResolverBase):
         metrics.char_comparisons += stats.char_comparisons  # Stage One single scan
 
         tree = self.tree
-        pivot = None
-        depth = 0
         if hit is not None:
             pivot, depth = hit
             matched = pivot.components[depth - 1]
@@ -147,7 +151,7 @@ class StageLookupEngine(_ResolverBase):
                 # the mask cached on the matched component clears components 1..depth-1
                 if not matched.prefix_trav & CRED_MASK_BIT[cred]:
                     raise PermissionDenied(f"skipped prefix of {pivot.path!r} not traversable for {cred.value}")
-                target = tree.nodes[matched.node_id]
+                target = matched.node
                 comps = path.components
                 if depth < len(comps):  # an empty walk_from checks and counts nothing
                     target = tree.walk_from(target, comps[depth:], cred, metrics)
@@ -158,11 +162,12 @@ class StageLookupEngine(_ResolverBase):
                 metrics.pivot_hits += 1
                 hist = metrics.skipped_prefix_histogram
                 hist[depth] = hist.get(depth, 0) + 1
+                if out is not None:
+                    out.append(hit)
             else:
                 metrics.fallbacks += 1  # a modification raced the lookup
-                pivot = None
-                depth = 0
-        if pivot is None:
+                hit = None
+        if hit is None:
             target = tree.walk_from(tree.root, path.components, cred, metrics)
 
         if tree.threadsafe:  # heat updates take heat_lock only then
@@ -170,13 +175,13 @@ class StageLookupEngine(_ResolverBase):
                 observe_target(target, self.candidates)
         else:
             observe_target(target, self.candidates)
-        return target, pivot, depth
+        return target.id
 
     def stage_lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> StageResult:
-        target, pivot, depth = self._resolve(path, cred)
-        if pivot is None:
-            return StageResult(target.id, 0, path.depth, None, False)
-        return StageResult(target.id, depth, path.depth - depth, pivot.path, depth < pivot.depth)
-
-    def lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
-        return self._resolve(path, cred)[0].id
+        """`lookup`, reporting the pivot it used and the components it skipped."""
+        used: list[tuple[Pivot, int]] = []
+        target = self.lookup(path, cred, used)  # positional: the benchmark's spans take no keywords
+        if not used:
+            return StageResult(target, 0, path.depth, None, False)
+        pivot, depth = used[0]
+        return StageResult(target, depth, path.depth - depth, pivot.path, depth < pivot.depth)

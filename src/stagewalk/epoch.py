@@ -13,8 +13,10 @@ Each period the manager builds a pool from the candidates; a period whose
 kept names equal the working pool's keeps that pool, and so does an idle
 period, one with no candidate to rank: shortcuts outlive a quiet spell, as
 dcache entries stay until something displaces them. A metadata
-modification installs a pool of the working pool's pivots that its path does
-not cover, the same pivot objects, then bumps `metadata_seq`; readers still
+modification finds the pivots its path covers by descending the working
+pool's component index along that path (one run of the sorted pool, so the
+cost follows the path's depth, not the pool's size), installs a pool of the
+other pivots, the same pivot objects, then bumps `metadata_seq`; readers still
 scanning the old pool may find a covered pivot there, and the engine drops
 such a result because the count moved under it. A period reads that
 count under the tree read lock before it builds, and installs its build only
@@ -214,18 +216,22 @@ class PivotManager:
         """Retire the working pool for one without the pivots covered by
         `path`; called pre-mutation. Returns how many pivots were covered.
 
+        The covered pivots are one run of the sorted pool, found by
+        descending the pool's component index along `path`
+        (`PivotPool.covered_run`): the hook costs the path's depth, not the
+        pool's size, even when it covers nothing, churn's common case.
+
         Bumps `metadata_seq` whether or not anything matched, so a build that
         this modification raced is never swapped in, and a lookup that sampled
         the count before this call drops its pivot's result.
         """
         with self._pool_mutex:
-            prefix = path.components
-            plen = len(prefix)
-            pivots = self.working_pool.pivots
-            survivors = [p for p in pivots if p.names[:plen] != prefix]
-            covered = len(pivots) - len(survivors)
+            pool = self.working_pool
+            start, end = pool.covered_run(path.components)
+            covered = end - start
             if covered:
-                self._install(PivotPool(survivors))
+                pivots = pool.pivots
+                self._install(PivotPool(pivots[:start] + pivots[end:]))
             # only after the install: a reader that samples the count after
             # the bump must read the repaired pool
             self.metadata_seq += 1

@@ -1,7 +1,7 @@
 """Pivot pool: cached popular paths, ordered by components, searched in one scan.
 
 A pivot stores the names of a hot dentry's path and a per-depth array of
-component records (dentry id, aggregated ancestor-traversal mask). Nothing in
+component records (dentry, aggregated ancestor-traversal mask). Nothing in
 it depends on its neighbours, so pools can share pivots. The pool is sorted by
 component tuple, so the pivots that share their first m names form one
 contiguous run. The paper's Stage One is one forward scan that uses each
@@ -16,19 +16,21 @@ The model reports what that scan costs, but the code need not perform it.
 Every pool builds its component index when it is constructed: a trie over
 the pivots' names whose every node carries the scan's running chars by the
 time a query reaches that node's run, and fills the pool's path map: each
-pivot's path text to the pivot and the scan's pivots visited and chars for a
-query equal to that path. A whole-path hit is one probe of the map. Partial
-hits and misses descend the index with one dict step per matched component,
-read the chars off the node where they stop, and add what the scan spends in
-that run, so they report the scan's pivot, depth, pivots visited and chars
-exactly. A run whose groups the query's next name misses costs the sum of
-that name's mismatch chars against every group; the node memoizes that sum
-per name, so a repeated miss costs one dict read. A pool's list never changes
-once built, so neither its index nor its map goes stale; a lookup that a
-metadata modification races is caught by the engine's re-check of
-`metadata_seq`, not here. The paper's char-by-char scan, and its cursor
-that never moves backward, live in the tests as the reference the counts
-are checked against.
+pivot's path text to the pivot, the scan's pivots visited and chars for a
+query equal to that path, and the pivot's depth. A whole-path hit is one
+probe of the map. Partial hits and misses descend the index with one dict
+step per matched component, read the chars off the node where they stop,
+and add what the scan spends in that run, so they report the scan's pivot,
+depth, pivots visited and chars exactly. A run whose groups the query's next
+name misses costs the sum of that name's mismatch chars against every group;
+the node memoizes that sum per name, so a repeated miss costs one dict read.
+The metadata hook descends the same index along the mutated path to find the
+run of pivots that path covers (`PivotPool.covered_run`). A pool's list
+never changes once built, so neither its index nor its map goes stale; a
+lookup that a metadata modification races is caught by the engine's re-check
+of `metadata_seq`, not here. The paper's char-by-char scan, and its cursor that
+never moves backward, live in the tests as the reference the counts are
+checked against.
 """
 
 from __future__ import annotations
@@ -45,19 +47,25 @@ from .tree import ALL_CLASSES_MASK, Dentry, trav_mask
 class Component:
     """One path component of a pivot.
 
+    `node` is the component's dentry, so a lookup that lands on it starts
+    Stage Two there without indexing `tree.nodes`; `node_id` is its id.
     prefix_trav is the AND of the traversal masks of components 1..depth-1,
     captured at build time; it lets a lookup clear the whole skipped prefix
     with a single mask test.
     """
 
-    __slots__ = ("node_id", "prefix_trav")
+    __slots__ = ("node", "prefix_trav")
 
-    def __init__(self, node_id: int, prefix_trav: int):
-        self.node_id = node_id
+    def __init__(self, node: Dentry, prefix_trav: int):
+        self.node = node
         self.prefix_trav = prefix_trav
 
+    @property
+    def node_id(self) -> int:
+        return self.node.id
+
     def __repr__(self) -> str:
-        return f"Component(node={self.node_id}, prefix_trav={self.prefix_trav:03b})"
+        return f"Component(node={self.node.id}, prefix_trav={self.prefix_trav:03b})"
 
 
 class Pivot:
@@ -94,7 +102,8 @@ class PivotPool:
     `index` is the component index, built here from the list; it is None
     only for an empty pool. `by_path`, filled by the index's build and never
     written after it, maps each pivot's path text to (pivot, pivots visited,
-    chars), the scan's counts for a query equal to that path."""
+    chars, depth): the scan's counts for a query equal to that path, and the
+    pivot's depth, which such a query matches in full."""
 
     __slots__ = ("pivots", "generation", "published", "freed", "index", "by_path")
 
@@ -103,12 +112,32 @@ class PivotPool:
         self.generation = 0
         self.published = False
         self.freed = False
-        self.by_path: dict[str, tuple[Pivot, int, int]] = {}
+        self.by_path: dict[str, tuple[Pivot, int, int, int]] = {}
         self.index = _IndexNode(pivots, 0, len(pivots), 0, 0, self.by_path) if pivots else None
 
     @property
     def size(self) -> int:
         return len(self.pivots)
+
+    def covered_run(self, prefix: tuple[str, ...]) -> tuple[int, int]:
+        """(start, end) of the run `pivots[start:end]` whose names begin with
+        `prefix`, the pivots a modification of that path covers; `(0, 0)` when
+        none does. The sorted pool keeps them contiguous, one index node's run,
+        so this descends the index one dict step per prefix name instead of
+        comparing every pivot: a run of one pivot compares its remaining
+        names once, a name the index lacks covers nothing, and the root's
+        empty prefix covers the whole pool."""
+        node = self.index
+        if node is None:
+            return 0, 0
+        for m, name in enumerate(prefix):
+            pv = node.pivot
+            if pv is not None:
+                return (node.start, node.end) if pv.names[m : len(prefix)] == prefix[m:] else (0, 0)
+            node = node.children.get(name)
+            if node is None:
+                return 0, 0
+        return node.start, node.end
 
     def dump(self) -> str:
         """One line per pivot: `<overlap>\\t<path>`, the overlap taken against
@@ -136,7 +165,7 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
     tie). Hotter candidates win the cut, ties broken by ascending component
     order, the order of the pool itself. Sorting by path text instead would
     split a run: `/a.d` sorts between `/a` and `/a/b` because `.` is below
-    `/`. Only the kept candidates are then walked again for their ids
+    `/`. Only the kept candidates are then walked again for their dentries
     and masks, so a period that ranks 64 candidates for 16 slots
     materializes 16.
 
@@ -178,7 +207,7 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
         comps: list[Component] = []
         running = ALL_CLASSES_MASK
         for node in reversed(chain):
-            comps.append(Component(node.id, running))
+            comps.append(Component(node, running))
             running &= trav_mask(node.mode)  # this component joins the prefix of deeper ones
         pivots.append(Pivot(names, tuple(comps)))
     return PivotPool(pivots)
@@ -227,7 +256,9 @@ def _mismatch_cost(a: str, b: str) -> int:
 
 class _IndexNode:
     """The run `pivots[start:end]` of pivots that share their first m names,
-    m being the node's level in the component index.
+    m being the node's level in the component index. `start` and `end` bound
+    the run: it is what a modification of those m names covers, which
+    `PivotPool.covered_run` reads off the node where its descent ends.
 
     `chars` is the paper's scan's running char count by the time a query that
     matches the run's m names reaches it: the chars of those names plus the
@@ -253,12 +284,13 @@ class _IndexNode:
     """
 
     __slots__ = (
-        "start", "terminal", "children", "pivot", "lens", "chars", "misses",
+        "start", "end", "terminal", "children", "pivot", "lens", "chars", "misses",
         "first_visited", "past_visited",
     )
 
     def __init__(self, pivots: list[Pivot], start: int, end: int, m: int, chars: int, by_path: dict):
         self.start = start
+        self.end = end
         self.chars = chars
         self.first_visited = start + 1
         self.past_visited = min(end + 1, len(pivots))
@@ -270,7 +302,8 @@ class _IndexNode:
         # a pivot with only m names sorts first: it is a prefix of every other
         self.terminal = len(first.names) == m
         if self.terminal or end - start == 1:  # a query equal to its path stops here
-            by_path[first.path] = (first, self.first_visited, chars + sum(map(len, first.names[m:])))
+            rest = sum(map(len, first.names[m:]))
+            by_path[first.path] = (first, self.first_visited, chars + rest, len(first.names))
         if end - start == 1:
             self.pivot = first
             self.lens = (0, *accumulate(map(len, first.names)))
@@ -322,13 +355,13 @@ def find_best_pivot(
         raise ContractViolation("pivot pool read before publication")
     hit = pool.by_path.get(path.text)
     if hit is not None:  # a whole-path hit
-        pv, visited, chars = hit
+        pv, visited, chars, depth = hit
         if stats is not None:
             stats.pivots_visited = visited
             stats.char_comparisons = chars
         if pool.freed:
             raise ContractViolation("pivot used after reclaim")
-        return pv, len(pv.names)
+        return pv, depth
     index = pool.index
     if index is None:  # an empty pool
         if stats is not None:

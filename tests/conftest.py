@@ -236,44 +236,44 @@ def reference_scan(pool: PivotPool, path: PathBuf) -> ReferenceScan:
 
 def reference_build_pool(candidates, bound: int, current: Optional[PivotPool] = None) -> PivotPool:
     """build_pool as it was before it ranked on names alone: every live
-    candidate's path text, ids, masks and components are worked out first,
-    and only then is the pool cut to `bound`. The pools build_pool returns
-    must equal these in order, ids and prefix masks. With no live
+    candidate's path text, dentries, masks and components are worked out
+    first, and only then is the pool cut to `bound`. The pools build_pool
+    returns must equal these in order, ids and prefix masks. With no live
     candidate to rank, an idle period, `current` is kept, as build_pool
     keeps it."""
-    by_path: dict[str, tuple[int, tuple[str, ...], tuple[int, ...], tuple[int, ...]]] = {}
+    by_path: dict[str, tuple[int, tuple[str, ...], tuple[Dentry, ...], tuple[int, ...]]] = {}
     for d in candidates:
         if d is None or d.dead:
             continue
         names: list[str] = []
-        ids: list[int] = []
+        chain: list[Dentry] = []
         masks: list[int] = []
         cur = d
         while cur.parent is not None:
             names.append(cur.name)
-            ids.append(cur.id)
+            chain.append(cur)
             masks.append(trav_mask(cur.mode))
             cur = cur.parent
         if not names:
             continue
         names.reverse()
-        ids.reverse()
+        chain.reverse()
         masks.reverse()
         path = "/" + "/".join(names)
         prev = by_path.get(path)
         if prev is None or d.heat > prev[0]:
-            by_path[path] = (d.heat, tuple(names), tuple(ids), tuple(masks))
+            by_path[path] = (d.heat, tuple(names), tuple(chain), tuple(masks))
     if current is not None and not by_path:
         return current
     ranked = sorted(by_path.items(), key=lambda kv: (-kv[1][0], kv[1][1]))[: max(bound, 0)]
     ranked.sort(key=lambda kv: kv[1][1])
 
     pivots = []
-    for _path, (_heat, names, ids, masks) in ranked:
+    for _path, (_heat, names, chain, masks) in ranked:
         comps: list[Component] = []
         running = ALL_CLASSES_MASK
-        for node_id, mask in zip(ids, masks):
-            comps.append(Component(node_id, running))
+        for node, mask in zip(chain, masks):
+            comps.append(Component(node, running))
             running &= mask
         pivots.append(Pivot(names, tuple(comps)))
     return PivotPool(pivots)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import random
 import threading
 
@@ -11,9 +12,12 @@ from stagewalk import (
     Credential,
     NotFound,
     OriginalLookup,
+    PathBuf,
     PermissionDenied,
     StageLookupEngine,
+    TreeSpec,
     build_pool,
+    gen_tree,
 )
 from stagewalk import engine as engine_module
 from stagewalk.pivots import find_best_pivot
@@ -261,6 +265,60 @@ def test_unlink_of_the_pivot_racing_the_stages_falls_back(monkeypatch, threadsaf
     assert scanned == [("/a/b/c/d/f", 5)]
     assert_retried(engine, tree, path, OWNER, got)
     assert got[0] == "err:NotFound"
+
+
+def test_stage_lookup_reports_what_lookup_did_randomized(monkeypatch):
+    """Twin engines on one spec and one tick schedule, one asked through
+    `stage_lookup` and one through `lookup`, resolve the same targets and
+    keep the same counter rows. Unraced, `stage_lookup` reports the pivot and
+    depth `find_best_pivot` gives on the working pool; a modification between
+    the two stages leaves it no pivot and one more fallback."""
+    spec = TreeSpec(levels=[4, 4, 4, 3], seed=11)
+    trees = [gen_tree(spec), gen_tree(spec)]
+    reporter, plain = (StageLookupEngine(tree, pool_size=8) for tree in trees)
+
+    def same_mode_chmod(tree, path):
+        # moves metadata_seq and changes no outcome
+        return lambda: tree.chmod_node(path, tree._resolve_admin(path).mode)
+
+    rng = random.Random(1125)
+    files = [trees[0].materialize_path(d) for d in trees[0].nodes[1:] if d.children is None]
+    hot = rng.sample(files, 24)
+    seen = collections.Counter()
+    for step in range(3000):
+        if step % 200 == 199:
+            reporter.tick()
+            plain.tick()
+        path = rng.choice(hot) if rng.random() < 0.9 else rng.choice(files)
+        if rng.random() < 0.05:
+            path = path.parent().child("zz")
+        cred = rng.choice(list(Credential))
+        want = find_best_pivot(reporter.manager.working_pool, path)
+        raced = want is not None and rng.random() < 0.1
+        if raced:
+            ancestor = PathBuf(path.components[: rng.randint(1, path.depth - 1)])
+            scanned = race_after_scan(monkeypatch, reporter, same_mode_chmod(trees[0], ancestor))
+        fallbacks = reporter.metrics.fallbacks
+        try:
+            res = reporter.stage_lookup(path, cred)
+            got = f"ok:{res.target}"
+        except (NotFound, PermissionDenied) as exc:
+            res, got = None, f"err:{type(exc).__name__}"
+        if raced:
+            assert scanned == [(want[0].path, want[1])]
+            assert reporter.metrics.fallbacks == fallbacks + 1
+            assert res is None or res.pivot_used is None
+            race_after_scan(monkeypatch, plain, same_mode_chmod(trees[1], ancestor))
+        elif res is not None:
+            pivot, depth = want if want is not None else (None, 0)
+            assert res.pivot_used == (pivot.path if pivot else None)
+            assert (res.skipped_components, res.walked_components) == (depth, path.depth - depth)
+            assert res.rolled_up == (pivot is not None and depth < pivot.depth)
+        assert got == outcome(plain.lookup, path, cred), (step, path.text)
+        assert reporter.metrics.counter_rows() == plain.metrics.counter_rows()
+        seen["raced" if raced else "error" if res is None else "hit" if want else "walk"] += 1
+    assert type(plain.lookup(hot[0], OWNER)) is int
+    assert {"raced", "error", "hit", "walk"} == set(seen), seen
 
 
 def test_unlink_through_hook_removes_pivots():

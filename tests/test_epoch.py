@@ -248,7 +248,7 @@ def test_working_pool_equals_a_fresh_build_of_its_targets_randomized(threadsafe)
             pool = mgr.working_pool
             if 0.8 <= roll and pool is not before:
                 seen["retired by a modification"] += 1
-            targets = [tree.node(pv.components[-1].node_id) for pv in pool.pivots]
+            targets = [pv.components[-1].node for pv in pool.pivots]
             assert pool_shape(pool) == pool_shape(reference_build_pool(targets, pool.size))
             assert verify_pool(pool) == []
     assert {"kept", "built", "refused", "retired by a modification"} <= set(seen), seen
@@ -400,8 +400,10 @@ def test_covering_rename_keeps_the_surviving_pivot_objects(threadsafe):
     tree, cset, mgr = fig4_manager(threadsafe)
     tree.register_hook(mgr.invalidate_for_metadata)  # as an engine's hook calls it
     old = mgr.working_pool
+    _check_components(tree, old)
     tree.rename_node(mkpath("/a1/b1/c2"), mkpath("/a1/b1/z9"))
     new = mgr.working_pool
+    _check_components(tree, new)
     assert new is not old and new.size == 2
     by_names = {pv.names: pv for pv in old.pivots}
     assert all(pv is by_names[pv.names] for pv in new.pivots)
@@ -427,6 +429,15 @@ def _check_path_map(pool):
             assert (stats.pivots_visited, stats.char_comparisons) == (ref.pivots_visited, ref.char_comparisons)
 
 
+def _check_components(tree, pool):
+    """Each component holds the dentry its id names, and that dentry is the
+    live one at the component's depth of the pivot's path."""
+    for pv in pool.pivots:
+        for k, c in enumerate(pv.components, start=1):
+            assert c.node is tree.nodes[c.node_id]
+            assert c.node is tree._resolve_admin(PathBuf(pv.names[:k])) and not c.node.dead
+
+
 @on_both_trees
 def test_path_map_holds_each_pivot_with_its_scan_counts(threadsafe):
     """Random pools of single pivots and of pivots that prefix another; a
@@ -443,6 +454,7 @@ def test_path_map_holds_each_pivot_with_its_scan_counts(threadsafe):
         mgr.periodic_update()
         pool = mgr.working_pool
         _check_path_map(pool)
+        _check_components(tree, pool)
         for a, b in zip(pool.pivots, pool.pivots[1:] + [None]):
             seen["prefix of another" if b is not None and b.names[: a.depth] == a.names else "single"] += 1
         covered = rng.choice(pool.pivots)
@@ -451,8 +463,61 @@ def test_path_map_holds_each_pivot_with_its_scan_counts(threadsafe):
         repaired = mgr.working_pool
         assert repaired is not pool and covered.path not in repaired.by_path
         _check_path_map(repaired)
+        _check_components(tree, repaired)
         seen["repaired to empty" if repaired.size == 0 else "repaired"] += 1
     assert len(seen) == 4 and all(seen.values()), seen
+
+
+def _slice_rule(pivots, prefix):
+    """The indices of the pivots a modification of `prefix` covers, by
+    comparing every pivot's leading names: the rule the index descent
+    replaces."""
+    return [i for i, p in enumerate(pivots) if p.names[: len(prefix)] == prefix]
+
+
+@on_both_trees
+def test_index_descent_covers_the_slice_rules_run_randomized(threadsafe):
+    """`covered_run` descends the component index to the run the slice rule
+    finds for every prefix of every pivot, the root, prefixes that run past a
+    pivot's names, names the index lacks and random tree paths. The hook
+    installs the slice rule's pool over the old pool's own pivot objects."""
+    rng = random.Random(2525)
+    seen = collections.Counter()
+    for _trial in range(40):
+        paths = random_tree_paths(rng, rng.randint(3, 14), max_depth=5)
+        prefixes = sorted({p.rsplit("/", k)[0] for p in paths for k in range(p.count("/"))})
+        tree, cset, mgr = make_manager(make_tree(*paths, threadsafe=threadsafe))
+        heat_up(tree, cset, rng.sample(prefixes, rng.randint(1, min(len(prefixes), 16))))
+        mgr.periodic_update()
+        pool = mgr.working_pool
+        pivots = pool.pivots
+        queries = {(): "root"}
+        for pv in pivots:
+            for k in range(1, pv.depth + 1):
+                queries[pv.names[:k]] = "prefix of a pivot"
+            queries.setdefault(pv.names + ("zz",), "past a pivot's names")
+            k = rng.randrange(pv.depth)
+            queries.setdefault(pv.names[:k] + ("zz",) + pv.names[k + 1 :], "a name the index lacks")
+        for d in rng.sample(tree.nodes[1:], min(8, len(tree.nodes) - 1)):
+            queries.setdefault(tree.materialize_path(d).components, "tree path")
+        for prefix, kind in queries.items():
+            start, end = pool.covered_run(prefix)
+            want = _slice_rule(pivots, prefix)
+            assert list(range(start, end)) == want, (prefix, [p.path for p in pivots])
+            seen[kind] += 1
+            seen["covers none" if not want else "covers one" if len(want) == 1 else "covers several"] += 1
+        for prefix in rng.sample(sorted(queries), 3):
+            old = mgr.working_pool
+            want = _slice_rule(old.pivots, prefix)
+            path = PathBuf(prefix) if prefix else mkpath("/")
+            assert mgr.invalidate_for_metadata(path) == len(want)
+            new = mgr.working_pool
+            survivors = [p for i, p in enumerate(old.pivots) if i not in want]
+            assert (new is old) == (not want)
+            assert pool_shape(new) == pool_shape(PivotPool(survivors))
+            assert len(new.pivots) == len(survivors) and all(a is b for a, b in zip(new.pivots, survivors))
+    kinds = {"root", "prefix of a pivot", "past a pivot's names", "a name the index lacks", "tree path"}
+    assert kinds | {"covers none", "covers one", "covers several"} == set(seen), seen
 
 
 def test_invalidate_replaces_the_pivot_list_never_edits_it():

@@ -139,9 +139,9 @@ def test_build_pool_materializes_only_the_kept_candidates(monkeypatch):
     class CountedComponent(pivots.Component):
         __slots__ = ()
 
-        def __init__(self, node_id, prefix_trav):
+        def __init__(self, node, prefix_trav):
             made["Component"] += 1
-            super().__init__(node_id, prefix_trav)
+            super().__init__(node, prefix_trav)
 
     def counted_trav_mask(mode):
         made["trav_mask"] += 1
