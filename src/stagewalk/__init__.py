@@ -33,31 +33,20 @@ from .fullpath import FullPathCache
 from .heat import Admission, CandidateSet, observe_target
 from .metrics import Metrics
 from .paths import ROOT, PathBuf
-from .pivots import (
-    Component,
-    Pivot,
-    PivotPool,
-    ScanStats,
-    build_pool,
-    find_best_pivot,
-    verify_pool,
-)
+from .pivots import Component, Pivot, PivotPool, build_pool, find_best_pivot
 from .tree import DIR, FILE, Credential, Dentry, DirTree
 from .workload import (
     SIX_LEVEL_PRESET,
     STRATEGIES,
     ReplayResult,
-    SoakReport,
     TraceEvent,
     TreeSpec,
     bench_depth_grid,
     gen_tree,
     make_resolver,
-    parse_metrics_csv,
     read_trace,
     replay,
     report,
-    run_soak,
     synth_trace,
     write_trace,
 )
@@ -93,8 +82,6 @@ __all__ = [
     "ReclaimQueue",
     "ReplayResult",
     "ROOT",
-    "ScanStats",
-    "SoakReport",
     "SpecInvalid",
     "StageLookupEngine",
     "StageResult",
@@ -109,12 +96,9 @@ __all__ = [
     "gen_tree",
     "make_resolver",
     "observe_target",
-    "parse_metrics_csv",
     "read_trace",
     "replay",
     "report",
-    "run_soak",
     "synth_trace",
-    "verify_pool",
     "write_trace",
 ]

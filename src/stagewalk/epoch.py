@@ -9,16 +9,17 @@ a reclaim queue and are poisoned (freed flag) only once every reader
 registered before their retirement has exited, which the sentinel checks in
 find_best_pivot turn into hard failures on any protocol bug.
 
-Each period the manager builds a pool from the candidates; a period whose
-kept names equal the working pool's keeps that pool, and so does an idle
-period, one with no candidate to rank: shortcuts outlive a quiet spell, as
-dcache entries stay until something displaces them. A metadata
-modification finds the pivots its path covers by descending the working
-pool's component index along that path (one run of the sorted pool, so the
-cost follows the path's depth, not the pool's size), installs a pool of the
-other pivots, the same pivot objects, then bumps `metadata_seq`; readers still
-scanning the old pool may find a covered pivot there, and the engine drops
-such a result because the count moved under it. A period reads that
+Each period the manager builds a pool from the candidates looked up at least
+POPULAR_HEAT times in that period; a period whose kept names equal the
+working pool's keeps that pool, and so does an idle period, one with no
+candidate looked up twice: shortcuts outlive a quiet spell, or a spell of
+targets each seen once, as dcache entries stay until something displaces
+them. A metadata modification finds the pivots its path covers by descending
+the working pool's component index along that path (one run of the sorted
+pool, so the cost follows the path's depth, not the pool's size), installs a
+pool of the other pivots, the same pivot objects, then bumps `metadata_seq`;
+readers still scanning the old pool may find a covered pivot there, and the
+engine drops such a result because the count moved under it. A period reads that
 count under the tree read lock before it builds, and installs its build only
 if the count has not moved by the time it holds the pool mutex, so no pool
 built before a modification is ever installed. A modification that completed
@@ -48,6 +49,12 @@ from .heat import CandidateSet
 from .paths import PathBuf
 from .pivots import PivotPool, build_pool
 from .tree import DirTree
+
+# a candidate becomes a pivot only on its second lookup in a period: a target
+# seen once is not popular, the rule 2Q (Johnson & Shasha, VLDB 1994) and
+# TinyLFU (Einziger, Friedman & Manes, ACM ToS 2017) use to keep one-off
+# references out of a cache
+POPULAR_HEAT = 2
 
 
 class ReclaimQueue:
@@ -176,9 +183,13 @@ class PivotManager:
         return swapped
 
     def _period(self) -> bool:
+        """One period: build from the members at heat POPULAR_HEAT or more
+        (every member holds the current version, so its heat is this
+        period's). With none, `build_pool` returns the working pool, which
+        the period keeps while it still swaps and advances."""
         self.ticks += 1
         with self._heat_lock:
-            candidates = self._candidates.members()
+            candidates = [d for d in self._candidates.members() if d.heat >= POPULAR_HEAT]
         self._tree.lock.acquire_read()
         try:
             seq = self.metadata_seq

@@ -6,7 +6,10 @@ period resets it to 1. The candidate set keeps the hottest dentries in an
 insertion-ordered dict and tracks a least_popular_cand cursor that is cheap
 to maintain but deliberately not guaranteed to point at the true minimum.
 Every pool swap calls `advance`, which bumps the version and empties the set,
-so each period's candidates are the targets of that period alone.
+so each period's candidates are the targets of that period alone. Admission
+has no heat floor, but the manager makes pivots only of the members looked up
+at least twice in the period (`epoch.POPULAR_HEAT`), so a target seen once
+is a candidate and never a pivot.
 
 Membership lives in the set and heat on the dentry, whose one owner is the
 tree's only stage engine (a second engine on the tree raises ConfigError).

@@ -15,7 +15,6 @@ from stagewalk import (
     FullPathCache,
     OriginalLookup,
     SIX_LEVEL_PRESET,
-    ScanStats,
     StageLookupEngine,
     TreeSpec,
     bench_depth_grid,
@@ -24,10 +23,11 @@ from stagewalk import (
     gen_tree,
     replay,
     report,
-    run_soak,
     synth_trace,
 )
 from stagewalk.heat import Admission, CandidateSet, observe_target
+from stagewalk.pivots import ScanStats
+from stagewalk.workload import run_soak
 from conftest import (
     FIG4_PATHS,
     brute_force_best,
@@ -333,10 +333,12 @@ def test_c6_heat_epoch_directed():
     checks.append(cset3.least_popular is ms[0])  # winner leaves it
 
     # the drain, through the engine: a swap empties the candidate set, and the
-    # next period's first lookup starts it again
+    # next period's first lookup starts it again; each file is looked up
+    # twice, so each is popular enough to become a pivot at the tick
     files = ("/d/f0", "/d/f1", "/d/f2")
     engine4 = StageLookupEngine(make_tree(files=files), heat_capacity=8)
     for text in files:
+        engine4.stage_lookup(mkpath(text))
         engine4.stage_lookup(mkpath(text))
     before = engine4.candidates.members()
     engine4.tick()

@@ -16,12 +16,12 @@ from stagewalk import (
     PathBuf,
     PivotManager,
     PivotPool,
-    ScanStats,
     StageLookupEngine,
     build_pool,
     find_best_pivot,
-    verify_pool,
 )
+from stagewalk.epoch import POPULAR_HEAT
+from stagewalk.pivots import ScanStats, verify_pool
 from conftest import (
     FIG4_PATHS,
     mkpath,
@@ -202,8 +202,9 @@ def test_working_pool_equals_a_fresh_build_of_its_targets_randomized(threadsafe)
     """Lookups, ticks, and creates, renames, chmods and unlinks through the
     tree API, in random order: after every step the working pool equals the
     reference build of its own targets, and a tick's pool equals the
-    reference build of the candidates it ranked, whether it kept the pool
-    before it or built a fresh one."""
+    reference build of the candidates it ranked (those looked up at least
+    POPULAR_HEAT times in the period), whether it kept the pool before it or
+    built a fresh one."""
     rng = random.Random(2119 + threadsafe)
     seen = collections.Counter()
     modes = (0o755, 0o755, 0o750, 0o711, 0o700, 0o644)
@@ -224,7 +225,7 @@ def test_working_pool_equals_a_fresh_build_of_its_targets_randomized(threadsafe)
                 if roll < 0.7:
                     engine.lookup(mkpath(rng.choice(hot)))
                 elif roll < 0.8:
-                    cands = engine.candidates.members()
+                    cands = [d for d in engine.candidates.members() if d.heat >= POPULAR_HEAT]
                     if mgr.periodic_update():
                         want = reference_build_pool(cands, mgr.pool_bound, before)
                         assert pool_shape(mgr.working_pool) == pool_shape(want)
@@ -370,6 +371,7 @@ def test_a_tick_with_no_lookups_keeps_the_working_pool(threadsafe):
     engine = StageLookupEngine(tree)
     mgr, cset = engine.manager, engine.candidates
     engine.lookup(mkpath("/a/b/f"))
+    engine.lookup(mkpath("/a/b/f"))  # twice: popular enough to become a pivot
     engine.tick()
     pool = mgr.working_pool
     assert [p.path for p in pool.pivots] == ["/a/b/f"]
@@ -378,6 +380,70 @@ def test_a_tick_with_no_lookups_keeps_the_working_pool(threadsafe):
     assert mgr.working_pool is pool and not pool.freed
     assert (cset.version, mgr.swaps) == (version + 1, swaps + 1)  # the heat version still advances
     assert engine.stage_lookup(mkpath("/a/b/f")).pivot_used == "/a/b/f"
+
+
+# -- the popularity floor: a pivot only for a target looked up twice in its period --
+
+
+def popular_engine(threadsafe):
+    tree = make_tree(files=("/a/b/f", "/c/d/g"), threadsafe=threadsafe)
+    engine = StageLookupEngine(tree)
+    return engine, engine.manager, engine.candidates
+
+
+@on_both_trees
+def test_a_target_looked_up_twice_in_its_period_becomes_a_pivot(threadsafe):
+    engine, mgr, cset = popular_engine(threadsafe)
+    engine.lookup(mkpath("/a/b/f"))
+    engine.lookup(mkpath("/a/b/f"))
+    engine.lookup(mkpath("/c/d/g"))
+    assert mgr.periodic_update()
+    assert [p.path for p in mgr.working_pool.pivots] == ["/a/b/f"]
+    assert engine.stage_lookup(mkpath("/a/b/f")).pivot_used == "/a/b/f"
+
+
+@on_both_trees
+def test_a_target_looked_up_once_does_not_become_a_pivot(threadsafe):
+    engine, mgr, cset = popular_engine(threadsafe)
+    engine.lookup(mkpath("/a/b/f"))
+    assert [d.name for d in cset.members()] == ["f"]  # a candidate all the same
+    empty = mgr.working_pool
+    assert mgr.periodic_update()
+    assert mgr.working_pool is empty and mgr.working_pool.size == 0
+    assert engine.stage_lookup(mkpath("/a/b/f")).pivot_used is None
+
+
+@on_both_trees
+def test_one_lookup_in_each_of_two_periods_does_not_make_a_pivot(threadsafe):
+    """Heat resets with the version, so lookups in different periods do not
+    add up."""
+    engine, mgr, cset = popular_engine(threadsafe)
+    for _period in range(2):
+        engine.lookup(mkpath("/a/b/f"))
+        assert mgr.periodic_update()
+        assert mgr.working_pool.size == 0
+    assert engine.tree._resolve_admin(mkpath("/a/b/f")).heat == 1
+
+
+@on_both_trees
+def test_a_period_of_targets_seen_once_keeps_the_working_pool(threadsafe):
+    """A period whose candidates were all looked up once is idle: the
+    working pool stays, the same object and not freed, while the period
+    still swaps and advances the heat version."""
+    engine, mgr, cset = popular_engine(threadsafe)
+    engine.lookup(mkpath("/a/b/f"))
+    engine.lookup(mkpath("/a/b/f"))
+    engine.tick()
+    pool = mgr.working_pool
+    assert pool.size == 1
+    engine.lookup(mkpath("/a/b/f"))
+    engine.lookup(mkpath("/c/d/g"))
+    assert len(cset) == 2 and all(d.heat == 1 for d in cset.members())
+    version, swaps = cset.version, mgr.swaps
+    assert mgr.periodic_update()
+    assert mgr.working_pool is pool and not pool.freed
+    assert (cset.version, mgr.swaps) == (version + 1, swaps + 1)
+    assert len(cset) == 0
 
 
 # -- invalidate_for_metadata --------------------------------------------------------

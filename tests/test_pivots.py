@@ -6,16 +6,9 @@ import random
 import sys
 import threading
 
-from stagewalk import (
-    DIR,
-    PathBuf,
-    PivotPool,
-    ScanStats,
-    build_pool,
-    find_best_pivot,
-    verify_pool,
-)
+from stagewalk import DIR, PathBuf, PivotPool, build_pool, find_best_pivot
 from stagewalk import pivots
+from stagewalk.pivots import ScanStats, verify_pool
 from stagewalk.tree import trav_mask
 from conftest import (
     FIG4_PATHS,

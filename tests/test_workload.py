@@ -22,7 +22,6 @@ from stagewalk import (
     TreeSpec,
     bench_depth_grid,
     gen_tree,
-    parse_metrics_csv,
     read_trace,
     replay,
     report,
@@ -30,6 +29,7 @@ from stagewalk import (
     write_trace,
 )
 from stagewalk.tree import DirTree
+from stagewalk.workload import parse_metrics_csv
 from conftest import mkpath, outcome_mismatches, reference_gen_tree, replay_each_strategy
 
 
@@ -453,6 +453,27 @@ def test_churn_keeps_swapping_and_hitting_pivots():
     mgr = stage.resolver.manager
     assert mgr.ticks > 0 and mgr.swaps == mgr.ticks
     assert stage.metrics.pivot_hits / stage.metrics.lookups >= 0.5
+    assert stage.outcomes == original.outcomes
+
+
+def test_targets_each_seen_once_make_no_pivot():
+    """A cold-read trace, every file once in random order with a tick every
+    32 lookups: no target is looked up twice in its period, so the pool
+    stays empty and stage does original's exact work."""
+    spec = TreeSpec(levels=[4, 4, 4, 4], seed=1)
+    tree = gen_tree(spec)
+    files = [tree.materialize_path(d).text for d in tree.nodes[1:] if d.kind == "file"]
+    random.Random(7).shuffle(files)
+    trace = [TraceEvent("stat", text) for text in files]
+    stage, original = (
+        replay(trace, strategy, gen_tree(spec), manual_tick=True, tick_every=32, record_outcomes=True)
+        for strategy in ("stage", "original")
+    )
+    mgr = stage.resolver.manager
+    assert len(files) == 256 and mgr.ticks == 7 and mgr.swaps == 7
+    assert mgr.working_pool.size == 0 and stage.metrics.pivot_hits == 0
+    assert stage.metrics.dentries_visited == original.metrics.dentries_visited
+    assert stage.metrics.char_comparisons == original.metrics.char_comparisons
     assert stage.outcomes == original.outcomes
 
 
