@@ -12,13 +12,20 @@ that the manager's reader registry holds from `reader_enter` to
 children maps exactly like the original walk, starting from the matched
 component's dentry, which the pivot holds per depth (so landing on an
 ancestor of the pivot is a direct array index, recorded as rolled_up, and no
-id is looked up in `tree.nodes`). The
-skipped prefix's permission check is one mask test against traversal bits
-aggregated at build time. The heat update is one call, `observe_target`,
-taken under the heat lock on a threadsafe tree only. The candidate set holds
-the engine's heat version and members, and the heat itself lives on the
-tree's dentries, so a tree takes at most one stage engine: building a
-second raises ConfigError, as a kernel keeps one dcache.
+id is looked up in `tree.nodes`). The skipped prefix's permission check is
+one mask test against traversal bits aggregated at build time. The heat
+update is one call, `observe_target`, taken under the heat lock on a
+threadsafe tree only. The candidate set holds the engine's heat version and
+members, and the heat itself lives on the tree's dentries, so a tree takes
+at most one stage engine: building a second raises ConfigError, as a kernel
+keeps one dcache.
+
+A hit decides from the path's text that nothing is left to walk: a hit's
+path is not the root, so its count of '/' is its depth. A whole-path hit,
+whose matched depth equals that count, therefore never splits the path (see
+`paths`). Stage Two reads `components`, which the descent that found its
+pivot has already split. The miss walk splits inline where no descent did:
+on an empty pool, or after a whole-path hit that a modification raced.
 
 A lookup sees one state of the tree, as the kernel's RCU-walk does: it
 samples the manager's `metadata_seq` before it enters, and if the count has
@@ -152,9 +159,10 @@ class StageLookupEngine(_ResolverBase):
                 if not matched.prefix_trav & CRED_MASK_BIT[cred]:
                     raise PermissionDenied(f"skipped prefix of {pivot.path!r} not traversable for {cred.value}")
                 target = matched.node
-                comps = path.components
-                if depth < len(comps):  # an empty walk_from checks and counts nothing
-                    target = tree.walk_from(target, comps[depth:], cred, metrics)
+                # a hit's path is not the root, so its slashes count its names;
+                # an empty walk_from checks and counts nothing
+                if depth < path.text.count("/"):
+                    target = tree.walk_from(target, path.components[depth:], cred, metrics)
             except (PermissionDenied, NotFound):
                 if manager.metadata_seq == seq:
                     raise
@@ -168,7 +176,10 @@ class StageLookupEngine(_ResolverBase):
                 metrics.fallbacks += 1  # a modification raced the lookup
                 hit = None
         if hit is None:
-            target = tree.walk_from(tree.root, path.components, cred, metrics)
+            comps = path._components
+            if comps is None:  # split inline, as `PathBuf.components` would
+                comps = path._components = tuple(path.text[1:].split("/"))
+            target = tree.walk_from(tree.root, comps, cred, metrics)
 
         if tree.threadsafe:  # heat updates take heat_lock only then
             with self.heat_lock:

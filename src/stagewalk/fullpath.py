@@ -48,8 +48,11 @@ class FullPathCache(_ResolverBase):
             if current == version:
                 return node_id
             del self._entries[key]  # out of date
+        comps = path._components
+        if comps is None:  # a hit splits nothing; the walk splits inline
+            comps = path._components = tuple(key[1:].split("/"))
         tree = self.tree
-        target = tree.walk_from(tree.root, path.components, cred, metrics)
+        target = tree.walk_from(tree.root, comps, cred, metrics)
         versions = self._versions
         self._entries[key] = (target.id, versions[target.id] if target.id < len(versions) else 0)
         return target.id

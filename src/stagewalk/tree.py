@@ -313,4 +313,7 @@ class DirTree:
 
     def lookup_original(self, path: PathBuf, cred: Credential, metrics: Metrics) -> NodeId:
         """Component-wise walk from the root; the baseline every strategy must match."""
-        return self.walk_from(self.root, path.components, cred, metrics).id
+        comps = path._components
+        if comps is None:  # split inline, as `PathBuf.components` would
+            comps = path._components = tuple(path.text[1:].split("/"))
+        return self.walk_from(self.root, comps, cred, metrics).id

@@ -20,6 +20,7 @@ from stagewalk import (
     gen_tree,
 )
 from stagewalk import engine as engine_module
+from stagewalk.fullpath import FullPathCache
 from stagewalk.pivots import find_best_pivot
 from conftest import make_node, make_tree, mkpath, oracle_resolve, outcome
 
@@ -328,6 +329,71 @@ def test_unlink_through_hook_removes_pivots():
     assert engine.manager.working_pool.size == 0
     with pytest.raises(NotFound):
         engine.stage_lookup(mkpath("/a/b/f"))
+
+
+@pytest.mark.parametrize("threadsafe", [False, True])
+def test_chmod_of_a_list_built_path_retires_the_pivots_it_covers(threadsafe):
+    # a list-built path equals its parsed twin, so the hook must cover the
+    # same run of pivots: the chmod denies `other` the prefix the pivot skips
+    tree = gen_tree(TreeSpec(levels=[2, 2], seed=1), threadsafe=threadsafe)
+    engine = engine_with_pool(tree, ["/a0/b0/c0"])
+    tree.chmod_node(PathBuf(["a0"]), 0o700)
+    assert engine.manager.working_pool.size == 0
+    path = mkpath("/a0/b0/c0")
+    assert oracle_resolve(tree, path, Credential.OTHER) == "err:PermissionDenied"
+    assert outcome(engine.lookup, path, Credential.OTHER) == "err:PermissionDenied"
+
+
+# -- where a path is split --------------------------------------------------------------
+
+
+def _unsplit(path: PathBuf) -> bool:
+    return path._components is None
+
+
+@pytest.mark.parametrize("threadsafe", [False, True])
+def test_only_a_walk_splits_a_parsed_path(threadsafe):
+    """Stage One's whole-path probe and fullpath's warm hit answer from the
+    text alone; a lookup that walks any component splits the path once, and
+    keeps the split."""
+    spec = TreeSpec(levels=[2, 2], seed=1)
+    hit_text, target = "/a0/b0/c0", ("a0", "b0", "c0")
+    tree = gen_tree(spec, threadsafe=threadsafe)
+    engine = engine_with_pool(tree, [hit_text, "/a0/b1"])
+    expected = tree._resolve_admin(mkpath(hit_text)).id
+
+    hit = mkpath(hit_text)
+    assert _unsplit(hit)
+    assert engine.lookup(hit) == expected and engine.metrics.pivot_hits == 1
+    assert _unsplit(hit)  # a stage whole-path hit
+
+    stage_two = mkpath("/a0/b1/c0")
+    engine.lookup(stage_two)
+    assert engine.metrics.pivot_hits == 2 and engine.metrics.dentries_visited == 1
+    assert stage_two._components == ("a0", "b1", "c0")
+
+    miss = mkpath("/a1/b1/c0")  # shares no component with a pivot
+    assert engine.lookup(miss) == tree._resolve_admin(miss).id
+    assert engine.metrics.pivot_hits == 2
+    assert miss._components == ("a1", "b1", "c0")
+
+    empty = StageLookupEngine(gen_tree(spec, threadsafe=threadsafe))
+    miss = mkpath(hit_text)
+    assert empty.lookup(miss) == expected and empty.metrics.pivot_hits == 0
+    assert miss._components == target  # a stage miss on an empty pool walks from the root
+
+    original = OriginalLookup(gen_tree(spec, threadsafe=threadsafe))
+    walked = mkpath(hit_text)
+    assert original.lookup(walked) == expected
+    assert walked._components == target
+
+    cache = FullPathCache(gen_tree(spec, threadsafe=threadsafe))
+    cold = mkpath(hit_text)
+    assert cache.lookup(cold) == expected
+    assert cold._components == target  # the miss walks
+    warm = mkpath(hit_text)
+    assert cache.lookup(warm) == expected and cache.metrics.dentries_visited == 3
+    assert _unsplit(warm)  # a fullpath hit
 
 
 # -- the scan's counts -------------------------------------------------------------------

@@ -139,3 +139,13 @@ def test_component_prefix():
 def test_equality_and_hash():
     assert PathBuf.parse("/a/b") == PathBuf.parse("/a/b/")
     assert len({PathBuf.parse("/a"), PathBuf.parse("/a")}) == 1
+
+
+def test_list_built_path_acts_as_its_parsed_twin():
+    built, parsed = PathBuf(["a0"]), PathBuf.parse("/a0")
+    assert built == parsed and hash(built) == hash(parsed)
+    assert built.components == ("a0",)
+    assert built.is_component_prefix_of(PathBuf.parse("/a0/b0"))
+    assert PathBuf.parse("/a0/b0").parent().is_component_prefix_of(built)
+    assert built.child("x") == PathBuf.parse("/a0/x")
+    assert PathBuf(name for name in ("a0", "b0")).components == ("a0", "b0")
