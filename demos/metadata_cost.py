@@ -2,7 +2,8 @@
 
 Warms both caches over a fanout-10 tree, renames one top-level directory, and
 prints how many entries each side had to touch: the full-path cache visits the
-whole subtree to bump versions, the pivot pool drops at most a pool's worth.
+whole subtree to evict each cached path, the pivot pool drops at most a pool's
+worth.
 """
 
 from stagewalk import (

@@ -4,7 +4,8 @@ Three interchangeable lookup strategies over one in-memory directory tree:
 
 - original: component-wise walk from the root through each directory's
   children map, counted as the kernel's d_hash chain lookup;
-- fullpath: a whole-path-indexed cache with version-checked hits;
+- fullpath: a whole-path-indexed cache; a rename, chmod or unlink evicts
+  every cached path under its target;
 - stage: two-stage lookup that starts the walk at the deepest cached pivot
   sharing a prefix with the query, managed by heat-based candidate admission
   and a pivot pool rebuilt each period its hot set changed and swapped in

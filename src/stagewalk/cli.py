@@ -86,10 +86,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     """`replay` runs `--strategy`, `compare` every strategy, each on a fresh
     tree of the spec."""
-    if args.pool_size < 0:
-        raise ConfigError(f"--pool-size must be >= 0, got {args.pool_size}")
-    if args.heat_capacity < 0 or args.heat_threshold < 0:
-        raise ConfigError("heat capacity/threshold must be >= 0")
     spec = _load_spec(args.tree)
     trace = read_trace(args.trace)
     runs = []

@@ -44,7 +44,7 @@ import threading
 from contextlib import nullcontext
 from typing import Optional
 
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation
 from .heat import CandidateSet
 from .paths import PathBuf
 from .pivots import PivotPool, build_pool
@@ -88,7 +88,8 @@ class ReclaimQueue:
 
 
 class PivotManager:
-    """Owns the working pool and the candidate set's period lifecycle."""
+    """Owns the working pool and the candidate set's period lifecycle. A
+    negative `pool_bound` raises ConfigError."""
 
     def __init__(
         self,
@@ -97,6 +98,8 @@ class PivotManager:
         heat_lock: threading.Lock,
         pool_bound: int = 16,
     ):
+        if pool_bound < 0:
+            raise ConfigError(f"pool size must be >= 0, got {pool_bound}")
         self._tree = tree
         self._candidates = candidates
         self._heat_lock = heat_lock

@@ -27,7 +27,7 @@ from stagewalk import (
 )
 from stagewalk.heat import Admission, CandidateSet, observe_target
 from stagewalk.pivots import ScanStats
-from stagewalk.workload import run_soak
+from soak import run_soak
 from conftest import (
     FIG4_PATHS,
     brute_force_best,

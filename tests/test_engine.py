@@ -9,6 +9,7 @@ import pytest
 from stagewalk import (
     DIR,
     FILE,
+    ConfigError,
     Credential,
     NotFound,
     OriginalLookup,
@@ -115,6 +116,17 @@ def test_pool_size_zero_fallback_counter_identity():
     assert engine.metrics.dentries_visited == baseline.metrics.dentries_visited
     assert engine.metrics.char_comparisons == baseline.metrics.char_comparisons
     assert engine.metrics.pivot_hits == 0
+
+
+def test_negative_pool_size_raises_config_error():
+    """A negative pool size is refused when the engine is built, not clamped
+    to an empty pool, and the refused engine neither claims the tree nor
+    registers a hook."""
+    tree = make_tree("/a/b")
+    with pytest.raises(ConfigError, match="pool size must be >= 0, got -1"):
+        StageLookupEngine(tree, pool_size=-1)
+    assert tree.stage_engine is None and tree._hooks == []
+    assert StageLookupEngine(tree, pool_size=0).manager.pool_bound == 0  # zero is a valid bound
 
 
 # -- permissions --------------------------------------------------------------------

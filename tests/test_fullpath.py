@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from stagewalk import FILE, Credential, FullPathCache, NotFound, OriginalLookup
+from stagewalk import DIR, FILE, Credential, EngineError, FullPathCache, NotFound, OriginalLookup
 from conftest import make_node, make_tree, mkpath, oracle_resolve, outcome
 
 OWNER = Credential.OWNER
@@ -34,16 +34,16 @@ def test_cold_path_costs_walk_plus_probe():
     assert cache.metrics.char_comparisons == baseline.metrics.char_comparisons + len(p.text)
 
 
-def test_hit_after_target_chmod_is_stale():
+def test_target_chmod_evicts_its_entry():
     tree = make_tree(files=("/a/b/f",))
     cache = FullPathCache(tree)
     p = mkpath("/a/b/f")
     cache.fp_lookup(p)
-    tree.chmod_node(p, 0o600)  # version bump via hook
+    tree.chmod_node(p, 0o600)  # the hook evicts the entry
     visited0 = cache.metrics.dentries_visited
     nid = cache.fp_lookup(p)
     assert nid == tree._resolve_admin(p).id
-    assert cache.metrics.dentries_visited - visited0 == 3  # stale entry forced a full walk
+    assert cache.metrics.dentries_visited - visited0 == 3  # the evicted entry forced a full walk
 
 
 def test_rename_leaf_touches_one():
@@ -72,12 +72,12 @@ def test_rename_subtree_touch_count_matches_enumeration_oracle():
     assert cache.metrics.entries_touched - touched0 == want
 
 
-def test_empty_cache_still_counts_version_bumps():
+def test_empty_cache_still_counts_whole_subtree():
     tree = make_tree("/a/b/c")
     cache = FullPathCache(tree)
     assert cache.cached_entries == 0
     touched = cache.fp_invalidate_subtree(mkpath("/a"))
-    assert touched == 3  # a, b, c version bumps despite zero entry removals
+    assert touched == 3  # a, b, c walked despite zero entry removals
 
 
 @pytest.mark.parametrize("unknown", ["/zz", "/a/zz/c", "/a/f/x"])
@@ -90,7 +90,7 @@ def test_invalidate_unknown_path_touches_nothing(unknown):
     assert cache.fp_invalidate_subtree(mkpath(unknown)) == 0
     assert cache.metrics.entries_touched == touched0
     cache.fp_lookup(p)
-    assert cache.metrics.dentries_visited == visited0  # still a warm hit: no version moved
+    assert cache.metrics.dentries_visited == visited0  # still a warm hit: nothing was evicted
 
 
 def test_stale_entries_not_served_after_ancestor_rename():
@@ -103,8 +103,7 @@ def test_stale_entries_not_served_after_ancestor_rename():
 
 
 def test_unlinked_entry_not_served_and_recreated_name_resolves_anew():
-    # the unlink hook pops the entry and bumps the version, so no dead-node
-    # test is needed on a hit
+    # the unlink hook pops the entry, so no dead-node test is needed on a hit
     tree = make_tree("/a", files=("/a/f",))
     cache = FullPathCache(tree)
     p = mkpath("/a/f")
@@ -120,9 +119,9 @@ def test_unlinked_entry_not_served_and_recreated_name_resolves_anew():
 
 @pytest.mark.parametrize("cred", list(Credential))
 def test_randomized_equivalence_with_original(cred):
-    # equivalence is per fixed credential: version-valid hits skip permission
-    # checks entirely (the collapsed permission model), so one cache serves
-    # one credential's view of the tree
+    # equivalence is per fixed credential: hits skip permission checks
+    # entirely (the collapsed permission model), so one cache serves one
+    # credential's view of the tree
     rng = random.Random(13)
     tree = make_tree()
     paths = []
@@ -153,3 +152,41 @@ def test_randomized_equivalence_with_original(cred):
             p = mkpath(rng.choice(paths))
             got = outcome(cache.fp_lookup, p, cred)
             assert got == outcome(baseline.lookup, p, cred) == oracle_resolve(tree, p, cred), (step, p.text)
+
+
+def test_every_cached_path_resolves_to_its_id_under_random_churn():
+    """Eviction is the cache's only invalidation. After every create, mkdir,
+    rename, chmod and unlink, each cached path still resolves to the id
+    cached for it, and every lookup matches the oracle. One cache per
+    credential on one tree, since a hit skips permission checks."""
+    rng = random.Random(29)
+    tree = make_tree()
+    for _ in range(60):
+        depth = rng.randint(1, 4)
+        make_node(tree, "/" + "/".join(f"{chr(ord('a') + d)}{rng.randint(0, 2)}" for d in range(depth)))
+    caches = {cred: FullPathCache(tree) for cred in Credential}
+    ever = set()  # every path that has named a node, so lookups also miss
+    for step in range(1500):
+        live = sorted(tree.materialize_path(d).text for d in tree.nodes[2:] if not d.dead)
+        ever.update(live)
+        p = mkpath(rng.choice(live))
+        roll = rng.random()
+        try:
+            if roll < 0.04:
+                tree.create_node(p, f"n{step}", rng.choice((DIR, FILE)), 0o755)
+            elif roll < 0.08:
+                tree.rename_node(p, mkpath(rng.choice(live)).child(f"r{step}"))
+            elif roll < 0.12:
+                tree.chmod_node(p, rng.choice([0o755, 0o751, 0o750, 0o711, 0o700, 0o644]))
+            elif roll < 0.15:
+                tree.unlink_node(p)
+            else:
+                q = mkpath(rng.choice(sorted(ever)))
+                for cred, cache in caches.items():
+                    assert outcome(cache.fp_lookup, q, cred) == oracle_resolve(tree, q, cred), (step, q.text, cred)
+        except EngineError:
+            pass  # a mutation the tree refuses changes nothing
+        for cred, cache in caches.items():
+            for text, node_id in cache._entries.items():
+                resolved = outcome(lambda t: tree._resolve_admin(mkpath(t)).id, text)
+                assert resolved == f"ok:{node_id}", (step, text, cred)

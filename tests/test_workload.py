@@ -357,6 +357,13 @@ def test_bad_tick_settings_raise_config_error(settings):
         replay(trace, "stage", gen_tree(TreeSpec(levels=[2], seed=1)), **settings)
 
 
+def test_negative_pool_size_raises_config_error():
+    # build_pool's clamp once ran such a replay with an empty pool
+    trace = [TraceEvent("stat", "/a0")]
+    with pytest.raises(ConfigError, match="pool size must be >= 0"):
+        replay(trace, "stage", gen_tree(TreeSpec(levels=[2], seed=1)), pool_size=-1)
+
+
 def test_timestamp_driven_ticks():
     spec = TreeSpec(levels=[3, 3], seed=2)
     tree = gen_tree(spec)
