@@ -85,11 +85,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """`replay` runs `--strategy`, `compare` every strategy, each on a fresh
-    tree of the spec."""
+    tree of the spec. Stage replays first, since only its settings can be
+    refused after the trace is read; the report keeps `STRATEGIES` order."""
     spec = _load_spec(args.tree)
     trace = read_trace(args.trace)
-    runs = []
-    for strategy in (args.strategy,) if args.command == "replay" else STRATEGIES:
+    strategies = (args.strategy,) if args.command == "replay" else STRATEGIES
+    runs = {}
+    for strategy in sorted(strategies, key=lambda name: name != "stage"):
         result = replay(
             trace,
             strategy,
@@ -101,8 +103,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             heat_threshold=args.heat_threshold,
             heat_capacity=args.heat_capacity,
         )
-        runs.append((strategy, result.metrics))
-    table, csv_text = report(runs)
+        runs[strategy] = result.metrics
+    table, csv_text = report([(strategy, runs[strategy]) for strategy in strategies])
     print(table, end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -20,12 +20,16 @@ members, and the heat itself lives on the tree's dentries, so a tree takes
 at most one stage engine: building a second raises ConfigError, as a kernel
 keeps one dcache.
 
-A hit decides from the path's text that nothing is left to walk: a hit's
-path is not the root, so its count of '/' is its depth. A whole-path hit,
-whose matched depth equals that count, therefore never splits the path (see
-`paths`). Stage Two reads `components`, which the descent that found its
-pivot has already split. The miss walk splits inline where no descent did:
-on an empty pool, or after a whole-path hit that a modification raced.
+A hit decides from the path's length that nothing is left to walk: the
+matched component holds the length of the pivot's path text through it, and
+the query shares that text, so the query has names past the matched depth
+exactly when its text is longer. A whole-path hit therefore never splits
+the path (see `paths`), and it returns the pair the pool's path map stores,
+so it builds no tuple either. Stage Two reads `components`, which the
+descent that found its pivot has already split. The miss walk splits inline
+where no descent did: on an empty pool, or after a whole-path hit that a
+modification raced. A counted hit bumps only the skipped-prefix histogram,
+whose total is `Metrics.pivot_hits`.
 
 A lookup sees one state of the tree, as the kernel's RCU-walk does: it
 samples the manager's `metadata_seq` before it enters, and if the count has
@@ -141,7 +145,9 @@ class StageLookupEngine(_ResolverBase):
         metrics = self.metrics
         metrics.lookups += 1
         manager = self.manager
-        stats = self._stats or ScanStats()
+        stats = self._stats
+        if stats is None:  # a threadsafe tree
+            stats = ScanStats()
         seq = manager.metadata_seq
         token_id, pool = manager.reader_enter()
         try:
@@ -159,15 +165,14 @@ class StageLookupEngine(_ResolverBase):
                 if not matched.prefix_trav & CRED_MASK_BIT[cred]:
                     raise PermissionDenied(f"skipped prefix of {pivot.path!r} not traversable for {cred.value}")
                 target = matched.node
-                # a hit's path is not the root, so its slashes count its names;
+                # the query shares the matched text, so a longer one has names left;
                 # an empty walk_from checks and counts nothing
-                if depth < path.text.count("/"):
+                if len(path.text) > matched.text_len:
                     target = tree.walk_from(target, path.components[depth:], cred, metrics)
             except (PermissionDenied, NotFound):
                 if manager.metadata_seq == seq:
                     raise
             if manager.metadata_seq == seq:
-                metrics.pivot_hits += 1
                 hist = metrics.skipped_prefix_histogram
                 hist[depth] = hist.get(depth, 0) + 1
                 if out is not None:

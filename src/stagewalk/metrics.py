@@ -26,6 +26,9 @@ Counter semantics:
   engine takes Stage One's count off a `ScanStats`: one reused instance on a
   single-threaded tree, so counting allocates nothing per lookup there, and a
   fresh one per lookup on a threadsafe tree.
+- pivot_hits: lookups that kept a pivot's result, read as the total of
+  skipped_prefix_histogram, which every such lookup bumps at its matched
+  depth; no counter of its own is kept.
 - fallbacks: a modification raced the lookup, which then walked from the
   root.
 - distinct_resolved: a byte map by dentry id, 1 at each id a walk ever
@@ -48,12 +51,15 @@ class Metrics:
     dentries_visited: int = 0
     char_comparisons: int = 0
     lookups: int = 0
-    pivot_hits: int = 0
     fallbacks: int = 0
     entries_touched: int = 0
     skipped_prefix_histogram: dict[int, int] = field(default_factory=dict)
     distinct_resolved: bytearray = field(default_factory=bytearray)
     wall_time: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def pivot_hits(self) -> int:
+        return sum(self.skipped_prefix_histogram.values())
 
     @property
     def distinct_count(self) -> int:

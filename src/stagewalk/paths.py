@@ -118,10 +118,13 @@ def _check_name(name: str) -> None:
         raise InvalidPath(f"component contains '/': {name!r}")
 
 
+_new = object.__new__  # bound once: `_trusted` runs on every parse
+
+
 def _trusted(components: Optional[tuple[str, ...]], text: str) -> PathBuf:
     """A PathBuf from valid components and their canonical text, unchecked;
     None for `components` leaves a non-root text to be split on first read."""
-    path = object.__new__(PathBuf)
+    path = _new(PathBuf)
     path._components = components
     path.text = text
     return path

@@ -16,14 +16,17 @@ The model reports what that scan costs, but the code need not perform it.
 Every pool builds its component index when it is constructed: a trie over
 the pivots' names whose every node carries the scan's running chars by the
 time a query reaches that node's run, and fills the pool's path map: each
-pivot's path text to the pivot, the scan's pivots visited and chars for a
-query equal to that path, and the pivot's depth. A whole-path hit is one
-probe of the map. Partial hits and misses descend the index with one dict
-step per matched component, read the chars off the node where they stop,
-and add what the scan spends in that run, so they report the scan's pivot,
-depth, pivots visited and chars exactly. A run whose groups the query's next
-name misses costs the sum of that name's mismatch chars against every group;
-the node memoizes that sum per name, so a repeated miss costs one dict read.
+pivot's path text to the pair (pivot, depth) that a scan of that path
+returns, with the scan's pivots visited and chars. A whole-path hit is one
+probe of the map and returns the stored pair without building one. Each
+component record holds the length of the pivot's path text through it, so
+the engine tells that a hit leaves nothing to walk by comparing lengths.
+Partial hits and misses descend the index with one dict step per matched
+component, read the chars off the node where they stop, and add what the
+scan spends in that run, so they report the scan's pivot, depth, pivots
+visited and chars exactly. A run whose groups the query's next name misses
+costs the sum of that name's mismatch chars against every group; the node
+memoizes that sum per name, so a repeated miss costs one dict read.
 The metadata hook descends the same index along the mutated path to find the
 run of pivots that path covers (`PivotPool.covered_run`). A pool's list
 never changes once built, so neither its index nor its map goes stale; a
@@ -51,14 +54,18 @@ class Component:
     Stage Two there without indexing `tree.nodes`; `node_id` is its id.
     prefix_trav is the AND of the traversal masks of components 1..depth-1,
     captured at build time; it lets a lookup clear the whole skipped prefix
-    with a single mask test.
+    with a single mask test. `text_len` is the length of the pivot's path
+    text through this component, "/" and names included: a query that
+    matched the pivot to this depth has names left to walk exactly when its
+    text is longer.
     """
 
-    __slots__ = ("node", "prefix_trav")
+    __slots__ = ("node", "prefix_trav", "text_len")
 
-    def __init__(self, node: Dentry, prefix_trav: int):
+    def __init__(self, node: Dentry, prefix_trav: int, text_len: int):
         self.node = node
         self.prefix_trav = prefix_trav
+        self.text_len = text_len
 
     @property
     def node_id(self) -> int:
@@ -101,9 +108,10 @@ class PivotPool:
 
     `index` is the component index, built here from the list; it is None
     only for an empty pool. `by_path`, filled by the index's build and never
-    written after it, maps each pivot's path text to (pivot, pivots visited,
-    chars, depth): the scan's counts for a query equal to that path, and the
-    pivot's depth, which such a query matches in full."""
+    written after it, maps each pivot's path text to ((pivot, depth), pivots
+    visited, chars): the pair a query equal to that path matches in full,
+    which a whole-path hit returns as it is stored, and the scan's counts for
+    that query."""
 
     __slots__ = ("pivots", "generation", "published", "freed", "index", "by_path")
 
@@ -112,7 +120,7 @@ class PivotPool:
         self.generation = 0
         self.published = False
         self.freed = False
-        self.by_path: dict[str, tuple[Pivot, int, int, int]] = {}
+        self.by_path: dict[str, tuple[tuple[Pivot, int], int, int]] = {}
         self.index = _IndexNode(pivots, 0, len(pivots), 0, 0, self.by_path) if pivots else None
 
     @property
@@ -206,8 +214,10 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
             cur = cur.parent
         comps: list[Component] = []
         running = ALL_CLASSES_MASK
-        for node in reversed(chain):
-            comps.append(Component(node, running))
+        text_len = 0
+        for node, name in zip(reversed(chain), names):
+            text_len += 1 + len(name)
+            comps.append(Component(node, running, text_len))
             running &= trav_mask(node.mode)  # this component joins the prefix of deeper ones
         pivots.append(Pivot(names, tuple(comps)))
     return PivotPool(pivots)
@@ -303,7 +313,7 @@ class _IndexNode:
         self.terminal = len(first.names) == m
         if self.terminal or end - start == 1:  # a query equal to its path stops here
             rest = sum(map(len, first.names[m:]))
-            by_path[first.path] = (first, self.first_visited, chars + rest, len(first.names))
+            by_path[first.path] = ((first, len(first.names)), self.first_visited, chars + rest)
         if end - start == 1:
             self.pivot = first
             self.lens = (0, *accumulate(map(len, first.names)))
@@ -330,7 +340,8 @@ def find_best_pivot(
     examine. Every return writes both, whatever `stats` held before.
 
     A whole-path hit, a query equal to a pivot's path and the common case, is
-    one probe of the pool's path map, whose entry carries the scan's counts.
+    one probe of the pool's path map, whose entry carries the scan's counts
+    and the pair it returns: every hit on one path returns the same object.
     Partial hits and misses descend the pool's component index, one dict step
     per matched component; where the descent stops it reads the scan's
     running chars off the node and adds what the scan spends in that run,
@@ -355,13 +366,13 @@ def find_best_pivot(
         raise ContractViolation("pivot pool read before publication")
     hit = pool.by_path.get(path.text)
     if hit is not None:  # a whole-path hit
-        pv, visited, chars, depth = hit
+        pair, visited, chars = hit
         if stats is not None:
             stats.pivots_visited = visited
             stats.char_comparisons = chars
         if pool.freed:
             raise ContractViolation("pivot used after reclaim")
-        return pv, depth
+        return pair
     index = pool.index
     if index is None:  # an empty pool
         if stats is not None:

@@ -237,9 +237,10 @@ def reference_scan(pool: PivotPool, path: PathBuf) -> ReferenceScan:
 def reference_build_pool(candidates, bound: int, current: Optional[PivotPool] = None) -> PivotPool:
     """build_pool as it was before it ranked on names alone: every live
     candidate's path text, dentries, masks and components are worked out
-    first, and only then is the pool cut to `bound`. The pools build_pool
-    returns must equal these in order, ids and prefix masks. With no live
-    candidate to rank, an idle period, `current` is kept, as build_pool
+    first, and only then is the pool cut to `bound`. Each component's text
+    length is measured on its joined names. The pools build_pool returns
+    must equal these in order, ids, prefix masks and text lengths. With no
+    live candidate to rank, an idle period, `current` is kept, as build_pool
     keeps it."""
     by_path: dict[str, tuple[int, tuple[str, ...], tuple[Dentry, ...], tuple[int, ...]]] = {}
     for d in candidates:
@@ -272,8 +273,8 @@ def reference_build_pool(candidates, bound: int, current: Optional[PivotPool] = 
     for _path, (_heat, names, chain, masks) in ranked:
         comps: list[Component] = []
         running = ALL_CLASSES_MASK
-        for node, mask in zip(chain, masks):
-            comps.append(Component(node, running))
+        for depth, (node, mask) in enumerate(zip(chain, masks), start=1):
+            comps.append(Component(node, running, len("/" + "/".join(names[:depth]))))
             running &= mask
         pivots.append(Pivot(names, tuple(comps)))
     return PivotPool(pivots)
@@ -281,11 +282,12 @@ def reference_build_pool(candidates, bound: int, current: Optional[PivotPool] = 
 
 def pool_shape(pool: PivotPool) -> tuple:
     """What two pools must share to be equal: the dump (overlaps and paths),
-    each pivot's names, and its component ids and prefix masks."""
+    each pivot's names, and its component ids, prefix masks and text
+    lengths."""
     return (
         pool.dump(),
         [pv.names for pv in pool.pivots],
-        [[(c.node_id, c.prefix_trav) for c in pv.components] for pv in pool.pivots],
+        [[(c.node_id, c.prefix_trav, c.text_len) for c in pv.components] for pv in pool.pivots],
     )
 
 

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import stagewalk
+from stagewalk import cli
 from stagewalk.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from stagewalk.workload import replay
 
 
 def test_gen_tree_synth_replay_round_trip(tmp_path, capsys):
@@ -55,6 +57,24 @@ def test_compare_emits_all_strategies(tmp_path, capsys):
     header = open(out_csv).readline().strip().split(",")
     assert header[:4] == ["metric", "original", "fullpath", "stage"]
     assert "fullpath_vs_original" in header and "stage_vs_original" in header
+
+
+def test_compare_refuses_a_stage_setting_after_one_replay(tmp_path, monkeypatch):
+    """Stage replays first, so a setting only stage reads is refused before
+    original and fullpath replay the trace."""
+    prefix = str(tmp_path / "t")
+    main(["gen-tree", "--levels", "2", "--out", prefix])
+    trace_file = str(tmp_path / "trace.jsonl")
+    main(["synth", "--tree", f"{prefix}.spec.json", "--events", "10", "--out", trace_file])
+    calls = []
+
+    def counted_replay(trace, strategy, *args, **kwargs):
+        calls.append(strategy)
+        return replay(trace, strategy, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "replay", counted_replay)
+    assert main(["compare", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--pool-size", "-1"]) == EXIT_CONFIG
+    assert calls == ["stage"]
 
 
 def test_bench_depth_grid_output(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import random
+import sys
 import threading
 
 import pytest
@@ -357,6 +358,49 @@ def test_chmod_of_a_list_built_path_retires_the_pivots_it_covers(threadsafe):
 
 
 # -- where a path is split --------------------------------------------------------------
+
+
+def _calls_under_lookup(fn):
+    """Run `fn` and return its result with the calls that
+    `StageLookupEngine.lookup` made directly: ("py", name) for a Python
+    function, ("c", qualified name) for a builtin."""
+    lookup_code = StageLookupEngine.lookup.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_back is not None and frame.f_back.f_code is lookup_code:
+            calls.append(("py", frame.f_code.co_name))
+        elif event == "c_call" and frame.f_code is lookup_code:
+            calls.append(("c", arg.__qualname__))
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_whole_path_hit_makes_only_the_traced_calls():
+    """A whole-path hit on a single-threaded tree calls the four entry
+    points the benchmark traces and nothing else in Python: no ScanStats
+    per lookup, and neither a slash count nor a split of the query. Every
+    hit on one path keeps the one pair the pool's path map stores."""
+    tree = gen_tree(TreeSpec(levels=[2, 2], seed=1))
+    engine = engine_with_pool(tree, ["/a0/b0/c0", "/a0/b1"])
+    path = mkpath("/a0/b0/c0")
+    expected = tree._resolve_admin(path).id
+    traced = ["reader_enter", "find_best_pivot", "reader_exit", "observe_target"]
+    for fn in (lambda: engine.stage_lookup(path).target, lambda: engine.lookup(path)):
+        target, calls = _calls_under_lookup(fn)
+        assert target == expected
+        assert [name for kind, name in calls if kind == "py"] == traced
+        assert not {"str.count", "str.split"} & {name for kind, name in calls if kind == "c"}
+    kept: list = []
+    engine.lookup(path, OWNER, kept)
+    engine.lookup(path, OWNER, kept)
+    assert len(kept) == 2 and kept[0] is kept[1]
+    assert engine.metrics.pivot_hits == 4 and engine.metrics.skipped_prefix_histogram == {3: 4}
 
 
 def _unsplit(path: PathBuf) -> bool:

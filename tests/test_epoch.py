@@ -487,7 +487,8 @@ def _check_path_map(pool):
     pivot at full depth with the reference scan's counts."""
     assert sorted(pool.by_path) == sorted(pv.path for pv in pool.pivots)
     for pv in pool.pivots:
-        assert pool.by_path[pv.path][0] is pv
+        pair = pool.by_path[pv.path][0]
+        assert pair[0] is pv and pair[1] == pv.depth
         for text in (pv.path, pv.path + "/"):
             q, stats = PathBuf.parse(text), ScanStats()
             ref = reference_scan(pool, q)

@@ -132,9 +132,9 @@ def test_build_pool_materializes_only_the_kept_candidates(monkeypatch):
     class CountedComponent(pivots.Component):
         __slots__ = ()
 
-        def __init__(self, node, prefix_trav):
+        def __init__(self, node, prefix_trav, text_len):
             made["Component"] += 1
-            super().__init__(node, prefix_trav)
+            super().__init__(node, prefix_trav, text_len)
 
     def counted_trav_mask(mode):
         made["trav_mask"] += 1

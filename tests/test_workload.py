@@ -507,7 +507,8 @@ def test_report_two_runs_has_ratio_column():
 
 def test_report_csv_text_is_pinned():
     """The exact CSV bytes for two runs: an empty ratio where the base is 0,
-    and a JSON histogram quoted for its `,` and `"`."""
+    a JSON histogram quoted for its `,` and `"`, and pivot hits read as the
+    histogram's total."""
     original, stage = _mini_metrics(100), _mini_metrics(40)
     original.skipped_prefix_histogram = {}
     stage.skipped_prefix_histogram = {2: 5, 3: 1}
@@ -517,7 +518,7 @@ def test_report_csv_text_is_pinned():
         "lookups,100,40,0.4000\n"
         "dentries_visited,300,120,0.4000\n"
         "char_comparisons,1000,400,0.4000\n"
-        "pivot_hits,0,0,\n"
+        "pivot_hits,0,6,\n"
         "fallbacks,0,0,\n"
         "entries_touched,0,0,\n"
         "distinct_resolved,7,7,1.0000\n"
