@@ -26,10 +26,11 @@ the query shares that text, so the query has names past the matched depth
 exactly when its text is longer. A whole-path hit therefore never splits
 the path (see `paths`), and it returns the pair the pool's path map stores,
 so it builds no tuple either. Stage Two reads `components`, which the
-descent that found its pivot has already split. The miss walk splits inline
-where no descent did: on an empty pool, or after a whole-path hit that a
-modification raced. A counted hit bumps only the skipped-prefix histogram,
-whose total is `Metrics.pivot_hits`.
+descent that found its pivot has already split. The miss walk is
+`DirTree.lookup_original`, which splits the path where no descent did: on an
+empty pool, or after a whole-path hit that a modification raced. A counted
+hit bumps only the skipped-prefix histogram, whose total is
+`Metrics.pivot_hits`.
 
 A lookup sees one state of the tree, as the kernel's RCU-walk does: it
 samples the manager's `metadata_seq` before it enters, and if the count has
@@ -181,10 +182,7 @@ class StageLookupEngine(_ResolverBase):
                 metrics.fallbacks += 1  # a modification raced the lookup
                 hit = None
         if hit is None:
-            comps = path._components
-            if comps is None:  # split inline, as `PathBuf.components` would
-                comps = path._components = tuple(path.text[1:].split("/"))
-            target = tree.walk_from(tree.root, comps, cred, metrics)
+            target = tree.nodes[tree.lookup_original(path, cred, metrics)]
 
         if tree.threadsafe:  # heat updates take heat_lock only then
             with self.heat_lock:

@@ -1,13 +1,20 @@
 """Full-path-indexed directory cache baseline.
 
-Lookups hash the whole canonical path into a map from path text to dentry
-id. Any rename/chmod/unlink of a node walks its whole subtree and evicts the
-cached entry under each node's path, which is exactly the cost asymmetry this
-baseline exists to expose: invalidation work grows with the subtree while the
-pivot scheme touches at most a pool's worth of entries. Eviction alone keeps
-every entry true, so a hit is served without a check: the tree fires the hook
+Lookups hash the whole canonical path into a map from path text to the
+dentry's id and its prefix mask. Any rename/chmod/unlink of a node walks its
+whole subtree and evicts the cached entry under each node's path, which is
+exactly the cost asymmetry this baseline exists to expose: invalidation work
+grows with the subtree while the pivot scheme touches at most a pool's worth
+of entries. Eviction alone keeps every entry true: the tree fires the hook
 before it applies the change, while each subtree node's current path still
 names it, and a create changes no existing path.
+
+A hit needs the credential's bit in the entry's prefix mask: the traversal
+mask of the target's ancestors below the root, ANDed, as stage's pivots
+aggregate it (the prefix check of Tsai et al., SOSP 2015). An insert takes it
+by climbing parent links, and a chmod evicts its subtree, so it is never
+stale. An entry that refuses the credential is a miss: the walk raises the
+oracle's error with its usual counts.
 
 The cache serves one thread: its map and its insert run outside the tree
 lock.
@@ -22,13 +29,13 @@ from __future__ import annotations
 from .engine import _ResolverBase
 from .errors import NotFound
 from .paths import PathBuf
-from .tree import Credential, DirTree
+from .tree import CRED_MASK_BIT, Credential, DirTree, trav_mask
 
 
 class FullPathCache(_ResolverBase):
     def __init__(self, tree: DirTree):
         super().__init__(tree)
-        self._entries: dict[str, int] = {}
+        self._entries: dict[str, tuple[int, int]] = {}  # path text -> (id, prefix mask)
         tree.register_hook(self._on_metadata)
 
     def _on_metadata(self, path: PathBuf) -> None:
@@ -39,17 +46,19 @@ class FullPathCache(_ResolverBase):
         metrics.lookups += 1
         key = path.text
         metrics.char_comparisons += len(key)  # probe hash scan
-        node_id = self._entries.get(key)
-        if node_id is not None:
+        entry = self._entries.get(key)
+        if entry is not None and entry[1] & CRED_MASK_BIT[cred]:
             metrics.char_comparisons += len(key)  # stored-key verification scan
-            return node_id
-        comps = path._components
-        if comps is None:  # a hit splits nothing; the walk splits inline
-            comps = path._components = tuple(key[1:].split("/"))
+            return entry[0]
         tree = self.tree
-        target = tree.walk_from(tree.root, comps, cred, metrics)
-        self._entries[key] = target.id
-        return target.id
+        node_id = tree.lookup_original(path, cred, metrics)
+        modes = 0o777
+        d = tree.nodes[node_id].parent
+        while d is not None and d.parent is not None:  # the ancestors below the root
+            modes &= d.mode
+            d = d.parent
+        self._entries[key] = (node_id, trav_mask(modes))
+        return node_id
 
     lookup = fp_lookup
 

@@ -2,6 +2,7 @@
 
 Counter semantics:
 
+- lookups: one per lookup a strategy answered or refused.
 - dentries_visited: one per path component resolved (hits only; a failed
   final probe does not count). Every walk counts: `walk_from` takes the
   Metrics it adds to.
@@ -31,11 +32,8 @@ Counter semantics:
   depth; no counter of its own is kept.
 - fallbacks: a modification raced the lookup, which then walked from the
   root.
-- distinct_resolved: a byte map by dentry id, 1 at each id a walk ever
-  resolved (ids are dense and never reused); counter_rows() prints how many
-  ones it holds.
-- effective_search_ratio: distinct dentries ever resolved divided by total
-  dentry searches; measures how redundant the walk traffic was.
+- entries_touched: invalidation work; the dentries a metadata hook visited
+  (fullpath's subtree walk) or the pivots it covered (stage).
 - wall_time: per-phase seconds; diagnostic only, excluded from CSV output so
   identical-seed runs serialize byte-identically.
 """
@@ -54,23 +52,11 @@ class Metrics:
     fallbacks: int = 0
     entries_touched: int = 0
     skipped_prefix_histogram: dict[int, int] = field(default_factory=dict)
-    distinct_resolved: bytearray = field(default_factory=bytearray)
     wall_time: dict[str, float] = field(default_factory=dict)
 
     @property
     def pivot_hits(self) -> int:
         return sum(self.skipped_prefix_histogram.values())
-
-    @property
-    def distinct_count(self) -> int:
-        seen = self.distinct_resolved
-        return len(seen) - seen.count(0)
-
-    @property
-    def effective_search_ratio(self) -> float:
-        if self.dentries_visited == 0:
-            return 0.0
-        return self.distinct_count / self.dentries_visited
 
     def counter_rows(self) -> list[tuple[str, str]]:
         """Deterministic (name, value) rows for tables and CSV."""
@@ -82,7 +68,5 @@ class Metrics:
             ("pivot_hits", str(self.pivot_hits)),
             ("fallbacks", str(self.fallbacks)),
             ("entries_touched", str(self.entries_touched)),
-            ("distinct_resolved", str(self.distinct_count)),
-            ("effective_search_ratio", f"{self.effective_search_ratio:.6f}"),
             ("skipped_prefix_histogram", json.dumps(hist, sort_keys=True)),
         ]

@@ -18,12 +18,12 @@ A path is split only where its names are read. Stage One's whole-path probe
 and fullpath's cache read the text alone, so a lookup that one of them
 answers splits nothing. `components`, and the members built on it, split on
 first use and keep the tuple in `_components`; `PathBuf(...)`, `child`,
-`parent`, the root and a non-canonical `parse` store it at once. The three
-walks from the root (`DirTree.lookup_original`, the engine's miss walk and
-fullpath's miss walk) split inline from that slot, so they pay no call for
-it. Threads sharing a threadsafe tree may split one path at the same time:
-each stores an equal tuple, and either one serves, as with the memo of
-`_IndexNode.misses`.
+`parent`, the root and a non-canonical `parse` store it at once. The one
+walk from the root, `DirTree.lookup_original`, which original, stage's miss
+and fullpath's miss all take, splits inline from that slot, so it pays no
+call for it. Threads sharing a threadsafe tree may split one path at the
+same time: each stores an equal tuple, and either one serves, as with the
+memo of `_IndexNode.misses`.
 """
 
 from __future__ import annotations

@@ -264,25 +264,19 @@ class DirTree:
         of its name, then on a hit a verification scan and a dentry visit. A
         name looked up below a file is missing (NotFound). Counting costs the
         loop nothing: per component it only tests traversal, gets the child
-        and marks it in `metrics.distinct_resolved`. A walk that resolves
-        every component then counts all of `components` at once; a failed
-        walk counts the prefix it resolved, found by stepping parent links
-        from where it stopped back to `start`, plus on NotFound the missing
-        name's hash scan. `distinct_resolved` grows to the tree's id range
-        under the read lock, so an id a racing `create_node` issues cannot
-        pass its end. Only a threadsafe tree takes its read lock for the
-        walk; on one thread nothing can modify the tree inside it.
+        and steps to it. A walk that resolves every component then counts all
+        of `components` at once; a failed walk counts the prefix it resolved,
+        found by stepping parent links from where it stopped back to `start`,
+        plus on NotFound the missing name's hash scan. Only a threadsafe tree
+        takes its read lock for the walk; on one thread nothing can modify the
+        tree inside it.
         """
-        seen = metrics.distinct_resolved
         cur = start
         bit = _TRAV_BIT[cred]
         shared = self.threadsafe
         if shared:
             self.lock.acquire_read()
         try:
-            if len(seen) < len(self.nodes):
-                # walkers sharing a Metrics may both grow it; surplus zeros count nothing
-                seen.extend(bytes(len(self.nodes) - len(seen)))
             for name in components:
                 children = cur.children
                 if not cur.mode & bit and children is not None and cur.parent is not None:
@@ -290,7 +284,6 @@ class DirTree:
                 child = children.get(name) if children is not None else None
                 if child is None:
                     raise NotFound(f"missing component {name!r}")
-                seen[child.id] = 1
                 cur = child
         except (PermissionDenied, NotFound) as exc:
             resolved = 0
@@ -312,7 +305,9 @@ class DirTree:
         return cur
 
     def lookup_original(self, path: PathBuf, cred: Credential, metrics: Metrics) -> NodeId:
-        """Component-wise walk from the root; the baseline every strategy must match."""
+        """Component-wise walk from the root; the baseline every strategy must
+        match, and the miss walk of stage and fullpath, so a path is split for
+        a walk from the root here alone."""
         comps = path._components
         if comps is None:  # split inline, as `PathBuf.components` would
             comps = path._components = tuple(path.text[1:].split("/"))

@@ -259,6 +259,8 @@ def _check_synth_params(p: dict) -> None:
     ranks = int(p["hot_dirs"])
     if ranks < 1:
         raise ConfigError(f"hot_dirs must be >= 1, got {p['hot_dirs']}")
+    if int(p["burst_len"]) < 1:
+        raise ConfigError(f"burst_len must be >= 1, got {p['burst_len']}")
     # a tree gives at most hot_dirs ranks, and the weights are monotone in
     # rank, so the first and the last rank bound every weight and the total
     s = float(p["zipf_s"])
@@ -294,8 +296,8 @@ def synth_trace(
     (renames pick files or directories, always to fresh names). Raises
     ConfigError on a parameter it does not know, a negative event count, a
     probability outside [0, 1], mutation probabilities that sum above 1,
-    fewer than one hot dir, or a `zipf_s` whose weights over `hot_dirs`
-    ranks are not all finite.
+    fewer than one hot dir, a `burst_len` below 1, or a `zipf_s` whose
+    weights over `hot_dirs` ranks are not all finite.
     """
     if model not in ("uniform", "hotdir-zipf", "replay-like"):
         raise ConfigError(f"unknown trace model {model!r}")

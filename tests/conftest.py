@@ -80,16 +80,12 @@ def reference_walk(
     """DirTree.walk_from as it was before it counted once per walk: every
     component adds its hash scan, and on a hit its verification scan and a
     visit, inside the loop, and every walk takes the tree's read lock. The
-    outcome, the counts and the distinct_resolved marks of walk_from must
-    equal these."""
-    seen = bytearray() if metrics is None else metrics.distinct_resolved
+    outcome and the counts of walk_from must equal these."""
     visited = chars = 0
     cur = start
     bit = TRAV_BIT[cred]
     tree.lock.acquire_read()
     try:
-        if metrics is not None and len(seen) < len(tree.nodes):
-            seen.extend(bytes(len(tree.nodes) - len(seen)))
         for name in components:
             children = cur.children
             if children is not None and cur.parent is not None and not (cur.mode & bit):
@@ -100,8 +96,6 @@ def reference_walk(
                 raise NotFound(f"missing component {name!r}")
             chars += len(name)  # verification scan
             visited += 1
-            if metrics is not None:
-                seen[child.id] = 1
             cur = child
     finally:
         tree.lock.release_read()

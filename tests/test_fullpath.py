@@ -5,6 +5,7 @@ import random
 import pytest
 
 from stagewalk import DIR, FILE, Credential, EngineError, FullPathCache, NotFound, OriginalLookup
+from stagewalk.tree import CRED_MASK_BIT
 from conftest import make_node, make_tree, mkpath, oracle_resolve, outcome
 
 OWNER = Credential.OWNER
@@ -119,9 +120,6 @@ def test_unlinked_entry_not_served_and_recreated_name_resolves_anew():
 
 @pytest.mark.parametrize("cred", list(Credential))
 def test_randomized_equivalence_with_original(cred):
-    # equivalence is per fixed credential: hits skip permission checks
-    # entirely (the collapsed permission model), so one cache serves one
-    # credential's view of the tree
     rng = random.Random(13)
     tree = make_tree()
     paths = []
@@ -157,14 +155,15 @@ def test_randomized_equivalence_with_original(cred):
 def test_every_cached_path_resolves_to_its_id_under_random_churn():
     """Eviction is the cache's only invalidation. After every create, mkdir,
     rename, chmod and unlink, each cached path still resolves to the id
-    cached for it, and every lookup matches the oracle. One cache per
-    credential on one tree, since a hit skips permission checks."""
+    cached for it, its mask admits exactly the credentials the oracle
+    admits, and every lookup matches the oracle. One cache serves all three
+    credentials."""
     rng = random.Random(29)
     tree = make_tree()
     for _ in range(60):
         depth = rng.randint(1, 4)
         make_node(tree, "/" + "/".join(f"{chr(ord('a') + d)}{rng.randint(0, 2)}" for d in range(depth)))
-    caches = {cred: FullPathCache(tree) for cred in Credential}
+    cache = FullPathCache(tree)
     ever = set()  # every path that has named a node, so lookups also miss
     for step in range(1500):
         live = sorted(tree.materialize_path(d).text for d in tree.nodes[2:] if not d.dead)
@@ -182,11 +181,35 @@ def test_every_cached_path_resolves_to_its_id_under_random_churn():
                 tree.unlink_node(p)
             else:
                 q = mkpath(rng.choice(sorted(ever)))
-                for cred, cache in caches.items():
+                for cred in Credential:
                     assert outcome(cache.fp_lookup, q, cred) == oracle_resolve(tree, q, cred), (step, q.text, cred)
         except EngineError:
             pass  # a mutation the tree refuses changes nothing
-        for cred, cache in caches.items():
-            for text, node_id in cache._entries.items():
-                resolved = outcome(lambda t: tree._resolve_admin(mkpath(t)).id, text)
-                assert resolved == f"ok:{node_id}", (step, text, cred)
+        for text, (node_id, mask) in cache._entries.items():
+            resolved = outcome(lambda t: tree._resolve_admin(mkpath(t)).id, text)
+            assert resolved == f"ok:{node_id}", (step, text)
+            for cred in Credential:
+                admitted = oracle_resolve(tree, mkpath(text), cred) == resolved
+                assert bool(mask & CRED_MASK_BIT[cred]) == admitted, (step, text, cred)
+
+
+# the root's mode never gates the walk, so it never enters the mask
+@pytest.mark.parametrize(
+    "root_mode, mode, admitted", [(0o755, 0o700, False), (0o755, 0o711, True), (0o700, 0o711, True)]
+)
+def test_owner_warmed_entry_answers_group_and_other_as_the_walk_does(root_mode, mode, admitted):
+    tree = make_tree(files=("/a/b/f",))
+    tree.chmod_node(mkpath("/"), root_mode)
+    tree.chmod_node(mkpath("/a"), mode)
+    cache = FullPathCache(tree)
+    p = mkpath("/a/b/f")
+    nid = tree._resolve_admin(p).id
+    for _ in range(3):
+        assert cache.fp_lookup(p, OWNER) == nid  # the first fills, the others hit
+    for cred in (Credential.GROUP, Credential.OTHER):
+        visited0, chars0 = cache.metrics.dentries_visited, cache.metrics.char_comparisons
+        want = f"ok:{nid}" if admitted else "err:PermissionDenied"
+        assert outcome(cache.fp_lookup, p, cred) == want == oracle_resolve(tree, p, cred)
+        # a refused credential walks from the root and is stopped below /a
+        assert cache.metrics.dentries_visited - visited0 == (0 if admitted else 1)
+        assert cache.metrics.char_comparisons - chars0 == len(p.text) + (len(p.text) if admitted else 2 * 1)

@@ -298,8 +298,8 @@ _COUNTED_FILES = ("/ab/cde/f/gh/ij", "/ab/cde/x")
 def counted_walk(path: str, start: str = "/", chmod: str | None = None, walks: int = 1):
     """Walk `path` from the dentry at `start` (a pivot's component, as in
     Stage Two, when not the root), after stripping traversal from `chmod`;
-    returns the outcome, `dentries_visited`, `char_comparisons` and the
-    resolved paths, all walks counted into one Metrics."""
+    returns the outcome, `dentries_visited` and `char_comparisons`, all walks
+    counted into one Metrics."""
     tree = make_tree(files=_COUNTED_FILES)
     if chmod is not None:
         tree.chmod_node(mkpath(chmod), 0o644)
@@ -308,45 +308,35 @@ def counted_walk(path: str, start: str = "/", chmod: str | None = None, walks: i
     m = Metrics()
     for _ in range(walks):
         res = outcome(tree.walk_from, begin, comps, OWNER, m)
-    resolved = sorted(tree.materialize_path(tree.node(i)).text for i, b in enumerate(m.distinct_resolved) if b)
-    return res if res.startswith("err:") else "ok", m.dentries_visited, m.char_comparisons, resolved
+    return res if res.startswith("err:") else "ok", m.dentries_visited, m.char_comparisons
 
 
 def test_permission_denied_counts_the_resolved_prefix():
     # ab, cde and f resolved (two scans each); gh is never scanned
-    assert counted_walk("/ab/cde/f/gh/ij", chmod="/ab/cde/f") == (
-        "err:PermissionDenied", 3, 2 * (2 + 3 + 1), ["/ab", "/ab/cde", "/ab/cde/f"]
-    )
+    assert counted_walk("/ab/cde/f/gh/ij", chmod="/ab/cde/f") == ("err:PermissionDenied", 3, 2 * (2 + 3 + 1))
 
 
 def test_missing_middle_component_counts_its_hash_scan():
-    assert counted_walk("/ab/zzzz/f") == ("err:NotFound", 1, 2 * 2 + 4, ["/ab"])
+    assert counted_walk("/ab/zzzz/f") == ("err:NotFound", 1, 2 * 2 + 4)
 
 
 def test_name_below_a_file_counts_its_hash_scan():
-    assert counted_walk("/ab/cde/x/yy") == (
-        "err:NotFound", 3, 2 * (2 + 3 + 1) + 2, ["/ab", "/ab/cde", "/ab/cde/x"]
-    )
+    assert counted_walk("/ab/cde/x/yy") == ("err:NotFound", 3, 2 * (2 + 3 + 1) + 2)
 
 
 def test_failed_stage_two_walk_counts_only_below_the_pivot():
-    assert counted_walk("/ab/cde/f/nope", start="/ab/cde") == ("err:NotFound", 1, 2 * 1 + 4, ["/ab/cde/f"])
-    assert counted_walk("/ab/cde/f/gh", start="/ab/cde", chmod="/ab/cde/f") == (
-        "err:PermissionDenied", 1, 2 * 1, ["/ab/cde/f"]
-    )
+    assert counted_walk("/ab/cde/f/nope", start="/ab/cde") == ("err:NotFound", 1, 2 * 1 + 4)
+    assert counted_walk("/ab/cde/f/gh", start="/ab/cde", chmod="/ab/cde/f") == ("err:PermissionDenied", 1, 2 * 1)
     # the pivot's own directory is checked before its first child is scanned
-    assert counted_walk("/ab/cde/f", start="/ab/cde", chmod="/ab/cde") == ("err:PermissionDenied", 0, 0, [])
+    assert counted_walk("/ab/cde/f", start="/ab/cde", chmod="/ab/cde") == ("err:PermissionDenied", 0, 0)
 
 
 def test_walk_counts_accumulate_across_walks():
-    assert counted_walk("/ab/cde/f/gh/ij") == (
-        "ok", 5, 2 * (2 + 3 + 1 + 2 + 2), ["/ab", "/ab/cde", "/ab/cde/f", "/ab/cde/f/gh", "/ab/cde/f/gh/ij"]
-    )
-    # visits and chars add up per walk; a dentry resolved again is not distinct
-    assert counted_walk("/ab/zzzz/f", walks=3) == ("err:NotFound", 3, 3 * (2 * 2 + 4), ["/ab"])
-    assert counted_walk("/ab/cde/f/gh", start="/ab/cde", chmod="/ab/cde/f", walks=2) == (
-        "err:PermissionDenied", 2, 2 * 2, ["/ab/cde/f"]
-    )
+    assert counted_walk("/ab/cde/f/gh/ij") == ("ok", 5, 2 * (2 + 3 + 1 + 2 + 2))
+    # visits and chars add up per walk
+    assert counted_walk("/ab/zzzz/f", walks=3) == ("err:NotFound", 3, 3 * (2 * 2 + 4))
+    walked = counted_walk("/ab/cde/f/gh", start="/ab/cde", chmod="/ab/cde/f", walks=2)
+    assert walked == ("err:PermissionDenied", 2, 2 * 2)
 
 
 def test_agrees_with_oracle_after_mutations():
@@ -415,26 +405,13 @@ def test_preset_stores_each_name_once(preset):
     assert len({id(d.name) for d in non_root}) == len({d.name for d in non_root}) == 51
 
 
-def test_id_issued_after_the_map_was_sized_counts_once():
-    tree = make_tree("/a")
-    m = Metrics()
-    tree.lookup_original(mkpath("/a"), OWNER, m)
-    assert len(m.distinct_resolved) == len(tree.nodes)
-    nid = tree.create_node(mkpath("/a"), "new", FILE, 0o644)
-    assert nid == len(m.distinct_resolved)  # one past the map's end
-    for _ in range(2):
-        assert tree.lookup_original(mkpath("/a/new"), OWNER, m) == nid
-    assert m.distinct_resolved[nid] == 1
-    assert m.distinct_count == 2  # /a and /a/new, each once
-
-
 class _YieldingWriteLock(RWLock):
     def acquire_write(self) -> None:
         super().acquire_write()
         time.sleep(0.0001)
 
 
-def test_walkers_racing_create_node_mark_every_new_id():
+def test_walkers_racing_create_node_resolve_every_new_id():
     # two walkers share one Metrics and aim at names the creator has not made
     # yet; the creator yields while it holds the write lock, so a walk often
     # waits for the lock and then resolves an id issued while it waited
@@ -443,28 +420,29 @@ def test_walkers_racing_create_node_mark_every_new_id():
     m = Metrics()
     total = 1000
     made = [0]
+    issued: dict[int, int] = {}  # name index -> the id create_node returned
     done = threading.Event()
-    returned: list[set[int]] = [set(), set()]
+    returned: list[set[tuple[int, int]]] = [set(), set()]
     errors: list[BaseException] = []
 
     def create():
         try:
             for i in range(total):
-                tree.create_node(mkpath("/"), f"n{i}", FILE, 0o644)
+                issued[i] = tree.create_node(mkpath("/"), f"n{i}", FILE, 0o644)
                 made[0] = i + 1
         finally:
             done.set()
 
-    def walk(ids: set[int]):
+    def walk(ids: set[tuple[int, int]]):
         try:
             while not done.is_set():
                 k = made[0]
                 for i in range(k, k + 4):
                     try:
-                        ids.add(tree.lookup_original(mkpath(f"/n{i}"), OWNER, m))
+                        ids.add((i, tree.lookup_original(mkpath(f"/n{i}"), OWNER, m)))
                     except NotFound:
                         pass
-        except Exception as exc:  # an IndexError here is the race
+        except Exception as exc:
             errors.append(exc)
 
     threads = [threading.Thread(target=walk, args=(ids,)) for ids in returned]
@@ -477,7 +455,7 @@ def test_walkers_racing_create_node_mark_every_new_id():
     assert errors == []
     seen = returned[0] | returned[1]
     assert seen  # the walkers did resolve new names
-    assert m.distinct_count == len(seen)
+    assert all(issued[i] == node_id for i, node_id in seen)
 
 
 # -- walk_from against the per-component reference ------------------------------------
@@ -550,7 +528,6 @@ def test_walk_matches_reference_randomized():
                     ref_m.dentries_visited,
                     ref_m.char_comparisons,
                 ), (tree.materialize_path(start), comps, cred)
-                assert new_m.distinct_resolved == ref_m.distinct_resolved
                 resolved = ref_m.dentries_visited - before
                 inner = "inner" if start is not tree.root else "root"
                 if want[0] == "PermissionDenied":

@@ -5,7 +5,9 @@ import gc
 import hashlib
 import math
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +200,15 @@ def test_impossible_synth_params_rejected(params):
     tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
     with pytest.raises(ConfigError):
         synth_trace(tree, "hotdir-zipf", params, seed=1)
+
+
+@pytest.mark.parametrize("burst_len", [0, -1])
+def test_burst_len_below_one_rejected(burst_len):
+    """`replay-like` puts a gap before every `burst_len`-th event: a zero
+    length would divide by zero, and a negative one gap every event."""
+    tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
+    with pytest.raises(ConfigError, match="burst_len must be >= 1"):
+        synth_trace(tree, "replay-like", {"n_events": 200, "burst_len": burst_len}, seed=1)
 
 
 @pytest.mark.parametrize("params", [{"gap_ms": -5000}, {"step_ms": -1}, {"p_renam": 0.1}])
@@ -493,7 +504,6 @@ def _mini_metrics(lookups: int):
     m.dentries_visited = lookups * 3
     m.char_comparisons = lookups * 10
     m.skipped_prefix_histogram = {2: 5}
-    m.distinct_resolved[:] = b"\x01" * 7
     m.wall_time["replay"] = 0.25
     return m
 
@@ -521,10 +531,17 @@ def test_report_csv_text_is_pinned():
         "pivot_hits,0,6,\n"
         "fallbacks,0,0,\n"
         "entries_touched,0,0,\n"
-        "distinct_resolved,7,7,1.0000\n"
-        "effective_search_ratio,0.023333,0.058333,2.5000\n"
         'skipped_prefix_histogram,{},"{""2"": 5, ""3"": 1}",\n'
     )
+
+
+def test_readme_lists_the_counter_rows():
+    """README's counter list names exactly the rows of `counter_rows()`, in
+    their order."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Counter semantics live in `metrics.py`.", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `(\w+)`: ", section, flags=re.M)
+    assert listed == [name for name, _value in Metrics().counter_rows()]
 
 
 def test_report_single_run_degenerates():
@@ -562,28 +579,28 @@ _PINNED_CASES = {
 }
 
 # (lookups, dentries_visited, char_comparisons, pivot_hits, fallbacks,
-#  entries_touched, distinct_resolved, effective_search_ratio, skipped_prefix_histogram)
+#  entries_touched, skipped_prefix_histogram)
 # as the code produced them before Stage One stopped comparing char by char; the
 # mutating case as it was before the read side tested candidate membership
 # through the intrusive link
 _PINNED_COUNTERS = {
     "hotdir-zipf": {
-        "original": ("3000", "15000", "60000", "0", "0", "0", "33", "0.002200", "{}"),
-        "fullpath": ("3000", "40", "90040", "0", "0", "0", "33", "0.825000", "{}"),
-        "stage": ("3000", "2500", "46176", "2500", "0", "0", "33", "0.013200", '{"5": 2500}'),
+        "original": ("3000", "15000", "60000", "0", "0", "0", "{}"),
+        "fullpath": ("3000", "40", "90040", "0", "0", "0", "{}"),
+        "stage": ("3000", "2500", "46176", "2500", "0", "0", '{"5": 2500}'),
     },
     "uniform": {
-        "original": ("3000", "15000", "60000", "0", "0", "0", "1395", "0.093000", "{}"),
-        "fullpath": ("3000", "3100", "93100", "0", "0", "0", "1395", "0.450000", "{}"),
+        "original": ("3000", "15000", "60000", "0", "0", "0", "{}"),
+        "fullpath": ("3000", "3100", "93100", "0", "0", "0", "{}"),
         "stage": (
-            "3000", "11005", "71668", "2298", "0", "0", "1395", "0.126761",
+            "3000", "11005", "71668", "2298", "0", "0",
             '{"1": 1056, "2": 929, "3": 242, "5": 71}',
         ),
     },
     "hotdir-zipf-mutating": {
-        "original": ("2929", "14645", "58580", "0", "0", "0", "33", "0.002253", "{}"),
-        "fullpath": ("2929", "45", "87915", "0", "0", "263", "33", "0.733333", "{}"),
-        "stage": ("2929", "2543", "45360", "2442", "0", "1", "33", "0.012977", '{"2": 36, "5": 2406}'),
+        "original": ("2929", "14645", "58580", "0", "0", "0", "{}"),
+        "fullpath": ("2929", "45", "87915", "0", "0", "263", "{}"),
+        "stage": ("2929", "2543", "45360", "2442", "0", "1", '{"2": 36, "5": 2406}'),
     },
 }
 # stage's (ticks, swaps): a tick every 500 of 3,000 events, and every tick swaps
