@@ -42,12 +42,15 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 def _load_spec(path: str) -> TreeSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return TreeSpec.from_json(fh.read())
+        try:
+            return TreeSpec.from_json(fh.read())
+        except UnicodeDecodeError as exc:
+            raise SpecInvalid(f"spec is not UTF-8: {exc}") from None
 
 
 def cmd_gen_tree(args: argparse.Namespace) -> int:
     try:
-        levels = [int(x) for x in args.levels.split(",")] if args.levels else list(TreeSpec(levels=[10] * 5).levels)
+        levels = [int(x) for x in args.levels.split(",")]
     except ValueError:
         raise ConfigError(f"--levels takes comma-separated integers, got {args.levels!r}") from None
     lo, _, hi = args.file_size.partition(":")

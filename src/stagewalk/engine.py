@@ -102,7 +102,9 @@ class _ResolverBase:
 
     def tick(self, periods: int = 1) -> None:
         """`periods` period boundaries in a row; a no-op for strategies
-        without a manager."""
+        without a manager. ConfigError when `periods` is below 1."""
+        if periods < 1:
+            raise ConfigError(f"periods must be >= 1, got {periods}")
 
 
 class OriginalLookup(_ResolverBase):
@@ -137,6 +139,7 @@ class StageLookupEngine(_ResolverBase):
         self.metrics.entries_touched += self.manager.invalidate_for_metadata(path)
 
     def tick(self, periods: int = 1) -> None:
+        super().tick(periods)
         self.manager.periodic_update(periods)
 
     def lookup(self, path: PathBuf, cred: Credential = Credential.OWNER, out: Optional[list] = None) -> int:

@@ -1,20 +1,20 @@
 """Full-path-indexed directory cache baseline.
 
 Lookups hash the whole canonical path into a map from path text to the
-dentry's id and its prefix mask. Any rename/chmod/unlink of a node walks its
-whole subtree and evicts the cached entry under each node's path, which is
-exactly the cost asymmetry this baseline exists to expose: invalidation work
-grows with the subtree while the pivot scheme touches at most a pool's worth
-of entries. Eviction alone keeps every entry true: the tree fires the hook
-before it applies the change, while each subtree node's current path still
-names it, and a create changes no existing path.
+dentry's id and the credentials it admits. Any rename/chmod/unlink of a node
+walks its whole subtree and evicts the cached entry under each node's path,
+which is exactly the cost asymmetry this baseline exists to expose:
+invalidation work grows with the subtree while the pivot scheme touches at
+most a pool's worth of entries. Eviction alone keeps every entry true: the
+tree fires the hook before it applies the change, while each subtree node's
+current path still names it, and a create changes no existing path.
 
-A hit needs the credential's bit in the entry's prefix mask: the traversal
-mask of the target's ancestors below the root, ANDed, as stage's pivots
-aggregate it (the prefix check of Tsai et al., SOSP 2015). An insert takes it
-by climbing parent links, and a chmod evicts its subtree, so it is never
-stale. An entry that refuses the credential is a miss: the walk raises the
-oracle's error with its usual counts.
+A hit needs the caller's bit among the entry's bits: fullpath's permission
+model, a prefix check cache per credential (Tsai et al., SOSP 2015). A bit
+is set only by its credential's own successful walk, which tested that
+credential's traversal bit on every ancestor below the root; a refused walk
+raises before the insert, and an ancestor's rename, chmod or unlink evicts
+the entry first, so no bit outlives what it proved.
 
 The cache serves one thread: its map and its insert run outside the tree
 lock.
@@ -29,17 +29,14 @@ from __future__ import annotations
 from .engine import _ResolverBase
 from .errors import NotFound
 from .paths import PathBuf
-from .tree import CRED_MASK_BIT, Credential, DirTree, trav_mask
+from .tree import CRED_MASK_BIT, Credential, DirTree
 
 
 class FullPathCache(_ResolverBase):
     def __init__(self, tree: DirTree):
         super().__init__(tree)
-        self._entries: dict[str, tuple[int, int]] = {}  # path text -> (id, prefix mask)
-        tree.register_hook(self._on_metadata)
-
-    def _on_metadata(self, path: PathBuf) -> None:
-        self.fp_invalidate_subtree(path)
+        self._entries: dict[str, tuple[int, int]] = {}  # path text -> (id, admitted credentials' bits)
+        tree.register_hook(self.fp_invalidate_subtree)
 
     def fp_lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
         metrics = self.metrics
@@ -50,14 +47,8 @@ class FullPathCache(_ResolverBase):
         if entry is not None and entry[1] & CRED_MASK_BIT[cred]:
             metrics.char_comparisons += len(key)  # stored-key verification scan
             return entry[0]
-        tree = self.tree
-        node_id = tree.lookup_original(path, cred, metrics)
-        modes = 0o777
-        d = tree.nodes[node_id].parent
-        while d is not None and d.parent is not None:  # the ancestors below the root
-            modes &= d.mode
-            d = d.parent
-        self._entries[key] = (node_id, trav_mask(modes))
+        node_id = self.tree.lookup_original(path, cred, metrics)
+        self._entries[key] = (node_id, CRED_MASK_BIT[cred] | (entry[1] if entry else 0))
         return node_id
 
     lookup = fp_lookup

@@ -201,13 +201,12 @@ def write_trace(events: Iterable[TraceEvent], out_path: str) -> None:
 
 
 def read_trace(in_path: str) -> list[TraceEvent]:
-    events = []
     with open(in_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(TraceEvent.from_json_line(line))
-    return events
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise TraceMalformed(f"trace is not UTF-8: {exc}") from None
+    return [TraceEvent.from_json_line(line) for line in map(str.strip, lines) if line]
 
 
 class _Universe:

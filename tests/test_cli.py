@@ -100,6 +100,7 @@ def test_bad_config_exits_2(tmp_path):
     "argv",
     [
         ["gen-tree", "--levels", "2,x"],
+        ["gen-tree", "--levels", ""],
         ["gen-tree", "--file-size", "10:abc"],
         ["synth", "--events", "-5"],
         ["synth", "--p-rename", "2"],
@@ -176,6 +177,28 @@ def test_malformed_tree_spec_exits_2(tmp_path, field, value, capsys):
         assert main(argv) == EXIT_CONFIG, argv
         assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_non_utf8_spec_exits_2_without_traceback(tmp_path, capsys):
+    bad = tmp_path / "bad.spec.json"
+    bad.write_bytes(b'\xff{"levels": [2]}')
+    out = tmp_path / "out.jsonl"
+    assert main(["synth", "--tree", str(bad), "--events", "10", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["replay", "compare"])
+def test_non_utf8_trace_exits_3_without_traceback(tmp_path, command, capsys):
+    prefix = str(tmp_path / "t")
+    assert main(["gen-tree", "--levels", "2", "--out", prefix]) == EXIT_OK
+    trace_file = tmp_path / "trace.jsonl"
+    trace_file.write_bytes(b'\xff{"op": "stat", "path": "/a0"}\n')
+    capsys.readouterr()
+    assert main([command, "--tree", f"{prefix}.spec.json", "--trace", str(trace_file)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("io error") and "Traceback" not in err
 
 
 def test_unknown_strategy_exits_2(tmp_path):

@@ -193,23 +193,38 @@ def test_every_cached_path_resolves_to_its_id_under_random_churn():
                 assert bool(mask & CRED_MASK_BIT[cred]) == admitted, (step, text, cred)
 
 
-# the root's mode never gates the walk, so it never enters the mask
+# the root's mode never gates the walk, so it never decides a credential's bit
 @pytest.mark.parametrize(
     "root_mode, mode, admitted", [(0o755, 0o700, False), (0o755, 0o711, True), (0o700, 0o711, True)]
 )
 def test_owner_warmed_entry_answers_group_and_other_as_the_walk_does(root_mode, mode, admitted):
+    """An entry learns a credential's bit from that credential's own walk:
+    an admitted credential misses once and then hits, a refused one is
+    refused by the walk and adds nothing, and the owner keeps hitting."""
     tree = make_tree(files=("/a/b/f",))
     tree.chmod_node(mkpath("/"), root_mode)
     tree.chmod_node(mkpath("/a"), mode)
     cache = FullPathCache(tree)
     p = mkpath("/a/b/f")
     nid = tree._resolve_admin(p).id
-    for _ in range(3):
-        assert cache.fp_lookup(p, OWNER) == nid  # the first fills, the others hit
-    for cred in (Credential.GROUP, Credential.OTHER):
+    probe, walk, hit = len(p.text), 2 * len("abf"), 2 * len(p.text)
+
+    def counted(cred):
         visited0, chars0 = cache.metrics.dentries_visited, cache.metrics.char_comparisons
-        want = f"ok:{nid}" if admitted else "err:PermissionDenied"
-        assert outcome(cache.fp_lookup, p, cred) == want == oracle_resolve(tree, p, cred)
-        # a refused credential walks from the root and is stopped below /a
-        assert cache.metrics.dentries_visited - visited0 == (0 if admitted else 1)
-        assert cache.metrics.char_comparisons - chars0 == len(p.text) + (len(p.text) if admitted else 2 * 1)
+        got = outcome(cache.fp_lookup, p, cred)
+        return got, cache.metrics.dentries_visited - visited0, cache.metrics.char_comparisons - chars0
+
+    assert counted(OWNER) == (f"ok:{nid}", 3, probe + walk)  # the fill
+    bits = CRED_MASK_BIT[OWNER]
+    for cred in (Credential.GROUP, Credential.OTHER):
+        if admitted:
+            assert oracle_resolve(tree, p, cred) == f"ok:{nid}"
+            assert counted(cred) == (f"ok:{nid}", 3, probe + walk)  # a miss: the probe, then the walk
+            assert counted(cred) == (f"ok:{nid}", 0, hit)  # the walk taught the entry this bit
+            bits |= CRED_MASK_BIT[cred]
+        else:
+            # the walk from the root is stopped below /a: one visit, /a's two scans
+            assert oracle_resolve(tree, p, cred) == "err:PermissionDenied"
+            assert counted(cred) == ("err:PermissionDenied", 1, probe + 2 * 1)
+        assert cache._entries[p.text] == (nid, bits)
+        assert counted(OWNER) == (f"ok:{nid}", 0, hit)

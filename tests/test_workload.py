@@ -24,6 +24,7 @@ from stagewalk import (
     TreeSpec,
     bench_depth_grid,
     gen_tree,
+    make_resolver,
     read_trace,
     replay,
     report,
@@ -398,6 +399,16 @@ def test_an_idle_gap_of_half_a_billion_periods_replays_at_once(strategy):
         mgr = res.resolver.manager
         assert mgr.ticks == mgr.swaps == 5 * 10**8
         assert res.resolver.candidates.version == 5 * 10**8 + 1
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("periods", [0, -3])
+def test_tick_below_one_period_raises_config_error(strategy, periods):
+    resolver = make_resolver(strategy, gen_tree(TreeSpec(levels=[2, 2], seed=1)))
+    with pytest.raises(ConfigError):
+        resolver.tick(periods)
+    if strategy == "stage":
+        assert resolver.manager.ticks == resolver.manager.swaps == 0
 
 
 def _single_period_ticks(self, periods=1):
