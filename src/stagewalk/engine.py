@@ -13,12 +13,12 @@ children maps exactly like the original walk, starting from the matched
 component's dentry, which the pivot holds per depth (so landing on an
 ancestor of the pivot is a direct array index, recorded as rolled_up, and no
 id is looked up in `tree.nodes`). The skipped prefix's permission check is
-one mask test against traversal bits aggregated at build time. The heat
-update is one call, `observe_target`, taken under the heat lock on a
-threadsafe tree only. The candidate set holds the engine's heat version and
-members, and the heat itself lives on the tree's dentries, so a tree takes
-at most one stage engine: building a second raises ConfigError, as a kernel
-keeps one dcache.
+the walk's own exec-bit test, `mode & cred`, made once on the AND of the
+skipped components' modes taken at build time. The heat update is one call,
+`observe_target`, taken under the heat lock on a threadsafe tree only. The
+candidate set holds the engine's heat version and members, and the heat
+itself lives on the tree's dentries, so a tree takes at most one stage
+engine: building a second raises ConfigError, as a kernel keeps one dcache.
 
 A hit decides from the path's length that nothing is left to walk: the
 matched component holds the length of the pivot's path text through it, and
@@ -40,8 +40,8 @@ then drops the pivot's result, or the PermissionDenied or NotFound it
 raised, and walks from the root under the tree read lock; `fallbacks`
 counts these retries. A count that did not move means no modification
 began since the sample, and the pool a reader pins holds no pivot that a
-modification before the sample covered, so a cached mask is never stale
-when consulted.
+modification before the sample covered, so a cached AND of modes is never
+stale when consulted.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .epoch import PivotManager
 from .metrics import Metrics
 from .paths import PathBuf
 from .pivots import Pivot, ScanStats, find_best_pivot
-from .tree import CRED_MASK_BIT, DIR, FILE, Credential, DirTree
+from .tree import DIR, FILE, Credential, DirTree
 
 
 @dataclass(slots=True)
@@ -165,9 +165,9 @@ class StageLookupEngine(_ResolverBase):
             pivot, depth = hit
             matched = pivot.components[depth - 1]
             try:
-                # the mask cached on the matched component clears components 1..depth-1
-                if not matched.prefix_trav & CRED_MASK_BIT[cred]:
-                    raise PermissionDenied(f"skipped prefix of {pivot.path!r} not traversable for {cred.value}")
+                # the modes' AND cached on the matched component clears components 1..depth-1
+                if not matched.prefix_trav & cred:
+                    raise PermissionDenied(f"skipped prefix of {pivot.path!r} not traversable for {cred.name.lower()}")
                 target = matched.node
                 # the query shares the matched text, so a longer one has names left;
                 # an empty walk_from checks and counts nothing

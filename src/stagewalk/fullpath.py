@@ -9,12 +9,13 @@ most a pool's worth of entries. Eviction alone keeps every entry true: the
 tree fires the hook before it applies the change, while each subtree node's
 current path still names it, and a create changes no existing path.
 
-A hit needs the caller's bit among the entry's bits: fullpath's permission
-model, a prefix check cache per credential (Tsai et al., SOSP 2015). A bit
-is set only by its credential's own successful walk, which tested that
-credential's traversal bit on every ancestor below the root; a refused walk
-raises before the insert, and an ancestor's rename, chmod or unlink evicts
-the entry first, so no bit outlives what it proved.
+A hit needs `bits & cred`, the walk's own test against the entry's bits (a
+credential's value is its exec bit): fullpath's permission model, a prefix
+check cache per credential (Tsai et al., SOSP 2015). A credential's bit is
+ORed in only by its own successful walk, which found that bit in the mode of
+every ancestor below the root; a refused walk raises before the insert, and
+an ancestor's rename, chmod or unlink evicts the entry first, so no bit
+outlives what it proved.
 
 The cache serves one thread: its map and its insert run outside the tree
 lock.
@@ -29,13 +30,13 @@ from __future__ import annotations
 from .engine import _ResolverBase
 from .errors import NotFound
 from .paths import PathBuf
-from .tree import CRED_MASK_BIT, Credential, DirTree
+from .tree import Credential, DirTree
 
 
 class FullPathCache(_ResolverBase):
     def __init__(self, tree: DirTree):
         super().__init__(tree)
-        self._entries: dict[str, tuple[int, int]] = {}  # path text -> (id, admitted credentials' bits)
+        self._entries: dict[str, tuple[int, int]] = {}  # path text -> (id, admitted credentials' exec bits)
         tree.register_hook(self.fp_invalidate_subtree)
 
     def fp_lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
@@ -44,11 +45,11 @@ class FullPathCache(_ResolverBase):
         key = path.text
         metrics.char_comparisons += len(key)  # probe hash scan
         entry = self._entries.get(key)
-        if entry is not None and entry[1] & CRED_MASK_BIT[cred]:
+        if entry is not None and entry[1] & cred:
             metrics.char_comparisons += len(key)  # stored-key verification scan
             return entry[0]
         node_id = self.tree.lookup_original(path, cred, metrics)
-        self._entries[key] = (node_id, CRED_MASK_BIT[cred] | (entry[1] if entry else 0))
+        self._entries[key] = (node_id, cred | (entry[1] if entry else 0))
         return node_id
 
     lookup = fp_lookup

@@ -27,8 +27,6 @@ from typing import Optional
 from .errors import ConfigError, ContractViolation
 from .tree import Dentry
 
-HEAT_MAX = 2**64 - 1
-
 
 class Admission(Enum):
     ADMITTED = "admitted"
@@ -120,18 +118,16 @@ class CandidateSet:
 def observe_target(dentry: Dentry, cset: CandidateSet) -> int:
     """Heat pipeline for one resolved lookup target; returns its new heat.
 
-    The heat rule: bump the target's heat, saturating at HEAT_MAX, or reset it
-    to 1 if its version is not the set's. Then a member takes the cursor when
-    its heat is below the cursor's referent's (never on a tie, so the
-    referent itself leaves it in place), and a non-member is offered to
-    `maybe_admit` unless the set is full and its heat is at most threshold +
-    1: members hold the current version, so each has heat 1 or more, and the
-    cursor's referent would need less than 1 for it to win."""
+    The heat rule: bump the target's heat, or reset it to 1 if its version
+    is not the set's. Then a member takes the cursor when its heat is below
+    the cursor's referent's (never on a tie, so the referent itself leaves
+    it in place), and a non-member is offered to `maybe_admit` unless the
+    set is full and its heat is at most threshold + 1: members hold the
+    current version, so each has heat 1 or more, and the cursor's referent
+    would need less than 1 for it to win."""
     version = cset.version
     if dentry.heat_version == version:
-        heat = dentry.heat
-        if heat < HEAT_MAX:
-            heat = dentry.heat = heat + 1
+        heat = dentry.heat = dentry.heat + 1
     else:
         heat = dentry.heat = 1
         dentry.heat_version = version

@@ -31,7 +31,9 @@ Counter semantics:
   skipped_prefix_histogram, which every such lookup bumps at its matched
   depth; no counter of its own is kept.
 - fallbacks: a modification raced the lookup, which then walked from the
-  root.
+  root. Only another thread modifying the tree during a lookup can make it
+  non-zero, so it is 0 in every `replay`, `compare` and bench run, which
+  run on one thread.
 - entries_touched: invalidation work; the dentries a metadata hook visited
   (fullpath's subtree walk) or the pivots it covered (stage).
 - wall_time: per-phase seconds; diagnostic only, excluded from CSV output so

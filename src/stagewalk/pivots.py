@@ -1,7 +1,7 @@
 """Pivot pool: cached popular paths, ordered by components, searched in one scan.
 
 A pivot stores the names of a hot dentry's path and a per-depth array of
-component records (dentry, aggregated ancestor-traversal mask). Nothing in
+component records (dentry, AND of its ancestors' modes). Nothing in
 it depends on its neighbours, so pools can share pivots. The pool is sorted by
 component tuple, so the pivots that share their first m names form one
 contiguous run. The paper's Stage One is one forward scan that uses each
@@ -10,7 +10,7 @@ before it, to walk the whole pool while reading the query path's characters
 at most once; the overlap is derived from the two pivots' names, not stored.
 
 `build_pool` ranks the candidates on their names and heat alone, and
-materializes (component records, masks) only the pivots it keeps.
+materializes component records only for the pivots it keeps.
 
 The model reports what that scan costs, but the code need not perform it.
 Every pool builds its component index when it is constructed: a trie over
@@ -44,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
 from .paths import PathBuf
-from .tree import ALL_CLASSES_MASK, Dentry, trav_mask
+from .tree import Dentry
 
 
 class Component:
@@ -52,12 +52,12 @@ class Component:
 
     `node` is the component's dentry, so a lookup that lands on it starts
     Stage Two there without indexing `tree.nodes`; `node_id` is its id.
-    prefix_trav is the AND of the traversal masks of components 1..depth-1,
-    captured at build time; it lets a lookup clear the whole skipped prefix
-    with a single mask test. `text_len` is the length of the pivot's path
-    text through this component, "/" and names included: a query that
-    matched the pivot to this depth has names left to walk exactly when its
-    text is longer.
+    prefix_trav is the AND of the modes of components 1..depth-1 (0o777 at
+    depth 1), taken at build time, so `prefix_trav & cred` is the walk's own
+    exec-bit test made once for the whole skipped prefix. `text_len` is the
+    length of the pivot's path text through this component, "/" and names
+    included: a query that matched the pivot to this depth has names left to
+    walk exactly when its text is longer.
     """
 
     __slots__ = ("node", "prefix_trav", "text_len")
@@ -72,7 +72,7 @@ class Component:
         return self.node.id
 
     def __repr__(self) -> str:
-        return f"Component(node={self.node.id}, prefix_trav={self.prefix_trav:03b})"
+        return f"Component(node={self.node.id}, prefix_trav={self.prefix_trav:03o})"
 
 
 class Pivot:
@@ -174,7 +174,7 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
     order, the order of the pool itself. Sorting by path text instead would
     split a run: `/a.d` sorts between `/a` and `/a/b` because `.` is below
     `/`. Only the kept candidates are then walked again for their dentries
-    and masks, so a period that ranks 64 candidates for 16 slots
+    and modes, so a period that ranks 64 candidates for 16 slots
     materializes 16.
 
     When the kept names equal `current`'s pivot names in order, or no live
@@ -213,12 +213,12 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
             chain.append(cur)
             cur = cur.parent
         comps: list[Component] = []
-        running = ALL_CLASSES_MASK
+        running = 0o777
         text_len = 0
         for node, name in zip(reversed(chain), names):
             text_len += 1 + len(name)
             comps.append(Component(node, running, text_len))
-            running &= trav_mask(node.mode)  # this component joins the prefix of deeper ones
+            running &= node.mode  # this component joins the prefix of deeper ones
         pivots.append(Pivot(names, tuple(comps)))
     return PivotPool(pivots)
 

@@ -20,7 +20,7 @@ they can observe pre-mutation paths.
 
 from __future__ import annotations
 
-from enum import Enum
+from enum import IntEnum
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -40,24 +40,13 @@ FILE = "file"
 NodeId = int
 
 
-class Credential(str, Enum):
-    OWNER = "owner"
-    GROUP = "group"
-    OTHER = "other"
+class Credential(IntEnum):
+    """A credential class, valued as the mode bit that lets it traverse a
+    directory (the class's exec bit): every permission test is `mode & cred`."""
 
-
-# exec bit that grants directory traversal, per credential class
-_TRAV_BIT = {Credential.OWNER: 0o100, Credential.GROUP: 0o010, Credential.OTHER: 0o001}
-
-# position of each class in the 3-bit aggregated traversal masks kept on pivots
-CRED_MASK_BIT = {Credential.OWNER: 0b100, Credential.GROUP: 0b010, Credential.OTHER: 0b001}
-
-ALL_CLASSES_MASK = 0b111
-
-
-def trav_mask(mode: int) -> int:
-    """3-bit owner/group/other traversal mask extracted from a 9-bit mode."""
-    return ((mode >> 6 & 1) << 2) | ((mode >> 3 & 1) << 1) | (mode & 1)
+    OWNER = 0o100
+    GROUP = 0o010
+    OTHER = 0o001
 
 
 class Dentry:
@@ -259,7 +248,7 @@ class DirTree:
         Shared by the original walk (start == root) and by Stage Two (start ==
         a pivot component), so both pay identical counters and apply identical
         permission rules: before descending out of a directory other than the
-        root, its traversal bit for `cred` must be set. Each component is
+        root, its mode must have `cred`'s exec bit set. Each component is
         counted as the kernel's d_hash chain lookup would scan it: a hash scan
         of its name, then on a hit a verification scan and a dentry visit. A
         name looked up below a file is missing (NotFound). Counting costs the
@@ -272,15 +261,14 @@ class DirTree:
         tree inside it.
         """
         cur = start
-        bit = _TRAV_BIT[cred]
         shared = self.threadsafe
         if shared:
             self.lock.acquire_read()
         try:
             for name in components:
                 children = cur.children
-                if not cur.mode & bit and children is not None and cur.parent is not None:
-                    raise PermissionDenied(f"no traversal through {cur.name!r} for {cred.value}")
+                if not cur.mode & cred and children is not None and cur.parent is not None:
+                    raise PermissionDenied(f"no traversal through {cur.name!r} for {cred.name.lower()}")
                 child = children.get(name) if children is not None else None
                 if child is None:
                     raise NotFound(f"missing component {name!r}")

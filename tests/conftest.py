@@ -24,8 +24,8 @@ from stagewalk.errors import InvalidPath, NotFound, PermissionDenied
 from stagewalk.metrics import Metrics
 from stagewalk.paths import ROOT, _trusted
 from stagewalk.pivots import Component, Pivot
-from stagewalk.tree import ALL_CLASSES_MASK, trav_mask
 
+# the oracle's own exec-bit table, written apart from `Credential`'s values
 TRAV_BIT = {Credential.OWNER: 0o100, Credential.GROUP: 0o010, Credential.OTHER: 0o001}
 
 
@@ -89,7 +89,7 @@ def reference_walk(
         for name in components:
             children = cur.children
             if children is not None and cur.parent is not None and not (cur.mode & bit):
-                raise PermissionDenied(f"no traversal through {cur.name!r} for {cred.value}")
+                raise PermissionDenied(f"no traversal through {cur.name!r} for {cred.name.lower()}")
             chars += len(name)  # hash scan
             child = children.get(name) if children is not None else None
             if child is None:
@@ -230,54 +230,54 @@ def reference_scan(pool: PivotPool, path: PathBuf) -> ReferenceScan:
 
 def reference_build_pool(candidates, bound: int, current: Optional[PivotPool] = None) -> PivotPool:
     """build_pool as it was before it ranked on names alone: every live
-    candidate's path text, dentries, masks and components are worked out
+    candidate's path text, dentries, modes and components are worked out
     first, and only then is the pool cut to `bound`. Each component's text
     length is measured on its joined names. The pools build_pool returns
-    must equal these in order, ids, prefix masks and text lengths. With no
-    live candidate to rank, an idle period, `current` is kept, as build_pool
-    keeps it."""
+    must equal these in order, ids, prefix modes' ANDs and text lengths.
+    With no live candidate to rank, an idle period, `current` is kept, as
+    build_pool keeps it."""
     by_path: dict[str, tuple[int, tuple[str, ...], tuple[Dentry, ...], tuple[int, ...]]] = {}
     for d in candidates:
         if d is None or d.dead:
             continue
         names: list[str] = []
         chain: list[Dentry] = []
-        masks: list[int] = []
+        modes: list[int] = []
         cur = d
         while cur.parent is not None:
             names.append(cur.name)
             chain.append(cur)
-            masks.append(trav_mask(cur.mode))
+            modes.append(cur.mode)
             cur = cur.parent
         if not names:
             continue
         names.reverse()
         chain.reverse()
-        masks.reverse()
+        modes.reverse()
         path = "/" + "/".join(names)
         prev = by_path.get(path)
         if prev is None or d.heat > prev[0]:
-            by_path[path] = (d.heat, tuple(names), tuple(chain), tuple(masks))
+            by_path[path] = (d.heat, tuple(names), tuple(chain), tuple(modes))
     if current is not None and not by_path:
         return current
     ranked = sorted(by_path.items(), key=lambda kv: (-kv[1][0], kv[1][1]))[: max(bound, 0)]
     ranked.sort(key=lambda kv: kv[1][1])
 
     pivots = []
-    for _path, (_heat, names, chain, masks) in ranked:
+    for _path, (_heat, names, chain, modes) in ranked:
         comps: list[Component] = []
-        running = ALL_CLASSES_MASK
-        for depth, (node, mask) in enumerate(zip(chain, masks), start=1):
+        running = 0o777
+        for depth, (node, mode) in enumerate(zip(chain, modes), start=1):
             comps.append(Component(node, running, len("/" + "/".join(names[:depth]))))
-            running &= mask
+            running &= mode
         pivots.append(Pivot(names, tuple(comps)))
     return PivotPool(pivots)
 
 
 def pool_shape(pool: PivotPool) -> tuple:
     """What two pools must share to be equal: the dump (overlaps and paths),
-    each pivot's names, and its component ids, prefix masks and text
-    lengths."""
+    each pivot's names, and its component ids, prefix modes' ANDs and
+    text lengths."""
     return (
         pool.dump(),
         [pv.names for pv in pool.pivots],
@@ -322,8 +322,6 @@ class ReferenceCandidates:
     The real set must give the same results, victims, order, cursor and
     size after every step."""
 
-    HEAT_MAX = 2**64 - 1
-
     def __init__(self, capacity: int, threshold: int):
         self.capacity = capacity
         self.threshold = threshold
@@ -335,7 +333,7 @@ class ReferenceCandidates:
 
     def observe(self, node_id: int) -> Optional[tuple[Admission, Optional[int]]]:
         if self.heat_version.get(node_id, 0) == self.version:
-            self.heat[node_id] = min(self.heat[node_id] + 1, self.HEAT_MAX)
+            self.heat[node_id] += 1
         else:
             self.heat[node_id] = 1
             self.heat_version[node_id] = self.version

@@ -24,7 +24,7 @@ from stagewalk import (
 from stagewalk import engine as engine_module
 from stagewalk.fullpath import FullPathCache
 from stagewalk.pivots import find_best_pivot
-from conftest import make_node, make_tree, mkpath, oracle_resolve, outcome
+from conftest import TRAV_BIT, make_node, make_tree, mkpath, oracle_resolve, outcome
 
 OWNER = Credential.OWNER
 
@@ -186,6 +186,31 @@ def test_stage_two_checks_start_component():
     for cred in Credential:
         assert outcome(engine.lookup, mkpath("/a/b/c/f"), cred) == oracle_resolve(tree, mkpath("/a/b/c/f"), cred)
         assert outcome(engine.lookup, mkpath("/a/b"), cred) == oracle_resolve(tree, mkpath("/a/b"), cred)
+
+
+@pytest.mark.parametrize(
+    "mode", [0o600 | o | g | x for o in (0, 0o100) for g in (0, 0o010) for x in (0, 0o001)], ids=lambda m: f"{m:o}"
+)
+def test_every_exec_bit_pattern_of_a_skipped_ancestor_answers_as_the_oracle(mode):
+    """/a/b takes each of the 8 exec-bit patterns before the pool is built,
+    so the pivot /a/b/c skips it: stage's hit, fullpath after an owner fill,
+    and the original walk each answer every credential as the oracle does,
+    and stage counts a pivot hit exactly on the lookups the oracle admits."""
+    tree = make_tree(files=("/a/b/c/f",))
+    tree.chmod_node(mkpath("/a/b"), mode)
+    engine = engine_with_pool(tree, ["/a/b/c"])
+    baseline = OriginalLookup(tree)
+    for p in (mkpath("/a/b/c"), mkpath("/a/b/c/f")):
+        for cred in Credential:
+            want = oracle_resolve(tree, p, cred)
+            assert want.startswith("ok:") == bool(mode & TRAV_BIT[cred])
+            hits0 = engine.metrics.pivot_hits
+            assert outcome(engine.lookup, p, cred) == want, (p.text, cred)
+            assert engine.metrics.pivot_hits - hits0 == want.startswith("ok:"), (p.text, cred)
+            cache = FullPathCache(tree)
+            outcome(cache.fp_lookup, p, OWNER)  # the fill; refused when the owner's bit is clear
+            assert outcome(cache.fp_lookup, p, cred) == want, (p.text, cred)
+            assert outcome(baseline.lookup, p, cred) == want, (p.text, cred)
 
 
 # -- modifications racing a lookup ------------------------------------------------------
@@ -538,6 +563,7 @@ def test_small_randomized_equivalence_with_mutations():
     engine = StageLookupEngine(tree, pool_size=8)
     baseline = OriginalLookup(tree)
     ops = 0
+    hits = collections.Counter()  # pivot hits per credential
     for step in range(4000):
         roll = rng.random()
         if roll < 0.04:
@@ -554,8 +580,13 @@ def test_small_randomized_equivalence_with_mutations():
         else:
             p = mkpath(rng.choice(paths))
             cred = rng.choice(list(Credential))
-            assert outcome(engine.lookup, p, cred) == outcome(baseline.lookup, p, cred), (step, p.text)
+            hits0 = engine.metrics.pivot_hits
+            got = outcome(engine.lookup, p, cred)
+            # the oracle keeps its own exec-bit table, so a wrong credential value shows here
+            assert got == outcome(baseline.lookup, p, cred) == oracle_resolve(tree, p, cred), (step, p.text, cred)
+            hits[cred] += engine.metrics.pivot_hits - hits0
             ops += 1
         if step % 400 == 0:
             engine.tick()
     assert ops > 3000
+    assert all(hits[cred] > 0 for cred in Credential), hits

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from stagewalk import DIR, FILE, Credential, EngineError, FullPathCache, NotFound, OriginalLookup
-from stagewalk.tree import CRED_MASK_BIT
 from conftest import make_node, make_tree, mkpath, oracle_resolve, outcome
 
 OWNER = Credential.OWNER
@@ -118,7 +117,7 @@ def test_unlinked_entry_not_served_and_recreated_name_resolves_anew():
     assert cache.fp_lookup(p) == new_id  # warm again
 
 
-@pytest.mark.parametrize("cred", list(Credential))
+@pytest.mark.parametrize("cred", list(Credential), ids=lambda c: c.name.lower())
 def test_randomized_equivalence_with_original(cred):
     rng = random.Random(13)
     tree = make_tree()
@@ -155,7 +154,7 @@ def test_randomized_equivalence_with_original(cred):
 def test_every_cached_path_resolves_to_its_id_under_random_churn():
     """Eviction is the cache's only invalidation. After every create, mkdir,
     rename, chmod and unlink, each cached path still resolves to the id
-    cached for it, its mask admits exactly the credentials the oracle
+    cached for it, its bits admit exactly the credentials the oracle
     admits, and every lookup matches the oracle. One cache serves all three
     credentials."""
     rng = random.Random(29)
@@ -185,12 +184,12 @@ def test_every_cached_path_resolves_to_its_id_under_random_churn():
                     assert outcome(cache.fp_lookup, q, cred) == oracle_resolve(tree, q, cred), (step, q.text, cred)
         except EngineError:
             pass  # a mutation the tree refuses changes nothing
-        for text, (node_id, mask) in cache._entries.items():
+        for text, (node_id, bits) in cache._entries.items():
             resolved = outcome(lambda t: tree._resolve_admin(mkpath(t)).id, text)
             assert resolved == f"ok:{node_id}", (step, text)
             for cred in Credential:
                 admitted = oracle_resolve(tree, mkpath(text), cred) == resolved
-                assert bool(mask & CRED_MASK_BIT[cred]) == admitted, (step, text, cred)
+                assert bool(bits & cred) == admitted, (step, text, cred)
 
 
 # the root's mode never gates the walk, so it never decides a credential's bit
@@ -215,13 +214,13 @@ def test_owner_warmed_entry_answers_group_and_other_as_the_walk_does(root_mode, 
         return got, cache.metrics.dentries_visited - visited0, cache.metrics.char_comparisons - chars0
 
     assert counted(OWNER) == (f"ok:{nid}", 3, probe + walk)  # the fill
-    bits = CRED_MASK_BIT[OWNER]
+    bits = OWNER
     for cred in (Credential.GROUP, Credential.OTHER):
         if admitted:
             assert oracle_resolve(tree, p, cred) == f"ok:{nid}"
             assert counted(cred) == (f"ok:{nid}", 3, probe + walk)  # a miss: the probe, then the walk
             assert counted(cred) == (f"ok:{nid}", 0, hit)  # the walk taught the entry this bit
-            bits |= CRED_MASK_BIT[cred]
+            bits |= cred
         else:
             # the walk from the root is stopped below /a: one visit, /a's two scans
             assert oracle_resolve(tree, p, cred) == "err:PermissionDenied"

@@ -48,15 +48,6 @@ def test_reset_on_new_version():
     assert node.heat == 1 and node.heat_version == cset.version
 
 
-def test_heat_saturates():
-    from stagewalk.heat import HEAT_MAX
-
-    cset = CandidateSet(0)
-    node = d(1, heat=HEAT_MAX, version=cset.version)
-    observe_target(node, cset)
-    assert node.heat == HEAT_MAX
-
-
 def test_heat_monotone_within_version():
     cset = CandidateSet(0)
     node = d(1)

@@ -9,7 +9,6 @@ import threading
 from stagewalk import DIR, PathBuf, PivotPool, build_pool, find_best_pivot
 from stagewalk import pivots
 from stagewalk.pivots import ScanStats, verify_pool
-from stagewalk.tree import trav_mask
 from conftest import (
     FIG4_PATHS,
     brute_force_best,
@@ -70,8 +69,8 @@ def test_component_arrays(fig4):
     pv = pool.pivots[2]  # /a1/b1/c2/d2/e3/f3/g3
     for c, name in zip(pv.components, pv.names):
         assert tree.node(c.node_id).name == name
-    # depth-1 mask is vacuous; deeper masks AND the ancestors
-    assert pv.components[0].prefix_trav == 0b111
+    # nothing is skipped at depth 1, so its AND of modes is all 0o777
+    assert pv.components[0].prefix_trav == 0o777
 
 
 def _names_of(d) -> tuple[str, ...]:
@@ -136,15 +135,10 @@ def test_build_pool_materializes_only_the_kept_candidates(monkeypatch):
             made["Component"] += 1
             super().__init__(node, prefix_trav, text_len)
 
-    def counted_trav_mask(mode):
-        made["trav_mask"] += 1
-        return trav_mask(mode)
-
     monkeypatch.setattr(pivots, "Component", CountedComponent)
-    monkeypatch.setattr(pivots, "trav_mask", counted_trav_mask)
     pool = build_pool(cands, 16)
-    # 16 kept pivots of 6 components each; masking all 64 candidates took 384
-    assert pool.size == 16 and made["Component"] <= 16 * 6 and made["trav_mask"] <= 16 * 6
+    # 16 kept pivots of 6 components each; materializing all 64 candidates took 384
+    assert pool.size == 16 and made["Component"] <= 16 * 6
     assert pool_shape(pool) == pool_shape(reference_build_pool(cands, 16))
 
 

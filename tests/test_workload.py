@@ -459,7 +459,7 @@ def test_equivalence_run_three_strategies():
     assert set(runs) == {"original", "fullpath", "stage"}
 
 
-@pytest.mark.parametrize("cred", list(Credential))
+@pytest.mark.parametrize("cred", list(Credential), ids=lambda c: c.name.lower())
 def test_equivalence_under_mutation_per_credential(cred):
     spec = TreeSpec(levels=[6, 6, 6, 6], seed=5)
     trace = synth_trace(gen_tree(spec), "hotdir-zipf", {"p_rename": 0.02, "p_chmod": 0.02}, seed=31)
