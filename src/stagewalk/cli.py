@@ -12,7 +12,6 @@ import sys
 
 from .errors import ConfigError, ContractViolation, EngineError, SpecInvalid, TraceMalformed
 from .workload import (
-    BENCH_POOL_SIZES,
     STRATEGIES,
     TreeSpec,
     bench_depth_grid,
@@ -117,7 +116,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_depth(args: argparse.Namespace) -> int:
-    rows = bench_depth_grid(pool_sizes=BENCH_POOL_SIZES, reps=args.reps)
+    rows = bench_depth_grid(reps=args.reps)
     text = grid_csv(rows)
     print(text, end="")
     if args.out:

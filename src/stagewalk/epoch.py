@@ -19,13 +19,13 @@ the working pool's component index along that path (one run of the sorted
 pool, so the cost follows the path's depth, not the pool's size), installs a
 pool of the other pivots, the same pivot objects, then bumps `metadata_seq`;
 readers still scanning the old pool may find a covered pivot there, and the
-engine drops such a result because the count moved under it. A period reads that
-count under the tree read lock before it builds, and installs its build only
-if the count has not moved by the time it holds the pool mutex, so no pool
-built before a modification is ever installed. A modification that completed
-before the build is already in it (the build walks the live tree's parent
-links) and costs no swap. Hooks fire under the tree write lock, so a racing
-modification lands between the build and the swap, never inside the build.
+engine drops such a result because the count moved under it. A period holds
+the tree read lock from its build through its install, as an RCU updater
+serializes with other updaters: every rename, chmod and unlink fires its hook
+under the tree write lock, so a modification lands wholly before the build
+(which walks the live tree's parent links and so already sees it) or wholly
+after the install (whose pool its hook then repairs), never in between. Lock
+order is the hook's: tree lock, pool mutex, reader lock.
 
 Only a threadsafe tree keeps the registry, under a lock. A single-threaded
 tree registers nothing: `reader_enter` returns token 0 with the working pool
@@ -113,7 +113,6 @@ class PivotManager:
         self._readers: dict[int, int] = {}
         self._token_seq = itertools.count(1)
         self.ticks = 0
-        self.swaps = 0
 
     # -- read side ------------------------------------------------------------
 
@@ -153,63 +152,48 @@ class PivotManager:
 
     # -- manager side -----------------------------------------------------------
 
-    def periodic_update(self, periods: int = 1) -> bool:
-        """One manager period, or `periods` in a row: rebuild, maybe swap,
-        then advance the candidate set, which bumps the heat version and
-        drops every member.
-
-        A metadata modification between the start of the build and the swap
-        discards the fresh build, and the working pool stays as the
-        modification left it for another period; in that case the heat version
-        does not advance and the candidates stay. Returns whether a swap
-        happened. `swaps` counts these period swaps only, also one that
-        keeps the working pool because its names did not change.
+    def periodic_update(self, periods: int = 1) -> None:
+        """One manager period, or `periods` in a row: rebuild, install the
+        build unless it keeps the working pool, then advance the candidate
+        set, which bumps the heat version and drops every member.
 
         `periods` > 1 runs that many periods back to back with no lookup or
-        modification between them (a replay's idle gap). Once one of them
-        swaps, the set is empty, so each later one would build nothing,
-        keep the working pool, swap and advance: they are counted at once,
-        and the queue reclaimed once. Until then the periods run one by one.
-        Returns whether the last period swapped.
+        modification between them (a replay's idle gap). The first leaves
+        the set empty, so each later one would build nothing, keep the
+        working pool and advance: they are counted at once.
         """
-        swapped = self._period()
-        periods -= 1
-        while periods > 0 and not swapped:
-            swapped = self._period()
-            periods -= 1
-        if periods > 0:
+        self._period()
+        rest = periods - 1
+        if rest > 0:
             with self._heat_lock:
-                self._candidates.advance(periods)
-            self.ticks += periods
-            self.swaps += periods
-            self.reclaim()
-        return swapped
+                self._candidates.advance(rest)
+            self.ticks += rest
 
-    def _period(self) -> bool:
+    @property
+    def swaps(self) -> int:
+        """Every period swaps, also one that keeps the working pool."""
+        return self.ticks
+
+    def _period(self) -> None:
         """One period: build from the members at heat POPULAR_HEAT or more
         (every member holds the current version, so its heat is this
-        period's). With none, `build_pool` returns the working pool, which
-        the period keeps while it still swaps and advances."""
+        period's) and install the build under the same tree read lock. With
+        none, `build_pool` returns the working pool, which the period keeps
+        while it still advances."""
         self.ticks += 1
         with self._heat_lock:
             candidates = [d for d in self._candidates.members() if d.heat >= POPULAR_HEAT]
         self._tree.lock.acquire_read()
         try:
-            seq = self.metadata_seq
             new_pool = build_pool(candidates, self.pool_bound, self.working_pool)
+            if new_pool is not self.working_pool:
+                with self._pool_mutex:
+                    self._install(new_pool)
         finally:
             self._tree.lock.release_read()
-
-        with self._pool_mutex:
-            swapped = self.metadata_seq == seq
-            if swapped and new_pool is not self.working_pool:
-                self._install(new_pool)
-        if swapped:
-            self.swaps += 1
-            with self._heat_lock:
-                self._candidates.advance()
+        with self._heat_lock:
+            self._candidates.advance()
         self.reclaim()
-        return swapped
 
     def publish_pool(self, pool: PivotPool) -> None:
         """Directly install a hand-built pool (benches and tests)."""
@@ -235,9 +219,8 @@ class PivotManager:
         (`PivotPool.covered_run`): the hook costs the path's depth, not the
         pool's size, even when it covers nothing, churn's common case.
 
-        Bumps `metadata_seq` whether or not anything matched, so a build that
-        this modification raced is never swapped in, and a lookup that sampled
-        the count before this call drops its pivot's result.
+        Bumps `metadata_seq` whether or not anything matched, so a lookup
+        that sampled the count before this call drops its pivot's result.
         """
         with self._pool_mutex:
             pool = self.working_pool

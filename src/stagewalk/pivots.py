@@ -182,7 +182,8 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
     and nothing is materialized. Keeping it is sound only while `current`
     equals a build of its own names from the live tree, which the manager's
     working pool does: every rename, chmod and unlink retires the pivots it
-    covers before it applies, and a build that one raced is never installed.
+    covers before it applies, and none can apply between a period's build
+    and its install, which hold the tree read lock together.
     """
     by_names: dict[tuple[str, ...], tuple[int, Dentry]] = {}
     for d in candidates:

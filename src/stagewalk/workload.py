@@ -278,6 +278,8 @@ def _zipf_weight(rank: int, s: float) -> float:
 # trace time between two events, and between two replay-like bursts
 _STEP_MS = 1
 _BURST_GAP_MS = 4000
+# the share of lookups that are stats rather than opens
+_P_STAT = 0.55
 
 
 def synth_trace(
@@ -305,7 +307,6 @@ def synth_trace(
         "p_rename": 0.0,
         "p_chmod": 0.0,
         "p_create": 0.0,
-        "p_stat": 0.55,
         "hot_dirs": 8,
         "zipf_s": 1.0,
         "burst_len": 64,
@@ -358,7 +359,7 @@ def synth_trace(
             events.append(TraceEvent("create", new, at_ms, mode=_FILE_MODE))
             uni.files.append(new)
         else:
-            op = "stat" if rng.random() < p["p_stat"] else "open"
+            op = "stat" if rng.random() < _P_STAT else "open"
             events.append(TraceEvent(op, pick_target(), at_ms))
     return events
 
@@ -519,7 +520,6 @@ def bench_depth_grid(
     pool_sizes: Sequence[int] = BENCH_POOL_SIZES,
     stage_two_lengths: Sequence[int] = tuple(range(9)),
     reps: int = 50,
-    measure_wall: bool = False,
 ) -> list[dict]:
     """For depth-8 paths, sweep how many components Stage Two must walk (k)
     against pool sizes; emits one row per (k, pool size) plus the baseline.
@@ -562,12 +562,10 @@ def bench_depth_grid(
             find_best_pivot(engine.manager.working_pool, target, stats)
             walked = set()
             results = set()
-            t0 = time.perf_counter()
             for _ in range(reps):
                 res = engine.stage_lookup(target)
                 walked.add(res.walked_components)
                 results.add(res.target)
-            elapsed = time.perf_counter() - t0
             rows.append(
                 {
                     "stage_two": k,
@@ -577,7 +575,6 @@ def bench_depth_grid(
                     "pivots_visited": stats.pivots_visited,
                     "stage_one_chars": stats.char_comparisons,
                     "original_visited": original_visited,
-                    "wall_s": elapsed if measure_wall else None,
                 }
             )
     return rows

@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import random
 import threading
+import time
 
 import pytest
 
@@ -142,7 +143,7 @@ def test_single_threaded_tick_inside_a_read_section_trips_the_sentinel():
     tree, cset, mgr = fig4_manager()
     token_id, pool = mgr.reader_enter()
     heat_a_changed_set(tree, cset)
-    assert mgr.periodic_update()
+    mgr.periodic_update()
     assert pool.freed
     with pytest.raises(ContractViolation):
         find_best_pivot(pool, mkpath("/a1/b1/c1"))
@@ -171,7 +172,7 @@ def test_selector_alternates_in_steady_state():
     seen = [mgr.working_pool]
     for hot in ("/seed", "/next", "/seed"):
         heat_up(tree, cset, [hot])
-        assert mgr.periodic_update()
+        mgr.periodic_update()
         seen.append(mgr.working_pool)
     assert [p.generation for p in seen] == [0, 1, 2, 3]  # a fresh pool every changed period
     assert [p.freed for p in seen] == [True, True, True, False]  # the old one retired
@@ -187,7 +188,7 @@ def test_unchanged_hot_set_keeps_the_working_pool(threadsafe):
     token_id, held = mgr.reader_enter()
     heat_up(tree, cset, FIG4_PATHS)
     assert len(cset) > 0
-    assert mgr.periodic_update()
+    mgr.periodic_update()
     assert mgr.working_pool is old and old.generation == gen
     assert mgr.swaps == swaps + 1 and cset.version == version + 1 and len(cset) == 0
     assert mgr.reclaim_queue.pending == 0
@@ -226,11 +227,11 @@ def test_working_pool_equals_a_fresh_build_of_its_targets_randomized(threadsafe)
                     engine.lookup(mkpath(rng.choice(hot)))
                 elif roll < 0.8:
                     cands = [d for d in engine.candidates.members() if d.heat >= POPULAR_HEAT]
-                    if mgr.periodic_update():
-                        want = reference_build_pool(cands, mgr.pool_bound, before)
-                        assert pool_shape(mgr.working_pool) == pool_shape(want)
-                        if before.size:
-                            seen["kept" if mgr.working_pool is before else "built"] += 1
+                    mgr.periodic_update()
+                    want = reference_build_pool(cands, mgr.pool_bound, before)
+                    assert pool_shape(mgr.working_pool) == pool_shape(want)
+                    if before.size:
+                        seen["kept" if mgr.working_pool is before else "built"] += 1
                 elif roll < 0.85:
                     parent = rng.choice([d for d in live if d.kind == DIR] or [tree.root])
                     n_new += 1
@@ -255,92 +256,94 @@ def test_working_pool_equals_a_fresh_build_of_its_targets_randomized(threadsafe)
     assert {"kept", "built", "refused", "retired by a modification"} <= set(seen), seen
 
 
-def tick_raced_by(mgr, cset, path):
-    """Tick once with a metadata modification of `path` injected between the
-    build and the swap, and check that the swap was suppressed: the raced
-    build is not installed, no swap is counted, the heat version does not
-    advance and nothing is drained. Returns how many pivots the modification
-    removed."""
-    swaps, pool = mgr.swaps, mgr.working_pool
-    version, members = cset.version, [d.id for d in cset.members()]
-    removed, builds = [], []
-    real_build = epoch_module.build_pool
-
-    def racing_build(candidates, bound, current):
-        builds.append(real_build(candidates, bound, current))
-        removed.append(mgr.invalidate_for_metadata(mkpath(path)))
-        return builds[0]
-
-    epoch_module.build_pool = racing_build
-    try:
-        assert not mgr.periodic_update()
-    finally:
-        epoch_module.build_pool = real_build
-    # the raced build was never installed: it is a fresh pool left
-    # unpublished, or the working pool it kept, and only the modification
-    # may have moved the generation
-    assert not builds[0].published or builds[0] is pool
-    assert mgr.working_pool.generation == pool.generation + (removed[0] > 0)
-    assert mgr.swaps == swaps
-    assert cset.version == version
-    assert [d.id for d in cset.members()] == members
-    return removed[0]
-
-
-@on_both_trees
-def test_metadata_mid_period_suppresses_next_swap(threadsafe):
-    tree, cset, mgr = fig4_manager(threadsafe)
-    pool = mgr.working_pool
-    heat_up(tree, cset, ["/a1/b1/c1"])
-    assert tick_raced_by(mgr, cset, "/a1/b2") == 1
-    assert "/a1/b2/c3" not in [p.path for p in mgr.working_pool.pivots]
-    assert mgr.periodic_update()  # the following period swaps again
-    assert mgr.working_pool is not pool
-
-
 @on_both_trees
 def test_periods_in_a_row_end_as_single_periods_do(threadsafe):
-    """periodic_update(4) ends as four single periods do, also when a
-    modification races the first: that one swaps nothing, the next builds
-    from the candidates it left, and the rest are idle and keep the pool."""
-    for raced in (False, True):
-        states = []
-        for periods in ((4,), (1, 1, 1, 1)):
-            tree, cset, mgr = fig4_manager(threadsafe)
-            heat_up(tree, cset, ["/a1/b1/c1"])
-            real_build = epoch_module.build_pool
-            builds = []
-
-            def racing_build(candidates, bound, current):
-                builds.append(None)
-                if raced and len(builds) == 1:
-                    mgr.invalidate_for_metadata(mkpath("/a1/b2"))
-                return real_build(candidates, bound, current)
-
-            epoch_module.build_pool = racing_build
-            try:
-                swapped = [mgr.periodic_update(n) for n in periods][-1]
-            finally:
-                epoch_module.build_pool = real_build
-            states.append((swapped, mgr.ticks, mgr.swaps, cset.version, len(cset), mgr.working_pool.generation,
-                           mgr.reclaim_queue.pending, [pv.names for pv in mgr.working_pool.pivots]))
-        assert states[0] == states[1]
-        swapped, ticks, swaps, *_ = states[0]
-        assert swapped and (ticks, swaps) == (5, 5 - raced)
+    """periodic_update(4) ends as four single periods do: the first builds
+    from the candidates, and the rest are idle and keep the pool."""
+    states = []
+    for periods in ((4,), (1, 1, 1, 1)):
+        tree, cset, mgr = fig4_manager(threadsafe)
+        heat_up(tree, cset, ["/a1/b1/c1"])
+        for n in periods:
+            mgr.periodic_update(n)
+        states.append((mgr.ticks, mgr.swaps, cset.version, len(cset), mgr.working_pool.generation,
+                       mgr.reclaim_queue.pending, [pv.names for pv in mgr.working_pool.pivots]))
+    assert states[0] == states[1]
+    assert states[0][:2] == (5, 5)
 
 
 @on_both_trees
-def test_rename_before_the_tick_does_not_suppress_the_swap(threadsafe):
+def test_the_build_sees_a_rename_made_before_the_tick(threadsafe):
     tree, cset, mgr = fig4_manager(threadsafe)
     pool = mgr.working_pool
     mgr.invalidate_for_metadata(mkpath("/a1/b2"))  # no hook registered; call directly
     tree.rename_node(mkpath("/a1/b2"), mkpath("/a1/zz9"))
     heat_up(tree, cset, ["/a1/b1/c1", "/a1/zz9/c3"])
-    assert mgr.periodic_update()  # the build already saw the rename
+    mgr.periodic_update()
     paths = [p.path for p in mgr.working_pool.pivots]
     assert mgr.working_pool is not pool and "/a1/zz9/c3" in paths
     assert not any(p.startswith("/a1/b2/") for p in paths)
     assert verify_pool(mgr.working_pool) == []
+
+
+def test_a_rename_during_a_period_waits_for_its_install():
+    """A rename that starts while a period builds blocks on the tree lock
+    until the period has installed its build, however slow the install: its
+    hook then finds that build working and repairs it, and the period still
+    swaps and advances the heat version."""
+    tree = make_tree(*FIG4_PATHS, files=("/a1/b1/c2/d2/e3/f3/foo",), threadsafe=True)
+    engine = StageLookupEngine(tree)
+    mgr, cset = engine.manager, engine.candidates
+    for p in FIG4_PATHS * POPULAR_HEAT:
+        engine.lookup(mkpath(p))
+    engine.tick()
+    for p in FIG4_PATHS[1:] * POPULAR_HEAT:  # a new hot set: the next period installs a fresh pool
+        engine.lookup(mkpath(p))
+    version, old = cset.version, mgr.working_pool
+    builds, hook_saw_build, threads, errors = [], [], [], []
+    real_build, real_install, real_hook = epoch_module.build_pool, mgr._install, mgr.invalidate_for_metadata
+
+    def start(fn):
+        def run():
+            try:
+                fn()
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads.append(threading.Thread(target=run, daemon=True))
+        threads[-1].start()
+
+    def build_then_rename(candidates, bound, current):
+        builds.append(real_build(candidates, bound, current))
+        start(lambda: tree.rename_node(mkpath("/a1/b1/c2"), mkpath("/a1/b1/z9")))
+        time.sleep(0.05)
+        return builds[0]
+
+    def slow_install(pool):
+        time.sleep(0.05)
+        real_install(pool)
+
+    def hook(path):
+        hook_saw_build.append(mgr.working_pool is builds[0])
+        return real_hook(path)
+
+    mgr._install, mgr.invalidate_for_metadata = slow_install, hook
+    epoch_module.build_pool = build_then_rename
+    try:
+        start(engine.tick)
+        threads[0].join(timeout=10)  # the tick, which starts the rename thread
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        epoch_module.build_pool = real_build
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert builds[0] is not old and hook_saw_build == [True]
+    renamed = mkpath("/a1/b1/c2")
+    assert not any(renamed.is_component_prefix_of(mkpath(pv.path)) for pv in mgr.working_pool.pivots)
+    assert [pv.path for pv in mgr.working_pool.pivots] == ["/a1/b2/c3"]
+    assert verify_pool(mgr.working_pool) == []
+    assert cset.version == version + 1
+    assert mgr.ticks == mgr.swaps == 2
 
 
 def test_version_advances_and_drains_only_on_swap():
@@ -350,18 +353,11 @@ def test_version_advances_and_drains_only_on_swap():
     mgr.periodic_update()
     assert cset.version == v0 + 1
     assert len(cset) == 0  # the swap clears the set
-    heat_up(tree, cset, ["/seed"])
-    tick_raced_by(mgr, cset, "/nonexistent")  # no swap, no advance, no drain
-    assert cset.version == v0 + 1
-    assert len(cset) == 1
-    assert mgr.periodic_update()  # the following period swaps, advances and drains
-    assert cset.version == v0 + 2
-    assert len(cset) == 0
 
 
 def test_empty_candidates_publish_empty_pool():
     _tree, _cset, mgr = make_manager()
-    assert mgr.periodic_update()
+    mgr.periodic_update()
     assert mgr.working_pool.size == 0 and mgr.working_pool.published
 
 
@@ -376,7 +372,7 @@ def test_a_tick_with_no_lookups_keeps_the_working_pool(threadsafe):
     pool = mgr.working_pool
     assert [p.path for p in pool.pivots] == ["/a/b/f"]
     version, swaps = cset.version, mgr.swaps
-    assert mgr.periodic_update()  # an idle period
+    mgr.periodic_update()  # an idle period
     assert mgr.working_pool is pool and not pool.freed
     assert (cset.version, mgr.swaps) == (version + 1, swaps + 1)  # the heat version still advances
     assert engine.stage_lookup(mkpath("/a/b/f")).pivot_used == "/a/b/f"
@@ -397,7 +393,7 @@ def test_a_target_looked_up_twice_in_its_period_becomes_a_pivot(threadsafe):
     engine.lookup(mkpath("/a/b/f"))
     engine.lookup(mkpath("/a/b/f"))
     engine.lookup(mkpath("/c/d/g"))
-    assert mgr.periodic_update()
+    mgr.periodic_update()
     assert [p.path for p in mgr.working_pool.pivots] == ["/a/b/f"]
     assert engine.stage_lookup(mkpath("/a/b/f")).pivot_used == "/a/b/f"
 
@@ -408,7 +404,7 @@ def test_a_target_looked_up_once_does_not_become_a_pivot(threadsafe):
     engine.lookup(mkpath("/a/b/f"))
     assert [d.name for d in cset.members()] == ["f"]  # a candidate all the same
     empty = mgr.working_pool
-    assert mgr.periodic_update()
+    mgr.periodic_update()
     assert mgr.working_pool is empty and mgr.working_pool.size == 0
     assert engine.stage_lookup(mkpath("/a/b/f")).pivot_used is None
 
@@ -420,7 +416,7 @@ def test_one_lookup_in_each_of_two_periods_does_not_make_a_pivot(threadsafe):
     engine, mgr, cset = popular_engine(threadsafe)
     for _period in range(2):
         engine.lookup(mkpath("/a/b/f"))
-        assert mgr.periodic_update()
+        mgr.periodic_update()
         assert mgr.working_pool.size == 0
     assert engine.tree._resolve_admin(mkpath("/a/b/f")).heat == 1
 
@@ -440,7 +436,7 @@ def test_a_period_of_targets_seen_once_keeps_the_working_pool(threadsafe):
     engine.lookup(mkpath("/c/d/g"))
     assert len(cset) == 2 and all(d.heat == 1 for d in cset.members())
     version, swaps = cset.version, mgr.swaps
-    assert mgr.periodic_update()
+    mgr.periodic_update()
     assert mgr.working_pool is pool and not pool.freed
     assert (cset.version, mgr.swaps) == (version + 1, swaps + 1)
     assert len(cset) == 0
@@ -601,10 +597,9 @@ def test_invalidate_replaces_the_pivot_list_never_edits_it():
 
 def test_invalidate_no_match_touches_only_waiting_pool():
     tree, cset, mgr = fig4_manager()
-    before = [p.path for p in mgr.working_pool.pivots]
-    assert tick_raced_by(mgr, cset, "/zz") == 0  # the racing build is discarded
-    assert [p.path for p in mgr.working_pool.pivots] == before
-    assert mgr.periodic_update()
+    pool, gen = mgr.working_pool, mgr.working_pool.generation
+    assert mgr.invalidate_for_metadata(mkpath("/zz")) == 0
+    assert mgr.working_pool is pool and pool.generation == gen
 
 
 def test_invalidate_root_removes_everything():

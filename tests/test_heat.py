@@ -223,7 +223,7 @@ def test_swap_clears_members_refreshed_in_the_ending_period():
         engine.lookup(mkpath(text))  # refreshed late in the period
     members = engine.candidates.members()
     assert len(members) == 8
-    assert engine.manager.periodic_update()
+    engine.manager.periodic_update()
     assert len(engine.candidates) == 0 and engine.candidates.least_popular is None
     assert all(m not in engine.candidates for m in members)
     engine.candidates.validate()

@@ -192,7 +192,6 @@ def test_hotdir_k1_single_parent():
         {"n_events": -5},
         {"p_rename": 2.0},
         {"p_rename": -0.5},
-        {"p_stat": 1.5},
         {"p_rename": 0.5, "p_chmod": 0.4, "p_create": 0.2},
         {"hot_dirs": 0},
     ],
@@ -212,11 +211,12 @@ def test_burst_len_below_one_rejected(burst_len):
         synth_trace(tree, "replay-like", {"n_events": 200, "burst_len": burst_len}, seed=1)
 
 
-@pytest.mark.parametrize("params", [{"gap_ms": -5000}, {"step_ms": -1}, {"p_renam": 0.1}])
+@pytest.mark.parametrize("params", [{"gap_ms": -5000}, {"step_ms": -1}, {"p_renam": 0.1}, {"p_stat": 0.5}])
 def test_unknown_synth_params_rejected(params):
     """A key the synthesizer does not know raises rather than being ignored:
-    a typo like `p_renam`, or a time step, which is fixed: a negative gap or
-    step would give `at_ms` values that read_trace rejects."""
+    a typo like `p_renam`, the stat share, or a time step, which are fixed:
+    a negative gap or step would give `at_ms` values that read_trace
+    rejects."""
     tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
     with pytest.raises(ConfigError, match="unknown trace parameters"):
         synth_trace(tree, "replay-like", {"n_events": 200, "burst_len": 50, **params}, seed=1)
