@@ -26,7 +26,9 @@ the query shares that text, so the query has names past the matched depth
 exactly when its text is longer. A whole-path hit therefore never splits
 the path (see `paths`), and it returns the pair the pool's path map stores,
 so it builds no tuple either. Stage Two reads `components`, which the
-descent that found its pivot has already split. The miss walk is
+descent that found its pivot has already split, and passes the walk the
+length of the text past the matched one, from which the walk counts its
+chars. The miss walk is
 `DirTree.lookup_original`, which splits the path where no descent did: on an
 empty pool, or after a whole-path hit that a modification raced. A counted
 hit bumps only the skipped-prefix histogram, whose total is
@@ -169,10 +171,11 @@ class StageLookupEngine(_ResolverBase):
                 if not matched.prefix_trav & cred:
                     raise PermissionDenied(f"skipped prefix of {pivot.path!r} not traversable for {cred.name.lower()}")
                 target = matched.node
-                # the query shares the matched text, so a longer one has names left;
-                # an empty walk_from checks and counts nothing
+                # the query shares the matched text, so a longer one has names left,
+                # which the rest of its text spells; an empty walk_from checks and counts nothing
                 if len(path.text) > matched.text_len:
-                    target = tree.walk_from(target, path.components[depth:], cred, metrics)
+                    rest = len(path.text) - matched.text_len
+                    target = tree.walk_from(target, path.components[depth:], cred, metrics, rest)
             except (PermissionDenied, NotFound):
                 if manager.metadata_seq == seq:
                     raise

@@ -11,8 +11,10 @@ Counter semantics:
   verification); a missing one costs the hash scan. The walk counts these
   scans but does not perform them: it resolves through the children maps
   and counts nothing per component. A walk that resolves every component
-  adds twice its names' total length at once; a failed one adds the same for
-  the prefix it resolved, plus the missing name's hash scan on NotFound.
+  adds twice its names' total length at once, taken from the length of the
+  path text that spells them less one '/' per name, so it builds no string;
+  a failed one adds the same for the prefix it resolved, plus the missing
+  name's hash scan on NotFound.
   Full-path-probe costs are added by the fullpath strategy. Stage One
   adds the model's char-by-char cost of its single forward pivot scan: a name's
   length on a match, or the chars up to and including the first differing

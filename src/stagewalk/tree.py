@@ -13,7 +13,12 @@ chain, and a directory is the dentry that has a children map.
 Mutations (create/rename/chmod/unlink) are serialized through the tree's
 write lock. Walks on a threadsafe tree take the read side; a single-threaded
 tree's walks make no lock call, since one thread cannot modify the tree
-inside a walk. A walk counts its visits and chars once, not per component.
+inside a walk. The walk's loop pays only for its probes: per component one
+traversal test, one subscript of the children map (a missing name or a name
+below a file raises there and becomes NotFound) and one assignment. A walk
+counts its visits and chars once, not per component, and a resolved walk
+takes its chars from the length of the text that spells its names, which its
+caller passes.
 Hooks registered by caching strategies fire before a mutation is applied so
 they can observe pre-mutation paths.
 """
@@ -242,6 +247,7 @@ class DirTree:
         components: Sequence[str],
         cred: Credential,
         metrics: Metrics,
+        text_len: int,
     ) -> Dentry:
         """Resolve components through the children maps starting at `start`.
 
@@ -250,15 +256,23 @@ class DirTree:
         permission rules: before descending out of a directory other than the
         root, its mode must have `cred`'s exec bit set. Each component is
         counted as the kernel's d_hash chain lookup would scan it: a hash scan
-        of its name, then on a hit a verification scan and a dentry visit. A
-        name looked up below a file is missing (NotFound). Counting costs the
-        loop nothing: per component it only tests traversal, gets the child
-        and steps to it. A walk that resolves every component then counts all
-        of `components` at once; a failed walk counts the prefix it resolved,
-        found by stepping parent links from where it stopped back to `start`,
-        plus on NotFound the missing name's hash scan. Only a threadsafe tree
-        takes its read lock for the walk; on one thread nothing can modify the
-        tree inside it.
+        of its name, then on a hit a verification scan and a dentry visit.
+
+        The loop pays only for its probes: per component one traversal test,
+        one subscript of the children map and one assignment. Only the
+        subscript sits in a `try`, which costs nothing until it raises: a
+        KeyError (no such name) or a TypeError (a file's children are None, so
+        a name looked up below a file is missing) becomes NotFound.
+
+        `text_len` is the length of the text that spells `components`, one
+        '/' before each name; 0 when `components` is empty, as for the root,
+        whose text "/" spells no name. A walk that resolves every component
+        counts its chars from it, twice the names' total length, and builds
+        no string. A failed walk counts the prefix it resolved, found by
+        stepping parent links from where it stopped back to `start`, plus on
+        NotFound the missing name's hash scan. Only a threadsafe tree takes
+        its read lock for the walk; on one thread nothing can modify the tree
+        inside it.
         """
         cur = start
         shared = self.threadsafe
@@ -266,13 +280,12 @@ class DirTree:
             self.lock.acquire_read()
         try:
             for name in components:
-                children = cur.children
-                if not cur.mode & cred and children is not None and cur.parent is not None:
+                if not cur.mode & cred and cur.children is not None and cur.parent is not None:
                     raise PermissionDenied(f"no traversal through {cur.name!r} for {cred.name.lower()}")
-                child = children.get(name) if children is not None else None
-                if child is None:
-                    raise NotFound(f"missing component {name!r}")
-                cur = child
+                try:
+                    cur = cur.children[name]
+                except (KeyError, TypeError):
+                    raise NotFound(f"missing component {name!r}") from None
         except (PermissionDenied, NotFound) as exc:
             resolved = 0
             d = cur
@@ -289,14 +302,16 @@ class DirTree:
             if shared:
                 self.lock.release_read()
         metrics.dentries_visited += len(components)
-        metrics.char_comparisons += 2 * len("".join(components))
+        metrics.char_comparisons += 2 * (text_len - len(components))  # the names' chars, scanned twice
         return cur
 
     def lookup_original(self, path: PathBuf, cred: Credential, metrics: Metrics) -> NodeId:
         """Component-wise walk from the root; the baseline every strategy must
         match, and the miss walk of stage and fullpath, so a path is split for
         a walk from the root here alone."""
+        text = path.text
         comps = path._components
         if comps is None:  # split inline, as `PathBuf.components` would
-            comps = path._components = tuple(path.text[1:].split("/"))
-        return self.walk_from(self.root, comps, cred, metrics).id
+            comps = path._components = tuple(text[1:].split("/"))
+        # the root's text "/" spells no name
+        return self.walk_from(self.root, comps, cred, metrics, len(text) if comps else 0).id

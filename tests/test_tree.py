@@ -18,10 +18,13 @@ from stagewalk import (
     Metrics,
     NotADirectory,
     NotFound,
+    PathBuf,
     PermissionDenied,
+    StageLookupEngine,
     Unsupported,
     DirTree,
     SIX_LEVEL_PRESET,
+    build_pool,
     gen_tree,
 )
 from stagewalk.locks import NullRWLock, RWLock
@@ -305,9 +308,10 @@ def counted_walk(path: str, start: str = "/", chmod: str | None = None, walks: i
         tree.chmod_node(mkpath(chmod), 0o644)
     begin = tree._resolve_admin(mkpath(start))
     comps = mkpath(path).components[mkpath(start).depth :]
+    text_len = sum(map(len, comps)) + len(comps)  # one '/' before each name
     m = Metrics()
     for _ in range(walks):
-        res = outcome(tree.walk_from, begin, comps, OWNER, m)
+        res = outcome(tree.walk_from, begin, comps, OWNER, m, text_len)
     return res if res.startswith("err:") else "ok", m.dentries_visited, m.char_comparisons
 
 
@@ -519,10 +523,11 @@ def test_walk_matches_reference_randomized():
         for _ in range(40):
             start = tree.root if rng.random() < 0.5 else rng.choice(dentries)
             comps = _random_components(rng, start)
+            text_len = sum(map(len, comps)) + len(comps)  # one '/' before each name
             for cred in Credential:
                 before = ref_m.dentries_visited
                 want = _walk_result(reference_walk, tree, start, comps, cred, ref_m)
-                got = _walk_result(tree.walk_from, start, comps, cred, new_m)
+                got = _walk_result(tree.walk_from, start, comps, cred, new_m, text_len)
                 assert got == want, (tree.materialize_path(start), comps, cred)
                 assert (new_m.dentries_visited, new_m.char_comparisons) == (
                     ref_m.dentries_visited,
@@ -545,6 +550,54 @@ def test_walk_matches_reference_randomized():
     expected |= {f"denied-root-after-{k}" for k in range(1, 6)}
     expected |= {f"denied-inner-after-{k}" for k in range(0, 4)}
     assert expected <= cases, sorted(expected - cases)
+
+
+def _walk_c_calls(fn, *args):
+    """fn(*args), and the C functions that the walk's own frames (walk_from's
+    and lookup_original's) called, by qualified name."""
+    walk_codes = {DirTree.walk_from.__code__, DirTree.lookup_original.__code__}
+    called: list[str] = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code in walk_codes:
+            called.append(arg.__qualname__)
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, called
+
+
+# the loop subscripts the children maps, and a resolved walk counts its chars
+# from the text's length: neither str.join nor dict.get is called
+@pytest.mark.parametrize("text, counts", [("/ab/cde/f/gh/ij", (5, 2 * 10)), ("/", (0, 0))])
+def test_root_walk_counts_without_join_or_get(text, counts):
+    tree = make_tree(files=_COUNTED_FILES)
+    path = PathBuf.parse(text)
+    m, ref = Metrics(), Metrics()
+    got, called = _walk_c_calls(tree.lookup_original, path, OWNER, m)
+    assert got == reference_walk(tree, tree.root, path.components, OWNER, ref).id
+    assert (m.dentries_visited, m.char_comparisons) == (ref.dentries_visited, ref.char_comparisons) == counts
+    assert "str.join" not in called and "dict.get" not in called, called
+
+
+def test_stage_two_walk_counts_without_join_or_get():
+    tree = make_tree(files=_COUNTED_FILES)
+    engine = StageLookupEngine(tree)
+    engine.manager.publish_pool(build_pool([tree._resolve_admin(mkpath("/ab/cde"))], 16))
+    path = PathBuf.parse("/ab/cde/f/gh/ij")
+    used: list = []
+    got, called = _walk_c_calls(engine.lookup, path, OWNER, used)
+    (pivot, depth), = used  # a Stage Two walk from /ab/cde
+    assert depth == 2
+    ref = Metrics()
+    assert got == reference_walk(tree, pivot.components[1].node, path.components[2:], OWNER, ref).id
+    scan_chars = engine._stats.char_comparisons  # Stage One's, which the engine adds first
+    assert engine.metrics.dentries_visited == ref.dentries_visited == 3
+    assert engine.metrics.char_comparisons - scan_chars == ref.char_comparisons == 2 * 5
+    assert "str.join" not in called and "dict.get" not in called, called
 
 
 def _count_calls(monkeypatch, cls, counts: dict[str, int]) -> None:
