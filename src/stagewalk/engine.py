@@ -8,17 +8,22 @@ Stage One scans the working pivot pool for the pivot sharing the deepest
 prefix with the query. On a threadsafe tree the pool is pinned by a token id
 that the manager's reader registry holds from `reader_enter` to
 `reader_exit`; on a single-threaded tree the same calls register nothing
-(see `epoch`). Stage Two resolves the remaining components through the
-children maps exactly like the original walk, starting from the matched
-component's dentry, which the pivot holds per depth (so landing on an
-ancestor of the pivot is a direct array index, recorded as rolled_up, and no
-id is looked up in `tree.nodes`). The skipped prefix's permission check is
-the walk's own exec-bit test, `mode & cred`, made once on the AND of the
-skipped components' modes taken at build time. The heat update is one call,
-`observe_target`, taken under the heat lock on a threadsafe tree only. The
-candidate set holds the engine's heat version and members, and the heat
-itself lives on the tree's dentries, so a tree takes at most one stage
-engine: building a second raises ConfigError, as a kernel keeps one dcache.
+(see `epoch`), and a whole-path hit there makes none of them: the engine
+probes the working pool's path map itself, tests the pool's `freed` flag,
+and takes the pair and the scan's chars from the entry. Only a path-map
+miss calls `find_best_pivot`. The probe picks where the pair comes from,
+and everything after it is shared. Stage Two resolves the remaining
+components through the children maps exactly like the original walk,
+starting from the matched component's dentry, which the pivot holds per
+depth (so landing on an ancestor of the pivot is a direct array index,
+recorded as rolled_up, and no id is looked up in `tree.nodes`). The skipped
+prefix's permission check is the walk's own exec-bit test, `mode & cred`,
+made once on the AND of the skipped components' modes taken at build time.
+The heat update is one call, `observe_target`, taken under the heat lock on
+a threadsafe tree only. The candidate set holds the engine's heat version
+and members, and the heat itself lives on the tree's dentries, so a tree
+takes at most one stage engine: building a second raises ConfigError, as a
+kernel keeps one dcache.
 
 A hit decides from the path's length that nothing is left to walk: the
 matched component holds the length of the pivot's path text through it, and
@@ -28,22 +33,25 @@ the path (see `paths`), and it returns the pair the pool's path map stores,
 so it builds no tuple either. Stage Two reads `components`, which the
 descent that found its pivot has already split, and passes the walk the
 length of the text past the matched one, from which the walk counts its
-chars. The miss walk is
-`DirTree.lookup_original`, which splits the path where no descent did: on an
-empty pool, or after a whole-path hit that a modification raced. A counted
-hit bumps only the skipped-prefix histogram, whose total is
-`Metrics.pivot_hits`.
+chars. The miss walk is `DirTree.lookup_original`, which splits the path
+where no descent did: on an empty pool, or after a hit that a modification
+raced. A counted hit bumps only the skipped-prefix histogram,
+whose total is `Metrics.pivot_hits`.
 
-A lookup sees one state of the tree, as the kernel's RCU-walk does: it
-samples the manager's `metadata_seq` before it enters, and if the count has
-moved by the end of Stage Two, a modification (rename, chmod or unlink,
-whose hook bumps the count before the change applies) raced it. The lookup
-then drops the pivot's result, or the PermissionDenied or NotFound it
-raised, and walks from the root under the tree read lock; `fallbacks`
-counts these retries. A count that did not move means no modification
-began since the sample, and the pool a reader pins holds no pivot that a
-modification before the sample covered, so a cached AND of modes is never
-stale when consulted.
+A lookup that calls Stage One sees one state of the tree, as the kernel's
+RCU-walk does: it samples the manager's `metadata_seq` before it enters,
+and if the count has moved by the end of Stage Two, a modification (rename,
+chmod or unlink, whose hook bumps the count before the change applies)
+raced it. The lookup then drops the pivot's result, or the PermissionDenied
+or NotFound it raised, and walks from the root under the tree read lock;
+`fallbacks` counts these retries. A count that did not move means no
+modification began since the sample, and the pool a reader pins holds no
+pivot that a modification before the sample covered, so a cached AND of
+modes is never stale when consulted. A single-threaded whole-path hit takes
+no sample: on one thread no hook runs between its probe and its result, and
+its pool is the working pool, which every earlier hook has already
+repaired, so its AND of modes is current (the Tiny RCU argument of
+`epoch`).
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError, NotFound, PermissionDenied
+from .errors import ConfigError, ContractViolation, NotFound, PermissionDenied
 from .heat import CandidateSet, observe_target
 from .epoch import PivotManager
 from .metrics import Metrics
@@ -147,20 +155,32 @@ class StageLookupEngine(_ResolverBase):
     def lookup(self, path: PathBuf, cred: Credential = Credential.OWNER, out: Optional[list] = None) -> int:
         """Both stages; returns the target's id. When `out` is a list, a
         lookup that kept a pivot's result appends `(pivot, depth)` to it,
-        after the `metadata_seq` re-check; a full walk appends nothing."""
+        after the `metadata_seq` re-check when it sampled the count; a full
+        walk appends nothing."""
         metrics = self.metrics
         metrics.lookups += 1
         manager = self.manager
         stats = self._stats
-        if stats is None:  # a threadsafe tree
-            stats = ScanStats()
-        seq = manager.metadata_seq
-        token_id, pool = manager.reader_enter()
-        try:
-            hit = find_best_pivot(pool, path, stats)
-        finally:
-            manager.reader_exit(token_id)
-        metrics.char_comparisons += stats.char_comparisons  # Stage One single scan
+        entry = None
+        if stats is not None:  # a single-threaded tree: nothing runs inside the lookup
+            pool = manager.working_pool
+            entry = pool.by_path.get(path.text)
+        if entry is not None:  # a whole-path hit, answered from the path map
+            if pool.freed:
+                raise ContractViolation("pivot pool used after reclaim")
+            hit, _visited, chars = entry
+            seq = None
+        else:
+            if stats is None:  # a threadsafe tree
+                stats = ScanStats()
+            seq = manager.metadata_seq
+            token_id, pool = manager.reader_enter()
+            try:
+                hit = find_best_pivot(pool, path, stats)
+            finally:
+                manager.reader_exit(token_id)
+            chars = stats.char_comparisons
+        metrics.char_comparisons += chars  # Stage One single scan
 
         tree = self.tree
         if hit is not None:
@@ -177,9 +197,9 @@ class StageLookupEngine(_ResolverBase):
                     rest = len(path.text) - matched.text_len
                     target = tree.walk_from(target, path.components[depth:], cred, metrics, rest)
             except (PermissionDenied, NotFound):
-                if manager.metadata_seq == seq:
+                if seq is None or manager.metadata_seq == seq:
                     raise
-            if manager.metadata_seq == seq:
+            if seq is None or manager.metadata_seq == seq:
                 hist = metrics.skipped_prefix_histogram
                 hist[depth] = hist.get(depth, 0) + 1
                 if out is not None:

@@ -34,6 +34,9 @@ a lookup's enter and exit (ticks, hooks and lookups are calls on that thread,
 and the engine reclaims only inside `periodic_update`), so no registration
 could change what is freed. This is the kernel's reasoning for Tiny RCU,
 whose read-side lock does almost nothing on a non-preemptible uniprocessor.
+For the same reason the engine answers a whole-path hit on such a tree from
+the working pool's path map without calling either, and without sampling
+`metadata_seq`: no hook can run between its probe and its result either.
 A caller that holds a pool across a tick anyway trips the sentinel.
 """
 

@@ -115,7 +115,7 @@ def test_c2_worked_pool_example():
 # -- 3: stage-two depth counter law ------------------------------------------------------
 
 
-def test_c3_depth_counter_law_and_trend():
+def test_c3_depth_counter_law_and_pool_zero_identity():
     rows = bench_depth_grid(reps=20)
     by_k: dict[int, set] = {}
     law_ok = True

@@ -20,10 +20,10 @@ import spans  # noqa: E402
 HOT = ("/a0/b1/c2/d0", "/a1/b0/c0/d0", "/a2/b2/c1/d0")
 
 
-def traced_replay(strategy: str) -> tuple[Counter, int]:
+def traced_replay(strategy: str, threadsafe: bool = False) -> tuple[Counter, int]:
     """Lookups, one tick, more lookups, one rename, more lookups; returns the
     span count per name and the number of lookups made."""
-    tree = gen_tree(TreeSpec(levels=[3, 3, 3], seed=1))
+    tree = gen_tree(TreeSpec(levels=[3, 3, 3], seed=1), threadsafe=threadsafe)
     resolver = make_resolver(strategy, tree)
     tracer = spans.Tracer()
     with tracer.installed():
@@ -56,11 +56,21 @@ def test_traced_replay_records_each_layer(strategy):
     assert counts["fullpath.fp_lookup" if strategy == "fullpath" else "resolver.lookup"] == lookups
     assert counts["tree.rename_node"] == 1
     if strategy == "stage":
+        # a whole-path hit on one thread is answered from the path map: the 3
+        # lookups after the tick and the 2 unrenamed ones after the rename make
+        # no Stage One call; the 15 on the empty pool and the renamed path's do.
         # epoch.reader_token_us divides by the reader_enter spans
-        for name in ("epoch.reader_enter", "epoch.reader_exit", "pivots.find_best_pivot", "heat.observe_target"):
-            assert counts[name] == lookups, name
+        for name in ("epoch.reader_enter", "epoch.reader_exit", "pivots.find_best_pivot"):
+            assert counts[name] == 16, name
+        assert counts["heat.observe_target"] == lookups
         assert counts["epoch.periodic_update"] == 1
         assert counts["epoch.invalidate_for_metadata"] == 1
     # the originals are back once the block ends
     for owner, attr, _span, _note in spans.ENTRY_POINTS:
         assert not getattr(vars(owner)[attr], "__name__", "").startswith("traced")
+
+
+def test_threadsafe_traced_replay_makes_one_call_of_each_per_lookup():
+    counts, lookups = traced_replay("stage", threadsafe=True)
+    for name in ("epoch.reader_enter", "epoch.reader_exit", "pivots.find_best_pivot", "heat.observe_target"):
+        assert counts[name] == lookups, name

@@ -11,6 +11,7 @@ from stagewalk import (
     DIR,
     FILE,
     ConfigError,
+    ContractViolation,
     Credential,
     NotFound,
     OriginalLookup,
@@ -294,7 +295,9 @@ def test_rename_racing_the_stages_cannot_mix_two_states(monkeypatch, threadsafe)
     assert got[0] == f"ok:{tree._resolve_admin(path).id}"
 
 
-@pytest.mark.parametrize("threadsafe", [False, True])
+# threadsafe only: on one thread a whole-path hit makes no Stage One call, and
+# nothing but `observe_target` runs between its path-map probe and its result
+@pytest.mark.parametrize("threadsafe", [True])
 def test_unlink_of_the_pivot_racing_the_stages_falls_back(monkeypatch, threadsafe):
     tree = make_tree(files=("/a/b/c/d/f",), threadsafe=threadsafe)
     engine = engine_with_pool(tree, ["/a/b/c/d/f"])
@@ -309,11 +312,19 @@ def test_unlink_of_the_pivot_racing_the_stages_falls_back(monkeypatch, threadsaf
 def test_stage_lookup_reports_what_lookup_did_randomized(monkeypatch):
     """Twin engines on one spec and one tick schedule, one asked through
     `stage_lookup` and one through `lookup`, resolve the same targets and
-    keep the same counter rows. Unraced, `stage_lookup` reports the pivot and
-    depth `find_best_pivot` gives on the working pool; a modification between
-    the two stages leaves it no pivot and one more fallback."""
+    keep the same counter rows, on both tree kinds. Unraced, `stage_lookup`
+    reports the pivot and depth `find_best_pivot` gives on the working pool;
+    a modification between the two stages leaves it no pivot and one more
+    fallback. On a single-threaded tree only lookups that descend are raced:
+    a whole-path hit there is answered from the path map, and nothing but
+    `observe_target` runs between its probe and its result."""
+    for threadsafe in (False, True):
+        _twin_engines_agree(monkeypatch, threadsafe)
+
+
+def _twin_engines_agree(monkeypatch, threadsafe):
     spec = TreeSpec(levels=[4, 4, 4, 3], seed=11)
-    trees = [gen_tree(spec), gen_tree(spec)]
+    trees = [gen_tree(spec, threadsafe=threadsafe), gen_tree(spec, threadsafe=threadsafe)]
     reporter, plain = (StageLookupEngine(tree, pool_size=8) for tree in trees)
 
     def same_mode_chmod(tree, path):
@@ -333,7 +344,8 @@ def test_stage_lookup_reports_what_lookup_did_randomized(monkeypatch):
             path = path.parent().child("zz")
         cred = rng.choice(list(Credential))
         want = find_best_pivot(reporter.manager.working_pool, path)
-        raced = want is not None and rng.random() < 0.1
+        whole = path.text in reporter.manager.working_pool.by_path
+        raced = want is not None and rng.random() < 0.1 and (threadsafe or not whole)
         if raced:
             ancestor = PathBuf(path.components[: rng.randint(1, path.depth - 1)])
             scanned = race_after_scan(monkeypatch, reporter, same_mode_chmod(trees[0], ancestor))
@@ -355,9 +367,10 @@ def test_stage_lookup_reports_what_lookup_did_randomized(monkeypatch):
             assert res.rolled_up == (pivot is not None and depth < pivot.depth)
         assert got == outcome(plain.lookup, path, cred), (step, path.text)
         assert reporter.metrics.counter_rows() == plain.metrics.counter_rows()
-        seen["raced" if raced else "error" if res is None else "hit" if want else "walk"] += 1
+        kind = "whole" if whole else "hit" if want else "walk"
+        seen["raced" if raced else "error" if res is None else kind] += 1
     assert type(plain.lookup(hot[0], OWNER)) is int
-    assert {"raced", "error", "hit", "walk"} == set(seen), seen
+    assert {"raced", "error", "whole", "hit", "walk"} == set(seen), (threadsafe, seen)
 
 
 def test_unlink_through_hook_removes_pivots():
@@ -407,25 +420,43 @@ def _calls_under_lookup(fn):
 
 
 def test_whole_path_hit_makes_only_the_traced_calls():
-    """A whole-path hit on a single-threaded tree calls the four entry
-    points the benchmark traces and nothing else in Python: no ScanStats
-    per lookup, and neither a slash count nor a split of the query. Every
-    hit on one path keeps the one pair the pool's path map stores."""
-    tree = gen_tree(TreeSpec(levels=[2, 2], seed=1))
-    engine = engine_with_pool(tree, ["/a0/b0/c0", "/a0/b1"])
-    path = mkpath("/a0/b0/c0")
-    expected = tree._resolve_admin(path).id
-    traced = ["reader_enter", "find_best_pivot", "reader_exit", "observe_target"]
-    for fn in (lambda: engine.stage_lookup(path).target, lambda: engine.lookup(path)):
-        target, calls = _calls_under_lookup(fn)
-        assert target == expected
-        assert [name for kind, name in calls if kind == "py"] == traced
-        assert not {"str.count", "str.split"} & {name for kind, name in calls if kind == "c"}
-    kept: list = []
-    engine.lookup(path, OWNER, kept)
-    engine.lookup(path, OWNER, kept)
-    assert len(kept) == 2 and kept[0] is kept[1]
-    assert engine.metrics.pivot_hits == 4 and engine.metrics.skipped_prefix_histogram == {3: 4}
+    """A whole-path hit calls the entry points the benchmark traces and,
+    in Python, nothing else but a threadsafe lookup's own ScanStats; neither
+    a slash count nor a split of the query. On a single-threaded tree it is
+    answered from the path map, so `observe_target` is its one call; a
+    threadsafe tree still pins the pool with a reader token around Stage
+    One. Every hit on one path keeps the one pair the pool's path map
+    stores."""
+    for threadsafe, traced in (
+        (False, ["observe_target"]),
+        (True, ["__init__", "reader_enter", "find_best_pivot", "reader_exit", "observe_target"]),
+    ):
+        tree = gen_tree(TreeSpec(levels=[2, 2], seed=1), threadsafe=threadsafe)
+        engine = engine_with_pool(tree, ["/a0/b0/c0", "/a0/b1"])
+        path = mkpath("/a0/b0/c0")
+        expected = tree._resolve_admin(path).id
+        for fn in (lambda: engine.stage_lookup(path).target, lambda: engine.lookup(path)):
+            target, calls = _calls_under_lookup(fn)
+            assert target == expected
+            assert [name for kind, name in calls if kind == "py"] == traced, threadsafe
+            assert not {"str.count", "str.split"} & {name for kind, name in calls if kind == "c"}
+        kept: list = []
+        engine.lookup(path, OWNER, kept)
+        engine.lookup(path, OWNER, kept)
+        assert len(kept) == 2 and kept[0] is kept[1]
+        assert engine.metrics.pivot_hits == 4 and engine.metrics.skipped_prefix_histogram == {3: 4}
+
+
+@pytest.mark.parametrize("threadsafe", [False, True])
+def test_whole_path_hit_on_a_freed_working_pool_trips_the_sentinel(threadsafe):
+    # no reclaim frees the working pool; poisoning it by hand stands for a
+    # protocol bug, which the path-map answer must catch as the scan does
+    tree = gen_tree(TreeSpec(levels=[2, 2], seed=1), threadsafe=threadsafe)
+    engine = engine_with_pool(tree, ["/a0/b0/c0"])
+    engine.manager.working_pool.freed = True
+    with pytest.raises(ContractViolation, match="used after reclaim"):
+        engine.lookup(mkpath("/a0/b0/c0"))
+    assert engine.metrics.pivot_hits == 0
 
 
 def _unsplit(path: PathBuf) -> bool:

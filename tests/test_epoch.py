@@ -346,7 +346,7 @@ def test_a_rename_during_a_period_waits_for_its_install():
     assert mgr.ticks == mgr.swaps == 2
 
 
-def test_version_advances_and_drains_only_on_swap():
+def test_a_period_advances_the_version_and_empties_the_candidate_set():
     tree, cset, mgr = make_manager()
     v0 = cset.version
     heat_up(tree, cset, ["/seed"])
@@ -595,7 +595,7 @@ def test_invalidate_replaces_the_pivot_list_never_edits_it():
     assert mgr.working_pool.pivots is not held
 
 
-def test_invalidate_no_match_touches_only_waiting_pool():
+def test_invalidate_covering_nothing_keeps_the_working_pool():
     tree, cset, mgr = fig4_manager()
     pool, gen = mgr.working_pool, mgr.working_pool.generation
     assert mgr.invalidate_for_metadata(mkpath("/zz")) == 0
