@@ -31,10 +31,10 @@ the query shares that text, so the query has names past the matched depth
 exactly when its text is longer. A whole-path hit therefore never splits
 the path (see `paths`), and it returns the pair the pool's path map stores,
 so it builds no tuple either. Stage Two reads `components`, which the
-descent that found its pivot has already split, and passes the walk the
+scan that found its pivot has already split, and passes the walk the
 length of the text past the matched one, from which the walk counts its
 chars. The miss walk is `DirTree.lookup_original`, which splits the path
-where no descent did: on an empty pool, or after a hit that a modification
+where no scan did: on an empty pool, or after a hit that a modification
 raced. A counted hit bumps only the skipped-prefix histogram,
 whose total is `Metrics.pivot_hits`.
 

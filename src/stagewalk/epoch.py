@@ -14,10 +14,10 @@ POPULAR_HEAT times in that period; a period whose kept names equal the
 working pool's keeps that pool, and so does an idle period, one with no
 candidate looked up twice: shortcuts outlive a quiet spell, or a spell of
 targets each seen once, as dcache entries stay until something displaces
-them. A metadata modification finds the pivots its path covers by descending
-the working pool's component index along that path (one run of the sorted
-pool, so the cost follows the path's depth, not the pool's size), installs a
-pool of the other pivots, the same pivot objects, then bumps `metadata_seq`;
+them. A metadata modification finds the pivots its path covers by bisecting
+the working pool's sorted list on that path's names (one run of the sorted
+pool, so the cost is a bisection and the run, not a pass over the pool),
+installs a pool of the other pivots, the same pivot objects, then bumps `metadata_seq`;
 readers still scanning the old pool may find a covered pivot there, and the
 engine drops such a result because the count moved under it. A period holds
 the tree read lock from its build through its install, as an RCU updater
@@ -218,9 +218,10 @@ class PivotManager:
         `path`; called pre-mutation. Returns how many pivots were covered.
 
         The covered pivots are one run of the sorted pool, found by
-        descending the pool's component index along `path`
-        (`PivotPool.covered_run`): the hook costs the path's depth, not the
-        pool's size, even when it covers nothing, churn's common case.
+        bisecting the pool's list on `path`'s names
+        (`PivotPool.covered_run`): the hook costs a bisection and the run,
+        not a compare with every pivot, even when it covers nothing,
+        churn's common case.
 
         Bumps `metadata_seq` whether or not anything matched, so a lookup
         that sampled the count before this call drops its pivot's result.

@@ -22,8 +22,7 @@ first use and keep the tuple in `_components`; `PathBuf(...)`, `child`,
 walk from the root, `DirTree.lookup_original`, which original, stage's miss
 and fullpath's miss all take, splits inline from that slot, so it pays no
 call for it. Threads sharing a threadsafe tree may split one path at the
-same time: each stores an equal tuple, and either one serves, as with the
-memo of `_IndexNode.misses`.
+same time: each stores an equal tuple, and either one serves.
 """
 
 from __future__ import annotations

@@ -12,34 +12,29 @@ at most once; the overlap is derived from the two pivots' names, not stored.
 `build_pool` ranks the candidates on their names and heat alone, and
 materializes component records only for the pivots it keeps.
 
-The model reports what that scan costs, but the code need not perform it.
-Every pool builds its component index when it is constructed: a trie over
-the pivots' names whose every node carries the scan's running chars by the
-time a query reaches that node's run, and fills the pool's path map: each
-pivot's path text to the pair (pivot, depth) that a scan of that path
-returns, with the scan's pivots visited and chars. A whole-path hit is one
-probe of the map and returns the stored pair without building one. Each
-component record holds the length of the pivot's path text through it, so
-the engine tells that a hit leaves nothing to walk by comparing lengths.
-Partial hits and misses descend the index with one dict step per matched
-component, read the chars off the node where they stop, and add what the
-scan spends in that run, so they report the scan's pivot, depth, pivots
-visited and chars exactly. A run whose groups the query's next name misses
-costs the sum of that name's mismatch chars against every group; the node
-memoizes that sum per name, so a repeated miss costs one dict read.
-The metadata hook descends the same index along the mutated path to find the
-run of pivots that path covers (`PivotPool.covered_run`). A pool's list
-never changes once built, so neither its index nor its map goes stale; a
-lookup that a metadata modification races is caught by the engine's re-check
-of `metadata_seq`, not here. The paper's char-by-char scan, and its cursor that
+`_scan` performs that scan a name at a time and counts the chars a
+char-by-char compare would examine: a matched name's length, and on a
+mismatch the chars up to the first differing one. Every pool scans each
+pivot's own path when it is constructed and fills the pool's path map: each
+pivot's path text to the pair (pivot, depth) that scan returns, with its
+pivots visited and chars. A whole-path hit is one probe of the map and
+returns the stored pair without building one; partial hits and misses run
+the scan. Each component record holds the length of the pivot's path text
+through it, so the engine tells that a hit leaves nothing to walk by
+comparing lengths. The metadata hook finds the run of pivots a mutated path
+covers by bisecting the sorted list on names (`PivotPool.covered_run`). A
+pool's list never changes once built, so its map never goes stale; a lookup
+that a metadata modification races is caught by the engine's re-check of
+`metadata_seq`, not here. The paper's char-by-char scan, and its cursor that
 never moves backward, live in the tests as the reference the counts are
 checked against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, repeat
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
@@ -106,22 +101,22 @@ class PivotPool:
     replaced. `freed` poisons the pool once reclaimed, and a scan of a
     poisoned pool trips the sentinel.
 
-    `index` is the component index, built here from the list; it is None
-    only for an empty pool. `by_path`, filled by the index's build and never
-    written after it, maps each pivot's path text to ((pivot, depth), pivots
+    `by_path`, filled here by scanning each pivot's own path and never
+    written after, maps each pivot's path text to ((pivot, depth), pivots
     visited, chars): the pair a query equal to that path matches in full,
     which a whole-path hit returns as it is stored, and the scan's counts for
     that query."""
 
-    __slots__ = ("pivots", "generation", "published", "freed", "index", "by_path")
+    __slots__ = ("pivots", "generation", "published", "freed", "by_path")
 
     def __init__(self, pivots: list[Pivot]):
         self.pivots = pivots
         self.generation = 0
         self.published = False
         self.freed = False
-        self.by_path: dict[str, tuple[tuple[Pivot, int], int, int]] = {}
-        self.index = _IndexNode(pivots, 0, len(pivots), 0, 0, self.by_path) if pivots else None
+        self.by_path: dict[str, tuple[tuple[Pivot, int], int, int]] = {
+            pv.path: _scan(pivots, pv.names) for pv in pivots
+        }
 
     @property
     def size(self) -> int:
@@ -129,29 +124,26 @@ class PivotPool:
 
     def covered_run(self, prefix: tuple[str, ...]) -> tuple[int, int]:
         """(start, end) of the run `pivots[start:end]` whose names begin with
-        `prefix`, the pivots a modification of that path covers; `(0, 0)` when
-        none does. The sorted pool keeps them contiguous, one index node's run,
-        so this descends the index one dict step per prefix name instead of
-        comparing every pivot: a run of one pivot compares its remaining
-        names once, a name the index lacks covers nothing, and the root's
-        empty prefix covers the whole pool."""
-        node = self.index
-        if node is None:
-            return 0, 0
-        for m, name in enumerate(prefix):
-            pv = node.pivot
-            if pv is not None:
-                return (node.start, node.end) if pv.names[m : len(prefix)] == prefix[m:] else (0, 0)
-            node = node.children.get(name)
-            if node is None:
-                return 0, 0
-        return node.start, node.end
+        `prefix`, the pivots a modification of that path covers; an empty run
+        when none does. The sorted pool keeps them contiguous, and the first
+        is the first pivot whose names are not below `prefix`, so one
+        bisection finds it and the walk reads only the run and the pivot
+        after it. The root's empty prefix covers the whole pool."""
+        pivots = self.pivots
+        start = end = bisect_left(pivots, prefix, key=_names)
+        k = len(prefix)
+        while end < len(pivots) and pivots[end].names[:k] == prefix:
+            end += 1
+        return start, end
 
     def dump(self) -> str:
         """One line per pivot: `<overlap>\\t<path>`, the overlap taken against
         the pivot before (the first shares nothing)."""
         prevs = [(), *(p.names for p in self.pivots)]
         return "\n".join(f"{_lcp_components(a, p.names)}\t{p.path}" for a, p in zip(prevs, self.pivots))
+
+
+_names = attrgetter("names")
 
 
 def _lcp_components(a: Sequence[str], b: Sequence[str]) -> int:
@@ -228,10 +220,10 @@ class ScanStats:
     """The counts of one find_best_pivot call, written when the scan ends.
 
     The counts are the paper's char-by-char scan's: a whole-path hit reads
-    them off the pool's path map, a descent off the index node where it stops,
-    and neither compares names char by char. Every return overwrites both, so
-    one object can serve scan after scan: a single-threaded engine keeps one and allocates none per
-    lookup; a threadsafe engine makes one per lookup.
+    them off the pool's path map, any other query off `_scan`, which compares
+    whole names and counts their chars. Every return overwrites both, so one
+    object can serve scan after scan: a single-threaded engine keeps one and
+    allocates none per lookup; a threadsafe engine makes one per lookup.
 
     The engine reads only `char_comparisons`. The class survives because the
     benchmark's spans read `pivots_visited` and `char_comparisons` off the
@@ -247,8 +239,8 @@ class ScanStats:
 
 
 # sibling names repeat under every parent, so the same (query name, pivot
-# name) pairs fail to match scan after scan; the bound keeps the cache, and
-# each index node's miss memo, from growing with the number of distinct names
+# name) pairs fail to match scan after scan; the bound keeps the cache from
+# growing with the number of distinct names
 _MISMATCH_CACHE_SIZE = 4096
 
 
@@ -265,69 +257,51 @@ def _mismatch_cost(a: str, b: str) -> int:
     return i
 
 
-class _IndexNode:
-    """The run `pivots[start:end]` of pivots that share their first m names,
-    m being the node's level in the component index. `start` and `end` bound
-    the run: it is what a modification of those m names covers, which
-    `PivotPool.covered_run` reads off the node where its descent ends.
+def _scan(pivots: Sequence[Pivot], comps: Sequence[str]) -> tuple[Optional[tuple[Pivot, int]], int, int]:
+    """The paper's single forward scan of `pivots` for the query names
+    `comps`: (the first deepest (pivot, depth) or None, pivots visited,
+    chars a char-by-char compare examines).
 
-    `chars` is the paper's scan's running char count by the time a query that
-    matches the run's m names reaches it: the chars of those names plus the
-    mismatch chars of the groups compared before. A descent reads it once,
-    where it stops.
-
-    A run of two or more pivots is split into groups by name m (the pivot
-    that has only m names, `terminal`, comes first and joins no group);
-    `children` maps each group's name to its run's node. A run of one pivot
-    keeps that `pivot` and `lens`, the running sums of its name lengths.
-
-    `first_visited` and `past_visited` are the scan's pivots visited when it
-    stops at the run's first pivot (the query ends in the run) and when it
-    stops at the first pivot after the run.
-
-    `misses` maps a name that no group matches to its mismatch chars summed
-    over the groups, filled by the descents that stop here. It holds at most
-    `_MISMATCH_CACHE_SIZE` names, maps one name at this node to a count (never
-    a path to a pivot), and dies with the pool. Concurrent readers on a
-    threadsafe tree may fill it at the same time: each store writes the same
-    value, and the bound may be overshot by at most the number of racing
-    threads.
+    `m` is the depth matched so far, and `chain` the names a pivot shares
+    with the last one compared: in a sorted pool, the least of the overlaps
+    since. A pivot whose chain is above `m` agrees with the last compared
+    pivot past the point where the query left it, so it cannot match deeper
+    and is skipped; once the chain falls below `m`, no later pivot shares the
+    matched prefix and the scan stops. A compared pivot extends `m` name by
+    name, counting each matched name's length and, on a mismatch, the chars
+    up to the first differing one. The scan also stops once the query is
+    matched in full. The query's names are never read twice: `m` never
+    falls.
     """
-
-    __slots__ = (
-        "start", "end", "terminal", "children", "pivot", "lens", "chars", "misses",
-        "first_visited", "past_visited",
-    )
-
-    def __init__(self, pivots: list[Pivot], start: int, end: int, m: int, chars: int, by_path: dict):
-        self.start = start
-        self.end = end
-        self.chars = chars
-        self.first_visited = start + 1
-        self.past_visited = min(end + 1, len(pivots))
-        self.children: dict[str, _IndexNode] = {}
-        self.misses: dict[str, int] = {}
-        self.pivot: Optional[Pivot] = None
-        self.lens: tuple[int, ...] = ()
-        first = pivots[start]
-        # a pivot with only m names sorts first: it is a prefix of every other
-        self.terminal = len(first.names) == m
-        if self.terminal or end - start == 1:  # a query equal to its path stops here
-            rest = sum(map(len, first.names[m:]))
-            by_path[first.path] = ((first, len(first.names)), self.first_visited, chars + rest)
-        if end - start == 1:
-            self.pivot = first
-            self.lens = (0, *accumulate(map(len, first.names)))
-            return
-        i = start + self.terminal
-        while i < end:
-            name = pivots[i].names[m]
-            j = i + 1
-            while j < end and pivots[j].names[m] == name:
-                j += 1
-            skipped = sum(_mismatch_cost(name, g) for g in self.children)
-            self.children[name] = _IndexNode(pivots, i, j, m + 1, chars + skipped + len(name), by_path)
-            i = j
+    n = len(comps)
+    pair = None
+    m = visited = chars = chain = 0
+    prev: Sequence[str] = ()
+    for pv in pivots:
+        names = pv.names
+        visited += 1
+        overlap = _lcp_components(prev, names)
+        prev = names
+        if overlap < chain:
+            chain = overlap
+        if chain != m:
+            if chain < m:
+                break
+            continue
+        e = m
+        k = min(n, len(names))
+        while e < k and comps[e] == names[e]:
+            chars += len(names[e])
+            e += 1
+        if e < k:
+            chars += _mismatch_cost(comps[e], names[e])
+        if e > m:
+            pair = (pv, e)
+            m = e
+        if m == n:
+            break
+        chain = len(names)  # a pivot shares all its names with itself
+    return pair, visited, chars
 
 
 def find_best_pivot(
@@ -343,20 +317,8 @@ def find_best_pivot(
     A whole-path hit, a query equal to a pivot's path and the common case, is
     one probe of the pool's path map, whose entry carries the scan's counts
     and the pair it returns: every hit on one path returns the same object.
-    Partial hits and misses descend the pool's component index, one dict step
-    per matched component; where the descent stops it reads the scan's
-    running chars off the node and adds what the scan spends in that run,
-    which compares the run's first pivot as deep as the query matches it:
-
-    - a run of one pivot: the depth is found name by name from its level;
-    - the query ends in the run: that first compare stops the scan;
-    - no group matches the query's next name: the terminal pivot and each
-      group end one compare at the run's level, and the scan stops at the
-      first pivot after the run. The node's `misses` memo holds that name's
-      sum after its first miss there.
-
-    Either way the best is the run's first pivot, and every pivot up to the
-    stop is visited. The counts are computed from the index, not performed.
+    An empty pool answers None having visited nothing. Any other query runs
+    `_scan` over the pool.
 
     The pool's list is read by reference, without a copy: a published pool
     never changes. A reclaim during a scan still trips the sentinel.
@@ -366,60 +328,19 @@ def find_best_pivot(
     if not pool.published:
         raise ContractViolation("pivot pool read before publication")
     hit = pool.by_path.get(path.text)
-    if hit is not None:  # a whole-path hit
-        pair, visited, chars = hit
-        if stats is not None:
-            stats.pivots_visited = visited
-            stats.char_comparisons = chars
-        if pool.freed:
-            raise ContractViolation("pivot used after reclaim")
-        return pair
-    index = pool.index
-    if index is None:  # an empty pool
-        if stats is not None:
-            stats.pivots_visited = stats.char_comparisons = 0
-        return None
-    comps = path.components
-    n = len(comps)
-    node = index
-    m = 0
-    while m < n:  # a single-pivot run has no children and stops here
-        child = node.children.get(comps[m])
-        if child is None:
-            break
-        node = child
-        m += 1
-    pv = node.pivot
-    chars = node.chars
-    if pv is not None:
-        names = pv.names
-        k = len(names)
-        if n < k:
-            k = n
-        e = m
-        while e < k and comps[e] == names[e]:
-            e += 1
-        if e < k:
-            chars += _mismatch_cost(comps[e], names[e])
-        lens = node.lens
-        chars += lens[e] - lens[m]
-    else:
-        e = m
-        if m < n:
-            q = comps[m]
-            misses = node.misses
-            cost = misses.get(q)
-            if cost is None:
-                cost = sum(map(_mismatch_cost, repeat(q), node.children))
-                if len(misses) < _MISMATCH_CACHE_SIZE:
-                    misses[q] = cost
-            chars += cost
+    if hit is None:
+        if not pool.pivots:  # an empty pool
+            if stats is not None:
+                stats.pivots_visited = stats.char_comparisons = 0
+            return None
+        hit = _scan(pool.pivots, path.components)
+    pair, visited, chars = hit
     if pool.freed:
         raise ContractViolation("pivot used after reclaim")
     if stats is not None:
-        stats.pivots_visited = node.first_visited if e == n else node.past_visited
+        stats.pivots_visited = visited
         stats.char_comparisons = chars
-    return (pool.pivots[node.start], e) if e else None
+    return pair
 
 
 def verify_pool(pool: PivotPool) -> list[str]:

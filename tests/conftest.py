@@ -180,12 +180,15 @@ class ReferenceScan:
     """What one reference scan found and counted. `cursor_depths` has the
     components matched so far after each pivot the scan compared: the
     path-text cursor sits at the end of that component, so a scan that reads
-    the path at most once never lowers it."""
+    the path at most once never lowers it. `stop` says why the scan ended:
+    the query matched in full, a pivot's overlap fell below the depth
+    matched, or no pivot was left."""
 
     result: Optional[tuple] = None
     pivots_visited: int = 0
     char_comparisons: int = 0
     cursor_depths: list[int] = field(default_factory=list)
+    stop: str = "ran off the pool"
 
     @property
     def cursor_monotone(self) -> bool:
@@ -207,6 +210,7 @@ def reference_scan(pool: PivotPool, path: PathBuf) -> ReferenceScan:
             chain = min(chain, lcp_components(prev.names, pv.names))  # the overlap
         prev = pv
         if chain < m:
+            ref.stop = "stopped by an overlap"
             break
         if chain > m:
             continue
@@ -223,6 +227,7 @@ def reference_scan(pool: PivotPool, path: PathBuf) -> ReferenceScan:
         chain = 1 << 62
         ref.cursor_depths.append(m)
         if m == n:
+            ref.stop = "query end"
             break
     ref.result = None if best is None else (best, best_depth)
     return ref

@@ -18,8 +18,8 @@ def test_gen_tree_synth_replay_round_trip(tmp_path, capsys):
     prefix = str(tmp_path / "t")
     assert main(["gen-tree", "--levels", "3,3", "--out", prefix]) == EXIT_OK
     spec_file = f"{prefix}.spec.json"
-    assert json.load(open(spec_file))["levels"] == [3, 3]
-    dump = open(f"{prefix}.tree.txt").read()
+    assert json.loads(Path(spec_file).read_text())["levels"] == [3, 3]
+    dump = Path(f"{prefix}.tree.txt").read_text()
     assert "/a0/b0/c0\tfile" in dump
 
     trace_file = str(tmp_path / "trace.jsonl")
@@ -28,7 +28,7 @@ def test_gen_tree_synth_replay_round_trip(tmp_path, capsys):
     out_csv = str(tmp_path / "m.csv")
     assert main(["replay", "--tree", spec_file, "--trace", trace_file, "--strategy", "stage",
                  "--manual-tick", "--tick-every", "100", "--out", out_csv]) == EXIT_OK
-    text = open(out_csv).read()
+    text = Path(out_csv).read_text()
     assert text.startswith("metric,stage")
     captured = capsys.readouterr().out
     assert "dentries_visited" in captured
@@ -43,7 +43,7 @@ def test_replay_byte_identical_between_runs(tmp_path):
     args = ["replay", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--manual-tick", "--tick-every", "200"]
     main(args + ["--out", c1])
     main(args + ["--out", c2])
-    assert open(c1, "rb").read() == open(c2, "rb").read()
+    assert Path(c1).read_bytes() == Path(c2).read_bytes()
 
 
 def test_compare_emits_all_strategies(tmp_path, capsys):
@@ -54,7 +54,7 @@ def test_compare_emits_all_strategies(tmp_path, capsys):
     out_csv = str(tmp_path / "cmp.csv")
     assert main(["compare", "--tree", f"{prefix}.spec.json", "--trace", trace_file,
                  "--manual-tick", "--tick-every", "100", "--out", out_csv]) == EXIT_OK
-    header = open(out_csv).readline().strip().split(",")
+    header = Path(out_csv).read_text().splitlines()[0].split(",")
     assert header[:4] == ["metric", "original", "fullpath", "stage"]
     assert "fullpath_vs_original" in header and "stage_vs_original" in header
 
@@ -80,7 +80,7 @@ def test_compare_refuses_a_stage_setting_after_one_replay(tmp_path, monkeypatch)
 def test_bench_depth_grid_output(tmp_path):
     out = str(tmp_path / "grid.csv")
     assert main(["bench-depth", "--reps", "3", "--out", out]) == EXIT_OK
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0].startswith("stage_two,pool_size,walked_components")
     assert len(lines) == 1 + 9 * 5  # 9 stage-two lengths x 5 pool sizes
 
@@ -164,7 +164,7 @@ def test_malformed_tree_spec_exits_2(tmp_path, field, value, capsys):
     assert main(["gen-tree", "--levels", "2", "--out", prefix]) == EXIT_OK
     trace_file = str(tmp_path / "trace.jsonl")
     assert main(["synth", "--tree", f"{prefix}.spec.json", "--events", "10", "--out", trace_file]) == EXIT_OK
-    spec = json.load(open(f"{prefix}.spec.json"))
+    spec = json.loads(Path(f"{prefix}.spec.json").read_text())
     spec[field] = value
     bad = tmp_path / "bad.spec.json"
     bad.write_text(json.dumps(spec))

@@ -533,21 +533,46 @@ def test_path_map_holds_each_pivot_with_its_scan_counts(threadsafe):
 
 def _slice_rule(pivots, prefix):
     """The indices of the pivots a modification of `prefix` covers, by
-    comparing every pivot's leading names: the rule the index descent
+    comparing every pivot's leading names: the rule the bisection
     replaces."""
     return [i for i, p in enumerate(pivots) if p.names[: len(prefix)] == prefix]
 
 
+# names beside /a/b that sort between "/a" and "/a/b" as path text, or right
+# after "a" as names: a bisection on the wrong order splits the run under /a
+_CLOSE_NAMES = ("a", "a.d", "a-b", "ab", "b")
+
+
+def _close_name_paths(rng: random.Random, n_dirs: int) -> list[str]:
+    paths = {"/a/b"}
+    while len(paths) < n_dirs:
+        paths.add("/" + "/".join(rng.choice(_CLOSE_NAMES) for _ in range(rng.randint(1, 3))))
+    return sorted(paths)
+
+
+def _split_by_text(pivots, run):
+    """Whether the run's pivots would not be contiguous in a pool sorted by
+    path text: "/a.d" falls between "/a" and "/a/b"."""
+    texts = sorted(p.path for p in pivots)
+    at = sorted(texts.index(pivots[i].path) for i in run)
+    return at != list(range(at[0], at[0] + len(at)))
+
+
 @on_both_trees
-def test_index_descent_covers_the_slice_rules_run_randomized(threadsafe):
-    """`covered_run` descends the component index to the run the slice rule
-    finds for every prefix of every pivot, the root, prefixes that run past a
-    pivot's names, names the index lacks and random tree paths. The hook
-    installs the slice rule's pool over the old pool's own pivot objects."""
+def test_covered_run_is_the_slice_rules_run_randomized(threadsafe):
+    """`covered_run` bisects the pool to the run the slice rule finds for
+    every prefix of every pivot, the root, prefixes that run past a pivot's
+    names, names no pivot has and random tree paths, over random paths and
+    over close names. The hook installs the slice rule's pool over the old
+    pool's own pivot objects."""
     rng = random.Random(2525)
     seen = collections.Counter()
-    for _trial in range(40):
-        paths = random_tree_paths(rng, rng.randint(3, 14), max_depth=5)
+    for trial in range(60):
+        close = trial >= 40
+        if close:
+            paths = _close_name_paths(rng, rng.randint(3, 14))
+        else:
+            paths = random_tree_paths(rng, rng.randint(3, 14), max_depth=5)
         prefixes = sorted({p.rsplit("/", k)[0] for p in paths for k in range(p.count("/"))})
         tree, cset, mgr = make_manager(make_tree(*paths, threadsafe=threadsafe))
         heat_up(tree, cset, rng.sample(prefixes, rng.randint(1, min(len(prefixes), 16))))
@@ -560,7 +585,7 @@ def test_index_descent_covers_the_slice_rules_run_randomized(threadsafe):
                 queries[pv.names[:k]] = "prefix of a pivot"
             queries.setdefault(pv.names + ("zz",), "past a pivot's names")
             k = rng.randrange(pv.depth)
-            queries.setdefault(pv.names[:k] + ("zz",) + pv.names[k + 1 :], "a name the index lacks")
+            queries.setdefault(pv.names[:k] + ("zz",) + pv.names[k + 1 :], "a name no pivot has")
         for d in rng.sample(tree.nodes[1:], min(8, len(tree.nodes) - 1)):
             queries.setdefault(tree.materialize_path(d).components, "tree path")
         for prefix, kind in queries.items():
@@ -569,6 +594,7 @@ def test_index_descent_covers_the_slice_rules_run_randomized(threadsafe):
             assert list(range(start, end)) == want, (prefix, [p.path for p in pivots])
             seen[kind] += 1
             seen["covers none" if not want else "covers one" if len(want) == 1 else "covers several"] += 1
+            seen["close names, split by text"] += close and bool(want) and _split_by_text(pivots, want)
         for prefix in rng.sample(sorted(queries), 3):
             old = mgr.working_pool
             want = _slice_rule(old.pivots, prefix)
@@ -579,8 +605,9 @@ def test_index_descent_covers_the_slice_rules_run_randomized(threadsafe):
             assert (new is old) == (not want)
             assert pool_shape(new) == pool_shape(PivotPool(survivors))
             assert len(new.pivots) == len(survivors) and all(a is b for a, b in zip(new.pivots, survivors))
-    kinds = {"root", "prefix of a pivot", "past a pivot's names", "a name the index lacks", "tree path"}
-    assert kinds | {"covers none", "covers one", "covers several"} == set(seen), seen
+    kinds = {"root", "prefix of a pivot", "past a pivot's names", "a name no pivot has", "tree path"}
+    runs = {"covers none", "covers one", "covers several", "close names, split by text"}
+    assert kinds | runs == {k for k, v in seen.items() if v}, seen
 
 
 def test_invalidate_replaces_the_pivot_list_never_edits_it():
@@ -630,10 +657,9 @@ def test_pinned_pool_is_unchanged_by_invalidation(threadsafe):
     tree, cset, mgr = fig4_manager(threadsafe)
     old = mgr.working_pool
     held = list(old.pivots)
-    index = old.index
     token_id, pool = mgr.reader_enter()
     assert mgr.invalidate_for_metadata(mkpath("/a1/b1/c2")) == 2
-    assert pool is old and old.index is index and old.pivots == held
+    assert pool is old and old.pivots == held
     for q in FIG4_PATHS + ("/a1/b1/c2/d2/e3/f3/foo", "/zz"):
         stats = ScanStats()
         got = find_best_pivot(pool, mkpath(q), stats)
@@ -644,22 +670,25 @@ def test_pinned_pool_is_unchanged_by_invalidation(threadsafe):
 
 
 @on_both_trees
-def test_every_pool_carries_its_index_from_construction(threadsafe):
-    """A tick swap and a covering invalidation both install a pool that was
-    indexed when it was built; `index` is None only for an empty pool."""
-    assert PivotPool([]).index is None and build_pool([], 16).index is None
+def test_every_pool_carries_its_path_map_from_construction(threadsafe):
+    """A tick swap and a covering invalidation both install a pool whose
+    path map was filled when it was built; the map is empty only for an
+    empty pool."""
+    assert PivotPool([]).by_path == {} and build_pool([], 16).by_path == {}
     tree, cset, mgr = fig4_manager(threadsafe)  # one tick swap
     queries = FIG4_PATHS + ("/a1/b1/c2/d2/e3/f3/foo", "/zz")
     swapped = mgr.working_pool
-    assert swapped.size == 4 and swapped.index is not None
+    assert swapped.size == 4
+    _check_path_map(swapped)
     assert [find_best_pivot(swapped, mkpath(q)) is not None for q in queries] == [True] * 5 + [False]
     assert mgr.invalidate_for_metadata(mkpath("/a1/b1/c2")) == 2
     repaired = mgr.working_pool
-    assert repaired.size == 2 and repaired.index is not None
+    assert repaired.size == 2
+    _check_path_map(repaired)
     hits = [find_best_pivot(repaired, mkpath(q)) for q in queries]
     assert [h[0].path if h else None for h in hits] == ["/a1/b1/c1"] * 3 + ["/a1/b2/c3", "/a1/b1/c1", None]
     assert mgr.invalidate_for_metadata(mkpath("/")) == 2
-    assert mgr.working_pool.size == 0 and mgr.working_pool.index is None
+    assert mgr.working_pool.size == 0 and mgr.working_pool.by_path == {}
     assert find_best_pivot(mgr.working_pool, mkpath("/a1/b1/c1")) is None
 
 

@@ -314,28 +314,20 @@ def test_single_scan_properties_randomized():
             assert stats.char_comparisons <= len(q.text) + 4 * stats.pivots_visited
 
 
-def _stop_kind(pool, path) -> str:
-    """Where a scan stops for `path`: the pool's path map answers a query
-    equal to a pivot's path, and a descent of the pool's index any other."""
-    comps = path.components
-    if any(pv.names == comps for pv in pool.pivots):
-        return "whole-path probe"
-    node, m = pool.index, 0
-    while m < len(comps) and comps[m] in node.children:
-        node, m = node.children[comps[m]], m + 1
-    if node.pivot is not None:
-        end = min(len(node.pivot.names), len(comps))
-        return "leaf hit" if comps[:end] == node.pivot.names[:end] else "leaf mismatch"
-    if m == len(comps):
-        return "query ends in run"
-    return "miss below terminal" if node.terminal else "miss"
+# what a scan found, and why it stopped short of the query's end
+_KINDS = ("whole path", "partial hit", "query ends inside a run", "stopped by an overlap", "ran off the pool", "miss")
 
 
-class _NoDescent:
-    """Stands in for a pool's index: a scan that descends it fails."""
-
-    def __getattr__(self, name):
-        raise AssertionError("a whole-path query reached the index descent")
+def _scan_kinds(path, ref) -> set[str]:
+    """The kinds of the reference scan `ref` of `path`: what it found, and,
+    unless the query matched in full, where it stopped."""
+    if ref.result is None:
+        found = "miss"
+    elif ref.result[0].names == path.components:
+        found = "whole path"
+    else:
+        found = "query ends inside a run" if ref.result[1] == path.depth else "partial hit"
+    return {found, ref.stop} - {"query end"}
 
 
 # sibling names that are prefixes of each other or share leading chars, or
@@ -344,17 +336,17 @@ _CLOSE_NAMES = ("a", "ab", "abc", "abd", "abcd", "b", "ba", "bab", "a.d", "a-b")
 
 
 def test_counts_match_char_by_char_reference_randomized():
-    """Every scan, whether the path map or the index descent answers it, must
-    count as the reference. A whole-path query is scanned again with the
-    index taken away: the map alone must answer it."""
+    """Every scan, whether the path map or `_scan` answers it, must count as
+    the reference, and a whole-path query gets the pair the map stores. The
+    queries reach every kind of result and every place the scan can stop."""
     rng = random.Random(5150)
     tree = make_tree()
     nodes = []
     for _ in range(300):
         p = "/" + "/".join(rng.choice(_CLOSE_NAMES) for _ in range(rng.randint(1, 5)))
         nodes.append(make_node(tree, p, DIR))
-    scans = prefix_mismatches = indexed = 0
-    stops: collections.Counter[str] = collections.Counter()
+    scans = prefix_mismatches = 0
+    kinds: collections.Counter[str] = collections.Counter()
     for _ in range(300):
         cands = rng.sample(nodes, rng.randint(1, 24))
         for c in cands:
@@ -362,41 +354,28 @@ def test_counts_match_char_by_char_reference_randomized():
         pool = build_pool(cands, 16)
         pool.published = True
         queries = [PathBuf(tuple(rng.choice(_CLOSE_NAMES) for _ in range(rng.randint(0, 6)))) for _ in range(10)]
-        # the first pass finds the index nodes' miss memos empty, the second warm
-        for warm in (False, True):
-            for q in queries:
-                got_stats = ScanStats()
-                got = find_best_pivot(pool, q, got_stats)
-                ref = reference_scan(pool, q)
-                want = ref.result
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got[0] is want[0] and got[1] == want[1]
-                assert got_stats.pivots_visited == ref.pivots_visited
-                assert got_stats.char_comparisons == ref.char_comparisons
-                if warm:
-                    continue
-                scans += 1
-                if pool.index is not None:
-                    kind = _stop_kind(pool, q)
-                    stops[kind] += 1
-                    if kind == "whole-path probe":
-                        index, pool.index = pool.index, _NoDescent()
-                        try:
-                            assert find_best_pivot(pool, q) == got
-                        finally:
-                            pool.index = index
-                prefix_mismatches += any(
-                    a != b and (a.startswith(b) or b.startswith(a))
-                    for pv in pool.pivots
-                    for a, b in zip(q.components, pv.names)
-                )
-        indexed += pool.index is not None
+        for q in queries:
+            got_stats = ScanStats()
+            got = find_best_pivot(pool, q, got_stats)
+            ref = reference_scan(pool, q)
+            want = ref.result
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] is want[0] and got[1] == want[1]
+            assert got_stats.pivots_visited == ref.pivots_visited
+            assert got_stats.char_comparisons == ref.char_comparisons
+            found = _scan_kinds(q, ref)
+            kinds.update(found)
+            if "whole path" in found:
+                assert got is pool.by_path[q.text][0]
+            scans += 1
+            prefix_mismatches += any(
+                a != b and (a.startswith(b) or b.startswith(a))
+                for pv in pool.pivots
+                for a, b in zip(q.components, pv.names)
+            )
     assert scans == 3000 and prefix_mismatches > 100
-    assert indexed == 300  # every pool was scanned through its index
-    # the probe and every place a descent can stop were checked against the reference
-    kinds = ("whole-path probe", "leaf hit", "leaf mismatch", "query ends in run", "miss below terminal", "miss")
-    assert sorted(stops) == sorted(kinds) and sum(stops.values()) == scans, stops
+    assert sorted(kinds) == sorted(_KINDS), kinds
 
 
 def test_pivot_paths_and_their_extensions_match_reference_randomized():
@@ -435,12 +414,6 @@ def test_pivot_paths_and_their_extensions_match_reference_randomized():
     assert min(kinds[k] for k in ("own path", "terminal path", "extension")) > 100, kinds
 
 
-def _index_nodes(node):
-    yield node
-    for child in node.children.values():
-        yield from _index_nodes(child)
-
-
 def _scan_matches_reference(pool, q, stats=None):
     stats = stats if stats is not None else ScanStats()
     got = find_best_pivot(pool, q, stats)
@@ -449,34 +422,17 @@ def _scan_matches_reference(pool, q, stats=None):
     assert (stats.pivots_visited, stats.char_comparisons) == (ref.pivots_visited, ref.char_comparisons)
 
 
-_MEMO_PATHS = ("/a/x", "/a/xy", "/a/b", "/d")
-# five distinct names that miss the groups at the root, and five at /a
-_MEMO_MISSES = ("/xa", "/c", "/ab", "/dd", "/e", "/a/xa", "/a/c", "/a/bb", "/a/x.d", "/a/y")
+_THREAD_PATHS = ("/a/x", "/a/xy", "/a/b", "/d")
+# five distinct names that miss every pivot's name at the root, and five at /a
+_THREAD_MISSES = ("/xa", "/c", "/ab", "/dd", "/e", "/a/xa", "/a/c", "/a/bb", "/a/x.d", "/a/y")
 
 
-def _memo_pool():
-    tree = make_tree(*_MEMO_PATHS)
-    pool = build_pool([tree._resolve_admin(mkpath(p)) for p in _MEMO_PATHS], 16)
+def test_scans_stay_exact_when_threads_run_them_at_once():
+    workers = 4
+    tree = make_tree(*_THREAD_PATHS)
+    pool = build_pool([tree._resolve_admin(mkpath(p)) for p in _THREAD_PATHS], 16)
     pool.published = True
-    find_best_pivot(pool, mkpath("/d"))  # a leaf hit fills no memo
-    return pool
-
-
-def test_miss_memo_stays_exact_at_its_bound(monkeypatch):
-    monkeypatch.setattr(pivots, "_MISMATCH_CACHE_SIZE", 2)
-    pool = _memo_pool()
-    for _ in range(2):
-        for text in _MEMO_MISSES:
-            _scan_matches_reference(pool, mkpath(text))
-    assert max(len(node.misses) for node in _index_nodes(pool.index)) == 2
-    assert pool.index.misses and pool.index.children["a"].misses
-
-
-def test_miss_memo_stays_exact_when_threads_fill_it_at_once(monkeypatch):
-    bound, workers = 3, 4
-    monkeypatch.setattr(pivots, "_MISMATCH_CACHE_SIZE", bound)
-    pool = _memo_pool()
-    queries = [mkpath(text) for text in _MEMO_MISSES]
+    queries = [mkpath(text) for text in _THREAD_MISSES]
     want = {}
     for q in queries:
         ref = reference_scan(pool, q)
@@ -502,7 +458,6 @@ def test_miss_memo_stays_exact_when_threads_fill_it_at_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not wrong
-    assert all(len(node.misses) <= bound + workers for node in _index_nodes(pool.index))
 
 
 def test_miss_memo_belongs_to_its_pool():
@@ -522,29 +477,29 @@ def test_miss_memo_belongs_to_its_pool():
 
 _STOP_PATHS = ("/a", "/a/b", "/a/c", "/d/e", "/g/h", "/g/i")
 _STOP_QUERIES = {
-    "whole-path probe": "/a",
-    "leaf hit": "/a/b/x",
-    "leaf mismatch": "/d/f",
-    "query ends in run": "/g",
-    "miss below terminal": "/a/z",
+    "whole path": "/a",
+    "partial hit": "/a/b/x",
+    "query ends inside a run": "/g",
+    "stopped by an overlap": "/d/f",
+    "ran off the pool": "/g/z",
     "miss": "/z",
 }
 
 
 def test_every_scan_overwrites_both_counts_of_a_reused_stats():
     tree = make_tree(*_STOP_PATHS)
-    indexed = build_pool([tree._resolve_admin(mkpath(p)) for p in _STOP_PATHS], 16)
-    empty = build_pool([], 16)  # returns before any descent
-    for pool in (indexed, empty):
+    full = build_pool([tree._resolve_admin(mkpath(p)) for p in _STOP_PATHS], 16)
+    empty = build_pool([], 16)  # returns before any scan
+    for pool in (full, empty):
         pool.published = True
     stats = ScanStats()
     for kind, text in _STOP_QUERIES.items():
         q = mkpath(text)
-        for pool in (indexed, empty):
+        for pool in (full, empty):
             stats.pivots_visited = stats.char_comparisons = -1
             _scan_matches_reference(pool, q, stats)
-        assert _stop_kind(indexed, q) == kind
-    assert indexed.index is not None and empty.index is None
+        assert kind in _scan_kinds(q, reference_scan(full, q))
+    assert sorted(_STOP_QUERIES) == sorted(_KINDS)
 
 
 # -- verify_pool -------------------------------------------------------------------------
