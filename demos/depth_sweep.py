@@ -8,7 +8,7 @@ size; the pool size only moves the Stage One probe cost.
 
 from stagewalk import bench_depth_grid
 
-rows = bench_depth_grid(reps=10)
+rows = bench_depth_grid()
 
 print(f"{'stage_two':>9}  {'pool':>4}  {'walked':>6}  {'probe_pivots':>12}  {'probe_chars':>11}  {'original':>8}")
 for row in rows:

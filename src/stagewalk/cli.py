@@ -116,8 +116,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_depth(args: argparse.Namespace) -> int:
-    rows = bench_depth_grid(reps=args.reps)
-    text = grid_csv(rows)
+    text = grid_csv(bench_depth_grid())
     print(text, end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -166,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("bench-depth", help="stage-two length x pool size counter grid")
-    p.add_argument("--reps", type=int, default=50)
     p.add_argument("--out", default="")
     p.set_defaults(fn=cmd_bench_depth)
 

@@ -95,7 +95,6 @@ class _ResolverBase:
     def __init__(self, tree: DirTree):
         self.tree = tree
         self.metrics = Metrics()
-        self._next_handle = 1
 
     def lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
         raise NotImplementedError
@@ -105,10 +104,7 @@ class _ResolverBase:
         return MetadataView(d.id, FILE if d.children is None else DIR, d.mode, d.size)
 
     def open(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
-        self.lookup(path, cred)
-        handle = self._next_handle
-        self._next_handle += 1
-        return handle
+        return self.lookup(path, cred)
 
     def tick(self, periods: int = 1) -> None:
         """`periods` period boundaries in a row; a no-op for strategies

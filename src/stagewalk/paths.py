@@ -5,14 +5,14 @@ names. The root is the empty tuple rendered as "/". Components never contain
 '/', and "." / ".." are rejected at ingest; the model has no symlinks.
 
 Validation happens once, where a component enters: `PathBuf(components)`
-checks every name, `parse` checks the whole text and builds the path without
-checking its names again, and `child` checks only the name it adds. `parent`
+checks every name, `parse` checks a canonical text as a whole rather than
+name by name, and `child` checks only the name it adds. `parent`
 and `child` reuse components that are already valid. A canonical text (a
 `str` that starts with '/', does not end with '/' and contains neither "//"
 nor "/.") is kept as the path's text and is not split: no name in it can be
 empty or start with ".". Any other text is trimmed of trailing slashes and
-tested for "//", "/./" and "/../"; a malformed one goes through the checking
-constructor, so its error names the bad component.
+goes through the checking constructor, so a malformed one's error names the
+bad component.
 
 A path is split only where its names are read. Stage One's whole-path probe
 and fullpath's cache read the text alone, so a lookup that one of them
@@ -49,13 +49,7 @@ class PathBuf:
         if not isinstance(raw, str) or not raw.startswith("/"):
             raise InvalidPath(f"not an absolute path: {raw!r}")
         trimmed = raw.rstrip("/")
-        if not trimmed:
-            return _ROOT
-        parts = tuple(trimmed.split("/")[1:])
-        probe = trimmed + "/"
-        if "//" in probe or "/./" in probe or "/../" in probe:
-            return cls(parts)  # raises, naming the empty, "." or ".." component
-        return _trusted(parts, trimmed)
+        return cls(trimmed.split("/")[1:]) if trimmed else _ROOT
 
     @property
     def components(self) -> tuple[str, ...]:

@@ -215,24 +215,20 @@ class _Universe:
     def __init__(self, tree: DirTree):
         self.files: list[str] = []
         self.dirs: list[str] = []
-        self.deepest_dirs: list[str] = []
-        max_depth = 0
-        stack = [(tree.root, "", 0)]
+        stack = [(tree.root, "")]
         while stack:
-            d, text, depth = stack.pop()
+            d, text = stack.pop()
             if d.kind == FILE:
                 self.files.append(text)
                 continue
             if d.parent is not None:
                 self.dirs.append(text)
-                max_depth = max(max_depth, depth)
-            for c in sorted(d.children.values(), key=lambda x: x.name):
-                stack.append((c, f"{text}/{c.name}", depth + 1))
-        dir_file_depth = max((p.count("/") for p in self.files), default=1)
-        self.deepest_dirs = [p for p in self.dirs if p.count("/") == dir_file_depth - 1]
+            for c in d.children.values():
+                stack.append((c, f"{text}/{c.name}"))
         self.files.sort()
         self.dirs.sort()
-        self.deepest_dirs.sort()
+        dir_file_depth = max((p.count("/") for p in self.files), default=1)
+        self.deepest_dirs = [p for p in self.dirs if p.count("/") == dir_file_depth - 1]
         # every path list a rename must update; the synthesizer adds its own
         self.pools = [self.files, self.dirs, self.deepest_dirs]
 
@@ -516,21 +512,15 @@ def parse_metrics_csv(text: str) -> dict[str, dict[str, str]]:
 BENCH_POOL_SIZES = (1, 2, 4, 8, 16)
 
 
-def bench_depth_grid(
-    pool_sizes: Sequence[int] = BENCH_POOL_SIZES,
-    stage_two_lengths: Sequence[int] = tuple(range(9)),
-    reps: int = 50,
-) -> list[dict]:
+def bench_depth_grid() -> list[dict]:
     """For depth-8 paths, sweep how many components Stage Two must walk (k)
-    against pool sizes; emits one row per (k, pool size) plus the baseline.
+    against the pool sizes in BENCH_POOL_SIZES; one lookup per (k, pool size)
+    cell gives its row, since every column is an exact counter.
 
     The covering pivot sits at depth 8-k; the rest of the pool is decoys from
     a disjoint subtree, so pool size changes only the Stage One probe cost.
     k == 8 means no pivot covers the path and the walk falls back entirely.
-    Raises ConfigError when `reps` is below 1.
     """
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
     spec = TreeSpec(levels=[2] * 7, file_size_range=(0, 0), seed=7)
     tree = gen_tree(spec)
     target = PathBuf.parse("/a0/b0/c0/d0/e0/f0/g0/h0")
@@ -541,16 +531,15 @@ def bench_depth_grid(
     decoys.sort(key=lambda d: tree.materialize_path(d).text)
 
     base = OriginalLookup(tree)
-    for _ in range(reps):
-        base.stat(target)
-    original_visited = base.metrics.dentries_visited // reps
+    base.stat(target)
+    original_visited = base.metrics.dentries_visited
 
     # one engine, its pool published per cell: the grid never ticks, so the
     # pool bound, the heat and the candidates read nothing into a row
     engine = StageLookupEngine(tree)
     rows: list[dict] = []
-    for pool_size in pool_sizes:
-        for k in stage_two_lengths:
+    for pool_size in BENCH_POOL_SIZES:
+        for k in range(9):
             cands: list[Dentry] = []
             if k < 8:
                 cover = tree._resolve_admin(PathBuf(target.components[: 8 - k]))
@@ -560,18 +549,13 @@ def bench_depth_grid(
 
             stats = ScanStats()
             find_best_pivot(engine.manager.working_pool, target, stats)
-            walked = set()
-            results = set()
-            for _ in range(reps):
-                res = engine.stage_lookup(target)
-                walked.add(res.walked_components)
-                results.add(res.target)
+            res = engine.stage_lookup(target)
             rows.append(
                 {
                     "stage_two": k,
                     "pool_size": pool_size,
-                    "walked_components": walked.pop() if len(walked) == 1 else sorted(walked),
-                    "target": results.pop() if len(results) == 1 else sorted(results),
+                    "walked_components": res.walked_components,
+                    "target": res.target,
                     "pivots_visited": stats.pivots_visited,
                     "stage_one_chars": stats.char_comparisons,
                     "original_visited": original_visited,

@@ -116,7 +116,7 @@ def test_c2_worked_pool_example():
 
 
 def test_c3_depth_counter_law_and_pool_zero_identity():
-    rows = bench_depth_grid(reps=20)
+    rows = bench_depth_grid()
     by_k: dict[int, set] = {}
     law_ok = True
     for row in rows:

@@ -1,0 +1,36 @@
+"""One short traced benchmark run: a package change that breaks
+`bench/run.py` (a renamed entry point, a traced layer that is never called
+and so divides by a zero span count, an outcome that no longer matches
+original's) fails here rather than only in a full benchmark run."""
+
+from __future__ import annotations
+
+import gc
+import importlib
+import json
+import math
+import signal
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_one_traced_churn_run_is_correct_and_reports_every_layer(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # undone after the test, with run.py's own insert
+    run = importlib.import_module("run")
+    monkeypatch.setattr(run, "OUT_DIR", str(tmp_path))
+    alarm = signal.getsignal(signal.SIGALRM)
+
+    assert run.main(["--workload", "churn", "--seed", "1", "--seconds", "1", "--trace", "1"]) == 0
+
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    metrics = result["metrics"]
+    for layer in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]:
+        assert layer["name"] in metrics and not math.isnan(metrics[layer["name"]]["value"]), layer["name"]
+    # the run leaves the process as it found it
+    assert signal.getsignal(signal.SIGALRM) == alarm
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+    assert not tracemalloc.is_tracing()

@@ -557,8 +557,7 @@ def test_stat_skips_six_of_eight():
 def test_open_root():
     tree = make_tree("/a")
     engine = StageLookupEngine(tree)
-    handle = engine.open(mkpath("/"))
-    assert handle == 1
+    assert engine.open(mkpath("/")) == tree.root.id
     assert engine.metrics.dentries_visited == 0
 
 
@@ -569,11 +568,16 @@ def test_stat_missing():
         engine.stat(mkpath("/a/missing"))
 
 
-def test_open_handles_are_distinct():
-    tree = make_tree(files=("/a/f",))
-    engine = StageLookupEngine(tree)
-    handles = {engine.open(mkpath("/a/f")) for _ in range(5)}
-    assert len(handles) == 5
+def test_open_stat_and_lookup_name_the_same_node():
+    tree = make_tree("/a/b", files=("/a/b/f",))
+    stage = engine_with_pool(tree, ["/a/b"])
+    assert "/a/b" in stage.manager.working_pool.by_path  # a whole-path hit
+    for resolver in (OriginalLookup(tree), FullPathCache(tree), stage):
+        for text in ("/", "/a", "/a/b", "/a/b/f"):
+            p = mkpath(text)
+            want = tree._resolve_admin(p).id
+            assert resolver.open(p) == resolver.stat(p).node_id == resolver.lookup(p) == want, (type(resolver).__name__, text)
+    assert stage.metrics.skipped_prefix_histogram[2] == 6  # three calls each on /a/b and /a/b/f
 
 
 # -- randomized equivalence (small; the acceptance suite runs the big one) ----------------

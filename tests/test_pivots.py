@@ -460,7 +460,7 @@ def test_scans_stay_exact_when_threads_run_them_at_once():
     assert not any(t.is_alive() for t in threads) and not wrong
 
 
-def test_miss_memo_belongs_to_its_pool():
+def test_a_query_counts_each_pools_own_names():
     # the same name misses at /a in both pools, against different groups
     tree = make_tree("/a/x", "/a/y", "/a/xyz", "/a/qq")
     pools = []

@@ -22,7 +22,6 @@ from stagewalk import (
     TraceEvent,
     TraceMalformed,
     TreeSpec,
-    bench_depth_grid,
     gen_tree,
     make_resolver,
     read_trace,
@@ -236,12 +235,6 @@ def test_extreme_zipf_exponents_with_finite_weights_run(zipf_s):
     trace = synth_trace(tree, "hotdir-zipf", {"n_events": 200, "zipf_s": zipf_s}, seed=1)
     hot = {ev.path.rsplit("/", 1)[0] for ev in trace}
     assert len(trace) == 200 and (len(hot) == 1) == (zipf_s >= 300.0)  # a steep exponent picks rank 1 alone
-
-
-@pytest.mark.parametrize("reps", [0, -1])
-def test_bench_depth_grid_needs_a_rep(reps):
-    with pytest.raises(ConfigError, match="reps"):
-        bench_depth_grid(pool_sizes=(1,), stage_two_lengths=(0,), reps=reps)
 
 
 def test_mutation_probabilities_may_sum_to_one():
@@ -629,18 +622,3 @@ def test_counter_rows_pinned_across_versions(case):
         if strategy == "stage":
             manager = res.resolver.manager
             assert (manager.ticks, manager.swaps) == _PINNED_STAGE_PERIODS
-
-
-# -- depth sweep ---------------------------------------------------------------------
-
-
-def test_bench_grid_counter_law():
-    rows = bench_depth_grid(pool_sizes=(1, 4, 16), stage_two_lengths=range(9), reps=5)
-    assert len(rows) == 27
-    by_k: dict[int, set] = {}
-    for row in rows:
-        assert row["walked_components"] == row["stage_two"]
-        assert row["original_visited"] == 8
-        by_k.setdefault(row["stage_two"], set()).add(row["target"])
-    for k, targets in by_k.items():
-        assert len(targets) == 1  # pool size never changes the result
