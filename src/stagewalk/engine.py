@@ -66,7 +66,7 @@ from .epoch import PivotManager
 from .metrics import Metrics
 from .paths import PathBuf
 from .pivots import Pivot, ScanStats, find_best_pivot
-from .tree import DIR, FILE, Credential, DirTree
+from .tree import DIR, FILE, Credential, Dentry, DirTree
 
 
 @dataclass(slots=True)
@@ -141,7 +141,7 @@ class StageLookupEngine(_ResolverBase):
         tree.register_hook(self._on_metadata)
         tree.stage_engine = self
 
-    def _on_metadata(self, path: PathBuf) -> None:
+    def _on_metadata(self, path: PathBuf, _dentry: Dentry) -> None:
         self.metrics.entries_touched += self.manager.invalidate_for_metadata(path)
 
     def tick(self, periods: int = 1) -> None:

@@ -2,8 +2,9 @@
 
 Lookups hash the whole canonical path into a map from path text to the
 dentry's id and the credentials it admits. Any rename/chmod/unlink of a node
-walks its whole subtree and evicts the cached entry under each node's path,
-which is exactly the cost asymmetry this baseline exists to expose:
+walks its whole subtree from the dentry the mutation resolved, which the
+tree's hook passes in, and evicts the cached entry under each node's path:
+exactly the cost asymmetry this baseline exists to expose, since
 invalidation work grows with the subtree while the pivot scheme touches at
 most a pool's worth of entries. Eviction alone keeps every entry true: the
 tree fires the hook before it applies the change, while each subtree node's
@@ -28,16 +29,19 @@ usual two scans per component; inserts reuse the probe hash.
 from __future__ import annotations
 
 from .engine import _ResolverBase
-from .errors import NotFound
 from .paths import PathBuf
-from .tree import Credential, DirTree
+from .tree import Credential, Dentry, DirTree
 
 
 class FullPathCache(_ResolverBase):
     def __init__(self, tree: DirTree):
         super().__init__(tree)
         self._entries: dict[str, tuple[int, int]] = {}  # path text -> (id, admitted credentials' exec bits)
-        tree.register_hook(self.fp_invalidate_subtree)
+        tree.register_hook(self._on_metadata)
+
+    def _on_metadata(self, path: PathBuf, dentry: Dentry) -> None:
+        # looked up per call, so a wrapper installed on the class sees it
+        self.metrics.entries_touched += self.fp_invalidate_subtree(path, dentry)
 
     def fp_lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
         metrics = self.metrics
@@ -54,16 +58,13 @@ class FullPathCache(_ResolverBase):
 
     lookup = fp_lookup
 
-    def fp_invalidate_subtree(self, path: PathBuf) -> int:
-        """Evict the cached entry of every dentry in the subtree.
+    def fp_invalidate_subtree(self, path: PathBuf, top: Dentry) -> int:
+        """Evict the cached entry of every dentry in the subtree rooted at
+        `top`, the dentry `path` names.
 
         Returns the number of dentries the walk touched, cached or not; entry
-        removals are a subset. Unknown paths touch nothing.
+        removals are a subset.
         """
-        try:
-            top = self.tree._resolve_admin(path)
-        except NotFound:
-            return 0
         touched = 0
         stack = [(top, path.text)]
         entries = self._entries
@@ -74,7 +75,6 @@ class FullPathCache(_ResolverBase):
             if d.children:
                 prefix = text if text != "/" else ""
                 stack.extend((c, f"{prefix}/{c.name}") for c in d.children.values())
-        self.metrics.entries_touched += touched
         return touched
 
     @property

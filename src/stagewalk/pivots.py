@@ -158,15 +158,15 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
     """Materialize the hottest candidate dentries into a sorted pool of at
     most `bound` pivots.
 
-    A first pass walks each candidate's parent links for its names only:
-    dead candidates (unlinked mid-build, which their parent's map no longer
-    holds; see `Dentry.dead`) and the root are dropped, and of
-    two candidates with the same names the hotter is kept (the first on a
-    tie). Hotter candidates win the cut, ties broken by ascending component
-    order, the order of the pool itself. Sorting by path text instead would
-    split a run: `/a.d` sorts between `/a` and `/a/b` because `.` is below
-    `/`. Only the kept candidates are then walked again for their dentries
-    and modes, so a period that ranks 64 candidates for 16 slots
+    Each candidate's parent links are walked once, and the chain of dentries
+    they give is kept with its names: dead candidates (unlinked mid-build,
+    which their parent's map no longer holds; see `Dentry.dead`) and the
+    root are dropped, and of two candidates with the same names the hotter
+    is kept (the first on a tie). Hotter candidates win the cut, ties broken
+    by ascending component order, the order of the pool itself. Sorting by
+    path text instead would split a run: `/a.d` sorts between `/a` and
+    `/a/b` because `.` is below `/`. Component records are made from the
+    kept chains alone, so a period that ranks 64 candidates for 16 slots
     materializes 16.
 
     When the kept names equal `current`'s pivot names in order, or no live
@@ -177,39 +177,37 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
     covers before it applies, and none can apply between a period's build
     and its install, which hold the tree read lock together.
     """
-    by_names: dict[tuple[str, ...], tuple[int, Dentry]] = {}
+    by_names: dict[tuple[str, ...], tuple[int, list[Dentry]]] = {}
     for d in candidates:
         if d is None or d.dead:
             continue  # SkippedDead
         names: list[str] = []
+        chain: list[Dentry] = []
         cur = d
         while cur.parent is not None:
             names.append(cur.name)
+            chain.append(cur)
             cur = cur.parent
         if not names:
             continue  # the root is never a pivot
         names.reverse()
+        chain.reverse()
         key = tuple(names)
         prev = by_names.get(key)
         if prev is None or d.heat > prev[0]:
-            by_names[key] = (d.heat, d)
+            by_names[key] = (d.heat, chain)
     ranked = sorted(by_names.items(), key=lambda kv: (-kv[1][0], kv[0]))[: max(bound, 0)]
     ranked.sort(key=lambda kv: kv[0])
     if current is not None and (not by_names or [names for names, _ in ranked] == [pv.names for pv in current.pivots]):
         return current
 
     pivots: list[Pivot] = []
-    for names, (_heat, d) in ranked:
-        chain: list[Dentry] = []
-        cur = d
-        while cur.parent is not None:
-            chain.append(cur)
-            cur = cur.parent
+    for names, (_heat, chain) in ranked:
         comps: list[Component] = []
         running = 0o777
         text_len = 0
-        for node, name in zip(reversed(chain), names):
-            text_len += 1 + len(name)
+        for node in chain:
+            text_len += 1 + len(node.name)
             comps.append(Component(node, running, text_len))
             running &= node.mode  # this component joins the prefix of deeper ones
         pivots.append(Pivot(names, tuple(comps)))

@@ -19,8 +19,9 @@ below a file raises there and becomes NotFound) and one assignment. A walk
 counts its visits and chars once, not per component, and a resolved walk
 takes its chars from the length of the text that spells its names, which its
 caller passes.
-Hooks registered by caching strategies fire before a mutation is applied so
-they can observe pre-mutation paths.
+Hooks registered by caching strategies fire before a mutation is applied,
+with the path and the dentry the mutation resolved, so they observe
+pre-mutation paths without resolving them again.
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ class Dentry:
         return f"Dentry(id={self.id}, name={self.name!r}, kind={self.kind})"
 
 
-# hook(path): fires pre-mutation with the path a rename, chmod or unlink changes
-MetadataHook = Callable[[PathBuf], None]
+# hook(path, dentry): fires pre-mutation with the path a rename, chmod or
+# unlink changes and the dentry that path names
+MetadataHook = Callable[[PathBuf, Dentry], None]
 
 
 class DirTree:
@@ -116,9 +118,9 @@ class DirTree:
     def register_hook(self, hook: MetadataHook) -> None:
         self._hooks.append(hook)
 
-    def _fire_hooks(self, path: PathBuf) -> None:
+    def _fire_hooks(self, path: PathBuf, dentry: Dentry) -> None:
         for hook in self._hooks:
-            hook(path)
+            hook(path, dentry)
 
     def node(self, node_id: int) -> Optional[Dentry]:
         """The dentry issued with this id, or None for an id never issued. An
@@ -150,23 +152,21 @@ class DirTree:
         names.reverse()
         return PathBuf(tuple(names))
 
-    def iter_subtree(self, dentry: Dentry) -> Iterator[Dentry]:
-        """Depth-first over the subtree rooted at dentry, dentry included."""
-        stack = [dentry]
+    def iter_subtree(self, dentry: Dentry) -> Iterator[tuple[str, Dentry]]:
+        """Depth-first over the subtree rooted at dentry, dentry included:
+        (path text, dentry) pairs. Only the top's parent links are walked; a
+        child's text extends its parent's."""
+        stack = [(self.materialize_path(dentry).text, dentry)]
         while stack:
-            d = stack.pop()
-            yield d
+            text, d = stack.pop()
+            yield text, d
             if d.children:
-                stack.extend(d.children.values())
+                prefix = text if d.parent is not None else ""  # the root's "/" spells no name
+                stack.extend((f"{prefix}/{c.name}", c) for c in d.children.values())
 
     def canonical_dump(self) -> str:
         """Sorted one-line-per-node text form; equal dumps mean equal trees."""
-        lines = []
-        for d in self.nodes[1:]:
-            if d.dead:
-                continue
-            lines.append(f"{self.materialize_path(d).text}\t{d.kind}\t{d.mode:o}\t{d.size}")
-        lines.sort()
+        lines = sorted([f"{text}\t{d.kind}\t{d.mode:o}\t{d.size}" for text, d in self.iter_subtree(self.root)])
         return "\n".join(lines) + "\n"
 
     # -- mutations ----------------------------------------------------------
@@ -209,7 +209,7 @@ class DirTree:
                 if cur is d:
                     raise Unsupported("cannot rename a directory into its own subtree")
                 cur = cur.parent
-            self._fire_hooks(old)
+            self._fire_hooks(old, d)
             del d.parent.children[d.name]
             d.parent = new_parent
             d.name = new.name
@@ -221,7 +221,7 @@ class DirTree:
         self.lock.acquire_write()
         try:
             d = self._resolve_admin(path)
-            self._fire_hooks(path)
+            self._fire_hooks(path, d)
             d.mode = mode & 0o777
         finally:
             self.lock.release_write()
@@ -234,7 +234,7 @@ class DirTree:
             d = self._resolve_admin(path)
             if d.children:
                 raise Unsupported(f"{path.text} has children")
-            self._fire_hooks(path)
+            self._fire_hooks(path, d)
             del d.parent.children[d.name]  # the unlink: `d.dead` is now true
         finally:
             self.lock.release_write()

@@ -29,6 +29,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .engine import OriginalLookup, StageLookupEngine, _ResolverBase
@@ -495,18 +496,6 @@ def report(runs: Sequence[tuple[str, Metrics]]) -> tuple[str, str]:
     return "\n".join(table_lines) + "\n", out.getvalue()
 
 
-def parse_metrics_csv(text: str) -> dict[str, dict[str, str]]:
-    """Inverse of the CSV emitted by report(); ratio columns are skipped."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    labels = [h for h in header[1:] if "_vs_" not in h]
-    out: dict[str, dict[str, str]] = {lab: {} for lab in labels}
-    for row in reader:
-        for i, lab in enumerate(labels):
-            out[lab][row[0]] = row[i + 1]
-    return out
-
-
 # -- stage-two depth sweep (counter analogue of the latency-vs-depth study) ----
 
 BENCH_POOL_SIZES = (1, 2, 4, 8, 16)
@@ -527,8 +516,8 @@ def bench_depth_grid() -> list[dict]:
     assert target.depth == 8
 
     decoy_root = tree._resolve_admin(PathBuf.parse("/a1"))
-    decoys = [d for d in tree.iter_subtree(decoy_root) if d.kind == DIR and tree.materialize_path(d).depth == 7]
-    decoys.sort(key=lambda d: tree.materialize_path(d).text)
+    decoys = [d for text, d in sorted(tree.iter_subtree(decoy_root), key=itemgetter(0))
+              if d.kind == DIR and text.count("/") == 7]
 
     base = OriginalLookup(tree)
     base.stat(target)

@@ -9,6 +9,7 @@ import gc
 import importlib
 import json
 import math
+import re
 import signal
 import tracemalloc
 from pathlib import Path
@@ -24,11 +25,18 @@ def test_one_traced_churn_run_is_correct_and_reports_every_layer(tmp_path, monke
 
     assert run.main(["--workload", "churn", "--seed", "1", "--seconds", "1", "--trace", "1"]) == 0
 
-    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    lines = capsys.readouterr().out.splitlines()
+    result = json.loads(lines[-1])
     assert result["correct"] is True and result["failed"] == 0
     metrics = result["metrics"]
     for layer in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]:
         assert layer["name"] in metrics and not math.isnan(metrics[layer["name"]]["value"]), layer["name"]
+    # the invalidation timings are notes, not per-layer metrics: each must
+    # have timed the churn's renames and chmods
+    for note in ("epoch.invalidate_us", "fullpath.invalidate_us"):
+        found = [re.fullmatch(rf"{re.escape(note)} \S+ us \(n=(\d+)\)", line) for line in lines]
+        counts = [int(m.group(1)) for m in found if m]
+        assert len(counts) == 1 and counts[0] > 0, (note, counts)
     # the run leaves the process as it found it
     assert signal.getsignal(signal.SIGALRM) == alarm
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)

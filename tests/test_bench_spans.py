@@ -55,6 +55,9 @@ def test_traced_replay_records_each_layer(strategy):
     counts, lookups = traced_replay(strategy)
     assert counts["fullpath.fp_lookup" if strategy == "fullpath" else "resolver.lookup"] == lookups
     assert counts["tree.rename_node"] == 1
+    # fullpath's hook looks its eviction walk up on each call, so the wrapper
+    # the tracer installs on the class records the rename's walk
+    assert counts["fullpath.fp_invalidate_subtree"] == (1 if strategy == "fullpath" else 0)
     if strategy == "stage":
         # a whole-path hit on one thread is answered from the path map: the 3
         # lookups after the tick and the 2 unrenamed ones after the rename make

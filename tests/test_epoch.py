@@ -460,7 +460,7 @@ def test_covering_rename_keeps_the_surviving_pivot_objects(threadsafe):
     """A repair installs a pool of the old pool's own surviving pivots, equal
     to a fresh build of their names, and the old pool is still freed."""
     tree, cset, mgr = fig4_manager(threadsafe)
-    tree.register_hook(mgr.invalidate_for_metadata)  # as an engine's hook calls it
+    tree.register_hook(lambda path, _dentry: mgr.invalidate_for_metadata(path))  # as an engine's hook calls it
     old = mgr.working_pool
     _check_components(tree, old)
     tree.rename_node(mkpath("/a1/b1/c2"), mkpath("/a1/b1/z9"))
@@ -512,7 +512,7 @@ def test_path_map_holds_each_pivot_with_its_scan_counts(threadsafe):
         paths = random_tree_paths(rng, rng.randint(3, 12), max_depth=4)
         prefixes = sorted({p.rsplit("/", k)[0] for p in paths for k in range(p.count("/"))})
         tree, cset, mgr = make_manager(make_tree(*paths, threadsafe=threadsafe))
-        tree.register_hook(mgr.invalidate_for_metadata)
+        tree.register_hook(lambda path, _dentry: mgr.invalidate_for_metadata(path))
         heat_up(tree, cset, rng.sample(prefixes, rng.randint(1, min(len(prefixes), 16))))
         mgr.periodic_update()
         pool = mgr.working_pool

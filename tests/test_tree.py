@@ -145,11 +145,11 @@ def test_rename_to_existing_name():
 def test_rename_hooks_fire_before_mutation():
     tree = make_tree("/a/b")
     seen = []
-    # record the node id visible at the OLD path while the hook runs
-    tree.register_hook(lambda path: seen.append((path.text, tree._resolve_admin(path).id)))
+    # record the dentry visible at the OLD path while the hook runs, and the one it was passed
+    tree.register_hook(lambda path, dentry: seen.append((path.text, tree._resolve_admin(path), dentry)))
     tree.rename_node(mkpath("/a/b"), mkpath("/a/c"))
     moved = tree._resolve_admin(mkpath("/a/c"))
-    assert seen == [("/a/b", moved.id)]
+    assert seen == [("/a/b", moved, moved)]
 
 
 # -- chmod -----------------------------------------------------------------------
@@ -224,6 +224,29 @@ def test_children_maps_are_the_only_index():
     mapped = [c for d in tree.nodes[1:] if d.children for c in d.children.values()]
     assert not any(c.dead for c in mapped)
     assert len(mapped) == len(live)
+
+
+def test_iter_subtree_spells_each_live_dentry_under_its_top():
+    """After a rename, an unlink and a create, a walk from the root and one
+    from an inner directory yield each live dentry under their top once,
+    with the text `materialize_path` spells for it; the root's is "/"."""
+    tree = make_tree("/a/b/c", "/a/d", "/x/y", files=("/a/b/c/f", "/x/y/g", "/x/y/h"))
+    tree.rename_node(mkpath("/a/b/c"), mkpath("/x/c"))
+    tree.unlink_node(mkpath("/x/y/h"))
+    tree.create_node(mkpath("/x/c"), "n", FILE, 0o644)
+
+    def under(d, top):
+        while d is not None and d is not top:
+            d = d.parent
+        return d is top
+
+    for top, size in ((tree.root, 10), (tree._resolve_admin(mkpath("/x")), 6)):
+        walked = list(tree.iter_subtree(top))
+        assert walked[0] == (tree.materialize_path(top).text, top) and len(walked) == size
+        assert all(text == tree.materialize_path(d).text for text, d in walked)
+        live = [d for d in tree.nodes[1:] if not d.dead and under(d, top)]
+        assert sorted(d.id for _text, d in walked) == sorted(d.id for d in live)
+    assert {text for text, _d in tree.iter_subtree(tree.root)} >= {"/", "/x/c/f", "/x/c/n"}
 
 
 def test_dead_and_kind_follow_the_children_maps_randomized():

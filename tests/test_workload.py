@@ -31,7 +31,6 @@ from stagewalk import (
     write_trace,
 )
 from stagewalk.tree import DirTree
-from stagewalk.workload import parse_metrics_csv
 from conftest import mkpath, outcome_mismatches, reference_gen_tree, replay_each_strategy
 
 
@@ -252,6 +251,27 @@ def test_fixed_seed_byte_identical_trace(tmp_path):
     write_trace(t1, str(f1))
     write_trace(t2, str(f2))
     assert f1.read_bytes() == f2.read_bytes()
+
+
+# sha256 of every `to_json_line()` of the traces below, one per line, as the
+# synthesizer wrote them before its bookkeeping changed
+_SYNTH_SHA256 = "3f40ffcc892f39dea71dcb25c2bddc8038779d208566c5d0755cb8d2ca078c45"
+
+
+def test_synth_trace_bytes_pinned_and_tree_untouched():
+    """Every model, lookups only and with renames, chmods and creates, two
+    seeds each: the traces' bytes are pinned, and synthesizing leaves the
+    tree as it was."""
+    digest = hashlib.sha256()
+    for model in ("uniform", "hotdir-zipf", "replay-like"):
+        for mix in ({}, {"p_rename": 0.1, "p_chmod": 0.1, "p_create": 0.1}):
+            for seed in (1, 2):
+                tree = gen_tree(TreeSpec(levels=[3, 3, 3], seed=1))
+                before = tree.canonical_dump()
+                for ev in synth_trace(tree, model, {"n_events": 400, **mix}, seed=seed):
+                    digest.update(ev.to_json_line().encode() + b"\n")
+                assert tree.canonical_dump() == before, (model, mix, seed)
+    assert digest.hexdigest() == _SYNTH_SHA256
 
 
 def test_renamed_directory_moves_descendant_paths():
@@ -551,15 +571,6 @@ def test_readme_lists_the_counter_rows():
 def test_report_single_run_degenerates():
     _table, csv_text = report([("stage", _mini_metrics(5))])
     assert csv_text.splitlines()[0] == "metric,stage"
-
-
-def test_csv_round_trip():
-    runs = [("original", _mini_metrics(100)), ("stage", _mini_metrics(40))]
-    _table, csv_text = report(runs)
-    parsed = parse_metrics_csv(csv_text)
-    for label, m in runs:
-        for name, value in m.counter_rows():
-            assert parsed[label][name] == value
 
 
 def test_replay_determinism_byte_identical_csv():
