@@ -10,32 +10,35 @@ that the manager's reader registry holds from `reader_enter` to
 `reader_exit`; on a single-threaded tree the same calls register nothing
 (see `epoch`), and a whole-path hit there makes none of them: the engine
 probes the working pool's path map itself, tests the pool's `freed` flag,
-and takes the pair and the scan's chars from the entry. Only a path-map
-miss calls `find_best_pivot`. The probe picks where the pair comes from,
-and everything after it is shared. Stage Two resolves the remaining
-components through the children maps exactly like the original walk,
-starting from the matched component's dentry, which the pivot holds per
-depth (so landing on an ancestor of the pivot is a direct array index,
-recorded as rolled_up, and no id is looked up in `tree.nodes`). The skipped
-prefix's permission check is the walk's own exec-bit test, `mode & cred`,
-made once on the AND of the skipped components' modes taken at build time.
-The heat update is one call, `observe_target`, taken under the heat lock on
-a threadsafe tree only. The candidate set holds the engine's heat version
-and members, and the heat itself lives on the tree's dentries, so a tree
-takes at most one stage engine: building a second raises ConfigError, as a
-kernel keeps one dcache.
+and reads off the entry the pair, the scan's chars and the matched
+component, whose AND of modes it tests and whose dentry is the target. A
+query equal to the pivot's path has nothing left to walk, so that branch
+indexes no component array, compares no lengths and never splits the path
+(see `paths`); it keeps the pair the map stores, so it builds no tuple
+either. Only a path-map miss calls `find_best_pivot`, and every threadsafe
+lookup does. The two branches share the histogram bump, the `out` append
+and the heat call. Stage Two resolves the remaining components through the
+children maps exactly like the original walk, starting from the matched
+component's dentry, which the pivot holds per depth (so landing on an
+ancestor of the pivot is a direct array index, recorded as rolled_up, and
+no id is looked up in `tree.nodes`). The skipped prefix's permission check
+is the walk's own exec-bit test, `mode & cred`, made once on the AND of the
+skipped components' modes taken at build time. The heat update is one
+call, `observe_target`, taken under the heat lock on a threadsafe tree
+only. The candidate set holds the engine's heat version and members, and
+the heat itself lives on the tree's dentries, so a tree takes at most one
+stage engine: building a second raises ConfigError, as a kernel keeps one
+dcache.
 
-A hit decides from the path's length that nothing is left to walk: the
-matched component holds the length of the pivot's path text through it, and
-the query shares that text, so the query has names past the matched depth
-exactly when its text is longer. A whole-path hit therefore never splits
-the path (see `paths`), and it returns the pair the pool's path map stores,
-so it builds no tuple either. Stage Two reads `components`, which the
-scan that found its pivot has already split, and passes the walk the
-length of the text past the matched one, from which the walk counts its
-chars. The miss walk is `DirTree.lookup_original`, which splits the path
-where no scan did: on an empty pool, or after a hit that a modification
-raced. A counted hit bumps only the skipped-prefix histogram,
+A scanned hit decides from the path's length whether anything is left to
+walk: the matched component holds the length of the pivot's path text
+through it, and the query shares that text, so the query has names past the
+matched depth exactly when its text is longer. Stage Two reads
+`components`, which the scan that found its pivot has already split, and
+passes the walk the length of the text past the matched one, from which the
+walk counts its chars. The miss walk is `DirTree.lookup_original`, which
+splits the path where no scan did: on an empty pool, or after a hit that a
+modification raced. A counted hit bumps only the skipped-prefix histogram,
 whose total is `Metrics.pivot_hits`.
 
 A lookup that calls Stage One sees one state of the tree, as the kernel's
@@ -164,8 +167,12 @@ class StageLookupEngine(_ResolverBase):
         if entry is not None:  # a whole-path hit, answered from the path map
             if pool.freed:
                 raise ContractViolation("pivot pool used after reclaim")
-            hit, _visited, chars = entry
-            seq = None
+            hit, _visited, chars, matched = entry
+            metrics.char_comparisons += chars  # Stage One single scan
+            # the modes' AND cached on the matched component clears components 1..depth-1
+            if not matched.prefix_trav & cred:
+                raise PermissionDenied(f"skipped prefix of {hit[0].path!r} not traversable for {cred.name.lower()}")
+            target = matched.node
         else:
             if stats is None:  # a threadsafe tree
                 stats = ScanStats()
@@ -175,38 +182,39 @@ class StageLookupEngine(_ResolverBase):
                 hit = find_best_pivot(pool, path, stats)
             finally:
                 manager.reader_exit(token_id)
-            chars = stats.char_comparisons
-        metrics.char_comparisons += chars  # Stage One single scan
+            metrics.char_comparisons += stats.char_comparisons  # Stage One single scan
+            tree = self.tree
+            if hit is not None:
+                pivot, depth = hit
+                matched = pivot.components[depth - 1]
+                try:
+                    if not matched.prefix_trav & cred:
+                        raise PermissionDenied(
+                            f"skipped prefix of {pivot.path!r} not traversable for {cred.name.lower()}"
+                        )
+                    target = matched.node
+                    # the query shares the matched text, so a longer one has names left,
+                    # which the rest of its text spells; an empty walk_from checks and counts nothing
+                    if len(path.text) > matched.text_len:
+                        rest = len(path.text) - matched.text_len
+                        target = tree.walk_from(target, path.components[depth:], cred, metrics, rest)
+                except (PermissionDenied, NotFound):
+                    if manager.metadata_seq == seq:
+                        raise
+                if manager.metadata_seq != seq:
+                    metrics.fallbacks += 1  # a modification raced the lookup
+                    hit = None
+            if hit is None:
+                target = tree.nodes[tree.lookup_original(path, cred, metrics)]
 
-        tree = self.tree
         if hit is not None:
-            pivot, depth = hit
-            matched = pivot.components[depth - 1]
-            try:
-                # the modes' AND cached on the matched component clears components 1..depth-1
-                if not matched.prefix_trav & cred:
-                    raise PermissionDenied(f"skipped prefix of {pivot.path!r} not traversable for {cred.name.lower()}")
-                target = matched.node
-                # the query shares the matched text, so a longer one has names left,
-                # which the rest of its text spells; an empty walk_from checks and counts nothing
-                if len(path.text) > matched.text_len:
-                    rest = len(path.text) - matched.text_len
-                    target = tree.walk_from(target, path.components[depth:], cred, metrics, rest)
-            except (PermissionDenied, NotFound):
-                if seq is None or manager.metadata_seq == seq:
-                    raise
-            if seq is None or manager.metadata_seq == seq:
-                hist = metrics.skipped_prefix_histogram
-                hist[depth] = hist.get(depth, 0) + 1
-                if out is not None:
-                    out.append(hit)
-            else:
-                metrics.fallbacks += 1  # a modification raced the lookup
-                hit = None
-        if hit is None:
-            target = tree.nodes[tree.lookup_original(path, cred, metrics)]
-
-        if tree.threadsafe:  # heat updates take heat_lock only then
+            depth = hit[1]
+            hist = metrics.skipped_prefix_histogram
+            hist[depth] = hist.get(depth, 0) + 1
+            if out is not None:
+                out.append(hit)
+        # heat updates take heat_lock on a threadsafe tree only, which never answers from the path map
+        if entry is None and tree.threadsafe:
             with self.heat_lock:
                 observe_target(target, self.candidates)
         else:

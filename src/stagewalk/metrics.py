@@ -23,7 +23,8 @@ Counter semantics:
   probe of the pool's path map, whose entries carry the scan's counts;
   partial hits and misses run the scan, which adds a matched name's length
   and a mismatched pair's cost, cached per pair of names. The engine takes
-  Stage One's count off a `ScanStats`: one reused instance on a
+  a single-threaded whole-path hit's count off the path map's entry, and
+  every other Stage One count off a `ScanStats`: one reused instance on a
   single-threaded tree, so counting allocates nothing per lookup there, and a
   fresh one per lookup on a threadsafe tree.
 - pivot_hits: lookups that kept a pivot's result, read as the total of

@@ -16,18 +16,20 @@ materializes component records only for the pivots it keeps.
 char-by-char compare would examine: a matched name's length, and on a
 mismatch the chars up to the first differing one. Every pool scans each
 pivot's own path when it is constructed and fills the pool's path map: each
-pivot's path text to the pair (pivot, depth) that scan returns, with its
-pivots visited and chars. A whole-path hit is one probe of the map and
-returns the stored pair without building one; partial hits and misses run
-the scan. Each component record holds the length of the pivot's path text
-through it, so the engine tells that a hit leaves nothing to walk by
-comparing lengths. The metadata hook finds the run of pivots a mutated path
-covers by bisecting the sorted list on names (`PivotPool.covered_run`). A
-pool's list never changes once built, so its map never goes stale; a lookup
-that a metadata modification races is caught by the engine's re-check of
-`metadata_seq`, not here. The paper's char-by-char scan, and its cursor that
-never moves backward, live in the tests as the reference the counts are
-checked against.
+pivot's path text to the pair (pivot, depth) that scan returns, its pivots
+visited and chars, and the matched component, the pivot's component at that
+depth. A whole-path hit is one probe of the map and returns the stored pair
+without building one; the engine's single-threaded hit reads the component
+off the entry too, and with it the dentry and the skipped prefix's AND of
+modes. Partial hits and misses run the scan. Each component record holds
+the length of the pivot's path text through it, so the engine tells that a
+scanned hit leaves nothing to walk by comparing lengths. The metadata hook
+finds the run of pivots a mutated path covers by bisecting the sorted list
+on names (`PivotPool.covered_run`). A pool's list never changes once built,
+so its map never goes stale; a lookup that a metadata modification races is
+caught by the engine's re-check of `metadata_seq`, not here. The paper's
+char-by-char scan, and its cursor that never moves backward, live in the
+tests as the reference the counts are checked against.
 """
 
 from __future__ import annotations
@@ -103,9 +105,10 @@ class PivotPool:
 
     `by_path`, filled here by scanning each pivot's own path and never
     written after, maps each pivot's path text to ((pivot, depth), pivots
-    visited, chars): the pair a query equal to that path matches in full,
-    which a whole-path hit returns as it is stored, and the scan's counts for
-    that query."""
+    visited, chars, component): the pair a query equal to that path matches
+    in full, which a whole-path hit returns as it is stored, the scan's
+    counts for that query, and `pivot.components[depth - 1]`, the matched
+    component, taken once here so that a hit indexes no array."""
 
     __slots__ = ("pivots", "generation", "published", "freed", "by_path")
 
@@ -114,9 +117,11 @@ class PivotPool:
         self.generation = 0
         self.published = False
         self.freed = False
-        self.by_path: dict[str, tuple[tuple[Pivot, int], int, int]] = {
-            pv.path: _scan(pivots, pv.names) for pv in pivots
-        }
+        by_path: dict[str, tuple[tuple[Pivot, int], int, int, Component]] = {}
+        for pv in pivots:
+            pair, visited, chars = _scan(pivots, pv.names)
+            by_path[pv.path] = (pair, visited, chars, pair[0].components[pair[1] - 1])
+        self.by_path = by_path
 
     @property
     def size(self) -> int:
@@ -315,8 +320,10 @@ def find_best_pivot(
     A whole-path hit, a query equal to a pivot's path and the common case, is
     one probe of the pool's path map, whose entry carries the scan's counts
     and the pair it returns: every hit on one path returns the same object.
-    An empty pool answers None having visited nothing. Any other query runs
-    `_scan` over the pool.
+    An empty pool answers None having visited nothing, before it probes the
+    map. Any other query runs `_scan` over the pool, so a partial hit or a
+    miss probes the map and then scans: the caller has no probe result to
+    pass in.
 
     The pool's list is read by reference, without a copy: a published pool
     never changes. A reclaim during a scan still trips the sentinel.
@@ -325,14 +332,16 @@ def find_best_pivot(
         raise ContractViolation("pivot pool used after reclaim")
     if not pool.published:
         raise ContractViolation("pivot pool read before publication")
-    hit = pool.by_path.get(path.text)
-    if hit is None:
-        if not pool.pivots:  # an empty pool
-            if stats is not None:
-                stats.pivots_visited = stats.char_comparisons = 0
-            return None
-        hit = _scan(pool.pivots, path.components)
-    pair, visited, chars = hit
+    pivots = pool.pivots
+    if not pivots:  # an empty pool, which maps no path
+        if stats is not None:
+            stats.pivots_visited = stats.char_comparisons = 0
+        return None
+    entry = pool.by_path.get(path.text)
+    if entry is None:
+        pair, visited, chars = _scan(pivots, path.components)
+    else:
+        pair, visited, chars, _component = entry
     if pool.freed:
         raise ContractViolation("pivot used after reclaim")
     if stats is not None:
@@ -342,13 +351,26 @@ def find_best_pivot(
 
 
 def verify_pool(pool: PivotPool) -> list[str]:
-    """Recheck the pool's order and component arrays by brute force; return
-    violation strings."""
+    """Recheck the pool's order, component arrays and path map by brute
+    force; return violation strings. The map's keys must be the pivots' path
+    texts, and each entry must hold what a scan of this pool for that
+    pivot's names returns, with the component at the pair's depth."""
     problems: list[str] = []
     pivots = pool.pivots
+    by_path = pool.by_path
     for i, pv in enumerate(pivots):
         if i and pivots[i - 1].names >= pv.names:
             problems.append(f"[{i}] order violation: {pivots[i-1].path!r} >= {pv.path!r} by components")
         if len(pv.components) != len(pv.names):
             problems.append(f"[{i}] component array length mismatch")
+        entry = by_path.get(pv.path)
+        if entry is None:
+            continue  # reported with the keys below
+        pair, visited, chars, component = entry
+        if (pair, visited, chars) != _scan(pivots, pv.names):
+            problems.append(f"[{i}] path map entry of {pv.path!r} is not this pool's scan of it")
+        elif component is not pair[0].components[pair[1] - 1]:
+            problems.append(f"[{i}] path map entry of {pv.path!r} holds the wrong component")
+    if by_path.keys() != {pv.path for pv in pivots}:
+        problems.append(f"path map keys {sorted(by_path)} are not the pivots' paths")
     return problems

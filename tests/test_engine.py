@@ -459,6 +459,71 @@ def test_whole_path_hit_on_a_freed_working_pool_trips_the_sentinel(threadsafe):
     assert engine.metrics.pivot_hits == 0
 
 
+def _answer(fn, path, cred):
+    try:
+        return fn(path, cred)
+    except (NotFound, PermissionDenied) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_path_map_hits_answer_as_scanned_hits_do():
+    """One set of pivots on a single-threaded and a threadsafe tree of one
+    spec, under the same seeded lookups: the single-threaded engine answers
+    a whole-path hit from the path map's entry, the threadsafe one from a
+    scan, and both give the same id or error with its message, the same
+    counter rows and the same `stage_lookup` result, whatever the query
+    kind."""
+    spec = TreeSpec(levels=[4, 3, 3, 2], seed=4)
+    pivot_paths = [
+        "/a0/b0/c0/d0",
+        "/a0/b0/c1",
+        "/a0/b1/c0/d1/e0",
+        "/a1/b0/c0",
+        "/a1/b2/c1/d0",
+        "/a2/b1/c2/d1",
+        "/a2/b0/c0/d0/e0",
+    ]  # none under /a3, nor under /a0/b2
+    engines = []
+    for threadsafe in (False, True):
+        tree = gen_tree(spec, threadsafe=threadsafe)
+        tree.chmod_node(mkpath("/a1"), 0o750)  # other may not cross /a1
+        tree.chmod_node(mkpath("/a2/b1"), 0o705)  # group may not cross /a2/b1
+        engines.append(engine_with_pool(tree, pivot_paths))
+    pool = engines[0].manager.working_pool
+    texts = [tree.materialize_path(d).text for d in tree.nodes[1:]]
+    rng = random.Random(4041)
+    seen = collections.Counter()
+    for _step in range(2000):
+        roll = rng.random()
+        if roll < 0.4:
+            text = rng.choice(pivot_paths)
+        elif roll < 0.5:
+            text = rng.choice(pivot_paths) + "/zz"
+        else:
+            text = rng.choice(texts)
+        path, cred = mkpath(text), rng.choice(list(Credential))
+        answers = [
+            (_answer(e.lookup, path, cred), _answer(e.stage_lookup, path, cred), e.metrics.counter_rows())
+            for e in engines
+        ]
+        assert answers[0] == answers[1], (text, cred)
+        got, hit = answers[0][0], find_best_pivot(pool, path)
+        if isinstance(got, tuple) and got[1].startswith("skipped prefix"):
+            kind = f"PermissionDenied on a skipped prefix for {cred.name.lower()}"
+        elif hit is None:
+            kind = "miss"
+        elif isinstance(got, tuple) and got[0] == "NotFound":
+            kind = "NotFound below a pivot"
+        elif text in pool.by_path:
+            kind = "whole-path hit"
+        else:
+            kind = f"partial hit at depth {hit[1]}"
+        seen[kind] += 1
+    want = {"whole-path hit", "partial hit at depth 1", "partial hit at depth 2", "miss", "NotFound below a pivot"}
+    want |= {f"PermissionDenied on a skipped prefix for {who}" for who in ("group", "other")}
+    assert want <= set(seen), seen
+
+
 def _unsplit(path: PathBuf) -> bool:
     return path._components is None
 

@@ -518,6 +518,7 @@ def test_path_map_holds_each_pivot_with_its_scan_counts(threadsafe):
         pool = mgr.working_pool
         _check_path_map(pool)
         _check_components(tree, pool)
+        assert verify_pool(pool) == []
         for a, b in zip(pool.pivots, pool.pivots[1:] + [None]):
             seen["prefix of another" if b is not None and b.names[: a.depth] == a.names else "single"] += 1
         covered = rng.choice(pool.pivots)
@@ -527,6 +528,7 @@ def test_path_map_holds_each_pivot_with_its_scan_counts(threadsafe):
         assert repaired is not pool and covered.path not in repaired.by_path
         _check_path_map(repaired)
         _check_components(tree, repaired)
+        assert verify_pool(repaired) == []
         seen["repaired to empty" if repaired.size == 0 else "repaired"] += 1
     assert len(seen) == 4 and all(seen.values()), seen
 
@@ -605,6 +607,7 @@ def test_covered_run_is_the_slice_rules_run_randomized(threadsafe):
             assert (new is old) == (not want)
             assert pool_shape(new) == pool_shape(PivotPool(survivors))
             assert len(new.pivots) == len(survivors) and all(a is b for a, b in zip(new.pivots, survivors))
+            assert verify_pool(new) == []
     kinds = {"root", "prefix of a pivot", "past a pivot's names", "a name no pivot has", "tree path"}
     runs = {"covers none", "covers one", "covers several", "close names, split by text"}
     assert kinds | runs == {k for k, v in seen.items() if v}, seen

@@ -195,10 +195,24 @@ def test_worked_example_best_pivot(fig4):
     assert (stats.pivots_visited, stats.char_comparisons) == (ref.pivots_visited, ref.char_comparisons)
 
 
+class _CountingMap(dict):
+    probes = 0
+
+    def get(self, *args):
+        self.probes += 1
+        return super().get(*args)
+
+
 def test_empty_pool():
+    """An empty pool answers None with zero counts and never probes its map."""
     pool = build_pool([], 16)
     pool.published = True
-    assert find_best_pivot(pool, mkpath("/a/b")) is None
+    pool.by_path = _CountingMap()
+    stats = ScanStats()
+    stats.pivots_visited = stats.char_comparisons = 7
+    assert find_best_pivot(pool, mkpath("/a/b"), stats) is None
+    assert (stats.pivots_visited, stats.char_comparisons) == (0, 0)
+    assert pool.by_path.probes == 0
 
 
 def test_no_shared_first_component(fig4):
@@ -516,6 +530,22 @@ def test_verify_detects_corruption(fig4):
     pivots[1], pivots[2] = pivots[2], pivots[1]  # hand-corrupted order
     problems = verify_pool(pool)
     assert any("[2]" in p and "order violation" in p for p in problems)
+
+
+def test_verify_detects_a_stale_path_map(fig4):
+    """A repaired pool that kept the old pool's entries, the old map whole,
+    and an entry holding the pivot's first component are each reported."""
+    _tree, _cands, pool = fig4
+    repaired = PivotPool(pool.pivots[1:])
+    assert verify_pool(repaired) == []
+    repaired.by_path = {pv.path: pool.by_path[pv.path] for pv in repaired.pivots}  # a longer pool's counts
+    assert any("is not this pool's scan" in p for p in verify_pool(repaired))
+    repaired.by_path = dict(pool.by_path)
+    assert any("path map keys" in p for p in verify_pool(repaired))
+    pv = pool.pivots[-1]
+    pair, visited, chars, _component = pool.by_path[pv.path]
+    pool.by_path[pv.path] = (pair, visited, chars, pv.components[0])
+    assert verify_pool(pool) == [f"[3] path map entry of {pv.path!r} holds the wrong component"]
 
 
 def test_verify_random_pools_clean():
