@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import ConfigError, ContractViolation, NotFound, PermissionDenied
 from .heat import CandidateSet, observe_target
@@ -89,8 +89,21 @@ class MetadataView:
     size: int
 
 
+_new = object.__new__  # bound once: `stat` runs on every stat event
+
+
 class _ResolverBase:
-    """Shared stat/open wrappers over a strategy's lookup."""
+    """Shared stat and open over a strategy's lookup.
+
+    `stat` builds its `MetadataView` as `paths._trusted` builds a path, with
+    `object.__new__` and a store per slot, so it pays no dataclass
+    `__init__`; the view's fields, `repr` and `==` are the dataclass's.
+    `open` is a read-only property returning `self.lookup`, so an open pays
+    no wrapper frame and takes what `lookup` takes, stage's `out` included.
+    It looks `lookup` up on each access, so a wrapper installed on the class
+    after the resolver was built still sees every open; a class-body
+    `open = lookup` would not.
+    """
 
     tree: DirTree
     metrics: Metrics
@@ -104,10 +117,17 @@ class _ResolverBase:
 
     def stat(self, path: PathBuf, cred: Credential = Credential.OWNER) -> MetadataView:
         d = self.tree.nodes[self.lookup(path, cred)]
-        return MetadataView(d.id, FILE if d.children is None else DIR, d.mode, d.size)
+        view = _new(MetadataView)
+        view.node_id = d.id
+        view.kind = FILE if d.children is None else DIR
+        view.mode = d.mode
+        view.size = d.size
+        return view
 
-    def open(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
-        return self.lookup(path, cred)
+    @property
+    def open(self) -> Callable[..., int]:
+        """`lookup`, bound: `open(path, cred)` returns the target's id."""
+        return self.lookup
 
     def tick(self, periods: int = 1) -> None:
         """`periods` period boundaries in a row; a no-op for strategies

@@ -10,9 +10,12 @@ name by name, and `child` checks only the name it adds. `parent`
 and `child` reuse components that are already valid. A canonical text (a
 `str` that starts with '/', does not end with '/' and contains neither "//"
 nor "/.") is kept as the path's text and is not split: no name in it can be
-empty or start with ".". Any other text is trimmed of trailing slashes and
-goes through the checking constructor, so a malformed one's error names the
-bad component.
+empty or start with ".". `parse` builds that path inline, with
+`object.__new__` and two slot stores, as `_trusted` does for `parent` and
+`child`: every stat and open event parses once, and the canonical case then
+pays no frame past `parse` itself. Any other text is trimmed of trailing
+slashes and goes through the checking constructor, so a malformed one's
+error names the bad component.
 
 A path is split only where its names are read. Stage One's whole-path probe
 and fullpath's cache read the text alone, so a lookup that one of them
@@ -45,7 +48,11 @@ class PathBuf:
     @classmethod
     def parse(cls, raw: str) -> "PathBuf":
         if type(raw) is str and raw[:1] == "/" and raw[-1:] != "/" and "//" not in raw and "/." not in raw:
-            return _trusted(None, raw)  # canonical: no name is empty or starts with "."; split on first read
+            # canonical: no name is empty or starts with "."; split on first read
+            path = _new(PathBuf)  # `_trusted(None, raw)` inline: one frame less per event
+            path._components = None
+            path.text = raw
+            return path
         if not isinstance(raw, str) or not raw.startswith("/"):
             raise InvalidPath(f"not an absolute path: {raw!r}")
         trimmed = raw.rstrip("/")
@@ -111,7 +118,7 @@ def _check_name(name: str) -> None:
         raise InvalidPath(f"component contains '/': {name!r}")
 
 
-_new = object.__new__  # bound once: `_trusted` runs on every parse
+_new = object.__new__  # bound once: `parse` runs on every event
 
 
 def _trusted(components: Optional[tuple[str, ...]], text: str) -> PathBuf:

@@ -48,7 +48,7 @@ class Component:
     """One path component of a pivot.
 
     `node` is the component's dentry, so a lookup that lands on it starts
-    Stage Two there without indexing `tree.nodes`; `node_id` is its id.
+    Stage Two there without indexing `tree.nodes`, and `node.id` is its id.
     prefix_trav is the AND of the modes of components 1..depth-1 (0o777 at
     depth 1), taken at build time, so `prefix_trav & cred` is the walk's own
     exec-bit test made once for the whole skipped prefix. `text_len` is the
@@ -63,10 +63,6 @@ class Component:
         self.node = node
         self.prefix_trav = prefix_trav
         self.text_len = text_len
-
-    @property
-    def node_id(self) -> int:
-        return self.node.id
 
     def __repr__(self) -> str:
         return f"Component(node={self.node.id}, prefix_trav={self.prefix_trav:03o})"

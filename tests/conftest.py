@@ -286,7 +286,7 @@ def pool_shape(pool: PivotPool) -> tuple:
     return (
         pool.dump(),
         [pv.names for pv in pool.pivots],
-        [[(c.node_id, c.prefix_trav, c.text_len) for c in pv.components] for pv in pool.pivots],
+        [[(c.node.id, c.prefix_trav, c.text_len) for c in pv.components] for pv in pool.pivots],
     )
 
 

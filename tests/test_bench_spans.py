@@ -21,8 +21,11 @@ HOT = ("/a0/b1/c2/d0", "/a1/b0/c0/d0", "/a2/b2/c1/d0")
 
 
 def traced_replay(strategy: str, threadsafe: bool = False) -> tuple[Counter, int]:
-    """Lookups, one tick, more lookups, one rename, more lookups; returns the
-    span count per name and the number of lookups made."""
+    """Stats, one tick, opens, one rename, stats and opens; returns the span
+    count per name and the number of lookups made.
+
+    `open` is `lookup`, read off the resolver on each access, so the opens
+    count as lookups only if the wrapper installed on the class reaches them."""
     tree = gen_tree(TreeSpec(levels=[3, 3, 3], seed=1), threadsafe=threadsafe)
     resolver = make_resolver(strategy, tree)
     tracer = spans.Tracer()
@@ -30,10 +33,11 @@ def traced_replay(strategy: str, threadsafe: bool = False) -> tuple[Counter, int
         for text in HOT * 5:  # hot enough to become pivots at the tick
             resolver.stat(mkpath(text))
         resolver.tick()
-        for text in HOT:
-            resolver.stat(mkpath(text))
+        for text in HOT:  # whole-path hits for stage on one thread
+            resolver.open(mkpath(text))
         tree.rename_node(mkpath("/a0/b1"), mkpath("/a0/r0"))
-        for text in ("/a0/r0/c2/d0",) + HOT[1:]:
+        resolver.open(mkpath("/a0/r0/c2/d0"))  # a Stage One scan for stage
+        for text in HOT[1:]:
             resolver.stat(mkpath(text))
     spans_by_name = Counter(tracer.names[i] for i in tracer.name)
     for idx, note in tracer.notes.items():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import random
 import sys
 import threading
@@ -10,9 +11,11 @@ import pytest
 from stagewalk import (
     DIR,
     FILE,
+    STRATEGIES,
     ConfigError,
     ContractViolation,
     Credential,
+    MetadataView,
     NotFound,
     OriginalLookup,
     PathBuf,
@@ -21,6 +24,7 @@ from stagewalk import (
     TreeSpec,
     build_pool,
     gen_tree,
+    make_resolver,
 )
 from stagewalk import engine as engine_module
 from stagewalk.fullpath import FullPathCache
@@ -643,6 +647,27 @@ def test_open_stat_and_lookup_name_the_same_node():
             want = tree._resolve_admin(p).id
             assert resolver.open(p) == resolver.stat(p).node_id == resolver.lookup(p) == want, (type(resolver).__name__, text)
     assert stage.metrics.skipped_prefix_histogram[2] == 6  # three calls each on /a/b and /a/b/f
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_stat_view_is_the_dataclass(strategy):
+    """`stat` fills its view's slots without the dataclass `__init__`; the
+    view still compares, prints, lists its fields and replaces as one built
+    by `MetadataView(...)`, on a file and a directory, before and after a chmod."""
+    tree = make_tree("/a/b")
+    tree.create_node(mkpath("/a/b"), "f", FILE, 0o640, 123)
+    resolver = make_resolver(strategy, tree)
+    for text, kind, created_mode, size in (("/a/b/f", FILE, 0o640, 123), ("/a/b", DIR, 0o755, 0)):
+        p = mkpath(text)
+        node_id = tree._resolve_admin(p).id
+        for mode in (created_mode, 0o700):
+            if mode != created_mode:
+                tree.chmod_node(p, mode)
+            view = resolver.stat(p)
+            assert view == MetadataView(node_id, kind, mode, size)
+            assert repr(view) == f"MetadataView(node_id={node_id}, kind={kind!r}, mode={mode}, size={size})"
+            assert [f.name for f in dataclasses.fields(view)] == ["node_id", "kind", "mode", "size"]
+            assert dataclasses.replace(view, size=7) == MetadataView(node_id, kind, mode, 7)
 
 
 # -- randomized equivalence (small; the acceptance suite runs the big one) ----------------

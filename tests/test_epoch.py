@@ -497,7 +497,7 @@ def _check_components(tree, pool):
     live one at the component's depth of the pivot's path."""
     for pv in pool.pivots:
         for k, c in enumerate(pv.components, start=1):
-            assert c.node is tree.nodes[c.node_id]
+            assert c.node is tree.nodes[c.node.id]
             assert c.node is tree._resolve_admin(PathBuf(pv.names[:k])) and not c.node.dead
 
 
@@ -721,8 +721,8 @@ def test_invalidate_matches_oracle_on_random_pools():
             new = mgr.working_pool
             assert (new is old) == (not covered)  # nothing covered, nothing installed
             assert [p.path for p in new.pivots] == [p.path for p in survivors]
-            assert [[(c.node_id, c.prefix_trav) for c in p.components] for p in new.pivots] == [
-                [(c.node_id, c.prefix_trav) for c in p.components] for p in survivors
+            assert [[(c.node.id, c.prefix_trav) for c in p.components] for p in new.pivots] == [
+                [(c.node.id, c.prefix_trav) for c in p.components] for p in survivors
             ]
             assert verify_pool(new) == []
 
