@@ -5,27 +5,26 @@ names. The root is the empty tuple rendered as "/". Components never contain
 '/', and "." / ".." are rejected at ingest; the model has no symlinks.
 
 Validation happens once, where a component enters: `PathBuf(components)`
-checks every name, `parse` checks a canonical text as a whole rather than
-name by name, and `child` checks only the name it adds. `parent`
-and `child` reuse components that are already valid. A canonical text (a
-`str` that starts with '/', does not end with '/' and contains neither "//"
-nor "/.") is kept as the path's text and is not split: no name in it can be
-empty or start with ".". `parse` builds that path inline, with
-`object.__new__` and two slot stores, as `_trusted` does for `parent` and
-`child`: every stat and open event parses once, and the canonical case then
-pays no frame past `parse` itself. Any other text is trimmed of trailing
-slashes and goes through the checking constructor, so a malformed one's
-error names the bad component.
+checks every name, and `parse` checks a canonical text as a whole rather than
+name by name. `parent` reuses components that are already valid. A canonical
+text (a `str` that starts with '/', does not end with '/' and contains
+neither "//" nor "/.") is kept as the path's text and is not split: no name
+in it can be empty or start with ".". `parse` builds that path inline, with
+`object.__new__` and two slot stores, as `_trusted` does for `parent`: every
+stat and open event parses once, and the canonical case then pays no frame
+past `parse` itself. Any other text is trimmed of trailing slashes and goes
+through the checking constructor, so a malformed one's error names the bad
+component.
 
 A path is split only where its names are read. Stage One's whole-path probe
 and fullpath's cache read the text alone, so a lookup that one of them
 answers splits nothing. `components`, and the members built on it, split on
-first use and keep the tuple in `_components`; `PathBuf(...)`, `child`,
-`parent`, the root and a non-canonical `parse` store it at once. The one
-walk from the root, `DirTree.lookup_original`, which original, stage's miss
-and fullpath's miss all take, splits inline from that slot, so it pays no
-call for it. Threads sharing a threadsafe tree may split one path at the
-same time: each stores an equal tuple, and either one serves.
+first use and keep the tuple in `_components`; `PathBuf(...)`, `parent`, the
+root and a non-canonical `parse` store it at once. The one walk from the
+root, `DirTree.lookup_original`, which original, stage's miss and fullpath's
+miss all take, splits inline from that slot, so it pays no call for it.
+Threads sharing a threadsafe tree may split one path at the same time: each
+stores an equal tuple, and either one serves.
 """
 
 from __future__ import annotations
@@ -85,16 +84,6 @@ class PathBuf:
         if not comps:
             raise InvalidPath("root has no name")
         return comps[-1]
-
-    def child(self, name: str) -> "PathBuf":
-        _check_name(name)
-        comps = self.components
-        return _trusted(comps + (name,), (self.text if comps else "") + "/" + name)
-
-    def is_component_prefix_of(self, other: "PathBuf") -> bool:
-        """Whole-component prefix test; the root prefixes everything."""
-        comps = self.components
-        return other.components[: len(comps)] == comps
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PathBuf) and self.text == other.text

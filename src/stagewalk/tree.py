@@ -122,11 +122,6 @@ class DirTree:
         for hook in self._hooks:
             hook(path, dentry)
 
-    def node(self, node_id: int) -> Optional[Dentry]:
-        """The dentry issued with this id, or None for an id never issued. An
-        unlinked dentry is still returned; its `dead` is true."""
-        return self.nodes[node_id] if 0 < node_id < len(self.nodes) else None
-
     @property
     def node_count(self) -> int:
         return sum(1 for d in self.nodes[1:] if not d.dead)

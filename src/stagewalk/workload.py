@@ -216,16 +216,11 @@ class _Universe:
     def __init__(self, tree: DirTree):
         self.files: list[str] = []
         self.dirs: list[str] = []
-        stack = [(tree.root, "")]
-        while stack:
-            d, text = stack.pop()
+        for text, d in tree.iter_subtree(tree.root):
             if d.kind == FILE:
                 self.files.append(text)
-                continue
-            if d.parent is not None:
+            elif d.parent is not None:
                 self.dirs.append(text)
-            for c in d.children.values():
-                stack.append((c, f"{text}/{c.name}"))
         self.files.sort()
         self.dirs.sort()
         dir_file_depth = max((p.count("/") for p in self.files), default=1)

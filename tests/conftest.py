@@ -43,7 +43,7 @@ def make_node(tree: DirTree, path: str, kind: str = DIR, mode: int | None = None
             k = kind if i == len(p.components) - 1 else DIR
             m = mode if (mode is not None and i == len(p.components) - 1) else (0o755 if k == DIR else 0o644)
             nid = tree.create_node(tree.materialize_path(cur), name, k, m)
-            child = tree.node(nid)
+            child = tree.nodes[nid]
         cur = child
     return cur
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -83,6 +84,26 @@ def test_bench_depth_grid_output(tmp_path):
     lines = Path(out).read_text().strip().splitlines()
     assert lines[0].startswith("stage_two,pool_size,walked_components")
     assert len(lines) == 1 + 9 * 5  # 9 stage-two lengths x 5 pool sizes
+
+
+# sha256 of the trace, the compare CSV and the depth grid below. They pin the
+# counters of every strategy end to end: a change that moves a counter by
+# design re-pins them and lists the change in CHANGES.md.
+_TRACE_SHA256 = "41e5f0587999cb25e432db6c6ce78af08771e2f8534a4e8be6da0cc5887ebd10"
+_COMPARE_CSV_SHA256 = "8f522a3ac9a62f9a589381dceecbe9c739bd52d323c305e06c9dfb270c31aadd"
+_GRID_SHA256 = "054c1e91386da45845665c434f505378bf5129540bab875ac5f828a924a4aea6"
+
+
+def test_compare_csv_and_depth_grid_bytes_pinned(tmp_path):
+    prefix, trace_file, out_csv, grid = (str(tmp_path / n) for n in ("t", "trace.jsonl", "cmp.csv", "grid.csv"))
+    spec_file = f"{prefix}.spec.json"
+    assert main(["gen-tree", "--levels", "6,6,6,6", "--seed", "1", "--out", prefix]) == EXIT_OK
+    assert main(["synth", "--tree", spec_file, "--model", "hotdir-zipf", "--events", "20000", "--p-rename", "0.01",
+                 "--p-chmod", "0.01", "--p-create", "0.01", "--seed", "5", "--out", trace_file]) == EXIT_OK
+    assert main(["compare", "--tree", spec_file, "--trace", trace_file, "--manual-tick", "--out", out_csv]) == EXIT_OK
+    assert main(["bench-depth", "--out", grid]) == EXIT_OK
+    digests = [hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in (trace_file, out_csv, grid)]
+    assert digests == [_TRACE_SHA256, _COMPARE_CSV_SHA256, _GRID_SHA256]
 
 
 def test_bad_config_exits_2(tmp_path):

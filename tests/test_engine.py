@@ -345,7 +345,7 @@ def _twin_engines_agree(monkeypatch, threadsafe):
             plain.tick()
         path = rng.choice(hot) if rng.random() < 0.9 else rng.choice(files)
         if rng.random() < 0.05:
-            path = path.parent().child("zz")
+            path = mkpath(path.text.rpartition("/")[0] + "/zz")
         cred = rng.choice(list(Credential))
         want = find_best_pivot(reporter.manager.working_pool, path)
         whole = path.text in reporter.manager.working_pool.by_path
@@ -694,7 +694,7 @@ def test_small_randomized_equivalence_with_mutations():
         if roll < 0.04:
             src = rng.choice(paths)
             try:
-                tree.rename_node(mkpath(src), mkpath(src).parent().child(f"r{step}"))
+                tree.rename_node(mkpath(src), mkpath(f"{src.rpartition('/')[0]}/r{step}"))
             except Exception:
                 pass
         elif roll < 0.08:

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import stagewalk.epoch as epoch_module
+import stagewalk.pivots as pivots_module
 from stagewalk import (
     DIR,
     FILE,
@@ -338,8 +339,8 @@ def test_a_rename_during_a_period_waits_for_its_install():
         epoch_module.build_pool = real_build
     assert not any(t.is_alive() for t in threads) and errors == []
     assert builds[0] is not old and hook_saw_build == [True]
-    renamed = mkpath("/a1/b1/c2")
-    assert not any(renamed.is_component_prefix_of(mkpath(pv.path)) for pv in mgr.working_pool.pivots)
+    renamed = ("a1", "b1", "c2")
+    assert not any(mkpath(pv.path).components[:3] == renamed for pv in mgr.working_pool.pivots)
     assert [pv.path for pv in mgr.working_pool.pivots] == ["/a1/b2/c3"]
     assert verify_pool(mgr.working_pool) == []
     assert cset.version == version + 1
@@ -644,7 +645,7 @@ def test_invalidation_completeness():
     mgr.invalidate_for_metadata(mkpath("/a1/b1"))
     for q in ("/a1/b1/c1", "/a1/b1/c2/d2/e2/x", "/a1/b1/c2/d2/e3/f3/foo"):
         hit = find_best_pivot(mgr.working_pool, mkpath(q))
-        assert hit is None or not mkpath("/a1/b1").is_component_prefix_of(mkpath(hit[0].path))
+        assert hit is None or mkpath(hit[0].path).components[:2] != ("a1", "b1")
 
 
 def test_exact_path_counts_as_covered():
@@ -713,7 +714,7 @@ def test_invalidate_matches_oracle_on_random_pools():
             else:
                 names = mkpath(rng.choice(paths)).components
                 prefix = mkpath("/" + "/".join(names[: rng.randint(0, len(names))]))
-            covered = [p for p in held if prefix.is_component_prefix_of(mkpath(p.path))]
+            covered = [p for p in held if mkpath(p.path).components[: prefix.depth] == prefix.components]
             survivors = [p for p in held if p not in covered]
             token_id, pool = mgr.reader_enter()
             assert mgr.invalidate_for_metadata(prefix) == len(covered)
@@ -772,6 +773,26 @@ def test_use_after_reclaim_trips_sentinel(threadsafe):
     assert old_pool.freed
     with pytest.raises(ContractViolation):
         find_best_pivot(old_pool, mkpath("/a1/b1/c1"))
+
+
+def test_reclaim_during_a_scan_trips_sentinel(monkeypatch):
+    """A pool reclaimed while `find_best_pivot` scans it raises once the scan
+    returns, as a reader that never registered would see it freed."""
+    tree, cset, mgr = fig4_manager()
+    pool = mgr.working_pool
+    successor = build_pool([tree._resolve_admin(mkpath("/a1"))], 16)  # built with the real scan
+    real_scan = pivots_module._scan
+
+    def scan_then_reclaim(pivots, comps):
+        result = real_scan(pivots, comps)
+        mgr.publish_pool(successor)
+        mgr.reclaim()
+        return result
+
+    monkeypatch.setattr(pivots_module, "_scan", scan_then_reclaim)
+    with pytest.raises(ContractViolation, match="pivot used after reclaim"):
+        find_best_pivot(pool, mkpath("/a1/b1/c1/x"))  # a partial hit: the path map has no entry
+    assert pool.freed
 
 
 def test_removed_pivots_reclaimed_after_grace():

@@ -102,38 +102,16 @@ def test_parse_matches_reference_randomized():
 def test_parent_and_child():
     p = PathBuf.parse("/a/b")
     assert p.parent().text == "/a"
-    assert p.child("c").text == "/a/b/c"
     assert p.name == "b"
     with pytest.raises(InvalidPath):
         PathBuf.parse("/").parent()
 
 
 def test_parent_and_child_match_checking_constructor():
-    root = PathBuf.parse("/")
-    a = root.child("a")
-    assert (a.components, a.text) == (("a",), "/a")
+    a = PathBuf.parse("/a")
     assert (a.parent().components, a.parent().text) == ((), "/")
     abc = PathBuf.parse("/a/b/c")
     assert (abc.parent().components, abc.parent().text) == (("a", "b"), "/a/b")
-    assert abc.child("d") == PathBuf(("a", "b", "c", "d"))
-
-
-@pytest.mark.parametrize("bad", ["..", ".", "", "a/b"])
-def test_child_checks_the_added_name(bad):
-    with pytest.raises(InvalidPath):
-        PathBuf.parse("/a").child(bad)
-
-
-def test_component_prefix():
-    root = PathBuf.parse("/")
-    a = PathBuf.parse("/a")
-    ab = PathBuf.parse("/a/b")
-    ax = PathBuf.parse("/ax")
-    assert root.is_component_prefix_of(ab)
-    assert a.is_component_prefix_of(ab)
-    assert a.is_component_prefix_of(a)
-    assert not a.is_component_prefix_of(ax)  # string prefix is not component prefix
-    assert not ab.is_component_prefix_of(a)
 
 
 def test_equality_and_hash():
@@ -145,7 +123,5 @@ def test_list_built_path_acts_as_its_parsed_twin():
     built, parsed = PathBuf(["a0"]), PathBuf.parse("/a0")
     assert built == parsed and hash(built) == hash(parsed)
     assert built.components == ("a0",)
-    assert built.is_component_prefix_of(PathBuf.parse("/a0/b0"))
-    assert PathBuf.parse("/a0/b0").parent().is_component_prefix_of(built)
-    assert built.child("x") == PathBuf.parse("/a0/x")
+    assert PathBuf.parse("/a0/b0").parent() == built
     assert PathBuf(name for name in ("a0", "b0")).components == ("a0", "b0")

@@ -38,7 +38,6 @@ def _member(fn, path):
     return value
 
 
-_OTHER = PathBuf.parse("/a/b")
 _MEMBERS = {
     "components": lambda p: p.components,
     "text": lambda p: p.text,
@@ -46,13 +45,9 @@ _MEMBERS = {
     "name": lambda p: p.name,
     "is_root": lambda p: p.is_root,
     "parent": lambda p: p.parent(),
-    "child": lambda p: p.child("x"),
     "str": str,
     "repr": repr,
     "hash": hash,
-    "prefix_of_other": lambda p: p.is_component_prefix_of(_OTHER),
-    "other_prefix_of": lambda p: _OTHER.is_component_prefix_of(p),
-    "prefix_of_self": lambda p: p.is_component_prefix_of(p),
 }
 
 
@@ -68,20 +63,14 @@ def test_parse_agrees_with_the_eager_path(case):
         assert _member(fn, path) == expected[first], first  # read before or as the path splits
         assert path.components == eager.components
         assert {k: _member(f, path) for k, f in _MEMBERS.items()} == expected  # and after
-        assert path.is_component_prefix_of(eager) and eager.is_component_prefix_of(path)
 
 
 @_SETTINGS
 @given(_VALID, _VALID)
-def test_prefix_agrees_with_the_eager_paths(a, b):
+def test_equality_agrees_with_the_eager_paths(a, b):
     lazy_a, lazy_b = PathBuf.parse(_text(*a)), PathBuf.parse(_text(*b))
     eager_a, eager_b = PathBuf(a[0]), PathBuf(b[0])
-    expected = eager_a.is_component_prefix_of(eager_b)
-    assert expected == (tuple(b[0][: len(a[0])]) == tuple(a[0]))
-    assert lazy_a.is_component_prefix_of(lazy_b) == expected
-    assert lazy_a.is_component_prefix_of(eager_b) == expected
-    assert eager_a.is_component_prefix_of(lazy_b) == expected
-    assert (lazy_a == lazy_b) == (eager_a == eager_b) == (a[0] == b[0])
+    assert (lazy_a == lazy_b) == (lazy_a == eager_b) == (eager_a == eager_b) == (a[0] == b[0])
 
 
 def _result(parse, raw):

@@ -68,7 +68,7 @@ def test_component_arrays(fig4):
     tree, _cands, pool = fig4
     pv = pool.pivots[2]  # /a1/b1/c2/d2/e3/f3/g3
     for c, name in zip(pv.components, pv.names):
-        assert tree.node(c.node.id) is c.node and c.node.name == name
+        assert tree.nodes[c.node.id] is c.node and c.node.name == name
     # nothing is skipped at depth 1, so its AND of modes is all 0o777
     assert pv.components[0].prefix_trav == 0o777
 

@@ -374,6 +374,25 @@ def test_replay_records_each_lookup_target():
         assert res.outcomes == [f"ok:{target}", f"ok:{target}", "err:NotFound"]
 
 
+def test_replay_applies_mkdir_events():
+    spec = TreeSpec(levels=[2, 2], seed=1)
+    trace = [
+        TraceEvent("mkdir", "/a0/new"),  # no mode: the default
+        TraceEvent("create", "/a0/new/f"),
+        TraceEvent("stat", "/a0/new/f"),
+        TraceEvent("open", "/a0/new"),
+        TraceEvent("mkdir", "/a0/new"),
+        TraceEvent("mkdir", "/a0/missing/d"),
+    ]
+    runs = replay_each_strategy(spec, trace)
+    assert outcome_mismatches(runs) == []
+    for res in runs.values():
+        tree = res.resolver.tree
+        new, f = (tree._resolve_admin(mkpath(p)).id for p in ("/a0/new", "/a0/new/f"))
+        assert res.outcomes == [f"ok:{new}", f"ok:{f}", f"ok:{f}", f"ok:{new}", "err:AlreadyExists", "err:NotFound"]
+        assert "/a0/new\tdir\t755\t0\n" in tree.canonical_dump()
+
+
 @pytest.mark.parametrize("settings", [{"period_ms": 0}, {"period_ms": -5}, {"manual_tick": True, "tick_every": 0}])
 def test_bad_tick_settings_raise_config_error(settings):
     # a zero period once died dividing by zero; a zero tick_every never ticked
