@@ -6,10 +6,17 @@ names. The root is the empty tuple rendered as "/". Components never contain
 
 Validation happens once, where a component enters: `PathBuf(components)`
 checks every name, and `parse` checks a canonical text as a whole rather than
-name by name. `parent` reuses components that are already valid. A canonical
-text (a `str` that starts with '/', does not end with '/' and contains
-neither "//" nor "/.") is kept as the path's text and is not split: no name
-in it can be empty or start with ".". `parse` builds that path inline, with
+name by name. `parent` reuses components that are already valid. A text is
+canonical when
+
+    type(raw) is str and raw and raw[0] == "/" != raw[-1]
+    and "//" not in raw and "/." not in raw
+
+holds: a `str` that starts with '/', does not end with '/' and contains
+neither "//" nor "/.", tested without a slice. The type test comes first, so
+a sequence such as ["/", "a"] never reaches the index tests. Such a text is
+kept as the path's text and is not split: no name in it can be empty or
+start with ".". `parse` builds that path inline, with
 `object.__new__` and two slot stores, as `_trusted` does for `parent`: every
 stat and open event parses once, and the canonical case then pays no frame
 past `parse` itself. Any other text is trimmed of trailing slashes and goes
@@ -46,7 +53,7 @@ class PathBuf:
 
     @classmethod
     def parse(cls, raw: str) -> "PathBuf":
-        if type(raw) is str and raw[:1] == "/" and raw[-1:] != "/" and "//" not in raw and "/." not in raw:
+        if type(raw) is str and raw and raw[0] == "/" != raw[-1] and "//" not in raw and "/." not in raw:
             # canonical: no name is empty or starts with "."; split on first read
             path = _new(PathBuf)  # `_trusted(None, raw)` inline: one frame less per event
             path._components = None

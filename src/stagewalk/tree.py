@@ -166,13 +166,6 @@ class DirTree:
 
     # -- mutations ----------------------------------------------------------
 
-    def _attach(self, parent: Dentry, name: str, kind: str, mode: int, size: int = 0) -> Dentry:
-        """Fast constructor shared by create_node and the tree generator."""
-        d = Dentry(len(self.nodes), parent, name, kind, mode, size)
-        parent.children[name] = d
-        self.nodes.append(d)
-        return d
-
     def create_node(self, parent_path: PathBuf, name: str, kind: str, mode: int, size: int = 0) -> NodeId:
         if kind not in (DIR, FILE):
             raise Unsupported(f"unknown node kind {kind!r}")
@@ -184,7 +177,10 @@ class DirTree:
             if name in parent.children:
                 raise AlreadyExists(f"{parent_path.text}/{name} already exists")
             PathBuf((name,))  # validates the component
-            return self._attach(parent, name, kind, mode & 0o777, size).id
+            d = Dentry(len(self.nodes), parent, name, kind, mode & 0o777, size)
+            parent.children[name] = d
+            self.nodes.append(d)
+            return d.id
         finally:
             self.lock.release_write()
 

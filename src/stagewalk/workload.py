@@ -99,11 +99,18 @@ def _level_letter(depth: int) -> str:
 def gen_tree(spec: TreeSpec, threadsafe: bool = False) -> DirTree:
     """Deterministic tree for a spec: same seed, same canonical dump.
 
-    Each level's names are built once and the same string objects are
+    Breadth-first: ids follow the level, then the parent, then the sibling
+    index. Each level's names are built once and the same string objects are
     attached under every parent, so a tree holds one copy of each name.
     A file size is drawn only from a range of more than one value; the
     generator serves nothing else, so skipping a one-value draw changes no
     later size.
+
+    Each dentry is built inline, with `object.__new__` and its eight slot
+    stores, then put in its parent's map and in `tree.nodes`: no Python
+    frame runs per node. `reference_gen_tree` in the tests builds the same
+    tree through `Dentry(...)` and is the oracle for every slot, every id and
+    every map's order.
 
     The build pauses Python's automatic garbage collection, process-wide,
     and restores the state it found on return or on an exception. Those
@@ -120,19 +127,41 @@ def gen_tree(spec: TreeSpec, threadsafe: bool = False) -> DirTree:
     try:
         rng = random.Random(spec.seed)
         tree = DirTree(threadsafe=threadsafe)
+        nodes, append, new = tree.nodes, tree.nodes.append, object.__new__
         parents = [tree.root]
         for depth, fanout in enumerate(spec.levels, start=1):
             letter = _level_letter(depth)
             names = [f"{letter}{i}" for i in range(fanout)]
-            next_parents = []
+            first = len(nodes)
             for parent in parents:
+                siblings = parent.children
                 for name in names:
-                    next_parents.append(tree._attach(parent, name, DIR, _DIR_MODE))
-            parents = next_parents
+                    d = new(Dentry)  # `Dentry(len(nodes), parent, name, DIR, _DIR_MODE)` inline
+                    d.id = len(nodes)
+                    d.parent = parent
+                    d.name = name
+                    d.mode = _DIR_MODE
+                    d.size = 0
+                    d.heat = 0
+                    d.heat_version = 0
+                    d.children = {}
+                    siblings[name] = d
+                    append(d)
+            parents = nodes[first:]  # this level, in the order it was built
         lo, hi = spec.file_size_range
         leaf_name = f"{_level_letter(len(spec.levels) + 1)}0"
         for parent in parents:
-            tree._attach(parent, leaf_name, FILE, _FILE_MODE, rng.randint(lo, hi) if lo < hi else lo)
+            d = new(Dentry)  # `Dentry(len(nodes), parent, leaf_name, FILE, _FILE_MODE, size)` inline
+            d.id = len(nodes)
+            d.parent = parent
+            d.name = leaf_name
+            d.mode = _FILE_MODE
+            d.size = rng.randint(lo, hi) if lo < hi else lo
+            d.heat = 0
+            d.heat_version = 0
+            d.children = None
+            parent.children[leaf_name] = d
+            append(d)
         return tree
     finally:
         if was_enabled:

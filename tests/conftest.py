@@ -291,12 +291,21 @@ def pool_shape(pool: PivotPool) -> tuple:
 
 
 def reference_gen_tree(spec, threadsafe: bool = False) -> DirTree:
-    """gen_tree as it was before it paused the garbage collector and skipped
-    the draw from a one-value size range: every file takes
-    `rng.randint(lo, hi)`. gen_tree must give the same tree for every spec."""
+    """gen_tree as it was before it paused the garbage collector, skipped
+    the draw from a one-value size range and built its dentries inline:
+    every file takes `rng.randint(lo, hi)`, and every node goes through
+    `Dentry(...)`, its parent's map and `tree.nodes`. gen_tree must give the
+    same tree for every spec."""
     spec.validate()
     rng = random.Random(spec.seed)
     tree = DirTree(threadsafe=threadsafe)
+
+    def attach(parent, name, kind, mode, size=0):
+        d = Dentry(len(tree.nodes), parent, name, kind, mode, size)
+        parent.children[name] = d
+        tree.nodes.append(d)
+        return d
+
     parents = [tree.root]
     for depth, fanout in enumerate(spec.levels, start=1):
         letter = chr(ord("a") + (depth - 1) % 26)
@@ -304,12 +313,12 @@ def reference_gen_tree(spec, threadsafe: bool = False) -> DirTree:
         next_parents = []
         for parent in parents:
             for name in names:
-                next_parents.append(tree._attach(parent, name, DIR, 0o755))
+                next_parents.append(attach(parent, name, DIR, 0o755))
         parents = next_parents
     lo, hi = spec.file_size_range
     leaf_name = f"{chr(ord('a') + len(spec.levels) % 26)}0"
     for parent in parents:
-        tree._attach(parent, leaf_name, FILE, 0o644, rng.randint(lo, hi))
+        attach(parent, leaf_name, FILE, 0o644, rng.randint(lo, hi))
     return tree
 
 

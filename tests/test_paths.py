@@ -72,7 +72,9 @@ def test_parse_agrees_with_checking_constructor():
     assert n == 99_999
 
 
-@pytest.mark.parametrize("raw", [None, 5, b"/a", ["/a"], ("a",)])
+# ["/", "a"] and ("/", "a") pass every index and `in` test of the canonical
+# case; only the type test refuses them
+@pytest.mark.parametrize("raw", [None, 5, b"/a", ["/a"], ("a",), ["/", "a"], ("/", "a")])
 def test_parse_rejects_non_str(raw):
     with pytest.raises(InvalidPath):
         PathBuf.parse(raw)
@@ -94,7 +96,7 @@ class _Str(str):
 def test_parse_matches_reference_randomized():
     rng = random.Random(18)
     raws = ["".join(rng.choice("/.ab") for _ in range(rng.randint(0, 10))) for _ in range(30_000)]
-    raws += [None, 5, b"/a", ["/a"], ("a",), _Str("/a/b"), _Str("/a/"), _Str("a")]
+    raws += [None, 5, b"/a", ["/a"], ("a",), ["/", "a"], ("/", "a"), _Str("/a/b"), _Str("/a/"), _Str("a")]
     for raw in raws:
         assert _parsed(PathBuf.parse, raw) == _parsed(reference_parse, raw), raw
 

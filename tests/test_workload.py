@@ -30,7 +30,7 @@ from stagewalk import (
     synth_trace,
     write_trace,
 )
-from stagewalk.tree import DirTree
+from stagewalk import workload
 from conftest import mkpath, outcome_mismatches, reference_gen_tree, replay_each_strategy
 
 
@@ -76,9 +76,15 @@ def test_spec_json_round_trip():
 
 
 def _node_records(tree):
-    """Each node's id, parent id, name, kind, mode and size, by id: equal
-    records mean equal trees with equal ids."""
-    return [(d.id, d.parent and d.parent.id, d.name, d.kind, d.mode, d.size) for d in tree.nodes[1:]]
+    """Each node's whole state, by id: id, parent id, name, mode, size, heat,
+    heat version, the type of its children slot and its map's key order.
+    Equal records mean equal trees with equal ids, equal maps and no slot
+    left unset."""
+    return [
+        (d.id, d.parent and d.parent.id, d.name, d.mode, d.size, d.heat, d.heat_version,
+         type(d.children), list(d.children or ()))
+        for d in tree.nodes[1:]
+    ]
 
 
 def test_gen_tree_matches_reference_randomized():
@@ -117,26 +123,34 @@ def test_gen_tree_matches_reference_on_the_preset():
 @pytest.mark.parametrize("enabled", [True, False])
 def test_gen_tree_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
     """The build runs with automatic collection paused and restores the
-    state it found, also when it raises halfway."""
+    state it found, also when it raises halfway. The state is recorded at
+    each level's letter and at each file size draw; the third draw fails,
+    after every directory and two files are built."""
     was = gc.isenabled()
-    real_attach = DirTree._attach
+    real_letter, real_randint = workload._level_letter, random.Random.randint
     calls = []
 
-    def attach(self, *args):
+    def level_letter(depth):
         calls.append(gc.isenabled())
-        if len(calls) == 7:
-            raise RuntimeError("attach failed")
-        return real_attach(self, *args)
+        return real_letter(depth)
 
+    def randint(self, lo, hi):
+        calls.append(gc.isenabled())
+        if len(calls) == 6:  # 3 letters (two levels and the files), then 3 draws
+            raise RuntimeError("size draw failed")
+        return real_randint(self, lo, hi)
+
+    spec = TreeSpec(levels=[2, 2], file_size_range=(1, 9))
     try:
         (gc.enable if enabled else gc.disable)()
-        gen_tree(TreeSpec(levels=[2, 2]))
+        gen_tree(spec)
         assert gc.isenabled() is enabled
-        monkeypatch.setattr(DirTree, "_attach", attach)
-        with pytest.raises(RuntimeError, match="attach failed"):
-            gen_tree(TreeSpec(levels=[2, 2]))
+        monkeypatch.setattr(workload, "_level_letter", level_letter)
+        monkeypatch.setattr(random.Random, "randint", randint)
+        with pytest.raises(RuntimeError, match="size draw failed"):
+            gen_tree(spec)
         assert gc.isenabled() is enabled
-        assert calls == [False] * 7  # paused for the whole build
+        assert calls == [False] * 6  # paused for the whole build
     finally:
         (gc.enable if was else gc.disable)()
 
