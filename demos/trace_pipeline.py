@@ -5,21 +5,16 @@ The trace is lookup-only, so the table compares lookup work alone (see
 metadata_cost.py for the mutation-cost story).
 """
 
-from stagewalk import TreeSpec, gen_tree, replay, report, synth_trace
+from stagewalk import TreeSpec, gen_tree, make_resolver, replay, report, synth_trace
 
 spec = TreeSpec(levels=[6, 6, 6], seed=3)
-trace = synth_trace(
-    gen_tree(spec),
-    "hotdir-zipf",
-    {"n_events": 10_000, "hot_dirs": 8},
-    seed=4,
-)
+trace = synth_trace(gen_tree(spec), "hotdir-zipf", n_events=10_000, hot_dirs=8, seed=4)
 
 runs = []
 for strategy in ("original", "fullpath", "stage"):
-    tree = gen_tree(spec)  # fresh identical tree per strategy
-    result = replay(trace, strategy, tree, manual_tick=True, tick_every=1000)
-    runs.append((strategy, result.metrics))
+    resolver = make_resolver(strategy, gen_tree(spec))  # fresh identical tree per strategy
+    replay(trace, resolver, manual_tick=True, tick_every=1000)
+    runs.append((strategy, resolver.metrics))
 
 table, _csv = report(runs)
 print(table)

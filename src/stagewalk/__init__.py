@@ -39,7 +39,6 @@ from .tree import DIR, FILE, Credential, Dentry, DirTree
 from .workload import (
     SIX_LEVEL_PRESET,
     STRATEGIES,
-    ReplayResult,
     TraceEvent,
     TreeSpec,
     bench_depth_grid,
@@ -81,7 +80,6 @@ __all__ = [
     "PivotManager",
     "PivotPool",
     "ReclaimQueue",
-    "ReplayResult",
     "ROOT",
     "SpecInvalid",
     "StageLookupEngine",

@@ -17,6 +17,7 @@ from .workload import (
     bench_depth_grid,
     gen_tree,
     grid_csv,
+    make_resolver,
     read_trace,
     replay,
     report,
@@ -69,44 +70,39 @@ def cmd_gen_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.tree)
-    tree = gen_tree(spec)
-    params = {
-        "n_events": args.events,
-        "p_rename": args.p_rename,
-        "p_chmod": args.p_chmod,
-        "p_create": args.p_create,
-        "hot_dirs": args.hot_dirs,
-        "zipf_s": args.zipf_s,
-    }
-    events = synth_trace(tree, args.model, params, seed=args.seed)
+    events = synth_trace(
+        gen_tree(_load_spec(args.tree)),
+        args.model,
+        n_events=args.events,
+        p_rename=args.p_rename,
+        p_chmod=args.p_chmod,
+        p_create=args.p_create,
+        hot_dirs=args.hot_dirs,
+        zipf_s=args.zipf_s,
+        seed=args.seed,
+    )
     write_trace(events, args.out)
     print(f"trace: {len(events)} events -> {args.out}")
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """`replay` runs `--strategy`, `compare` every strategy, each on a fresh
-    tree of the spec. Stage replays first, since only its settings can be
-    refused after the trace is read; the report keeps `STRATEGIES` order."""
+    """`replay` runs `--strategy`, `compare` every strategy in `STRATEGIES`
+    order, each on a fresh tree of the spec."""
     spec = _load_spec(args.tree)
     trace = read_trace(args.trace)
-    strategies = (args.strategy,) if args.command == "replay" else STRATEGIES
-    runs = {}
-    for strategy in sorted(strategies, key=lambda name: name != "stage"):
-        result = replay(
-            trace,
+    runs = []
+    for strategy in (args.strategy,) if args.command == "replay" else STRATEGIES:
+        resolver = make_resolver(
             strategy,
             gen_tree(spec),
-            manual_tick=args.manual_tick,
-            tick_every=args.tick_every,
-            period_ms=args.period_ms,
             pool_size=args.pool_size,
             heat_threshold=args.heat_threshold,
             heat_capacity=args.heat_capacity,
         )
-        runs[strategy] = result.metrics
-    table, csv_text = report([(strategy, runs[strategy]) for strategy in strategies])
+        replay(trace, resolver, manual_tick=args.manual_tick, tick_every=args.tick_every, period_ms=args.period_ms)
+        runs.append((strategy, resolver.metrics))
+    table, csv_text = report(runs)
     print(table, end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

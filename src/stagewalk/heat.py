@@ -34,11 +34,6 @@ class Admission(Enum):
     REJECTED = "rejected"
 
 
-# the members bound once: maybe_admit runs on every cold lookup, and reading a
-# member through the enum class costs a class attribute lookup each time
-_ADMITTED, _REPLACED, _REJECTED = Admission.ADMITTED, Admission.REPLACED, Admission.REJECTED
-
-
 class CandidateSet:
     """Bounded set of hot dentries in admission order, and the heat version.
 
@@ -80,21 +75,21 @@ class CandidateSet:
         if dentry in members:
             raise ContractViolation("maybe_admit on a current member")
         if self.capacity == 0:
-            return _REJECTED, None
+            return Admission.REJECTED, None
         if len(members) < self.capacity:
             members[dentry] = None
             lpc = self.least_popular
             if lpc is None or dentry.heat < lpc.heat:  # observe_target's cursor rule
                 self.least_popular = dentry
-            return _ADMITTED, None
+            return Admission.ADMITTED, None
         lpc = self.least_popular
         assert lpc is not None  # full set always has a cursor: every admission sets one
         if dentry.heat > lpc.heat + self.threshold:
             del members[lpc]
             members[dentry] = None
             self.least_popular = dentry  # inherit the pointer
-            return _REPLACED, lpc
-        return _REJECTED, None
+            return Admission.REPLACED, lpc
+        return Admission.REJECTED, None
 
     def advance(self, periods: int = 1) -> None:
         """Start a new period: bump the heat version, drop every member and

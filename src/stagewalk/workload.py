@@ -13,7 +13,7 @@ File formats:
 - metrics (CSV): one row per counter, one column per run, ratio columns
   against the first run. Wall times are excluded so equal-seed runs are
   byte-identical.
-- outcomes (`replay(..., record_outcomes=True)`): one string per event,
+- outcomes (the list `replay` returns): one string per event,
   `ok:<target id>` for a stat or open, `ok:<new id>` for a create or mkdir,
   `ok:renamed` / `ok:chmod`, or `err:<error class>`. Strategies agree when
   their outcome lists, each replayed on a fresh tree of one spec, are equal.
@@ -267,37 +267,14 @@ class _Universe:
                     pool[i] = new + p[cut:]
 
 
-def _check_synth_params(p: dict) -> None:
-    if int(p["n_events"]) < 0:
-        raise ConfigError(f"n_events must be >= 0, got {p['n_events']}")
-    for key, value in p.items():
-        if key.startswith("p_") and not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{key} must be in [0, 1], got {value}")
-    # fsum: 0.1 + 0.2 + 0.7 rounds above 1 when summed left to right
-    if math.fsum((p["p_rename"], p["p_chmod"], p["p_create"])) > 1.0:
-        raise ConfigError("p_rename + p_chmod + p_create must be <= 1")
-    ranks = int(p["hot_dirs"])
-    if ranks < 1:
-        raise ConfigError(f"hot_dirs must be >= 1, got {p['hot_dirs']}")
-    if int(p["burst_len"]) < 1:
-        raise ConfigError(f"burst_len must be >= 1, got {p['burst_len']}")
-    # a tree gives at most hot_dirs ranks, and the weights are monotone in
-    # rank, so the first and the last rank bound every weight and the total
-    s = float(p["zipf_s"])
-    try:
-        bound = ranks * (_zipf_weight(0, s) + _zipf_weight(ranks - 1, s))
-    except ArithmeticError:
-        bound = math.inf
-    if not math.isfinite(bound):
-        raise ConfigError(f"zipf_s {s} gives no finite Zipf weights over {ranks} hot dirs")
-
-
 def _zipf_weight(rank: int, s: float) -> float:
     return 1.0 / (rank + 1) ** s
 
 
-# trace time between two events, and between two replay-like bursts
+# trace time between two events, the length of a replay-like burst, and the
+# gap between two bursts
 _STEP_MS = 1
+_BURST_LEN = 64
 _BURST_GAP_MS = 4000
 # the share of lookups that are stats rather than opens
 _P_STAT = 0.55
@@ -306,7 +283,13 @@ _P_STAT = 0.55
 def synth_trace(
     tree: DirTree,
     model: str,
-    params: Optional[dict] = None,
+    *,
+    n_events: int = 10_000,
+    p_rename: float = 0.0,
+    p_chmod: float = 0.0,
+    p_create: float = 0.0,
+    hot_dirs: int = 8,
+    zipf_s: float = 1.0,
     seed: int = 0,
 ) -> list[TraceEvent]:
     """Deterministic event stream over a generated tree.
@@ -316,27 +299,30 @@ def synth_trace(
     "replay-like" emits bursts of opens separated by compressed four-second
     gaps. Mutation mix is controlled by p_rename / p_chmod / p_create
     (renames pick files or directories, always to fresh names). Raises
-    ConfigError on a parameter it does not know, a negative event count, a
-    probability outside [0, 1], mutation probabilities that sum above 1,
-    fewer than one hot dir, a `burst_len` below 1, or a `zipf_s` whose
-    weights over `hot_dirs` ranks are not all finite.
+    ConfigError on a negative event count, a probability outside [0, 1],
+    mutation probabilities that sum above 1, fewer than one hot dir, or a
+    `zipf_s` whose weights over `hot_dirs` ranks are not all finite.
     """
     if model not in ("uniform", "hotdir-zipf", "replay-like"):
         raise ConfigError(f"unknown trace model {model!r}")
-    p = {
-        "n_events": 10_000,
-        "p_rename": 0.0,
-        "p_chmod": 0.0,
-        "p_create": 0.0,
-        "hot_dirs": 8,
-        "zipf_s": 1.0,
-        "burst_len": 64,
-    }
-    unknown = sorted(set(params or ()) - p.keys())
-    if unknown:
-        raise ConfigError(f"unknown trace parameters {unknown}; expected some of {sorted(p)}")
-    p.update(params or {})
-    _check_synth_params(p)
+    if n_events < 0:
+        raise ConfigError(f"n_events must be >= 0, got {n_events}")
+    for key, value in (("p_rename", p_rename), ("p_chmod", p_chmod), ("p_create", p_create)):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{key} must be in [0, 1], got {value}")
+    # fsum: 0.1 + 0.2 + 0.7 rounds above 1 when summed left to right
+    if math.fsum((p_rename, p_chmod, p_create)) > 1.0:
+        raise ConfigError("p_rename + p_chmod + p_create must be <= 1")
+    if hot_dirs < 1:
+        raise ConfigError(f"hot_dirs must be >= 1, got {hot_dirs}")
+    # a tree gives at most hot_dirs ranks, and the weights are monotone in
+    # rank, so the first and the last rank bound every weight and the total
+    try:
+        bound = hot_dirs * (_zipf_weight(0, zipf_s) + _zipf_weight(hot_dirs - 1, zipf_s))
+    except ArithmeticError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ConfigError(f"zipf_s {zipf_s} gives no finite Zipf weights over {hot_dirs} hot dirs")
     rng = random.Random(seed)
     uni = _Universe(tree)
     events: list[TraceEvent] = []
@@ -344,9 +330,9 @@ def synth_trace(
     rename_seq = 0
     create_seq = 0
 
-    k = max(1, min(int(p["hot_dirs"]), len(uni.deepest_dirs)))
+    k = max(1, min(hot_dirs, len(uni.deepest_dirs)))
     hot = rng.sample(uni.deepest_dirs, k)
-    weights = [_zipf_weight(rank, float(p["zipf_s"])) for rank in range(k)]
+    weights = [_zipf_weight(rank, zipf_s) for rank in range(k)]
     hot_children = [[f for f in uni.files if f.rsplit("/", 1)[0] == hd] or [hd] for hd in hot]
     uni.pools += hot_children
 
@@ -356,21 +342,21 @@ def synth_trace(
         kids = rng.choices(hot_children, weights=weights, k=1)[0]
         return rng.choice(kids)
 
-    p_mut = p["p_rename"] + p["p_chmod"] + p["p_create"]
-    for i in range(int(p["n_events"])):
-        if model == "replay-like" and i and i % int(p["burst_len"]) == 0:
+    p_mut = p_rename + p_chmod + p_create
+    for i in range(n_events):
+        if model == "replay-like" and i and i % _BURST_LEN == 0:
             at_ms += _BURST_GAP_MS
         else:
             at_ms += _STEP_MS
         roll = rng.random()
-        if roll < p["p_rename"]:
+        if roll < p_rename:
             old = rng.choice(uni.files) if rng.random() < 0.5 else rng.choice(uni.dirs)
             parent, _, _name = old.rpartition("/")
             rename_seq += 1
             new = f"{parent}/r{rename_seq}"
             events.append(TraceEvent("rename", old, at_ms, new_path=new))
             uni.apply_rename(old, new)
-        elif roll < p["p_rename"] + p["p_chmod"]:
+        elif roll < p_rename + p_chmod:
             target = rng.choice(uni.dirs) if rng.random() < 0.8 else rng.choice(uni.files)
             events.append(TraceEvent("chmod", target, at_ms, mode=rng.choice(_CHMOD_MODES)))
         elif roll < p_mut:
@@ -395,6 +381,13 @@ def make_resolver(
     heat_threshold: int = 4,
     heat_capacity: int = 64,
 ) -> _ResolverBase:
+    """A fresh resolver of `strategy` over `tree`. Only stage reads the three
+    settings, but a negative one raises ConfigError for every strategy, so a
+    run refuses it before anything replays."""
+    if heat_capacity < 0 or heat_threshold < 0:
+        raise ConfigError("heat capacity/threshold must be >= 0")
+    if pool_size < 0:
+        raise ConfigError(f"pool size must be >= 0, got {pool_size}")
     if strategy == "original":
         return OriginalLookup(tree)
     if strategy == "fullpath":
@@ -421,26 +414,17 @@ def _apply_mutation(tree: DirTree, ev: TraceEvent) -> str:
     raise TraceMalformed(f"not a mutation op: {ev.op}")
 
 
-@dataclass(slots=True)
-class ReplayResult:
-    metrics: Metrics
-    outcomes: Optional[list[str]]
-    resolver: _ResolverBase
-
-
 def replay(
     trace: Sequence[TraceEvent],
-    strategy: str,
-    tree: DirTree,
+    resolver: _ResolverBase,
     cred: Credential = Credential.OWNER,
     manual_tick: bool = False,
     tick_every: int = 1000,
     period_ms: int = 2000,
-    record_outcomes: bool = False,
-    **resolver_kwargs,
-) -> ReplayResult:
-    """Execute every event against one strategy; counters are fully determined
-    by (tree, trace, strategy, config, tick schedule).
+) -> list[str]:
+    """Execute every event through `resolver` and against its tree; return
+    one outcome per event. The counters it leaves in `resolver.metrics` are
+    fully determined by (tree, trace, strategy, config, tick schedule).
 
     The resolver ticks before every `tick_every`-th event with `manual_tick`,
     and otherwise once per `period_ms` of trace time crossed; the periods
@@ -451,8 +435,7 @@ def replay(
         raise ConfigError(f"period_ms must be > 0, got {period_ms}")
     if tick_every < 1:
         raise ConfigError(f"tick_every must be >= 1, got {tick_every}")
-    resolver = make_resolver(strategy, tree, **resolver_kwargs)
-    outcomes: Optional[list[str]] = [] if record_outcomes else None
+    outcomes: list[str] = []
     ticks_fired = 0
     started = time.perf_counter()
     for i, ev in enumerate(trace):
@@ -468,13 +451,12 @@ def replay(
             if ev.op in ("stat", "open"):
                 out = f"ok:{resolver.lookup(PathBuf.parse(ev.path), cred)}"
             else:
-                out = _apply_mutation(tree, ev)
+                out = _apply_mutation(resolver.tree, ev)
         except EngineError as exc:
             out = f"err:{type(exc).__name__}"
-        if outcomes is not None:
-            outcomes.append(out)
+        outcomes.append(out)
     resolver.metrics.wall_time["replay"] = time.perf_counter() - started
-    return ReplayResult(resolver.metrics, outcomes, resolver)
+    return outcomes
 
 
 # -- reporting ----------------------------------------------------------------

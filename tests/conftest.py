@@ -18,6 +18,7 @@ from stagewalk import (
     PivotPool,
     build_pool,
     gen_tree,
+    make_resolver,
     replay,
 )
 from stagewalk.errors import InvalidPath, NotFound, PermissionDenied
@@ -134,15 +135,20 @@ def outcome(fn, *args) -> str:
 
 
 def replay_each_strategy(spec, trace, **replay_kwargs) -> dict:
-    """`replay` of one trace under every strategy, each on a fresh tree of
-    `spec`, recording outcomes; keyed by strategy."""
-    return {s: replay(trace, s, gen_tree(spec), record_outcomes=True, **replay_kwargs) for s in STRATEGIES}
+    """`replay` of one trace under every strategy, each resolver built on a
+    fresh tree of `spec`; keyed by strategy, each value the resolver and its
+    outcomes."""
+    runs = {}
+    for s in STRATEGIES:
+        resolver = make_resolver(s, gen_tree(spec))
+        runs[s] = resolver, replay(trace, resolver, **replay_kwargs)
+    return runs
 
 
 def outcome_mismatches(runs: dict) -> list[tuple[int, tuple[str, ...]]]:
     """(event index, each strategy's outcome) wherever the strategies of
     `replay_each_strategy` disagree."""
-    rows = zip(*(r.outcomes for r in runs.values()))
+    rows = zip(*(outcomes for _resolver, outcomes in runs.values()))
     return [(i, outs) for i, outs in enumerate(rows) if len(set(outs)) != 1]
 
 

@@ -20,6 +20,7 @@ from stagewalk import (
     build_pool,
     find_best_pivot,
     gen_tree,
+    make_resolver,
     replay,
     report,
     synth_trace,
@@ -73,8 +74,7 @@ def test_c1_oracle_equivalence():
         trace = synth_trace(
             tree,
             "hotdir-zipf" if i % 2 else "uniform",
-            {"n_events": 10_000, "p_rename": 0.05, "p_chmod": 0.05, "hot_dirs": 8},
-            seed=1000 + i,
+            n_events=10_000, p_rename=0.05, p_chmod=0.05, hot_dirs=8, seed=1000 + i,
         )
         lookups = sum(1 for ev in trace if ev.op in ("stat", "open"))
         mutations = len(trace) - lookups
@@ -82,8 +82,9 @@ def test_c1_oracle_equivalence():
         cred = Credential.OTHER if i % 2 else OWNER
         runs = replay_each_strategy(spec, trace, cred=cred, manual_tick=True, tick_every=500)
         total_mismatches.extend(outcome_mismatches(runs))
-        pivot_hits += runs["stage"].metrics.pivot_hits
-        entries_touched += runs["stage"].metrics.entries_touched
+        stage = runs["stage"][0].metrics
+        pivot_hits += stage.pivot_hits
+        entries_touched += stage.entries_touched
         total_events += len(trace)
     elapsed = time.perf_counter() - started
     ok = total_events >= 100_000 and not total_mismatches and elapsed < 60 and pivot_hits > 0 and entries_touched > 0
@@ -385,11 +386,10 @@ def test_c8_replay_determinism():
 
     def one_run() -> bytes:
         tree = gen_tree(spec)
-        trace = synth_trace(
-            tree, "hotdir-zipf", {"n_events": 10_000, "p_rename": 0.05, "p_chmod": 0.05}, seed=89
-        )
-        res = replay(trace, "stage", tree, manual_tick=True, tick_every=1000)
-        _table, csv_text = report([("stage", res.metrics)])
+        trace = synth_trace(tree, "hotdir-zipf", n_events=10_000, p_rename=0.05, p_chmod=0.05, seed=89)
+        resolver = make_resolver("stage", tree)
+        replay(trace, resolver, manual_tick=True, tick_every=1000)
+        _table, csv_text = report([("stage", resolver.metrics)])
         return csv_text.encode()
 
     first, second = one_run(), one_run()

@@ -60,22 +60,37 @@ def test_compare_emits_all_strategies(tmp_path, capsys):
     assert "fullpath_vs_original" in header and "stage_vs_original" in header
 
 
-def test_compare_refuses_a_stage_setting_after_one_replay(tmp_path, monkeypatch):
-    """Stage replays first, so a setting only stage reads is refused before
-    original and fullpath replay the trace."""
+def test_compare_refuses_a_stage_setting_before_any_replay(tmp_path, monkeypatch):
+    """Every strategy's resolver refuses a negative stage setting when it is
+    built, so compare exits before any strategy replays the trace."""
     prefix = str(tmp_path / "t")
     main(["gen-tree", "--levels", "2", "--out", prefix])
     trace_file = str(tmp_path / "trace.jsonl")
     main(["synth", "--tree", f"{prefix}.spec.json", "--events", "10", "--out", trace_file])
     calls = []
 
-    def counted_replay(trace, strategy, *args, **kwargs):
-        calls.append(strategy)
-        return replay(trace, strategy, *args, **kwargs)
+    def counted_replay(trace, resolver, *args, **kwargs):
+        calls.append(type(resolver).__name__)
+        return replay(trace, resolver, *args, **kwargs)
 
     monkeypatch.setattr(cli, "replay", counted_replay)
     assert main(["compare", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--pool-size", "-1"]) == EXIT_CONFIG
-    assert calls == ["stage"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("strategy", ["original", "fullpath"])
+def test_replay_refuses_a_negative_stage_setting_for_every_strategy(tmp_path, capsys, strategy):
+    """original and fullpath read no stage setting, yet a negative one exits
+    2 for them as it does for stage."""
+    prefix = str(tmp_path / "t")
+    main(["gen-tree", "--levels", "2", "--out", prefix])
+    trace_file = str(tmp_path / "trace.jsonl")
+    main(["synth", "--tree", f"{prefix}.spec.json", "--events", "10", "--out", trace_file])
+    capsys.readouterr()
+    for flag in ("--pool-size", "--heat-threshold", "--heat-capacity"):
+        argv = ["replay", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--strategy", strategy, flag, "-1"]
+        assert main(argv) == EXIT_CONFIG, flag
+        assert "config error" in capsys.readouterr().err, flag
 
 
 def test_bench_depth_grid_output(tmp_path):

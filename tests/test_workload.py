@@ -179,7 +179,7 @@ def test_gen_tree_runs_no_automatic_collection():
 def test_uniform_multinomial_3_sigma():
     tree = gen_tree(TreeSpec(levels=[3, 3, 3], seed=1))
     n = 100_000
-    trace = synth_trace(tree, "uniform", {"n_events": n}, seed=2)
+    trace = synth_trace(tree, "uniform", n_events=n, seed=2)
     counts: dict[str, int] = {}
     for ev in trace:
         counts[ev.path] = counts.get(ev.path, 0) + 1
@@ -193,7 +193,7 @@ def test_uniform_multinomial_3_sigma():
 
 def test_hotdir_k1_single_parent():
     tree = gen_tree(TreeSpec(levels=[3, 3, 3], seed=1))
-    trace = synth_trace(tree, "hotdir-zipf", {"n_events": 500, "hot_dirs": 1}, seed=4)
+    trace = synth_trace(tree, "hotdir-zipf", n_events=500, hot_dirs=1, seed=4)
     parents = {ev.path.rsplit("/", 1)[0] for ev in trace}
     assert len(parents) == 1
 
@@ -211,27 +211,7 @@ def test_hotdir_k1_single_parent():
 def test_impossible_synth_params_rejected(params):
     tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
     with pytest.raises(ConfigError):
-        synth_trace(tree, "hotdir-zipf", params, seed=1)
-
-
-@pytest.mark.parametrize("burst_len", [0, -1])
-def test_burst_len_below_one_rejected(burst_len):
-    """`replay-like` puts a gap before every `burst_len`-th event: a zero
-    length would divide by zero, and a negative one gap every event."""
-    tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
-    with pytest.raises(ConfigError, match="burst_len must be >= 1"):
-        synth_trace(tree, "replay-like", {"n_events": 200, "burst_len": burst_len}, seed=1)
-
-
-@pytest.mark.parametrize("params", [{"gap_ms": -5000}, {"step_ms": -1}, {"p_renam": 0.1}, {"p_stat": 0.5}])
-def test_unknown_synth_params_rejected(params):
-    """A key the synthesizer does not know raises rather than being ignored:
-    a typo like `p_renam`, the stat share, or a time step, which are fixed:
-    a negative gap or step would give `at_ms` values that read_trace
-    rejects."""
-    tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
-    with pytest.raises(ConfigError, match="unknown trace parameters"):
-        synth_trace(tree, "replay-like", {"n_events": 200, "burst_len": 50, **params}, seed=1)
+        synth_trace(tree, "hotdir-zipf", **params, seed=1)
 
 
 @pytest.mark.parametrize("zipf_s", [math.nan, -math.inf, -400.0, 1000.0])
@@ -239,28 +219,28 @@ def test_zipf_exponent_without_finite_weights_rejected(zipf_s):
     tree = gen_tree(TreeSpec(levels=[3, 3, 3], seed=1))
     for model in ("hotdir-zipf", "uniform"):  # both models weigh the hot dirs
         with pytest.raises(ConfigError, match="zipf_s"):
-            synth_trace(tree, model, {"n_events": 50, "zipf_s": zipf_s}, seed=1)
+            synth_trace(tree, model, n_events=50, zipf_s=zipf_s, seed=1)
 
 
 @pytest.mark.parametrize("zipf_s", [math.inf, -1.0, 0.0, 300.0])
 def test_extreme_zipf_exponents_with_finite_weights_run(zipf_s):
     tree = gen_tree(TreeSpec(levels=[3, 3, 3], seed=1))
-    trace = synth_trace(tree, "hotdir-zipf", {"n_events": 200, "zipf_s": zipf_s}, seed=1)
+    trace = synth_trace(tree, "hotdir-zipf", n_events=200, zipf_s=zipf_s, seed=1)
     hot = {ev.path.rsplit("/", 1)[0] for ev in trace}
     assert len(trace) == 200 and (len(hot) == 1) == (zipf_s >= 300.0)  # a steep exponent picks rank 1 alone
 
 
 def test_mutation_probabilities_may_sum_to_one():
     tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
-    trace = synth_trace(tree, "uniform", {"n_events": 50, "p_rename": 0.1, "p_chmod": 0.2, "p_create": 0.7}, seed=1)
+    trace = synth_trace(tree, "uniform", n_events=50, p_rename=0.1, p_chmod=0.2, p_create=0.7, seed=1)
     assert len(trace) == 50 and all(ev.op in ("rename", "chmod", "create") for ev in trace)
 
 
 def test_fixed_seed_byte_identical_trace(tmp_path):
     tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
-    t1 = synth_trace(tree, "hotdir-zipf", {"n_events": 300, "p_rename": 0.05, "p_chmod": 0.05}, seed=7)
+    t1 = synth_trace(tree, "hotdir-zipf", n_events=300, p_rename=0.05, p_chmod=0.05, seed=7)
     tree2 = gen_tree(TreeSpec(levels=[3, 3], seed=1))
-    t2 = synth_trace(tree2, "hotdir-zipf", {"n_events": 300, "p_rename": 0.05, "p_chmod": 0.05}, seed=7)
+    t2 = synth_trace(tree2, "hotdir-zipf", n_events=300, p_rename=0.05, p_chmod=0.05, seed=7)
     f1, f2 = tmp_path / "t1.jsonl", tmp_path / "t2.jsonl"
     write_trace(t1, str(f1))
     write_trace(t2, str(f2))
@@ -282,7 +262,7 @@ def test_synth_trace_bytes_pinned_and_tree_untouched():
             for seed in (1, 2):
                 tree = gen_tree(TreeSpec(levels=[3, 3, 3], seed=1))
                 before = tree.canonical_dump()
-                for ev in synth_trace(tree, model, {"n_events": 400, **mix}, seed=seed):
+                for ev in synth_trace(tree, model, n_events=400, **mix, seed=seed):
                     digest.update(ev.to_json_line().encode() + b"\n")
                 assert tree.canonical_dump() == before, (model, mix, seed)
     assert digest.hexdigest() == _SYNTH_SHA256
@@ -291,9 +271,9 @@ def test_synth_trace_bytes_pinned_and_tree_untouched():
 def test_renamed_directory_moves_descendant_paths():
     spec = TreeSpec(levels=[6, 6, 6, 6], seed=1)
     for model in ("uniform", "hotdir-zipf"):
-        trace = synth_trace(gen_tree(spec), model, {"n_events": 20_000, "p_rename": 0.01, "p_chmod": 0.01}, seed=5)
-        res = replay(trace, "original", gen_tree(spec), record_outcomes=True)
-        assert res.outcomes.count("err:NotFound") == 0, model
+        trace = synth_trace(gen_tree(spec), model, n_events=20_000, p_rename=0.01, p_chmod=0.01, seed=5)
+        outcomes = replay(trace, make_resolver("original", gen_tree(spec)))
+        assert outcomes.count("err:NotFound") == 0, model
         # lookups do pass through renamed directories, so the check means something
         through = [
             ev for ev in trace
@@ -304,7 +284,7 @@ def test_renamed_directory_moves_descendant_paths():
 
 def test_replay_like_has_compressed_gaps():
     tree = gen_tree(TreeSpec(levels=[3, 3], seed=1))
-    trace = synth_trace(tree, "replay-like", {"n_events": 300, "burst_len": 50}, seed=3)
+    trace = synth_trace(tree, "replay-like", n_events=6 * 64, seed=3)  # six bursts of 64 events
     gaps = [b.at_ms - a.at_ms for a, b in zip(trace, trace[1:])]
     assert gaps.count(4000) == 5  # one compressed gap per burst boundary
     assert all(g in (1, 4000) for g in gaps)
@@ -312,7 +292,7 @@ def test_replay_like_has_compressed_gaps():
 
 def test_trace_round_trip_and_validation(tmp_path):
     tree = gen_tree(TreeSpec(levels=[2, 2], seed=1))
-    trace = synth_trace(tree, "uniform", {"n_events": 50, "p_rename": 0.1}, seed=5)
+    trace = synth_trace(tree, "uniform", n_events=50, p_rename=0.1, seed=5)
     path = tmp_path / "trace.jsonl"
     write_trace(trace, str(path))
     back = read_trace(str(path))
@@ -330,18 +310,20 @@ def test_trace_round_trip_and_validation(tmp_path):
 
 def test_empty_trace_zeroed_metrics():
     tree = gen_tree(TreeSpec(levels=[2], seed=1))
-    res = replay([], "stage", tree)
-    assert res.metrics.lookups == 0
-    assert res.metrics.dentries_visited == 0
-    assert res.metrics.pivot_hits == 0
+    resolver = make_resolver("stage", tree)
+    assert replay([], resolver) == []
+    assert resolver.metrics.lookups == 0
+    assert resolver.metrics.dentries_visited == 0
+    assert resolver.metrics.pivot_hits == 0
 
 
 def test_hotdir_stage_hit_ratio_regression():
     spec = TreeSpec(levels=[6, 6, 6], seed=3)
     tree = gen_tree(spec)
-    trace = synth_trace(tree, "hotdir-zipf", {"n_events": 10_000, "hot_dirs": 8}, seed=21)
-    res = replay(trace, "stage", tree, manual_tick=True, tick_every=1000, pool_size=16)
-    m = res.metrics
+    trace = synth_trace(tree, "hotdir-zipf", n_events=10_000, hot_dirs=8, seed=21)
+    resolver = make_resolver("stage", tree, pool_size=16)
+    replay(trace, resolver, manual_tick=True, tick_every=1000)
+    m = resolver.metrics
     assert m.pivot_hits / m.lookups >= 0.5  # hot set cached after the first period
     # pinned regression values for this exact (tree seed, trace seed, config)
     assert (m.lookups, m.pivot_hits, m.dentries_visited, m.char_comparisons) == (10_000, 9_000, 4_000, 116_586)
@@ -350,10 +332,10 @@ def test_hotdir_stage_hit_ratio_regression():
 
 def test_outcomes_identical_original_vs_stage():
     spec = TreeSpec(levels=[4, 4, 4], seed=2)
-    trace = synth_trace(gen_tree(spec), "hotdir-zipf", {"n_events": 2_000, "p_rename": 0.03, "p_chmod": 0.03}, seed=9)
-    r1 = replay(trace, "original", gen_tree(spec), manual_tick=True, tick_every=250, record_outcomes=True)
-    r2 = replay(trace, "stage", gen_tree(spec), manual_tick=True, tick_every=250, record_outcomes=True)
-    assert r1.outcomes == r2.outcomes
+    trace = synth_trace(gen_tree(spec), "hotdir-zipf", n_events=2_000, p_rename=0.03, p_chmod=0.03, seed=9)
+    r1 = replay(trace, make_resolver("original", gen_tree(spec)), manual_tick=True, tick_every=250)
+    r2 = replay(trace, make_resolver("stage", gen_tree(spec)), manual_tick=True, tick_every=250)
+    assert r1 == r2
 
 
 def test_locked_and_unlocked_read_sides_agree():
@@ -361,20 +343,18 @@ def test_locked_and_unlocked_read_sides_agree():
     # single-threaded one does not; one trace must give the same run on both
     spec = TreeSpec(levels=[4, 4, 4], seed=2)
     trace = synth_trace(
-        gen_tree(spec), "hotdir-zipf", {"n_events": 3_000, "p_rename": 0.003, "p_chmod": 0.003, "hot_dirs": 4}, seed=4
+        gen_tree(spec), "hotdir-zipf", n_events=3_000, p_rename=0.003, p_chmod=0.003, hot_dirs=4, seed=4
     )
-    runs = [
-        replay(trace, "stage", gen_tree(spec, threadsafe=threadsafe), manual_tick=True, tick_every=250,
-               record_outcomes=True)
-        for threadsafe in (True, False)
-    ]
-    locked, unlocked = runs
-    locked_mgr, unlocked_mgr = (r.resolver.manager for r in runs)
-    assert locked.resolver.tree.threadsafe and not unlocked.resolver.tree.threadsafe
+    locked, unlocked = (make_resolver("stage", gen_tree(spec, threadsafe=threadsafe)) for threadsafe in (True, False))
+    locked_outcomes, unlocked_outcomes = (
+        replay(trace, resolver, manual_tick=True, tick_every=250) for resolver in (locked, unlocked)
+    )
+    locked_mgr, unlocked_mgr = locked.manager, unlocked.manager
+    assert locked.tree.threadsafe and not unlocked.tree.threadsafe
     m = locked.metrics
     assert m.pivot_hits > 0 and m.entries_touched > 0 and locked_mgr.swaps > 0  # not vacuous
     assert m.counter_rows() == unlocked.metrics.counter_rows()
-    assert locked.outcomes == unlocked.outcomes
+    assert locked_outcomes == unlocked_outcomes
     assert (locked_mgr.ticks, locked_mgr.swaps) == (unlocked_mgr.ticks, unlocked_mgr.swaps)
     assert locked_mgr.active_reader_count == unlocked_mgr.active_reader_count == 0
 
@@ -384,8 +364,8 @@ def test_replay_records_each_lookup_target():
     target = gen_tree(spec)._resolve_admin(mkpath("/a0/b1/c0")).id
     trace = [TraceEvent("stat", "/a0/b1/c0"), TraceEvent("open", "/a0/b1/c0"), TraceEvent("open", "/a0/x")]
     runs = replay_each_strategy(spec, trace)
-    for res in runs.values():
-        assert res.outcomes == [f"ok:{target}", f"ok:{target}", "err:NotFound"]
+    for _resolver, outcomes in runs.values():
+        assert outcomes == [f"ok:{target}", f"ok:{target}", "err:NotFound"]
 
 
 def test_replay_applies_mkdir_events():
@@ -400,10 +380,10 @@ def test_replay_applies_mkdir_events():
     ]
     runs = replay_each_strategy(spec, trace)
     assert outcome_mismatches(runs) == []
-    for res in runs.values():
-        tree = res.resolver.tree
+    for resolver, outcomes in runs.values():
+        tree = resolver.tree
         new, f = (tree._resolve_admin(mkpath(p)).id for p in ("/a0/new", "/a0/new/f"))
-        assert res.outcomes == [f"ok:{new}", f"ok:{f}", f"ok:{f}", f"ok:{new}", "err:AlreadyExists", "err:NotFound"]
+        assert outcomes == [f"ok:{new}", f"ok:{f}", f"ok:{f}", f"ok:{new}", "err:AlreadyExists", "err:NotFound"]
         assert "/a0/new\tdir\t755\t0\n" in tree.canonical_dump()
 
 
@@ -412,25 +392,24 @@ def test_bad_tick_settings_raise_config_error(settings):
     # a zero period once died dividing by zero; a zero tick_every never ticked
     trace = [TraceEvent("stat", "/a0")]
     with pytest.raises(ConfigError):
-        replay(trace, "stage", gen_tree(TreeSpec(levels=[2], seed=1)), **settings)
+        replay(trace, make_resolver("stage", gen_tree(TreeSpec(levels=[2], seed=1))), **settings)
 
 
 def test_negative_pool_size_raises_config_error():
     # build_pool's clamp once ran such a replay with an empty pool
     trace = [TraceEvent("stat", "/a0")]
     with pytest.raises(ConfigError, match="pool size must be >= 0"):
-        replay(trace, "stage", gen_tree(TreeSpec(levels=[2], seed=1)), pool_size=-1)
+        make_resolver("stage", gen_tree(TreeSpec(levels=[2], seed=1)), pool_size=-1)
 
 
 def test_timestamp_driven_ticks():
     spec = TreeSpec(levels=[3, 3], seed=2)
     tree = gen_tree(spec)
-    trace = synth_trace(tree, "replay-like", {"n_events": 400, "burst_len": 50}, seed=3)
-    res = replay(trace, "stage", tree, period_ms=2000)
-    from stagewalk import StageLookupEngine
-
-    assert isinstance(res.resolver, StageLookupEngine)
-    assert res.resolver.manager.ticks > 0  # 4s gaps crossed 2s period boundaries
+    trace = synth_trace(tree, "replay-like", n_events=400, seed=3)
+    resolver = make_resolver("stage", tree)
+    replay(trace, resolver, period_ms=2000)
+    assert isinstance(resolver, StageLookupEngine)
+    assert resolver.manager.ticks > 0  # 4s gaps crossed 2s period boundaries
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -438,13 +417,14 @@ def test_an_idle_gap_of_half_a_billion_periods_replays_at_once(strategy):
     # one tick per period crossed once took about an hour on this gap
     trace = [TraceEvent("stat", "/a0/b1"), TraceEvent("stat", "/a0/b1", at_ms=10**12)]
     started = time.perf_counter()
-    res = replay(trace, strategy, gen_tree(TreeSpec(levels=[2, 2], seed=1)), period_ms=2000, record_outcomes=True)
+    resolver = make_resolver(strategy, gen_tree(TreeSpec(levels=[2, 2], seed=1)))
+    outcomes = replay(trace, resolver, period_ms=2000)
     assert time.perf_counter() - started < 1.0
-    assert len(set(res.outcomes)) == 1 and res.outcomes[0].startswith("ok:")
+    assert len(set(outcomes)) == 1 and outcomes[0].startswith("ok:")
     if strategy == "stage":
-        mgr = res.resolver.manager
+        mgr = resolver.manager
         assert mgr.ticks == mgr.swaps == 5 * 10**8
-        assert res.resolver.candidates.version == 5 * 10**8 + 1
+        assert resolver.candidates.version == 5 * 10**8 + 1
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -473,23 +453,23 @@ def test_idle_gaps_end_as_single_ticks_leave_them_randomized(monkeypatch):
     kept_across_a_gap = 0
     for trial in range(12):
         events = synth_trace(gen_tree(spec), "hotdir-zipf",
-                             {"n_events": 600, "hot_dirs": 2, "p_rename": 0.01, "p_chmod": 0.01, "p_create": 0.01},
-                             seed=trial)
+                             n_events=600, hot_dirs=2, p_rename=0.01, p_chmod=0.01, p_create=0.01, seed=trial)
         at = 0
         for ev in events:
             at += period * (rng.randint(1, 5) if rng.random() < 0.05 else 0) + rng.randrange(period // 20)
             ev.at_ms = at
         for strategy in STRATEGIES:
-            fast = replay(events, strategy, gen_tree(spec), period_ms=period, record_outcomes=True)
+            fast, ref = make_resolver(strategy, gen_tree(spec)), make_resolver(strategy, gen_tree(spec))
+            fast_outcomes = replay(events, fast, period_ms=period)
             with monkeypatch.context() as m:
                 m.setattr(StageLookupEngine, "tick", _single_period_ticks)
-                ref = replay(events, strategy, gen_tree(spec), period_ms=period, record_outcomes=True)
-            assert fast.outcomes == ref.outcomes
+                ref_outcomes = replay(events, ref, period_ms=period)
+            assert fast_outcomes == ref_outcomes
             assert fast.metrics.counter_rows() == ref.metrics.counter_rows()
             if strategy == "stage":
-                mgr, ref_mgr = fast.resolver.manager, ref.resolver.manager
+                mgr, ref_mgr = fast.manager, ref.manager
                 assert (mgr.ticks, mgr.swaps) == (ref_mgr.ticks, ref_mgr.swaps)
-                assert fast.resolver.candidates.version == ref.resolver.candidates.version
+                assert fast.candidates.version == ref.candidates.version
                 assert [pv.names for pv in mgr.working_pool.pivots] == [
                     pv.names for pv in ref_mgr.working_pool.pivots
                 ]
@@ -499,7 +479,7 @@ def test_idle_gaps_end_as_single_ticks_leave_them_randomized(monkeypatch):
 
 def test_equivalence_run_three_strategies():
     spec = TreeSpec(levels=[4, 4], seed=6)
-    trace = synth_trace(gen_tree(spec), "uniform", {"n_events": 1_500, "p_rename": 0.05, "p_chmod": 0.05}, seed=11)
+    trace = synth_trace(gen_tree(spec), "uniform", n_events=1_500, p_rename=0.05, p_chmod=0.05, seed=11)
     runs = replay_each_strategy(spec, trace, manual_tick=True, tick_every=200)
     assert outcome_mismatches(runs) == []
     assert set(runs) == {"original", "fullpath", "stage"}
@@ -508,10 +488,10 @@ def test_equivalence_run_three_strategies():
 @pytest.mark.parametrize("cred", list(Credential), ids=lambda c: c.name.lower())
 def test_equivalence_under_mutation_per_credential(cred):
     spec = TreeSpec(levels=[6, 6, 6, 6], seed=5)
-    trace = synth_trace(gen_tree(spec), "hotdir-zipf", {"p_rename": 0.02, "p_chmod": 0.02}, seed=31)
+    trace = synth_trace(gen_tree(spec), "hotdir-zipf", p_rename=0.02, p_chmod=0.02, seed=31)
     runs = replay_each_strategy(spec, trace, cred=cred, manual_tick=True, tick_every=500)
     assert outcome_mismatches(runs) == []
-    stage = runs["stage"].metrics
+    stage = runs["stage"][0].metrics
     assert stage.pivot_hits > 0 and stage.entries_touched > 0  # pivots in use
 
 
@@ -519,16 +499,15 @@ def test_churn_keeps_swapping_and_hitting_pivots():
     # a build inside a single-threaded tick cannot be raced by a modification,
     # so every period swaps even though the trace renames and chmods throughout
     spec = TreeSpec(levels=[6, 6, 6, 6], seed=1)
-    trace = synth_trace(gen_tree(spec), "hotdir-zipf", {"n_events": 20_000, "p_rename": 0.01, "p_chmod": 0.01},
-                        seed=5)
-    stage, original = (
-        replay(trace, strategy, gen_tree(spec), manual_tick=True, tick_every=1000, record_outcomes=True)
-        for strategy in ("stage", "original")
+    trace = synth_trace(gen_tree(spec), "hotdir-zipf", n_events=20_000, p_rename=0.01, p_chmod=0.01, seed=5)
+    stage, original = (make_resolver(strategy, gen_tree(spec)) for strategy in ("stage", "original"))
+    stage_outcomes, original_outcomes = (
+        replay(trace, resolver, manual_tick=True, tick_every=1000) for resolver in (stage, original)
     )
-    mgr = stage.resolver.manager
+    mgr = stage.manager
     assert mgr.ticks > 0 and mgr.swaps == mgr.ticks
     assert stage.metrics.pivot_hits / stage.metrics.lookups >= 0.5
-    assert stage.outcomes == original.outcomes
+    assert stage_outcomes == original_outcomes
 
 
 def test_targets_each_seen_once_make_no_pivot():
@@ -540,16 +519,16 @@ def test_targets_each_seen_once_make_no_pivot():
     files = [tree.materialize_path(d).text for d in tree.nodes[1:] if d.kind == "file"]
     random.Random(7).shuffle(files)
     trace = [TraceEvent("stat", text) for text in files]
-    stage, original = (
-        replay(trace, strategy, gen_tree(spec), manual_tick=True, tick_every=32, record_outcomes=True)
-        for strategy in ("stage", "original")
+    stage, original = (make_resolver(strategy, gen_tree(spec)) for strategy in ("stage", "original"))
+    stage_outcomes, original_outcomes = (
+        replay(trace, resolver, manual_tick=True, tick_every=32) for resolver in (stage, original)
     )
-    mgr = stage.resolver.manager
+    mgr = stage.manager
     assert len(files) == 256 and mgr.ticks == 7 and mgr.swaps == 7
     assert mgr.working_pool.size == 0 and stage.metrics.pivot_hits == 0
     assert stage.metrics.dentries_visited == original.metrics.dentries_visited
     assert stage.metrics.char_comparisons == original.metrics.char_comparisons
-    assert stage.outcomes == original.outcomes
+    assert stage_outcomes == original_outcomes
 
 
 # -- reporting -----------------------------------------------------------------------
@@ -611,15 +590,16 @@ def test_replay_determinism_byte_identical_csv():
 
     def one_run() -> str:
         tree = gen_tree(spec)
-        trace = synth_trace(tree, "hotdir-zipf", {"n_events": 3_000, "p_rename": 0.02, "p_chmod": 0.02}, seed=13)
-        res = replay(trace, "stage", tree, manual_tick=True, tick_every=500)
-        _table, csv_text = report([("stage", res.metrics)])
+        trace = synth_trace(tree, "hotdir-zipf", n_events=3_000, p_rename=0.02, p_chmod=0.02, seed=13)
+        resolver = make_resolver("stage", tree)
+        replay(trace, resolver, manual_tick=True, tick_every=500)
+        _table, csv_text = report([("stage", resolver.metrics)])
         return csv_text
 
     assert one_run().encode() == one_run().encode()
 
 
-# case -> (model, synth_trace params); the mutating case renames and chmods
+# case -> (model, synth_trace keywords); the mutating case renames and chmods
 _PINNED_CASES = {
     "hotdir-zipf": ("hotdir-zipf", {"n_events": 3_000}),
     "uniform": ("uniform", {"n_events": 3_000}),
@@ -659,10 +639,11 @@ _PINNED_STAGE_PERIODS = (5, 5)
 def test_counter_rows_pinned_across_versions(case):
     model, params = _PINNED_CASES[case]
     spec = TreeSpec(levels=[5, 5, 5, 5], seed=4)
-    trace = synth_trace(gen_tree(spec), model, params, seed=8)
+    trace = synth_trace(gen_tree(spec), model, **params, seed=8)
     for strategy, want in _PINNED_COUNTERS[case].items():
-        res = replay(trace, strategy, gen_tree(spec), manual_tick=True, tick_every=500)
-        assert tuple(value for _name, value in res.metrics.counter_rows()) == want, strategy
+        resolver = make_resolver(strategy, gen_tree(spec))
+        replay(trace, resolver, manual_tick=True, tick_every=500)
+        assert tuple(value for _name, value in resolver.metrics.counter_rows()) == want, strategy
         if strategy == "stage":
-            manager = res.resolver.manager
+            manager = resolver.manager
             assert (manager.ticks, manager.swaps) == _PINNED_STAGE_PERIODS
