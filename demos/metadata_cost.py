@@ -33,7 +33,7 @@ engine = StageLookupEngine(tree, pool_size=16)
 paths = all_paths(tree)
 for text in paths:
     p = PathBuf.parse(text)
-    cache.fp_lookup(p)
+    cache.lookup(p)
     engine.stage_lookup(p)
 engine.tick()
 

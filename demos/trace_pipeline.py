@@ -13,7 +13,7 @@ trace = synth_trace(gen_tree(spec), "hotdir-zipf", n_events=10_000, hot_dirs=8, 
 runs = []
 for strategy in ("original", "fullpath", "stage"):
     resolver = make_resolver(strategy, gen_tree(spec))  # fresh identical tree per strategy
-    replay(trace, resolver, manual_tick=True, tick_every=1000)
+    replay(trace, resolver, tick_every=1000)
     runs.append((strategy, resolver.metrics))
 
 table, _csv = report(runs)

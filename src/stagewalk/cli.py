@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .errors import ConfigError, ContractViolation, EngineError, SpecInvalid, TraceMalformed
 from .workload import (
     STRATEGIES,
     TreeSpec,
     bench_depth_grid,
+    check_stage_settings,
+    check_synth_settings,
+    check_tick_schedule,
     gen_tree,
     grid_csv,
     make_resolver,
@@ -35,9 +39,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pool-size", type=int, default=16)
     p.add_argument("--heat-threshold", type=int, default=4)
     p.add_argument("--heat-capacity", type=int, default=64)
-    p.add_argument("--period-ms", type=int, default=2000)
-    p.add_argument("--manual-tick", action="store_true", help="tick every --tick-every events instead of by trace time")
-    p.add_argument("--tick-every", type=int, default=1000)
+    ticks = p.add_mutually_exclusive_group()
+    ticks.add_argument("--period-ms", type=int, help="tick once per this much trace time (default 2000)")
+    ticks.add_argument("--tick-every", type=int, help="tick every this many events instead of by trace time")
 
 
 def _load_spec(path: str) -> TreeSpec:
@@ -59,7 +63,6 @@ def cmd_gen_tree(args: argparse.Namespace) -> int:
     except ValueError:
         raise ConfigError(f"--file-size takes lo:hi integers, got {args.file_size!r}") from None
     spec = TreeSpec(levels=levels, file_size_range=file_size_range, seed=args.seed)
-    spec.validate()
     tree = gen_tree(spec)
     with open(f"{args.out}.spec.json", "w", encoding="utf-8") as fh:
         fh.write(spec.to_json() + "\n")
@@ -70,17 +73,16 @@ def cmd_gen_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    events = synth_trace(
-        gen_tree(_load_spec(args.tree)),
-        args.model,
+    settings = dict(
         n_events=args.events,
         p_rename=args.p_rename,
         p_chmod=args.p_chmod,
         p_create=args.p_create,
         hot_dirs=args.hot_dirs,
         zipf_s=args.zipf_s,
-        seed=args.seed,
     )
+    check_synth_settings(args.model, **settings)
+    events = synth_trace(gen_tree(_load_spec(args.tree)), args.model, seed=args.seed, **settings)
     write_trace(events, args.out)
     print(f"trace: {len(events)} events -> {args.out}")
     return EXIT_OK
@@ -88,10 +90,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """`replay` runs `--strategy`, `compare` every strategy in `STRATEGIES`
-    order, each on a fresh tree of the spec."""
+    order, each on a fresh tree of the spec, after checking every setting."""
     spec = _load_spec(args.tree)
     trace = read_trace(args.trace)
-    runs = []
+    check_stage_settings(args.pool_size, args.heat_threshold, args.heat_capacity)
+    check_tick_schedule(args.tick_every, args.period_ms)
+    runs, walls = [], []
     for strategy in (args.strategy,) if args.command == "replay" else STRATEGIES:
         resolver = make_resolver(
             strategy,
@@ -100,10 +104,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             heat_threshold=args.heat_threshold,
             heat_capacity=args.heat_capacity,
         )
-        replay(trace, resolver, manual_tick=args.manual_tick, tick_every=args.tick_every, period_ms=args.period_ms)
+        started = time.perf_counter()
+        replay(trace, resolver, tick_every=args.tick_every, period_ms=args.period_ms)
+        walls.append(f"wall.{strategy}.replay  {time.perf_counter() - started:.3f}s\n")
         runs.append((strategy, resolver.metrics))
     table, csv_text = report(runs)
-    print(table, end="")
+    print(table + "".join(walls), end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)

@@ -43,7 +43,7 @@ class FullPathCache(_ResolverBase):
         # looked up per call, so a wrapper installed on the class sees it
         self.metrics.entries_touched += self.fp_invalidate_subtree(path, dentry)
 
-    def fp_lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
+    def lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> int:
         metrics = self.metrics
         metrics.lookups += 1
         key = path.text
@@ -56,8 +56,6 @@ class FullPathCache(_ResolverBase):
         self._entries[key] = (node_id, cred | (entry[1] if entry else 0))
         return node_id
 
-    lookup = fp_lookup
-
     def fp_invalidate_subtree(self, path: PathBuf, top: Dentry) -> int:
         """Evict the cached entry of every dentry in the subtree rooted at
         `top`, the dentry `path` names.
@@ -66,15 +64,10 @@ class FullPathCache(_ResolverBase):
         removals are a subset.
         """
         touched = 0
-        stack = [(top, path.text)]
         entries = self._entries
-        while stack:
-            d, text = stack.pop()
+        for text, _d in self.tree.iter_subtree(path.text, top):
             entries.pop(text, None)
             touched += 1
-            if d.children:
-                prefix = text if text != "/" else ""
-                stack.extend((c, f"{prefix}/{c.name}") for c in d.children.values())
         return touched
 
     @property

@@ -36,8 +36,6 @@ Counter semantics:
   run on one thread.
 - entries_touched: invalidation work; the dentries a metadata hook visited
   (fullpath's subtree walk) or the pivots it covered (stage).
-- wall_time: per-phase seconds; diagnostic only, excluded from CSV output so
-  identical-seed runs serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ class Metrics:
     fallbacks: int = 0
     entries_touched: int = 0
     skipped_prefix_histogram: dict[int, int] = field(default_factory=dict)
-    wall_time: dict[str, float] = field(default_factory=dict)
 
     @property
     def pivot_hits(self) -> int:

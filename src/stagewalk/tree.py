@@ -138,30 +138,22 @@ class DirTree:
             cur = nxt
         return cur
 
-    def materialize_path(self, dentry: Dentry) -> PathBuf:
-        names: list[str] = []
-        cur = dentry
-        while cur.parent is not None:
-            names.append(cur.name)
-            cur = cur.parent
-        names.reverse()
-        return PathBuf(tuple(names))
-
-    def iter_subtree(self, dentry: Dentry) -> Iterator[tuple[str, Dentry]]:
+    def iter_subtree(self, text: str, dentry: Dentry) -> Iterator[tuple[str, Dentry]]:
         """Depth-first over the subtree rooted at dentry, dentry included:
-        (path text, dentry) pairs. Only the top's parent links are walked; a
-        child's text extends its parent's."""
-        stack = [(self.materialize_path(dentry).text, dentry)]
+        (path text, dentry) pairs. `text` is the path text that names
+        dentry; a child's text extends its parent's."""
+        stack = [(text, dentry)]
         while stack:
             text, d = stack.pop()
             yield text, d
             if d.children:
                 prefix = text if d.parent is not None else ""  # the root's "/" spells no name
-                stack.extend((f"{prefix}/{c.name}", c) for c in d.children.values())
+                # a list: extending by a generator cost fullpath's eviction 10% per node
+                stack.extend([(f"{prefix}/{c.name}", c) for c in d.children.values()])
 
     def canonical_dump(self) -> str:
         """Sorted one-line-per-node text form; equal dumps mean equal trees."""
-        lines = sorted([f"{text}\t{d.kind}\t{d.mode:o}\t{d.size}" for text, d in self.iter_subtree(self.root)])
+        lines = sorted([f"{text}\t{d.kind}\t{d.mode:o}\t{d.size}" for text, d in self.iter_subtree("/", self.root)])
         return "\n".join(lines) + "\n"
 
     # -- mutations ----------------------------------------------------------

@@ -11,7 +11,7 @@ File formats:
   (a non-negative integer), plus new_path for rename and mode (0..0o777) for
   chmod/create/mkdir.
 - metrics (CSV): one row per counter, one column per run, ratio columns
-  against the first run. Wall times are excluded so equal-seed runs are
+  against the first run. It holds counters only, so equal-seed runs are
   byte-identical.
 - outcomes (the list `replay` returns): one string per event,
   `ok:<target id>` for a stat or open, `ok:<new id>` for a create or mkdir,
@@ -27,7 +27,6 @@ import io
 import json
 import math
 import random
-import time
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -245,7 +244,7 @@ class _Universe:
     def __init__(self, tree: DirTree):
         self.files: list[str] = []
         self.dirs: list[str] = []
-        for text, d in tree.iter_subtree(tree.root):
+        for text, d in tree.iter_subtree("/", tree.root):
             if d.kind == FILE:
                 self.files.append(text)
             elif d.parent is not None:
@@ -280,29 +279,13 @@ _BURST_GAP_MS = 4000
 _P_STAT = 0.55
 
 
-def synth_trace(
-    tree: DirTree,
-    model: str,
-    *,
-    n_events: int = 10_000,
-    p_rename: float = 0.0,
-    p_chmod: float = 0.0,
-    p_create: float = 0.0,
-    hot_dirs: int = 8,
-    zipf_s: float = 1.0,
-    seed: int = 0,
-) -> list[TraceEvent]:
-    """Deterministic event stream over a generated tree.
-
-    Models: "uniform" targets leaves uniformly; "hotdir-zipf" concentrates
-    targets under `hot_dirs` directories with Zipf exponent `zipf_s`;
-    "replay-like" emits bursts of opens separated by compressed four-second
-    gaps. Mutation mix is controlled by p_rename / p_chmod / p_create
-    (renames pick files or directories, always to fresh names). Raises
-    ConfigError on a negative event count, a probability outside [0, 1],
-    mutation probabilities that sum above 1, fewer than one hot dir, or a
-    `zipf_s` whose weights over `hot_dirs` ranks are not all finite.
-    """
+def check_synth_settings(
+    model: str, n_events: int, p_rename: float, p_chmod: float, p_create: float, hot_dirs: int, zipf_s: float
+) -> None:
+    """`synth_trace`'s checks, which need no tree: an unknown model, a negative
+    event count, a probability outside [0, 1], mutation probabilities that
+    sum above 1, fewer than one hot dir, or a `zipf_s` whose weights over
+    `hot_dirs` ranks are not all finite raises ConfigError."""
     if model not in ("uniform", "hotdir-zipf", "replay-like"):
         raise ConfigError(f"unknown trace model {model!r}")
     if n_events < 0:
@@ -323,6 +306,30 @@ def synth_trace(
         bound = math.inf
     if not math.isfinite(bound):
         raise ConfigError(f"zipf_s {zipf_s} gives no finite Zipf weights over {hot_dirs} hot dirs")
+
+
+def synth_trace(
+    tree: DirTree,
+    model: str,
+    *,
+    n_events: int = 10_000,
+    p_rename: float = 0.0,
+    p_chmod: float = 0.0,
+    p_create: float = 0.0,
+    hot_dirs: int = 8,
+    zipf_s: float = 1.0,
+    seed: int = 0,
+) -> list[TraceEvent]:
+    """Deterministic event stream over a generated tree.
+
+    Models: "uniform" targets leaves uniformly; "hotdir-zipf" concentrates
+    targets under `hot_dirs` directories with Zipf exponent `zipf_s`;
+    "replay-like" emits bursts of opens separated by compressed four-second
+    gaps. Mutation mix is controlled by p_rename / p_chmod / p_create
+    (renames pick files or directories, always to fresh names). Raises
+    ConfigError where `check_synth_settings` does.
+    """
+    check_synth_settings(model, n_events, p_rename, p_chmod, p_create, hot_dirs, zipf_s)
     rng = random.Random(seed)
     uni = _Universe(tree)
     events: list[TraceEvent] = []
@@ -374,6 +381,14 @@ def synth_trace(
 # -- replay -------------------------------------------------------------------
 
 
+def check_stage_settings(pool_size: int, heat_threshold: int, heat_capacity: int) -> None:
+    """`make_resolver`'s check: a negative stage setting raises ConfigError."""
+    if heat_capacity < 0 or heat_threshold < 0:
+        raise ConfigError("heat capacity/threshold must be >= 0")
+    if pool_size < 0:
+        raise ConfigError(f"pool size must be >= 0, got {pool_size}")
+
+
 def make_resolver(
     strategy: str,
     tree: DirTree,
@@ -384,10 +399,7 @@ def make_resolver(
     """A fresh resolver of `strategy` over `tree`. Only stage reads the three
     settings, but a negative one raises ConfigError for every strategy, so a
     run refuses it before anything replays."""
-    if heat_capacity < 0 or heat_threshold < 0:
-        raise ConfigError("heat capacity/threshold must be >= 0")
-    if pool_size < 0:
-        raise ConfigError(f"pool size must be >= 0, got {pool_size}")
+    check_stage_settings(pool_size, heat_threshold, heat_capacity)
     if strategy == "original":
         return OriginalLookup(tree)
     if strategy == "fullpath":
@@ -414,32 +426,38 @@ def _apply_mutation(tree: DirTree, ev: TraceEvent) -> str:
     raise TraceMalformed(f"not a mutation op: {ev.op}")
 
 
+def check_tick_schedule(tick_every: Optional[int], period_ms: Optional[int]) -> None:
+    """`replay`'s check: both schedules given, or one below 1, raises ConfigError."""
+    if tick_every is not None and period_ms is not None:
+        raise ConfigError("give tick_every or period_ms, not both")
+    for name, value in (("tick_every", tick_every), ("period_ms", period_ms)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 def replay(
     trace: Sequence[TraceEvent],
     resolver: _ResolverBase,
     cred: Credential = Credential.OWNER,
-    manual_tick: bool = False,
-    tick_every: int = 1000,
-    period_ms: int = 2000,
+    tick_every: Optional[int] = None,
+    period_ms: Optional[int] = None,
 ) -> list[str]:
     """Execute every event through `resolver` and against its tree; return
     one outcome per event. The counters it leaves in `resolver.metrics` are
     fully determined by (tree, trace, strategy, config, tick schedule).
 
-    The resolver ticks before every `tick_every`-th event with `manual_tick`,
-    and otherwise once per `period_ms` of trace time crossed; the periods
-    one event's `at_ms` crosses go to one `tick(periods)` call. Raises
-    ConfigError when `period_ms` or `tick_every` is below 1.
+    The resolver ticks before every `tick_every`-th event when that is
+    given, and otherwise once per `period_ms` (default 2000) of trace time
+    crossed; the periods one event's `at_ms` crosses go to one
+    `tick(periods)` call. Raises ConfigError where `check_tick_schedule` does.
     """
-    if period_ms <= 0:
-        raise ConfigError(f"period_ms must be > 0, got {period_ms}")
-    if tick_every < 1:
-        raise ConfigError(f"tick_every must be >= 1, got {tick_every}")
+    check_tick_schedule(tick_every, period_ms)
+    if period_ms is None:
+        period_ms = 2000
     outcomes: list[str] = []
     ticks_fired = 0
-    started = time.perf_counter()
     for i, ev in enumerate(trace):
-        if manual_tick:
+        if tick_every is not None:
             if i and i % tick_every == 0:
                 resolver.tick()
         else:
@@ -455,7 +473,6 @@ def replay(
         except EngineError as exc:
             out = f"err:{type(exc).__name__}"
         outcomes.append(out)
-    resolver.metrics.wall_time["replay"] = time.perf_counter() - started
     return outcomes
 
 
@@ -463,23 +480,17 @@ def replay(
 
 
 def report(runs: Sequence[tuple[str, Metrics]]) -> tuple[str, str]:
-    """Build the comparison table (text) and its CSV form.
-
-    The CSV holds only deterministic counters; wall times appear in the text
-    table. Runs beyond the first get a ratio column against the first run.
+    """Build the comparison table (text) and its CSV form: the same
+    counter rows, with a ratio column against the first run for each run
+    beyond it.
     """
     if not runs:
         raise ConfigError("report needs at least one run")
     labels = [label for label, _ in runs]
     rows = [m.counter_rows() for _, m in runs]
-    names = [name for name, _ in rows[0]]
-    ratio_labels = [f"{lab}_vs_{labels[0]}" for lab in labels[1:]]
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["metric"] + labels + ratio_labels)
-    table_rows: list[list[str]] = []
-    for r, name in enumerate(names):
+    header = ["metric"] + labels + [f"{lab}_vs_{labels[0]}" for lab in labels[1:]]
+    table_rows = [header]
+    for r, (name, _) in enumerate(rows[0]):
         vals = [rows[c][r][1] for c in range(len(runs))]
         ratios = []
         for v in vals[1:]:
@@ -488,18 +499,14 @@ def report(runs: Sequence[tuple[str, Metrics]]) -> tuple[str, str]:
                 ratios.append(f"{float(v) / base:.4f}" if base else "")
             except ValueError:
                 ratios.append("")
-        writer.writerow([name] + vals + ratios)
         table_rows.append([name] + vals + ratios)
-    for label, m in runs:
-        for phase, secs in sorted(m.wall_time.items()):
-            table_rows.append([f"wall.{label}.{phase}", f"{secs:.3f}s"] + [""] * (len(runs) - 1 + len(ratio_labels)))
 
-    header = ["metric"] + labels + ratio_labels
-    widths = [max(len(str(row[c])) for row in [header] + table_rows) for c in range(len(header))]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(table_rows)
+    widths = [max(len(row[c]) for row in table_rows) for c in range(len(header))]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    table_lines = [fmt.format(*header), fmt.format(*["-" * w for w in widths])]
-    table_lines += [fmt.format(*(row + [""] * (len(header) - len(row)))) for row in table_rows]
-    return "\n".join(table_lines) + "\n", out.getvalue()
+    table_rows.insert(1, ["-" * w for w in widths])
+    return "".join(fmt.format(*row) + "\n" for row in table_rows), out.getvalue()
 
 
 # -- stage-two depth sweep (counter analogue of the latency-vs-depth study) ----
@@ -522,7 +529,7 @@ def bench_depth_grid() -> list[dict]:
     assert target.depth == 8
 
     decoy_root = tree._resolve_admin(PathBuf.parse("/a1"))
-    decoys = [d for text, d in sorted(tree.iter_subtree(decoy_root), key=itemgetter(0))
+    decoys = [d for text, d in sorted(tree.iter_subtree("/a1", decoy_root), key=itemgetter(0))
               if d.kind == DIR and text.count("/") == 7]
 
     base = OriginalLookup(tree)

@@ -34,6 +34,16 @@ def mkpath(text: str) -> PathBuf:
     return PathBuf.parse(text)
 
 
+def path_of(d: Dentry) -> PathBuf:
+    """The path that names `d`, read up its parent links: the oracle for the
+    texts `DirTree.iter_subtree` builds downward."""
+    names = []
+    while d.parent is not None:
+        names.append(d.name)
+        d = d.parent
+    return PathBuf(tuple(reversed(names)))
+
+
 def make_node(tree: DirTree, path: str, kind: str = DIR, mode: int | None = None) -> Dentry:
     """Create path's missing components (intermediates as dirs) and return the leaf."""
     p = mkpath(path)
@@ -43,7 +53,7 @@ def make_node(tree: DirTree, path: str, kind: str = DIR, mode: int | None = None
         if child is None:
             k = kind if i == len(p.components) - 1 else DIR
             m = mode if (mode is not None and i == len(p.components) - 1) else (0o755 if k == DIR else 0o644)
-            nid = tree.create_node(tree.materialize_path(cur), name, k, m)
+            nid = tree.create_node(path_of(cur), name, k, m)
             child = tree.nodes[nid]
         cur = child
     return cur

@@ -34,6 +34,7 @@ from conftest import (
     make_tree,
     mkpath,
     outcome_mismatches,
+    path_of,
     reference_scan,
     replay_each_strategy,
 )
@@ -80,7 +81,7 @@ def test_c1_oracle_equivalence():
         mutations = len(trace) - lookups
         assert abs(lookups / len(trace) - 0.90) < 0.02, "mix drifted from 90/5/5"
         cred = Credential.OTHER if i % 2 else OWNER
-        runs = replay_each_strategy(spec, trace, cred=cred, manual_tick=True, tick_every=500)
+        runs = replay_each_strategy(spec, trace, cred=cred, tick_every=500)
         total_mismatches.extend(outcome_mismatches(runs))
         stage = runs["stage"][0].metrics
         pivot_hits += stage.pivot_hits
@@ -168,7 +169,7 @@ def test_c4_metadata_modification_asymmetry():
     paths = _all_paths(tree)
     for text in paths:  # warm both caches over every node
         p = mkpath(text)
-        cache.fp_lookup(p)
+        cache.lookup(p)
         engine.stage_lookup(p)
     engine.tick()  # drains the warm-era candidates
 
@@ -214,7 +215,7 @@ def test_c5_single_scan_property():
     files = [d for d in tree.nodes[1:] if d.kind == "file"]
 
     def random_query():
-        base = tree.materialize_path(rng.choice(files))
+        base = path_of(rng.choice(files))
         keep = rng.randint(0, base.depth)
         comps = list(base.components[:keep])
         for extra in range(rng.randint(0, 3)):
@@ -388,12 +389,12 @@ def test_c8_replay_determinism():
         tree = gen_tree(spec)
         trace = synth_trace(tree, "hotdir-zipf", n_events=10_000, p_rename=0.05, p_chmod=0.05, seed=89)
         resolver = make_resolver("stage", tree)
-        replay(trace, resolver, manual_tick=True, tick_every=1000)
+        replay(trace, resolver, tick_every=1000)
         _table, csv_text = report([("stage", resolver.metrics)])
         return csv_text.encode()
 
     first, second = one_run(), one_run()
     ok = first == second
-    _line(8, ok, "identical seeds + manual ticks give byte-identical metrics CSV",
+    _line(8, ok, "identical seeds + event-count ticks give byte-identical metrics CSV",
           f"{len(first)} bytes")
     assert first == second

@@ -12,7 +12,7 @@ import pytest
 import stagewalk
 from stagewalk import cli
 from stagewalk.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from stagewalk.workload import replay
+from stagewalk.workload import TreeSpec, gen_tree, make_resolver, read_trace, replay, report
 
 
 def test_gen_tree_synth_replay_round_trip(tmp_path, capsys):
@@ -28,7 +28,7 @@ def test_gen_tree_synth_replay_round_trip(tmp_path, capsys):
 
     out_csv = str(tmp_path / "m.csv")
     assert main(["replay", "--tree", spec_file, "--trace", trace_file, "--strategy", "stage",
-                 "--manual-tick", "--tick-every", "100", "--out", out_csv]) == EXIT_OK
+                 "--tick-every", "100", "--out", out_csv]) == EXIT_OK
     text = Path(out_csv).read_text()
     assert text.startswith("metric,stage")
     captured = capsys.readouterr().out
@@ -41,7 +41,7 @@ def test_replay_byte_identical_between_runs(tmp_path):
     trace_file = str(tmp_path / "trace.jsonl")
     main(["synth", "--tree", f"{prefix}.spec.json", "--events", "800", "--seed", "5", "--out", trace_file])
     c1, c2 = str(tmp_path / "m1.csv"), str(tmp_path / "m2.csv")
-    args = ["replay", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--manual-tick", "--tick-every", "200"]
+    args = ["replay", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--tick-every", "200"]
     main(args + ["--out", c1])
     main(args + ["--out", c2])
     assert Path(c1).read_bytes() == Path(c2).read_bytes()
@@ -53,11 +53,60 @@ def test_compare_emits_all_strategies(tmp_path, capsys):
     trace_file = str(tmp_path / "trace.jsonl")
     main(["synth", "--tree", f"{prefix}.spec.json", "--events", "400", "--out", trace_file])
     out_csv = str(tmp_path / "cmp.csv")
+    capsys.readouterr()
     assert main(["compare", "--tree", f"{prefix}.spec.json", "--trace", trace_file,
-                 "--manual-tick", "--tick-every", "100", "--out", out_csv]) == EXIT_OK
-    header = Path(out_csv).read_text().splitlines()[0].split(",")
+                 "--tick-every", "100", "--out", out_csv]) == EXIT_OK
+    text = Path(out_csv).read_text()
+    header = text.splitlines()[0].split(",")
     assert header[:4] == ["metric", "original", "fullpath", "stage"]
     assert "fullpath_vs_original" in header and "stage_vs_original" in header
+    # one replay time per strategy on stdout, after the table; none in the CSV
+    walls = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wall.")]
+    assert [line.split()[0] for line in walls] == ["wall.original.replay", "wall.fullpath.replay", "wall.stage.replay"]
+    assert all(line.endswith("s") for line in walls) and "wall" not in text
+
+
+def test_tick_every_alone_ticks_by_event_count(tmp_path, capsys):
+    """`--tick-every` on its own is the tick schedule; with `--period-ms` it
+    exits 2, and `--manual-tick` is no flag."""
+    prefix = str(tmp_path / "t")
+    main(["gen-tree", "--levels", "3,3", "--out", prefix])
+    trace_file = str(tmp_path / "trace.jsonl")
+    main(["synth", "--tree", f"{prefix}.spec.json", "--events", "500", "--out", trace_file])
+    base = ["replay", "--tree", f"{prefix}.spec.json", "--trace", trace_file]
+    by_events, by_time = tmp_path / "events.csv", tmp_path / "time.csv"
+    assert main(base + ["--tick-every", "7", "--out", str(by_events)]) == EXIT_OK
+    assert main(base + ["--out", str(by_time)]) == EXIT_OK
+    resolver = make_resolver("stage", gen_tree(TreeSpec.from_json(Path(f"{prefix}.spec.json").read_text())))
+    replay(read_trace(trace_file), resolver, tick_every=7)
+    assert by_events.read_text() == report([("stage", resolver.metrics)])[1]
+    assert by_events.read_bytes() != by_time.read_bytes()
+    assert main(base + ["--period-ms", "5", "--tick-every", "7"]) == EXIT_CONFIG
+    assert main(base + ["--manual-tick"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--events", "-5"],
+        ["synth", "--hot-dirs", "0"],
+        ["compare", "--period-ms", "0"],
+        ["compare", "--tick-every", "0"],
+        ["compare", "--pool-size", "-1"],
+    ],
+)
+def test_bad_setting_is_refused_before_any_tree_is_built(tmp_path, monkeypatch, capsys, argv):
+    prefix = str(tmp_path / "t")
+    main(["gen-tree", "--levels", "2,2", "--out", prefix])
+    trace_file = str(tmp_path / "trace.jsonl")
+    main(["synth", "--tree", f"{prefix}.spec.json", "--events", "10", "--out", trace_file])
+    built = []
+    monkeypatch.setattr(cli, "gen_tree", lambda spec: built.append(spec) or gen_tree(spec))
+    capsys.readouterr()
+    inputs = ["--out", str(tmp_path / "out")] if argv[0] == "synth" else ["--trace", trace_file]
+    assert main(argv + ["--tree", f"{prefix}.spec.json"] + inputs) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert built == []
 
 
 def test_compare_refuses_a_stage_setting_before_any_replay(tmp_path, monkeypatch):
@@ -115,7 +164,7 @@ def test_compare_csv_and_depth_grid_bytes_pinned(tmp_path):
     assert main(["gen-tree", "--levels", "6,6,6,6", "--seed", "1", "--out", prefix]) == EXIT_OK
     assert main(["synth", "--tree", spec_file, "--model", "hotdir-zipf", "--events", "20000", "--p-rename", "0.01",
                  "--p-chmod", "0.01", "--p-create", "0.01", "--seed", "5", "--out", trace_file]) == EXIT_OK
-    assert main(["compare", "--tree", spec_file, "--trace", trace_file, "--manual-tick", "--out", out_csv]) == EXIT_OK
+    assert main(["compare", "--tree", spec_file, "--trace", trace_file, "--tick-every", "1000", "--out", out_csv]) == EXIT_OK
     assert main(["bench-depth", "--out", grid]) == EXIT_OK
     digests = [hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in (trace_file, out_csv, grid)]
     assert digests == [_TRACE_SHA256, _COMPARE_CSV_SHA256, _GRID_SHA256]
@@ -128,8 +177,7 @@ def test_bad_config_exits_2(tmp_path):
     main(["synth", "--tree", f"{prefix}.spec.json", "--events", "10", "--out", trace_file])
     assert main(["replay", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--pool-size", "-1"]) == EXIT_CONFIG
     assert main(["replay", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--period-ms", "0"]) == EXIT_CONFIG
-    assert main(["compare", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--manual-tick",
-                 "--tick-every", "0"]) == EXIT_CONFIG
+    assert main(["compare", "--tree", f"{prefix}.spec.json", "--trace", trace_file, "--tick-every", "0"]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize(

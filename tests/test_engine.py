@@ -29,7 +29,7 @@ from stagewalk import (
 from stagewalk import engine as engine_module
 from stagewalk.fullpath import FullPathCache
 from stagewalk.pivots import find_best_pivot
-from conftest import TRAV_BIT, make_node, make_tree, mkpath, oracle_resolve, outcome
+from conftest import TRAV_BIT, make_node, make_tree, mkpath, oracle_resolve, outcome, path_of
 
 OWNER = Credential.OWNER
 
@@ -213,8 +213,8 @@ def test_every_exec_bit_pattern_of_a_skipped_ancestor_answers_as_the_oracle(mode
             assert outcome(engine.lookup, p, cred) == want, (p.text, cred)
             assert engine.metrics.pivot_hits - hits0 == want.startswith("ok:"), (p.text, cred)
             cache = FullPathCache(tree)
-            outcome(cache.fp_lookup, p, OWNER)  # the fill; refused when the owner's bit is clear
-            assert outcome(cache.fp_lookup, p, cred) == want, (p.text, cred)
+            outcome(cache.lookup, p, OWNER)  # the fill; refused when the owner's bit is clear
+            assert outcome(cache.lookup, p, cred) == want, (p.text, cred)
             assert outcome(baseline.lookup, p, cred) == want, (p.text, cred)
 
 
@@ -336,7 +336,7 @@ def _twin_engines_agree(monkeypatch, threadsafe):
         return lambda: tree.chmod_node(path, tree._resolve_admin(path).mode)
 
     rng = random.Random(1125)
-    files = [trees[0].materialize_path(d) for d in trees[0].nodes[1:] if d.children is None]
+    files = [path_of(d) for d in trees[0].nodes[1:] if d.children is None]
     hot = rng.sample(files, 24)
     seen = collections.Counter()
     for step in range(3000):
@@ -494,7 +494,7 @@ def test_path_map_hits_answer_as_scanned_hits_do():
         tree.chmod_node(mkpath("/a2/b1"), 0o705)  # group may not cross /a2/b1
         engines.append(engine_with_pool(tree, pivot_paths))
     pool = engines[0].manager.working_pool
-    texts = [tree.materialize_path(d).text for d in tree.nodes[1:]]
+    texts = [path_of(d).text for d in tree.nodes[1:]]
     rng = random.Random(4041)
     seen = collections.Counter()
     for _step in range(2000):

@@ -28,6 +28,7 @@ from conftest import (
     FIG4_PATHS,
     mkpath,
     make_tree,
+    path_of,
     pool_shape,
     random_tree_paths,
     reference_build_pool,
@@ -236,16 +237,16 @@ def test_working_pool_equals_a_fresh_build_of_its_targets_randomized(threadsafe)
                 elif roll < 0.85:
                     parent = rng.choice([d for d in live if d.kind == DIR] or [tree.root])
                     n_new += 1
-                    tree.create_node(tree.materialize_path(parent), f"n{n_new}", rng.choice((DIR, FILE)), 0o755)
+                    tree.create_node(path_of(parent), f"n{n_new}", rng.choice((DIR, FILE)), 0o755)
                 elif roll < 0.9:
                     d, new_parent = rng.choice(live), rng.choice([d for d in live if d.kind == DIR] or [tree.root])
                     n_new += 1
-                    new = tree.materialize_path(new_parent).components + (f"n{n_new}",)
-                    tree.rename_node(tree.materialize_path(d), PathBuf(new))
+                    new = path_of(new_parent).components + (f"n{n_new}",)
+                    tree.rename_node(path_of(d), PathBuf(new))
                 elif roll < 0.95:
-                    tree.chmod_node(tree.materialize_path(rng.choice(live)), rng.choice(modes))
+                    tree.chmod_node(path_of(rng.choice(live)), rng.choice(modes))
                 else:
-                    tree.unlink_node(tree.materialize_path(rng.choice([d for d in live if not d.children])))
+                    tree.unlink_node(path_of(rng.choice([d for d in live if not d.children])))
             except EngineError:
                 seen["refused"] += 1
             pool = mgr.working_pool
@@ -590,7 +591,7 @@ def test_covered_run_is_the_slice_rules_run_randomized(threadsafe):
             k = rng.randrange(pv.depth)
             queries.setdefault(pv.names[:k] + ("zz",) + pv.names[k + 1 :], "a name no pivot has")
         for d in rng.sample(tree.nodes[1:], min(8, len(tree.nodes) - 1)):
-            queries.setdefault(tree.materialize_path(d).components, "tree path")
+            queries.setdefault(path_of(d).components, "tree path")
         for prefix, kind in queries.items():
             start, end = pool.covered_run(prefix)
             want = _slice_rule(pivots, prefix)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from stagewalk import DIR, FILE, Credential, EngineError, FullPathCache, NotFound, OriginalLookup
-from conftest import make_node, make_tree, mkpath, oracle_resolve, outcome
+from conftest import make_node, make_tree, mkpath, oracle_resolve, outcome, path_of
 
 OWNER = Credential.OWNER
 
@@ -14,9 +14,9 @@ def test_warm_hit_two_scans_no_visits():
     tree = make_tree(files=("/a0/b0/c0/d0/e0/f0/g0/h0",))
     cache = FullPathCache(tree)
     p = mkpath("/a0/b0/c0/d0/e0/f0/g0/h0")
-    cache.fp_lookup(p)  # cold fill
+    cache.lookup(p)  # cold fill
     visited0, chars0 = cache.metrics.dentries_visited, cache.metrics.char_comparisons
-    nid = cache.fp_lookup(p)  # warm
+    nid = cache.lookup(p)  # warm
     assert nid == tree._resolve_admin(p).id
     assert cache.metrics.dentries_visited - visited0 == 0
     assert cache.metrics.char_comparisons - chars0 == 2 * len(p.text)  # exactly two full-path scans
@@ -28,7 +28,7 @@ def test_cold_path_costs_walk_plus_probe():
     baseline = OriginalLookup(tree)
     p = mkpath("/a/b/f")
     baseline.lookup(p)
-    cache.fp_lookup(p)
+    cache.lookup(p)
     assert cache.metrics.dentries_visited == baseline.metrics.dentries_visited
     # cold cost = the probe's single full-path scan + the dual-scan walk
     assert cache.metrics.char_comparisons == baseline.metrics.char_comparisons + len(p.text)
@@ -38,10 +38,10 @@ def test_target_chmod_evicts_its_entry():
     tree = make_tree(files=("/a/b/f",))
     cache = FullPathCache(tree)
     p = mkpath("/a/b/f")
-    cache.fp_lookup(p)
+    cache.lookup(p)
     tree.chmod_node(p, 0o600)  # the hook evicts the entry
     visited0 = cache.metrics.dentries_visited
-    nid = cache.fp_lookup(p)
+    nid = cache.lookup(p)
     assert nid == tree._resolve_admin(p).id
     assert cache.metrics.dentries_visited - visited0 == 3  # the evicted entry forced a full walk
 
@@ -66,7 +66,7 @@ def test_rename_subtree_touch_count_matches_enumeration_oracle():
             pass
     cache = FullPathCache(tree)
     top = mkpath("/a0")
-    want = sum(1 for _ in tree.iter_subtree(tree._resolve_admin(top)))
+    want = sum(1 for _ in tree.iter_subtree(top.text, tree._resolve_admin(top)))
     touched0 = cache.metrics.entries_touched
     tree.rename_node(top, mkpath("/zz"))
     assert cache.metrics.entries_touched - touched0 == want
@@ -83,10 +83,10 @@ def test_empty_cache_still_counts_whole_subtree():
 def test_stale_entries_not_served_after_ancestor_rename():
     tree = make_tree("/a/b", files=("/a/b/f",))
     cache = FullPathCache(tree)
-    cache.fp_lookup(mkpath("/a/b/f"))
+    cache.lookup(mkpath("/a/b/f"))
     tree.rename_node(mkpath("/a/b"), mkpath("/a/c"))
-    assert outcome(cache.fp_lookup, mkpath("/a/b/f"), OWNER) == "err:NotFound"
-    assert outcome(cache.fp_lookup, mkpath("/a/c/f"), OWNER).startswith("ok:")
+    assert outcome(cache.lookup, mkpath("/a/b/f"), OWNER) == "err:NotFound"
+    assert outcome(cache.lookup, mkpath("/a/c/f"), OWNER).startswith("ok:")
 
 
 def test_unlinked_entry_not_served_and_recreated_name_resolves_anew():
@@ -94,14 +94,14 @@ def test_unlinked_entry_not_served_and_recreated_name_resolves_anew():
     tree = make_tree("/a", files=("/a/f",))
     cache = FullPathCache(tree)
     p = mkpath("/a/f")
-    old_id = cache.fp_lookup(p)
+    old_id = cache.lookup(p)
     tree.unlink_node(p)
     with pytest.raises(NotFound):
-        cache.fp_lookup(p)
+        cache.lookup(p)
     new_id = tree.create_node(mkpath("/a"), "f", FILE, 0o644)
     assert new_id != old_id
-    assert cache.fp_lookup(p) == new_id
-    assert cache.fp_lookup(p) == new_id  # warm again
+    assert cache.lookup(p) == new_id
+    assert cache.lookup(p) == new_id  # warm again
 
 
 @pytest.mark.parametrize("cred", list(Credential), ids=lambda c: c.name.lower())
@@ -134,7 +134,7 @@ def test_randomized_equivalence_with_original(cred):
                 pass
         else:
             p = mkpath(rng.choice(paths))
-            got = outcome(cache.fp_lookup, p, cred)
+            got = outcome(cache.lookup, p, cred)
             assert got == outcome(baseline.lookup, p, cred) == oracle_resolve(tree, p, cred), (step, p.text)
 
 
@@ -152,7 +152,7 @@ def test_every_cached_path_resolves_to_its_id_under_random_churn():
     cache = FullPathCache(tree)
     ever = set()  # every path that has named a node, so lookups also miss
     for step in range(1500):
-        live = sorted(tree.materialize_path(d).text for d in tree.nodes[2:] if not d.dead)
+        live = sorted(path_of(d).text for d in tree.nodes[2:] if not d.dead)
         ever.update(live)
         p = mkpath(rng.choice(live))
         roll = rng.random()
@@ -168,7 +168,7 @@ def test_every_cached_path_resolves_to_its_id_under_random_churn():
             else:
                 q = mkpath(rng.choice(sorted(ever)))
                 for cred in Credential:
-                    assert outcome(cache.fp_lookup, q, cred) == oracle_resolve(tree, q, cred), (step, q.text, cred)
+                    assert outcome(cache.lookup, q, cred) == oracle_resolve(tree, q, cred), (step, q.text, cred)
         except EngineError:
             pass  # a mutation the tree refuses changes nothing
         for text, (node_id, bits) in cache._entries.items():
@@ -197,7 +197,7 @@ def test_owner_warmed_entry_answers_group_and_other_as_the_walk_does(root_mode, 
 
     def counted(cred):
         visited0, chars0 = cache.metrics.dentries_visited, cache.metrics.char_comparisons
-        got = outcome(cache.fp_lookup, p, cred)
+        got = outcome(cache.lookup, p, cred)
         return got, cache.metrics.dentries_visited - visited0, cache.metrics.char_comparisons - chars0
 
     assert counted(OWNER) == (f"ok:{nid}", 3, probe + walk)  # the fill

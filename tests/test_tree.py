@@ -28,7 +28,7 @@ from stagewalk import (
     gen_tree,
 )
 from stagewalk.locks import NullRWLock, RWLock
-from conftest import TRAV_BIT, make_node, make_tree, mkpath, oracle_resolve, outcome, reference_walk
+from conftest import TRAV_BIT, make_node, make_tree, mkpath, oracle_resolve, outcome, path_of, reference_walk
 
 OWNER = Credential.OWNER
 
@@ -229,7 +229,7 @@ def test_children_maps_are_the_only_index():
 def test_iter_subtree_spells_each_live_dentry_under_its_top():
     """After a rename, an unlink and a create, a walk from the root and one
     from an inner directory yield each live dentry under their top once,
-    with the text `materialize_path` spells for it; the root's is "/"."""
+    with the text `path_of` spells for it; the root's is "/"."""
     tree = make_tree("/a/b/c", "/a/d", "/x/y", files=("/a/b/c/f", "/x/y/g", "/x/y/h"))
     tree.rename_node(mkpath("/a/b/c"), mkpath("/x/c"))
     tree.unlink_node(mkpath("/x/y/h"))
@@ -240,13 +240,14 @@ def test_iter_subtree_spells_each_live_dentry_under_its_top():
             d = d.parent
         return d is top
 
-    for top, size in ((tree.root, 10), (tree._resolve_admin(mkpath("/x")), 6)):
-        walked = list(tree.iter_subtree(top))
-        assert walked[0] == (tree.materialize_path(top).text, top) and len(walked) == size
-        assert all(text == tree.materialize_path(d).text for text, d in walked)
+    for top_text, size in (("/", 10), ("/x", 6)):
+        top = tree._resolve_admin(mkpath(top_text))
+        walked = list(tree.iter_subtree(top_text, top))
+        assert walked[0] == (top_text, top) and len(walked) == size
+        assert all(text == path_of(d).text for text, d in walked)
         live = [d for d in tree.nodes[1:] if not d.dead and under(d, top)]
         assert sorted(d.id for _text, d in walked) == sorted(d.id for d in live)
-    assert {text for text, _d in tree.iter_subtree(tree.root)} >= {"/", "/x/c/f", "/x/c/n"}
+    assert {text for text, _d in tree.iter_subtree("/", tree.root)} >= {"/", "/x/c/f", "/x/c/n"}
 
 
 def test_dead_and_kind_follow_the_children_maps_randomized():
@@ -271,18 +272,18 @@ def test_dead_and_kind_follow_the_children_maps_randomized():
                 if roll < 0.45:
                     parent, kind = rng.choice(dirs), rng.choice((DIR, FILE))
                     slot = (parent.id, name)
-                    kinds[tree.create_node(tree.materialize_path(parent), name, kind, 0o755)] = kind
+                    kinds[tree.create_node(path_of(parent), name, kind, 0o755)] = kind
                     seen["created again" if slot in freed else "created"] += 1
                 elif roll < 0.7 and len(live) > 1:
                     d, new_parent = rng.choice(live[1:]), rng.choice(dirs)
                     old_slot, slot = (d.parent.id, d.name), (new_parent.id, name)
-                    target = PathBuf(tree.materialize_path(new_parent).components + (name,))
-                    tree.rename_node(tree.materialize_path(d), target)
+                    target = PathBuf(path_of(new_parent).components + (name,))
+                    tree.rename_node(path_of(d), target)
                     freed.add(old_slot)
                     seen["renamed onto a freed name" if slot in freed else "renamed"] += 1
                 elif len(live) > 1:
                     d = rng.choice(live[1:])
-                    tree.unlink_node(tree.materialize_path(d))
+                    tree.unlink_node(path_of(d))
                     unlinked.add(d.id)
                     freed.add((d.parent.id, d.name))
                     seen["unlinked"] += 1
@@ -507,7 +508,7 @@ def _random_walk_tree(rng: random.Random):
             continue
         kind = FILE if rng.random() < 0.35 else DIR
         mode = rng.choice(_FILE_MODES if kind == FILE else _DIR_MODES)
-        d = tree.nodes[tree.create_node(tree.materialize_path(parent), name, kind, mode)]
+        d = tree.nodes[tree.create_node(path_of(parent), name, kind, mode)]
         dentries.append(d)
         if kind == DIR:
             dirs.append(d)
@@ -552,11 +553,11 @@ def test_walk_matches_reference_randomized():
                 before = ref_m.dentries_visited
                 want = _walk_result(reference_walk, tree, start, comps, cred, ref_m)
                 got = _walk_result(tree.walk_from, start, comps, cred, new_m, text_len)
-                assert got == want, (tree.materialize_path(start), comps, cred)
+                assert got == want, (path_of(start), comps, cred)
                 assert (new_m.dentries_visited, new_m.char_comparisons) == (
                     ref_m.dentries_visited,
                     ref_m.char_comparisons,
-                ), (tree.materialize_path(start), comps, cred)
+                ), (path_of(start), comps, cred)
                 resolved = ref_m.dentries_visited - before
                 inner = "inner" if start is not tree.root else "root"
                 if want[0] == "PermissionDenied":
