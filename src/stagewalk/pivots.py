@@ -180,7 +180,7 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
     """
     by_names: dict[tuple[str, ...], tuple[int, list[Dentry]]] = {}
     for d in candidates:
-        if d is None or d.dead:
+        if d.dead:
             continue  # SkippedDead
         names: list[str] = []
         chain: list[Dentry] = []

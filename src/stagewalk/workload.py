@@ -239,31 +239,29 @@ def read_trace(in_path: str) -> list[TraceEvent]:
 
 
 class _Universe:
-    """Path bookkeeping for the synthesizer; mirrors its own mutations."""
+    """The synthesizer's mirror of the tree, which it never changes: files and
+    dirs (root aside) as dentries in path-text order, the names its renames
+    set, and detached dentries for its creates; `text` spells a path."""
 
     def __init__(self, tree: DirTree):
-        self.files: list[str] = []
-        self.dirs: list[str] = []
+        texts, nodes = [], []
         for text, d in tree.iter_subtree("/", tree.root):
-            if d.kind == FILE:
-                self.files.append(text)
-            elif d.parent is not None:
-                self.dirs.append(text)
-        self.files.sort()
-        self.dirs.sort()
-        dir_file_depth = max((p.count("/") for p in self.files), default=1)
-        self.deepest_dirs = [p for p in self.dirs if p.count("/") == dir_file_depth - 1]
-        # every path list a rename must update; the synthesizer adds its own
-        self.pools = [self.files, self.dirs, self.deepest_dirs]
+            texts.append(text)
+            nodes.append(d)
+        # sorted by index: a (text, dentry) tuple kept per node sets off GC passes over the tree
+        order = sorted(range(1, len(nodes)), key=texts.__getitem__)  # 0 is the root
+        depth = max((texts[i].count("/") for i in order if nodes[i].children is None), default=1) - 1
+        self.files = [nodes[i] for i in order if nodes[i].children is None]
+        self.dirs = [nodes[i] for i in order if nodes[i].children is not None]
+        self.deepest_dirs = [nodes[i] for i in order if nodes[i].children is not None and texts[i].count("/") == depth]
+        self.names: dict[Dentry, str] = {}
 
-    def apply_rename(self, old: str, new: str) -> None:
-        """Move `old` and every path under it to `new`, as the tree will."""
-        under = old + "/"
-        cut = len(old)
-        for pool in self.pools:
-            for i, p in enumerate(pool):
-                if p == old or p.startswith(under):
-                    pool[i] = new + p[cut:]
+    def text(self, d: Dentry) -> str:
+        parts = []
+        while d.parent is not None:
+            parts.append(self.names.get(d, d.name))
+            d = d.parent
+        return "/" + "/".join(reversed(parts))
 
 
 def _zipf_weight(rank: int, s: float) -> float:
@@ -325,29 +323,32 @@ def synth_trace(
     Models: "uniform" targets leaves uniformly; "hotdir-zipf" concentrates
     targets under `hot_dirs` directories with Zipf exponent `zipf_s`;
     "replay-like" emits bursts of opens separated by compressed four-second
-    gaps. Mutation mix is controlled by p_rename / p_chmod / p_create
-    (renames pick files or directories, always to fresh names). Raises
-    ConfigError where `check_synth_settings` does.
+    gaps. Mutation mix is controlled by p_rename / p_chmod / p_create: a
+    rename moves a file or directory to `r<k>` under the same parent, a
+    create adds `n<k>` under a directory. The tree is not changed. Raises
+    ConfigError where `check_synth_settings` does, and before any random
+    draw for a tree whose deepest file is under the root or that has none.
     """
     check_synth_settings(model, n_events, p_rename, p_chmod, p_create, hot_dirs, zipf_s)
-    rng = random.Random(seed)
     uni = _Universe(tree)
+    if not uni.deepest_dirs:
+        raise ConfigError("synth_trace needs a tree whose deepest file is below a directory other than the root")
+    rng = random.Random(seed)
     events: list[TraceEvent] = []
     at_ms = 0
     rename_seq = 0
     create_seq = 0
 
-    k = max(1, min(hot_dirs, len(uni.deepest_dirs)))
+    k = min(hot_dirs, len(uni.deepest_dirs))
     hot = rng.sample(uni.deepest_dirs, k)
     weights = [_zipf_weight(rank, zipf_s) for rank in range(k)]
-    hot_children = [[f for f in uni.files if f.rsplit("/", 1)[0] == hd] or [hd] for hd in hot]
-    uni.pools += hot_children
+    hot_children = [[c for _, c in sorted(hd.children.items()) if c.children is None] or [hd] for hd in hot]
 
     def pick_target() -> str:
         if model == "uniform":
-            return rng.choice(uni.files)
+            return uni.text(rng.choice(uni.files))
         kids = rng.choices(hot_children, weights=weights, k=1)[0]
-        return rng.choice(kids)
+        return uni.text(rng.choice(kids))
 
     p_mut = p_rename + p_chmod + p_create
     for i in range(n_events):
@@ -357,20 +358,18 @@ def synth_trace(
             at_ms += _STEP_MS
         roll = rng.random()
         if roll < p_rename:
-            old = rng.choice(uni.files) if rng.random() < 0.5 else rng.choice(uni.dirs)
-            parent, _, _name = old.rpartition("/")
+            d = rng.choice(uni.files) if rng.random() < 0.5 else rng.choice(uni.dirs)
+            old = uni.text(d)
             rename_seq += 1
-            new = f"{parent}/r{rename_seq}"
-            events.append(TraceEvent("rename", old, at_ms, new_path=new))
-            uni.apply_rename(old, new)
+            uni.names[d] = f"r{rename_seq}"
+            events.append(TraceEvent("rename", old, at_ms, new_path=uni.text(d)))
         elif roll < p_rename + p_chmod:
             target = rng.choice(uni.dirs) if rng.random() < 0.8 else rng.choice(uni.files)
-            events.append(TraceEvent("chmod", target, at_ms, mode=rng.choice(_CHMOD_MODES)))
+            events.append(TraceEvent("chmod", uni.text(target), at_ms, mode=rng.choice(_CHMOD_MODES)))
         elif roll < p_mut:
-            parent = rng.choice(uni.dirs)
             create_seq += 1
-            new = f"{parent}/n{create_seq}"
-            events.append(TraceEvent("create", new, at_ms, mode=_FILE_MODE))
+            new = Dentry(0, rng.choice(uni.dirs), f"n{create_seq}", FILE, _FILE_MODE)
+            events.append(TraceEvent("create", uni.text(new), at_ms, mode=_FILE_MODE))
             uni.files.append(new)
         else:
             op = "stat" if rng.random() < _P_STAT else "open"

@@ -259,7 +259,7 @@ def reference_build_pool(candidates, bound: int, current: Optional[PivotPool] = 
     build_pool keeps it."""
     by_path: dict[str, tuple[int, tuple[str, ...], tuple[Dentry, ...], tuple[int, ...]]] = {}
     for d in candidates:
-        if d is None or d.dead:
+        if d.dead:
             continue
         names: list[str] = []
         chain: list[Dentry] = []

@@ -12,10 +12,13 @@ from pathlib import Path
 import pytest
 
 from stagewalk import (
+    DIR,
+    FILE,
     SIX_LEVEL_PRESET,
     STRATEGIES,
     ConfigError,
     Credential,
+    DirTree,
     Metrics,
     SpecInvalid,
     StageLookupEngine,
@@ -269,17 +272,34 @@ def test_synth_trace_bytes_pinned_and_tree_untouched():
 
 
 def test_renamed_directory_moves_descendant_paths():
+    """The synthesizer's mirror follows its own renames and creates: every
+    path it writes exists, and no create or rename finds its name taken,
+    when the trace replays on a fresh tree."""
     spec = TreeSpec(levels=[6, 6, 6, 6], seed=1)
-    for model in ("uniform", "hotdir-zipf"):
-        trace = synth_trace(gen_tree(spec), model, n_events=20_000, p_rename=0.01, p_chmod=0.01, seed=5)
+
+    def under_renamed_dir(path: str) -> bool:
+        return any(c.startswith("r") for c in path.split("/")[1:-1])
+
+    for model in ("uniform", "hotdir-zipf", "replay-like"):
+        trace = synth_trace(
+            gen_tree(spec), model, n_events=20_000, p_rename=0.01, p_chmod=0.01, p_create=0.01, seed=5
+        )
         outcomes = replay(trace, make_resolver("original", gen_tree(spec)))
         assert outcomes.count("err:NotFound") == 0, model
-        # lookups do pass through renamed directories, so the check means something
-        through = [
-            ev for ev in trace
-            if ev.op in ("stat", "open") and any(c.startswith("r") for c in ev.path.split("/")[1:-1])
-        ]
-        assert through, model
+        assert outcomes.count("err:AlreadyExists") == 0, model
+        # lookups do pass through renamed directories, and some event names a
+        # created file under one, so the checks mean something
+        assert any(ev.op in ("stat", "open") and under_renamed_dir(ev.path) for ev in trace), model
+        assert any(ev.path.rsplit("/", 1)[1].startswith("n") and under_renamed_dir(ev.path) for ev in trace), model
+
+
+@pytest.mark.parametrize("nodes", [[], [("a", DIR)], [("f", FILE)]], ids=["empty", "dir-only", "file-at-root"])
+def test_tree_without_a_file_below_a_directory_raises_config_error(nodes):
+    tree = DirTree()
+    for name, kind in nodes:
+        tree.create_node(mkpath("/"), name, kind, 0o755)
+    with pytest.raises(ConfigError, match="deepest file"):
+        synth_trace(tree, "uniform", n_events=5)
 
 
 def test_replay_like_has_compressed_gaps():
