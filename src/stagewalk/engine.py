@@ -17,18 +17,25 @@ indexes no component array, compares no lengths and never splits the path
 (see `paths`); it keeps the pair the map stores, so it builds no tuple
 either. Only a path-map miss calls `find_best_pivot`, and every threadsafe
 lookup does. The two branches share the histogram bump, the `out` append
-and the heat call. Stage Two resolves the remaining components through the
-children maps exactly like the original walk, starting from the matched
-component's dentry, which the pivot holds per depth (so landing on an
-ancestor of the pivot is a direct array index, recorded as rolled_up, and
-no id is looked up in `tree.nodes`). The skipped prefix's permission check
-is the walk's own exec-bit test, `mode & cred`, made once on the AND of the
-skipped components' modes taken at build time. The heat update is one
-call, `observe_target`, taken under the heat lock on a threadsafe tree
-only. The candidate set holds the engine's heat version and members, and
-the heat itself lives on the tree's dentries, so a tree takes at most one
-stage engine: building a second raises ConfigError, as a kernel keeps one
-dcache.
+and the heat log's append. Stage Two resolves the remaining components
+through the children maps exactly like the original walk, starting from the
+matched component's dentry, which the pivot holds per depth (so landing on
+an ancestor of the pivot is a direct array index, recorded as rolled_up,
+and no id is looked up in `tree.nodes`). The skipped prefix's permission
+check is the walk's own exec-bit test, `mode & cred`, made once on the AND
+of the skipped components' modes taken at build time.
+
+A lookup applies no heat: it appends its target to the engine's heat log,
+which is atomic under the GIL, so it takes no lock and calls nothing for
+heat on either tree kind. The manager's period applies the log under the
+heat lock before it reads the members (`apply_heat`), as BP-Wrapper (Ding,
+Jiang and Zhang, ICDE 2009) commits its access queue in batches; a lookup
+applies it in order itself when it reaches `HEAT_LOG_BOUND` entries. Only
+the period reads heat and the candidate set, so the period sees what a heat
+call per lookup would have left. The candidate set holds the engine's heat
+version and members, and the heat itself lives on the tree's dentries, so a
+tree takes at most one stage engine: building a second raises ConfigError,
+as a kernel keeps one dcache.
 
 A scanned hit decides from the path's length whether anything is left to
 walk: the matched component holds the length of the pivot's path text
@@ -60,7 +67,9 @@ repaired, so its AND of modes is current (the Tiny RCU argument of
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 from .errors import ConfigError, ContractViolation, NotFound, PermissionDenied
@@ -70,6 +79,10 @@ from .metrics import Metrics
 from .paths import PathBuf
 from .pivots import Pivot, ScanStats, find_best_pivot
 from .tree import DIR, FILE, Credential, Dentry, DirTree
+
+# logged targets at which a lookup applies the log itself, which bounds the
+# log's memory for a caller that seldom ticks (BP-Wrapper's batch threshold)
+HEAT_LOG_BOUND = 4096
 
 
 @dataclass(slots=True)
@@ -157,7 +170,8 @@ class StageLookupEngine(_ResolverBase):
         super().__init__(tree)
         self.candidates = CandidateSet(heat_capacity, heat_threshold)
         self.heat_lock = threading.Lock()
-        self.manager = PivotManager(tree, self.candidates, self.heat_lock, pool_bound=pool_size)
+        self._heat_log: list[Dentry] = []
+        self.manager = PivotManager(tree, self.candidates, self.heat_lock, self.apply_heat, pool_bound=pool_size)
         # a single-threaded engine reuses one ScanStats; a threadsafe one
         # makes one per lookup, since threads would share a reused one
         self._stats = None if tree.threadsafe else ScanStats()
@@ -170,6 +184,39 @@ class StageLookupEngine(_ResolverBase):
     def tick(self, periods: int = 1) -> None:
         super().tick(periods)
         self.manager.periodic_update(periods)
+
+    def apply_heat(self, period_end: bool = False) -> None:
+        """Apply the logged targets' heat, oldest first, and empty the log.
+        The caller holds the heat lock on a threadsafe tree.
+
+        The batch is the log's first `n` entries, so a target that another
+        thread appends meanwhile stays for the next drain. By default, and
+        whenever the candidate set already has members, the batch is
+        replayed in order, one `observe_target` per lookup. A `period_end`
+        drain into an empty set, the manager's, may instead make one call
+        per distinct target with its count, for the first `capacity`
+        targets in first-seen order, when each later target was looked up
+        at most threshold + 1 times. That is exact: each of the first
+        `capacity` is admitted at its first lookup and ends with its count
+        as its heat, and no later one ever exceeds threshold + 1 heat, so a
+        full set never offers it to `maybe_admit`, which alone reads the
+        cursor. The later targets' heat stays stale, as the period's
+        advance would make it anyway; a drain that is not followed by the
+        advance must therefore replay in order."""
+        log = self._heat_log
+        n = len(log)
+        batch = log[:n]
+        del log[:n]
+        candidates = self.candidates
+        if period_end and not len(candidates):
+            counts = Counter(batch)  # keys in first-seen order
+            capacity = candidates.capacity
+            if max(islice(counts.values(), capacity, None), default=0) <= candidates.threshold + 1:
+                for target, hits in islice(counts.items(), capacity):
+                    observe_target(target, candidates, hits)
+                return
+        for target in batch:
+            observe_target(target, candidates)
 
     def lookup(self, path: PathBuf, cred: Credential = Credential.OWNER, out: Optional[list] = None) -> int:
         """Both stages; returns the target's id. When `out` is a list, a
@@ -233,12 +280,11 @@ class StageLookupEngine(_ResolverBase):
             hist[depth] = hist.get(depth, 0) + 1
             if out is not None:
                 out.append(hit)
-        # heat updates take heat_lock on a threadsafe tree only, which never answers from the path map
-        if entry is None and tree.threadsafe:
+        log = self._heat_log
+        log.append(target)  # atomic under the GIL: the read side takes no lock
+        if len(log) >= HEAT_LOG_BOUND:
             with self.heat_lock:
-                observe_target(target, self.candidates)
-        else:
-            observe_target(target, self.candidates)
+                self.apply_heat()
         return target.id
 
     def stage_lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> StageResult:

@@ -9,9 +9,11 @@ a reclaim queue and are poisoned (freed flag) only once every reader
 registered before their retirement has exited, which the sentinel checks in
 find_best_pivot turn into hard failures on any protocol bug.
 
-Each period the manager builds a pool from the candidates looked up at least
-POPULAR_HEAT times in that period; a period whose kept names equal the
-working pool's keeps that pool, and so does an idle period, one with no
+Each period the manager first applies the engine's heat log under the heat
+lock (the engine's `apply_heat`, which it hands the manager), since lookups
+only log their targets, and then builds a pool from the candidates looked up
+at least POPULAR_HEAT times in that period; a period whose kept names equal
+the working pool's keeps that pool, and so does an idle period, one with no
 candidate looked up twice: shortcuts outlive a quiet spell, or a spell of
 targets each seen once, as dcache entries stay until something displaces
 them. A metadata modification finds the pivots its path covers by bisecting
@@ -45,7 +47,7 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import nullcontext
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import ConfigError, ContractViolation
 from .heat import CandidateSet
@@ -92,13 +94,15 @@ class ReclaimQueue:
 
 class PivotManager:
     """Owns the working pool and the candidate set's period lifecycle. A
-    negative `pool_bound` raises ConfigError."""
+    negative `pool_bound` raises ConfigError. `apply_heat(True)`, when
+    given, applies the lookups' pending heat at the start of each period."""
 
     def __init__(
         self,
         tree: DirTree,
         candidates: CandidateSet,
         heat_lock: threading.Lock,
+        apply_heat: Optional[Callable[[bool], None]] = None,
         pool_bound: int = 16,
     ):
         if pool_bound < 0:
@@ -106,6 +110,7 @@ class PivotManager:
         self._tree = tree
         self._candidates = candidates
         self._heat_lock = heat_lock
+        self._apply_heat = apply_heat
         self.pool_bound = pool_bound
         self.working_pool = PivotPool([])
         self.working_pool.published = True
@@ -178,13 +183,16 @@ class PivotManager:
         return self.ticks
 
     def _period(self) -> None:
-        """One period: build from the members at heat POPULAR_HEAT or more
-        (every member holds the current version, so its heat is this
-        period's) and install the build under the same tree read lock. With
-        none, `build_pool` returns the working pool, which the period keeps
-        while it still advances."""
+        """One period: apply the heat log, whose drain may count it since
+        the advance follows, then build from the members at heat
+        POPULAR_HEAT or more (every member holds the current version, so its
+        heat is this period's) and install the build under the same tree
+        read lock. With none, `build_pool` returns the working pool, which
+        the period keeps while it still advances."""
         self.ticks += 1
         with self._heat_lock:
+            if self._apply_heat is not None:
+                self._apply_heat(True)
             candidates = [d for d in self._candidates.members() if d.heat >= POPULAR_HEAT]
         self._tree.lock.acquire_read()
         try:

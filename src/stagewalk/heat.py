@@ -14,9 +14,13 @@ is a candidate and never a pivot.
 Membership lives in the set and heat on the dentry, whose one owner is the
 tree's only stage engine (a second engine on the tree raises ConfigError).
 
-The heat rule has one copy, written inline in `observe_target` because it
-runs once per lookup. The cursor rule's one-line test is written there, for
-members, and in `maybe_admit`'s admission branch.
+A lookup does not apply heat itself: the engine logs its target, and the
+period applies the log before it reads the members (`engine.apply_heat`).
+The heat rule has one copy, written inline in `observe_target`, which the
+drain calls once per logged target, or once per distinct target with
+`hits` set to that target's count where the drain has shown the counts give
+the same members and heat. The cursor rule's one-line test is written
+there, for members, and in `maybe_admit`'s admission branch.
 """
 
 from __future__ import annotations
@@ -110,21 +114,26 @@ class CandidateSet:
             raise ContractViolation("cursor references a non-member")
 
 
-def observe_target(dentry: Dentry, cset: CandidateSet) -> int:
-    """Heat pipeline for one resolved lookup target; returns its new heat.
+def observe_target(dentry: Dentry, cset: CandidateSet, hits: int = 1) -> int:
+    """Heat pipeline for `hits` lookups of one target; returns its new heat.
 
-    The heat rule: bump the target's heat, or reset it to 1 if its version
-    is not the set's. Then a member takes the cursor when its heat is below
-    the cursor's referent's (never on a tie, so the referent itself leaves
-    it in place), and a non-member is offered to `maybe_admit` unless the
-    set is full and its heat is at most threshold + 1: members hold the
-    current version, so each has heat 1 or more, and the cursor's referent
-    would need less than 1 for it to win."""
+    The heat rule: add `hits` to the target's heat, or set it to `hits` if
+    its version is not the set's. Then a member takes the cursor when its
+    heat is below the cursor's referent's (never on a tie, so the referent
+    itself leaves it in place), and a non-member is offered to `maybe_admit`
+    unless the set is full and its heat is at most threshold + 1: members
+    hold the current version, so each has heat 1 or more, and the cursor's
+    referent would need less than 1 for it to win.
+
+    `hits` is the number of lookups of the target that one call stands for.
+    It is 1 except in the period-end drain, which passes a target's count
+    only where one call per distinct target leaves the same members and
+    heat as a call per lookup (`engine.StageLookupEngine.apply_heat`)."""
     version = cset.version
     if dentry.heat_version == version:
-        heat = dentry.heat = dentry.heat + 1
+        heat = dentry.heat = dentry.heat + hits
     else:
-        heat = dentry.heat = 1
+        heat = dentry.heat = hits
         dentry.heat_version = version
     members = cset._members
     if dentry in members:

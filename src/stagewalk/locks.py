@@ -8,9 +8,12 @@ walks take the read side.
 
 `DirTree.threadsafe` also decides the stage engine's read side: only a
 threadsafe tree keeps the reader-token registry (`PivotManager`), under a
-lock, and takes the heat lock around the heat update. A single-threaded tree
-registers no readers at all, since on one thread nothing reclaims a pool
-inside a lookup. Concurrent lookups therefore need a threadsafe tree.
+lock. A single-threaded tree registers no readers at all, since on one
+thread nothing reclaims a pool inside a lookup. Concurrent lookups therefore
+need a threadsafe tree. No lookup takes the heat lock on either kind: a
+lookup appends its target to the engine's heat log, which the GIL keeps
+atomic, and the manager's period, or a lookup that finds the log full,
+applies the log under the heat lock.
 """
 
 from __future__ import annotations

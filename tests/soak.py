@@ -153,6 +153,7 @@ def run_soak(
     report_.pool_violations = verify_pool(engine.manager.working_pool)
     try:
         with engine.heat_lock:
+            engine.apply_heat()  # the lookups since the last tick, logged but not yet applied
             engine.candidates.validate()
     except EngineError as exc:
         report_.contract_violations.append(f"candidate set: {exc}")

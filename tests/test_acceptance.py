@@ -287,6 +287,7 @@ def test_c6_heat_epoch_directed():
     tree = make_tree(files=("/a0/b0/c0/d0/e0/f0/g0/h0",))
     engine = StageLookupEngine(tree)
     engine.stage_lookup(mkpath("/a0/b0/c0/d0/e0/f0/g0/h0"))
+    engine.apply_heat()  # a lookup logs its target; the drain applies its heat
     target = tree._resolve_admin(mkpath("/a0/b0/c0/d0/e0/f0/g0/h0"))
     anc_heats = []
     cur = target.parent
@@ -323,17 +324,20 @@ def test_c6_heat_epoch_directed():
 
     # the drain, through the engine: a swap empties the candidate set, and the
     # next period's first lookup starts it again; each file is looked up
-    # twice, so each is popular enough to become a pivot at the tick
+    # twice, so each is popular enough to become a pivot at the tick; the
+    # explicit drains show the members the lookups make before the period
     files = ("/d/f0", "/d/f1", "/d/f2")
     engine4 = StageLookupEngine(make_tree(files=files), heat_capacity=8)
     for text in files:
         engine4.stage_lookup(mkpath(text))
         engine4.stage_lookup(mkpath(text))
+    engine4.apply_heat()
     before = engine4.candidates.members()
     engine4.tick()
     drained = len(before) == 3 and len(engine4.candidates) == 0 and engine4.candidates.least_popular is None
     drained = drained and all(m not in engine4.candidates for m in before)
     engine4.stage_lookup(mkpath("/d/f1"))
+    engine4.apply_heat()
     cset4 = engine4.candidates
     restarted = [m.name for m in cset4.members()] == ["f1"] and cset4.least_popular.name == "f1"
     checks.append(drained and restarted and engine4.manager.working_pool.size == 3)

@@ -20,9 +20,16 @@ import spans  # noqa: E402
 HOT = ("/a0/b1/c2/d0", "/a1/b0/c0/d0", "/a2/b2/c1/d0")
 
 
+# heat.observe_target spans of stage's traced replay: the tick's drain makes
+# one call per distinct hot target, counted, and the closing drain one call
+# per lookup since the tick, in order
+STAGE_HEAT_CALLS = len(HOT) + 2 * len(HOT)
+
+
 def traced_replay(strategy: str, threadsafe: bool = False) -> tuple[Counter, int]:
-    """Stats, one tick, opens, one rename, stats and opens; returns the span
-    count per name and the number of lookups made.
+    """Stats, one tick, opens, one rename, stats and opens, then stage's
+    drain of its heat log; returns the span count per name and the number
+    of lookups made.
 
     `open` is `lookup`, read off the resolver on each access, so the opens
     count as lookups only if the wrapper installed on the class reaches them."""
@@ -39,6 +46,8 @@ def traced_replay(strategy: str, threadsafe: bool = False) -> tuple[Counter, int
         resolver.open(mkpath("/a0/r0/c2/d0"))  # a Stage One scan for stage
         for text in HOT[1:]:
             resolver.stat(mkpath(text))
+        if strategy == "stage":
+            resolver.apply_heat()
     spans_by_name = Counter(tracer.names[i] for i in tracer.name)
     for idx, note in tracer.notes.items():
         if tracer.names[tracer.name[idx]] == "pivots.find_best_pivot":
@@ -69,7 +78,7 @@ def test_traced_replay_records_each_layer(strategy):
         # epoch.reader_token_us divides by the reader_enter spans
         for name in ("epoch.reader_enter", "epoch.reader_exit", "pivots.find_best_pivot"):
             assert counts[name] == 16, name
-        assert counts["heat.observe_target"] == lookups
+        assert counts["heat.observe_target"] == STAGE_HEAT_CALLS
         assert counts["epoch.periodic_update"] == 1
         assert counts["epoch.invalidate_for_metadata"] == 1
     # the originals are back once the block ends
@@ -79,5 +88,6 @@ def test_traced_replay_records_each_layer(strategy):
 
 def test_threadsafe_traced_replay_makes_one_call_of_each_per_lookup():
     counts, lookups = traced_replay("stage", threadsafe=True)
-    for name in ("epoch.reader_enter", "epoch.reader_exit", "pivots.find_best_pivot", "heat.observe_target"):
+    for name in ("epoch.reader_enter", "epoch.reader_exit", "pivots.find_best_pivot"):
         assert counts[name] == lookups, name
+    assert counts["heat.observe_target"] == STAGE_HEAT_CALLS

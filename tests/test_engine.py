@@ -99,6 +99,7 @@ def test_heat_discipline_target_only():
     engine = engine_with_pool(tree, ["/a0/b0/c0"])
     path = mkpath("/a0/b0/c0/d0/e0/f0/g0/h0")
     engine.stage_lookup(path)
+    engine.apply_heat()  # a lookup logs its target; the drain applies its heat
     target = tree._resolve_admin(path)
     assert target.heat == 1
     cur = target.parent
@@ -106,6 +107,7 @@ def test_heat_discipline_target_only():
         assert cur.heat == 0  # ancestors never heat up
         cur = cur.parent
     engine.stage_lookup(path)
+    engine.apply_heat()
     assert target.heat == 2
 
 
@@ -300,7 +302,7 @@ def test_rename_racing_the_stages_cannot_mix_two_states(monkeypatch, threadsafe)
 
 
 # threadsafe only: on one thread a whole-path hit makes no Stage One call, and
-# nothing but `observe_target` runs between its path-map probe and its result
+# nothing runs between its path-map probe and its result
 @pytest.mark.parametrize("threadsafe", [True])
 def test_unlink_of_the_pivot_racing_the_stages_falls_back(monkeypatch, threadsafe):
     tree = make_tree(files=("/a/b/c/d/f",), threadsafe=threadsafe)
@@ -320,8 +322,8 @@ def test_stage_lookup_reports_what_lookup_did_randomized(monkeypatch):
     reports the pivot and depth `find_best_pivot` gives on the working pool;
     a modification between the two stages leaves it no pivot and one more
     fallback. On a single-threaded tree only lookups that descend are raced:
-    a whole-path hit there is answered from the path map, and nothing but
-    `observe_target` runs between its probe and its result."""
+    a whole-path hit there is answered from the path map, and nothing runs
+    between its probe and its result."""
     for threadsafe in (False, True):
         _twin_engines_agree(monkeypatch, threadsafe)
 
@@ -426,14 +428,15 @@ def _calls_under_lookup(fn):
 def test_whole_path_hit_makes_only_the_traced_calls():
     """A whole-path hit calls the entry points the benchmark traces and,
     in Python, nothing else but a threadsafe lookup's own ScanStats; neither
-    a slash count nor a split of the query. On a single-threaded tree it is
-    answered from the path map, so `observe_target` is its one call; a
+    a slash count nor a split of the query. Its heat is a `list.append` to
+    the engine's log, which the period applies, so on a single-threaded tree,
+    where it is answered from the path map, it makes no Python call at all; a
     threadsafe tree still pins the pool with a reader token around Stage
     One. Every hit on one path keeps the one pair the pool's path map
     stores."""
     for threadsafe, traced in (
-        (False, ["observe_target"]),
-        (True, ["__init__", "reader_enter", "find_best_pivot", "reader_exit", "observe_target"]),
+        (False, []),
+        (True, ["__init__", "reader_enter", "find_best_pivot", "reader_exit"]),
     ):
         tree = gen_tree(TreeSpec(levels=[2, 2], seed=1), threadsafe=threadsafe)
         engine = engine_with_pool(tree, ["/a0/b0/c0", "/a0/b1"])

@@ -228,6 +228,7 @@ def test_working_pool_equals_a_fresh_build_of_its_targets_randomized(threadsafe)
                 if roll < 0.7:
                     engine.lookup(mkpath(rng.choice(hot)))
                 elif roll < 0.8:
+                    engine.apply_heat()  # the period would drain the log before it ranks
                     cands = [d for d in engine.candidates.members() if d.heat >= POPULAR_HEAT]
                     mgr.periodic_update()
                     want = reference_build_pool(cands, mgr.pool_bound, before)
@@ -404,6 +405,7 @@ def test_a_target_looked_up_twice_in_its_period_becomes_a_pivot(threadsafe):
 def test_a_target_looked_up_once_does_not_become_a_pivot(threadsafe):
     engine, mgr, cset = popular_engine(threadsafe)
     engine.lookup(mkpath("/a/b/f"))
+    engine.apply_heat()  # a lookup logs its target; the drain admits it
     assert [d.name for d in cset.members()] == ["f"]  # a candidate all the same
     empty = mgr.working_pool
     mgr.periodic_update()
@@ -436,6 +438,7 @@ def test_a_period_of_targets_seen_once_keeps_the_working_pool(threadsafe):
     assert pool.size == 1
     engine.lookup(mkpath("/a/b/f"))
     engine.lookup(mkpath("/c/d/g"))
+    engine.apply_heat()
     assert len(cset) == 2 and all(d.heat == 1 for d in cset.members())
     version, swaps = cset.version, mgr.swaps
     mgr.periodic_update()

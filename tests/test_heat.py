@@ -221,6 +221,7 @@ def test_swap_clears_members_refreshed_in_the_ending_period():
         engine.lookup(mkpath(text))
     for text in files[2::3]:
         engine.lookup(mkpath(text))  # refreshed late in the period
+    engine.apply_heat()  # lookups log their targets; the drain admits them
     members = engine.candidates.members()
     assert len(members) == 8
     engine.manager.periodic_update()
@@ -228,6 +229,7 @@ def test_swap_clears_members_refreshed_in_the_ending_period():
     assert all(m not in engine.candidates for m in members)
     engine.candidates.validate()
     engine.lookup(mkpath(files[5]))
+    engine.apply_heat()
     assert [m.name for m in engine.candidates.members()] == ["f5"]
     engine.candidates.validate()
 
@@ -330,6 +332,7 @@ def test_engines_on_one_tree_raise_config_error():
     path = mkpath("/a0/b0/c0")
     for resolver in (OriginalLookup(tree), FullPathCache(tree), first):
         assert resolver.lookup(path) == tree._resolve_admin(path).id
+    first.apply_heat()  # the engine's lookup logs its target; the drain admits it
     assert first.candidates.members() == [tree._resolve_admin(path)]
 
 
