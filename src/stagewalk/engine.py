@@ -32,10 +32,9 @@ heat lock before it reads the members (`apply_heat`), as BP-Wrapper (Ding,
 Jiang and Zhang, ICDE 2009) commits its access queue in batches; a lookup
 applies it in order itself when it reaches `HEAT_LOG_BOUND` entries. Only
 the period reads heat and the candidate set, so the period sees what a heat
-call per lookup would have left. The candidate set holds the engine's heat
-version and members, and the heat itself lives on the tree's dentries, so a
-tree takes at most one stage engine: building a second raises ConfigError,
-as a kernel keeps one dcache.
+call per lookup would have left. The heat is the candidate set's per-period
+dict, as BP-Wrapper keeps it in the policy's state, and the dentries hold
+none of it, so engines built on one tree keep separate heat.
 
 A scanned hit decides from the path's length whether anything is left to
 walk: the matched component holds the length of the pivot's path text
@@ -165,8 +164,6 @@ class StageLookupEngine(_ResolverBase):
         heat_threshold: int = 4,
         heat_capacity: int = 64,
     ):
-        if tree.stage_engine is not None:
-            raise ConfigError("a tree takes one stage engine: its dentries hold that engine's heat")
         super().__init__(tree)
         self.candidates = CandidateSet(heat_capacity, heat_threshold)
         self.heat_lock = threading.Lock()
@@ -176,7 +173,6 @@ class StageLookupEngine(_ResolverBase):
         # makes one per lookup, since threads would share a reused one
         self._stats = None if tree.threadsafe else ScanStats()
         tree.register_hook(self._on_metadata)
-        tree.stage_engine = self
 
     def _on_metadata(self, path: PathBuf, _dentry: Dentry) -> None:
         self.metrics.entries_touched += self.manager.invalidate_for_metadata(path)
@@ -200,9 +196,8 @@ class StageLookupEngine(_ResolverBase):
         `capacity` is admitted at its first lookup and ends with its count
         as its heat, and no later one ever exceeds threshold + 1 heat, so a
         full set never offers it to `maybe_admit`, which alone reads the
-        cursor. The later targets' heat stays stale, as the period's
-        advance would make it anyway; a drain that is not followed by the
-        advance must therefore replay in order."""
+        cursor. The later targets get no heat, so only a drain that the
+        period's advance follows may take this path."""
         log = self._heat_log
         n = len(log)
         batch = log[:n]

@@ -163,18 +163,20 @@ class PivotManager:
     def periodic_update(self, periods: int = 1) -> None:
         """One manager period, or `periods` in a row: rebuild, install the
         build unless it keeps the working pool, then advance the candidate
-        set, which bumps the heat version and drops every member.
+        set, which empties its heat and drops every member.
 
         `periods` > 1 runs that many periods back to back with no lookup or
         modification between them (a replay's idle gap). The first leaves
         the set empty, so each later one would build nothing, keep the
-        working pool and advance: they are counted at once.
+        working pool and advance: they are counted at once, and the set
+        advances once more, clearing what a threadsafe lookup's drain may
+        have applied since the first.
         """
         self._period()
         rest = periods - 1
         if rest > 0:
             with self._heat_lock:
-                self._candidates.advance(rest)
+                self._candidates.advance()
             self.ticks += rest
 
     @property
@@ -185,15 +187,16 @@ class PivotManager:
     def _period(self) -> None:
         """One period: apply the heat log, whose drain may count it since
         the advance follows, then build from the members at heat
-        POPULAR_HEAT or more (every member holds the current version, so its
-        heat is this period's) and install the build under the same tree
-        read lock. With none, `build_pool` returns the working pool, which
-        the period keeps while it still advances."""
+        POPULAR_HEAT or more in this period's heat, read under the heat
+        lock, and install the build under the same tree read lock. With
+        none, `build_pool` returns the working pool, which the period keeps
+        while it still advances."""
         self.ticks += 1
         with self._heat_lock:
             if self._apply_heat is not None:
                 self._apply_heat(True)
-            candidates = [d for d in self._candidates.members() if d.heat >= POPULAR_HEAT]
+            heat = self._candidates.heat
+            candidates = {d: heat[d] for d in self._candidates.members() if heat[d] >= POPULAR_HEAT}
         self._tree.lock.acquire_read()
         try:
             new_pool = build_pool(candidates, self.pool_bound, self.working_pool)

@@ -1,18 +1,21 @@
-"""Per-dentry access heat and the fixed-capacity candidate set.
+"""Per-period access heat and the fixed-capacity candidate set.
 
-Heat counts accesses of lookup *targets* only, and a heat value is valid only
-while its version matches the candidate set's; the first access of a new
-period resets it to 1. The candidate set keeps the hottest dentries in an
-insertion-ordered dict and tracks a least_popular_cand cursor that is cheap
-to maintain but deliberately not guaranteed to point at the true minimum.
-Every pool swap calls `advance`, which bumps the version and empties the set,
-so each period's candidates are the targets of that period alone. Admission
-has no heat floor, but the manager makes pivots only of the members looked up
-at least twice in the period (`epoch.POPULAR_HEAT`), so a target seen once
-is a candidate and never a pivot.
+Heat counts accesses of lookup *targets* only, and it is one period's count:
+the candidate set keeps it in a dict, `heat`, from dentry to that count,
+which a period's `advance` empties, so the first access of a new period
+sets it to 1. The set keeps the hottest dentries in an insertion-ordered
+dict and tracks a least_popular_cand cursor that is cheap to maintain but
+deliberately not guaranteed to point at the true minimum. Every pool swap
+calls `advance`, which empties the heat, the members and the cursor, so each
+period's candidates are the targets of that period alone. Admission has no
+heat floor, but the manager makes pivots only of the members looked up at
+least twice in the period (`epoch.POPULAR_HEAT`), so a target seen once is a
+candidate and never a pivot.
 
-Membership lives in the set and heat on the dentry, whose one owner is the
-tree's only stage engine (a second engine on the tree raises ConfigError).
+Heat and membership both belong to the set, as BP-Wrapper (Ding, Jiang and
+Zhang, ICDE 2009) keeps the recorded accesses in the replacement policy's
+state rather than on the cached objects; the dentries carry none of it, so
+engines that share a tree share no heat.
 
 A lookup does not apply heat itself: the engine logs its target, and the
 period applies the log before it reads the members (`engine.apply_heat`).
@@ -39,23 +42,24 @@ class Admission(Enum):
 
 
 class CandidateSet:
-    """Bounded set of hot dentries in admission order, and the heat version.
+    """Bounded set of hot dentries in admission order, and the period's heat.
 
-    `_members` is a dict used as an ordered set (every value is None): a
-    newcomer goes to the end, a victim leaves from wherever it is, and
-    `members()` lists the oldest first. The lookup path (`observe_target` and
-    `maybe_admit`) probes that dict directly rather than paying a call to
+    `heat` maps each target drained since the last `advance` to its count
+    of lookups. `_members` is a dict used as an ordered set (every value is
+    None): a newcomer goes to the end, a victim leaves from wherever it is,
+    and `members()` lists the oldest first. `observe_target` and
+    `maybe_admit` probe that dict directly rather than paying a call to
     `__contains__`. A negative capacity or threshold raises ConfigError.
     """
 
-    __slots__ = ("capacity", "threshold", "version", "least_popular", "_members")
+    __slots__ = ("capacity", "threshold", "heat", "least_popular", "_members")
 
     def __init__(self, capacity: int = 64, threshold: int = 4):
         if capacity < 0 or threshold < 0:
             raise ConfigError("heat capacity/threshold must be >= 0")
         self.capacity = capacity
         self.threshold = threshold
-        self.version = 1
+        self.heat: dict[Dentry, int] = {}
         self.least_popular: Optional[Dentry] = None
         self._members: dict[Dentry, None] = {}
 
@@ -69,7 +73,8 @@ class CandidateSet:
         return list(self._members)
 
     def maybe_admit(self, dentry: Dentry) -> tuple[Admission, Optional[Dentry]]:
-        """Admission rule for a freshly accessed non-member.
+        """Admission rule for a freshly accessed non-member, whose access
+        `heat` has counted.
 
         Below capacity the newcomer is admitted unconditionally; a full set
         demands heat strictly greater than least_popular_cand's heat plus the
@@ -80,29 +85,26 @@ class CandidateSet:
             raise ContractViolation("maybe_admit on a current member")
         if self.capacity == 0:
             return Admission.REJECTED, None
+        heats = self.heat
         if len(members) < self.capacity:
             members[dentry] = None
             lpc = self.least_popular
-            if lpc is None or dentry.heat < lpc.heat:  # observe_target's cursor rule
+            if lpc is None or heats[dentry] < heats[lpc]:  # observe_target's cursor rule
                 self.least_popular = dentry
             return Admission.ADMITTED, None
         lpc = self.least_popular
         assert lpc is not None  # full set always has a cursor: every admission sets one
-        if dentry.heat > lpc.heat + self.threshold:
+        if heats[dentry] > heats[lpc] + self.threshold:
             del members[lpc]
             members[dentry] = None
             self.least_popular = dentry  # inherit the pointer
             return Admission.REPLACED, lpc
         return Admission.REJECTED, None
 
-    def advance(self, periods: int = 1) -> None:
-        """Start a new period: bump the heat version, drop every member and
-        the cursor. `periods` > 1 stands for that many advances in a row.
-
-        The manager calls this at each swap, under the heat lock. No member
-        can hold the new version, so evicting the members whose version is
-        stale would evict them all."""
-        self.version += periods
+    def advance(self) -> None:
+        """Start a new period: drop every heat count, every member and the
+        cursor. The manager calls this at each swap, under the heat lock."""
+        self.heat.clear()
         self._members.clear()
         self.least_popular = None
 
@@ -117,28 +119,24 @@ class CandidateSet:
 def observe_target(dentry: Dentry, cset: CandidateSet, hits: int = 1) -> int:
     """Heat pipeline for `hits` lookups of one target; returns its new heat.
 
-    The heat rule: add `hits` to the target's heat, or set it to `hits` if
-    its version is not the set's. Then a member takes the cursor when its
+    The heat rule: add `hits` to the target's count in the set's `heat`,
+    which starts at 0 each period. Then a member takes the cursor when its
     heat is below the cursor's referent's (never on a tie, so the referent
     itself leaves it in place), and a non-member is offered to `maybe_admit`
     unless the set is full and its heat is at most threshold + 1: members
-    hold the current version, so each has heat 1 or more, and the cursor's
+    were looked up this period, so each has heat 1 or more, and the cursor's
     referent would need less than 1 for it to win.
 
     `hits` is the number of lookups of the target that one call stands for.
     It is 1 except in the period-end drain, which passes a target's count
     only where one call per distinct target leaves the same members and
     heat as a call per lookup (`engine.StageLookupEngine.apply_heat`)."""
-    version = cset.version
-    if dentry.heat_version == version:
-        heat = dentry.heat = dentry.heat + hits
-    else:
-        heat = dentry.heat = hits
-        dentry.heat_version = version
+    heats = cset.heat
+    heat = heats[dentry] = heats.get(dentry, 0) + hits
     members = cset._members
     if dentry in members:
         lpc = cset.least_popular
-        if lpc is None or heat < lpc.heat:
+        if lpc is None or heat < heats[lpc]:
             cset.least_popular = dentry
     elif heat > cset.threshold + 1 or len(members) < cset.capacity:
         cset.maybe_admit(dentry)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import ContractViolation
 from .paths import PathBuf
@@ -155,9 +155,10 @@ def _lcp_components(a: Sequence[str], b: Sequence[str]) -> int:
     return i
 
 
-def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[PivotPool] = None) -> PivotPool:
+def build_pool(candidates: Mapping[Dentry, int], bound: int, current: Optional[PivotPool] = None) -> PivotPool:
     """Materialize the hottest candidate dentries into a sorted pool of at
-    most `bound` pivots.
+    most `bound` pivots. `candidates` maps each dentry to its heat, in tie
+    order.
 
     Each candidate's parent links are walked once, and the chain of dentries
     they give is kept with its names: dead candidates (unlinked mid-build,
@@ -179,7 +180,7 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
     and its install, which hold the tree read lock together.
     """
     by_names: dict[tuple[str, ...], tuple[int, list[Dentry]]] = {}
-    for d in candidates:
+    for d, heat in candidates.items():
         if d.dead:
             continue  # SkippedDead
         names: list[str] = []
@@ -195,8 +196,8 @@ def build_pool(candidates: Iterable[Dentry], bound: int, current: Optional[Pivot
         chain.reverse()
         key = tuple(names)
         prev = by_names.get(key)
-        if prev is None or d.heat > prev[0]:
-            by_names[key] = (d.heat, chain)
+        if prev is None or heat > prev[0]:
+            by_names[key] = (heat, chain)
     ranked = sorted(by_names.items(), key=lambda kv: (-kv[1][0], kv[0]))[: max(bound, 0)]
     ranked.sort(key=lambda kv: kv[0])
     if current is not None and (not by_names or [names for names, _ in ranked] == [pv.names for pv in current.pivots]):

@@ -58,16 +58,13 @@ class Credential(IntEnum):
 class Dentry:
     """A cached directory-tree node.
 
-    Eight slots, none derived: `kind` is read off `children` (a map for a
+    Six slots, none derived: `kind` is read off `children` (a map for a
     directory, None for a file) and `dead` off the parent's map; the `kind`
-    argument only picks the children map.
-
-    heat / heat_version belong to the access-frequency machinery of the
-    tree's one stage engine; candidate membership is kept by its
-    CandidateSet, not here.
+    argument only picks the children map. Access heat is not here: each
+    stage engine's CandidateSet keeps its own.
     """
 
-    __slots__ = ("id", "parent", "name", "mode", "size", "heat", "heat_version", "children")
+    __slots__ = ("id", "parent", "name", "mode", "size", "children")
 
     def __init__(self, node_id: int, parent: Optional["Dentry"], name: str, kind: str, mode: int, size: int = 0):
         self.id = node_id
@@ -75,8 +72,6 @@ class Dentry:
         self.name = name
         self.mode = mode
         self.size = size
-        self.heat = 0
-        self.heat_version = 0
         self.children: Optional[dict[str, Dentry]] = {} if kind == DIR else None
 
     @property
@@ -109,9 +104,6 @@ class DirTree:
         self.root = Dentry(1, None, "/", DIR, 0o755)
         self.nodes: list[Optional[Dentry]] = [None, self.root]  # by id; the next id is len(nodes)
         self._hooks: list[MetadataHook] = []
-        # the StageLookupEngine built on this tree; its heat lives on the
-        # dentries, so a second engine raises
-        self.stage_engine = None
 
     # -- plumbing -----------------------------------------------------------
 

@@ -105,7 +105,7 @@ def gen_tree(spec: TreeSpec, threadsafe: bool = False) -> DirTree:
     generator serves nothing else, so skipping a one-value draw changes no
     later size.
 
-    Each dentry is built inline, with `object.__new__` and its eight slot
+    Each dentry is built inline, with `object.__new__` and its six slot
     stores, then put in its parent's map and in `tree.nodes`: no Python
     frame runs per node. `reference_gen_tree` in the tests builds the same
     tree through `Dentry(...)` and is the oracle for every slot, every id and
@@ -141,8 +141,6 @@ def gen_tree(spec: TreeSpec, threadsafe: bool = False) -> DirTree:
                     d.name = name
                     d.mode = _DIR_MODE
                     d.size = 0
-                    d.heat = 0
-                    d.heat_version = 0
                     d.children = {}
                     siblings[name] = d
                     append(d)
@@ -156,8 +154,6 @@ def gen_tree(spec: TreeSpec, threadsafe: bool = False) -> DirTree:
             d.name = leaf_name
             d.mode = _FILE_MODE
             d.size = rng.randint(lo, hi) if lo < hi else lo
-            d.heat = 0
-            d.heat_version = 0
             d.children = None
             parent.children[leaf_name] = d
             append(d)
@@ -546,7 +542,7 @@ def bench_depth_grid() -> list[dict]:
                 cover = tree._resolve_admin(PathBuf(target.components[: 8 - k]))
                 cands.append(cover)
             cands.extend(decoys[: pool_size - len(cands)])
-            engine.manager.publish_pool(build_pool(cands, pool_size))
+            engine.manager.publish_pool(build_pool(dict.fromkeys(cands, 0), pool_size))
 
             stats = ScanStats()
             find_best_pivot(engine.manager.working_pool, target, stats)

@@ -258,7 +258,7 @@ def reference_build_pool(candidates, bound: int, current: Optional[PivotPool] = 
     With no live candidate to rank, an idle period, `current` is kept, as
     build_pool keeps it."""
     by_path: dict[str, tuple[int, tuple[str, ...], tuple[Dentry, ...], tuple[int, ...]]] = {}
-    for d in candidates:
+    for d, heat in candidates.items():
         if d.dead:
             continue
         names: list[str] = []
@@ -277,8 +277,8 @@ def reference_build_pool(candidates, bound: int, current: Optional[PivotPool] = 
         modes.reverse()
         path = "/" + "/".join(names)
         prev = by_path.get(path)
-        if prev is None or d.heat > prev[0]:
-            by_path[path] = (d.heat, tuple(names), tuple(chain), tuple(modes))
+        if prev is None or heat > prev[0]:
+            by_path[path] = (heat, tuple(names), tuple(chain), tuple(modes))
     if current is not None and not by_path:
         return current
     ranked = sorted(by_path.items(), key=lambda kv: (-kv[1][0], kv[1][1]))[: max(bound, 0)]
@@ -340,8 +340,8 @@ def reference_gen_tree(spec, threadsafe: bool = False) -> DirTree:
 
 class ReferenceCandidates:
     """The candidate set as it was kept on an intrusive ring through the
-    dentries, written over a plain list of node ids, with the heat version
-    and each node's heat held here rather than on the dentry.
+    dentries, written over a plain list of node ids, with a heat version and
+    each node's heat and version, the way heat was once kept on the dentries.
 
     The ring inserted a newcomer at its tail and listed members from its head,
     the oldest; unlinking a victim kept the others in place. `ring` is that
@@ -401,7 +401,7 @@ def fig4():
     """The worked four-pivot pool plus the lookup target's parent chain."""
     tree = make_tree(*FIG4_PATHS, files=("/a1/b1/c2/d2/e3/f3/foo",))
     cands = [tree._resolve_admin(mkpath(p)) for p in FIG4_PATHS]
-    pool = build_pool(cands, 16)
+    pool = build_pool(dict.fromkeys(cands, 0), 16)
     pool.published = True
     return tree, cands, pool
 

@@ -104,7 +104,7 @@ def test_c1_oracle_equivalence():
 def test_c2_worked_pool_example():
     tree = make_tree(*FIG4_PATHS, files=("/a1/b1/c2/d2/e3/f3/foo",))
     cands = [tree._resolve_admin(mkpath(p)) for p in FIG4_PATHS]
-    pool = build_pool(cands, 16)
+    pool = build_pool(dict.fromkeys(cands, 0), 16)
     pool.published = True
     overlaps = [int(line.split("\t")[0]) for line in pool.dump().splitlines()]
     pivot, depth = find_best_pivot(pool, mkpath("/a1/b1/c2/d2/e3/f3/foo"))
@@ -228,9 +228,7 @@ def test_c5_single_scan_property():
     pool = None
     started = time.perf_counter()
     while queries < 100_000:
-        cands = rng.sample(all_dirs, 12) + rng.sample(files, 4)
-        for c in cands:
-            c.heat = rng.randint(1, 99)
+        cands = {c: rng.randint(1, 99) for c in rng.sample(all_dirs, 12) + rng.sample(files, 4)}
         pool = build_pool(cands, 16)
         pool.published = True
         for _ in range(2_000):
@@ -264,9 +262,11 @@ def test_c5_single_scan_property():
 def test_c6_heat_epoch_directed():
     from stagewalk.tree import Dentry, DIR
 
-    def node(i, heat=0):
+    def node(i, cset=None, heat=0):
+        """A dentry that `cset`, when given, counts `heat` lookups of."""
         d = Dentry(i, None, f"n{i}", DIR, 0o755)
-        d.heat = heat
+        if cset is not None:
+            cset.heat[d] = heat
         return d
 
     checks: list[bool] = []
@@ -275,50 +275,50 @@ def test_c6_heat_epoch_directed():
     d1 = node(1)
     for _ in range(3):
         observe_target(d1, no_candidates)
-    checks.append(d1.heat == 3)  # counting within one period
+    checks.append(no_candidates.heat[d1] == 3)  # counting within one period
 
     d2 = node(2)
     for _ in range(5):
         observe_target(d2, no_candidates)
     no_candidates.advance()
     observe_target(d2, no_candidates)
-    checks.append(d2.heat == 1)  # reset rule
+    checks.append(no_candidates.heat[d2] == 1)  # reset rule
 
     tree = make_tree(files=("/a0/b0/c0/d0/e0/f0/g0/h0",))
     engine = StageLookupEngine(tree)
     engine.stage_lookup(mkpath("/a0/b0/c0/d0/e0/f0/g0/h0"))
     engine.apply_heat()  # a lookup logs its target; the drain applies its heat
     target = tree._resolve_admin(mkpath("/a0/b0/c0/d0/e0/f0/g0/h0"))
+    heat = engine.candidates.heat
     anc_heats = []
     cur = target.parent
     while cur is not None:
-        anc_heats.append(cur.heat)
+        anc_heats.append(heat.get(cur, 0))
         cur = cur.parent
-    checks.append(target.heat == 1 and anc_heats == [0] * 8)  # target-only rule (7 dirs + root)
+    checks.append(heat[target] == 1 and anc_heats == [0] * 8)  # target-only rule (7 dirs + root)
 
     cset = CandidateSet(4, threshold=4)
-    members = [node(10 + i, heat=10 + i) for i in range(4)]
+    members = [node(10 + i, cset, heat=10 + i) for i in range(4)]
     for m in members:
         cset.maybe_admit(m)
     cset.least_popular = members[0]
-    checks.append(cset.maybe_admit(node(99, heat=15))[0] is Admission.REPLACED)
+    checks.append(cset.maybe_admit(node(99, cset, heat=15))[0] is Admission.REPLACED)
     cset2 = CandidateSet(4, threshold=4)
-    members2 = [node(20 + i, heat=10 + i) for i in range(4)]
+    members2 = [node(20 + i, cset2, heat=10 + i) for i in range(4)]
     for m in members2:
         cset2.maybe_admit(m)
     cset2.least_popular = members2[0]
-    checks.append(cset2.maybe_admit(node(98, heat=14))[0] is Admission.REJECTED)  # strict boundary
+    checks.append(cset2.maybe_admit(node(98, cset2, heat=14))[0] is Admission.REJECTED)  # strict boundary
 
     cset3 = CandidateSet(4, threshold=4)
-    ms = [node(30 + i, heat=10 + i) for i in range(4)]
+    ms = [node(30 + i, cset3, heat=10 + i) for i in range(4)]
     for m in ms:
-        m.heat_version = cset3.version
         cset3.maybe_admit(m)
     cset3.least_popular = ms[2]
-    ms[0].heat = 3
+    cset3.heat[ms[0]] = 3
     observe_target(ms[0], cset3)
     checks.append(cset3.least_popular is ms[0])  # loser takes the cursor
-    ms[3].heat = 99
+    cset3.heat[ms[3]] = 99
     observe_target(ms[3], cset3)
     checks.append(cset3.least_popular is ms[0])  # winner leaves it
 

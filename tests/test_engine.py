@@ -37,7 +37,7 @@ OWNER = Credential.OWNER
 def engine_with_pool(tree, pivot_paths, pool_size=16, **kwargs):
     engine = StageLookupEngine(tree, pool_size=pool_size, **kwargs)
     cands = [tree._resolve_admin(mkpath(p)) for p in pivot_paths]
-    engine.manager.publish_pool(build_pool(cands, pool_size))
+    engine.manager.publish_pool(build_pool(dict.fromkeys(cands, 0), pool_size))
     return engine
 
 
@@ -81,8 +81,8 @@ def test_empty_pool_identical_to_original():
 
 def test_counter_law_walked_equals_total_minus_matched():
     p = mkpath("/a0/b0/c0/d0/e0/f0/g0/h0")
+    tree = make_tree(files=(p.text,))
     for cover in range(1, 8):
-        tree = make_tree(files=(p.text,))  # one stage engine per tree
         engine = engine_with_pool(tree, ["/" + "/".join(p.components[:cover])])
         baseline = OriginalLookup(tree)
         before = engine.metrics.dentries_visited
@@ -101,14 +101,10 @@ def test_heat_discipline_target_only():
     engine.stage_lookup(path)
     engine.apply_heat()  # a lookup logs its target; the drain applies its heat
     target = tree._resolve_admin(path)
-    assert target.heat == 1
-    cur = target.parent
-    while cur is not None:
-        assert cur.heat == 0  # ancestors never heat up
-        cur = cur.parent
+    assert engine.candidates.heat == {target: 1}  # ancestors never heat up
     engine.stage_lookup(path)
     engine.apply_heat()
-    assert target.heat == 2
+    assert engine.candidates.heat == {target: 2}
 
 
 def test_pool_size_zero_fallback_counter_identity():
@@ -128,12 +124,11 @@ def test_pool_size_zero_fallback_counter_identity():
 
 def test_negative_pool_size_raises_config_error():
     """A negative pool size is refused when the engine is built, not clamped
-    to an empty pool, and the refused engine neither claims the tree nor
-    registers a hook."""
+    to an empty pool, and the refused engine registers no hook."""
     tree = make_tree("/a/b")
     with pytest.raises(ConfigError, match="pool size must be >= 0, got -1"):
         StageLookupEngine(tree, pool_size=-1)
-    assert tree.stage_engine is None and tree._hooks == []
+    assert tree._hooks == []
     assert StageLookupEngine(tree, pool_size=0).manager.pool_bound == 0  # zero is a valid bound
 
 
@@ -148,7 +143,6 @@ def test_prefix_permissions_ok_and_vacuous():
     # depth-1 pivot: no skipped ancestors at all, so its mask refuses no
     # class even where the pivot itself refuses traversal; the walk below it
     # still checks the pivot
-    tree = make_tree(files=("/a/b/c/f",))  # one stage engine per tree
     tree.chmod_node(mkpath("/a"), 0o700)
     engine = engine_with_pool(tree, ["/a"])  # mask built after the chmod
     for cred in Credential:
@@ -189,7 +183,7 @@ def test_stage_two_checks_start_component():
     engine = engine_with_pool(tree, ["/a/b"])
     tree.chmod_node(mkpath("/a/b"), 0o644)
     # chmod removed the covering pivot; rebuild one to simulate a fresh period
-    engine.manager.publish_pool(build_pool([tree._resolve_admin(mkpath("/a/b"))], 16))
+    engine.manager.publish_pool(build_pool({tree._resolve_admin(mkpath("/a/b")): 0}, 16))
     for cred in Credential:
         assert outcome(engine.lookup, mkpath("/a/b/c/f"), cred) == oracle_resolve(tree, mkpath("/a/b/c/f"), cred)
         assert outcome(engine.lookup, mkpath("/a/b"), cred) == oracle_resolve(tree, mkpath("/a/b"), cred)

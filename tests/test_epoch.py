@@ -46,7 +46,7 @@ def make_manager(tree=None, bound=16):
 def heat_up(tree, cset, paths):
     for p in paths:
         d = tree._resolve_admin(mkpath(p))
-        d.heat, d.heat_version = d.heat + 5, cset.version
+        cset.heat[d] = cset.heat.get(d, 0) + 5
         if d not in cset:
             cset.maybe_admit(d)
 
@@ -184,15 +184,15 @@ def test_selector_alternates_in_steady_state():
 def test_unchanged_hot_set_keeps_the_working_pool(threadsafe):
     """A period that keeps the same names keeps the working pool itself: no
     new generation and nothing retired, yet the tick still counts as a swap,
-    advances the heat version and clears the candidates."""
+    clears the heat and clears the candidates."""
     tree, cset, mgr = fig4_manager(threadsafe)
-    old, gen, swaps, version = mgr.working_pool, mgr.working_pool.generation, mgr.swaps, cset.version
+    old, gen, swaps = mgr.working_pool, mgr.working_pool.generation, mgr.swaps
     token_id, held = mgr.reader_enter()
     heat_up(tree, cset, FIG4_PATHS)
     assert len(cset) > 0
     mgr.periodic_update()
     assert mgr.working_pool is old and old.generation == gen
-    assert mgr.swaps == swaps + 1 and cset.version == version + 1 and len(cset) == 0
+    assert mgr.swaps == swaps + 1 and cset.heat == {} and len(cset) == 0
     assert mgr.reclaim_queue.pending == 0
     mgr.reader_exit(token_id)
     mgr.reclaim()
@@ -229,7 +229,8 @@ def test_working_pool_equals_a_fresh_build_of_its_targets_randomized(threadsafe)
                     engine.lookup(mkpath(rng.choice(hot)))
                 elif roll < 0.8:
                     engine.apply_heat()  # the period would drain the log before it ranks
-                    cands = [d for d in engine.candidates.members() if d.heat >= POPULAR_HEAT]
+                    heat = engine.candidates.heat
+                    cands = {d: heat[d] for d in engine.candidates.members() if heat[d] >= POPULAR_HEAT}
                     mgr.periodic_update()
                     want = reference_build_pool(cands, mgr.pool_bound, before)
                     assert pool_shape(mgr.working_pool) == pool_shape(want)
@@ -253,7 +254,7 @@ def test_working_pool_equals_a_fresh_build_of_its_targets_randomized(threadsafe)
             pool = mgr.working_pool
             if 0.8 <= roll and pool is not before:
                 seen["retired by a modification"] += 1
-            targets = [pv.components[-1].node for pv in pool.pivots]
+            targets = {pv.components[-1].node: 0 for pv in pool.pivots}
             assert pool_shape(pool) == pool_shape(reference_build_pool(targets, pool.size))
             assert verify_pool(pool) == []
     assert {"kept", "built", "refused", "retired by a modification"} <= set(seen), seen
@@ -269,7 +270,7 @@ def test_periods_in_a_row_end_as_single_periods_do(threadsafe):
         heat_up(tree, cset, ["/a1/b1/c1"])
         for n in periods:
             mgr.periodic_update(n)
-        states.append((mgr.ticks, mgr.swaps, cset.version, len(cset), mgr.working_pool.generation,
+        states.append((mgr.ticks, mgr.swaps, dict(cset.heat), len(cset), mgr.working_pool.generation,
                        mgr.reclaim_queue.pending, [pv.names for pv in mgr.working_pool.pivots]))
     assert states[0] == states[1]
     assert states[0][:2] == (5, 5)
@@ -293,7 +294,7 @@ def test_a_rename_during_a_period_waits_for_its_install():
     """A rename that starts while a period builds blocks on the tree lock
     until the period has installed its build, however slow the install: its
     hook then finds that build working and repairs it, and the period still
-    swaps and advances the heat version."""
+    swaps and clears the heat."""
     tree = make_tree(*FIG4_PATHS, files=("/a1/b1/c2/d2/e3/f3/foo",), threadsafe=True)
     engine = StageLookupEngine(tree)
     mgr, cset = engine.manager, engine.candidates
@@ -302,7 +303,7 @@ def test_a_rename_during_a_period_waits_for_its_install():
     engine.tick()
     for p in FIG4_PATHS[1:] * POPULAR_HEAT:  # a new hot set: the next period installs a fresh pool
         engine.lookup(mkpath(p))
-    version, old = cset.version, mgr.working_pool
+    old = mgr.working_pool
     builds, hook_saw_build, threads, errors = [], [], [], []
     real_build, real_install, real_hook = epoch_module.build_pool, mgr._install, mgr.invalidate_for_metadata
 
@@ -345,16 +346,17 @@ def test_a_rename_during_a_period_waits_for_its_install():
     assert not any(mkpath(pv.path).components[:3] == renamed for pv in mgr.working_pool.pivots)
     assert [pv.path for pv in mgr.working_pool.pivots] == ["/a1/b2/c3"]
     assert verify_pool(mgr.working_pool) == []
-    assert cset.version == version + 1
+    assert cset.heat == {}
     assert mgr.ticks == mgr.swaps == 2
 
 
 def test_a_period_advances_the_version_and_empties_the_candidate_set():
+    """A period advances the candidate set to the next period, the heat's
+    version: the heat and the members empty."""
     tree, cset, mgr = make_manager()
-    v0 = cset.version
     heat_up(tree, cset, ["/seed"])
     mgr.periodic_update()
-    assert cset.version == v0 + 1
+    assert cset.heat == {}
     assert len(cset) == 0  # the swap clears the set
 
 
@@ -374,10 +376,10 @@ def test_a_tick_with_no_lookups_keeps_the_working_pool(threadsafe):
     engine.tick()
     pool = mgr.working_pool
     assert [p.path for p in pool.pivots] == ["/a/b/f"]
-    version, swaps = cset.version, mgr.swaps
+    swaps = mgr.swaps
     mgr.periodic_update()  # an idle period
     assert mgr.working_pool is pool and not pool.freed
-    assert (cset.version, mgr.swaps) == (version + 1, swaps + 1)  # the heat version still advances
+    assert mgr.swaps == swaps + 1  # the period still swaps
     assert engine.stage_lookup(mkpath("/a/b/f")).pivot_used == "/a/b/f"
 
 
@@ -415,21 +417,23 @@ def test_a_target_looked_up_once_does_not_become_a_pivot(threadsafe):
 
 @on_both_trees
 def test_one_lookup_in_each_of_two_periods_does_not_make_a_pivot(threadsafe):
-    """Heat resets with the version, so lookups in different periods do not
-    add up."""
+    """Heat resets each period, so lookups in different periods do not add
+    up."""
     engine, mgr, cset = popular_engine(threadsafe)
+    target = engine.tree._resolve_admin(mkpath("/a/b/f"))
     for _period in range(2):
         engine.lookup(mkpath("/a/b/f"))
+        engine.apply_heat()
+        assert cset.heat == {target: 1}
         mgr.periodic_update()
         assert mgr.working_pool.size == 0
-    assert engine.tree._resolve_admin(mkpath("/a/b/f")).heat == 1
 
 
 @on_both_trees
 def test_a_period_of_targets_seen_once_keeps_the_working_pool(threadsafe):
     """A period whose candidates were all looked up once is idle: the
     working pool stays, the same object and not freed, while the period
-    still swaps and advances the heat version."""
+    still swaps and clears the heat."""
     engine, mgr, cset = popular_engine(threadsafe)
     engine.lookup(mkpath("/a/b/f"))
     engine.lookup(mkpath("/a/b/f"))
@@ -439,11 +443,11 @@ def test_a_period_of_targets_seen_once_keeps_the_working_pool(threadsafe):
     engine.lookup(mkpath("/a/b/f"))
     engine.lookup(mkpath("/c/d/g"))
     engine.apply_heat()
-    assert len(cset) == 2 and all(d.heat == 1 for d in cset.members())
-    version, swaps = cset.version, mgr.swaps
+    assert len(cset) == 2 and all(cset.heat[d] == 1 for d in cset.members())
+    swaps = mgr.swaps
     mgr.periodic_update()
     assert mgr.working_pool is pool and not pool.freed
-    assert (cset.version, mgr.swaps) == (version + 1, swaps + 1)
+    assert mgr.swaps == swaps + 1 and cset.heat == {}
     assert len(cset) == 0
 
 
@@ -474,7 +478,7 @@ def test_covering_rename_keeps_the_surviving_pivot_objects(threadsafe):
     assert new is not old and new.size == 2
     by_names = {pv.names: pv for pv in old.pivots}
     assert all(pv is by_names[pv.names] for pv in new.pivots)
-    fresh = build_pool([tree._resolve_admin(PathBuf(pv.names)) for pv in new.pivots], 16)
+    fresh = build_pool({tree._resolve_admin(PathBuf(pv.names)): 0 for pv in new.pivots}, 16)
     assert pool_shape(new) == pool_shape(fresh)
     assert mgr.reclaim() == 1 and old.freed and not new.freed
     with pytest.raises(ContractViolation):
@@ -682,7 +686,7 @@ def test_every_pool_carries_its_path_map_from_construction(threadsafe):
     """A tick swap and a covering invalidation both install a pool whose
     path map was filled when it was built; the map is empty only for an
     empty pool."""
-    assert PivotPool([]).by_path == {} and build_pool([], 16).by_path == {}
+    assert PivotPool([]).by_path == {} and build_pool({}, 16).by_path == {}
     tree, cset, mgr = fig4_manager(threadsafe)  # one tick swap
     queries = FIG4_PATHS + ("/a1/b1/c2/d2/e3/f3/foo", "/zz")
     swapped = mgr.working_pool
@@ -709,7 +713,7 @@ def test_invalidate_matches_oracle_on_random_pools():
         paths = random_tree_paths(rng, rng.randint(1, 20))
         tree = make_tree(*paths, threadsafe=True)
         _tree, _cset, mgr = make_manager(tree, bound=len(paths))
-        mgr.publish_pool(build_pool([tree._resolve_admin(mkpath(p)) for p in paths], len(paths)))
+        mgr.publish_pool(build_pool({tree._resolve_admin(mkpath(p)): 0 for p in paths}, len(paths)))
         for _ in range(4):
             old = mgr.working_pool
             held = old.pivots
@@ -784,7 +788,7 @@ def test_reclaim_during_a_scan_trips_sentinel(monkeypatch):
     returns, as a reader that never registered would see it freed."""
     tree, cset, mgr = fig4_manager()
     pool = mgr.working_pool
-    successor = build_pool([tree._resolve_admin(mkpath("/a1"))], 16)  # built with the real scan
+    successor = build_pool({tree._resolve_admin(mkpath("/a1")): 0}, 16)  # built with the real scan
     real_scan = pivots_module._scan
 
     def scan_then_reclaim(pivots, comps):
@@ -822,7 +826,7 @@ def test_reclaim_idempotent(threadsafe):
 def test_unpublished_pool_rejected():
     from stagewalk import build_pool
 
-    pool = build_pool([], 16)
+    pool = build_pool({}, 16)
     with pytest.raises(ContractViolation):
         find_best_pivot(pool, mkpath("/a"))
 
@@ -834,7 +838,7 @@ def test_swap_retire_stress_no_use_after_retire():
 
     tree = make_tree(*FIG4_PATHS, files=("/a1/b1/c2/d2/e3/f3/foo",))
     tree2, cset, mgr = make_manager(make_tree("/seed", threadsafe=True))
-    cands = [tree._resolve_admin(mkpath(p)) for p in FIG4_PATHS]
+    cands = {tree._resolve_admin(mkpath(p)): 0 for p in FIG4_PATHS}
     errors: list[str] = []
     stop = threading.Event()
 

@@ -11,6 +11,7 @@ from stagewalk import (
     ConfigError,
     ContractViolation,
     Dentry,
+    PathBuf,
     StageLookupEngine,
     make_resolver,
     observe_target,
@@ -19,10 +20,14 @@ from stagewalk.tree import DIR
 from conftest import ReferenceCandidates, make_tree, mkpath
 
 
-def d(node_id: int, heat: int = 0, version: int = 0) -> Dentry:
-    node = Dentry(node_id, None, f"n{node_id}", DIR, 0o755)
-    node.heat = heat
-    node.heat_version = version
+def d(node_id: int) -> Dentry:
+    return Dentry(node_id, None, f"n{node_id}", DIR, 0o755)
+
+
+def heated(cset: CandidateSet, node_id: int, heat: int) -> Dentry:
+    """A node that `cset` counts `heat` lookups of in this period."""
+    node = d(node_id)
+    cset.heat[node] = heat
     return node
 
 
@@ -34,7 +39,7 @@ def test_three_accesses_one_period():
     node = d(1)
     for _ in range(3):
         observe_target(node, cset)
-    assert node.heat == 3 and node.heat_version == cset.version
+    assert cset.heat == {node: 3}
 
 
 def test_reset_on_new_version():
@@ -42,10 +47,11 @@ def test_reset_on_new_version():
     node = d(1)
     for _ in range(5):
         observe_target(node, cset)
-    assert node.heat == 5
+    assert cset.heat[node] == 5
     cset.advance()
+    assert cset.heat == {}
     observe_target(node, cset)
-    assert node.heat == 1 and node.heat_version == cset.version
+    assert cset.heat == {node: 1}
 
 
 def test_heat_monotone_within_version():
@@ -57,9 +63,10 @@ def test_heat_monotone_within_version():
         if rng.random() < 0.1:
             cset.advance()
             last = 0
-        observe_target(node, cset)
-        assert node.heat >= last or node.heat == 1
-        last = node.heat
+        heat = observe_target(node, cset)
+        assert heat == cset.heat[node]
+        assert heat >= last or heat == 1
+        last = heat
 
 
 # -- maybe_admit -------------------------------------------------------------------
@@ -67,7 +74,7 @@ def test_heat_monotone_within_version():
 
 def full_set(capacity: int = 4, threshold: int = 4) -> tuple[CandidateSet, list[Dentry]]:
     cset = CandidateSet(capacity, threshold)
-    members = [d(i + 1, heat=10 + i) for i in range(capacity)]
+    members = [heated(cset, i + 1, 10 + i) for i in range(capacity)]
     for m in members:
         cset.maybe_admit(m)
     return cset, members
@@ -76,7 +83,7 @@ def full_set(capacity: int = 4, threshold: int = 4) -> tuple[CandidateSet, list[
 def test_replaced_above_threshold():
     cset, members = full_set()
     cset.least_popular = members[0]  # heat 10, threshold 4
-    newcomer = d(99, heat=15)
+    newcomer = heated(cset, 99, 15)
     result, evicted = cset.maybe_admit(newcomer)
     assert result is Admission.REPLACED
     assert evicted is members[0]
@@ -87,7 +94,7 @@ def test_replaced_above_threshold():
 def test_rejected_at_boundary():
     cset, members = full_set()
     cset.least_popular = members[0]
-    newcomer = d(99, heat=14)  # 14 is not strictly greater than 10 + 4
+    newcomer = heated(cset, 99, 14)  # 14 is not strictly greater than 10 + 4
     result, evicted = cset.maybe_admit(newcomer)
     assert result is Admission.REJECTED and evicted is None
     assert newcomer not in cset
@@ -95,7 +102,7 @@ def test_rejected_at_boundary():
 
 def test_capacity_zero_always_rejects():
     cset = CandidateSet(0, 4)
-    assert cset.maybe_admit(d(1, heat=10**9))[0] is Admission.REJECTED
+    assert cset.maybe_admit(heated(cset, 1, 10**9))[0] is Admission.REJECTED
 
 
 @pytest.mark.parametrize("capacity, threshold", [(-1, 4), (64, -1), (-5, -5)])
@@ -112,14 +119,14 @@ def test_negative_capacity_or_threshold_rejected(capacity, threshold):
 
 def test_below_capacity_unconditional():
     cset = CandidateSet(2, 4)
-    cold = d(1, heat=0)
+    cold = heated(cset, 1, 0)
     assert cset.maybe_admit(cold)[0] is Admission.ADMITTED
     assert cset.least_popular is cold  # first admission establishes the cursor
 
 
 def test_admission_below_capacity_applies_the_cursor_rule():
     cset = CandidateSet(4, 4)
-    warm, hotter, colder, tie = d(1, heat=5), d(2, heat=9), d(3, heat=2), d(4, heat=2)
+    warm, hotter, colder, tie = (heated(cset, i + 1, heat) for i, heat in enumerate((5, 9, 2, 2)))
     for node in (warm, hotter):
         cset.maybe_admit(node)
     assert cset.least_popular is warm  # a hotter newcomer leaves the cursor
@@ -141,57 +148,48 @@ def test_admitting_member_is_misuse():
 # -- observe_target's cursor rule ----------------------------------------------------
 
 
-def member_set(capacity: int = 4, threshold: int = 4) -> tuple[CandidateSet, list[Dentry]]:
-    """A full set whose members carry the current version, so that
-    observe_target adds one to the heat each test sets."""
-    cset, members = full_set(capacity, threshold)
-    for m in members:
-        m.heat_version = cset.version
-    return cset, members
-
-
 def test_cursor_rule_ignores_non_members():
-    cset, members = member_set()
+    cset, members = full_set()
     cset.least_popular = members[2]
-    outsider = d(99, heat=0)  # colder than every member, but not one of them
+    outsider = heated(cset, 99, 0)  # colder than every member, but not one of them
     observe_target(outsider, cset)
     assert outsider not in cset
     assert cset.least_popular is members[2]
 
 
 def test_cursor_moves_to_smaller():
-    cset, members = member_set()
+    cset, members = full_set()
     cset.least_popular = members[2]  # heat 12
-    members[0].heat = 3
+    cset.heat[members[0]] = 3
     observe_target(members[0], cset)  # heat 4
     assert cset.least_popular is members[0]
 
 
 def test_cursor_unchanged_when_larger():
-    cset, members = member_set()
+    cset, members = full_set()
     cset.least_popular = members[0]  # heat 10
-    members[3].heat = 10
+    cset.heat[members[3]] = 10
     observe_target(members[3], cset)  # heat 11
     assert cset.least_popular is members[0]
 
 
 def test_cursor_self_comparison_unchanged():
-    cset, members = member_set()
+    cset, members = full_set()
     cset.least_popular = members[1]
     observe_target(members[1], cset)
     assert cset.least_popular is members[1]
 
 
 def test_tie_keeps_cursor():
-    cset, members = member_set()
+    cset, members = full_set()
     cset.least_popular = members[0]  # heat 10
-    members[1].heat = 9
+    cset.heat[members[1]] = 9
     observe_target(members[1], cset)  # heat 10
     assert cset.least_popular is members[0]
 
 
 def test_empty_cursor_adopts_the_observed_member():
-    cset, members = member_set()
+    cset, members = full_set()
     cset.least_popular = None
     observe_target(members[3], cset)
     assert cset.least_popular is members[3]
@@ -201,10 +199,11 @@ def test_empty_cursor_adopts_the_observed_member():
 
 
 def test_advance_bumps_the_version_and_drops_every_member():
+    """`advance` starts the next period, the heat's version: it clears the
+    heat and drops every member and the cursor."""
     cset, members = full_set()
-    version = cset.version
     cset.advance()
-    assert cset.version == version + 1
+    assert cset.heat == {}
     assert len(cset) == 0 and cset.least_popular is None and cset.members() == []
     for m in members:
         assert m not in cset
@@ -235,15 +234,18 @@ def test_swap_clears_members_refreshed_in_the_ending_period():
 
 
 def test_advance_empty_set_bumps_the_version_only():
+    """On a set with no member, `advance` has only the heat to clear."""
     cset = CandidateSet(4, 4)
+    cold = heated(cset, 1, 3)  # counted, never admitted
     cset.advance()
-    assert cset.version == 2 and len(cset) == 0 and cset.least_popular is None
+    assert cset.heat == {} and cold not in cset
+    assert len(cset) == 0 and cset.least_popular is None
     cset.validate()
 
 
 def test_advance_resets_cursor_and_next_admission_takes_it():
     cset = CandidateSet(4, 4)
-    cold, warm = d(1, heat=3), d(2, heat=9)
+    cold, warm = heated(cset, 1, 3), heated(cset, 2, 9)
     cset.maybe_admit(cold)
     cset.maybe_admit(warm)
     assert cset.least_popular is cold
@@ -270,7 +272,7 @@ def test_churn_bound_property():
         if full and not member and node in cset:
             replaced += 1
             assert before not in cset  # the cursor's referent was the victim
-            assert node.heat > before.heat + cset.threshold
+            assert cset.heat[node] > cset.heat[before] + cset.threshold
         cset.validate()
     assert replaced > 0
 
@@ -285,11 +287,11 @@ def test_cursor_rule_event_sourced_replay():
         node = rng.choice(nodes)
         member = node in cset
         before = cset.least_popular
-        before_state = (before.id, before.heat) if before else None
-        observe_target(node, cset)
+        before_state = (before.id, cset.heat[before]) if before else None
+        heat = observe_target(node, cset)
         if member:
             after = cset.least_popular
-            log.append((node.id, node.heat, before_state, after.id if after else None))
+            log.append((node.id, heat, before_state, after.id if after else None))
     for member_id, member_heat, before_state, after_id in log:
         if before_state is None:
             assert after_id == member_id  # empty cursor adopts the member
@@ -312,28 +314,52 @@ def test_observe_target_pipeline():
     cset.validate()
 
 
-# -- one owner for heat ---------------------------------------------------------------------
+# -- engines on one tree -------------------------------------------------------------------
 
 
-def test_engines_on_one_tree_raise_config_error():
-    """Heat lives on the dentries, so a second stage engine on a tree, which
-    would read and reset the first engine's heat, raises ConfigError. An
-    engine whose construction failed does not claim the tree, and the other
-    strategies share it freely."""
-    from stagewalk import FullPathCache, OriginalLookup, TreeSpec, gen_tree
+def test_engines_on_one_tree_keep_separate_heat():
+    """Heat is each engine's candidate set's, not the dentries', so two
+    stage engines on one tree count their own lookups: A's one lookup of a
+    target and B's three give heat 1 and 3, and A's tick leaves B's alone.
+    Over a trace both replay on the shared tree, interleaved and on
+    different tick schedules, each engine builds the pools and counts the
+    counters it builds and counts on a tree of its own. Each engine drains
+    its heat log after every lookup, as a heat call per lookup would, so
+    heat kept on the tree would reach the other engine mid-period."""
+    from stagewalk import TreeSpec, gen_tree, synth_trace
 
-    tree = gen_tree(TreeSpec(levels=[2, 2], seed=1))
-    with pytest.raises(ConfigError):
-        StageLookupEngine(tree, heat_capacity=-1)
-    first = StageLookupEngine(tree)
-    with pytest.raises(ConfigError):
-        StageLookupEngine(tree)
-    assert tree.stage_engine is first
+    spec = TreeSpec(levels=[2, 2], seed=1)
+    tree = gen_tree(spec)
+    a, b = StageLookupEngine(tree), StageLookupEngine(tree)
     path = mkpath("/a0/b0/c0")
-    for resolver in (OriginalLookup(tree), FullPathCache(tree), first):
-        assert resolver.lookup(path) == tree._resolve_admin(path).id
-    first.apply_heat()  # the engine's lookup logs its target; the drain admits it
-    assert first.candidates.members() == [tree._resolve_admin(path)]
+    target = tree._resolve_admin(path)
+    a.lookup(path)
+    for _ in range(3):
+        b.lookup(path)
+    a.apply_heat()
+    b.apply_heat()
+    assert a.candidates.heat == {target: 1} and b.candidates.heat == {target: 3}
+    a.tick()
+    assert a.candidates.heat == {} and b.candidates.heat == {target: 3}
+
+    events = synth_trace(gen_tree(spec), "hotdir-zipf", n_events=400, hot_dirs=3, seed=2)
+    shared = {7: StageLookupEngine(tree), 13: StageLookupEngine(tree)}
+    alone = {every: StageLookupEngine(gen_tree(spec)) for every in shared}
+    pools: dict = {}
+    for i, ev in enumerate(events):
+        query = PathBuf.parse(ev.path)
+        for every in shared:
+            for engine in (shared[every], alone[every]):
+                if i and i % every == 0:
+                    engine.tick()
+                    pools.setdefault(engine, []).append(engine.manager.working_pool.dump())
+                engine.lookup(query)
+                engine.apply_heat()
+    for every in shared:
+        assert pools[shared[every]] == pools[alone[every]]
+        assert shared[every].metrics.counter_rows() == alone[every].metrics.counter_rows()
+    assert pools[shared[7]] != pools[shared[13]]  # the schedules give different heat
+    assert any(pool.strip() for pool in pools[shared[7]])  # pivots were built
 
 
 def test_candidate_set_matches_the_ring_reference(monkeypatch):
@@ -385,7 +411,10 @@ def test_candidate_set_matches_the_ring_reference(monkeypatch):
             assert [m.id for m in cset.members()] == ref.ring
             assert cset.least_popular is (None if ref.cursor is None else nodes[ref.cursor])
             assert len(cset) == len(ref.ring)
-            assert cset.version == ref.version
+            # the reference's stale versions are exactly the set's missing keys
+            assert {n.id: h for n, h in cset.heat.items()} == {
+                i: h for i, h in ref.heat.items() if ref.heat_version[i] == ref.version
+            }
             cset.validate()
     # every path through the rules was taken
     paths = ("advance", "member", "skipped", Admission.ADMITTED, Admission.REPLACED, Admission.REJECTED)

@@ -18,7 +18,7 @@ from itertools import islice
 
 import pytest
 
-from stagewalk import PathBuf, StageLookupEngine, TreeSpec, gen_tree
+from stagewalk import CandidateSet, PathBuf, StageLookupEngine, TreeSpec, gen_tree
 from stagewalk import engine as engine_module
 from stagewalk import epoch as epoch_module
 from stagewalk.errors import EngineError
@@ -92,7 +92,7 @@ def _replay(rng, capacity: int, threshold: int, threadsafe: bool, periods: int, 
     real_build = epoch_module.build_pool
 
     def recording_build(candidates, bound, current):
-        building[0].append([(d.id, d.heat) for d in candidates])
+        building[0].append([(d.id, heat) for d, heat in candidates.items()])
         return real_build(candidates, bound, current)
 
     branches = Counter()
@@ -165,14 +165,13 @@ def test_the_log_drains_to_the_eager_rule_randomized(monkeypatch, threadsafe):
 
 
 @pytest.mark.parametrize("threadsafe", [False, True])
-def test_a_lookup_leaves_heat_and_the_candidate_set_untouched_until_the_period(threadsafe):
+def test_a_lookup_leaves_heat_and_the_candidate_set_untouched_until_the_period(threadsafe, monkeypatch):
     """Whole-path hits, partial hits and misses take no heat lock and change
-    no dentry's heat or heat version, and no member, cursor or version of the
-    candidate set; the period applies them all before it ranks."""
+    no heat, member or cursor of the candidate set; the period applies them
+    all before it ranks, so its heat when it advances is their counts."""
     tree = gen_tree(_SPEC, threadsafe=threadsafe)
     engine = StageLookupEngine(tree, heat_capacity=8)
-    nodes = tree.nodes
-    files = [d for d in nodes[1:] if d.children is None]
+    files = [d for d in tree.nodes[1:] if d.children is None]
     hot_dir = tree.root.children["a0"].children["b0"]  # /a0/b0: a pivot that later lookups descend from
     for d in (hot_dir, files[-1], hot_dir, files[-1]):
         engine.lookup(path_of(d))
@@ -181,7 +180,7 @@ def test_a_lookup_leaves_heat_and_the_candidate_set_untouched_until_the_period(t
     cset = engine.candidates
 
     def state():
-        return [(d.heat, d.heat_version) for d in nodes[1:]], cset.members(), cset.least_popular, cset.version
+        return dict(cset.heat), cset.members(), cset.least_popular
 
     before = state()
     heat_lock, engine.heat_lock = engine.heat_lock, None  # a lookup that took it would raise
@@ -191,9 +190,16 @@ def test_a_lookup_leaves_heat_and_the_candidate_set_untouched_until_the_period(t
     engine.heat_lock = heat_lock
     assert engine.metrics.skipped_prefix_histogram == {2: 2, 4: 2}
     assert state() == before
+    ended = []
+    real_advance = CandidateSet.advance
+
+    def recording_advance(self):
+        ended.append(dict(self.heat))
+        real_advance(self)
+
+    monkeypatch.setattr(CandidateSet, "advance", recording_advance)
     engine.tick()
-    for d, hits in Counter(targets).items():
-        assert (d.heat, d.heat_version) == (hits, before[3])
+    assert ended == [dict(Counter(targets))]
     assert [p.path for p in engine.manager.working_pool.pivots] == [path_of(d).text for d in (files[0], files[-1])]
 
 
@@ -201,7 +207,7 @@ def test_threads_appending_while_the_log_drains_lose_no_lookup(monkeypatch):
     """Four reader threads on a threadsafe tree, a short switch interval and
     a log bound of 7, so that drains under the heat lock race appends from
     the other threads: after a final drain every lookup has added exactly
-    one to its target's heat (no tick runs, so all heat is one version's)."""
+    one to its target's heat (no tick runs, so all heat is one period's)."""
     monkeypatch.setattr(engine_module, "HEAT_LOG_BOUND", 7)
     tree = gen_tree(_SPEC, threadsafe=True)
     engine = StageLookupEngine(tree)
@@ -226,5 +232,4 @@ def test_threads_appending_while_the_log_drains_lose_no_lookup(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     with engine.heat_lock:
         engine.apply_heat()
-    version = engine.candidates.version
-    assert sum(d.heat for d in files if d.heat_version == version) == 4 * per_thread
+    assert sum(engine.candidates.heat.values()) == 4 * per_thread

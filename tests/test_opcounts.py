@@ -4,9 +4,9 @@ A call's opcodes are counted with `sys.settrace` and `frame.f_trace_opcodes`,
 and its calls as the frames the tracer sees start (its own included). Each
 case makes one warm-up call on the same state first, and the counted call
 repeats it: CPython executes the same bytecodes for the same state, so the
-counts are exact, whatever the machine's load or the hash seed. A tick
-changes the state it runs on, so its warm-up runs on a twin in that state.
-README's table lists the pins.
+counts are exact, whatever the machine's load or the hash seed. A tick or
+a rename's hooks change the state they run on, so their warm-up runs on a
+twin in that state. README's table lists the pins.
 
 A bytecode is not a unit of time. Opcodes differ in cost, and dict work on a
 long key hides inside a single one, so these pins gate changes to one code
@@ -19,6 +19,7 @@ The pins are CPython's bytecode for one minor version; other versions skip.
 from __future__ import annotations
 
 import sys
+from operator import methodcaller
 
 import pytest
 
@@ -35,10 +36,23 @@ _PINS = {
         "original-stat": (207, 4),
         "fullpath-stat": (89, 2),
         "stage-stat": (136, 2),
+        "original-open": (173, 4),
+        "fullpath-open": (55, 2),
+        "stage-open": (102, 2),
         "stage-partial-depth4-pool8": (1212, 16),
         "stage-partial-depth4-pool16": (1904, 24),
         "stage-miss-populated-pool": (675, 12),
-        "stage-tick-log-1000-of-4": (4647, 95),
+    },
+}
+
+# (opcodes, calls) per case that changes its engine's state, by Python minor version
+_TWIN_PINS = {
+    (3, 11): {
+        "stage-rename-hook-covers-none": (116, 5),
+        "stage-rename-hook-covers-one": (1446, 23),
+        "stage-tick-keeps-pool": (1700, 43),
+        "stage-tick-builds-pool": (4749, 95),
+        "stage-tick-log-1000-of-4": (4693, 95),
     },
 }
 
@@ -96,7 +110,9 @@ def _depth4_pool(size: int) -> list:
 
 
 def _case(case: str):
-    """(resolver, the call to count, its argument) for one case."""
+    """(resolver, the call to count, its argument) for one case. An open is
+    counted through `methodcaller`, which runs no Python frame, so its
+    count includes the `open` property's."""
     path = _HOT[0]
     if case == "stage-miss-empty-pool":
         resolver = StageLookupEngine(gen_tree(_SPEC))
@@ -116,28 +132,67 @@ def _case(case: str):
         resolver = warmed(case.split("-")[0])
     if case.endswith("-stat"):
         return resolver, resolver.stat, path
+    if case.endswith("-open"):
+        return resolver, methodcaller("open", path), resolver
     if case == "stage-hit":
         assert resolver.stage_lookup(path).walked_components == 0  # a whole-path hit
     return resolver, resolver.lookup, path
 
 
-@pytest.mark.parametrize("case", [c for c in _PINS[(3, 11)] if c != "stage-tick-log-1000-of-4"])
+@pytest.mark.parametrize("case", list(_PINS[(3, 11)]))
 def test_one_lookup_executes_its_pinned_bytecodes(case):
-    _resolver, fn, path = _case(case)
-    fn(path)  # the warm-up call
-    assert count_ops(fn, path) == _PINS[sys.version_info[:2]][case]
+    _resolver, fn, arg = _case(case)
+    fn(arg)  # the warm-up call
+    assert count_ops(fn, arg) == _PINS[sys.version_info[:2]][case]
+
+
+_OTHER = [mkpath(f"/a{i}/b{i}/c{i}/d{i}/e{(i + 1) % 4}/f0") for i in range(4)]
+
+
+def _twin_case(case: str):
+    """(the call to count, its arguments, a check of what it did) for one
+    case, on an engine of its own. The rename hooks fire on the warmed pool
+    of `_HOT`, for a directory above no pivot or above `_HOT[0]` alone. The
+    kept and built ticks follow 3 lookups of each of `_HOT` or of `_OTHER`;
+    the log tick follows 1,000 lookups of `_HOT` on a fresh engine, whose
+    drain counts the log in C and applies one heat call per target."""
+    if case.startswith("stage-rename-hook"):
+        resolver = warmed("stage")
+        path = mkpath("/a0/b1" if case.endswith("covers-none") else "/a0/b0")
+        covered = 0 if case.endswith("covers-none") else 1
+        tree = resolver.tree
+        dentry = tree._resolve_admin(path)
+        return tree._fire_hooks, (path, dentry), lambda: resolver.metrics.entries_touched == covered
+    if case == "stage-tick-log-1000-of-4":
+        resolver = StageLookupEngine(gen_tree(_SPEC))
+        hot = _HOT * 250
+    else:
+        resolver = warmed("stage")
+        hot = (_HOT if case == "stage-tick-keeps-pool" else _OTHER) * 3
+    for path in hot:
+        resolver.lookup(path)
+    mgr = resolver.manager
+    before = mgr.working_pool
+    kept = case == "stage-tick-keeps-pool"
+    return resolver.tick, (), lambda: (mgr.working_pool is before) == kept and mgr.working_pool.size == 4
+
+
+def _count_on_twins(case: str) -> tuple[int, int]:
+    """The case's counts on its second engine; the first call, on a twin in
+    the same state, is the warm-up."""
+    counts = []
+    for _twin in range(2):
+        fn, args, did = _twin_case(case)
+        counts.append(count_ops(fn, *args))
+        assert did()
+    return counts[1]
+
+
+@pytest.mark.parametrize("case", [c for c in _TWIN_PINS[(3, 11)] if c != "stage-tick-log-1000-of-4"])
+def test_a_hook_or_tick_executes_its_pinned_bytecodes(case):
+    assert _count_on_twins(case) == _TWIN_PINS[sys.version_info[:2]][case]
 
 
 def test_a_tick_applying_a_log_of_1000_lookups_of_4_targets_executes_its_pinned_bytecodes():
-    """The period's drain counts the log in C and applies one heat call per
-    target. A tick changes its engine's state, so the warm-up tick runs on a
-    twin engine in the same state."""
-    counts = []
-    for _twin in range(2):
-        resolver = StageLookupEngine(gen_tree(_SPEC))
-        for _ in range(250):
-            for path in _HOT:
-                resolver.lookup(path)
-        counts.append(count_ops(resolver.tick))
-        assert resolver.manager.working_pool.size == 4
-    assert counts[1] == _PINS[sys.version_info[:2]]["stage-tick-log-1000-of-4"]
+    case = "stage-tick-log-1000-of-4"
+    assert _count_on_twins(case) == _TWIN_PINS[sys.version_info[:2]][case]

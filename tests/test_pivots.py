@@ -34,22 +34,22 @@ def test_worked_example_overlaps(fig4):
 
 def test_single_candidate():
     tree = make_tree("/q/w/e")
-    pool = build_pool([tree._resolve_admin(mkpath("/q/w/e"))], 16)
+    pool = build_pool({tree._resolve_admin(mkpath("/q/w/e")): 0}, 16)
     assert pool.size == 1 and pool.dump() == "0\t/q/w/e"
 
 
 def test_duplicates_dedup():
-    tree = make_tree("/q/w")
-    cand = tree._resolve_admin(mkpath("/q/w"))
-    pool = build_pool([cand, cand, cand], 16)
-    assert pool.size == 1
+    """Two dentries with the same names make one pivot, of the hotter."""
+    cand, twin = (make_tree("/q/w")._resolve_admin(mkpath("/q/w")) for _ in range(2))
+    pool = build_pool({cand: 1, twin: 2}, 16)
+    assert pool.size == 1 and pool.pivots[0].components[-1].node is twin
 
 
 def test_dead_candidate_skipped():
     tree = make_tree("/q", files=("/q/gone",))
     cand = tree._resolve_admin(mkpath("/q/gone"))
     tree.unlink_node(mkpath("/q/gone"))
-    pool = build_pool([cand, tree._resolve_admin(mkpath("/q"))], 16)
+    pool = build_pool({cand: 0, tree._resolve_admin(mkpath("/q")): 0}, 16)
     assert [p.path for p in pool.pivots] == ["/q"]
 
 
@@ -58,8 +58,7 @@ def test_truncation_by_heat_then_path():
     d1 = tree._resolve_admin(mkpath("/a/p1"))
     d2 = tree._resolve_admin(mkpath("/a/p2"))
     d3 = tree._resolve_admin(mkpath("/a/p3"))
-    d1.heat, d2.heat, d3.heat = 5, 9, 5
-    pool = build_pool([d1, d2, d3], 2)
+    pool = build_pool({d1: 5, d2: 9, d3: 5}, 2)
     # d2 wins on heat; the 5-heat tie breaks to the ascending path /a/p1
     assert [p.path for p in pool.pivots] == ["/a/p1", "/a/p2"]
 
@@ -94,18 +93,17 @@ def test_build_pool_matches_reference_randomized():
         for d in tree.nodes[2:] + twin.nodes[2:]:
             if rng.random() < 0.3:
                 d.mode = rng.choice((0o750, 0o711, 0o700, 0o644, 0o055))
-        cands = rng.sample(tree.nodes[1:] + twin.nodes[2:], rng.randint(1, 2 * len(tree.nodes) - 3))
-        cands += rng.choices(cands, k=rng.randint(0, 4))  # the same dentry again
-        for d in cands:
-            d.heat = rng.randint(0, 3)  # few values: ties everywhere, across the cut too
+        # few heat values: ties everywhere, across the cut too
+        picked = rng.sample(tree.nodes[1:] + twin.nodes[2:], rng.randint(1, 2 * len(tree.nodes) - 3))
+        cands = {d: rng.randint(0, 3) for d in picked}
         leaves = [d for d in cands if d in tree.nodes[2:] and not d.children]
         for d in rng.sample(leaves, min(len(leaves), rng.randint(0, 2))):
             tree.unlink_node(PathBuf(_names_of(d)))
         hottest: dict[tuple[str, ...], int] = {}
         dentries: dict[tuple[str, ...], set] = collections.defaultdict(set)
-        for d in cands:
+        for d, heat in cands.items():
             if not d.dead and d.parent is not None:
-                hottest[_names_of(d)] = max(hottest.get(_names_of(d), -1), d.heat)
+                hottest[_names_of(d)] = max(hottest.get(_names_of(d), -1), heat)
                 dentries[_names_of(d)].add(id(d))
         seen["dead"] += any(d.dead for d in cands)
         seen["root"] += tree.root in cands
@@ -123,9 +121,8 @@ def test_build_pool_matches_reference_randomized():
 def test_build_pool_materializes_only_the_kept_candidates(monkeypatch):
     paths = [f"/a{i // 8}/b{i % 8}/c0/d0/e0/f0" for i in range(64)]
     tree = make_tree(*paths)
-    cands = [tree._resolve_admin(mkpath(p)) for p in paths]
-    for i, d in enumerate(cands):
-        d.heat = (i * 37) % 64  # a permutation: the 16 kept are spread out
+    # heat is a permutation: the 16 kept are spread out
+    cands = {tree._resolve_admin(mkpath(p)): (i * 37) % 64 for i, p in enumerate(paths)}
     made = collections.Counter()
 
     class CountedComponent(pivots.Component):
@@ -157,17 +154,13 @@ def test_build_pool_with_a_current_pool_matches_reference_randomized():
             if rng.random() < 0.3:
                 d.mode = rng.choice((0o750, 0o711, 0o700, 0o644, 0o055))
         live = tree.nodes[1:]
-        old_cands = rng.sample(live, rng.randint(0, len(live)))
-        for d in old_cands:
-            d.heat = rng.randint(0, 3)
+        old_cands = {d: rng.randint(0, 3) for d in rng.sample(live, rng.randint(0, len(live)))}
         current = build_pool(old_cands, rng.randint(0, len(live)))
         if rng.random() < 0.5:  # the same hot set: equal names unless the cut moves
             cands = list(old_cands)
         else:
             cands = rng.sample(live, rng.randint(0, len(live)))
-        for d in cands:
-            d.heat = rng.randint(0, 3)
-        cands += rng.choices(cands, k=rng.randint(0, 3)) if cands else []
+        cands = {d: rng.randint(0, 3) for d in cands}
         for bound in (current.size, rng.randint(0, len(live) + 2)):
             got = build_pool(cands, bound, current)
             want = reference_build_pool(cands, bound, current)
@@ -205,7 +198,7 @@ class _CountingMap(dict):
 
 def test_empty_pool():
     """An empty pool answers None with zero counts and never probes its map."""
-    pool = build_pool([], 16)
+    pool = build_pool({}, 16)
     pool.published = True
     pool.by_path = _CountingMap()
     stats = ScanStats()
@@ -223,9 +216,7 @@ def test_no_shared_first_component(fig4):
 
 def test_first_pivot_wins_ties():
     tree = make_tree("/a/b/x1", "/a/b/x2")
-    pool = build_pool(
-        [tree._resolve_admin(mkpath("/a/b/x1")), tree._resolve_admin(mkpath("/a/b/x2"))], 16
-    )
+    pool = build_pool({tree._resolve_admin(mkpath(p)): 0 for p in ("/a/b/x1", "/a/b/x2")}, 16)
     pool.published = True
     pivot, depth = find_best_pivot(pool, mkpath("/a/b/zz"))
     assert depth == 2 and pivot.path == "/a/b/x1"
@@ -268,9 +259,7 @@ def _universe(rng: random.Random, split: bool = False) -> tuple[list[str], list]
 
 def _random_pool_and_queries(rng: random.Random, n_pivots: int, n_queries: int, split: bool = False):
     universe, nodes = _universe(rng, split)
-    cands = rng.sample(nodes, min(n_pivots, len(nodes)))
-    for c in cands:
-        c.heat = rng.randint(1, 50)
+    cands = {c: rng.randint(1, 50) for c in rng.sample(nodes, min(n_pivots, len(nodes)))}
     pool = build_pool(cands, n_pivots)
     pool.published = True
     queries = []
@@ -286,7 +275,7 @@ def _random_pool_and_queries(rng: random.Random, n_pivots: int, n_queries: int, 
 
 def test_pool_orders_by_components_not_path_text():
     tree = make_tree("/a", "/a.d", "/a/b")
-    pool = build_pool([tree._resolve_admin(mkpath(p)) for p in ("/a", "/a.d", "/a/b")], 16)
+    pool = build_pool({tree._resolve_admin(mkpath(p)): 0 for p in ("/a", "/a.d", "/a/b")}, 16)
     pool.published = True
     assert [p.path for p in pool.pivots] == ["/a", "/a/b", "/a.d"]
     pivot, depth = find_best_pivot(pool, mkpath("/a/b/x"))
@@ -362,9 +351,7 @@ def test_counts_match_char_by_char_reference_randomized():
     scans = prefix_mismatches = 0
     kinds: collections.Counter[str] = collections.Counter()
     for _ in range(300):
-        cands = rng.sample(nodes, rng.randint(1, 24))
-        for c in cands:
-            c.heat = rng.randint(1, 50)
+        cands = {c: rng.randint(1, 50) for c in rng.sample(nodes, rng.randint(1, 24))}
         pool = build_pool(cands, 16)
         pool.published = True
         queries = [PathBuf(tuple(rng.choice(_CLOSE_NAMES) for _ in range(rng.randint(0, 6)))) for _ in range(10)]
@@ -406,9 +393,7 @@ def test_pivot_paths_and_their_extensions_match_reference_randomized():
     stats = ScanStats()
     kinds: collections.Counter[str] = collections.Counter()
     for _ in range(200):
-        cands = rng.sample(nodes, rng.randint(1, 24))
-        for c in cands:
-            c.heat = rng.randint(1, 50)
+        cands = {c: rng.randint(1, 50) for c in rng.sample(nodes, rng.randint(1, 24))}
         pool = build_pool(cands, 16)
         pool.published = True
         pivots_ = pool.pivots
@@ -444,7 +429,7 @@ _THREAD_MISSES = ("/xa", "/c", "/ab", "/dd", "/e", "/a/xa", "/a/c", "/a/bb", "/a
 def test_scans_stay_exact_when_threads_run_them_at_once():
     workers = 4
     tree = make_tree(*_THREAD_PATHS)
-    pool = build_pool([tree._resolve_admin(mkpath(p)) for p in _THREAD_PATHS], 16)
+    pool = build_pool({tree._resolve_admin(mkpath(p)): 0 for p in _THREAD_PATHS}, 16)
     pool.published = True
     queries = [mkpath(text) for text in _THREAD_MISSES]
     want = {}
@@ -479,7 +464,7 @@ def test_a_query_counts_each_pools_own_names():
     tree = make_tree("/a/x", "/a/y", "/a/xyz", "/a/qq")
     pools = []
     for paths in (("/a/x", "/a/y"), ("/a/xyz", "/a/qq")):
-        pool = build_pool([tree._resolve_admin(mkpath(p)) for p in paths], 16)
+        pool = build_pool({tree._resolve_admin(mkpath(p)): 0 for p in paths}, 16)
         pool.published = True
         pools.append(pool)
     q = mkpath("/a/xa")
@@ -502,8 +487,8 @@ _STOP_QUERIES = {
 
 def test_every_scan_overwrites_both_counts_of_a_reused_stats():
     tree = make_tree(*_STOP_PATHS)
-    full = build_pool([tree._resolve_admin(mkpath(p)) for p in _STOP_PATHS], 16)
-    empty = build_pool([], 16)  # returns before any scan
+    full = build_pool({tree._resolve_admin(mkpath(p)): 0 for p in _STOP_PATHS}, 16)
+    empty = build_pool({}, 16)  # returns before any scan
     for pool in (full, empty):
         pool.published = True
     stats = ScanStats()

@@ -296,15 +296,16 @@ def test_dead_and_kind_follow_the_children_maps_randomized():
                                         "unlinked", "refused")), seen
 
 
-def test_a_dentry_has_eight_slots():
-    # kind and dead are read off the children maps; a ninth field would grow
-    # each of the preset tree's 211,111 dentries by 8 bytes
-    class Eight:
-        __slots__ = tuple("abcdefgh")
+def test_a_dentry_has_six_slots():
+    # kind and dead are read off the children maps and heat is the candidate
+    # set's; a seventh field would grow each of the preset tree's 211,111
+    # dentries by 8 bytes
+    class Six:
+        __slots__ = tuple("abcdef")
 
     tree = make_tree(files=("/a/f",))
     for path in ("/a", "/a/f"):
-        assert sys.getsizeof(tree._resolve_admin(mkpath(path))) == sys.getsizeof(Eight())
+        assert sys.getsizeof(tree._resolve_admin(mkpath(path))) == sys.getsizeof(Six())
 
 
 def test_missing_name_below_a_file_or_directory_counts_one_hash_scan():
@@ -611,7 +612,7 @@ def test_root_walk_counts_without_join_or_get(text, counts):
 def test_stage_two_walk_counts_without_join_or_get():
     tree = make_tree(files=_COUNTED_FILES)
     engine = StageLookupEngine(tree)
-    engine.manager.publish_pool(build_pool([tree._resolve_admin(mkpath("/ab/cde"))], 16))
+    engine.manager.publish_pool(build_pool({tree._resolve_admin(mkpath("/ab/cde")): 0}, 16))
     path = PathBuf.parse("/ab/cde/f/gh/ij")
     used: list = []
     got, called = _walk_c_calls(engine.lookup, path, OWNER, used)

@@ -18,6 +18,7 @@ from stagewalk import (
     STRATEGIES,
     ConfigError,
     Credential,
+    Dentry,
     DirTree,
     Metrics,
     SpecInvalid,
@@ -79,15 +80,20 @@ def test_spec_json_round_trip():
 
 
 def _node_records(tree):
-    """Each node's whole state, by id: id, parent id, name, mode, size, heat,
-    heat version, the type of its children slot and its map's key order.
-    Equal records mean equal trees with equal ids, equal maps and no slot
-    left unset."""
-    return [
-        (d.id, d.parent and d.parent.id, d.name, d.mode, d.size, d.heat, d.heat_version,
-         type(d.children), list(d.children or ()))
-        for d in tree.nodes[1:]
-    ]
+    """Each node's whole state, by id: every slot in `Dentry.__slots__`, the
+    parent as its id and the children slot as its type and its map's key
+    order. Equal records mean equal trees with equal ids and equal maps, and
+    a slot left unset raises, whatever slots a dentry has."""
+
+    def value(d, slot):
+        v = getattr(d, slot)
+        if slot == "parent":
+            return v and v.id
+        if slot == "children":
+            return type(v), list(v or ())
+        return v
+
+    return [tuple(value(d, slot) for slot in Dentry.__slots__) for d in tree.nodes[1:]]
 
 
 def test_gen_tree_matches_reference_randomized():
@@ -447,7 +453,6 @@ def test_an_idle_gap_of_half_a_billion_periods_replays_at_once(strategy):
     if strategy == "stage":
         mgr = resolver.manager
         assert mgr.ticks == mgr.swaps == 5 * 10**8
-        assert resolver.candidates.version == 5 * 10**8 + 1
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -469,7 +474,7 @@ def test_idle_gaps_end_as_single_ticks_leave_them_randomized(monkeypatch):
     """Traces whose events sit 0-5 periods apart, with renames, chmods and
     creates, replayed against a reference that ticks once per period
     crossed: the same outcomes and counters, and for stage the same ticks,
-    swaps, heat version and working pool."""
+    swaps and working pool."""
     rng = random.Random(2205)
     period = 2000
     spec = TreeSpec(levels=[3, 3, 3], seed=4)
@@ -492,7 +497,6 @@ def test_idle_gaps_end_as_single_ticks_leave_them_randomized(monkeypatch):
             if strategy == "stage":
                 mgr, ref_mgr = fast.manager, ref.manager
                 assert (mgr.ticks, mgr.swaps) == (ref_mgr.ticks, ref_mgr.swaps)
-                assert fast.candidates.version == ref.candidates.version
                 assert [pv.names for pv in mgr.working_pool.pivots] == [
                     pv.names for pv in ref_mgr.working_pool.pivots
                 ]
