@@ -27,12 +27,13 @@ of the skipped components' modes taken at build time.
 
 A lookup applies no heat: it appends its target to the engine's heat log,
 which is atomic under the GIL, so it takes no lock and calls nothing for
-heat on either tree kind. The manager's period applies the log under the
-heat lock before it reads the members (`apply_heat`), as BP-Wrapper (Ding,
-Jiang and Zhang, ICDE 2009) commits its access queue in batches; a lookup
-applies it in order itself when it reaches `HEAT_LOG_BOUND` entries. Only
-the period reads heat and the candidate set, so the period sees what a heat
-call per lookup would have left. The heat is the candidate set's per-period
+heat on either tree kind. The period end that the engine hands the manager
+(`_end_period`) applies the log before it reads the members and advances the
+set, all under the heat lock (`apply_heat`), as BP-Wrapper (Ding, Jiang and
+Zhang, ICDE 2009) commits its access queue in batches; a lookup applies it
+in order itself when it reaches `HEAT_LOG_BOUND` entries. Only the period
+end reads heat and the candidate set, so it sees what a heat call per
+lookup would have left. The heat is the candidate set's per-period
 dict, as BP-Wrapper keeps it in the policy's state, and the dentries hold
 none of it, so engines built on one tree keep separate heat.
 
@@ -168,7 +169,7 @@ class StageLookupEngine(_ResolverBase):
         self.candidates = CandidateSet(heat_capacity, heat_threshold)
         self.heat_lock = threading.Lock()
         self._heat_log: list[Dentry] = []
-        self.manager = PivotManager(tree, self.candidates, self.heat_lock, self.apply_heat, pool_bound=pool_size)
+        self.manager = PivotManager(tree, self._end_period, pool_bound=pool_size)
         # a single-threaded engine reuses one ScanStats; a threadsafe one
         # makes one per lookup, since threads would share a reused one
         self._stats = None if tree.threadsafe else ScanStats()
@@ -181,6 +182,14 @@ class StageLookupEngine(_ResolverBase):
         super().tick(periods)
         self.manager.periodic_update(periods)
 
+    def _end_period(self) -> dict[Dentry, int]:
+        """The manager's period end: apply the heat log, then take the
+        period's popular candidates and start the next period, all under
+        the heat lock, so no drain lands between the read and the advance."""
+        with self.heat_lock:
+            self.apply_heat(True)
+            return self.candidates.end_period()
+
     def apply_heat(self, period_end: bool = False) -> None:
         """Apply the logged targets' heat, oldest first, and empty the log.
         The caller holds the heat lock on a threadsafe tree.
@@ -189,7 +198,7 @@ class StageLookupEngine(_ResolverBase):
         thread appends meanwhile stays for the next drain. By default, and
         whenever the candidate set already has members, the batch is
         replayed in order, one `observe_target` per lookup. A `period_end`
-        drain into an empty set, the manager's, may instead make one call
+        drain into an empty set, `_end_period`'s, may instead make one call
         per distinct target with its count, for the first `capacity`
         targets in first-seen order, when each later target was looked up
         at most threshold + 1 times. That is exact: each of the first

@@ -9,14 +9,14 @@ a reclaim queue and are poisoned (freed flag) only once every reader
 registered before their retirement has exited, which the sentinel checks in
 find_best_pivot turn into hard failures on any protocol bug.
 
-Each period the manager first applies the engine's heat log under the heat
-lock (the engine's `apply_heat`, which it hands the manager), since lookups
-only log their targets, and then builds a pool from the candidates looked up
-at least POPULAR_HEAT times in that period; a period whose kept names equal
-the working pool's keeps that pool, and so does an idle period, one with no
-candidate looked up twice: shortcuts outlive a quiet spell, or a spell of
-targets each seen once, as dcache entries stay until something displaces
-them. A metadata modification finds the pivots its path covers by bisecting
+Each period the manager calls `end_period`, the one function it was given,
+which returns the period's popular candidates (dentry to heat) and starts
+the next heat period; the manager holds no heat. It builds a pool from
+those candidates; a period whose kept names equal the working pool's keeps
+that pool, and so does an idle period, one with no popular candidate:
+shortcuts outlive a quiet spell, or a spell of targets each seen once, as
+dcache entries stay until something displaces them.
+A metadata modification finds the pivots its path covers by bisecting
 the working pool's sorted list on that path's names (one run of the sorted
 pool, so the cost is a bisection and the run, not a pass over the pool),
 installs a pool of the other pivots, the same pivot objects, then bumps `metadata_seq`;
@@ -50,16 +50,9 @@ from contextlib import nullcontext
 from typing import Callable, Optional
 
 from .errors import ConfigError, ContractViolation
-from .heat import CandidateSet
 from .paths import PathBuf
 from .pivots import PivotPool, build_pool
-from .tree import DirTree
-
-# a candidate becomes a pivot only on its second lookup in a period: a target
-# seen once is not popular, the rule 2Q (Johnson & Shasha, VLDB 1994) and
-# TinyLFU (Einziger, Friedman & Manes, ACM ToS 2017) use to keep one-off
-# references out of a cache
-POPULAR_HEAT = 2
+from .tree import Dentry, DirTree
 
 
 class ReclaimQueue:
@@ -93,24 +86,15 @@ class ReclaimQueue:
 
 
 class PivotManager:
-    """Owns the working pool and the candidate set's period lifecycle. A
-    negative `pool_bound` raises ConfigError. `apply_heat(True)`, when
-    given, applies the lookups' pending heat at the start of each period."""
+    """Owns the working pool, the reader registry and reclamation. Each
+    period calls `end_period()` once for the candidates to build from. A
+    negative `pool_bound` raises ConfigError."""
 
-    def __init__(
-        self,
-        tree: DirTree,
-        candidates: CandidateSet,
-        heat_lock: threading.Lock,
-        apply_heat: Optional[Callable[[bool], None]] = None,
-        pool_bound: int = 16,
-    ):
+    def __init__(self, tree: DirTree, end_period: Callable[[], dict[Dentry, int]], pool_bound: int = 16):
         if pool_bound < 0:
             raise ConfigError(f"pool size must be >= 0, got {pool_bound}")
         self._tree = tree
-        self._candidates = candidates
-        self._heat_lock = heat_lock
-        self._apply_heat = apply_heat
+        self._end_period = end_period
         self.pool_bound = pool_bound
         self.working_pool = PivotPool([])
         self.working_pool.published = True
@@ -161,23 +145,18 @@ class PivotManager:
     # -- manager side -----------------------------------------------------------
 
     def periodic_update(self, periods: int = 1) -> None:
-        """One manager period, or `periods` in a row: rebuild, install the
-        build unless it keeps the working pool, then advance the candidate
-        set, which empties its heat and drops every member.
+        """One manager period, or `periods` in a row: take the period's
+        candidates from `end_period`, rebuild, and install the build unless
+        it keeps the working pool.
 
         `periods` > 1 runs that many periods back to back with no lookup or
-        modification between them (a replay's idle gap). The first leaves
-        the set empty, so each later one would build nothing, keep the
-        working pool and advance: they are counted at once, and the set
-        advances once more, clearing what a threadsafe lookup's drain may
-        have applied since the first.
+        modification between them (a replay's idle gap). The first period's
+        `end_period` starts a heat period with nothing in it, so each later
+        one would build nothing and keep the working pool: they are counted
+        at once.
         """
         self._period()
-        rest = periods - 1
-        if rest > 0:
-            with self._heat_lock:
-                self._candidates.advance()
-            self.ticks += rest
+        self.ticks += periods - 1
 
     @property
     def swaps(self) -> int:
@@ -185,18 +164,12 @@ class PivotManager:
         return self.ticks
 
     def _period(self) -> None:
-        """One period: apply the heat log, whose drain may count it since
-        the advance follows, then build from the members at heat
-        POPULAR_HEAT or more in this period's heat, read under the heat
-        lock, and install the build under the same tree read lock. With
-        none, `build_pool` returns the working pool, which the period keeps
-        while it still advances."""
+        """One period: end the heat period for its popular candidates, then
+        build from them and install the build under one tree read lock.
+        With none, `build_pool` returns the working pool, which the period
+        keeps."""
         self.ticks += 1
-        with self._heat_lock:
-            if self._apply_heat is not None:
-                self._apply_heat(True)
-            heat = self._candidates.heat
-            candidates = {d: heat[d] for d in self._candidates.members() if heat[d] >= POPULAR_HEAT}
+        candidates = self._end_period()
         self._tree.lock.acquire_read()
         try:
             new_pool = build_pool(candidates, self.pool_bound, self.working_pool)
@@ -205,8 +178,6 @@ class PivotManager:
                     self._install(new_pool)
         finally:
             self._tree.lock.release_read()
-        with self._heat_lock:
-            self._candidates.advance()
         self.reclaim()
 
     def publish_pool(self, pool: PivotPool) -> None:

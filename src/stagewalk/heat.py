@@ -5,12 +5,12 @@ the candidate set keeps it in a dict, `heat`, from dentry to that count,
 which a period's `advance` empties, so the first access of a new period
 sets it to 1. The set keeps the hottest dentries in an insertion-ordered
 dict and tracks a least_popular_cand cursor that is cheap to maintain but
-deliberately not guaranteed to point at the true minimum. Every pool swap
-calls `advance`, which empties the heat, the members and the cursor, so each
-period's candidates are the targets of that period alone. Admission has no
-heat floor, but the manager makes pivots only of the members looked up at
-least twice in the period (`epoch.POPULAR_HEAT`), so a target seen once is a
-candidate and never a pivot.
+deliberately not guaranteed to point at the true minimum. Each period ends
+with `end_period`, which returns the members looked up at least twice in
+the period (`POPULAR_HEAT`), the pivot manager's build input, and then
+`advance`s, emptying the heat, the members and the cursor, so each period's
+candidates are the targets of that period alone. Admission has no heat
+floor, so a target seen once is a candidate and never a pivot.
 
 Heat and membership both belong to the set, as BP-Wrapper (Ding, Jiang and
 Zhang, ICDE 2009) keeps the recorded accesses in the replacement policy's
@@ -18,7 +18,8 @@ state rather than on the cached objects; the dentries carry none of it, so
 engines that share a tree share no heat.
 
 A lookup does not apply heat itself: the engine logs its target, and the
-period applies the log before it reads the members (`engine.apply_heat`).
+engine's period end applies the log before `end_period` reads the members
+(`engine.apply_heat`).
 The heat rule has one copy, written inline in `observe_target`, which the
 drain calls once per logged target, or once per distinct target with
 `hits` set to that target's count where the drain has shown the counts give
@@ -33,6 +34,12 @@ from typing import Optional
 
 from .errors import ConfigError, ContractViolation
 from .tree import Dentry
+
+# a candidate becomes a pivot only on its second lookup in a period: a target
+# seen once is not popular, the rule 2Q (Johnson & Shasha, VLDB 1994) and
+# TinyLFU (Einziger, Friedman & Manes, ACM ToS 2017) use to keep one-off
+# references out of a cache
+POPULAR_HEAT = 2
 
 
 class Admission(Enum):
@@ -101,9 +108,17 @@ class CandidateSet:
             return Admission.REPLACED, lpc
         return Admission.REJECTED, None
 
+    def end_period(self) -> dict[Dentry, int]:
+        """The period's popular members, those at heat POPULAR_HEAT or more,
+        to their heat in admission order; then `advance`."""
+        heat = self.heat
+        popular = {d: heat[d] for d in self._members if heat[d] >= POPULAR_HEAT}
+        self.advance()
+        return popular
+
     def advance(self) -> None:
         """Start a new period: drop every heat count, every member and the
-        cursor. The manager calls this at each swap, under the heat lock."""
+        cursor."""
         self.heat.clear()
         self._members.clear()
         self.least_popular = None

@@ -12,7 +12,7 @@ lock. A single-threaded tree registers no readers at all, since on one
 thread nothing reclaims a pool inside a lookup. Concurrent lookups therefore
 need a threadsafe tree. No lookup takes the heat lock on either kind: a
 lookup appends its target to the engine's heat log, which the GIL keeps
-atomic, and the manager's period, or a lookup that finds the log full,
+atomic, and the engine's period end, or a lookup that finds the log full,
 applies the log under the heat lock.
 """
 

@@ -22,7 +22,7 @@ from stagewalk import (
     build_pool,
     find_best_pivot,
 )
-from stagewalk.epoch import POPULAR_HEAT
+from stagewalk.heat import POPULAR_HEAT
 from stagewalk.pivots import ScanStats, verify_pool
 from conftest import (
     FIG4_PATHS,
@@ -39,7 +39,7 @@ from conftest import (
 def make_manager(tree=None, bound=16):
     tree = tree if tree is not None else make_tree("/seed")
     cset = CandidateSet(64, 4)
-    mgr = PivotManager(tree, cset, threading.Lock(), pool_bound=bound)
+    mgr = PivotManager(tree, cset.end_period, pool_bound=bound)
     return tree, cset, mgr
 
 

@@ -16,6 +16,7 @@ from stagewalk import (
     make_resolver,
     observe_target,
 )
+from stagewalk.heat import POPULAR_HEAT
 from stagewalk.tree import DIR
 from conftest import ReferenceCandidates, make_tree, mkpath
 
@@ -200,14 +201,21 @@ def test_empty_cursor_adopts_the_observed_member():
 
 def test_advance_bumps_the_version_and_drops_every_member():
     """`advance` starts the next period, the heat's version: it clears the
-    heat and drops every member and the cursor."""
-    cset, members = full_set()
-    cset.advance()
-    assert cset.heat == {}
-    assert len(cset) == 0 and cset.least_popular is None and cset.members() == []
-    for m in members:
-        assert m not in cset
-    cset.validate()
+    heat and drops every member and the cursor. `end_period` first returns
+    the members at POPULAR_HEAT or more with their heat, in admission order,
+    then advances."""
+    for end in ("advance", "end_period"):
+        cset, members = full_set()
+        cset.heat[members[0]] = 20  # the hottest first: the order is admission's, not heat's
+        cset.heat[members[2]] = POPULAR_HEAT - 1  # a member, but not popular
+        popular = getattr(cset, end)()
+        if end == "end_period":
+            assert list(popular.items()) == [(members[0], 20), (members[1], 11), (members[3], 13)]
+        assert cset.heat == {}
+        assert len(cset) == 0 and cset.least_popular is None and cset.members() == []
+        for m in members:
+            assert m not in cset
+        cset.validate()
 
 
 def test_swap_clears_members_refreshed_in_the_ending_period():

@@ -22,7 +22,7 @@ from stagewalk import CandidateSet, PathBuf, StageLookupEngine, TreeSpec, gen_tr
 from stagewalk import engine as engine_module
 from stagewalk import epoch as epoch_module
 from stagewalk.errors import EngineError
-from conftest import path_of, pool_shape
+from conftest import mkpath, path_of, pool_shape
 
 _SPEC = TreeSpec(levels=[4, 4, 4], seed=3)  # 148 dentries besides the root: over capacity 64
 
@@ -104,7 +104,7 @@ def _replay(rng, capacity: int, threshold: int, threadsafe: bool, periods: int, 
         return real_apply(self, period_end)
 
     monkeypatch.setattr(epoch_module, "build_pool", recording_build)
-    monkeypatch.setattr(StageLookupEngine, "apply_heat", spying_apply)  # before the manager takes it
+    monkeypatch.setattr(StageLookupEngine, "apply_heat", spying_apply)  # `_end_period` looks it up per call
     trees = [gen_tree(_SPEC, threadsafe=threadsafe) for _ in range(2)]
     pool_size = rng.choice((4, 16))
     eager, shipped = (StageLookupEngine(t, pool_size, threshold, capacity) for t in trees)
@@ -233,3 +233,29 @@ def test_threads_appending_while_the_log_drains_lose_no_lookup(monkeypatch):
     with engine.heat_lock:
         engine.apply_heat()
     assert sum(engine.candidates.heat.values()) == 4 * per_thread
+
+
+@pytest.mark.parametrize("lookups", [engine_module.HEAT_LOG_BOUND - 1, engine_module.HEAT_LOG_BOUND])
+def test_heat_applied_while_a_period_builds_counts_in_the_next(monkeypatch, lookups):
+    """On a threadsafe tree, lookups made while a period builds belong to the
+    next period, whether they stay in the log or the last of them drains it
+    at `HEAT_LOG_BOUND`: the period read its heat and advanced together
+    before its build, so no advance after the build throws the drained heat
+    away, and the next tick makes the target a pivot."""
+    tree = gen_tree(TreeSpec(levels=[2, 2], seed=1), threadsafe=True)
+    engine = StageLookupEngine(tree)
+    path = mkpath("/a0/b0/c0")
+    target = tree._resolve_admin(path)
+    real_build = epoch_module.build_pool
+    pending = [lookups]
+
+    def build_after_lookups(candidates, bound, current):
+        for _ in range(pending.pop() if pending else 0):
+            engine.lookup(path)
+        return real_build(candidates, bound, current)
+
+    monkeypatch.setattr(epoch_module, "build_pool", build_after_lookups)
+    engine.tick()
+    assert engine._heat_log.count(target) + engine.candidates.heat.get(target, 0) == lookups
+    engine.tick()
+    assert [p.path for p in engine.manager.working_pool.pivots] == ["/a0/b0/c0"]

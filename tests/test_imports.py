@@ -48,3 +48,21 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports("from __future__ import annotations\nfrom x import y\n", frozenset({"y"})) == []
     # an annotation reads its names
     assert unused_imports("from x import Pivot\nused: list[Pivot] = []\n") == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The package-relative modules a module imports from, as `.name`."""
+    return {
+        "." * node.level + (node.module or "")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+    }
+
+
+def test_the_pivot_manager_and_the_heat_know_nothing_of_each_other():
+    """The manager takes its candidates from the function the engine hands
+    it, so `epoch` imports neither the heat nor the engine, and `heat`
+    imports neither the manager nor the engine."""
+    for module, forbidden in (("epoch", {".heat", ".engine"}), ("heat", {".epoch", ".engine"})):
+        source = (ROOT / f"src/stagewalk/{module}.py").read_text(encoding="utf-8")
+        assert imported_modules(source) & forbidden == set(), module

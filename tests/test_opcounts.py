@@ -50,9 +50,11 @@ _TWIN_PINS = {
     (3, 11): {
         "stage-rename-hook-covers-none": (116, 5),
         "stage-rename-hook-covers-one": (1446, 23),
-        "stage-tick-keeps-pool": (1700, 43),
-        "stage-tick-builds-pool": (4749, 95),
-        "stage-tick-log-1000-of-4": (4693, 95),
+        # each tick was 11 opcodes more and one call fewer (1,700 / 43, 4,749 / 95,
+        # 4,693 / 95) while the manager ranked the heat and advanced the set itself
+        "stage-tick-keeps-pool": (1689, 44),
+        "stage-tick-builds-pool": (4738, 96),
+        "stage-tick-log-1000-of-4": (4682, 96),
     },
 }
 
