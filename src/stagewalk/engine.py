@@ -10,20 +10,29 @@ that the manager's reader registry holds from `reader_enter` to
 `reader_exit`; on a single-threaded tree the same calls register nothing
 (see `epoch`), and a whole-path hit there makes none of them: the engine
 probes the working pool's path map itself, tests the pool's `freed` flag,
-and reads off the entry the pair, the scan's chars and the matched
-component, whose AND of modes it tests and whose dentry is the target. A
-query equal to the pivot's path has nothing left to walk, so that branch
-indexes no component array, compares no lengths and never splits the path
-(see `paths`); it keeps the pair the map stores, so it builds no tuple
-either. Only a path-map miss calls `find_best_pivot`, and every threadsafe
-lookup does. The two branches share the histogram bump, the `out` append
-and the heat log's append. Stage Two resolves the remaining components
-through the children maps exactly like the original walk, starting from the
-matched component's dentry, which the pivot holds per depth (so landing on
-an ancestor of the pivot is a direct array index, recorded as rolled_up,
-and no id is looked up in `tree.nodes`). The skipped prefix's permission
-check is the walk's own exec-bit test, `mode & cred`, made once on the AND
-of the skipped components' modes taken at build time.
+and reads off the entry the matched component, whose AND of modes it tests
+and whose dentry is the target. A query equal to the pivot's path has
+nothing left to walk, so that branch indexes no component array, compares
+no lengths and never splits the path (see `paths`); it appends the pair the
+map stores, so it builds no tuple either. It reads no counter: it adds 1 to
+the entry's `hits`, notes its pool when that is not the last pool a hit
+noted, logs its target for heat and returns. `_count_hits` adds the noted
+pools' entry counts into `Metrics` (per hit a lookup, the scan's chars and
+a histogram bump at the pair's depth, as an eager count would) at each
+period end, at a heat-log drain and whenever `metrics` is read: the
+batching that BP-Wrapper (below) applies to replacement bookkeeping. A
+noted pool keeps its entries' counts after it is retired or freed, so no
+install or reclaim loses one. A whole-path hit that the mode test refuses,
+or one on a freed pool, takes the read side of every other lookup, which
+counts it at once and raises what a scan raises. Only those and a path-map
+miss call `find_best_pivot`, and every threadsafe lookup does.
+Stage Two resolves the remaining components through the children maps
+exactly like the original walk, starting from the matched component's
+dentry, which the pivot holds per depth (so landing on an ancestor of the
+pivot is a direct array index, recorded as rolled_up, and no id is looked
+up in `tree.nodes`). The skipped prefix's permission check is the walk's
+own exec-bit test, `mode & cred`, made once on the AND of the skipped
+components' modes taken at build time.
 
 A lookup applies no heat: it appends its target to the engine's heat log,
 which is atomic under the GIL, so it takes no lock and calls nothing for
@@ -45,7 +54,7 @@ matched depth exactly when its text is longer. Stage Two reads
 passes the walk the length of the text past the matched one, from which the
 walk counts its chars. The miss walk is `DirTree.lookup_original`, which
 splits the path where no scan did: on an empty pool, or after a hit that a
-modification raced. A counted hit bumps only the skipped-prefix histogram,
+modification raced. A kept result bumps only the skipped-prefix histogram,
 whose total is `Metrics.pivot_hits`.
 
 A lookup that calls Stage One sees one state of the tree, as the kernel's
@@ -72,12 +81,12 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Optional
 
-from .errors import ConfigError, ContractViolation, NotFound, PermissionDenied
+from .errors import ConfigError, NotFound, PermissionDenied
 from .heat import CandidateSet, observe_target
 from .epoch import PivotManager
 from .metrics import Metrics
 from .paths import PathBuf
-from .pivots import Pivot, ScanStats, find_best_pivot
+from .pivots import Pivot, PivotPool, ScanStats, find_best_pivot
 from .tree import DIR, FILE, Credential, Dentry, DirTree
 
 # logged targets at which a lookup applies the log itself, which bounds the
@@ -165,7 +174,12 @@ class StageLookupEngine(_ResolverBase):
         heat_threshold: int = 4,
         heat_capacity: int = 64,
     ):
-        super().__init__(tree)
+        self.tree = tree  # not the base `__init__`: `metrics` is read-only here
+        self._metrics = Metrics()
+        # pools whose path-map entries may hold uncounted hits, and the last
+        # one a hit noted, which each hit tests by identity
+        self._hit_pools: list[PivotPool] = []
+        self._hit_pool: Optional[PivotPool] = None
         self.candidates = CandidateSet(heat_capacity, heat_threshold)
         self.heat_lock = threading.Lock()
         self._heat_log: list[Dentry] = []
@@ -175,8 +189,38 @@ class StageLookupEngine(_ResolverBase):
         self._stats = None if tree.threadsafe else ScanStats()
         tree.register_hook(self._on_metadata)
 
+    @property
+    def metrics(self) -> Metrics:
+        """The engine's counters, with every whole-path hit so far counted in."""
+        self._count_hits()
+        return self._metrics
+
+    def _count_hits(self) -> None:
+        """Add the single-threaded whole-path hits that path-map entries hold
+        into `Metrics`, as their eager counts would have: per entry with `k`
+        hits, `k` lookups, `k` times its scan's chars, and `k` at its depth
+        in the histogram; then zero them. Every pool such a hit used is in
+        `_hit_pools` until this call, retired or freed ones too, so no
+        install or reclaim can drop a count."""
+        pools = self._hit_pools
+        if not pools:
+            return
+        metrics = self._metrics
+        hist = metrics.skipped_prefix_histogram
+        for pool in pools:
+            for entry in pool.by_path.values():
+                k = entry.hits
+                if k:
+                    entry.hits = 0
+                    metrics.lookups += k
+                    metrics.char_comparisons += k * entry.chars
+                    depth = entry.pair[1]
+                    hist[depth] = hist.get(depth, 0) + k
+        pools.clear()
+        self._hit_pool = None
+
     def _on_metadata(self, path: PathBuf, _dentry: Dentry) -> None:
-        self.metrics.entries_touched += self.manager.invalidate_for_metadata(path)
+        self._metrics.entries_touched += self.manager.invalidate_for_metadata(path)
 
     def tick(self, periods: int = 1) -> None:
         super().tick(periods)
@@ -185,7 +229,9 @@ class StageLookupEngine(_ResolverBase):
     def _end_period(self) -> dict[Dentry, int]:
         """The manager's period end: apply the heat log, then take the
         period's popular candidates and start the next period, all under
-        the heat lock, so no drain lands between the read and the advance."""
+        the heat lock, so no drain lands between the read and the advance.
+        The period's whole-path hits are counted first."""
+        self._count_hits()
         with self.heat_lock:
             self.apply_heat(True)
             return self.candidates.end_period()
@@ -227,69 +273,78 @@ class StageLookupEngine(_ResolverBase):
         lookup that kept a pivot's result appends `(pivot, depth)` to it,
         after the `metadata_seq` re-check when it sampled the count; a full
         walk appends nothing."""
-        metrics = self.metrics
+        stats = self._stats
+        if stats is not None:  # a single-threaded tree: nothing runs inside the lookup
+            pool = self.manager.working_pool
+            entry = pool.by_path.get(path.text)
+            # a whole-path hit, answered from the path map; on a freed pool or a
+            # refused prefix the full read side below counts and raises as a scan does
+            if entry is not None and not pool.freed:
+                matched = entry.component
+                # the modes' AND cached on the matched component clears components 1..depth-1
+                if matched.prefix_trav & cred:
+                    entry.hits += 1  # its lookup, chars and histogram bump: see _count_hits
+                    if pool is not self._hit_pool:
+                        self._hit_pool = pool
+                        self._hit_pools.append(pool)
+                    if out is not None:
+                        out.append(entry.pair)
+                    target = matched.node
+                    log = self._heat_log
+                    log.append(target)  # atomic under the GIL: the read side takes no lock
+                    if len(log) >= HEAT_LOG_BOUND:
+                        self._drain_log()
+                    return target.id
+        else:  # a threadsafe tree
+            stats = ScanStats()
+        metrics = self._metrics
         metrics.lookups += 1
         manager = self.manager
-        stats = self._stats
-        entry = None
-        if stats is not None:  # a single-threaded tree: nothing runs inside the lookup
-            pool = manager.working_pool
-            entry = pool.by_path.get(path.text)
-        if entry is not None:  # a whole-path hit, answered from the path map
-            if pool.freed:
-                raise ContractViolation("pivot pool used after reclaim")
-            hit, _visited, chars, matched = entry
-            metrics.char_comparisons += chars  # Stage One single scan
-            # the modes' AND cached on the matched component clears components 1..depth-1
-            if not matched.prefix_trav & cred:
-                raise PermissionDenied(f"skipped prefix of {hit[0].path!r} not traversable for {cred.name.lower()}")
-            target = matched.node
-        else:
-            if stats is None:  # a threadsafe tree
-                stats = ScanStats()
-            seq = manager.metadata_seq
-            token_id, pool = manager.reader_enter()
-            try:
-                hit = find_best_pivot(pool, path, stats)
-            finally:
-                manager.reader_exit(token_id)
-            metrics.char_comparisons += stats.char_comparisons  # Stage One single scan
-            tree = self.tree
-            if hit is not None:
-                pivot, depth = hit
-                matched = pivot.components[depth - 1]
-                try:
-                    if not matched.prefix_trav & cred:
-                        raise PermissionDenied(
-                            f"skipped prefix of {pivot.path!r} not traversable for {cred.name.lower()}"
-                        )
-                    target = matched.node
-                    # the query shares the matched text, so a longer one has names left,
-                    # which the rest of its text spells; an empty walk_from checks and counts nothing
-                    if len(path.text) > matched.text_len:
-                        rest = len(path.text) - matched.text_len
-                        target = tree.walk_from(target, path.components[depth:], cred, metrics, rest)
-                except (PermissionDenied, NotFound):
-                    if manager.metadata_seq == seq:
-                        raise
-                if manager.metadata_seq != seq:
-                    metrics.fallbacks += 1  # a modification raced the lookup
-                    hit = None
-            if hit is None:
-                target = tree.nodes[tree.lookup_original(path, cred, metrics)]
-
+        seq = manager.metadata_seq
+        token_id, pool = manager.reader_enter()
+        try:
+            hit = find_best_pivot(pool, path, stats)
+        finally:
+            manager.reader_exit(token_id)
+        metrics.char_comparisons += stats.char_comparisons  # Stage One single scan
+        tree = self.tree
         if hit is not None:
-            depth = hit[1]
+            pivot, depth = hit
+            matched = pivot.components[depth - 1]
+            try:
+                if not matched.prefix_trav & cred:
+                    raise PermissionDenied(f"skipped prefix of {pivot.path!r} not traversable for {cred.name.lower()}")
+                target = matched.node
+                # the query shares the matched text, so a longer one has names left,
+                # which the rest of its text spells; an empty walk_from checks and counts nothing
+                if len(path.text) > matched.text_len:
+                    rest = len(path.text) - matched.text_len
+                    target = tree.walk_from(target, path.components[depth:], cred, metrics, rest)
+            except (PermissionDenied, NotFound):
+                if manager.metadata_seq == seq:
+                    raise
+            if manager.metadata_seq != seq:
+                metrics.fallbacks += 1  # a modification raced the lookup
+                hit = None
+        if hit is None:
+            target = tree.nodes[tree.lookup_original(path, cred, metrics)]
+        else:
             hist = metrics.skipped_prefix_histogram
             hist[depth] = hist.get(depth, 0) + 1
             if out is not None:
                 out.append(hit)
         log = self._heat_log
-        log.append(target)  # atomic under the GIL: the read side takes no lock
+        log.append(target)
         if len(log) >= HEAT_LOG_BOUND:
-            with self.heat_lock:
-                self.apply_heat()
+            self._drain_log()
         return target.id
+
+    def _drain_log(self) -> None:
+        """A lookup that filled the heat log applies it, and counts the
+        whole-path hits, which bounds the pools `_hit_pools` holds."""
+        with self.heat_lock:
+            self.apply_heat()
+        self._count_hits()
 
     def stage_lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> StageResult:
         """`lookup`, reporting the pivot it used and the components it skipped."""

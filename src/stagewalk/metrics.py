@@ -23,10 +23,10 @@ Counter semantics:
   probe of the pool's path map, whose entries carry the scan's counts;
   partial hits and misses run the scan, which adds a matched name's length
   and a mismatched pair's cost, cached per pair of names. The engine takes
-  a single-threaded whole-path hit's count off the path map's entry, and
-  every other Stage One count off a `ScanStats`: one reused instance on a
-  single-threaded tree, so counting allocates nothing per lookup there, and a
-  fresh one per lookup on a threadsafe tree.
+  a single-threaded whole-path hit's count off the path map's entry (see
+  below), and every other Stage One count off a `ScanStats`: one reused
+  instance on a single-threaded tree, so counting allocates nothing per
+  lookup there, and a fresh one per lookup on a threadsafe tree.
 - pivot_hits: lookups that kept a pivot's result, read as the total of
   skipped_prefix_histogram, which every such lookup bumps at its matched
   depth; no counter of its own is kept.
@@ -36,6 +36,16 @@ Counter semantics:
   run on one thread.
 - entries_touched: invalidation work; the dentries a metadata hook visited
   (fullpath's subtree walk) or the pivots it covered (stage).
+
+A stage engine's single-threaded whole-path hit that passes its mode test
+counts nothing here when it runs: it adds 1 to its path-map entry's `hits`.
+The engine adds those hits in at each period end, when a lookup drains the
+heat log and whenever `engine.metrics` is read: per hit one lookup, the
+entry's scan chars and one histogram bump at its depth, so the totals equal
+an eager count. `engine.metrics` is therefore exact when it is read, and a
+caller should read it again after lookups rather than hold the object
+across them: a held object lacks the hits since the last period end or
+drain.
 """
 
 from __future__ import annotations

@@ -18,18 +18,21 @@ mismatch the chars up to the first differing one. Every pool scans each
 pivot's own path when it is constructed and fills the pool's path map: each
 pivot's path text to the pair (pivot, depth) that scan returns, its pivots
 visited and chars, and the matched component, the pivot's component at that
-depth. A whole-path hit is one probe of the map and returns the stored pair
-without building one; the engine's single-threaded hit reads the component
-off the entry too, and with it the dentry and the skipped prefix's AND of
-modes. Partial hits and misses run the scan. Each component record holds
-the length of the pivot's path text through it, so the engine tells that a
-scanned hit leaves nothing to walk by comparing lengths. The metadata hook
-finds the run of pivots a mutated path covers by bisecting the sorted list
-on names (`PivotPool.covered_run`). A pool's list never changes once built,
-so its map never goes stale; a lookup that a metadata modification races is
-caught by the engine's re-check of `metadata_seq`, not here. The paper's
-char-by-char scan, and its cursor that never moves backward, live in the
-tests as the reference the counts are checked against.
+depth, in a `PathEntry`. A whole-path hit is one probe of the map and
+returns the stored pair without building one; the engine's single-threaded
+hit reads the component off the entry too, and with it the dentry and the
+skipped prefix's AND of modes, and adds 1 to the entry's `hits` in place of
+its counters, which the engine adds from the entry into `Metrics` later (see
+`engine`). Partial hits and misses run the scan. Each component record
+holds the length of the pivot's path text through it, so the engine tells
+that a scanned hit leaves nothing to walk by comparing lengths. The
+metadata hook finds the run of pivots a mutated path covers by bisecting
+the sorted list on names (`PivotPool.covered_run`). A pool's list never
+changes once built, so its map never goes stale; a lookup that a metadata
+modification races is caught by the engine's re-check of `metadata_seq`,
+not here. The paper's char-by-char scan, and its cursor that never moves
+backward, live in the tests as the reference the counts are checked
+against.
 """
 
 from __future__ import annotations
@@ -92,6 +95,23 @@ class Pivot:
         return f"Pivot({self.path!r})"
 
 
+class PathEntry:
+    """A path map's entry for one pivot's path: `pair`, the (pivot, depth) a
+    query equal to that path matches in full, which a whole-path hit returns
+    as it is stored; `visited` and `chars`, the scan's counts for that
+    query; `component`, `pivot.components[depth - 1]`, the matched
+    component, taken once so that a hit indexes no array; and `hits`, the
+    engine's single-threaded whole-path hits on it not yet added to its
+    `Metrics` (see `StageLookupEngine._count_hits`). `PivotPool` builds
+    each one with `object.__new__` and a store per slot, so a pool's build
+    runs no frame per entry."""
+
+    __slots__ = ("pair", "visited", "chars", "component", "hits")
+
+
+_new = object.__new__  # bound once: every pool build makes an entry per pivot
+
+
 class PivotPool:
     """Pivot list in ascending component order, immutable once published:
     every change installs a fresh pool, so in-flight readers keep a
@@ -100,11 +120,8 @@ class PivotPool:
     poisoned pool trips the sentinel.
 
     `by_path`, filled here by scanning each pivot's own path and never
-    written after, maps each pivot's path text to ((pivot, depth), pivots
-    visited, chars, component): the pair a query equal to that path matches
-    in full, which a whole-path hit returns as it is stored, the scan's
-    counts for that query, and `pivot.components[depth - 1]`, the matched
-    component, taken once here so that a hit indexes no array."""
+    written after, maps each pivot's path text to its `PathEntry`. Only an
+    entry's `hits` count changes after the build."""
 
     __slots__ = ("pivots", "generation", "published", "freed", "by_path")
 
@@ -113,10 +130,14 @@ class PivotPool:
         self.generation = 0
         self.published = False
         self.freed = False
-        by_path: dict[str, tuple[tuple[Pivot, int], int, int, Component]] = {}
+        by_path: dict[str, PathEntry] = {}
         for pv in pivots:
-            pair, visited, chars = _scan(pivots, pv.names)
-            by_path[pv.path] = (pair, visited, chars, pair[0].components[pair[1] - 1])
+            entry = _new(PathEntry)
+            pair, entry.visited, entry.chars = _scan(pivots, pv.names)
+            entry.pair = pair
+            entry.component = pair[0].components[pair[1] - 1]
+            entry.hits = 0
+            by_path[pv.path] = entry
         self.by_path = by_path
 
     @property
@@ -338,7 +359,7 @@ def find_best_pivot(
     if entry is None:
         pair, visited, chars = _scan(pivots, path.components)
     else:
-        pair, visited, chars, _component = entry
+        pair, visited, chars = entry.pair, entry.visited, entry.chars
     if pool.freed:
         raise ContractViolation("pivot used after reclaim")
     if stats is not None:
@@ -363,10 +384,10 @@ def verify_pool(pool: PivotPool) -> list[str]:
         entry = by_path.get(pv.path)
         if entry is None:
             continue  # reported with the keys below
-        pair, visited, chars, component = entry
-        if (pair, visited, chars) != _scan(pivots, pv.names):
+        pair = entry.pair
+        if (pair, entry.visited, entry.chars) != _scan(pivots, pv.names):
             problems.append(f"[{i}] path map entry of {pv.path!r} is not this pool's scan of it")
-        elif component is not pair[0].components[pair[1] - 1]:
+        elif entry.component is not pair[0].components[pair[1] - 1]:
             problems.append(f"[{i}] path map entry of {pv.path!r} holds the wrong component")
     if by_path.keys() != {pv.path for pv in pivots}:
         problems.append(f"path map keys {sorted(by_path)} are not the pivots' paths")

@@ -14,6 +14,7 @@ from stagewalk import (
     STRATEGIES,
     ConfigError,
     ContractViolation,
+    EngineError,
     Credential,
     MetadataView,
     NotFound,
@@ -523,6 +524,107 @@ def test_path_map_hits_answer_as_scanned_hits_do():
     want = {"whole-path hit", "partial hit at depth 1", "partial hit at depth 2", "miss", "NotFound below a pivot"}
     want |= {f"PermissionDenied on a skipped prefix for {who}" for who in ("group", "other")}
     assert want <= set(seen), seen
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EngineError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("log_bound", [engine_module.HEAT_LOG_BOUND, 40])
+def test_deferred_hit_counts_equal_eager_counts(monkeypatch, log_bound):
+    """A single-threaded whole-path hit counts itself on its path-map entry,
+    and the engine adds those counts into Metrics at each period end, at a
+    log drain and whenever `metrics` is read. One seeded interleaving of
+    lookups, ticks, hooks, `publish_pool` and direct reclaims runs on a
+    threadsafe engine, which counts every lookup eagerly, and on two
+    single-threaded ones: `every` is read after each step, `lazy` only now
+    and then, so hits pile up across pool installs and reclaims, and the
+    Metrics object taken from it at the start is compared after each tick,
+    when the period end must have filled it in."""
+    monkeypatch.setattr(engine_module, "HEAT_LOG_BOUND", log_bound)
+    spec = TreeSpec(levels=[4, 3, 3, 2], seed=4)
+    pivot_paths = ["/a0/b0/c0/d0", "/a0/b0/c1", "/a0/b1/c0/d1/e0", "/a1/b0/c0", "/a1/b2/c1/d0", "/a2/b1/c2/d1"]
+    engines = []
+    for threadsafe in (True, False, False):
+        tree = gen_tree(spec, threadsafe=threadsafe)
+        tree.chmod_node(mkpath("/a1"), 0o750)  # other may not cross /a1
+        tree.chmod_node(mkpath("/a2/b1"), 0o705)  # group may not cross /a2/b1
+        engines.append(engine_with_pool(tree, pivot_paths))
+    eager, every, lazy = engines
+    held = lazy.metrics
+    texts = [path_of(d).text for d in tree.nodes[1:]]
+    dirs = [path_of(d).text for d in tree.nodes[1:] if d.children is not None]
+    rng = random.Random(5209)
+    seen = collections.Counter()
+    for _step in range(3000):
+        roll = rng.random()
+        ticked = roll < 0.04
+        pool = lazy.manager.working_pool
+        touched = eager.metrics.entries_touched
+        if ticked:
+            answers = [_outcome(e.tick) for e in engines]
+            seen["tick"] += 1
+        elif roll < 0.07:
+            text, mode = rng.choice(dirs), rng.choice([0o755, 0o750, 0o705])
+            answers = [_outcome(e.tree.chmod_node, mkpath(text), mode) for e in engines]
+        elif roll < 0.10:
+            text = rng.choice(dirs)
+            old, new = text, text + "r"
+            if rng.random() < 0.5:
+                old, new = new, old  # rename back
+            answers = [_outcome(e.tree.rename_node, mkpath(old), mkpath(new)) for e in engines]
+        elif roll < 0.12:
+            ids = rng.sample(range(1, len(tree.nodes)), 4)  # the trees keep equal ids
+            for e in engines:
+                e.manager.publish_pool(build_pool(dict.fromkeys((e.tree.nodes[i] for i in ids), 0), 16))
+            answers = [e.manager.working_pool.dump() for e in engines]
+            seen["publish_pool"] += 1
+        elif roll < 0.14:
+            answers = [e.manager.reclaim() for e in engines]
+            seen["reclaim freed a pool"] += answers[0] > 0
+        else:
+            if roll < 0.6:
+                text = rng.choice([pv.path for pv in pool.pivots] or pivot_paths)
+            elif roll < 0.7:
+                text = rng.choice(pivot_paths) + "/c0"
+            else:
+                text = rng.choice(texts)
+            path, cred = mkpath(text), rng.choice(list(Credential))
+            call = "stage_lookup" if rng.random() < 0.2 else "lookup"
+            answers = [_outcome(getattr(e, call), path, cred) for e in engines]
+            if text in pool.by_path:
+                refused = isinstance(answers[1], tuple) and answers[1][1].startswith("skipped prefix")
+                seen[f"whole-path hit refused for {cred.name.lower()}" if refused else "whole-path hit"] += 1
+            else:
+                seen["partial hit or miss"] += 1
+        assert answers[0] == answers[1] == answers[2]
+        if 0.04 <= roll < 0.10 and answers[0] is None:  # a chmod or rename applied
+            seen["hook covering a pivot" if eager.metrics.entries_touched != touched else "hook covering none"] += 1
+        rows = eager.metrics.counter_rows()
+        assert every.metrics.counter_rows() == rows
+        if ticked:  # the period end counted the hits before it
+            assert held.counter_rows() == rows
+        if rng.random() < 0.15:
+            seen["lazy read with hits on a freed pool"] += any(p.freed for p in lazy._hit_pools)
+            assert lazy.metrics.counter_rows() == rows
+    assert lazy.metrics is held and held.counter_rows() == eager.metrics.counter_rows()
+    assert held.pivot_hits > 1000, held  # not vacuous
+    for kind in (
+        "tick",
+        "publish_pool",
+        "reclaim freed a pool",
+        "whole-path hit",
+        "whole-path hit refused for group",
+        "whole-path hit refused for other",
+        "partial hit or miss",
+        "hook covering a pivot",
+        "hook covering none",
+        "lazy read with hits on a freed pool",
+    ):
+        assert seen[kind] > 0, (kind, seen)
 
 
 def _unsplit(path: PathBuf) -> bool:

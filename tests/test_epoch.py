@@ -492,7 +492,7 @@ def _check_path_map(pool):
     pivot at full depth with the reference scan's counts."""
     assert sorted(pool.by_path) == sorted(pv.path for pv in pool.pivots)
     for pv in pool.pivots:
-        pair = pool.by_path[pv.path][0]
+        pair = pool.by_path[pv.path].pair
         assert pair[0] is pv and pair[1] == pv.depth
         for text in (pv.path, pv.path + "/"):
             q, stats = PathBuf.parse(text), ScanStats()

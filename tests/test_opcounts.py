@@ -31,17 +31,22 @@ _PINS = {
     (3, 11): {
         "original": (170, 3),
         "fullpath-hit": (52, 1),
-        "stage-hit": (99, 1),
-        "stage-miss-empty-pool": (297, 6),
+        # a whole-path hit was 33 opcodes more (99 / 1, stat 136 / 2, open 102 / 2)
+        # while it counted its lookup, chars and histogram bump into Metrics itself
+        "stage-hit": (66, 1),
+        # the other lookups were 3 opcodes more (297 / 6, 1,212 / 16, 1,904 / 24,
+        # 675 / 12) while the whole-path hit shared their prologue and epilogue,
+        # and the partial hits 5 more again, which re-read their depth off the pair
+        "stage-miss-empty-pool": (294, 6),
         "original-stat": (207, 4),
         "fullpath-stat": (89, 2),
-        "stage-stat": (136, 2),
+        "stage-stat": (103, 2),
         "original-open": (173, 4),
         "fullpath-open": (55, 2),
-        "stage-open": (102, 2),
-        "stage-partial-depth4-pool8": (1212, 16),
-        "stage-partial-depth4-pool16": (1904, 24),
-        "stage-miss-populated-pool": (675, 12),
+        "stage-open": (69, 2),
+        "stage-partial-depth4-pool8": (1204, 16),
+        "stage-partial-depth4-pool16": (1896, 24),
+        "stage-miss-populated-pool": (672, 12),
     },
 }
 
@@ -49,12 +54,16 @@ _PINS = {
 _TWIN_PINS = {
     (3, 11): {
         "stage-rename-hook-covers-none": (116, 5),
-        "stage-rename-hook-covers-one": (1446, 23),
+        # 36 opcodes fewer (1,446 / 23) while a path-map entry was a tuple, not
+        # an object whose five slots the repaired pool's build stores one by one
+        "stage-rename-hook-covers-one": (1482, 23),
         # each tick was 11 opcodes more and one call fewer (1,700 / 43, 4,749 / 95,
-        # 4,693 / 95) while the manager ranked the heat and advanced the set itself
-        "stage-tick-keeps-pool": (1689, 44),
-        "stage-tick-builds-pool": (4738, 96),
-        "stage-tick-log-1000-of-4": (4682, 96),
+        # 4,693 / 95) while the manager ranked the heat and advanced the set itself,
+        # and one call fewer again (1,689 / 44, 4,738 / 96, 4,682 / 96) while
+        # each whole-path hit counted itself into Metrics, not `_count_hits`
+        "stage-tick-keeps-pool": (1904, 45),
+        "stage-tick-builds-pool": (4798, 97),
+        "stage-tick-log-1000-of-4": (4742, 97),
     },
 }
 

@@ -368,7 +368,7 @@ def test_counts_match_char_by_char_reference_randomized():
             found = _scan_kinds(q, ref)
             kinds.update(found)
             if "whole path" in found:
-                assert got is pool.by_path[q.text][0]
+                assert got is pool.by_path[q.text].pair
             scans += 1
             prefix_mismatches += any(
                 a != b and (a.startswith(b) or b.startswith(a))
@@ -528,8 +528,7 @@ def test_verify_detects_a_stale_path_map(fig4):
     repaired.by_path = dict(pool.by_path)
     assert any("path map keys" in p for p in verify_pool(repaired))
     pv = pool.pivots[-1]
-    pair, visited, chars, _component = pool.by_path[pv.path]
-    pool.by_path[pv.path] = (pair, visited, chars, pv.components[0])
+    pool.by_path[pv.path].component = pv.components[0]
     assert verify_pool(pool) == [f"[3] path map entry of {pv.path!r} holds the wrong component"]
 
 
