@@ -15,17 +15,17 @@ and whose dentry is the target. A query equal to the pivot's path has
 nothing left to walk, so that branch indexes no component array, compares
 no lengths and never splits the path (see `paths`); it appends the pair the
 map stores, so it builds no tuple either. It reads no counter: it adds 1 to
-the entry's `hits`, notes its pool when that is not the last pool a hit
-noted, logs its target for heat and returns. `_count_hits` adds the noted
-pools' entry counts into `Metrics` (per hit a lookup, the scan's chars and
-a histogram bump at the pair's depth, as an eager count would) at each
-period end, at a heat-log drain and whenever `metrics` is read: the
-batching that BP-Wrapper (below) applies to replacement bookkeeping. A
-noted pool keeps its entries' counts after it is retired or freed, so no
-install or reclaim loses one. A whole-path hit that the mode test refuses,
-or one on a freed pool, takes the read side of every other lookup, which
-counts it at once and raises what a scan raises. Only those and a path-map
-miss call `find_best_pivot`, and every threadsafe lookup does.
+the entry's `hits`, lists the entry when that count was 0, logs its target
+for heat and returns. `_count_hits` adds the listed entries' counts into
+`Metrics` (per hit a lookup, the scan's chars and a histogram bump at the
+pair's depth, as an eager count would) at each period end and whenever
+`metrics` is read: the batching that BP-Wrapper (below) applies to
+replacement bookkeeping. An entry with hits is listed exactly once, and the
+list holds it after its pool is retired or freed, so no install or reclaim
+loses a count. A whole-path hit that the mode test refuses, or one on a
+freed pool, takes the read side of every other lookup, which counts it at
+once and raises what a scan raises. Only those and a path-map miss call
+`find_best_pivot`, and every threadsafe lookup does.
 Stage Two resolves the remaining components through the children maps
 exactly like the original walk, starting from the matched component's
 dentry, which the pivot holds per depth (so landing on an ancestor of the
@@ -36,11 +36,12 @@ components' modes taken at build time.
 
 A lookup applies no heat: it appends its target to the engine's heat log,
 which is atomic under the GIL, so it takes no lock and calls nothing for
-heat on either tree kind. The period end that the engine hands the manager
-(`_end_period`) applies the log before it reads the members and advances the
-set, all under the heat lock (`apply_heat`), as BP-Wrapper (Ding, Jiang and
-Zhang, ICDE 2009) commits its access queue in batches; a lookup applies it
-in order itself when it reaches `HEAT_LOG_BOUND` entries. Only the period
+heat on either tree kind. The engine's `tick` applies the log before it
+reads the members and advances the set, all under the heat lock
+(`apply_heat`), and only then hands the popular members to the manager, as
+BP-Wrapper (Ding, Jiang and Zhang, ICDE 2009) commits its access queue in
+batches; a lookup applies it in order itself when it reaches
+`HEAT_LOG_BOUND` entries. Only the period
 end reads heat and the candidate set, so it sees what a heat call per
 lookup would have left. The heat is the candidate set's per-period
 dict, as BP-Wrapper keeps it in the policy's state, and the dentries hold
@@ -86,7 +87,7 @@ from .heat import CandidateSet, observe_target
 from .epoch import PivotManager
 from .metrics import Metrics
 from .paths import PathBuf
-from .pivots import Pivot, PivotPool, ScanStats, find_best_pivot
+from .pivots import PathEntry, Pivot, ScanStats, find_best_pivot
 from .tree import DIR, FILE, Credential, Dentry, DirTree
 
 # logged targets at which a lookup applies the log itself, which bounds the
@@ -176,14 +177,12 @@ class StageLookupEngine(_ResolverBase):
     ):
         self.tree = tree  # not the base `__init__`: `metrics` is read-only here
         self._metrics = Metrics()
-        # pools whose path-map entries may hold uncounted hits, and the last
-        # one a hit noted, which each hit tests by identity
-        self._hit_pools: list[PivotPool] = []
-        self._hit_pool: Optional[PivotPool] = None
+        # the path-map entries holding uncounted hits, each listed once
+        self._hit_entries: list[PathEntry] = []
         self.candidates = CandidateSet(heat_capacity, heat_threshold)
         self.heat_lock = threading.Lock()
         self._heat_log: list[Dentry] = []
-        self.manager = PivotManager(tree, self._end_period, pool_bound=pool_size)
+        self.manager = PivotManager(tree, pool_bound=pool_size)
         # a single-threaded engine reuses one ScanStats; a threadsafe one
         # makes one per lookup, since threads would share a reused one
         self._stats = None if tree.threadsafe else ScanStats()
@@ -199,42 +198,37 @@ class StageLookupEngine(_ResolverBase):
         """Add the single-threaded whole-path hits that path-map entries hold
         into `Metrics`, as their eager counts would have: per entry with `k`
         hits, `k` lookups, `k` times its scan's chars, and `k` at its depth
-        in the histogram; then zero them. Every pool such a hit used is in
-        `_hit_pools` until this call, retired or freed ones too, so no
+        in the histogram; then zero them. Every entry with hits is in
+        `_hit_entries` once, those of retired or freed pools too, so no
         install or reclaim can drop a count."""
-        pools = self._hit_pools
-        if not pools:
+        entries = self._hit_entries
+        if not entries:
             return
         metrics = self._metrics
         hist = metrics.skipped_prefix_histogram
-        for pool in pools:
-            for entry in pool.by_path.values():
-                k = entry.hits
-                if k:
-                    entry.hits = 0
-                    metrics.lookups += k
-                    metrics.char_comparisons += k * entry.chars
-                    depth = entry.pair[1]
-                    hist[depth] = hist.get(depth, 0) + k
-        pools.clear()
-        self._hit_pool = None
+        for entry in entries:
+            k = entry.hits
+            entry.hits = 0
+            metrics.lookups += k
+            metrics.char_comparisons += k * entry.chars
+            depth = entry.pair[1]
+            hist[depth] = hist.get(depth, 0) + k
+        entries.clear()
 
     def _on_metadata(self, path: PathBuf, _dentry: Dentry) -> None:
         self._metrics.entries_touched += self.manager.invalidate_for_metadata(path)
 
     def tick(self, periods: int = 1) -> None:
+        """End the period: count its whole-path hits; apply the heat log,
+        take the popular candidates and start the next heat period, all
+        under the heat lock, so no drain lands between the read and the
+        advance; then hand the candidates to the manager, which builds."""
         super().tick(periods)
-        self.manager.periodic_update(periods)
-
-    def _end_period(self) -> dict[Dentry, int]:
-        """The manager's period end: apply the heat log, then take the
-        period's popular candidates and start the next period, all under
-        the heat lock, so no drain lands between the read and the advance.
-        The period's whole-path hits are counted first."""
         self._count_hits()
         with self.heat_lock:
             self.apply_heat(True)
-            return self.candidates.end_period()
+            candidates = self.candidates.end_period()
+        self.manager.periodic_update(candidates, periods)
 
     def apply_heat(self, period_end: bool = False) -> None:
         """Apply the logged targets' heat, oldest first, and empty the log.
@@ -244,7 +238,7 @@ class StageLookupEngine(_ResolverBase):
         thread appends meanwhile stays for the next drain. By default, and
         whenever the candidate set already has members, the batch is
         replayed in order, one `observe_target` per lookup. A `period_end`
-        drain into an empty set, `_end_period`'s, may instead make one call
+        drain into an empty set, `tick`'s, may instead make one call
         per distinct target with its count, for the first `capacity`
         targets in first-seen order, when each later target was looked up
         at most threshold + 1 times. That is exact: each of the first
@@ -283,10 +277,9 @@ class StageLookupEngine(_ResolverBase):
                 matched = entry.component
                 # the modes' AND cached on the matched component clears components 1..depth-1
                 if matched.prefix_trav & cred:
+                    if not entry.hits:
+                        self._hit_entries.append(entry)
                     entry.hits += 1  # its lookup, chars and histogram bump: see _count_hits
-                    if pool is not self._hit_pool:
-                        self._hit_pool = pool
-                        self._hit_pools.append(pool)
                     if out is not None:
                         out.append(entry.pair)
                     target = matched.node
@@ -340,11 +333,9 @@ class StageLookupEngine(_ResolverBase):
         return target.id
 
     def _drain_log(self) -> None:
-        """A lookup that filled the heat log applies it, and counts the
-        whole-path hits, which bounds the pools `_hit_pools` holds."""
+        """A lookup that filled the heat log applies it."""
         with self.heat_lock:
             self.apply_heat()
-        self._count_hits()
 
     def stage_lookup(self, path: PathBuf, cred: Credential = Credential.OWNER) -> StageResult:
         """`lookup`, reporting the pivot it used and the components it skipped."""

@@ -9,13 +9,13 @@ a reclaim queue and are poisoned (freed flag) only once every reader
 registered before their retirement has exited, which the sentinel checks in
 find_best_pivot turn into hard failures on any protocol bug.
 
-Each period the manager calls `end_period`, the one function it was given,
-which returns the period's popular candidates (dentry to heat) and starts
-the next heat period; the manager holds no heat. It builds a pool from
-those candidates; a period whose kept names equal the working pool's keeps
-that pool, and so does an idle period, one with no popular candidate:
-shortcuts outlive a quiet spell, or a spell of targets each seen once, as
-dcache entries stay until something displaces them.
+Each period the engine hands the manager the period's popular candidates
+(dentry to heat) as data; the manager holds no heat and calls nothing of
+the engine's. It builds a pool from those candidates; a period whose kept
+names equal the working pool's keeps that pool, and so does an idle period,
+one with no popular candidate: shortcuts outlive a quiet spell, or a spell
+of targets each seen once, as dcache entries stay until something displaces
+them.
 A metadata modification finds the pivots its path covers by bisecting
 the working pool's sorted list on that path's names (one run of the sorted
 pool, so the cost is a bisection and the run, not a pass over the pool),
@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import nullcontext
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import ConfigError, ContractViolation
 from .paths import PathBuf
@@ -87,14 +87,13 @@ class ReclaimQueue:
 
 class PivotManager:
     """Owns the working pool, the reader registry and reclamation. Each
-    period calls `end_period()` once for the candidates to build from. A
-    negative `pool_bound` raises ConfigError."""
+    period builds from the candidates it is given. A negative `pool_bound`
+    raises ConfigError."""
 
-    def __init__(self, tree: DirTree, end_period: Callable[[], dict[Dentry, int]], pool_bound: int = 16):
+    def __init__(self, tree: DirTree, pool_bound: int = 16):
         if pool_bound < 0:
             raise ConfigError(f"pool size must be >= 0, got {pool_bound}")
         self._tree = tree
-        self._end_period = end_period
         self.pool_bound = pool_bound
         self.working_pool = PivotPool([])
         self.working_pool.published = True
@@ -144,32 +143,17 @@ class PivotManager:
 
     # -- manager side -----------------------------------------------------------
 
-    def periodic_update(self, periods: int = 1) -> None:
-        """One manager period, or `periods` in a row: take the period's
-        candidates from `end_period`, rebuild, and install the build unless
-        it keeps the working pool.
+    def periodic_update(self, candidates: dict[Dentry, int], periods: int = 1) -> None:
+        """One manager period, or `periods` in a row: build from the
+        period's popular candidates and install the build under one tree
+        read lock, unless it keeps the working pool. With no candidates,
+        `build_pool` returns the working pool, which the period keeps.
 
-        `periods` > 1 runs that many periods back to back with no lookup or
-        modification between them (a replay's idle gap). The first period's
-        `end_period` starts a heat period with nothing in it, so each later
-        one would build nothing and keep the working pool: they are counted
-        at once.
+        `periods` > 1 counts that many periods back to back with no lookup
+        or modification between them (a replay's idle gap): each after the
+        first has no candidates and would keep the working pool.
         """
-        self._period()
-        self.ticks += periods - 1
-
-    @property
-    def swaps(self) -> int:
-        """Every period swaps, also one that keeps the working pool."""
-        return self.ticks
-
-    def _period(self) -> None:
-        """One period: end the heat period for its popular candidates, then
-        build from them and install the build under one tree read lock.
-        With none, `build_pool` returns the working pool, which the period
-        keeps."""
-        self.ticks += 1
-        candidates = self._end_period()
+        self.ticks += periods
         self._tree.lock.acquire_read()
         try:
             new_pool = build_pool(candidates, self.pool_bound, self.working_pool)
@@ -179,6 +163,11 @@ class PivotManager:
         finally:
             self._tree.lock.release_read()
         self.reclaim()
+
+    @property
+    def swaps(self) -> int:
+        """Every period swaps, also one that keeps the working pool."""
+        return self.ticks
 
     def publish_pool(self, pool: PivotPool) -> None:
         """Directly install a hand-built pool (benches and tests)."""

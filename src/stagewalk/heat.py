@@ -18,7 +18,7 @@ state rather than on the cached objects; the dentries carry none of it, so
 engines that share a tree share no heat.
 
 A lookup does not apply heat itself: the engine logs its target, and the
-engine's period end applies the log before `end_period` reads the members
+engine's `tick` applies the log before `end_period` reads the members
 (`engine.apply_heat`).
 The heat rule has one copy, written inline in `observe_target`, which the
 drain calls once per logged target, or once per distinct target with

@@ -39,13 +39,12 @@ Counter semantics:
 
 A stage engine's single-threaded whole-path hit that passes its mode test
 counts nothing here when it runs: it adds 1 to its path-map entry's `hits`.
-The engine adds those hits in at each period end, when a lookup drains the
-heat log and whenever `engine.metrics` is read: per hit one lookup, the
+The engine adds those hits in at each period end and whenever
+`engine.metrics` is read, not at a heat-log drain: per hit one lookup, the
 entry's scan chars and one histogram bump at its depth, so the totals equal
 an eager count. `engine.metrics` is therefore exact when it is read, and a
 caller should read it again after lookups rather than hold the object
-across them: a held object lacks the hits since the last period end or
-drain.
+across them: a held object lacks the hits since the last period end.
 """
 
 from __future__ import annotations

@@ -102,7 +102,8 @@ class PathEntry:
     query; `component`, `pivot.components[depth - 1]`, the matched
     component, taken once so that a hit indexes no array; and `hits`, the
     engine's single-threaded whole-path hits on it not yet added to its
-    `Metrics` (see `StageLookupEngine._count_hits`). `PivotPool` builds
+    `Metrics`; the engine lists the entry when its first such hit lands
+    (see `StageLookupEngine._count_hits`). `PivotPool` builds
     each one with `object.__new__` and a store per slot, so a pool's build
     runs no frame per entry."""
 

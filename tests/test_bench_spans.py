@@ -26,16 +26,17 @@ HOT = ("/a0/b1/c2/d0", "/a1/b0/c0/d0", "/a2/b2/c1/d0")
 STAGE_HEAT_CALLS = len(HOT) + 2 * len(HOT)
 
 
-def traced_replay(strategy: str, threadsafe: bool = False) -> tuple[Counter, int]:
+def traced_replay(strategy: str, threadsafe: bool = False, tracer=None) -> tuple[Counter, int]:
     """Stats, one tick, opens, one rename, stats and opens, then stage's
-    drain of its heat log; returns the span count per name and the number
-    of lookups made.
+    drain of its heat log, recorded by `tracer` (a fresh one by default);
+    returns the span count per name and the number of lookups made.
 
     `open` is `lookup`, read off the resolver on each access, so the opens
     count as lookups only if the wrapper installed on the class reaches them."""
     tree = gen_tree(TreeSpec(levels=[3, 3, 3], seed=1), threadsafe=threadsafe)
     resolver = make_resolver(strategy, tree)
-    tracer = spans.Tracer()
+    if tracer is None:
+        tracer = spans.Tracer()
     with tracer.installed():
         for text in HOT * 5:  # hot enough to become pivots at the tick
             resolver.stat(mkpath(text))
@@ -91,3 +92,24 @@ def test_threadsafe_traced_replay_makes_one_call_of_each_per_lookup():
     for name in ("epoch.reader_enter", "epoch.reader_exit", "pivots.find_best_pivot"):
         assert counts[name] == lookups, name
     assert counts["heat.observe_target"] == STAGE_HEAT_CALLS
+
+
+@pytest.mark.parametrize("threadsafe", [False, True])
+def test_no_heat_call_runs_inside_the_managers_period(threadsafe):
+    """The engine's tick applies its heat log before it hands the manager
+    the period's candidates, so the manager's span, whose self time is
+    `epoch.tick_us`, holds the build and the install alone: no
+    `heat.observe_target` span has an `epoch.periodic_update` ancestor."""
+    tracer = spans.Tracer()
+    traced_replay("stage", threadsafe, tracer)
+    names = [tracer.names[i] for i in tracer.name]
+
+    def ancestors(idx):
+        idx = tracer.parent[idx]
+        while idx >= 0:
+            yield names[idx]
+            idx = tracer.parent[idx]
+
+    heat_calls = [i for i, name in enumerate(names) if name == "heat.observe_target"]
+    assert len(heat_calls) == STAGE_HEAT_CALLS and "epoch.periodic_update" in names
+    assert [i for i in heat_calls if "epoch.periodic_update" in ancestors(i)] == []

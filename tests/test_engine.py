@@ -536,14 +536,14 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("log_bound", [engine_module.HEAT_LOG_BOUND, 40])
 def test_deferred_hit_counts_equal_eager_counts(monkeypatch, log_bound):
     """A single-threaded whole-path hit counts itself on its path-map entry,
-    and the engine adds those counts into Metrics at each period end, at a
-    log drain and whenever `metrics` is read. One seeded interleaving of
-    lookups, ticks, hooks, `publish_pool` and direct reclaims runs on a
-    threadsafe engine, which counts every lookup eagerly, and on two
-    single-threaded ones: `every` is read after each step, `lazy` only now
-    and then, so hits pile up across pool installs and reclaims, and the
-    Metrics object taken from it at the start is compared after each tick,
-    when the period end must have filled it in."""
+    and the engine adds those counts into Metrics at each period end and
+    whenever `metrics` is read. One seeded interleaving of lookups, ticks,
+    hooks, `publish_pool` and direct reclaims runs on a threadsafe engine,
+    which counts every lookup eagerly, and on two single-threaded ones:
+    `every` is read after each step, `lazy` only now and then, so hits pile
+    up across pool installs and reclaims, and the Metrics object taken from
+    it at the start is compared after each tick, when the period end must
+    have filled it in."""
     monkeypatch.setattr(engine_module, "HEAT_LOG_BOUND", log_bound)
     spec = TreeSpec(levels=[4, 3, 3, 2], seed=4)
     pivot_paths = ["/a0/b0/c0/d0", "/a0/b0/c1", "/a0/b1/c0/d1/e0", "/a1/b0/c0", "/a1/b2/c1/d0", "/a2/b1/c2/d1"]
@@ -608,7 +608,10 @@ def test_deferred_hit_counts_equal_eager_counts(monkeypatch, log_bound):
         if ticked:  # the period end counted the hits before it
             assert held.counter_rows() == rows
         if rng.random() < 0.15:
-            seen["lazy read with hits on a freed pool"] += any(p.freed for p in lazy._hit_pools)
+            held_entries = lazy.manager.working_pool.by_path.values()
+            seen["pending hits on an entry the working pool no longer holds"] += any(
+                e not in held_entries for e in lazy._hit_entries
+            )
             assert lazy.metrics.counter_rows() == rows
     assert lazy.metrics is held and held.counter_rows() == eager.metrics.counter_rows()
     assert held.pivot_hits > 1000, held  # not vacuous
@@ -622,7 +625,7 @@ def test_deferred_hit_counts_equal_eager_counts(monkeypatch, log_bound):
         "partial hit or miss",
         "hook covering a pivot",
         "hook covering none",
-        "lazy read with hits on a freed pool",
+        "pending hits on an entry the working pool no longer holds",
     ):
         assert seen[kind] > 0, (kind, seen)
 

@@ -39,7 +39,7 @@ from conftest import (
 def make_manager(tree=None, bound=16):
     tree = tree if tree is not None else make_tree("/seed")
     cset = CandidateSet(64, 4)
-    mgr = PivotManager(tree, cset.end_period, pool_bound=bound)
+    mgr = PivotManager(tree, pool_bound=bound)
     return tree, cset, mgr
 
 
@@ -55,7 +55,7 @@ def fig4_manager(threadsafe=False):
     tree = make_tree(*FIG4_PATHS, files=("/a1/b1/c2/d2/e3/f3/foo",), threadsafe=threadsafe)
     tree, cset, mgr = make_manager(tree)
     heat_up(tree, cset, FIG4_PATHS)
-    mgr.periodic_update()
+    mgr.periodic_update(cset.end_period())
     return tree, cset, mgr
 
 
@@ -87,7 +87,7 @@ def test_reader_snapshot_survives_swap():
     token_id, pool = mgr.reader_enter()
     gen_before = pool.generation
     heat_a_changed_set(tree, cset)
-    mgr.periodic_update()  # publishes a new generation
+    mgr.periodic_update(cset.end_period())  # publishes a new generation
     assert mgr.working_pool.generation == gen_before + 1
     assert pool.generation == gen_before
     # the pinned snapshot still answers queries consistently
@@ -145,7 +145,7 @@ def test_single_threaded_tick_inside_a_read_section_trips_the_sentinel():
     tree, cset, mgr = fig4_manager()
     token_id, pool = mgr.reader_enter()
     heat_a_changed_set(tree, cset)
-    mgr.periodic_update()
+    mgr.periodic_update(cset.end_period())
     assert pool.freed
     with pytest.raises(ContractViolation):
         find_best_pivot(pool, mkpath("/a1/b1/c1"))
@@ -174,7 +174,7 @@ def test_selector_alternates_in_steady_state():
     seen = [mgr.working_pool]
     for hot in ("/seed", "/next", "/seed"):
         heat_up(tree, cset, [hot])
-        mgr.periodic_update()
+        mgr.periodic_update(cset.end_period())
         seen.append(mgr.working_pool)
     assert [p.generation for p in seen] == [0, 1, 2, 3]  # a fresh pool every changed period
     assert [p.freed for p in seen] == [True, True, True, False]  # the old one retired
@@ -190,7 +190,7 @@ def test_unchanged_hot_set_keeps_the_working_pool(threadsafe):
     token_id, held = mgr.reader_enter()
     heat_up(tree, cset, FIG4_PATHS)
     assert len(cset) > 0
-    mgr.periodic_update()
+    mgr.periodic_update(cset.end_period())
     assert mgr.working_pool is old and old.generation == gen
     assert mgr.swaps == swaps + 1 and cset.heat == {} and len(cset) == 0
     assert mgr.reclaim_queue.pending == 0
@@ -231,7 +231,7 @@ def test_working_pool_equals_a_fresh_build_of_its_targets_randomized(threadsafe)
                     engine.apply_heat()  # the period would drain the log before it ranks
                     heat = engine.candidates.heat
                     cands = {d: heat[d] for d in engine.candidates.members() if heat[d] >= POPULAR_HEAT}
-                    mgr.periodic_update()
+                    engine.tick()
                     want = reference_build_pool(cands, mgr.pool_bound, before)
                     assert pool_shape(mgr.working_pool) == pool_shape(want)
                     if before.size:
@@ -269,7 +269,7 @@ def test_periods_in_a_row_end_as_single_periods_do(threadsafe):
         tree, cset, mgr = fig4_manager(threadsafe)
         heat_up(tree, cset, ["/a1/b1/c1"])
         for n in periods:
-            mgr.periodic_update(n)
+            mgr.periodic_update(cset.end_period(), n)
         states.append((mgr.ticks, mgr.swaps, dict(cset.heat), len(cset), mgr.working_pool.generation,
                        mgr.reclaim_queue.pending, [pv.names for pv in mgr.working_pool.pivots]))
     assert states[0] == states[1]
@@ -283,7 +283,7 @@ def test_the_build_sees_a_rename_made_before_the_tick(threadsafe):
     mgr.invalidate_for_metadata(mkpath("/a1/b2"))  # no hook registered; call directly
     tree.rename_node(mkpath("/a1/b2"), mkpath("/a1/zz9"))
     heat_up(tree, cset, ["/a1/b1/c1", "/a1/zz9/c3"])
-    mgr.periodic_update()
+    mgr.periodic_update(cset.end_period())
     paths = [p.path for p in mgr.working_pool.pivots]
     assert mgr.working_pool is not pool and "/a1/zz9/c3" in paths
     assert not any(p.startswith("/a1/b2/") for p in paths)
@@ -355,14 +355,14 @@ def test_a_period_advances_the_version_and_empties_the_candidate_set():
     version: the heat and the members empty."""
     tree, cset, mgr = make_manager()
     heat_up(tree, cset, ["/seed"])
-    mgr.periodic_update()
+    mgr.periodic_update(cset.end_period())
     assert cset.heat == {}
     assert len(cset) == 0  # the swap clears the set
 
 
 def test_empty_candidates_publish_empty_pool():
-    _tree, _cset, mgr = make_manager()
-    mgr.periodic_update()
+    _tree, cset, mgr = make_manager()
+    mgr.periodic_update(cset.end_period())
     assert mgr.working_pool.size == 0 and mgr.working_pool.published
 
 
@@ -377,7 +377,7 @@ def test_a_tick_with_no_lookups_keeps_the_working_pool(threadsafe):
     pool = mgr.working_pool
     assert [p.path for p in pool.pivots] == ["/a/b/f"]
     swaps = mgr.swaps
-    mgr.periodic_update()  # an idle period
+    engine.tick()  # an idle period
     assert mgr.working_pool is pool and not pool.freed
     assert mgr.swaps == swaps + 1  # the period still swaps
     assert engine.stage_lookup(mkpath("/a/b/f")).pivot_used == "/a/b/f"
@@ -398,7 +398,7 @@ def test_a_target_looked_up_twice_in_its_period_becomes_a_pivot(threadsafe):
     engine.lookup(mkpath("/a/b/f"))
     engine.lookup(mkpath("/a/b/f"))
     engine.lookup(mkpath("/c/d/g"))
-    mgr.periodic_update()
+    engine.tick()
     assert [p.path for p in mgr.working_pool.pivots] == ["/a/b/f"]
     assert engine.stage_lookup(mkpath("/a/b/f")).pivot_used == "/a/b/f"
 
@@ -410,7 +410,7 @@ def test_a_target_looked_up_once_does_not_become_a_pivot(threadsafe):
     engine.apply_heat()  # a lookup logs its target; the drain admits it
     assert [d.name for d in cset.members()] == ["f"]  # a candidate all the same
     empty = mgr.working_pool
-    mgr.periodic_update()
+    engine.tick()
     assert mgr.working_pool is empty and mgr.working_pool.size == 0
     assert engine.stage_lookup(mkpath("/a/b/f")).pivot_used is None
 
@@ -425,7 +425,7 @@ def test_one_lookup_in_each_of_two_periods_does_not_make_a_pivot(threadsafe):
         engine.lookup(mkpath("/a/b/f"))
         engine.apply_heat()
         assert cset.heat == {target: 1}
-        mgr.periodic_update()
+        engine.tick()
         assert mgr.working_pool.size == 0
 
 
@@ -445,7 +445,7 @@ def test_a_period_of_targets_seen_once_keeps_the_working_pool(threadsafe):
     engine.apply_heat()
     assert len(cset) == 2 and all(cset.heat[d] == 1 for d in cset.members())
     swaps = mgr.swaps
-    mgr.periodic_update()
+    engine.tick()
     assert mgr.working_pool is pool and not pool.freed
     assert mgr.swaps == swaps + 1 and cset.heat == {}
     assert len(cset) == 0
@@ -523,7 +523,7 @@ def test_path_map_holds_each_pivot_with_its_scan_counts(threadsafe):
         tree, cset, mgr = make_manager(make_tree(*paths, threadsafe=threadsafe))
         tree.register_hook(lambda path, _dentry: mgr.invalidate_for_metadata(path))
         heat_up(tree, cset, rng.sample(prefixes, rng.randint(1, min(len(prefixes), 16))))
-        mgr.periodic_update()
+        mgr.periodic_update(cset.end_period())
         pool = mgr.working_pool
         _check_path_map(pool)
         _check_components(tree, pool)
@@ -587,7 +587,7 @@ def test_covered_run_is_the_slice_rules_run_randomized(threadsafe):
         prefixes = sorted({p.rsplit("/", k)[0] for p in paths for k in range(p.count("/"))})
         tree, cset, mgr = make_manager(make_tree(*paths, threadsafe=threadsafe))
         heat_up(tree, cset, rng.sample(prefixes, rng.randint(1, min(len(prefixes), 16))))
-        mgr.periodic_update()
+        mgr.periodic_update(cset.end_period())
         pool = mgr.working_pool
         pivots = pool.pivots
         queries = {(): "root"}
@@ -753,7 +753,7 @@ def test_reclaim_all_without_readers(threadsafe):
     tree, cset, mgr = fig4_manager(threadsafe)
     old_pool = mgr.working_pool
     heat_a_changed_set(tree, cset)
-    mgr.periodic_update()  # retires old_pool
+    mgr.periodic_update(cset.end_period())  # retires old_pool
     assert mgr.reclaim_queue.pending == 0  # tick reclaims opportunistically
     assert old_pool.freed
 
@@ -763,7 +763,7 @@ def test_reader_pins_generation():
     old_pool = mgr.working_pool
     token_id, pool = mgr.reader_enter()
     heat_a_changed_set(tree, cset)
-    mgr.periodic_update()
+    mgr.periodic_update(cset.end_period())
     assert not old_pool.freed  # grace period: retired at the reader's generation
     # the pinned snapshot is still fully usable
     assert find_best_pivot(pool, mkpath("/a1/b1/c1")) is not None
@@ -777,7 +777,7 @@ def test_use_after_reclaim_trips_sentinel(threadsafe):
     tree, cset, mgr = fig4_manager(threadsafe)
     old_pool = mgr.working_pool
     heat_a_changed_set(tree, cset)
-    mgr.periodic_update()
+    mgr.periodic_update(cset.end_period())
     assert old_pool.freed
     with pytest.raises(ContractViolation):
         find_best_pivot(old_pool, mkpath("/a1/b1/c1"))
@@ -818,7 +818,7 @@ def test_removed_pivots_reclaimed_after_grace():
 def test_reclaim_idempotent(threadsafe):
     tree, cset, mgr = fig4_manager(threadsafe)
     heat_a_changed_set(tree, cset)
-    mgr.periodic_update()
+    mgr.periodic_update(cset.end_period())
     assert mgr.reclaim() == 0
     assert mgr.reclaim() == 0
 

@@ -231,7 +231,7 @@ def test_swap_clears_members_refreshed_in_the_ending_period():
     engine.apply_heat()  # lookups log their targets; the drain admits them
     members = engine.candidates.members()
     assert len(members) == 8
-    engine.manager.periodic_update()
+    engine.tick()
     assert len(engine.candidates) == 0 and engine.candidates.least_popular is None
     assert all(m not in engine.candidates for m in members)
     engine.candidates.validate()

@@ -104,7 +104,7 @@ def _replay(rng, capacity: int, threshold: int, threadsafe: bool, periods: int, 
         return real_apply(self, period_end)
 
     monkeypatch.setattr(epoch_module, "build_pool", recording_build)
-    monkeypatch.setattr(StageLookupEngine, "apply_heat", spying_apply)  # `_end_period` looks it up per call
+    monkeypatch.setattr(StageLookupEngine, "apply_heat", spying_apply)  # `tick` looks it up per call
     trees = [gen_tree(_SPEC, threadsafe=threadsafe) for _ in range(2)]
     pool_size = rng.choice((4, 16))
     eager, shipped = (StageLookupEngine(t, pool_size, threshold, capacity) for t in trees)

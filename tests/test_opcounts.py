@@ -32,18 +32,20 @@ _PINS = {
         "original": (170, 3),
         "fullpath-hit": (52, 1),
         # a whole-path hit was 33 opcodes more (99 / 1, stat 136 / 2, open 102 / 2)
-        # while it counted its lookup, chars and histogram bump into Metrics itself
-        "stage-hit": (66, 1),
+        # while it counted its lookup, chars and histogram bump into Metrics itself,
+        # and 2 more (66 / 1, stat 103 / 2, open 69 / 2) while it noted its pool,
+        # not its entry, for `_count_hits`
+        "stage-hit": (64, 1),
         # the other lookups were 3 opcodes more (297 / 6, 1,212 / 16, 1,904 / 24,
         # 675 / 12) while the whole-path hit shared their prologue and epilogue,
         # and the partial hits 5 more again, which re-read their depth off the pair
         "stage-miss-empty-pool": (294, 6),
         "original-stat": (207, 4),
         "fullpath-stat": (89, 2),
-        "stage-stat": (103, 2),
+        "stage-stat": (101, 2),
         "original-open": (173, 4),
         "fullpath-open": (55, 2),
-        "stage-open": (69, 2),
+        "stage-open": (67, 2),
         "stage-partial-depth4-pool8": (1204, 16),
         "stage-partial-depth4-pool16": (1896, 24),
         "stage-miss-populated-pool": (672, 12),
@@ -60,10 +62,13 @@ _TWIN_PINS = {
         # each tick was 11 opcodes more and one call fewer (1,700 / 43, 4,749 / 95,
         # 4,693 / 95) while the manager ranked the heat and advanced the set itself,
         # and one call fewer again (1,689 / 44, 4,738 / 96, 4,682 / 96) while
-        # each whole-path hit counted itself into Metrics, not `_count_hits`
-        "stage-tick-keeps-pool": (1904, 45),
-        "stage-tick-builds-pool": (4798, 97),
-        "stage-tick-log-1000-of-4": (4742, 97),
+        # each whole-path hit counted itself into Metrics, not `_count_hits`;
+        # then two calls more (1,904 / 45, 4,798 / 97, 4,742 / 97) while the
+        # manager called back into the engine for the candidates in a frame of
+        # its own, and `_count_hits` walked each noted pool's whole path map
+        "stage-tick-keeps-pool": (1863, 43),
+        "stage-tick-builds-pool": (4778, 95),
+        "stage-tick-log-1000-of-4": (4722, 95),
     },
 }
 

@@ -465,9 +465,12 @@ def test_tick_below_one_period_raises_config_error(strategy, periods):
         assert resolver.manager.ticks == resolver.manager.swaps == 0
 
 
+_one_tick = StageLookupEngine.tick  # the real tick, taken before a test patches it
+
+
 def _single_period_ticks(self, periods=1):
     for _ in range(periods):
-        self.manager.periodic_update()
+        _one_tick(self)
 
 
 def test_idle_gaps_end_as_single_ticks_leave_them_randomized(monkeypatch):
